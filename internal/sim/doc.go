@@ -5,8 +5,8 @@
 // schedule packet serialization and propagation, transports schedule
 // pacing and retransmission timers, and experiments schedule flow
 // arrivals. Reading this doc top to bottom is the engine's contract; the
-// tests in engine_test.go, sampler_test.go, and wheel_test.go pin every
-// clause.
+// tests in engine_test.go, sampler_test.go, wheel_test.go, and
+// queue_equiv_test.go pin every clause.
 //
 // # Scheduling
 //
@@ -28,25 +28,30 @@
 // reproductions and the parallel batch runner rely on.
 //
 // Events that share a timestamp are dispatched as one batch: the engine
-// collects the whole same-timestamp cohort from the queue up front and
-// invokes the callbacks back to back without re-consulting the queue.
-// Events a callback schedules at the current timestamp join the order
-// after the running batch (their sequence numbers are higher); canceling
-// a not-yet-dispatched member of the running batch takes effect.
+// invokes the whole same-timestamp cohort back to back off the front of
+// the queue. Events a callback schedules at the current timestamp join
+// the order after every member already queued (their sequence numbers
+// are higher); canceling a not-yet-dispatched member of the running batch
+// takes effect.
 //
 // # The event queue
 //
-// The queue is a hierarchical timing wheel (wheel.go): four levels of 256
-// slots, a level-0 slot spanning 8.192 ns, each higher level 256× coarser,
-// for a ~35 s horizon; a small heap in front restores exact (time, seq)
-// order within a slot, and an overflow heap behind accepts any timestamp
-// beyond the horizon. Insertion for the short-horizon events that dominate
-// simulation (serialization, propagation, pacing) is O(1) — one compare,
-// one append, one bitmap OR — and cursor advance skips empty time via
-// occupancy bitmaps. Cancel is lazy: O(1) marking with reclamation when
-// the event's slot drains, plus a compaction sweep when canceled entries
-// dominate the queue, so cancel/re-arm patterns (RTO timers) cannot hold
-// memory proportional to history.
+// The queue is a hierarchical timing wheel (wheel.go): three levels of
+// 1024 slots, a level-0 slot spanning 8.192 ns, each higher level 1024×
+// coarser, for a ~8.8 s horizon, with an overflow heap behind that accepts
+// any timestamp beyond it. A slot is an intrusive linked list threaded
+// through the pooled events themselves, so insertion for the short-horizon
+// events that dominate simulation (serialization, propagation, pacing) is
+// O(1) — one compare, two pointer stores, one bitmap OR — and cursor
+// advance skips empty time via occupancy bitmaps. A drained slot (a
+// handful of events, typically) is copied into the due run and sorted
+// once, which restores exact (time, seq) order; dispatch pops the run, and
+// the occasional event scheduled at or behind the cursor is inserted at
+// its sorted position. A warm engine never allocates. Cancel is lazy: O(1)
+// marking with reclamation when the event's slot drains, plus a
+// compaction sweep when canceled entries dominate the queue, so
+// cancel/re-arm patterns (RTO timers) cannot hold memory proportional to
+// history.
 //
 // # Event ownership
 //

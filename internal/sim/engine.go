@@ -44,14 +44,14 @@ func TotalEvents() uint64 {
 // attribution (SetCostSampler). Tags are advisory — they never affect
 // dispatch order or simulation behavior. Untagged events are EKOther.
 const (
-	EKOther uint8 = iota
-	EKTransmit      // port transmitter wake-up (serialization done)
-	EKDeliverSwitch // packet delivery into a switch port
-	EKDeliverHost   // packet delivery into a host NIC
-	EKPause         // PFC pause/resume frame delivery
-	EKRTO           // transport retransmission timeout
-	EKSampler       // clock-driven sampling hook (SetSampler)
-	EKFault         // fault-injection timeline event
+	EKOther         uint8 = iota
+	EKTransmit            // port transmitter wake-up (serialization done)
+	EKDeliverSwitch       // packet delivery into a switch port
+	EKDeliverHost         // packet delivery into a host NIC
+	EKPause               // PFC pause/resume frame delivery
+	EKRTO                 // transport retransmission timeout
+	EKSampler             // clock-driven sampling hook (SetSampler)
+	EKFault               // fault-injection timeline event
 	NumEventKinds
 )
 
@@ -97,6 +97,9 @@ type Event struct {
 	// and a0/a1 its arguments. Pointers boxed in any do not allocate.
 	fn2    func(a, b any)
 	a0, a1 any
+	// next threads the event into its wheel slot's chain (wheel.go). Only
+	// meaningful while the event sits in a slot; stale otherwise.
+	next *Event
 }
 
 // At returns the time the event is scheduled to fire.
@@ -106,13 +109,17 @@ func (e *Event) At() Time { return e.at }
 // still pending.
 func (e *Event) Canceled() bool { return e.state == evCanceled }
 
-// entry is one queue slot. The ordering key lives in the entry itself so
-// comparisons never chase the Event pointer.
+// entry is one element of the due run or the overflow heap. The ordering
+// key lives in the entry itself so comparisons never chase the Event
+// pointer.
 type entry struct {
 	at  Time
 	seq uint64
 	ev  *Event
 }
+
+// entry returns the event's queue entry: its ordering key plus the pointer.
+func (e *Event) entry() entry { return entry{at: e.at, seq: e.seq, ev: e} }
 
 func (a entry) less(b entry) bool {
 	if a.at != b.at {
@@ -126,10 +133,10 @@ func (a entry) less(b entry) bool {
 //
 // The event queue is a hierarchical timing wheel (see wheel.go): O(1)
 // insertion for the short-horizon events that dominate the simulator,
-// strict (time, seq) dispatch order restored by a small per-slot heap, and
-// a far-future overflow heap so any timestamp schedules. Same-timestamp
-// events are dispatched as one batch without re-consulting the queue
-// between callbacks.
+// strict (time, seq) dispatch order restored by sorting each slot once as
+// it drains, and a far-future overflow heap so any timestamp schedules.
+// Same-timestamp events are dispatched as one batch, consumed back to back
+// off the sorted run.
 //
 // Cancellation is lazy: Cancel marks the event and the queue drops it when
 // its slot drains (or at the next compaction), so Cancel is O(1) and no
@@ -141,29 +148,24 @@ type Engine struct {
 	processed uint64
 	free      []*Event // recycled fired/canceled events
 
-	// Event queue: hierarchical timing wheel + due/overflow heaps
+	// Event queue: hierarchical timing wheel + due run + overflow heap
 	// (wheel.go). due holds every event at or behind the cursor's current
-	// level-0 slot in (time, seq) order; batch is the same-timestamp
-	// dispatch buffer, reused across batches.
-	due       entryHeap
+	// level-0 slot, sorted by (time, seq); due[:dueHead] is the consumed
+	// prefix, due[dueHead] the next event to fire.
+	due       []entry
+	dueHead   int
 	overflow  entryHeap
 	levels    [numLevels]wheelLevel
 	wheelTick uint64 // absolute level-0 slot number of the wheel cursor
-	nwheel    int    // entries resident in wheel slots (canceled included)
-	batch     []entry
-	npending  int // scheduled, not yet fired or canceled
-	ncanceled int // canceled entries still occupying queue slots
+	nwheel    int    // events resident in wheel slots (canceled included)
+	npending  int    // scheduled, not yet fired or canceled
+	ncanceled int    // canceled entries still occupying queue slots
 
-	// Dispatch-position tracking for reserved-seq events (ReserveSeq /
-	// PostAtSeq). inBatch and batchPos locate the running batch so a
-	// reserved-seq event filed at the current timestamp can be spliced in
-	// at its seq position; lastAt/lastSeq record the most recently
-	// reached batch entry so callers can ask whether a reserved position
-	// has already been passed (ReachedSeq).
-	inBatch  bool
-	batchPos int
-	lastAt   Time
-	lastSeq  uint64
+	// Dispatch position, for reserved-seq events (ReserveSeq / PostAtSeq):
+	// the most recently reached entry, so callers can ask whether a
+	// reserved position has already been passed (ReachedSeq).
+	lastAt  Time
+	lastSeq uint64
 
 	// Clock-driven sampler (SetSampler). sampleAt is the next sampling
 	// instant, maxTime when disabled, so the hot loop pays one always-false
@@ -201,9 +203,7 @@ const maxTime = Time(1<<63 - 1)
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	e := &Engine{sampleAt: maxTime}
-	e.initWheel()
-	return e
+	return &Engine{sampleAt: maxTime}
 }
 
 // Now returns the current simulated time.
@@ -216,9 +216,9 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // events awaiting lazy removal are not counted).
 func (e *Engine) Pending() int { return e.npending }
 
-// schedule allocates (or recycles) an event at absolute time t and files
-// its queue entry.
-func (e *Engine) schedule(t Time) *Event {
+// newEvent takes a pending event keyed (t, seq) off the free list,
+// allocating only when the list is empty.
+func (e *Engine) newEvent(t Time, seq uint64, kind uint8) *Event {
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -228,12 +228,18 @@ func (e *Engine) schedule(t Time) *Event {
 		ev = &Event{}
 	}
 	ev.at = t
-	ev.seq = e.seq
+	ev.seq = seq
 	ev.state = evPending
-	ev.kind = EKOther
-	e.place(entry{at: t, seq: e.seq, ev: ev})
-	e.seq++
+	ev.kind = kind
 	e.npending++
+	return ev
+}
+
+// schedule files an event at absolute time t under the next seq.
+func (e *Engine) schedule(t Time) *Event {
+	ev := e.newEvent(t, e.seq, EKOther)
+	e.seq++
+	e.place(ev)
 	return ev
 }
 
@@ -327,11 +333,10 @@ func (e *Engine) ReserveSeq() uint64 {
 
 // PostAtSeq schedules fn at absolute time t under a seq previously
 // obtained from ReserveSeq. If t is the current timestamp and the batch
-// running at it has not yet passed the reserved position, the event is
-// spliced into the running batch at that position — exactly as if it had
-// been in the queue when the batch was collected. Each reserved seq must
-// be filed at most once, and only at a (t, seq) position not yet reached
-// (ReachedSeq reports that).
+// running at it has not yet passed the reserved position, the event joins
+// the running batch at that position — exactly as if it had been in the
+// queue all along. Each reserved seq must be filed at most once, and only
+// at a (t, seq) position not yet reached (ReachedSeq reports that).
 func (e *Engine) PostAtSeq(t Time, fn func(), seq uint64) {
 	e.PostAtSeqK(t, fn, seq, EKOther)
 }
@@ -342,39 +347,10 @@ func (e *Engine) PostAtSeqK(t Time, fn func(), seq uint64, kind uint8) {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = &Event{}
-	}
-	ev.at = t
-	ev.seq = seq
-	ev.state = evPending
-	ev.kind = kind
+	ev := e.newEvent(t, seq, kind)
 	ev.fn = fn
-	e.npending++
 	e.nfiled++
-	ent := entry{at: t, seq: seq, ev: ev}
-	if t == e.now && e.inBatch && seq > e.batch[e.batchPos].seq {
-		e.spliceBatch(ent)
-		return
-	}
-	e.place(ent)
-}
-
-// spliceBatch inserts ent into the undispatched remainder of the running
-// batch at its seq position.
-func (e *Engine) spliceBatch(ent entry) {
-	i := e.batchPos + 1
-	for i < len(e.batch) && e.batch[i].seq < ent.seq {
-		i++
-	}
-	e.batch = append(e.batch, entry{})
-	copy(e.batch[i+1:], e.batch[i:])
-	e.batch[i] = ent
+	e.place(ev)
 }
 
 // ReachedSeq reports whether dispatch has reached or passed position
@@ -470,11 +446,11 @@ func (e *Engine) RunUntil(end Time) {
 	}()
 	e.stopped = false
 	for !e.stopped && e.refillDue() {
-		top := e.due[0]
+		top := e.due[e.dueHead]
 		if top.ev.state == evCanceled {
 			// Lazy deletion: drain without advancing the clock or the
 			// processed count.
-			e.due.pop()
+			e.dueHead++
 			e.ncanceled--
 			e.recycle(top.ev)
 			continue
@@ -504,28 +480,22 @@ func (e *Engine) RunUntil(end Time) {
 }
 
 // runBatch dispatches every event scheduled at exactly time at in one
-// pass: the whole batch is popped off the due heap up front (in seq order
-// — the heap yields equal-timestamp entries FIFO), then dispatched without
-// re-consulting the queue between callbacks. Events a callback schedules
-// at the same timestamp carry higher seqs and fire right after the batch —
-// except reserved-seq events (PostAtSeq), which are spliced into the
-// undispatched remainder at their seq position, so the loop re-reads
-// e.batch and its length each step. A callback canceling a later batch
-// member takes effect because each member's state is checked at dispatch.
-// On Stop, the undispatched remainder is pushed back so a later run
-// resumes exactly where this one ended.
+// pass, popping them off the due run back to back — the run is sorted, so
+// equal-timestamp entries come off in seq order — without going back to
+// RunUntil's per-timestamp checks between callbacks. Whatever a callback
+// files at this timestamp lands in the run at its (time, seq) position:
+// ordinary events carry higher seqs and fire after every member already
+// there, a reserved-seq event (PostAtSeq) slots in ahead of the members
+// scheduled after its reservation. A callback canceling a later member
+// takes effect because each member's state is checked at dispatch. On
+// Stop, the undispatched remainder simply stays in the run, so a later
+// run resumes exactly where this one ended.
 func (e *Engine) runBatch(at Time) {
-	b := e.batch[:0]
-	for len(e.due) > 0 && e.due[0].at == at {
-		b = append(b, e.due.pop())
-	}
-	e.batch = b
 	e.now = at
-	e.inBatch = true
-	for i := 0; i < len(e.batch); i++ {
-		e.batchPos = i
-		ent := e.batch[i]
-		e.lastAt, e.lastSeq = ent.at, ent.seq
+	for e.dueHead < len(e.due) && e.due[e.dueHead].at == at && !e.stopped {
+		ent := e.due[e.dueHead]
+		e.dueHead++
+		e.lastAt, e.lastSeq = at, ent.seq
 		ev := ent.ev
 		if ev.state == evCanceled {
 			e.ncanceled--
@@ -549,15 +519,7 @@ func (e *Engine) runBatch(at Time) {
 		if e.dig != nil {
 			e.dig.fold(at, ent.seq, kind)
 		}
-		if e.stopped {
-			for _, rest := range e.batch[i+1:] {
-				e.due.push(rest)
-			}
-			break
-		}
 	}
-	e.inBatch = false
-	e.batch = e.batch[:0]
 }
 
 // fireSampler advances the clock to the pending sampling instant and runs

@@ -1,29 +1,36 @@
 package sim
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
 // This file implements the engine's event queue: a hierarchical timing
-// wheel with a small "due" heap in front of it and an overflow heap behind
+// wheel with a sorted "due" run in front of it and an overflow heap behind
 // it. It replaced the single binary heap of PR 2 (kept as the reference
-// scheduler in engine_test.go) because most simulator events are
+// scheduler in wheel_test.go) because most simulator events are
 // short-horizon — serialization completions, propagation arrivals, pacing
 // ticks — exactly the regime where O(1) slot insertion beats an O(log n)
-// sift. See docs/ARCHITECTURE.md ("Event-loop lifecycle") for the design
-// discussion and docs/PERFORMANCE.md for the measured effect.
+// sift. See docs/ARCHITECTURE.md ("The timing-wheel event queue") for the
+// design discussion and docs/PERFORMANCE.md for the measured effect.
 //
 // Layout
 //
-//	due heap   events with slot tick <= cursor: everything inside (or
-//	           behind) the current level-0 slot window, ordered by
-//	           (time, seq). This is the only structure consulted per pop,
-//	           and it only ever holds about one slot's worth of events.
+//	due run    events with slot tick <= cursor: everything inside (or
+//	           behind) the current level-0 slot window, as a slice sorted
+//	           by (time, seq) and consumed from the front: a pop advances
+//	           an index. This is the only structure consulted per pop.
 //	wheel      numLevels levels of 1<<levelBits slots. A slot is an
-//	           unordered []entry; per-level bitmaps mark occupied slots so
-//	           advancing across empty time is a TrailingZeros scan, not a
-//	           slot walk. Level 0 slots are slotWidth wide; each higher
-//	           level is 1<<levelBits times coarser.
-//	overflow   min-heap for events beyond the top level's horizon
-//	           (~141 s of simulated time). Effectively never used by the
+//	           unordered, intrusive singly linked list threaded through
+//	           the pooled Events themselves (Event.next), so filing an
+//	           event is two pointer stores and the wheel owns no memory
+//	           beyond its slot heads. Per-level bitmaps mark occupied
+//	           slots so advancing across empty time is a TrailingZeros
+//	           scan, not a slot walk. Level 0 slots are slotWidth wide;
+//	           each higher level is 1<<levelBits times coarser.
+//	overflow   min-heap for events beyond the top level's horizon (~8.8 s
+//	           of simulated time). Effectively never used by the
 //	           experiments (the longest timers are millisecond RTOs), but
 //	           it makes the engine total: any int64 timestamp schedules.
 //
@@ -37,64 +44,50 @@ import "math/bits"
 // arrivals).
 //
 // Ordering guarantee: the wheel alone orders events only to slotWidth
-// granularity, so whole slots are decanted into the due heap, which
-// restores the strict (time, seq) total order before anything fires.
-// Determinism is therefore identical to the old global heap: simultaneous
-// events fire in scheduling order, and all figure outputs are
-// byte-for-byte what they were (TestEngineHeapEquivalence pins this
-// against the retained reference heap).
+// granularity, so a whole slot is decanted into the (empty) due run and
+// sorted once, which restores the strict (time, seq) total order before
+// anything fires; an event scheduled at or behind the cursor afterwards is
+// inserted at its sorted position. Determinism is therefore identical to
+// the old global heap: simultaneous events fire in scheduling order, and
+// all figure outputs are byte-for-byte what they were
+// (TestEngineHeapEquivalence and FuzzEngineVsHeap pin this against the
+// retained reference heap).
+//
+// Allocation: none once warm. Events come from the engine's free list, slot
+// chains live inside them, and the due run and overflow heap are slices
+// that keep their high-water capacity.
 
 const (
-	// slotBits sets the level-0 slot width: 1<<13 ps = 8.192 ns — fine
-	// enough that a slot rarely holds more than one serialization event
-	// at 100 Gb/s. Wider slots (32.768 ns was tried) let µs-scale
-	// delivery events file at level 0 instead of cascading from level 1,
-	// buying ~8% on the packet path — but they collapse dense sub-slot
-	// timestamp streams into a few slots, doubling EngineScheduleRun as
-	// the due heap takes over the ordering work. The due heap restores
-	// exact (time, seq) order at any slot width, so this constant is
-	// pure performance tuning; keep it where the scheduling floor stays
-	// flat.
+	// slotBits sets the level-0 slot width: 1<<13 ps = 8.192 ns. Measured
+	// on the fat-tree workloads a level-0 slot holds 5.5 (faultsweep) to
+	// 7.6 (fig16) entries when it drains, a handful the insertion sort
+	// orders in a few compares. The due run restores exact (time, seq)
+	// order at any slot width, so this constant is pure performance
+	// tuning: wider slots mean longer sorts and more inserts behind the
+	// cursor, narrower ones more cursor advances per event.
 	slotBits = 13
 	// slotWidth is the level-0 slot span in picoseconds.
 	slotWidth = Time(1) << slotBits
-	// levelBits gives 256 slots per level; a level spans 256× its slot
-	// width: L0 ≈ 2.1 us, L1 ≈ 537 us, L2 ≈ 137 ms, L3 ≈ 35 s.
-	levelBits = 8
+	// levelBits gives 1024 slots per level; a level spans 1024× its slot
+	// width: L0 ≈ 8.4 us, L1 ≈ 8.6 ms, L2 ≈ 8.8 s. A slot is one pointer,
+	// so wide levels are cheap (24 KB of slot heads per engine), and a
+	// level 0 that covers a fabric RTT lets µs-scale deliveries file where
+	// they drain instead of cascading from level 1.
+	levelBits = 10
 	numSlots  = 1 << levelBits
 	slotMask  = numSlots - 1
-	numLevels = 4
+	numLevels = 3
 	// bitmapWords is the per-level occupancy bitmap size.
 	bitmapWords = numSlots / 64
+	// sortCutover is the run length above which a freshly drained due run
+	// is ordered by slices.SortFunc instead of insertion sort.
+	sortCutover = 24
 )
 
-// wheelLevel is one ring of slots plus its occupancy bitmap. Slot slices
-// are never freed: entries are moved out and the slice reset to length
-// zero, so a warm wheel inserts and drains without allocating.
+// wheelLevel is one ring of slot heads plus its occupancy bitmap.
 type wheelLevel struct {
-	slots  [numSlots][]entry
+	slots  [numSlots]*Event
 	bitmap [bitmapWords]uint64
-}
-
-// slotSlabCap is the capacity pre-carved for every wheel slot at engine
-// construction. Without it, the first append into each slot allocates as
-// the cursor sweeps into virgin slots — a slow trickle that breaks the
-// steady-state zero-allocation pins (the old heap was one array that
-// reached max size and stayed). Four entries covers typical slot
-// occupancy; a busier slot grows once and keeps its capacity.
-const slotSlabCap = 4
-
-// initWheel carves every slot's initial capacity out of one backing
-// slab: a single ~100 KB allocation per engine instead of up to 1024
-// per-slot allocations spread across the run.
-func (e *Engine) initWheel() {
-	slab := make([]entry, numLevels*numSlots*slotSlabCap)
-	for l := range e.levels {
-		for j := range e.levels[l].slots {
-			e.levels[l].slots[j] = slab[:0:slotSlabCap]
-			slab = slab[slotSlabCap:]
-		}
-	}
 }
 
 // nextSlot returns the smallest occupied slot index strictly greater than
@@ -119,17 +112,22 @@ func (lv *wheelLevel) nextSlot(after int) int {
 	}
 }
 
-// place files an entry into the due heap, a wheel slot, or the overflow
-// heap. The caller guarantees ent.at >= the engine clock; the wheel cursor
-// may be ahead of the clock (it advances speculatively to the next
-// occupied slot), in which case the event lands in the due heap and the
-// heap's (time, seq) order keeps it correctly interleaved.
-func (e *Engine) place(ent entry) {
-	tick := uint64(ent.at) >> slotBits
+// place files a newly scheduled event. The caller guarantees ev.at >= the
+// engine clock; the wheel cursor may be ahead of the clock (it advances
+// speculatively to the next occupied slot), in which case the event joins
+// the due run at its sorted position.
+func (e *Engine) place(ev *Event) {
+	tick := uint64(ev.at) >> slotBits
 	if tick <= e.wheelTick {
-		e.due.push(ent)
+		e.insertDue(ev.entry())
 		return
 	}
+	e.fileAhead(ev, tick)
+}
+
+// fileAhead links an event whose tick is strictly ahead of the cursor into
+// its wheel slot, or pushes it on the overflow heap.
+func (e *Engine) fileAhead(ev *Event, tick uint64) {
 	for l := 0; l < numLevels; l++ {
 		if tick>>uint((l+1)*levelBits) == e.wheelTick>>uint((l+1)*levelBits) {
 			// Same parent slot as the cursor: file at level l. The index
@@ -137,23 +135,86 @@ func (e *Engine) place(ent entry) {
 			// the no-wrap note above).
 			idx := int(tick>>uint(l*levelBits)) & slotMask
 			lv := &e.levels[l]
-			lv.slots[idx] = append(lv.slots[idx], ent)
+			ev.next = lv.slots[idx]
+			lv.slots[idx] = ev
 			lv.bitmap[idx>>6] |= 1 << (uint(idx) & 63)
 			e.nwheel++
 			return
 		}
 	}
-	e.overflow.push(ent)
+	e.overflow.push(ev.entry())
 }
 
-// refillDue makes the due heap nonempty if any event exists anywhere,
+// insertDue inserts ent into the unconsumed part of the sorted due run,
+// stepping back from the end over the entries that fire after it. The
+// common inserts step over nothing or next to nothing: events scheduled in
+// (time, seq) order behind a cursor that ran ahead of the clock, and
+// same-instant or sub-slot re-schedules into a slot's handful of entries.
+func (e *Engine) insertDue(ent entry) {
+	e.due = append(e.due, ent)
+	sink(e.due, e.dueHead, len(e.due)-1)
+}
+
+// sink moves d[i] down to its sorted position within d[lo:i], which must
+// already be sorted: one step of an insertion sort.
+func sink(d []entry, lo, i int) {
+	x := d[i]
+	for i > lo && x.less(d[i-1]) {
+		d[i] = d[i-1]
+		i--
+	}
+	d[i] = x
+}
+
+// refile moves an event taken out of a drained slot (or the overflow heap)
+// one step toward dispatch: canceled events are reclaimed on the spot,
+// events whose slot the cursor has reached are appended to the due run
+// UNSORTED — the caller sorts once when the drain completes — and the rest
+// re-file at a lower level (never the one they came from: the cursor now
+// sits inside their former parent slot).
+func (e *Engine) refile(ev *Event) {
+	if ev.state == evCanceled {
+		e.ncanceled--
+		e.recycle(ev)
+		return
+	}
+	tick := uint64(ev.at) >> slotBits
+	if tick <= e.wheelTick {
+		e.due = append(e.due, ev.entry())
+		return
+	}
+	e.fileAhead(ev, tick)
+}
+
+// sortDue orders a freshly filled due run by (time, seq). Drains only ever
+// fill an empty run (see refillDue), so this is one sort per slot:
+// insertion sort for the usual handful, pdqsort for a dense slot.
+func (e *Engine) sortDue() {
+	d := e.due
+	if len(d) > sortCutover {
+		slices.SortFunc(d, func(a, b entry) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+		return
+	}
+	for i := 1; i < len(d); i++ {
+		sink(d, 0, i)
+	}
+}
+
+// refillDue makes the due run nonempty if any event exists anywhere,
 // advancing the wheel cursor (and draining the overflow heap) as needed.
-// Reports whether there is a next event.
+// Reports whether there is a next event. Slots and the overflow heap are
+// only ever drained into an empty run.
 func (e *Engine) refillDue() bool {
 	for {
-		if len(e.due) > 0 {
+		if e.dueHead < len(e.due) {
 			return true
 		}
+		e.due, e.dueHead = e.due[:0], 0
 		if e.nwheel > 0 {
 			e.advanceWheel()
 			continue
@@ -187,118 +248,98 @@ func (e *Engine) advanceWheel() {
 	panic("sim: wheel occupancy count does not match bitmaps")
 }
 
-// drainSlot empties slot j of level l: canceled entries are reclaimed on
-// the spot, level-0 entries decant into the due heap, and higher-level
-// entries cascade down through place (they re-file at a lower level or in
-// the due heap, never at the same level — the cursor now sits inside
-// their parent slot).
+// drainSlot empties slot j of level l by walking its chain: a level-0
+// slot decants whole into the due run, a higher-level slot cascades — its
+// first level-0 slot's worth goes to the due run, the rest re-file below.
 func (e *Engine) drainSlot(l, j int) {
 	lv := &e.levels[l]
-	s := lv.slots[j]
-	lv.slots[j] = s[:0]
+	ev := lv.slots[j]
+	lv.slots[j] = nil
 	lv.bitmap[j>>6] &^= 1 << (uint(j) & 63)
-	e.nwheel -= len(s)
-	for _, ent := range s {
-		switch {
-		case ent.ev.state == evCanceled:
-			e.ncanceled--
-			e.recycle(ent.ev)
-		case l == 0:
-			e.due.push(ent)
-		default:
-			e.place(ent)
-		}
+	for ev != nil {
+		next := ev.next // refile may relink ev into another slot
+		e.nwheel--
+		e.refile(ev)
+		ev = next
 	}
+	// A chain is LIFO; reversed, the run is in scheduling order, which is
+	// most of the way to time order (about 40% fewer moves in the sort).
+	slices.Reverse(e.due)
+	e.sortDue()
 }
 
 // jumpToOverflow teleports the cursor to the earliest overflow event and
 // drains every overflow entry that now falls inside the top level's
-// window back through place. Only reached when the due heap and all wheel
+// window back into the wheel. Only reached when the due run and all wheel
 // levels are empty, so the jump is always forward.
 func (e *Engine) jumpToOverflow() {
 	const topShift = numLevels * levelBits
 	e.wheelTick = uint64(e.overflow[0].at) >> slotBits
 	for len(e.overflow) > 0 &&
 		uint64(e.overflow[0].at)>>slotBits>>topShift == e.wheelTick>>topShift {
-		ent := e.overflow.pop()
-		if ent.ev.state == evCanceled {
-			e.ncanceled--
-			e.recycle(ent.ev)
-			continue
-		}
-		e.place(ent)
+		e.refile(e.overflow.pop().ev)
 	}
+	e.sortDue()
 }
 
 // queuedEntries returns the number of entries resident in the queue
-// structures, canceled ones included (events popped into an in-flight
-// dispatch batch are not counted). It is the denominator of the
+// structures, canceled ones included. It is the denominator of the
 // compaction trigger.
 func (e *Engine) queuedEntries() int {
-	return len(e.due) + e.nwheel + len(e.overflow)
+	return len(e.due) - e.dueHead + e.nwheel + len(e.overflow)
 }
 
 // compact sweeps canceled entries out of every structure, recycling their
 // events, so a pathological cancel/re-schedule loop cannot hold memory
 // proportional to history. Triggered from Cancel when canceled entries
-// dominate; amortized O(1) per Cancel.
+// dominate; amortized O(1) per Cancel. Filtering preserves relative
+// order, so a partly consumed due run stays sorted (its consumed prefix is
+// dropped on the way).
 func (e *Engine) compact() {
-	removed := 0
-	keepHeap := func(h *entryHeap) {
-		kept := (*h)[:0]
-		for _, ent := range *h {
+	keep := func(s []entry, from int) []entry {
+		kept := s[:0]
+		for _, ent := range s[from:] {
 			if ent.ev.state == evCanceled {
 				e.recycle(ent.ev)
-				removed++
 				continue
 			}
 			kept = append(kept, ent)
 		}
-		for i := len(kept); i < len(*h); i++ {
-			(*h)[i] = entry{}
-		}
-		*h = kept
-		h.reinit()
+		clear(s[len(kept):])
+		return kept
 	}
-	keepHeap(&e.due)
-	keepHeap(&e.overflow)
+	e.due, e.dueHead = keep(e.due, e.dueHead), 0
+	e.overflow = keep(e.overflow, 0)
+	e.overflow.reinit()
 	for l := range e.levels {
 		lv := &e.levels[l]
 		for w := range lv.bitmap {
 			for bm := lv.bitmap[w]; bm != 0; bm &= bm - 1 {
 				j := w<<6 + bits.TrailingZeros64(bm)
-				s := lv.slots[j]
-				kept := s[:0]
-				for _, ent := range s {
-					if ent.ev.state == evCanceled {
-						e.recycle(ent.ev)
-						removed++
-						e.nwheel--
+				for link := &lv.slots[j]; *link != nil; {
+					ev := *link
+					if ev.state != evCanceled {
+						link = &ev.next
 						continue
 					}
-					kept = append(kept, ent)
+					*link = ev.next
+					e.nwheel--
+					e.recycle(ev)
 				}
-				for i := len(kept); i < len(s); i++ {
-					s[i] = entry{}
-				}
-				lv.slots[j] = kept
-				if len(kept) == 0 {
+				if lv.slots[j] == nil {
 					lv.bitmap[j>>6] &^= 1 << (uint(j) & 63)
 				}
 			}
 		}
 	}
-	// Canceled entries sitting in an in-flight dispatch batch are not
-	// swept here; the batch loop reclaims them, so only subtract what this
-	// sweep actually removed.
-	e.ncanceled -= removed
+	// Every canceled entry lives in one of the three structures just swept.
+	e.ncanceled = 0
 }
 
 // --- entryHeap: a hand-rolled binary min-heap over (time, seq) entries ---
 //
-// Two instances exist per engine: the due heap (small — one slot window's
-// worth of events) and the overflow heap (far-future events, near-empty in
-// practice). Value entries, no interface calls, no index bookkeeping.
+// The overflow heap (far-future events, near-empty in practice). Value
+// entries, no interface calls, no index bookkeeping.
 
 type entryHeap []entry
 

@@ -7,13 +7,17 @@ import (
 
 // heapSched is the binary-heap scheduler the engine used before the timing
 // wheel (PR 2's lazy-cancel heap), kept verbatim-in-spirit as the reference
-// implementation: a single min-heap over (time, seq) with lazy cancel. The
-// wheel must be observationally equivalent to it — same firing order, same
-// pending counts — for any schedule/cancel/run sequence.
+// implementation: a single min-heap over (time, seq) with lazy cancel,
+// popped one entry at a time. The wheel must be observationally equivalent
+// to it — same firing order, same pending counts, same clock — for any
+// schedule/cancel/run sequence, reserved seqs and Stop included.
 type heapSched struct {
-	now  Time
-	seq  uint64
-	heap []refEntry
+	now     Time
+	seq     uint64
+	heap    []refEntry
+	stopped bool
+	lastAt  Time // position of the most recently fired entry (reachedSeq)
+	lastSeq uint64
 }
 
 type refEntry struct {
@@ -31,9 +35,14 @@ func (a refEntry) less(b refEntry) bool {
 }
 
 func (h *heapSched) schedule(at Time, fire func()) *bool {
-	canceled := new(bool)
-	h.heap = append(h.heap, refEntry{at: at, seq: h.seq, canceled: canceled, fire: fire})
+	canceled := h.push(at, h.seq, fire)
 	h.seq++
+	return canceled
+}
+
+func (h *heapSched) push(at Time, seq uint64, fire func()) *bool {
+	canceled := new(bool)
+	h.heap = append(h.heap, refEntry{at: at, seq: seq, canceled: canceled, fire: fire})
 	for i := len(h.heap) - 1; i > 0; {
 		parent := (i - 1) / 2
 		if !h.heap[i].less(h.heap[parent]) {
@@ -44,6 +53,22 @@ func (h *heapSched) schedule(at Time, fire func()) *bool {
 	}
 	return canceled
 }
+
+// reserveSeq, postAtSeq and reachedSeq mirror the engine's reserved-seq
+// API: in a global heap a reserved rank needs no splicing, the entry just
+// sorts where its seq says.
+func (h *heapSched) reserveSeq() uint64 {
+	h.seq++
+	return h.seq - 1
+}
+
+func (h *heapSched) postAtSeq(at Time, fire func(), seq uint64) { h.push(at, seq, fire) }
+
+func (h *heapSched) reachedSeq(t Time, seq uint64) bool {
+	return h.lastAt > t || (h.lastAt == t && h.lastSeq >= seq)
+}
+
+func (h *heapSched) stop() { h.stopped = true }
 
 func (h *heapSched) pending() int {
 	n := 0
@@ -56,7 +81,8 @@ func (h *heapSched) pending() int {
 }
 
 func (h *heapSched) runUntil(end Time) {
-	for len(h.heap) > 0 {
+	h.stopped = false
+	for len(h.heap) > 0 && !h.stopped {
 		top := h.heap[0]
 		if !*top.canceled && top.at > end {
 			break
@@ -82,9 +108,10 @@ func (h *heapSched) runUntil(end Time) {
 			continue
 		}
 		h.now = top.at
+		h.lastAt, h.lastSeq = top.at, top.seq
 		top.fire()
 	}
-	if h.now < end && end < maxTime {
+	if !h.stopped && h.now < end && end < maxTime {
 		h.now = end
 	}
 }
@@ -94,13 +121,18 @@ func (h *heapSched) runUntil(end Time) {
 // lockstep. It is the complement of TestEngineLazyCancelEquivalence (which
 // compares against a naive sorted list): together they pin the wheel to
 // both prior queue implementations. Delays are drawn across every wheel
-// regime — same-tick, level 0, cascades from levels 1-3, and the overflow
-// heap — so level boundaries and cursor jumps are all exercised.
+// regime — same-tick, level 0, cascades from levels 1-2, and the overflow
+// heap — so level boundaries and cursor jumps are all exercised. The
+// structure-specific corners (dense slots, inserts behind the cursor,
+// splices, compaction mid-run) are scripted in queue_equiv_test.go.
 func TestEngineHeapEquivalence(t *testing.T) {
 	// Delay magnitudes chosen to land in each wheel structure (slot width
-	// is 8.192 ns, level horizons 2.1 us / 537 us / 137 ms / 35 s).
+	// is 8.192 ns, level horizons 8.4 us / 8.6 ms / 8.8 s).
 	scales := []Time{Nanosecond, 100 * Nanosecond, 10 * Microsecond,
 		10 * Millisecond, Second, 100 * Second}
+	for _, sc := range queueScripts {
+		t.Run(sc.name, func(t *testing.T) { checkScript(t, sc.ops) })
+	}
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		e := NewEngine()
@@ -170,6 +202,9 @@ func TestEngineHeapEquivalence(t *testing.T) {
 		}
 		if e.Now() != ref.now {
 			t.Fatalf("seed %d: clock diverges: engine %v, reference %v", seed, e.Now(), ref.now)
+		}
+		if err := checkEngineInvariants(e); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
@@ -277,19 +312,19 @@ func TestEngineStopMidBatch(t *testing.T) {
 }
 
 // TestEngineWheelLevels schedules one event per wheel regime — same slot,
-// level 0, levels 1-3, and the overflow heap — and checks global firing
+// level 0, levels 1-2, and the overflow heap — and checks global firing
 // order plus exact timestamps as the cursor cascades across level
 // boundaries.
 func TestEngineWheelLevels(t *testing.T) {
 	e := NewEngine()
 	delays := []Time{
-		3 * Nanosecond,    // inside the first slot (due heap directly)
+		3 * Nanosecond,    // inside the first slot (due run directly)
 		500 * Nanosecond,  // level 0
 		100 * Microsecond, // level 1
 		50 * Millisecond,  // level 2
-		10 * Second,       // level 3
-		60 * Second,       // overflow (beyond the ~35 s horizon)
-		200 * Second,      // overflow, a later top-level window
+		10 * Second,       // overflow (beyond the ~8.8 s horizon)
+		60 * Second,       // overflow, a later top-level window
+		200 * Second,      // overflow, later still
 	}
 	var fired []Time
 	// Schedule in shuffled order so placement order differs from fire order.
@@ -388,7 +423,7 @@ func TestEngineWheelOverflowCancel(t *testing.T) {
 }
 
 // TestEngineBatchZeroAlloc: batched same-tick dispatch must stay on the
-// zero-allocation path once the batch buffer and free list are warm.
+// zero-allocation path once the due run and free list are warm.
 func TestEngineBatchZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
@@ -398,12 +433,78 @@ func TestEngineBatchZeroAlloc(t *testing.T) {
 		}
 		e.Run()
 	}
-	// Advancing 1 us per run lands each batch in a different wheel slot;
-	// run enough rounds that every slot in the cycle has grown capacity.
-	for i := 0; i < 512; i++ {
-		warm()
-	}
+	warm()
 	if avg := testing.AllocsPerRun(200, warm); avg != 0 {
 		t.Errorf("same-tick batch dispatch: %v allocs/op, want 0", avg)
+	}
+}
+
+// rearmTimer is one member of TestWheelDenseSlotNoAlloc's timer
+// population: closure-free, re-arming itself with the next delay of a
+// cycle that visits every wheel level.
+type rearmTimer struct {
+	e     *Engine
+	i     int
+	fires *int
+	limit *int
+}
+
+var rearmDelays = [...]Time{
+	100 * Nanosecond, 3 * Microsecond, // level 0
+	17 * Microsecond, 400 * Microsecond, 2 * Millisecond, // level 1
+	10 * Millisecond, 20 * Millisecond, // level 2
+}
+
+func rearmFire(a, _ any) {
+	tm := a.(*rearmTimer)
+	*tm.fires++
+	if *tm.fires >= *tm.limit {
+		tm.e.Stop()
+	}
+	tm.i++
+	tm.e.Post2(rearmDelays[tm.i%len(rearmDelays)], rearmFire, tm, nil)
+}
+
+// TestWheelDenseSlotNoAlloc: the wheel owns no per-slot memory, so after
+// one warm-up pass (free list and due run at their high-water marks) even
+// the extremes never reach the allocator — 10 000 events in one level-1
+// slot, half of them in a single level-0 slot, and a deep population of
+// 100 000 self-re-arming timers cascading through every level.
+func TestWheelDenseSlotNoAlloc(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	const l1Width = slotWidth << levelBits
+	dense := func() {
+		// Start of a level-1 slot a few slots ahead of the clock.
+		base := (e.Now()/l1Width + 3) * l1Width
+		for i := 0; i < 10000; i++ {
+			off := Time(uint32(i+1)*2654435761>>8) % slotWidth // shuffled
+			if i%2 == 1 {
+				off += Time(i) * (l1Width - slotWidth) / 10000 // spread over the level-0 slots below
+			}
+			e.At(base+off, fn)
+		}
+		e.Run()
+	}
+	dense()
+	if avg := testing.AllocsPerRun(5, dense); avg != 0 {
+		t.Errorf("10k events into one level-1 slot: %v allocs per pass, want 0", avg)
+	}
+
+	fires, limit := 0, 0
+	for i := 0; i < 100000; i++ {
+		tm := &rearmTimer{e: e, i: i, fires: &fires, limit: &limit}
+		e.Post2(rearmDelays[i%len(rearmDelays)]+Time(i)*Nanosecond, rearmFire, tm, nil)
+	}
+	deep := func() {
+		limit = fires + 300000
+		e.Run() // until the timer that reaches the limit calls Stop
+	}
+	deep()
+	if avg := testing.AllocsPerRun(3, deep); avg != 0 {
+		t.Errorf("100k re-arming timers: %v allocs per 300k fires, want 0", avg)
+	}
+	if e.Pending() != 100000 {
+		t.Errorf("Pending() = %d, want the 100000 timers", e.Pending())
 	}
 }

@@ -280,6 +280,9 @@ type Sender struct {
 	rtoEv       *sim.Event
 	rtoDeadline sim.Time
 	probeEv     *sim.Event
+	// Timer callbacks, built once in NewFlow so arming a timer allocates
+	// neither a closure nor a method value.
+	paceFn, rtoFn, probeFn func()
 
 	startAt sim.Time
 
@@ -320,6 +323,15 @@ func (st *Stack) NewFlow(spec FlowSpec) *Sender {
 		mtu:  spec.MTU,
 	}
 	s.unacked.init(int64(s.mtu))
+	s.paceFn = func() {
+		s.paceEv = nil
+		s.trySend()
+	}
+	s.rtoFn = s.onRTO
+	s.probeFn = func() {
+		s.probeEv = nil
+		s.sendProbe()
+	}
 	st.senders[spec.ID] = s
 	return s
 }
@@ -392,10 +404,7 @@ func (s *Sender) SendProbeAfter(d sim.Time) {
 	if s.probeEv != nil {
 		s.st.Eng.Cancel(s.probeEv)
 	}
-	s.probeEv = s.st.Eng.After(d, func() {
-		s.probeEv = nil
-		s.sendProbe()
-	})
+	s.probeEv = s.st.Eng.After(d, s.probeFn)
 }
 
 // ResetRTO implements cc.Driver.
@@ -581,10 +590,7 @@ func (s *Sender) schedulePace(d sim.Time) {
 	if s.paceEv != nil {
 		return
 	}
-	s.paceEv = s.st.Eng.After(d, func() {
-		s.paceEv = nil
-		s.trySend()
-	})
+	s.paceEv = s.st.Eng.After(d, s.paceFn)
 }
 
 func (s *Sender) emit(seq int64, length int, retx bool) {
@@ -639,7 +645,7 @@ func (s *Sender) armRTO() {
 	}
 	s.rtoDeadline = s.st.Eng.Now() + rto
 	if s.rtoEv == nil {
-		s.rtoEv = s.st.Eng.AtK(s.rtoDeadline, s.onRTO, sim.EKRTO)
+		s.rtoEv = s.st.Eng.AtK(s.rtoDeadline, s.rtoFn, sim.EKRTO)
 	}
 }
 
@@ -650,7 +656,7 @@ func (s *Sender) onRTO() {
 	}
 	if now := s.st.Eng.Now(); now < s.rtoDeadline {
 		// The deadline moved while this event was pending: re-arm.
-		s.rtoEv = s.st.Eng.AtK(s.rtoDeadline, s.onRTO, sim.EKRTO)
+		s.rtoEv = s.st.Eng.AtK(s.rtoDeadline, s.rtoFn, sim.EKRTO)
 		return
 	}
 	s.RTOs++

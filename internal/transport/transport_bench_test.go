@@ -38,13 +38,17 @@ func newPathRig() *pathRig {
 }
 
 func (r *pathRig) flow(id, size int64) *transport.Sender {
+	return r.a.NewFlow(r.spec(id, size))
+}
+
+func (r *pathRig) spec(id, size int64) transport.FlowSpec {
 	bdpPkts := (100 * netsim.Gbps).BDP(r.base) / netsim.DefaultMTU
-	return r.a.NewFlow(transport.FlowSpec{
+	return transport.FlowSpec{
 		ID: id, Dst: 1, Size: size, Prio: 0,
 		BaseRTT: r.base,
 		Algo:    cc.NewSwift(cc.DefaultSwiftConfig(r.base, bdpPkts)),
 		Rand:    rand.New(rand.NewSource(id)),
-	})
+	}
 }
 
 // BenchmarkPacketPath measures the full per-packet cost of the simulator's
@@ -133,5 +137,32 @@ func TestPacketPathZeroAllocTracerOff(t *testing.T) {
 				t.Fatal("flow finished during the measurement window")
 			}
 		})
+	}
+}
+
+// TestPacedSenderTimersZeroAlloc pins the sender's timers at zero
+// allocations: a paced flow arms its pacing timer once per packet, and
+// every emit pushes the RTO deadline forward, so the lazy RTO event fires
+// early and re-arms itself about once per RTOMin. Neither arm may build a
+// closure or a method value.
+func TestPacedSenderTimersZeroAlloc(t *testing.T) {
+	rig := newPathRig()
+	spec := rig.spec(2, 1<<40) // effectively unbounded: never finishes
+	spec.Paced = true
+	s := rig.a.NewFlow(spec)
+	s.Start()
+	now := sim.Time(0)
+	advance := func() {
+		now += 250 * sim.Microsecond // 2.5 RTOMin: at least two RTO re-arms
+		rig.eng.RunUntil(now)
+	}
+	for i := 0; i < 20; i++ {
+		advance()
+	}
+	if allocs := testing.AllocsPerRun(50, advance); allocs != 0 {
+		t.Errorf("paced sender with a re-arming RTO allocates %v/op, want 0", allocs)
+	}
+	if s.Finished() || s.RTOs != 0 {
+		t.Fatalf("finished=%v RTOs=%d, want a live flow whose RTO only ever re-armed", s.Finished(), s.RTOs)
 	}
 }
