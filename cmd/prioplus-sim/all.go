@@ -65,12 +65,6 @@ func runAll(args []string) int {
 		return 2
 	}
 
-	stop, err := startProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-
 	// -listen: register every run up front so /runs shows pending tasks,
 	// and tee artifact lines into the server's hub for /events.
 	var srv *stream.Server
@@ -141,11 +135,22 @@ func runAll(args []string) int {
 		}
 		fmt.Fprintf(os.Stderr, "\r[%d/%d] %-24s %-4s", done, len(tasks), r.Name, status)
 	}
+	// The profile window is exactly the batch: started after set-up and
+	// stopped before reporting, so every exit path below has its profiles
+	// and scripts/pgo.sh samples simulation, not JSON encoding.
+	stop, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
 	startEvents := sim.TotalEvents()
 	startDispatched := sim.TotalProcessed()
 	startWall := time.Now()
 	results := runner.Run(tasks, opts)
 	wall := time.Since(startWall)
+	if err := stop(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+	}
 	if *progress {
 		fmt.Fprintf(os.Stderr, "\r%*s\r", 40, "")
 	}
@@ -196,9 +201,6 @@ func runAll(args []string) int {
 			return 1
 		}
 		fmt.Printf("fingerprint check: all %d runs match %s\n", len(fps), *fpCheck)
-	}
-	if err := stop(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
 	}
 	if failures > 0 {
 		return 1

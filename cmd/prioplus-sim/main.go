@@ -14,7 +14,9 @@
 // comparisons at a fraction of the runtime. The `all` subcommand fans every
 // experiment across a worker pool (one private engine per run, so results
 // are byte-identical whatever -parallel is) and reports wall-clock and
-// events/sec. -cpuprofile/-memprofile write pprof profiles for either mode.
+// events/sec. -cpuprofile/-memprofile write pprof profiles for either mode
+// and for serve; in batch mode the profile covers the batch alone, which is
+// what scripts/pgo.sh feeds the profile-guided build (default.pgo here).
 //
 // Observability (both single and batch mode, on the experiments that
 // support it — the fat-tree, coflow, and incast scenarios): `-series out/`
@@ -267,8 +269,8 @@ func runExperimentWith(expID string, o runOpts, sink *obsSink, w io.Writer) erro
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: prioplus-sim <experiment> [-full] [-seed N] [-print-series] [obs flags] [-cpuprofile f] [-memprofile f]
-       prioplus-sim all [-parallel N] [-seeds a,b,c] [-only ids] [-json out.json] [-timeout d] [-full] [-fp-out f] [-fp-check f] [obs flags]
-       prioplus-sim serve [-listen ADDR] [-workers N] [-queue N] [-job-timeout d] [-cache N] [-manifest f]
+       prioplus-sim all [-parallel N] [-seeds a,b,c] [-only ids] [-json out.json] [-timeout d] [-full] [-fp-out f] [-fp-check f] [obs flags] [-cpuprofile f] [-memprofile f]
+       prioplus-sim serve [-listen ADDR] [-workers N] [-queue N] [-job-timeout d] [-cache N] [-manifest f] [-cpuprofile f] [-memprofile f]
        prioplus-sim report [-width N] file.jsonl|dir...
        prioplus-sim trace [-flows a,b] [-journeys K] [-width N] file.jsonl|dir...
        prioplus-sim watch [-interval d] [-once] ADDR

@@ -28,6 +28,8 @@ func runServe(args []string) int {
 	cacheSize := fs.Int("cache", serve.DefaultCacheSize, "result cache entries (FIFO eviction)")
 	manifestPath := fs.String("manifest", "", "fingerprint manifest to cross-check results against (e.g. testdata/fingerprints.json)")
 	once := fs.Duration("for", 0, "exit after this duration (0 = run until signaled; for smoke tests)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file, flushed at shutdown")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file at shutdown")
 	fs.Parse(args)
 
 	var manifest *serve.Manifest
@@ -58,6 +60,13 @@ func runServe(args []string) int {
 		return 1
 	}
 	fmt.Fprintf(os.Stderr, "job server on http://%s (/jobs /experiments /metrics /runs /events)\n", srv.Addr())
+	stop, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		sched.Close()
+		srv.Close()
+		return 1
+	}
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -71,9 +80,14 @@ func runServe(args []string) int {
 	}
 	fmt.Fprintln(os.Stderr, "shutting down: draining jobs")
 	sched.Close()
+	code := 0
 	if err := srv.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 1
+		code = 1
 	}
-	return 0
+	if err := stop(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		code = 1
+	}
+	return code
 }
