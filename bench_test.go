@@ -8,6 +8,7 @@
 package prioplus_bench
 
 import (
+	"io"
 	"testing"
 
 	"prioplus/internal/exp"
@@ -223,6 +224,45 @@ func BenchmarkFig10bIncastTrace(b *testing.B) {
 	}
 	b.ReportMetric(r.WithinFrac, "within_channel_frac")
 	b.ReportMetric(r.MeanDelay.Micros(), "mean_delay_us")
+	b.ReportMetric(float64(spans), "trace_spans")
+}
+
+// BenchmarkFig10bIncastAllHooks: the same incast the way the repository
+// benchmark's obs_full workload runs it — `-series -hist -cost -fingerprint
+// -audit -trace-flows 4` — including the artifact encode (to io.Discard).
+// Series, histograms, cost attribution, the digest chain, the conservation
+// auditor with its flight ring on every port, four traced flows, then
+// WriteArtifact. CI prints this over BenchmarkFig10bIncast and gates the
+// ratio; docs/PERFORMANCE.md, "The hooks-on path", says where it came from.
+func BenchmarkFig10bIncastAllHooks(b *testing.B) {
+	var r exp.Fig10bResult
+	var spans int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rec := obs.NewRecorder()
+		rec.Series = obs.NewSeriesSet(obs.DefaultSeriesInterval)
+		rec.Hist = obs.NewHistSet()
+		rec.Cost = &obs.CostProfiler{}
+		rec.Digest = sim.NewDigest()
+		rec.Audit = &obs.Auditor{}
+		rec.Flight = obs.NewFlightRecorder(4096)
+		rec.FlowTrace = obs.NewFlowTracer(4)
+		r = exp.Fig10b(80, exp.Options{Recorder: rec})
+		if rec.Audit.Checks == 0 || rec.Audit.Violation() != "" {
+			b.Fatalf("auditor: %d checks, violation %q", rec.Audit.Checks, rec.Audit.Violation())
+		}
+		if rec.Flight.Total() == 0 || rec.Digest.Count == 0 {
+			b.Fatal("flight ring or digest saw nothing")
+		}
+		spans = 0
+		for _, fl := range rec.FlowTrace.Logs() {
+			spans += fl.Len()
+		}
+		if err := obs.WriteArtifact(io.Discard, "incast", rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(r.WithinFrac, "within_channel_frac")
 	b.ReportMetric(float64(spans), "trace_spans")
 }
 

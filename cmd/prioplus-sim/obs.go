@@ -61,16 +61,17 @@ func (o obsOpts) tracing() bool {
 	return o.traceFlows > 0 || len(o.traceMatch) > 0
 }
 
-// obsSink hands out per-run recorders during one experiment invocation
-// and, at flush time, writes their artifacts and prints their summaries.
-// One experiment may own several runs (a figure's sweep of schemes and
-// priority counts), so recorders are keyed by run tag. A sink belongs to a
-// single runExperiment call and needs no locking.
+// obsSink hands out per-run recorders during one experiment invocation,
+// writes each run's artifact as soon as that run's metrics are collected,
+// and at flush time prints the summaries. One experiment may own several
+// runs (a figure's sweep of schemes and priority counts), so recorders are
+// keyed by run tag. A sink belongs to a single runExperiment call and needs
+// no locking.
 type obsSink struct {
 	opts obsOpts
 	exp  string
 	seed int64
-	runs []obsRun
+	runs []*obsRun
 	seen map[string]int // filename stems already issued, for dedupe
 }
 
@@ -79,8 +80,15 @@ type obsSink struct {
 var _ exp.Sink = (*obsSink)(nil)
 
 type obsRun struct {
-	tag string
-	rec *obs.Recorder
+	tag  string
+	stem string // artifact basename, unique within the sink
+	rec  *obs.Recorder
+
+	// Set by finish: the run's files are written, and post is the
+	// post-mortem line flush prints if the run stopped early.
+	finished bool
+	post     string
+	err      error
 }
 
 // newObsSink returns nil when every observability flag is off, so callers
@@ -95,8 +103,8 @@ func newObsSink(opts obsOpts, exp string, seed int64) *obsSink {
 // Recorder builds the recorder for one run, enabling only the instruments
 // the flags asked for. It implements exp.Sink — the factory shape the exp
 // drivers and configs expect (FlowSchedConfig.ObsFor and friends); the
-// sink keeps every recorder it hands out so flush can write them after the
-// experiment finishes.
+// sink keeps every recorder it hands out so flush can summarize them after
+// the experiment finishes.
 func (s *obsSink) Recorder(tag string) *obs.Recorder {
 	rec := obs.NewRecorder()
 	if s.opts.dir != "" || s.opts.hub != nil {
@@ -145,7 +153,9 @@ func (s *obsSink) Recorder(tag string) *obs.Recorder {
 			rec.Flight = obs.NewFlightRecorder(flightSize)
 		}
 	}
-	s.runs = append(s.runs, obsRun{tag: tag, rec: rec})
+	run := &obsRun{tag: tag, stem: s.stem(tag), rec: rec}
+	rec.OnCollected = func() { s.finish(run) }
+	s.runs = append(s.runs, run)
 	return rec
 }
 
@@ -159,9 +169,55 @@ func (s *obsSink) stem(tag string) string {
 	return base
 }
 
-// flush writes one artifact JSONL per run into the -series directory,
-// dumps the flight recorder for any run whose watchdog tripped or auditor
-// violated, and prints -hist summaries and -fingerprint lines to w (so
+// finish writes one run's files — the flight-recorder post-mortem if its
+// watchdog tripped or its auditor violated, then the artifact JSONL into the
+// -series directory and the live hub — and releases what only those needed.
+// It runs when the run's metrics are collected, so a sweep holds one run's
+// series and span rings at a time instead of all of them until flush; a
+// driver that never collects is finished by flush. Errors wait in r.err.
+func (s *obsSink) finish(r *obsRun) {
+	if r.finished {
+		return
+	}
+	r.finished = true
+	// A run that stopped early gets one post-mortem dump, whatever stopped
+	// it: the watchdog and the auditor share a sampler tick, so both can
+	// fire in the same run, and they share the flight ring.
+	tripped, violated := "", ""
+	if wd := r.rec.Watchdog; wd != nil {
+		tripped = wd.Tripped()
+	}
+	if aud := r.rec.Audit; aud != nil {
+		violated = aud.Violation()
+	}
+	why := ""
+	switch {
+	case tripped != "" && violated != "":
+		why = fmt.Sprintf("watchdog tripped (%s) and AUDIT VIOLATION in run %q: %s — engine stopped", tripped, r.tag, violated)
+	case tripped != "":
+		why = fmt.Sprintf("watchdog tripped (%s) in run %q: engine stopped", tripped, r.tag)
+	case violated != "":
+		why = fmt.Sprintf("AUDIT VIOLATION in run %q: %s — engine stopped", r.tag, violated)
+	}
+	if why != "" {
+		path := filepath.Join(s.dumpDir(), r.stem+".flight.jsonl")
+		n, err := dumpFlight(path, r.rec)
+		if err != nil {
+			r.err = err
+			return
+		}
+		r.post = fmt.Sprintf("# %s, last %d trace events in %s\n", why, n, path)
+	}
+	if s.opts.dir != "" || s.opts.hub != nil {
+		r.err = s.writeArtifact(r.stem, r.tag, r.rec)
+	}
+	// The sampled columns, the span rings and the flight ring are the
+	// recorder's bulk, and the files above were their last reader.
+	r.rec.Series, r.rec.FlowTrace, r.rec.Flight = nil, nil, nil
+}
+
+// flush finishes any run its driver did not, then prints, per run, the
+// post-mortem line, the -hist summaries and the -fingerprint line to w (so
 // batch mode captures them with the run output). A conservation violation
 // is returned as an error after everything is written: unlike a watchdog
 // trip (a configured resource ceiling doing its job) a violation means the
@@ -169,32 +225,13 @@ func (s *obsSink) stem(tag string) string {
 func (s *obsSink) flush(w io.Writer) error {
 	var violation error
 	for _, r := range s.runs {
-		stem := s.stem(r.tag)
-		if wd := r.rec.Watchdog; wd != nil && wd.Tripped() != "" {
-			path := filepath.Join(s.dumpDir(), stem+".flight.jsonl")
-			n, err := dumpFlight(path, r.rec.Flight)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "# watchdog tripped (%s) in run %q: engine stopped, last %d trace events in %s\n",
-				wd.Tripped(), r.tag, n, path)
+		s.finish(r)
+		if r.err != nil {
+			return r.err
 		}
-		if aud := r.rec.Audit; aud != nil && aud.Violation() != "" {
-			path := filepath.Join(s.dumpDir(), stem+".flight.jsonl")
-			n, err := dumpFlight(path, r.rec.Flight)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "# AUDIT VIOLATION in run %q: %s — engine stopped, last %d trace events in %s\n",
-				r.tag, aud.Violation(), n, path)
-			if violation == nil {
-				violation = fmt.Errorf("conservation audit violation in run %q: %s", r.tag, aud.Violation())
-			}
-		}
-		if s.opts.dir != "" || s.opts.hub != nil {
-			if err := s.writeArtifact(stem, r.tag, r.rec); err != nil {
-				return err
-			}
+		io.WriteString(w, r.post)
+		if aud := r.rec.Audit; aud != nil && aud.Violation() != "" && violation == nil {
+			violation = fmt.Errorf("conservation audit violation in run %q: %s", r.tag, aud.Violation())
 		}
 		if s.opts.hist && r.rec.Hist != nil {
 			for _, h := range r.rec.Hist.All() {
@@ -253,15 +290,17 @@ func (s *obsSink) writeArtifact(stem, tag string, rec *obs.Recorder) error {
 	return err
 }
 
-func dumpFlight(path string, fr *obs.FlightRecorder) (int, error) {
-	if fr == nil {
+// dumpFlight writes the run's flight ring to path, device ids resolved
+// through the recorder's name table.
+func dumpFlight(path string, rec *obs.Recorder) (int, error) {
+	if rec.Flight == nil {
 		return 0, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
 	}
-	n, err := fr.Dump(f)
+	n, err := rec.Flight.Dump(f, &rec.Devs)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

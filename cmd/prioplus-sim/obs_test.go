@@ -67,6 +67,97 @@ func TestObsSinkArtifactNaming(t *testing.T) {
 	}
 }
 
+// TestObsSinkOneFlightDumpPerRun: a run that both trips the watchdog and
+// violates the audit (they share a sampler tick) used to dump the flight
+// ring twice to the same path — the second os.Create truncating the first —
+// and print two "last N trace events" lines. One dump, one line naming both
+// reasons; a single reason keeps its line byte for byte.
+func TestObsSinkOneFlightDumpPerRun(t *testing.T) {
+	const detail = "pool: 1 live packets != 0 queued + 0 in propagation"
+	cases := []struct {
+		name          string
+		trip, violate bool
+		want          string // the line, up to the event count
+	}{
+		{"both", true, true, `# watchdog tripped (inflight_bytes) and AUDIT VIOLATION in run "r": ` + detail + " — engine stopped, last 3 trace events in "},
+		{"watchdog", true, false, `# watchdog tripped (inflight_bytes) in run "r": engine stopped, last 3 trace events in `},
+		{"audit", false, true, `# AUDIT VIOLATION in run "r": ` + detail + " — engine stopped, last 3 trace events in "},
+	}
+	for _, c := range cases {
+		dir := t.TempDir()
+		sink := newObsSink(obsOpts{dir: dir, maxBytes: 1, audit: true}, "figX", 1)
+		rec := sink.Recorder("r")
+		em := rec.Emitter()
+		for i := 0; i < 3; i++ {
+			ev := em.Next()
+			*ev = obs.Event{T: 1, Kind: obs.Enqueue, Dev: rec.Devs.ID("tor0"), Flow: int64(i + 1)}
+			em.Emit(ev)
+		}
+		if c.trip {
+			rec.Watchdog.Check(2, 0)
+		}
+		if c.violate {
+			rec.Audit.Violate(detail)
+		}
+		var out bytes.Buffer
+		if err := sink.flush(&out); (err != nil) != c.violate {
+			t.Errorf("%s: flush error = %v, want an error exactly when the audit violated", c.name, err)
+		}
+		path := filepath.Join(dir, "figX__r__seed1.flight.jsonl")
+		if got := out.String(); got != c.want+path+"\n" {
+			t.Errorf("%s: flush printed\n%swant\n%s%s", c.name, got, c.want, path)
+		}
+		dump, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n := strings.Count(string(dump), "\n"); n != 3 || !strings.Contains(string(dump), `"dev":"tor0"`) {
+			t.Errorf("%s: dump holds %d events, want the ring's 3 with device names:\n%s", c.name, n, dump)
+		}
+	}
+}
+
+// TestObsSinkWritesRunWhenCollected: a run's artifact is on disk as soon as
+// its metrics are collected — while later runs of the sweep are still to
+// come — its bulky instruments are released then, and flush neither rewrites
+// it nor loses the summaries.
+func TestObsSinkWritesRunWhenCollected(t *testing.T) {
+	dir := t.TempDir()
+	sink := newObsSink(obsOpts{dir: dir, hist: true, fingerprint: true, traceFlows: 1}, "figX", 1)
+	first, second := sink.Recorder("a"), sink.Recorder("b")
+	first.Series.Add("net/x", "bytes", func() float64 { return 1 })
+	first.Series.Sample()
+	first.Hist.FCT.Observe(1000)
+	first.OnCollected() // what harness.Net.CollectMetrics does last
+	path := filepath.Join(dir, "figX__a__seed1.jsonl")
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("artifact not written at collection: %v", err)
+	}
+	if first.Series != nil || first.FlowTrace != nil {
+		t.Error("collected run still holds its series / span rings")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "figX__b__seed1.jsonl")); err == nil {
+		t.Error("uncollected run already written")
+	}
+	second.Series.Add("net/x", "bytes", func() float64 { return 2 })
+	var out bytes.Buffer
+	if err := sink.flush(&out); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
+		t.Error("flush rewrote an artifact that was already final")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "figX__b__seed1.jsonl")); err != nil {
+		t.Errorf("flush did not finish the uncollected run: %v", err)
+	}
+	for _, want := range []string{"# hist a transport/fct", "# fingerprint a chain=", "# fingerprint b chain="} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("flush output lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
 func TestObsSinkDisabled(t *testing.T) {
 	if s := newObsSink(obsOpts{}, "fig99", 1); s != nil {
 		t.Error("sink created with no obs flags set")

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"strconv"
 
 	"prioplus/internal/fault"
@@ -15,8 +16,10 @@ import (
 const DefaultWatchdogInterval = 10 * sim.Microsecond
 
 // Observe attaches an observability recorder to the network: the
-// recorder's trace sink (flight recorder and/or Trace, if any) is
-// installed on every switch, fabric port, and host NIC; latency histograms
+// recorder's trace emitter (flight recorder and/or Trace, if any) is
+// installed on every switch, fabric port, and host NIC, each registered in
+// the recorder's device-name table (rec.Devs) under the id its trace events
+// carry; latency histograms
 // (rec.Hist) are installed on every stack; the time-series sampler
 // (rec.Series) gets the standard source catalogue and the engine clock
 // hook; the watchdog (rec.Watchdog) is checked at every sampling tick; and
@@ -32,23 +35,24 @@ const DefaultWatchdogInterval = 10 * sim.Microsecond
 // are one branch per sample, and without a series set the engine runs with
 // no sampler hook.
 func (n *Net) Observe(rec *obs.Recorder) {
-	tracer := rec.Tracer()
 	// Switches get the flow tracer chained in (drop/mark events of sampled
-	// flows become journey spans); ports and NICs keep the plain tracer so
+	// flows become journey spans); ports and NICs keep the plain emitter so
 	// the per-packet enqueue/dequeue path never pays the extra hop.
-	if swTracer := rec.SwitchTracer(); swTracer != nil {
+	emit, swEmit := rec.Emitter(), rec.SwitchEmitter()
+	if swEmit != nil {
 		for _, sw := range n.Topo.Switches {
-			sw.Trace = swTracer
-		}
-	}
-	if tracer != nil {
-		for _, sw := range n.Topo.Switches {
-			for _, p := range sw.Ports {
-				p.Trace = tracer
+			dev := rec.Devs.ID(sw.Name)
+			sw.SetTrace(swEmit, dev)
+			if emit != nil {
+				for _, p := range sw.Ports {
+					p.SetTrace(emit, dev)
+				}
 			}
 		}
+	}
+	if emit != nil {
 		for _, h := range n.Topo.Hosts {
-			h.NIC.Trace = tracer
+			h.NIC.SetTrace(emit, rec.Devs.ID(h.DeviceName()))
 		}
 	}
 	if rec.FlowTrace != nil {
@@ -87,12 +91,14 @@ func (n *Net) Observe(rec *obs.Recorder) {
 					})
 				}
 			}
-			if tracer != nil {
-				tracer.Trace(obs.Event{
+			if emit != nil {
+				ev := emit.Next()
+				*ev = obs.Event{
 					T: n.Eng.Now(), Kind: obs.FlowDone,
-					Flow: fs.ID, Bytes: int(fs.Size),
-					Seq: int64(fs.FCT), QLen: int(fs.Retransmits),
-				})
+					Flow: fs.ID, Bytes: uint32(min(fs.Size, math.MaxUint32)),
+					Seq: int64(fs.FCT), QLen: uint32(fs.Retransmits),
+				}
+				emit.Emit(ev)
 			}
 		}
 	}
@@ -347,7 +353,8 @@ func (n *Net) allPorts() []*netsim.Port {
 }
 
 // CollectMetrics walks the network and records every device counter and
-// high-water mark into the recorder's registry. Call it once, after the
+// high-water mark into the recorder's registry, then tells the recorder's
+// owner the run is complete (rec.OnCollected). Call it once, after the
 // run; calling it again would double-count the counters. The metric
 // namespace — net/ aggregates, switch/<name>/, port/<dev>:<idx>/, and
 // host/<id>/ — is documented in docs/OBSERVABILITY.md.
@@ -438,6 +445,9 @@ func (n *Net) CollectMetrics(rec *obs.Recorder) {
 	}
 	if rec.Cost != nil {
 		rec.Cost.Record(m)
+	}
+	if rec.OnCollected != nil {
+		rec.OnCollected()
 	}
 }
 

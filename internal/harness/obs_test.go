@@ -64,7 +64,7 @@ func TestObserveAndCollectMetrics(t *testing.T) {
 	net, eng := newNet(3)
 	var traceBuf bytes.Buffer
 	rec := obs.NewRecorder()
-	sink := obs.NewJSONLSink(&traceBuf)
+	sink := obs.NewJSONLSink(&traceBuf, &rec.Devs)
 	rec.Trace = sink
 	net.Observe(rec)
 

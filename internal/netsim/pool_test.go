@@ -3,7 +3,9 @@ package netsim
 import (
 	"math"
 	"testing"
+	"unsafe"
 
+	"prioplus/internal/obs"
 	"prioplus/internal/sim"
 )
 
@@ -159,5 +161,74 @@ func TestSerializeMultiGBNoOverflow(t *testing.T) {
 	}
 	if got := (100 * Gbps).Serialize(1); got != 80*sim.Picosecond {
 		t.Errorf("Serialize(1B @ 100Gbps) = %v, want 80ps", got)
+	}
+}
+
+// TestPacketPathZeroAllocFlightOn is the hooks-on twin of the test above:
+// a data packet forwarded through a switch and its ACK forwarded back, with
+// the configuration -audit and -trace-flows arm — a flight ring on every
+// port, NIC and switch, the flow tracer chained into the switch emitter —
+// and still no allocation. Every enqueue and dequeue lands in the ring.
+func TestPacketPathZeroAllocFlightOn(t *testing.T) {
+	eng := sim.NewEngine()
+	pool := NewPacketPool()
+	sw, hosts := star(eng, 2, 100*Gbps, sim.Microsecond, 2, lossyConfig())
+	rec := obs.NewRecorder()
+	rec.Flight = obs.NewFlightRecorder(256)
+	rec.FlowTrace = obs.NewFlowTracer(4)
+	dev := rec.Devs.ID(sw.Name)
+	sw.SetTrace(rec.SwitchEmitter(), dev)
+	for _, p := range sw.Ports {
+		p.SetTrace(rec.Emitter(), dev)
+	}
+	for _, h := range hosts {
+		h.NIC.SetTrace(rec.Emitter(), rec.Devs.ID(h.DeviceName()))
+	}
+	a, b := hosts[0], hosts[1]
+	b.Sink = func(pkt *Packet) {
+		if pkt.Type == Data {
+			ack := pool.Ack(pkt, 0, pkt.Seq+int64(pkt.Payload))
+			pool.Put(pkt)
+			b.Send(ack)
+		}
+	}
+	a.Sink = func(pkt *Packet) { pool.Put(pkt) }
+	seq := int64(0)
+	send := func() {
+		a.Send(pool.Data(1, 0, 1, 0, seq, 1000))
+		seq += 1000
+		eng.Run()
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	before := rec.Flight.Total()
+	if avg := testing.AllocsPerRun(100, send); avg != 0 {
+		t.Errorf("forwarded packet with the flight ring on: %v allocs/op, want 0", avg)
+	}
+	// Data and ACK each cross two egress ports: 4 enqueues + 4 dequeues.
+	if got := rec.Flight.Total() - before; got != 101*8 {
+		t.Errorf("ring recorded %d events over 101 round trips, want %d", got, 101*8)
+	}
+	evs := rec.Flight.Events()
+	last := evs[len(evs)-1]
+	if last.Kind != obs.Dequeue || rec.Devs.Name(last.Dev) != "host0" && rec.Devs.Name(last.Dev) != "sw" {
+		t.Errorf("last ring event = %+v (dev %q), want a dequeue on the ACK's path", last, rec.Devs.Name(last.Dev))
+	}
+}
+
+// TestTracedStructsNoLarger pins what the trace hook may cost the structs
+// every run allocates by the hundred, hooks on or off: the emitter pointer
+// and device id take the 16 bytes the Tracer interface took before them.
+func TestTracedStructsNoLarger(t *testing.T) {
+	const portBytes, switchBytes = 344, 288 // amd64, at PR 13
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Port{}); got > portBytes {
+		t.Errorf("Port is %d bytes, was %d before the compact trace path", got, portBytes)
+	}
+	if got := unsafe.Sizeof(Switch{}); got > switchBytes {
+		t.Errorf("Switch is %d bytes, was %d before the compact trace path", got, switchBytes)
 	}
 }

@@ -130,10 +130,12 @@ type Port struct {
 	// senders the hidden local backlog stays bounded.
 	HWTimestamp bool
 
-	// Trace, when non-nil, receives enqueue/dequeue/pause/resume events
-	// for this port. Nil (the default) costs one predictable branch per
-	// packet; install via harness.Net.Observe.
-	Trace obs.Tracer
+	// trace, when non-nil, receives enqueue/dequeue/drop/pause/resume
+	// events for this port, which names itself in them as dev (an id in the
+	// run's obs.DevTable). Nil (the default) costs one predictable branch
+	// per packet; harness.Net.Observe installs it through SetTrace.
+	trace *obs.Emitter
+	dev   obs.DevID
 
 	// Pool, when non-nil, receives packets this port drops under faults,
 	// keeping faulted runs allocation-free. Installed by internal/harness;
@@ -258,6 +260,14 @@ func deliverKindOf(p *Port) uint8 {
 func (p *Port) SetDigest(d *sim.Digest, tag uint64) {
 	p.dig = d
 	p.digTag = tag
+}
+
+// SetTrace installs the run's trace emitter on this port (see the trace
+// field); dev is the owning device's id in the recorder's name table. Pass
+// nil to remove.
+func (p *Port) SetTrace(em *obs.Emitter, dev obs.DevID) {
+	p.trace = em
+	p.dev = dev
 }
 
 // Digest payload encoding for packet deliveries: a carries the flow id,
@@ -404,12 +414,8 @@ func (p *Port) dropFault(pkt *Packet, corrupt bool) {
 		p.FaultDrops++
 	}
 	p.FaultDropBytes += int64(pkt.Wire)
-	if p.Trace != nil {
-		p.Trace.Trace(obs.Event{
-			T: p.Eng.Now(), Kind: obs.Drop,
-			Dev: p.name(), Port: p.Index,
-			Flow: pkt.FlowID, Seq: pkt.Seq, Bytes: pkt.Wire,
-		})
+	if p.trace != nil {
+		p.tracePacket(obs.Drop, pkt, 0, 0)
 	}
 	p.Pool.Put(pkt)
 }
@@ -450,7 +456,7 @@ func (p *Port) enqueue(it TxItem, q int) {
 	// what push-then-pop would have done in this same event; transmit then
 	// observes the queue exactly as it would post-pop. Tracer-installed
 	// ports take the full path so enqueue/dequeue events still fire.
-	if p.Trace == nil && !p.wakeArmed && len(p.queues) <= 64 &&
+	if p.trace == nil && !p.wakeArmed && len(p.queues) <= 64 &&
 		p.occMask&^p.pausedMask == 0 && (p.pausedMask>>uint(q))&1 == 0 &&
 		p.wireFree() {
 		if it.Pkt.Traced {
@@ -470,7 +476,7 @@ func (p *Port) enqueue(it TxItem, q int) {
 	if b := p.queues[q].bytes; b > p.QueueHWM {
 		p.QueueHWM = b
 	}
-	if p.Trace != nil {
+	if p.trace != nil {
 		p.traceEnqueue(it.Pkt, q)
 	}
 	if !p.wakeArmed {
@@ -519,16 +525,41 @@ func (p *Port) kick() {
 	}
 }
 
-// traceEnqueue is the tracer-installed cold path of enqueue.
+// traceEnqueue is the tracer-installed cold path of enqueue. It and
+// traceDequeue keep the two-argument shape their call sites had before the
+// compact event, so enqueue, transmit and everything transmit is inlined
+// into compile to the instructions they did: the hooks-off path is not
+// supposed to know this PR happened.
 //
 //go:noinline
 func (p *Port) traceEnqueue(pkt *Packet, q int) {
-	p.Trace.Trace(obs.Event{
-		T: p.Eng.Now(), Kind: obs.Enqueue,
-		Dev: p.name(), Port: p.Index, Queue: q,
-		Flow: pkt.FlowID, Seq: pkt.Seq,
-		Bytes: pkt.Wire, QLen: p.queues[q].bytes,
-	})
+	p.tracePacket(obs.Enqueue, pkt, q, p.queues[q].bytes)
+}
+
+// traceDequeue is the tracer-installed cold path of transmit.
+//
+//go:noinline
+func (p *Port) traceDequeue(pkt *Packet, q int) {
+	p.tracePacket(obs.Dequeue, pkt, q, p.queues[q].bytes)
+}
+
+// tracePacket emits one enqueue, dequeue or fault-drop event: it fills the emitter's next record in place — a flight-ring
+// slot when the run has a ring — so a traced packet costs ten stores, not
+// an Event copied through an interface (field by field: a composite literal
+// is built on the stack and copied over). qlen is queue q's occupancy after
+// the event took effect.
+func (p *Port) tracePacket(kind obs.Kind, pkt *Packet, q, qlen int) {
+	ev := p.trace.Next()
+	ev.T = p.Eng.Now()
+	ev.Flow = pkt.FlowID
+	ev.Seq = pkt.Seq
+	ev.Bytes = uint32(pkt.Wire)
+	ev.QLen = uint32(qlen)
+	ev.Dev = p.dev
+	ev.Port = uint16(p.Index)
+	ev.Queue = uint8(q)
+	ev.Kind = kind
+	p.trace.Emit(ev)
 }
 
 // SetPaused updates PFC pause state for one priority queue.
@@ -543,15 +574,17 @@ func (p *Port) SetPaused(prio int, on bool) {
 	} else {
 		p.pausedMask &^= 1 << uint(q)
 	}
-	if p.Trace != nil {
+	if p.trace != nil {
 		kind := obs.Resume
 		if on {
 			kind = obs.Pause
 		}
-		p.Trace.Trace(obs.Event{
+		ev := p.trace.Next()
+		*ev = obs.Event{
 			T: p.Eng.Now(), Kind: kind,
-			Dev: p.name(), Port: p.Index, Queue: q,
-		})
+			Dev: p.dev, Port: uint16(p.Index), Queue: uint8(q),
+		}
+		p.trace.Emit(ev)
 	}
 	if on {
 		if p.npaused == 0 {
@@ -616,7 +649,7 @@ func (p *Port) transmit(it TxItem, q int) {
 	if it.Sw != nil {
 		it.Sw.releaseItem(it)
 	}
-	if p.Trace != nil {
+	if p.trace != nil {
 		p.traceDequeue(pkt, q)
 	}
 	if p.HWTimestamp && (pkt.Type == Data || pkt.Type == Probe) {
@@ -654,18 +687,6 @@ func (p *Port) transmit(it TxItem, q int) {
 	} else {
 		p.armWake()
 	}
-}
-
-// traceDequeue is the tracer-installed cold path of transmit.
-//
-//go:noinline
-func (p *Port) traceDequeue(pkt *Packet, q int) {
-	p.Trace.Trace(obs.Event{
-		T: p.Eng.Now(), Kind: obs.Dequeue,
-		Dev: p.name(), Port: p.Index, Queue: q,
-		Flow: pkt.FlowID, Seq: pkt.Seq,
-		Bytes: pkt.Wire, QLen: p.queues[q].bytes,
-	})
 }
 
 // stampINT appends INT-proper telemetry at dequeue, for HPCC.

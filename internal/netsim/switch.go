@@ -17,10 +17,12 @@ type Switch struct {
 	Ports  []*Port
 	Buffer BufferConfig
 
-	// Trace, when non-nil, receives drop and ECN-mark events for this
-	// switch (enqueue/dequeue events come from the ports). Install via
-	// harness.Net.Observe.
-	Trace obs.Tracer
+	// trace, when non-nil, receives drop and ECN-mark events for this
+	// switch (enqueue/dequeue events come from the ports), named by dev, the
+	// switch's id in the run's obs.DevTable. harness.Net.Observe installs
+	// it through SetTrace.
+	trace *obs.Emitter
+	dev   obs.DevID
 
 	// Pool, when non-nil, receives packets this switch drops, so lossy
 	// runs stay allocation-free. Installed by internal/harness; a nil pool
@@ -87,6 +89,14 @@ func (s *Switch) Finalize() {
 
 // DeviceName implements Device.
 func (s *Switch) DeviceName() string { return s.Name }
+
+// SetTrace installs the run's switch-side trace emitter (see the trace
+// field); dev is this switch's id in the recorder's name table. Pass nil to
+// remove.
+func (s *Switch) SetTrace(em *obs.Emitter, dev obs.DevID) {
+	s.trace = em
+	s.dev = dev
+}
 
 // Drops returns the number of packets dropped for buffer exhaustion.
 func (s *Switch) Drops() int64 { return s.buf.Drops }
@@ -195,7 +205,9 @@ func (s *Switch) dropNoRoute(pkt *Packet) {
 //
 //go:noinline
 func (s *Switch) dropAdmission(pkt *Packet, out *Port, prio int) {
-	s.traceDrop(pkt, out, prio)
+	if s.trace != nil {
+		s.tracePacket(obs.Drop, pkt, out, prio, out.queues[prio].bytes)
+	}
 	s.Pool.Put(pkt)
 }
 
@@ -206,28 +218,24 @@ func (s *Switch) maybeMark(pkt *Packet, out *Port, prio, size int) {
 	if s.Buffer.ecnMark(out.queues[prio].bytes+size, pkt.VPrio, s.rng.Float64()) {
 		pkt.CE = true
 		s.ECNMarks++
-		if s.Trace != nil {
-			s.Trace.Trace(obs.Event{
-				T: s.Eng.Now(), Kind: obs.Mark,
-				Dev: s.Name, Port: out.Index, Queue: prio,
-				Flow: pkt.FlowID, Seq: pkt.Seq,
-				Bytes: size, QLen: out.queues[prio].bytes + size,
-			})
+		if s.trace != nil {
+			s.tracePacket(obs.Mark, pkt, out, prio, out.queues[prio].bytes+size)
 		}
 	}
 }
 
-// traceDrop emits a Drop event for a packet refused by buffer admission.
-func (s *Switch) traceDrop(pkt *Packet, out *Port, prio int) {
-	if s.Trace == nil {
-		return
-	}
-	s.Trace.Trace(obs.Event{
-		T: s.Eng.Now(), Kind: obs.Drop,
-		Dev: s.Name, Port: out.Index, Queue: prio,
+// tracePacket emits a Drop or Mark event for a packet bound for queue prio
+// of out, filling the emitter's next record in place; qlen is the queue
+// occupancy the event reports.
+func (s *Switch) tracePacket(kind obs.Kind, pkt *Packet, out *Port, prio, qlen int) {
+	ev := s.trace.Next()
+	*ev = obs.Event{
+		T: s.Eng.Now(), Kind: kind,
+		Dev: s.dev, Port: uint16(out.Index), Queue: uint8(prio),
 		Flow: pkt.FlowID, Seq: pkt.Seq,
-		Bytes: pkt.Wire, QLen: out.QueueBytes(prio),
-	})
+		Bytes: uint32(pkt.Wire), QLen: uint32(qlen),
+	}
+	s.trace.Emit(ev)
 }
 
 // liveNextHop scans the ECMP set from the hashed candidate onward and

@@ -2,18 +2,22 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 )
 
 // Artifact is the on-disk record of one run's telemetry: metric snapshot,
 // time series, and histogram summaries, serialized as JSONL (one typed
 // record per line) so large timelines stream without a giant in-memory
 // document. WriteArtifact emits it after a run; ReadArtifact loads it back
-// for `prioplus-sim report`. This is a post-run format — it uses
-// encoding/json, not the hand-rolled trace encoder, because it is written
-// once per run, not once per packet.
+// for `prioplus-sim report`. The format is defined by encoding/json applied
+// to the artifactMeta and artifactLine shapes below; the reader decodes with
+// it, while the writer — a traced run is over a hundred thousand lines —
+// appends the same bytes by hand (see WriteArtifact).
 //
 // Line types:
 //
@@ -165,26 +169,48 @@ type artifactLine struct {
 
 // WriteArtifact serializes a run's telemetry to w. Series, histograms, and
 // metrics are each optional: whatever the recorder has enabled is emitted.
+//
+// Lines are appended with strconv into one reused buffer: a traced run
+// writes over a hundred thousand span lines, and reflecting over a
+// 23-field omitempty struct for each cost a tenth of a faultsweep run. The
+// bytes are exactly what encoding/json produced for the artifactMeta and
+// artifactLine shapes below (same field order, same omitempty omissions —
+// so tick 0's sample line has no "i" — same float and string forms); the
+// reflection encoder survives in the tests as the oracle for that.
 func WriteArtifact(w io.Writer, run string, rec *Recorder) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	enc := json.NewEncoder(bw)
+	e := &lineEncoder{w: w, b: make([]byte, 0, encoderFlushAt+4096)}
 
-	meta := artifactMeta{Type: "meta", V: ArtifactVersion, Run: run}
+	e.raw(`{"type":"meta","v":`)
+	e.int(ArtifactVersion)
+	e.optString(`,"run":`, run)
+	if rec.Series != nil {
+		e.optFloat(`,"interval_us":`, rec.Series.Interval.Micros())
+		e.optFloat(`,"start_us":`, rec.Series.Start.Micros())
+	}
 	if rec.Watchdog != nil {
-		meta.Watchdog = rec.Watchdog.Tripped()
+		e.optString(`,"watchdog":`, rec.Watchdog.Tripped())
 	}
 	if rec.Digest != nil {
-		meta.FP = fmt.Sprintf("%016x", rec.Digest.Chain)
-		meta.FPEvents = rec.Digest.Count
+		e.raw(`,"fp":"`)
+		e.hex16(rec.Digest.Chain)
+		e.raw(`"`)
+		e.optUint(`,"fp_events":`, rec.Digest.Count)
 	}
-	if rec.Series != nil {
-		meta.IntervalUS = rec.Series.Interval.Micros()
-		meta.StartUS = rec.Series.Start.Micros()
-		for _, s := range rec.Series.All() {
-			meta.Series = append(meta.Series, ArtifactSeries{Name: s.Name, Unit: s.Unit})
+	if rec.Series != nil && len(rec.Series.All()) > 0 {
+		e.raw(`,"series":[`)
+		for i, s := range rec.Series.All() {
+			if i > 0 {
+				e.raw(`,`)
+			}
+			e.raw(`{"name":`)
+			e.string(s.Name)
+			e.raw(`,"unit":`)
+			e.string(s.Unit)
+			e.raw(`}`)
 		}
+		e.raw(`]`)
 	}
-	if err := enc.Encode(meta); err != nil {
+	if err := e.endLine(); err != nil {
 		return err
 	}
 
@@ -192,97 +218,267 @@ func WriteArtifact(w io.Writer, run string, rec *Recorder) error {
 		// Checkpoints go right after the meta line so diff can localize a
 		// divergence window without scanning past a large series body.
 		for _, c := range rec.Digest.Ckpts {
-			line := artifactLine{
-				Type: "ckpt", N: c.Count, TUS: c.Clock.Micros(),
-				H: fmt.Sprintf("%016x", c.Chain),
-			}
-			if err := enc.Encode(line); err != nil {
+			e.raw(`{"type":"ckpt"`)
+			e.optFloat(`,"t_us":`, c.Clock.Micros())
+			e.optUint(`,"n":`, c.Count)
+			e.raw(`,"h":"`)
+			e.hex16(c.Chain)
+			e.raw(`"`)
+			if err := e.endLine(); err != nil {
 				return err
 			}
 		}
 	}
 	if rec.Series != nil {
 		all := rec.Series.All()
-		row := make([]float64, len(all))
 		for i := 0; i < rec.Series.Ticks(); i++ {
-			for j, s := range all {
-				row[j] = s.V[i]
+			e.raw(`{"type":"sample"`)
+			e.optInt(`,"i":`, int64(i))
+			e.optFloat(`,"t_us":`, rec.Series.TimeAt(i).Micros())
+			if len(all) > 0 {
+				e.raw(`,"v":[`)
+				for j, s := range all {
+					if j > 0 {
+						e.raw(`,`)
+					}
+					e.float(s.V[i])
+				}
+				e.raw(`]`)
 			}
-			line := artifactLine{Type: "sample", I: i, TUS: rec.Series.TimeAt(i).Micros(), V: row}
-			if err := enc.Encode(line); err != nil {
+			if err := e.endLine(); err != nil {
 				return err
 			}
 		}
 	}
 	if rec.Hist != nil {
 		for _, h := range rec.Hist.All() {
-			if err := enc.Encode(artifactLine{Type: "hist", Hist: summarizeHist(h)}); err != nil {
+			e.raw(`{"type":"hist","hist":{"name":`)
+			e.string(h.Name)
+			e.raw(`,"unit":`)
+			e.string(h.Unit)
+			e.raw(`,"count":`)
+			e.int(h.Count())
+			e.raw(`,"mean":`)
+			e.float(h.Mean())
+			e.raw(`,"min":`)
+			e.int(h.Min())
+			e.raw(`,"max":`)
+			e.int(h.Max())
+			e.raw(`,"p50":`)
+			e.int(h.Quantile(0.50))
+			e.raw(`,"p90":`)
+			e.int(h.Quantile(0.90))
+			e.raw(`,"p99":`)
+			e.int(h.Quantile(0.99))
+			e.raw(`,"p999":`)
+			e.int(h.Quantile(0.999))
+			first := true
+			h.Buckets(func(lo, hi, count int64) {
+				if first {
+					e.raw(`,"buckets":[[`)
+					first = false
+				} else {
+					e.raw(`,[`)
+				}
+				e.int(lo)
+				e.raw(`,`)
+				e.int(hi)
+				e.raw(`,`)
+				e.int(count)
+				e.raw(`]`)
+			})
+			if !first {
+				e.raw(`]`)
+			}
+			e.raw(`}`)
+			if err := e.endLine(); err != nil {
 				return err
 			}
 		}
 	}
 	if rec.Metrics != nil {
-		for _, name := range rec.Metrics.Names() {
+		for _, name := range rec.Metrics.order {
 			v, _ := rec.Metrics.Value(name)
-			if err := enc.Encode(artifactLine{Type: "metric", Metric: &ArtifactMetric{Name: name, V: v}}); err != nil {
+			e.raw(`{"type":"metric","metric":{"name":`)
+			e.string(name)
+			e.raw(`,"v":`)
+			e.float(v)
+			e.raw(`}`)
+			if err := e.endLine(); err != nil {
 				return err
 			}
 		}
 	}
 	if rec.Faults != nil {
 		for _, ev := range rec.Faults.Events {
-			line := artifactLine{
-				Type: "fault", TUS: ev.T.Micros(),
-				Kind: ev.Kind, Dev: ev.Dev, Port: ev.Port,
-			}
-			if err := enc.Encode(line); err != nil {
+			e.raw(`{"type":"fault"`)
+			e.optFloat(`,"t_us":`, ev.T.Micros())
+			e.optString(`,"kind":`, ev.Kind)
+			e.optString(`,"dev":`, ev.Dev)
+			e.optInt(`,"port":`, int64(ev.Port))
+			if err := e.endLine(); err != nil {
 				return err
 			}
 		}
 	}
 	if rec.FlowTrace != nil {
 		for _, fl := range rec.FlowTrace.Logs() {
-			head := artifactLine{Type: "flow", Flow: fl.Flow, Spans: fl.Len(), Dropped: fl.Dropped}
-			if err := enc.Encode(head); err != nil {
+			e.raw(`{"type":"flow"`)
+			e.optInt(`,"flow":`, fl.Flow)
+			e.optInt(`,"spans":`, int64(fl.Len()))
+			e.optInt(`,"dropped":`, fl.Dropped)
+			if err := e.endLine(); err != nil {
 				return err
 			}
-			var encErr error
+			var spanErr error
 			fl.Spans(func(sp Span) {
-				if encErr != nil {
+				if spanErr != nil {
 					return
 				}
-				encErr = enc.Encode(artifactLine{
-					Type: "span", Flow: fl.Flow, TUS: sp.T.Micros(),
-					Kind: sp.Kind.String(), Seq: sp.Seq, DelayUS: sp.Delay.Micros(),
-					Dev: sp.Dev, A: sp.A, B: sp.B,
-				})
+				e.raw(`{"type":"span"`)
+				e.optFloat(`,"t_us":`, sp.T.Micros())
+				e.optInt(`,"flow":`, fl.Flow)
+				e.optString(`,"kind":`, sp.Kind.String())
+				e.optInt(`,"seq":`, sp.Seq)
+				e.optFloat(`,"delay_us":`, sp.Delay.Micros())
+				e.optString(`,"dev":`, sp.Dev)
+				e.optFloat(`,"a":`, sp.A)
+				e.optFloat(`,"b":`, sp.B)
+				spanErr = e.endLine()
 			})
-			if encErr != nil {
-				return encErr
+			if spanErr != nil {
+				return spanErr
 			}
 		}
 	}
-	return bw.Flush()
+	return e.flush()
 }
 
-// summarizeHist flattens a histogram into its artifact form.
-func summarizeHist(h *Histogram) *ArtifactHist {
-	out := &ArtifactHist{
-		Name:  h.Name,
-		Unit:  h.Unit,
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		Min:   h.Min(),
-		Max:   h.Max(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
-		P999:  h.Quantile(0.999),
+// encoderFlushAt is how many buffered bytes make lineEncoder write them out.
+const encoderFlushAt = 1 << 16
+
+// lineEncoder builds JSONL lines in one reused buffer and writes the buffer
+// out whenever a finished line leaves it at least encoderFlushAt long. Each
+// line starts with a raw `{"type":...` prefix and ends with endLine, which
+// closes the object. Values print as encoding/json prints them.
+type lineEncoder struct {
+	w    io.Writer
+	b    []byte // finished lines not yet written, then the line being built
+	line int    // where the line being built starts in b
+	err  error  // first unencodable value of the line being built
+}
+
+func (e *lineEncoder) raw(s string) { e.b = append(e.b, s...) }
+
+func (e *lineEncoder) int(v int64) { e.b = strconv.AppendInt(e.b, v, 10) }
+
+// hex16 appends v as 16 lower-case hex digits (fmt's %016x).
+func (e *lineEncoder) hex16(v uint64) {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		e.b = append(e.b, digits[v>>uint(shift)&0xf])
 	}
-	h.Buckets(func(lo, hi, count int64) {
-		out.Buckets = append(out.Buckets, [3]int64{lo, hi, count})
-	})
-	return out
+}
+
+// float appends f in encoding/json's form: shortest round-trip digits, plain
+// notation except below 1e-6 and from 1e21 up, where a negative exponent
+// loses its leading zero (e-07 prints e-7). Whole numbers below 2^53 — most
+// series values and every counter — take the integer path, whose digits are
+// the same. NaN and the infinities have no JSON form: the line is abandoned
+// and endLine reports them.
+func (e *lineEncoder) float(f float64) {
+	if i := int64(f); float64(i) == f && i > -1<<53 && i < 1<<53 && (i != 0 || !math.Signbit(f)) {
+		e.b = strconv.AppendInt(e.b, i, 10)
+		return
+	}
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		if e.err == nil {
+			e.err = fmt.Errorf("artifact: unsupported value %v", f)
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
+	if n := len(e.b); format == 'e' && n >= 4 && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
+		e.b[n-2] = e.b[n-1]
+		e.b = e.b[:n-1]
+	}
+}
+
+// string appends s quoted. Names, units, kinds and device labels are plain
+// ASCII, which is copied; anything encoding/json would escape (quotes,
+// backslashes, control bytes, the HTML-sensitive <>&, non-ASCII, invalid
+// UTF-8) goes through encoding/json itself.
+func (e *lineEncoder) string(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // cannot fail for a string
+			e.b = append(e.b, q...)
+			return
+		}
+	}
+	e.b = append(e.b, '"')
+	e.b = append(e.b, s...)
+	e.b = append(e.b, '"')
+}
+
+// The opt* appenders are omitempty fields: key and value, or nothing when
+// the value is its type's zero (for floats that includes -0, as in
+// encoding/json).
+
+func (e *lineEncoder) optString(key, s string) {
+	if s != "" {
+		e.raw(key)
+		e.string(s)
+	}
+}
+
+func (e *lineEncoder) optInt(key string, v int64) {
+	if v != 0 {
+		e.raw(key)
+		e.int(v)
+	}
+}
+
+func (e *lineEncoder) optUint(key string, v uint64) {
+	if v != 0 {
+		e.raw(key)
+		e.b = strconv.AppendUint(e.b, v, 10)
+	}
+}
+
+func (e *lineEncoder) optFloat(key string, f float64) {
+	if f != 0 {
+		e.raw(key)
+		e.float(f)
+	}
+}
+
+// endLine closes the line's object. A line that held an unencodable value
+// is dropped whole and the error returned: what is written is always valid
+// JSONL.
+func (e *lineEncoder) endLine() error {
+	if e.err != nil {
+		e.b = e.b[:e.line]
+		return e.err
+	}
+	e.b = append(e.b, '}', '\n')
+	e.line = len(e.b)
+	if e.line >= encoderFlushAt {
+		return e.flush()
+	}
+	return nil
+}
+
+// flush writes the finished lines out.
+func (e *lineEncoder) flush() error {
+	_, err := e.w.Write(e.b[:e.line])
+	e.b = e.b[:0]
+	e.line = 0
+	return err
 }
 
 // ReadArtifact parses an artifact stream written by WriteArtifact,
@@ -298,16 +494,14 @@ func ReadArtifact(r io.Reader) (*Artifact, error) {
 			continue
 		}
 		// The "v" key is polymorphic (version on meta, value array on
-		// sample), so probe the type before committing to a shape. Unknown
+		// sample), so the type decides the shape to decode into. Unknown
 		// types and unknown fields are skipped, not errors: artifacts from
 		// newer writers must stay readable.
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
+		typ, err := lineType(sc.Bytes())
+		if err != nil {
 			return nil, fmt.Errorf("artifact line %d: %w", n, err)
 		}
-		if probe.Type == "meta" {
+		if string(typ) == "meta" {
 			var m artifactMeta
 			if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
 				return nil, fmt.Errorf("artifact line %d: %w", n, err)
@@ -322,11 +516,15 @@ func ReadArtifact(r io.Reader) (*Artifact, error) {
 			art.Series = m.Series
 			continue
 		}
-		switch probe.Type {
+		switch string(typ) {
 		case "sample", "hist", "metric", "fault", "flow", "span", "ckpt":
 		default:
 			// A line type from a newer writer: skip it without attempting
 			// to decode (its fields may not fit this schema), keep count.
+			// Only its syntax is checked, as for every other line.
+			if !json.Valid(sc.Bytes()) {
+				return nil, fmt.Errorf("artifact line %d: invalid JSON", n)
+			}
 			art.Unknown++
 			continue
 		}
@@ -334,7 +532,7 @@ func ReadArtifact(r io.Reader) (*Artifact, error) {
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			return nil, fmt.Errorf("artifact line %d: %w", n, err)
 		}
-		switch line.Type {
+		switch string(typ) {
 		case "sample":
 			if len(line.V) != len(art.Series) {
 				return nil, fmt.Errorf("artifact line %d: sample has %d values for %d series", n, len(line.V), len(art.Series))
@@ -376,6 +574,26 @@ func ReadArtifact(r io.Reader) (*Artifact, error) {
 		return nil, err
 	}
 	return art, nil
+}
+
+// lineType returns an artifact line's "type". WriteArtifact always emits it
+// first, so the common case reads it off the `{"type":"…"` prefix and the
+// line is decoded once, into its own shape; a line from a foreign writer
+// (key order, spacing or escapes that differ) is probed with a full decode.
+// The result aliases line in the common case.
+func lineType(line []byte) ([]byte, error) {
+	const prefix = `{"type":"`
+	if bytes.HasPrefix(line, []byte(prefix)) {
+		rest := line[len(prefix):]
+		if i := bytes.IndexAny(rest, `"\\`); i >= 0 && rest[i] == '"' {
+			return rest[:i], nil
+		}
+	}
+	var probe struct {
+		Type string `json:"type"`
+	}
+	err := json.Unmarshal(line, &probe)
+	return []byte(probe.Type), err
 }
 
 // flow returns the declared flow record with the given ID, nil if absent.

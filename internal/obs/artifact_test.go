@@ -28,9 +28,10 @@ func TestJSONLSinkEscapesStrings(t *testing.T) {
 		`both"\and` + "\n\x02",
 	}
 	var buf bytes.Buffer
-	sink := obs.NewJSONLSink(&buf)
+	var table obs.DevTable
+	sink := obs.NewJSONLSink(&buf, &table)
 	for i, dev := range devs {
-		sink.Trace(obs.Event{T: sim.Time(i + 1), Kind: obs.Enqueue, Dev: dev, Bytes: 1})
+		sink.Trace(&obs.Event{T: sim.Time(i + 1), Kind: obs.Enqueue, Dev: table.ID(dev), Bytes: 1})
 	}
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
@@ -195,6 +196,44 @@ func TestReadArtifactForwardCompatible(t *testing.T) {
 	}
 	if len(a.Metrics) != 1 || a.Metrics[0].V != 7 {
 		t.Errorf("metric line misparsed: %+v", a.Metrics)
+	}
+}
+
+// TestReadArtifactForeignWriter: the reader takes a line's type from the
+// `{"type":"…"` prefix WriteArtifact always emits, but a writer with other
+// habits — spaces, another key order, an escaped type — must read the same,
+// through the full-decode probe. A skipped line is still syntax-checked.
+func TestReadArtifactForeignWriter(t *testing.T) {
+	in := `{ "type" : "meta", "v": 2, "run": "foreign", "series": [{"name":"a","unit":"x"}] }` + "\n" +
+		`{"i":0,"t_us":1,"v":[42],"type":"sample"}` + "\n" +
+		`{"type":"metri\u0063","metric":{"name":"net/drops","v":7}}` + "\n" +
+		`{"v":{"nested":true},"type":"mystery"}` + "\n" +
+		`{"type":"flow","flow":3,"spans":1}` + "\n" +
+		`{"type":"span","flow":3,"kind":"hop","t_us":2.5}` + "\n"
+	a, err := obs.ReadArtifact(strings.NewReader(in))
+	if err != nil {
+		t.Fatalf("ReadArtifact: %v", err)
+	}
+	if a.Run != "foreign" || a.Version != 2 || a.Unknown != 1 {
+		t.Errorf("run %q version %d unknown %d, want foreign/2/1", a.Run, a.Version, a.Unknown)
+	}
+	if len(a.Series) != 1 || len(a.Series[0].V) != 1 || a.Series[0].V[0] != 42 {
+		t.Errorf("sample line with trailing type misread: %+v", a.Series)
+	}
+	if len(a.Metrics) != 1 || a.Metrics[0].V != 7 {
+		t.Errorf("metric line with escaped type misread: %+v", a.Metrics)
+	}
+	if len(a.Flows) != 1 || len(a.Flows[0].Spans) != 1 || a.Flows[0].Spans[0].TUS != 2.5 {
+		t.Errorf("flow/span lines misread: %+v", a.Flows)
+	}
+	for name, bad := range map[string]string{
+		"unknown type, broken syntax": `{"type":"mystery","x":[}` + "\n",
+		"known type, broken syntax":   `{"type":"span","flow":` + "\n",
+		"prefix only":                 `{"type":"sample` + "\n",
+	} {
+		if _, err := obs.ReadArtifact(strings.NewReader(bad)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

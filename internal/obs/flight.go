@@ -2,20 +2,17 @@ package obs
 
 import "io"
 
-// FlightRecorder keeps the last N trace events in a fixed-size ring. It
-// implements Tracer, so it installs anywhere a trace sink does, but unlike
+// FlightRecorder keeps the last N trace events in a fixed-size ring. Unlike
 // JSONLSink it costs no I/O while the run is healthy: events overwrite the
-// oldest slot, and the ring is only read out when something goes wrong
-// (typically a Watchdog trip). Recording is zero-alloc: events are value
-// copies into a preallocated buffer.
+// oldest slot, and the ring is only read out when something goes wrong (a
+// Watchdog trip, an audit violation). Devices reach it through an Emitter,
+// which lets them fill the next slot in place; the ring is one preallocated
+// pointer-free block (40 bytes a slot), so recording neither allocates nor
+// gives the garbage collector anything to scan.
 type FlightRecorder struct {
-	buf   []Event
-	next  int
+	buf   []Event // the whole ring, allocated once
+	next  int     // slot the next event fills
 	total int64
-
-	// Inner, when non-nil, also receives every event (chaining lets a run
-	// keep a full JSONL trace and a crash ring at once).
-	Inner Tracer
 }
 
 // NewFlightRecorder returns a ring holding the most recent size events.
@@ -23,24 +20,25 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	if size <= 0 {
 		panic("obs: flight recorder size must be positive")
 	}
-	return &FlightRecorder{buf: make([]Event, 0, size)}
+	return &FlightRecorder{buf: make([]Event, size)}
 }
 
-// Trace implements Tracer.
-func (f *FlightRecorder) Trace(ev Event) {
-	if len(f.buf) < cap(f.buf) {
-		f.buf = append(f.buf, ev)
-	} else {
-		f.buf[f.next] = ev
-	}
+// slot returns the slot the next event fills; advance retires it.
+func (f *FlightRecorder) slot() *Event { return &f.buf[f.next] }
+
+func (f *FlightRecorder) advance() {
 	f.next++
-	if f.next == cap(f.buf) {
+	if f.next == len(f.buf) {
 		f.next = 0
 	}
 	f.total++
-	if f.Inner != nil {
-		f.Inner.Trace(ev)
-	}
+}
+
+// Trace implements Tracer by copying the event into the ring, for callers
+// that hold a finished Event; devices fill the slot directly (see Emitter).
+func (f *FlightRecorder) Trace(ev *Event) {
+	*f.slot() = *ev
+	f.advance()
 }
 
 // Total returns the number of events recorded over the ring's lifetime
@@ -49,21 +47,22 @@ func (f *FlightRecorder) Total() int64 { return f.total }
 
 // Events returns the retained events, oldest first.
 func (f *FlightRecorder) Events() []Event {
-	if len(f.buf) < cap(f.buf) {
-		return append([]Event(nil), f.buf...)
+	if f.total < int64(len(f.buf)) {
+		return append([]Event(nil), f.buf[:f.next]...)
 	}
 	out := make([]Event, 0, len(f.buf))
 	out = append(out, f.buf[f.next:]...)
 	return append(out, f.buf[:f.next]...)
 }
 
-// Dump writes the retained events to w as JSONL (same schema as JSONLSink),
-// oldest first, and returns the number written.
-func (f *FlightRecorder) Dump(w io.Writer) (int, error) {
-	sink := NewJSONLSink(w)
+// Dump writes the retained events to w as JSONL (same schema as JSONLSink,
+// device names resolved through devs), oldest first, and returns the number
+// written.
+func (f *FlightRecorder) Dump(w io.Writer, devs *DevTable) (int, error) {
+	sink := NewJSONLSink(w, devs)
 	evs := f.Events()
-	for _, ev := range evs {
-		sink.Trace(ev)
+	for i := range evs {
+		sink.Trace(&evs[i])
 	}
 	return len(evs), sink.Flush()
 }

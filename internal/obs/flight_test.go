@@ -3,14 +3,19 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"prioplus/internal/obs"
 	"prioplus/internal/sim"
 )
 
-func flightEvent(i int) obs.Event {
-	return obs.Event{T: sim.Time(i) * sim.Microsecond, Kind: obs.Enqueue, Dev: "tor0", Flow: int64(i)}
+// flightDevs names the one device the flight tests' events come from.
+var flightDevs obs.DevTable
+
+func flightEvent(i int) *obs.Event {
+	return &obs.Event{T: sim.Time(i) * sim.Microsecond, Kind: obs.Enqueue, Dev: flightDevs.ID("tor0"), Flow: int64(i)}
 }
 
 func TestFlightRecorderPartialRing(t *testing.T) {
@@ -52,14 +57,22 @@ func TestFlightRecorderWrapOldestFirst(t *testing.T) {
 }
 
 func TestFlightRecorderChainsInner(t *testing.T) {
+	// The ring's downstream sink sees every event, by pointer into the ring.
 	var got []int64
-	f := obs.NewFlightRecorder(2)
-	f.Inner = obs.TraceFunc(func(ev obs.Event) { got = append(got, ev.Flow) })
+	r := obs.NewRecorder()
+	r.Flight = obs.NewFlightRecorder(2)
+	r.Trace = obs.TraceFunc(func(ev *obs.Event) { got = append(got, ev.Flow) })
+	em := r.Emitter()
 	for i := 0; i < 5; i++ {
-		f.Trace(flightEvent(i))
+		ev := em.Next()
+		*ev = *flightEvent(i)
+		em.Emit(ev)
 	}
-	if len(got) != 5 {
-		t.Errorf("inner tracer saw %d events, want all 5", len(got))
+	if len(got) != 5 || got[4] != 4 {
+		t.Errorf("inner tracer saw %v, want flows 0..4", got)
+	}
+	if r.Flight.Total() != 5 {
+		t.Errorf("ring recorded %d events, want 5", r.Flight.Total())
 	}
 }
 
@@ -69,7 +82,7 @@ func TestFlightRecorderDump(t *testing.T) {
 		f.Trace(flightEvent(i))
 	}
 	var buf bytes.Buffer
-	n, err := f.Dump(&buf)
+	n, err := f.Dump(&buf, &flightDevs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +99,9 @@ func TestFlightRecorderDump(t *testing.T) {
 	}
 	if rec["flow"] != float64(2) {
 		t.Errorf("first dumped event flow = %v, want 2 (oldest retained)", rec["flow"])
+	}
+	if rec["dev"] != "tor0" {
+		t.Errorf("dumped event dev = %v, want the name behind its id", rec["dev"])
 	}
 }
 
@@ -164,26 +180,98 @@ func TestWatchdogInflightTakesPriority(t *testing.T) {
 func TestRecorderTracerChaining(t *testing.T) {
 	// No flight, no trace: nil tracer.
 	r := obs.NewRecorder()
-	if r.Tracer() != nil {
-		t.Error("Tracer() non-nil with nothing configured")
+	if r.Emitter() != nil || r.SwitchEmitter() != nil {
+		t.Error("Emitter() non-nil with nothing configured")
 	}
-	// Trace only: the sink itself.
+	emit := func(em *obs.Emitter, i int) {
+		ev := em.Next()
+		*ev = *flightEvent(i)
+		em.Emit(ev)
+	}
+	// Trace only: events staged in the emitter reach the sink.
 	var seen []obs.Event
-	sink := obs.TraceFunc(func(ev obs.Event) { seen = append(seen, ev) })
-	r.Trace = sink
-	tr := r.Tracer()
-	tr.Trace(flightEvent(1))
-	if len(seen) != 1 {
-		t.Fatal("Trace-only Tracer() did not reach the sink")
+	r.Trace = obs.TraceFunc(func(ev *obs.Event) { seen = append(seen, *ev) })
+	emit(r.Emitter(), 1)
+	if len(seen) != 1 || seen[0].Flow != 1 {
+		t.Fatal("Trace-only Emitter() did not reach the sink")
 	}
 	// Flight + trace: ring in front, events reach both.
 	r.Flight = obs.NewFlightRecorder(4)
-	tr = r.Tracer()
-	tr.Trace(flightEvent(2))
-	if len(seen) != 2 {
-		t.Error("chained Tracer() did not forward to the inner sink")
+	emit(r.Emitter(), 2)
+	if len(seen) != 2 || seen[1].Flow != 2 {
+		t.Error("chained Emitter() did not forward to the inner sink")
 	}
 	if r.Flight.Total() != 1 {
 		t.Errorf("flight recorder saw %d events, want 1", r.Flight.Total())
+	}
+}
+
+// TestEventIsCompact fences the record the flight ring holds 4096 of and
+// every traced packet writes twice per hop: at most 40 bytes, and no
+// pointer anywhere in it (a string device name made it 80 bytes that the
+// garbage collector had to scan and every store had to barrier).
+func TestEventIsCompact(t *testing.T) {
+	if size := unsafe.Sizeof(obs.Event{}); size > 40 {
+		t.Errorf("obs.Event is %d bytes, want <= 40", size)
+	}
+	var walk func(reflect.Type, string)
+	walk = func(ty reflect.Type, path string) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("%s is a %s: obs.Event must stay pointer-free", path, ty.Kind())
+		}
+	}
+	walk(reflect.TypeOf(obs.Event{}), "Event")
+}
+
+// TestFlightTraceZeroAlloc: the device-side protocol — take the next
+// record, fill it, emit it — allocates nothing, whether the record is a ring
+// slot, a ring slot forwarded through the flow tracer, or the emitter's
+// staging record in front of a plain sink.
+func TestFlightTraceZeroAlloc(t *testing.T) {
+	emitOne := func(em *obs.Emitter) func() {
+		i := int64(0)
+		return func() {
+			ev := em.Next()
+			*ev = obs.Event{T: sim.Time(i), Kind: obs.Mark, Dev: 1, Flow: i % 4, QLen: 4096}
+			em.Emit(ev)
+			i++
+		}
+	}
+	ring := obs.NewRecorder()
+	ring.Flight = obs.NewFlightRecorder(64)
+	chained := obs.NewRecorder()
+	chained.Flight = obs.NewFlightRecorder(64)
+	chained.FlowTrace = obs.NewFlowTracer(2)
+	chained.FlowTrace.MaxSpans = 16
+	chained.FlowTrace.Admit(1)
+	var seen int64
+	staged := obs.NewRecorder()
+	staged.Trace = obs.TraceFunc(func(ev *obs.Event) { seen += ev.Flow })
+	for name, em := range map[string]*obs.Emitter{
+		"ring": ring.Emitter(), "ring+flowtrace": chained.SwitchEmitter(), "staged": staged.Emitter(),
+	} {
+		f := emitOne(em)
+		for i := 0; i < 100; i++ { // fill the ring and the flow's span ring
+			f()
+		}
+		if allocs := testing.AllocsPerRun(1000, f); allocs != 0 {
+			t.Errorf("%s: emitting allocates %v per event, want 0", name, allocs)
+		}
+	}
+	if ring.Flight.Total() != 1101 || chained.Flight.Total() != 1101 {
+		t.Errorf("rings recorded %d and %d events, want 1101 each", ring.Flight.Total(), chained.Flight.Total())
+	}
+	if chained.FlowTrace.Log(1).Len() != 16 || seen == 0 {
+		t.Error("events did not reach the flow tracer / the staged sink")
 	}
 }

@@ -101,18 +101,20 @@ func TestFlowTracerEveryDeterministic(t *testing.T) {
 // recorder / JSONL sink behind the flow tracer.
 type recordingTracer struct{ evs []obs.Event }
 
-func (r *recordingTracer) Trace(ev obs.Event) { r.evs = append(r.evs, ev) }
+func (r *recordingTracer) Trace(ev *obs.Event) { r.evs = append(r.evs, *ev) }
 
 func TestFlowTracerTraceChaining(t *testing.T) {
 	ft := obs.NewFlowTracer(1)
 	fl := ft.Admit(7)
 	inner := &recordingTracer{}
 	ft.Inner = inner
+	ft.Devs = &obs.DevTable{}
+	tor0 := ft.Devs.ID("tor0")
 
-	ft.Trace(obs.Event{T: 10, Kind: obs.Drop, Dev: "tor0", Flow: 7, Seq: 1500, Bytes: 1000})
-	ft.Trace(obs.Event{T: 20, Kind: obs.Mark, Dev: "tor0", Flow: 7, Seq: 3000, QLen: 4096})
-	ft.Trace(obs.Event{T: 30, Kind: obs.Drop, Dev: "tor0", Flow: 8, Seq: 0, Bytes: 500}) // unsampled
-	ft.Trace(obs.Event{T: 40, Kind: obs.Enqueue, Dev: "tor0", Flow: 7})                  // not a journey kind
+	ft.Trace(&obs.Event{T: 10, Kind: obs.Drop, Dev: tor0, Flow: 7, Seq: 1500, Bytes: 1000})
+	ft.Trace(&obs.Event{T: 20, Kind: obs.Mark, Dev: tor0, Flow: 7, Seq: 3000, QLen: 4096})
+	ft.Trace(&obs.Event{T: 30, Kind: obs.Drop, Dev: tor0, Flow: 8, Seq: 0, Bytes: 500}) // unsampled
+	ft.Trace(&obs.Event{T: 40, Kind: obs.Enqueue, Dev: tor0, Flow: 7})                  // not a journey kind
 
 	var got []obs.Span
 	fl.Spans(func(sp obs.Span) { got = append(got, sp) })

@@ -6,7 +6,7 @@
 // across goroutines.
 //
 // The layer is zero-cost when disabled. Hot-path hooks in internal/netsim
-// and internal/transport are guarded by a single nil check (`if Trace !=
+// and internal/transport are guarded by a single nil check (`if trace !=
 // nil`, `if OnFlowDone != nil`); counter fields that are always maintained
 // (drops, ECN marks, pause time, high-water marks) are plain integer
 // updates the simulator was already paying for. The registry itself is
@@ -141,8 +141,14 @@ type Recorder struct {
 	Metrics *Registry
 	// Trace, when non-nil, receives one Event per simulator occurrence
 	// (enqueue, dequeue, drop, ECN mark, PFC pause/resume, flow
-	// completion). Use NewJSONLSink to stream events to a file.
+	// completion). Use NewJSONLSink(w, &rec.Devs) to stream events to a
+	// file.
 	Trace Tracer
+	// Devs is the run's device-name table: trace events name their device
+	// by DevID, harness.Net.Observe registers every device here, and the
+	// renderers (JSONLSink, FlightRecorder.Dump, the flow tracer) resolve
+	// names through it.
+	Devs DevTable
 	// Series, when non-nil, samples simulator gauges at a fixed simulated-
 	// time interval; harness.Net.Observe registers the standard sources and
 	// installs the engine clock hook.
@@ -151,7 +157,7 @@ type Recorder struct {
 	// distributions via zero-alloc streaming histograms.
 	Hist *HistSet
 	// Flight, when non-nil, keeps the most recent trace events in a ring
-	// for post-mortem dumps. It is chained in front of Trace, so the two
+	// for post-mortem dumps. Events reach Trace after the ring, so the two
 	// compose.
 	Flight *FlightRecorder
 	// Watchdog, when non-nil, is checked against the run's in-flight-bytes
@@ -160,8 +166,8 @@ type Recorder struct {
 	Watchdog *Watchdog
 	// FlowTrace, when non-nil, records causal timelines (packet journeys +
 	// CC decision audit) for a deterministic sample of flows. Installed by
-	// harness.Net.Observe on the transport stacks and, via SwitchTracer, in
-	// front of the switch trace hook.
+	// harness.Net.Observe on the transport stacks and, via SwitchEmitter, in
+	// the switch trace chain.
 	FlowTrace *FlowTracer
 	// Faults accumulates executed fault events (link flaps, reboots).
 	// Always present — fault events are rare, so unlike the sampling
@@ -190,6 +196,11 @@ type Recorder struct {
 	// every sampler tick; a violation stops the run (unless KeepRunning)
 	// and dumps the flight recorder.
 	Audit *Auditor
+	// OnCollected, when non-nil, is called by harness.Net.CollectMetrics
+	// once the run's metrics are in: the run is over and the recorder
+	// complete, so its owner can write it out and let go of it while later
+	// runs of the same experiment are still to come.
+	OnCollected func()
 }
 
 // NewRecorder returns a recorder with an empty registry and no trace sink.
@@ -197,27 +208,23 @@ func NewRecorder() *Recorder {
 	return &Recorder{Metrics: NewRegistry(), Faults: &FaultLog{}}
 }
 
-// Tracer resolves the trace sink the simulator hooks should see: the
-// flight recorder chained in front of Trace when both are set, whichever
-// one alone otherwise, or nil when tracing is fully disabled.
-func (r *Recorder) Tracer() Tracer {
-	if r.Flight != nil {
-		r.Flight.Inner = r.Trace
-		return r.Flight
-	}
-	return r.Trace
+// Emitter resolves what ports, NICs and the flow-completion hook emit trace
+// events into: the flight ring with Trace downstream of it when both are
+// set, whichever one alone otherwise, or nil when tracing is fully disabled.
+func (r *Recorder) Emitter() *Emitter {
+	return newEmitter(r.Flight, r.Trace)
 }
 
-// SwitchTracer resolves the trace sink for switches: the flow tracer
-// chained in front of Tracer() when flow tracing is on (switch drop and
-// ECN-mark events feed sampled flows' journeys), plain Tracer() otherwise.
-// Ports keep the plain Tracer() — their per-packet volume is covered by the
-// INT piggyback, so the port hot path never pays the flow-tracer branch.
-func (r *Recorder) SwitchTracer() Tracer {
-	t := r.Tracer()
-	if r.FlowTrace != nil {
-		r.FlowTrace.Inner = t
-		return r.FlowTrace
+// SwitchEmitter resolves the emitter for switches: with flow tracing on, the
+// flow tracer sits between the ring and Trace (switch drop and ECN-mark
+// events feed sampled flows' journeys); otherwise it is Emitter(). Ports keep
+// the plain one — their per-packet volume is covered by the INT piggyback,
+// so the port hot path never pays the flow-tracer call.
+func (r *Recorder) SwitchEmitter() *Emitter {
+	if r.FlowTrace == nil {
+		return r.Emitter()
 	}
-	return t
+	r.FlowTrace.Inner = r.Trace
+	r.FlowTrace.Devs = &r.Devs
+	return newEmitter(r.Flight, r.FlowTrace)
 }

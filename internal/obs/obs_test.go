@@ -61,10 +61,11 @@ func TestRegistryKindClashPanics(t *testing.T) {
 
 func TestJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
-	sink := obs.NewJSONLSink(&buf)
-	sink.Trace(obs.Event{T: 1500, Kind: obs.Enqueue, Dev: "tor0", Port: 2, Queue: 1, Flow: 7, Seq: 3, Bytes: 1000, QLen: 4000})
-	sink.Trace(obs.Event{T: 2000, Kind: obs.Drop, Dev: "tor0", Port: 2, Bytes: 1000})
-	sink.Trace(obs.Event{T: sim.Time(3000), Kind: obs.FlowDone, Flow: 7, Bytes: 50_000, Seq: 123_456})
+	var devs obs.DevTable
+	sink := obs.NewJSONLSink(&buf, &devs)
+	sink.Trace(&obs.Event{T: 1500, Kind: obs.Enqueue, Dev: devs.ID("tor0"), Port: 2, Queue: 1, Flow: 7, Seq: 3, Bytes: 1000, QLen: 4000})
+	sink.Trace(&obs.Event{T: 2000, Kind: obs.Drop, Dev: devs.ID("tor0"), Port: 2, Bytes: 1000})
+	sink.Trace(&obs.Event{T: sim.Time(3000), Kind: obs.FlowDone, Flow: 7, Bytes: 50_000, Seq: 123_456})
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +127,8 @@ func TestKindStrings(t *testing.T) {
 
 func TestTraceFunc(t *testing.T) {
 	var got []obs.Event
-	var tr obs.Tracer = obs.TraceFunc(func(e obs.Event) { got = append(got, e) })
-	tr.Trace(obs.Event{Kind: obs.Mark})
+	var tr obs.Tracer = obs.TraceFunc(func(e *obs.Event) { got = append(got, *e) })
+	tr.Trace(&obs.Event{Kind: obs.Mark})
 	if len(got) != 1 || got[0].Kind != obs.Mark {
 		t.Errorf("TraceFunc delivered %v", got)
 	}

@@ -78,7 +78,7 @@ type Digest struct {
 	payTag, payA, payB uint64
 	payN               uint32
 
-	every uint64 // current checkpoint interval
+	every uint64 // current checkpoint interval, always a power of two
 	Ckpts []Ckpt // bounded checkpoint buffer (see compaction note above)
 
 	// Full-event window recording for divergence pinpointing: events with
@@ -163,7 +163,9 @@ func (d *Digest) fold(at Time, seq uint64, kind uint8) {
 		}
 	}
 	d.payN = 0
-	if d.Count%d.every == 0 {
+	// every is a power of two (it starts as one and only ever doubles), so
+	// the per-event checkpoint test is a mask, not a 64-bit divide.
+	if d.Count&(d.every-1) == 0 {
 		if len(d.Ckpts) == cap(d.Ckpts) {
 			d.compactCkpts()
 		}

@@ -123,6 +123,48 @@ func TestDigestCheckpointCompaction(t *testing.T) {
 	}
 }
 
+// TestDigestIntervalPowerOfTwo pins what lets fold test Count&(every-1)
+// instead of Count%every: the interval is a power of two at construction
+// and after every compaction, and the mask cuts checkpoints exactly where
+// the modulo did — one per interval, on its multiples.
+func TestDigestIntervalPowerOfTwo(t *testing.T) {
+	d := NewDigest()
+	cuts, compactions := 0, 0
+	every := d.CheckpointEvery()
+	// Three compactions' worth of events, folded directly.
+	for d.CheckpointEvery() < 8*DigestCheckpointEvery {
+		before := len(d.Ckpts)
+		d.fold(Time(d.Count), d.Count, 0)
+		// The interval in force when the event was tested decides the cut;
+		// a compaction it triggers doubles the interval afterwards.
+		cut := len(d.Ckpts) == before+1 || (len(d.Ckpts) < before && d.Ckpts[len(d.Ckpts)-1].Count == d.Count)
+		if cut != (d.Count%every == 0) {
+			t.Fatalf("event %d, interval %d: checkpoint cut = %v, modulo says %v", d.Count, every, cut, d.Count%every == 0)
+		}
+		if cut {
+			cuts++
+		}
+		if e := d.CheckpointEvery(); e != every {
+			if e != 2*every {
+				t.Fatalf("interval went %d -> %d, want a doubling", every, e)
+			}
+			every = e
+			compactions++
+		}
+		if every&(every-1) != 0 {
+			t.Fatalf("interval %d is not a power of two", every)
+		}
+	}
+	if compactions != 3 || cuts == 0 {
+		t.Errorf("saw %d compactions and %d checkpoints, want 3 compactions", compactions, cuts)
+	}
+	for _, c := range d.Ckpts {
+		if c.Count%DigestCheckpointEvery != 0 {
+			t.Fatalf("kept checkpoint %d is off the base grid", c.Count)
+		}
+	}
+}
+
 func TestDigestWindowRecording(t *testing.T) {
 	d := NewDigest()
 	d.SetWindow(100, 110)
