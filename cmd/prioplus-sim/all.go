@@ -40,13 +40,13 @@ func runAll(args []string) int {
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	fs.Parse(args)
 
-	obsOpt, err := obsFlags.resolve()
+	ins, err := obsFlags.resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	if *fpOut != "" || *fpCheck != "" {
-		obsOpt.fingerprint = true
+		ins.Fingerprint = true
 	}
 
 	ids := exp.IDs()
@@ -67,43 +67,42 @@ func runAll(args []string) int {
 
 	// -listen: register every run up front so /runs shows pending tasks,
 	// and tee artifact lines into the server's hub for /events.
-	var srv *stream.Server
 	var reg *runner.Registry
-	if obsOpt.listen != "" {
-		reg = &runner.Registry{}
-		srv = stream.NewServer(reg)
-		if err := srv.Start(obsOpt.listen); err != nil {
+	if obsFlags.listen != "" {
+		var srv *stream.Server
+		srv, reg, err = startLive(obsFlags.listen, liveBanner, nil)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "live endpoints on http://%s (/metrics /runs /events)\n", srv.Addr())
+		ins.Hub = srv.Hub
 	}
 
 	var tasks []runner.Task
 	var states []*runner.RunState // parallel to tasks; nil without -listen
+	// Every run's parameters, but for its seed.
+	params := exp.RunParams{Full: *full, Perturb: obsFlags.perturb}
 	for _, id := range ids {
 		for _, seed := range seeds {
-			id, seed := id, seed
 			name := fmt.Sprintf("%s/seed=%d", id, seed)
-			taskObs := obsOpt
+			p, taskIns := params, ins
+			p.Seed = seed
 			if reg != nil {
-				st := reg.Add(name, id, seed)
-				states = append(states, st)
-				taskObs.hub = srv.Hub
-				taskObs.live = st
+				taskIns.Live = reg.Add(name, id, seed)
+				states = append(states, taskIns.Live)
 			}
 			tasks = append(tasks, runner.Task{
 				Name: name,
 				Run: func() (string, map[string]float64) {
-					if taskObs.live != nil {
-						taskObs.live.Start()
+					if taskIns.Live != nil {
+						taskIns.Live.Start()
 					}
 					var buf bytes.Buffer
 					// Ids are validated above, so the only errors left are
-					// artifact writes; the panic lands in Result.Err and
-					// fails just this run.
-					if err := runExperiment(id, runOpts{full: *full, seed: seed, obs: taskObs}, &buf); err != nil {
+					// artifact writes and audit violations; the panic lands
+					// in Result.Err and fails just this run.
+					if _, err := serve.Execute(id, p, taskIns, &buf); err != nil {
 						panic(err)
 					}
 					return buf.String(), nil
@@ -119,11 +118,7 @@ func runAll(args []string) int {
 	done := 0
 	opts.OnResult = func(r runner.Result) {
 		if states != nil {
-			msg := ""
-			if r.Err != nil {
-				msg = r.Err.Error()
-			}
-			states[r.Index].Finish(msg)
+			states[r.Index].Finish(errText(r.Err))
 		}
 		if !*progress {
 			return
@@ -169,7 +164,7 @@ func runAll(args []string) int {
 			failures++
 		}
 		fp := ""
-		if obsOpt.fingerprint && r.Err == nil {
+		if ins.Fingerprint && r.Err == nil {
 			fps[r.Name] = serve.OutputFingerprint(r.Output)
 			fp = " fp=" + fps[r.Name]
 		}
@@ -189,14 +184,14 @@ func runAll(args []string) int {
 		}
 	}
 	if *fpOut != "" {
-		if err := writeManifest(*fpOut, fps); err != nil {
+		if err := serve.WriteManifest(*fpOut, fps); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 		fmt.Printf("fingerprint manifest: %d runs written to %s\n", len(fps), *fpOut)
 	}
 	if *fpCheck != "" {
-		if err := checkManifest(*fpCheck, fps); err != nil {
+		if err := checkFingerprints(*fpCheck, params, fps); err != nil {
 			fmt.Fprintln(os.Stderr, "fingerprint check FAILED:", err)
 			return 1
 		}
@@ -208,45 +203,20 @@ func runAll(args []string) int {
 	return 0
 }
 
-// fpManifest is the on-disk fingerprint manifest (testdata/fingerprints.json):
-// one output hash per (experiment, seed) run of the quick suite.
-type fpManifest struct {
-	Note string            `json:"note"`
-	Runs map[string]string `json:"runs"`
-}
-
-const manifestNote = "FNV-64a over each run's captured output, which includes its '# fingerprint' digest-chain lines; " +
-	"regenerate with: prioplus-sim all -fp-out testdata/fingerprints.json"
-
-func writeManifest(path string, fps map[string]string) error {
-	data, err := json.MarshalIndent(fpManifest{Note: manifestNote, Runs: fps}, "", "  ")
+// checkFingerprints is the -fp-check gate: every fingerprint of this batch
+// (run name -> output hash, run with params plus the name's seed) must match
+// the manifest at path. A run the manifest does not cover fails too (the
+// manifest must be regenerated when experiments are added); manifest entries
+// not run this batch (a -only or -seeds subset) are ignored.
+func checkFingerprints(path string, params exp.RunParams, fps map[string]string) error {
+	m, err := serve.LoadManifest(path)
 	if err != nil {
 		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// checkManifest compares this batch's fingerprints against the recorded
-// manifest. Runs absent from the manifest fail the check (the manifest must
-// be regenerated when experiments are added); manifest entries not run this
-// batch (a -only or -seeds subset) are ignored.
-func checkManifest(path string, fps map[string]string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var m fpManifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
 	}
 	var bad []string
 	for name, fp := range fps {
-		want, ok := m.Runs[name]
-		switch {
-		case !ok:
-			bad = append(bad, fmt.Sprintf("%s: not in manifest (regenerate with -fp-out)", name))
-		case want != fp:
-			bad = append(bad, fmt.Sprintf("%s: got %s, manifest has %s", name, fp, want))
+		if err := m.Check(name, params, fp); err != nil {
+			bad = append(bad, err.Error())
 		}
 	}
 	if len(bad) > 0 {

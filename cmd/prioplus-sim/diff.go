@@ -7,8 +7,10 @@ import (
 	"os"
 	"strconv"
 
+	"prioplus/internal/exp"
 	"prioplus/internal/netsim"
 	"prioplus/internal/obs"
+	"prioplus/internal/serve"
 	"prioplus/internal/sim"
 )
 
@@ -33,33 +35,27 @@ func runDiff(args []string) int {
 	full := fs.Bool("full", false, "rerun mode: rerun at the paper's full scale (must match the recorded run)")
 	fs.Parse(args)
 
+	var res *diffResult
+	var err error
 	switch {
 	case *expID == "" && fs.NArg() == 2:
-		res, err := diffArtifacts(fs.Arg(0), fs.Arg(1))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "diff:", err)
-			return 2
-		}
-		res.render(os.Stdout)
-		if res.identical {
-			return 0
-		}
-		return 1
+		res, err = diffArtifacts(fs.Arg(0), fs.Arg(1))
 	case *expID != "" && fs.NArg() == 1:
-		res, err := diffRerun(fs.Arg(0), *expID, *seed, *full, *perturb)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "diff:", err)
-			return 2
-		}
-		res.render(os.Stdout)
-		if res.identical {
-			return 0
-		}
-		return 1
+		res, err = diffRerun(fs.Arg(0), *expID, *seed, *full, *perturb)
+	default:
+		fmt.Fprintln(os.Stderr, "usage: prioplus-sim diff A.jsonl B.jsonl\n"+
+			"       prioplus-sim diff -exp ID [-seed N] [-full] [-perturb D] A.jsonl")
+		return 2
 	}
-	fmt.Fprintln(os.Stderr, "usage: prioplus-sim diff A.jsonl B.jsonl\n"+
-		"       prioplus-sim diff -exp ID [-seed N] [-full] [-perturb D] A.jsonl")
-	return 2
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "diff:", err)
+		return 2
+	}
+	res.render(os.Stdout)
+	if res.identical {
+		return 0
+	}
+	return 1
 }
 
 // ckptRef is one checkpoint in either a recorded artifact or a live
@@ -209,7 +205,7 @@ func diffRerun(path, expID string, seed int64, full bool, perturb uint64) (*diff
 	// end falls back to the run edge.
 	lo, hi := res.winLo, res.winHi
 	if !res.haveHi {
-		hi = maxU64(art.events, live.Count)
+		hi = max(art.events, live.Count)
 	}
 	baseDig, err := rerunDigest(expID, seed, full, 0, lo+1, hi+1, art.run)
 	if err != nil {
@@ -233,28 +229,25 @@ func diffRerun(path, expID string, seed int64, full bool, perturb uint64) (*diff
 // a full-event recording window) and returns the digest of the run whose
 // tag matches the artifact's.
 func rerunDigest(expID string, seed int64, full bool, perturb, lo, hi uint64, tag string) (*sim.Digest, error) {
-	if err := validExperiment(expID); err != nil {
+	runs, err := serve.Execute(expID, exp.RunParams{Seed: seed, Full: full, Perturb: perturb},
+		serve.Instruments{Fingerprint: true, WindowLo: lo, WindowHi: hi}, io.Discard)
+	if err != nil {
 		return nil, err
 	}
-	o := obsOpts{fingerprint: true, perturb: perturb, windowLo: lo, windowHi: hi}
-	sink := newObsSink(o, expID, seed)
-	if err := runExperimentWith(expID, runOpts{full: full, seed: seed, obs: o}, sink, io.Discard); err != nil {
-		return nil, err
-	}
-	if len(sink.runs) == 0 {
+	if len(runs) == 0 {
 		return nil, fmt.Errorf("experiment %q does not wire the observability sink; rerun mode needs one of the instrumented experiments", expID)
 	}
-	for _, r := range sink.runs {
-		if r.tag == tag && r.rec.Digest != nil {
-			return r.rec.Digest, nil
+	for _, r := range runs {
+		if r.Tag == tag {
+			return r.Rec.Digest, nil
 		}
 	}
-	if len(sink.runs) == 1 && sink.runs[0].rec.Digest != nil {
-		return sink.runs[0].rec.Digest, nil
+	if len(runs) == 1 {
+		return runs[0].Rec.Digest, nil
 	}
-	tags := make([]string, 0, len(sink.runs))
-	for _, r := range sink.runs {
-		tags = append(tags, r.tag)
+	tags := make([]string, 0, len(runs))
+	for _, r := range runs {
+		tags = append(tags, r.Tag)
 	}
 	return nil, fmt.Errorf("experiment %q has no run tagged %q (runs: %v)", expID, tag, tags)
 }
@@ -350,11 +343,4 @@ func renderRec(d *sim.Digest, r sim.EventRec) string {
 		s += fmt.Sprintf(" (+%d more payload folds)", r.PayN-1)
 	}
 	return s
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,14 +6,17 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"prioplus/internal/exp"
+	"prioplus/internal/serve"
 )
 
 // recordFig10b runs fig10b with -fingerprint -series into dir and returns
 // the artifact path.
 func recordFig10b(t *testing.T, dir string, perturb uint64) string {
 	t.Helper()
-	o := obsOpts{dir: dir, fingerprint: true, perturb: perturb}
-	if err := runExperiment("fig10b", runOpts{seed: 1, obs: o}, io.Discard); err != nil {
+	ins := serve.Instruments{Series: true, Dir: dir, Fingerprint: true}
+	if _, err := serve.Execute("fig10b", exp.RunParams{Seed: 1, Perturb: perturb}, ins, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	return filepath.Join(dir, "fig10b__incast__seed1.jsonl")
@@ -75,31 +78,35 @@ func TestDiffPinpointsPerturbedDraw(t *testing.T) {
 }
 
 // TestFingerprintFigureBytes pins the "-fingerprint never changes figure
-// output" contract at the CLI layer: the fingerprinted run's output minus
-// its `# fingerprint` lines must be byte-identical to a plain run.
+// output" contract: the fingerprinted run's output minus its `# fingerprint`
+// lines must be byte-identical to a plain run. fig10b is one single-switch
+// run, faultsweep four fat-tree runs with a link flap; the manifest gate
+// pins the fingerprinted bytes of both, so this pins the plain ones too.
 func TestFingerprintFigureBytes(t *testing.T) {
-	var plain, fp bytes.Buffer
-	if err := runExperiment("fig10b", runOpts{seed: 1}, &plain); err != nil {
-		t.Fatal(err)
-	}
-	if err := runExperiment("fig10b", runOpts{seed: 1, obs: obsOpts{fingerprint: true}}, &fp); err != nil {
-		t.Fatal(err)
-	}
-	var stripped strings.Builder
-	found := false
-	for _, line := range strings.SplitAfter(fp.String(), "\n") {
-		if strings.HasPrefix(line, "# fingerprint ") {
-			found = true
-			continue
+	for _, id := range []string{"fig10b", "faultsweep"} {
+		var plain, fp bytes.Buffer
+		if _, err := serve.Execute(id, exp.RunParams{Seed: 1}, serve.Instruments{}, &plain); err != nil {
+			t.Fatal(err)
 		}
-		stripped.WriteString(line)
-	}
-	if !found {
-		t.Fatal("fingerprinted run printed no # fingerprint line")
-	}
-	if plain.String() != stripped.String() {
-		t.Errorf("figure bytes changed under -fingerprint:\nplain:\n%s\nfingerprinted (stripped):\n%s",
-			plain.String(), stripped.String())
+		if _, err := serve.Execute(id, exp.RunParams{Seed: 1}, serve.Instruments{Fingerprint: true}, &fp); err != nil {
+			t.Fatal(err)
+		}
+		var stripped strings.Builder
+		found := false
+		for _, line := range strings.SplitAfter(fp.String(), "\n") {
+			if strings.HasPrefix(line, "# fingerprint ") {
+				found = true
+				continue
+			}
+			stripped.WriteString(line)
+		}
+		if !found {
+			t.Fatalf("%s: fingerprinted run printed no # fingerprint line", id)
+		}
+		if plain.String() != stripped.String() {
+			t.Errorf("%s: figure bytes changed under -fingerprint:\nplain:\n%s\nfingerprinted (stripped):\n%s",
+				id, plain.String(), stripped.String())
+		}
 	}
 }
 
@@ -139,8 +146,8 @@ func TestDiffArtifacts(t *testing.T) {
 // -fingerprint is a loud error pointing at the flag.
 func TestDiffRejectsUnfingerprintedArtifact(t *testing.T) {
 	dir := t.TempDir()
-	o := obsOpts{dir: dir}
-	if err := runExperiment("fig10b", runOpts{seed: 1, obs: o}, io.Discard); err != nil {
+	ins := serve.Instruments{Series: true, Dir: dir}
+	if _, err := serve.Execute("fig10b", exp.RunParams{Seed: 1}, ins, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "fig10b__incast__seed1.jsonl")
@@ -151,29 +158,35 @@ func TestDiffRejectsUnfingerprintedArtifact(t *testing.T) {
 }
 
 // TestManifestCheck pins the fingerprint-gate contract: a written manifest
-// verifies, a flipped hash fails naming the run, and a run missing from the
-// manifest fails too.
+// verifies, a flipped hash fails naming the run, and a run the manifest does
+// not cover — absent, or not at the quick unperturbed scale it was generated
+// from — fails too.
 func TestManifestCheck(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fp.json")
 	fps := map[string]string{"fig9/seed=1": "00aabb", "fig10b/seed=1": "ccdd33"}
-	if err := writeManifest(path, fps); err != nil {
+	if err := serve.WriteManifest(path, fps); err != nil {
 		t.Fatal(err)
 	}
-	if err := checkManifest(path, fps); err != nil {
+	quick := exp.RunParams{}
+	if err := checkFingerprints(path, quick, fps); err != nil {
 		t.Fatalf("clean check failed: %v", err)
 	}
 	bad := map[string]string{"fig9/seed=1": "00aabb", "fig10b/seed=1": "ffffff"}
-	err := checkManifest(path, bad)
+	err := checkFingerprints(path, quick, bad)
 	if err == nil || !strings.Contains(err.Error(), "fig10b/seed=1") {
 		t.Fatalf("mismatch err = %v, want it to name fig10b/seed=1", err)
 	}
 	extra := map[string]string{"fig9/seed=1": "00aabb", "fig99/seed=1": "123456"}
-	err = checkManifest(path, extra)
+	err = checkFingerprints(path, quick, extra)
 	if err == nil || !strings.Contains(err.Error(), "not in manifest") {
 		t.Fatalf("missing-run err = %v, want a not-in-manifest message", err)
 	}
+	err = checkFingerprints(path, exp.RunParams{Full: true}, fps)
+	if err == nil || !strings.Contains(err.Error(), "not in manifest") {
+		t.Fatalf("full-scale err = %v, want a not-in-manifest message", err)
+	}
 	// A subset batch (e.g. -only) ignores manifest entries it didn't run.
-	if err := checkManifest(path, map[string]string{"fig9/seed=1": "00aabb"}); err != nil {
+	if err := checkFingerprints(path, quick, map[string]string{"fig9/seed=1": "00aabb"}); err != nil {
 		t.Fatalf("subset check failed: %v", err)
 	}
 }

@@ -38,7 +38,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -46,15 +45,8 @@ import (
 	"prioplus/internal/exp"
 	"prioplus/internal/obs/stream"
 	"prioplus/internal/runner"
+	"prioplus/internal/serve"
 )
-
-// runOpts carries the per-run knobs shared by single and batch mode.
-type runOpts struct {
-	full   bool
-	series bool // print inline time-series data where available
-	seed   int64
-	obs    obsOpts
-}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -90,7 +82,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	obsOpt, err := obsFlags.resolve()
+	ins, err := obsFlags.resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -101,31 +93,21 @@ func main() {
 		os.Exit(1)
 	}
 	var srv *stream.Server
-	var st *runner.RunState
-	if obsOpt.listen != "" {
-		reg := &runner.Registry{}
-		st = reg.Add(fmt.Sprintf("%s/seed=%d", expID, *seed), expID, *seed)
-		srv = stream.NewServer(reg)
-		if err := srv.Start(obsOpt.listen); err != nil {
+	if obsFlags.listen != "" {
+		var reg *runner.Registry
+		srv, reg, err = startLive(obsFlags.listen, liveBanner, nil)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "live endpoints on http://%s (/metrics /runs /events)\n", srv.Addr())
-		obsOpt.hub = srv.Hub
-		obsOpt.live = st
+		ins.Hub = srv.Hub
+		ins.Live = reg.Add(fmt.Sprintf("%s/seed=%d", expID, *seed), expID, *seed)
+		ins.Live.Start()
 	}
-	if st != nil {
-		st.Start()
-	}
-	runErr := runExperiment(expID, runOpts{full: *full, series: *printSer, seed: *seed, obs: obsOpt}, os.Stdout)
-	if st != nil {
-		msg := ""
-		if runErr != nil {
-			msg = runErr.Error()
-		}
-		st.Finish(msg)
-	}
+	p := exp.RunParams{Seed: *seed, Full: *full, Series: *printSer, Perturb: obsFlags.perturb}
+	_, runErr := serve.Execute(expID, p, ins, os.Stdout)
 	if srv != nil {
+		ins.Live.Finish(errText(runErr))
 		if err := srv.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}
@@ -139,78 +121,93 @@ func main() {
 	}
 }
 
-// obsFlagSet is the raw observability flag values before validation.
+// liveBanner announces the -listen endpoints of a single or batch run.
+const liveBanner = "live endpoints on http://%s (/metrics /runs /events)\n"
+
+// startLive stands up the -listen endpoints for single, batch and serve
+// mode: a run registry, the streaming server over it (its Hub tees artifact
+// lines to /events) and the banner on stderr. mount, when non-nil, adds
+// routes before the listener starts; serve mounts the job API there.
+func startLive(addr, banner string, mount func(*stream.Server, *runner.Registry)) (*stream.Server, *runner.Registry, error) {
+	reg := &runner.Registry{}
+	srv := stream.NewServer(reg)
+	if mount != nil {
+		mount(srv, reg)
+	}
+	if err := srv.Start(addr); err != nil {
+		return nil, nil, err
+	}
+	fmt.Fprintf(os.Stderr, banner, srv.Addr())
+	return srv, reg, nil
+}
+
+// errText is the message a run state finishes with: empty means success.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// obsFlagSet is the shared observability flags. The ones that are plain
+// instrument settings are parsed straight into ins; the rest need parsing
+// (-watchdog, -trace-match) or are not instruments: -listen stands up the
+// live server whose Hub and run state the caller wires in, and -perturb is
+// a RunParam.
 type obsFlagSet struct {
-	seriesDir  *string
-	hist       *bool
-	watchdog   *string
-	wdEvents   *int64
-	runtime    *bool
-	cost       *bool
-	listen     *string
-	traceFlows *int
-	traceMatch *string
-	traceEvery *int
-	tracePkts  *int
-	fingerp    *bool
-	audit      *bool
-	perturb    *uint64
+	ins        serve.Instruments
+	watchdog   string
+	traceMatch string
+	listen     string
+	perturb    uint64
 }
 
 // addObsFlags registers the shared observability flags on fs.
-func addObsFlags(fs *flag.FlagSet) obsFlagSet {
-	return obsFlagSet{
-		seriesDir:  fs.String("series", "", "write per-run timeline artifacts (JSONL) into this directory"),
-		hist:       fs.Bool("hist", false, "record streaming histograms (FCT, fabric delay, ACK RTT) and print summaries"),
-		watchdog:   fs.String("watchdog", "", "in-flight bytes ceiling (e.g. 256m); tripping stops the run and dumps the flight recorder"),
-		wdEvents:   fs.Int64("watchdog-events", 0, "event-heap size ceiling for the watchdog (0 = off)"),
-		runtime:    fs.Bool("runtime", false, "merge host-process gauges (RSS, GC, events/sec) into the series; makes artifacts wall-clock dependent"),
-		cost:       fs.Bool("cost", false, "attribute sampled per-event execution cost by event kind (artifact metrics + /metrics)"),
-		listen:     fs.String("listen", "", "serve live endpoints on this address (/metrics, /runs, /events SSE); e.g. :8080"),
-		traceFlows: fs.Int("trace-flows", 0, "flow-trace up to N flows (packet journeys + CC decision audit; needs -series)"),
-		traceMatch: fs.String("trace-match", "", "flow-trace exactly these comma-separated flow ids (needs -series)"),
-		traceEvery: fs.Int("trace-every", 0, "with -trace-flows, admit only a 1-in-K hash sample of flow ids"),
-		tracePkts:  fs.Int("trace-packets", 0, "journey-stamp every Kth data packet of a traced flow (default 16, 1 = all)"),
-		fingerp:    fs.Bool("fingerprint", false, "fold every dispatched event into a digest chain and print the run fingerprint"),
-		audit:      fs.Bool("audit", false, "run conservation audits on the sampler clock (packet, byte, PFC accounting); a violation stops the run"),
-		perturb:    fs.Uint64("perturb", 0, "deliberately inflate the Nth delay-noise draw by 1us (micro experiments; for testing diff)"),
-	}
+func addObsFlags(fs *flag.FlagSet) *obsFlagSet {
+	f := &obsFlagSet{}
+	fs.StringVar(&f.ins.Dir, "series", "", "write per-run timeline artifacts (JSONL) into this directory")
+	fs.BoolVar(&f.ins.Hist, "hist", false, "record streaming histograms (FCT, fabric delay, ACK RTT) and print summaries")
+	fs.StringVar(&f.watchdog, "watchdog", "", "in-flight bytes ceiling (e.g. 256m); tripping stops the run and dumps the flight recorder")
+	fs.Int64Var(&f.ins.MaxEvents, "watchdog-events", 0, "event-heap size ceiling for the watchdog (0 = off)")
+	fs.BoolVar(&f.ins.Runtime, "runtime", false, "merge host-process gauges (RSS, GC, events/sec) into the series; makes artifacts wall-clock dependent")
+	fs.BoolVar(&f.ins.Cost, "cost", false, "attribute sampled per-event execution cost by event kind (artifact metrics + /metrics)")
+	fs.StringVar(&f.listen, "listen", "", "serve live endpoints on this address (/metrics, /runs, /events SSE); e.g. :8080")
+	fs.IntVar(&f.ins.TraceFlows, "trace-flows", 0, "flow-trace up to N flows (packet journeys + CC decision audit; needs -series)")
+	fs.StringVar(&f.traceMatch, "trace-match", "", "flow-trace exactly these comma-separated flow ids (needs -series)")
+	fs.IntVar(&f.ins.TraceEvery, "trace-every", 0, "with -trace-flows, admit only a 1-in-K hash sample of flow ids")
+	fs.IntVar(&f.ins.TracePackets, "trace-packets", 0, "journey-stamp every Kth data packet of a traced flow (default 16, 1 = all)")
+	fs.BoolVar(&f.ins.Fingerprint, "fingerprint", false, "fold every dispatched event into a digest chain and print the run fingerprint")
+	fs.BoolVar(&f.ins.Audit, "audit", false, "run conservation audits on the sampler clock (packet, byte, PFC accounting); a violation stops the run")
+	fs.Uint64Var(&f.perturb, "perturb", 0, "deliberately inflate the Nth delay-noise draw by 1us (micro experiments; for testing diff)")
+	return f
 }
 
-// resolve validates the flag values and prepares the -series directory.
-func (f obsFlagSet) resolve() (obsOpts, error) {
-	var maxBytes int64
-	if *f.watchdog != "" {
-		var err error
-		maxBytes, err = parseBytes(*f.watchdog)
-		if err != nil {
-			return obsOpts{}, fmt.Errorf("-watchdog: %w", err)
+// resolve validates the parsed flags, prepares the -series directory and
+// returns the instrument set they ask for.
+func (f *obsFlagSet) resolve() (serve.Instruments, error) {
+	ins, none := f.ins, serve.Instruments{}
+	var err error
+	if f.watchdog != "" {
+		if ins.MaxBytes, err = parseBytes(f.watchdog); err != nil {
+			return none, fmt.Errorf("-watchdog: %w", err)
 		}
 	}
-	match, err := parseFlowList(*f.traceMatch)
-	if err != nil {
-		return obsOpts{}, fmt.Errorf("-trace-match: %w", err)
+	if ins.TraceMatch, err = parseFlowList(f.traceMatch); err != nil {
+		return none, fmt.Errorf("-trace-match: %w", err)
 	}
-	o := obsOpts{
-		dir: *f.seriesDir, hist: *f.hist,
-		maxBytes: maxBytes, maxEvents: *f.wdEvents,
-		runtime: *f.runtime, cost: *f.cost, listen: *f.listen,
-		traceFlows: *f.traceFlows, traceMatch: match,
-		traceEvery: *f.traceEvery, tracePackets: *f.tracePkts,
-		fingerprint: *f.fingerp, audit: *f.audit, perturb: *f.perturb,
+	ins.Series = ins.Dir != "" || f.listen != ""
+	if (ins.TraceFlows > 0 || len(ins.TraceMatch) > 0) && ins.Dir == "" {
+		return none, fmt.Errorf("flow tracing needs -series DIR: trace spans are only delivered through the timeline artifact")
 	}
-	if o.tracing() && o.dir == "" {
-		return obsOpts{}, fmt.Errorf("flow tracing needs -series DIR: trace spans are only delivered through the timeline artifact")
+	if ins.Runtime && !ins.Series {
+		return none, fmt.Errorf("-runtime needs -series DIR or -listen ADDR: runtime gauges are delivered as timeline series")
 	}
-	if o.runtime && o.dir == "" && o.listen == "" {
-		return obsOpts{}, fmt.Errorf("-runtime needs -series DIR or -listen ADDR: runtime gauges are delivered as timeline series")
-	}
-	if o.dir != "" {
-		if err := os.MkdirAll(o.dir, 0o755); err != nil {
-			return obsOpts{}, err
+	if ins.Dir != "" {
+		if err := os.MkdirAll(ins.Dir, 0o755); err != nil {
+			return none, err
 		}
 	}
-	return o, nil
+	return ins, nil
 }
 
 // parseFlowList parses a comma-separated flow-id list ("" = none).
@@ -230,41 +227,26 @@ func parseFlowList(s string) ([]int64, error) {
 	return out, nil
 }
 
-// runExperiment executes one experiment and writes its report to w. It
-// returns an error for an unknown id or a failed observability-artifact
-// write; experiment output (including the batch runner's captured per-run
-// output) goes to w. The obs sink, when enabled, is wired into the
-// experiments that run full network scenarios (incast, fat-tree, coflow);
-// the analytic and micro experiments ignore it.
-func runExperiment(expID string, o runOpts, w io.Writer) error {
-	return runExperimentWith(expID, o, newObsSink(o.obs, expID, o.seed), w)
-}
-
-// runExperimentWith is runExperiment with a caller-supplied sink, so the
-// diff subcommand can rerun an experiment and inspect the recorders (and
-// their digest chains) afterwards instead of only seeing flushed text. The
-// experiment itself is resolved through the exp registry; this function
-// only translates the CLI's flag bundle into exp.RunParams and flushes the
-// sink afterwards.
-func runExperimentWith(expID string, o runOpts, sink *obsSink, w io.Writer) error {
-	spec, ok := exp.Lookup(expID)
-	if !ok {
-		return fmt.Errorf("unknown experiment %q", expID)
+// parseBytes parses a human-readable byte count: a plain integer with an
+// optional k/m/g suffix (binary multiples), e.g. "64m", "2g", "65536".
+func parseBytes(s string) (int64, error) {
+	if s == "" {
+		return 0, fmt.Errorf("empty byte count")
 	}
-	p := exp.RunParams{Seed: o.seed, Full: o.full, Series: o.series, Perturb: o.obs.perturb}
-	// A nil *obsSink must become a nil interface, not a typed nil the
-	// drivers would dereference.
-	var s exp.Sink
-	if sink != nil {
-		s = sink
+	mult := int64(1)
+	switch s[len(s)-1] {
+	case 'k', 'K':
+		mult, s = 1<<10, s[:len(s)-1]
+	case 'm', 'M':
+		mult, s = 1<<20, s[:len(s)-1]
+	case 'g', 'G':
+		mult, s = 1<<30, s[:len(s)-1]
 	}
-	if err := spec.Run(p, s, w); err != nil {
-		return err
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || v < 0 {
+		return 0, fmt.Errorf("bad byte count %q", s)
 	}
-	if sink != nil {
-		return sink.flush(w)
-	}
-	return nil
+	return v * mult, nil
 }
 
 func usage() {

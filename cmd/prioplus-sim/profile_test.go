@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"prioplus/internal/serve"
 )
 
 // requireProfile fails unless path holds a complete pprof file: a gzip
@@ -37,7 +39,7 @@ func requireProfile(t *testing.T, path string) {
 func TestAllFlushesProfilesWhenCheckFails(t *testing.T) {
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, "fp.json")
-	if err := writeManifest(manifest, map[string]string{"tab2/seed=1": "not-the-hash"}); err != nil {
+	if err := serve.WriteManifest(manifest, map[string]string{"tab2/seed=1": "not-the-hash"}); err != nil {
 		t.Fatal(err)
 	}
 	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")

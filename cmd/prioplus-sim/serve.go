@@ -43,23 +43,24 @@ func runServe(args []string) int {
 		fmt.Fprintf(os.Stderr, "manifest %s: %d runs under cross-check\n", *manifestPath, len(manifest.Runs))
 	}
 
-	reg := &runner.Registry{}
-	srv := stream.NewServer(reg)
-	sched := serve.New(serve.Config{
-		Workers:    *workers,
-		QueueDepth: *queue,
-		Timeout:    *jobTimeout,
-		CacheSize:  *cacheSize,
-		Manifest:   manifest,
-		Registry:   reg,
-		Hub:        srv.Hub,
-	})
-	serve.NewAPI(sched).Mount(srv)
-	if err := srv.Start(*listen); err != nil {
+	var sched *serve.Scheduler
+	srv, _, err := startLive(*listen, "job server on http://%s (/jobs /experiments /metrics /runs /events)\n",
+		func(srv *stream.Server, reg *runner.Registry) {
+			sched = serve.New(serve.Config{
+				Workers:    *workers,
+				QueueDepth: *queue,
+				Timeout:    *jobTimeout,
+				CacheSize:  *cacheSize,
+				Manifest:   manifest,
+				Registry:   reg,
+				Hub:        srv.Hub,
+			})
+			serve.NewAPI(sched).Mount(srv)
+		})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "job server on http://%s (/jobs /experiments /metrics /runs /events)\n", srv.Addr())
 	stop, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

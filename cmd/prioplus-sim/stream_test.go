@@ -8,10 +8,22 @@ import (
 	"strings"
 	"testing"
 
+	"prioplus/internal/exp"
 	"prioplus/internal/obs"
 	"prioplus/internal/obs/stream"
 	"prioplus/internal/runner"
+	"prioplus/internal/serve"
 )
+
+// runFig10b runs fig10b at seed 1 with the given instruments.
+func runFig10b(t *testing.T, ins serve.Instruments) string {
+	t.Helper()
+	var out bytes.Buffer
+	if _, err := serve.Execute("fig10b", exp.RunParams{Seed: 1}, ins, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
+}
 
 // TestStreamingDeterminism pins the live-streaming contract: a run with a
 // hub attached produces byte-identical figure output to a plain run, the
@@ -19,25 +31,17 @@ import (
 // slow subscriber drops lines (with a counter) instead of stalling the
 // run. CI runs this under -race.
 func TestStreamingDeterminism(t *testing.T) {
-	var plain bytes.Buffer
-	if err := runExperiment("fig10b", runOpts{seed: 1}, &plain); err != nil {
-		t.Fatal(err)
-	}
+	plain := runFig10b(t, serve.Instruments{})
 
 	dir := t.TempDir()
 	hub := stream.NewHub()
 	sub := hub.Subscribe(1 << 20)
 	slow := hub.Subscribe(2) // never read until the run ends
-	var live bytes.Buffer
-	err := runExperiment("fig10b", runOpts{seed: 1, obs: obsOpts{dir: dir, hub: hub}}, &live)
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := runFig10b(t, serve.Instruments{Series: true, Dir: dir, Hub: hub})
 	hub.Close()
 
-	if plain.String() != live.String() {
-		t.Errorf("figure output changed with streaming enabled:\nplain:\n%s\nlive:\n%s",
-			plain.String(), live.String())
+	if plain != live {
+		t.Errorf("figure output changed with streaming enabled:\nplain:\n%s\nlive:\n%s", plain, live)
 	}
 
 	var streamed bytes.Buffer
@@ -75,9 +79,7 @@ func TestStreamingDeterminism(t *testing.T) {
 func TestStreamOnlyRun(t *testing.T) {
 	hub := stream.NewHub()
 	sub := hub.Subscribe(1 << 20)
-	if err := runExperiment("fig10b", runOpts{seed: 1, obs: obsOpts{hub: hub}}, &bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
+	runFig10b(t, serve.Instruments{Series: true, Hub: hub})
 	hub.Close()
 	var first string
 	n := 0
@@ -100,33 +102,19 @@ func TestStreamOnlyRun(t *testing.T) {
 // attribution and runtime gauges must not perturb figure bytes, and their
 // series/metrics land in the artifact.
 func TestCostRuntimeDeterminism(t *testing.T) {
-	var plain bytes.Buffer
-	if err := runExperiment("fig10b", runOpts{seed: 1}, &plain); err != nil {
-		t.Fatal(err)
-	}
+	plain := runFig10b(t, serve.Instruments{})
 
 	// Cost alone (no artifact sink): output identical.
-	var costOnly bytes.Buffer
-	if err := runExperiment("fig10b", runOpts{seed: 1, obs: obsOpts{cost: true}}, &costOnly); err != nil {
-		t.Fatal(err)
-	}
-	if plain.String() != costOnly.String() {
-		t.Errorf("figure output changed with -cost:\nplain:\n%s\ncost:\n%s",
-			plain.String(), costOnly.String())
+	if costOnly := runFig10b(t, serve.Instruments{Cost: true}); plain != costOnly {
+		t.Errorf("figure output changed with -cost:\nplain:\n%s\ncost:\n%s", plain, costOnly)
 	}
 
 	// Cost + runtime with an artifact: output identical, artifact carries
 	// the new series and metrics.
 	dir := t.TempDir()
-	var full bytes.Buffer
-	err := runExperiment("fig10b", runOpts{seed: 1,
-		obs: obsOpts{dir: dir, cost: true, runtime: true}}, &full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.String() != full.String() {
-		t.Errorf("figure output changed with -cost -runtime:\nplain:\n%s\nfull:\n%s",
-			plain.String(), full.String())
+	full := runFig10b(t, serve.Instruments{Series: true, Dir: dir, Cost: true, Runtime: true})
+	if plain != full {
+		t.Errorf("figure output changed with -cost -runtime:\nplain:\n%s\nfull:\n%s", plain, full)
 	}
 	art, err := os.ReadFile(filepath.Join(dir, "fig10b__incast__seed1.jsonl"))
 	if err != nil {

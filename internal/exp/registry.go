@@ -63,9 +63,9 @@ func DecodeParams(data []byte, base RunParams) (RunParams, error) {
 }
 
 // Sink hands out per-run observability recorders during one experiment
-// invocation. The CLI's flag-driven sink and the serve layer's job sink
-// both implement it; drivers see only the factory. A nil Sink disables
-// instrumentation entirely.
+// invocation. serve.Execute, the one caller of Spec.Run outside tests,
+// supplies the one implementation; drivers see only the factory. A nil
+// Sink disables instrumentation entirely.
 type Sink interface {
 	// Recorder returns the recorder for the run identified by tag,
 	// retaining it so the caller can flush artifacts and digests after the

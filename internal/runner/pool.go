@@ -6,15 +6,13 @@ import (
 	"time"
 )
 
-// Pool is a long-lived worker pool for tasks that arrive over time — the
-// execution engine behind the serve layer's job queue, where Run's
-// all-at-once batch shape does not fit. Tasks submitted to a Pool get the
-// same semantics as batch tasks: panic isolation (a panicking task fails
-// only itself) and a per-task wall-clock timeout (a hung run is abandoned
-// and reported as timed out), both via the shared execute step. The queue
-// is bounded; TrySubmit refuses rather than blocks when it is full, which
-// is how the job server turns overload into backpressure (HTTP 429)
-// instead of unbounded memory growth.
+// Pool is the package's one worker loop: the serve layer's job queue keeps
+// one open for tasks that arrive over time, and Run opens one per batch.
+// Every task gets panic isolation (a panicking task fails only itself) and
+// a per-task wall-clock timeout (a hung run is abandoned and reported as
+// timed out) from the execute step. The queue is bounded; TrySubmit refuses
+// rather than blocks when it is full, which is how the job server turns
+// overload into backpressure (HTTP 429) instead of unbounded memory growth.
 type Pool struct {
 	queue   chan poolItem
 	timeout time.Duration
@@ -25,8 +23,9 @@ type Pool struct {
 }
 
 type poolItem struct {
-	task Task
-	done func(Result)
+	task  Task
+	index int // Result.Index: the task's position in a Run batch, 0 otherwise
+	done  func(Result)
 }
 
 // NewPool starts a pool with the given number of worker goroutines
@@ -45,7 +44,7 @@ func NewPool(workers, depth int, timeout time.Duration) *Pool {
 		go func() {
 			defer p.wg.Done()
 			for it := range p.queue {
-				r := execute(it.task, 0, p.timeout)
+				r := execute(it.task, it.index, p.timeout)
 				if it.done != nil {
 					it.done(r)
 				}
@@ -60,13 +59,17 @@ func NewPool(workers, depth int, timeout time.Duration) *Pool {
 // closed. done, when non-nil, is called on the worker goroutine with the
 // task's result once it finishes.
 func (p *Pool) TrySubmit(t Task, done func(Result)) bool {
+	return p.submit(poolItem{task: t, done: done})
+}
+
+func (p *Pool) submit(it poolItem) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return false
 	}
 	select {
-	case p.queue <- poolItem{task: t, done: done}:
+	case p.queue <- it:
 		return true
 	default:
 		return false

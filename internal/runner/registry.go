@@ -146,21 +146,36 @@ func (s *RunState) Snapshot() RunSnapshot {
 	return snap
 }
 
-// Registry tracks every run of a batch for the live endpoints. Adding is
-// done up front by the batch builder; the slice itself is append-only under
-// the mutex, and the states it points to are individually thread-safe.
+// Registry tracks runs for the live endpoints. A batch adds every run up
+// front; the job server adds one per computed job and removes it when the
+// job ages out of its table. The slice is guarded by the mutex, and the
+// states it points to are individually thread-safe.
 type Registry struct {
-	mu   sync.Mutex
-	runs []*RunState
+	mu    sync.Mutex
+	runs  []*RunState
+	added int // runs ever added: the next Index
 }
 
 // Add registers a run and returns its state handle.
 func (g *Registry) Add(name, experiment string, seed int64) *RunState {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	st := &RunState{Name: name, Experiment: experiment, Seed: seed, Index: len(g.runs)}
+	st := &RunState{Name: name, Experiment: experiment, Seed: seed, Index: g.added}
+	g.added++
 	g.runs = append(g.runs, st)
 	return st
+}
+
+// Remove forgets a run, so a long-lived server's registry stays bounded.
+func (g *Registry) Remove(st *RunState) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for i, r := range g.runs {
+		if r == st {
+			g.runs = append(g.runs[:i], g.runs[i+1:]...)
+			return
+		}
+	}
 }
 
 // Runs returns the registered run states in registration order.

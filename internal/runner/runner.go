@@ -22,7 +22,6 @@ package runner
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -76,18 +75,18 @@ type Options struct {
 }
 
 // Run executes every task and returns one Result per task, in task order,
-// regardless of worker count or completion order.
+// regardless of worker count or completion order. It is a submit-and-wait
+// over a Pool sized to the batch: the queue holds every task, so no submit
+// is refused, and Close is the wait.
 func Run(tasks []Task, opt Options) []Result {
 	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
 	results := make([]Result, len(tasks))
 	var mu sync.Mutex // serializes OnResult
-	notify := func(r Result) {
+	done := func(r Result) {
+		results[r.Index] = r
 		if opt.OnResult == nil {
 			return
 		}
@@ -95,30 +94,11 @@ func Run(tasks []Task, opt Options) []Result {
 		opt.OnResult(r)
 		mu.Unlock()
 	}
-	if workers <= 1 {
-		for i := range tasks {
-			results[i] = execute(tasks[i], i, opt.Timeout)
-			notify(results[i])
-		}
-		return results
+	p := NewPool(workers, len(tasks), opt.Timeout)
+	for i, t := range tasks {
+		p.submit(poolItem{task: t, index: i, done: done})
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = execute(tasks[i], i, opt.Timeout)
-				notify(results[i])
-			}
-		}()
-	}
-	for i := range tasks {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	p.Close()
 	return results
 }
 

@@ -1,11 +1,5 @@
 package serve
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-)
-
 // cacheEntry is one memoized run: everything a hit needs to reproduce the
 // original response byte-for-byte.
 type cacheEntry struct {
@@ -48,55 +42,4 @@ func (c *resultCache) put(key string, e cacheEntry) {
 
 func (c *resultCache) len() int {
 	return len(c.entries)
-}
-
-// Manifest is the committed fingerprint manifest (testdata/fingerprints.json):
-// the expected %016x output fingerprint per "<experiment>/seed=<seed>" run.
-// The scheduler cross-checks finished quick runs against it and folds its
-// identity into cache keys, so results cached against one manifest never
-// satisfy a server running another.
-type Manifest struct {
-	// Note is the manifest's free-text provenance line.
-	Note string `json:"note"`
-	// Runs maps "<experiment>/seed=<seed>" to the expected fingerprint.
-	Runs map[string]string `json:"runs"`
-
-	hash string // fnv64a over the raw file bytes
-}
-
-// LoadManifest reads and parses a fingerprint manifest file.
-func LoadManifest(path string) (*Manifest, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("bad manifest %s: %w", path, err)
-	}
-	m.hash = OutputFingerprint(string(raw))
-	return &m, nil
-}
-
-// Hash returns the manifest's identity: the fingerprint of its raw file
-// bytes. Zero-value manifests (built in tests) hash their encoded runs.
-func (m *Manifest) Hash() string {
-	if m.hash == "" {
-		enc, _ := json.Marshal(m.Runs)
-		m.hash = OutputFingerprint(string(enc))
-	}
-	return m.hash
-}
-
-// OutputFingerprint is the repo-wide run fingerprint: FNV-64a over the
-// output bytes, rendered %016x. The batch runner's fp= column, the
-// manifest gate, and the job server all use this one function, so their
-// values are directly comparable.
-func OutputFingerprint(s string) string {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return fmt.Sprintf("%016x", h)
 }

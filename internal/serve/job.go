@@ -43,17 +43,14 @@ type JobSpec struct {
 // job is the scheduler's internal record. All fields except state's
 // atomics are guarded by Scheduler.mu.
 type job struct {
-	id        string
-	spec      JobSpec
-	key       string // cache key
-	status    string
-	cache     string // "hit" or "miss"
-	output    string
-	fp        string
-	errMsg    string
-	artifacts []Artifact
-	wallMS    float64
-	events    uint64
+	id     string
+	spec   JobSpec
+	key    string // cache key
+	status string
+	cache  string // "hit" or "miss"
+	errMsg string
+	// The result: a done job answers with it and the cache memoizes it.
+	cacheEntry
 
 	submitted  time.Time
 	finishedAt time.Time

@@ -35,6 +35,11 @@ const (
 	// DefaultCacheSize is the result cache entry bound when Config leaves
 	// it zero.
 	DefaultCacheSize = 64
+	// RetainedJobs bounds the job table: beyond it the oldest finished jobs
+	// (and their run states in Config.Registry) are dropped, so a result
+	// evicted from the cache is not pinned by its job record forever.
+	// Queued and running jobs are never dropped.
+	RetainedJobs = 4 * DefaultCacheSize
 )
 
 // Sentinel errors the HTTP layer maps to status codes.
@@ -44,7 +49,8 @@ var (
 	// ErrQueueFull reports backpressure: the bounded job queue is at
 	// capacity (HTTP 429).
 	ErrQueueFull = errors.New("job queue full")
-	// ErrNotFound reports an unknown job id.
+	// ErrNotFound reports an unknown job id, or one whose finished job has
+	// aged out of the table (see RetainedJobs).
 	ErrNotFound = errors.New("no such job")
 	// ErrNotCancelable reports a cancel on a job that already left the
 	// queue: running jobs are uninterruptible simulation loops, finished
@@ -147,8 +153,7 @@ func (s *Scheduler) Submit(spec JobSpec) (JobSnapshot, error) {
 		s.hits++
 		j.cache = "hit"
 		j.status = JobDone
-		j.output, j.fp, j.artifacts = e.output, e.fp, e.artifacts
-		j.wallMS, j.events = e.wallMS, e.events
+		j.cacheEntry = e
 		j.finishedAt = time.Now()
 		s.admit(j)
 		return j.snapshot(), nil
@@ -164,30 +169,47 @@ func (s *Scheduler) Submit(spec JobSpec) (JobSnapshot, error) {
 		return j.snapshot(), nil
 	}
 
-	// Fresh spec: this job leads the computation.
-	s.misses++
+	// Fresh spec: this job leads the computation. It is counted and
+	// registered only once the pool has accepted it, so a refused submit
+	// leaves no pending run and no miss behind. The worker's compute blocks
+	// on s.mu, which is held here, so it cannot see j before j.state is set.
 	j.cache = "miss"
 	name := fmt.Sprintf("%s:%s/seed=%d", j.id, spec.Experiment, spec.Params.Seed)
-	if s.cfg.Registry != nil {
-		j.state = s.cfg.Registry.Add(name, spec.Experiment, spec.Params.Seed)
-	} else {
-		j.state = &runner.RunState{Name: name, Experiment: spec.Experiment, Seed: spec.Params.Seed}
-	}
 	task := runner.Task{Name: name, Run: func() (string, map[string]float64) {
 		return s.compute(j)
 	}}
 	if !s.pool.TrySubmit(task, func(r runner.Result) { s.complete(j, r) }) {
 		return JobSnapshot{}, ErrQueueFull
 	}
+	s.misses++
+	if s.cfg.Registry != nil {
+		j.state = s.cfg.Registry.Add(name, spec.Experiment, spec.Params.Seed)
+	} else {
+		j.state = &runner.RunState{Name: name, Experiment: spec.Experiment, Seed: spec.Params.Seed}
+	}
 	s.inflight[key] = j
 	s.admit(j)
 	return j.snapshot(), nil
 }
 
-// admit records an accepted job in the table. Caller holds s.mu.
+// admit records an accepted job in the table and, past RetainedJobs, drops
+// the oldest finished ones. A canceled leader whose compute is still owed
+// to its followers stays until it completes. Caller holds s.mu.
 func (s *Scheduler) admit(j *job) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
+	for i := 0; i < len(s.order) && len(s.order) > RetainedJobs; {
+		old := s.jobs[s.order[i]]
+		if !old.finished() || s.inflight[old.key] == old {
+			i++
+			continue
+		}
+		delete(s.jobs, old.id)
+		s.order = append(s.order[:i], s.order[i+1:]...)
+		if old.state != nil && s.cfg.Registry != nil {
+			s.cfg.Registry.Remove(old.state)
+		}
+	}
 }
 
 // compute runs the experiment for a leader job on a pool worker. The
@@ -206,22 +228,24 @@ func (s *Scheduler) compute(j *job) (string, map[string]float64) {
 	if j.status == JobQueued {
 		j.status = JobRunning
 	}
-	sink := &jobSink{
-		exp:      j.spec.Experiment,
-		seed:     j.spec.Params.Seed,
-		artifact: j.spec.Artifact,
-		hub:      s.cfg.Hub,
-		live:     j.state,
-	}
 	s.mu.Unlock()
 	j.state.Start()
 
-	spec, _ := exp.Lookup(j.spec.Experiment)
+	// The server's instrument set: the digest chain always, so the output
+	// carries the "# fingerprint" lines the CLI prints with -fingerprint,
+	// and the series when the spec asked for an artifact.
 	var buf bytes.Buffer
-	err := spec.Run(j.spec.Params, sink, &buf)
+	runs, err := Execute(j.spec.Experiment, j.spec.Params, Instruments{
+		Fingerprint: true,
+		Series:      j.spec.Artifact,
+		Hub:         s.cfg.Hub,
+		Live:        j.state,
+	}, &buf)
 	var arts []Artifact
-	if err == nil {
-		arts, err = sink.flush(&buf)
+	if err == nil && j.spec.Artifact {
+		for _, r := range runs {
+			arts = append(arts, Artifact{Stem: r.Stem, Lines: r.Lines})
+		}
 	}
 
 	s.mu.Lock()
@@ -255,15 +279,14 @@ func (s *Scheduler) complete(j *job, r runner.Result) {
 	var fp string
 	if success {
 		fp = OutputFingerprint(r.Output)
-		// Manifest cross-check: a quick, unperturbed run covered by the
-		// committed manifest must reproduce its recorded fingerprint —
-		// the determinism contract, enforced at serve time.
-		if s.cfg.Manifest != nil && j.spec.Params.Full == false &&
-			j.spec.Params.Series == false && j.spec.Params.Perturb == 0 {
+		// Manifest cross-check: a run the committed manifest covers must
+		// reproduce its recorded fingerprint — the determinism contract,
+		// enforced at serve time. A run it does not cover is unchecked.
+		if s.cfg.Manifest != nil {
 			name := fmt.Sprintf("%s/seed=%d", j.spec.Experiment, j.spec.Params.Seed)
-			if want, ok := s.cfg.Manifest.Runs[name]; ok && want != fp {
+			if err := s.cfg.Manifest.Check(name, j.spec.Params, fp); err != nil && !errors.Is(err, ErrNotInManifest) {
 				success = false
-				errMsg = fmt.Sprintf("determinism violation: run %s produced fp=%s, manifest has %s", name, fp, want)
+				errMsg = "determinism violation: " + err.Error()
 			}
 		}
 	}
@@ -272,10 +295,7 @@ func (s *Scheduler) complete(j *job, r runner.Result) {
 	j.events = j.state.Live.Events.Load()
 	if success {
 		j.output, j.fp = r.Output, fp
-		s.cache.put(j.key, cacheEntry{
-			output: j.output, fp: j.fp, artifacts: j.artifacts,
-			wallMS: j.wallMS, events: j.events,
-		})
+		s.cache.put(j.key, j.cacheEntry)
 	} else {
 		j.artifacts = nil
 	}
@@ -305,8 +325,7 @@ func (s *Scheduler) complete(j *job, r runner.Result) {
 			continue
 		}
 		if success {
-			f.output, f.fp, f.artifacts = j.output, j.fp, j.artifacts
-			f.wallMS, f.events = j.wallMS, j.events
+			f.cacheEntry = j.cacheEntry
 		}
 		finalize(f)
 	}

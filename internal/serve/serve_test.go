@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"prioplus/internal/exp"
+	"prioplus/internal/runner"
 )
 
 // The shared test experiment: deterministic output, an atomic compute
@@ -181,11 +182,13 @@ func TestCacheKeyInvariance(t *testing.T) {
 }
 
 // TestBackpressure: with one worker occupied and a one-slot queue filled,
-// the next submission is refused with ErrQueueFull — and succeeds again
-// once the queue drains.
+// the next submission is refused with ErrQueueFull — leaving no run in the
+// registry and no miss on the counter — and succeeds again once the queue
+// drains.
 func TestBackpressure(t *testing.T) {
 	block, _ := registerGatedSpec("testblock2")
-	s := New(Config{Workers: 1, QueueDepth: 1})
+	reg := &runner.Registry{}
+	s := New(Config{Workers: 1, QueueDepth: 1, Registry: reg})
 	defer s.Close()
 
 	j1, err := s.Submit(JobSpec{Experiment: "testblock2", Params: exp.RunParams{Seed: 1}})
@@ -204,6 +207,10 @@ func TestBackpressure(t *testing.T) {
 	if snap.Queue.Depth != 1 || snap.Queue.Capacity != 1 {
 		t.Errorf("queue stats %+v, want depth 1/1", snap.Queue)
 	}
+	if snap.Cache.Misses != 2 || len(reg.Runs()) != 2 {
+		t.Errorf("after a refused submit: %d misses, %d registered runs; want the 2 accepted jobs only",
+			snap.Cache.Misses, len(reg.Runs()))
+	}
 	close(block)
 	waitJob(t, s, j1.ID)
 	waitJob(t, s, j2.ID)
@@ -211,6 +218,49 @@ func TestBackpressure(t *testing.T) {
 		t.Errorf("submit after drain refused: %v", err)
 	} else {
 		waitJob(t, s, j4.ID)
+	}
+}
+
+// TestJobRetention: the job table and the run registry keep only the most
+// recent RetainedJobs finished jobs, so a result evicted from the cache is
+// not pinned by its job record; an aged-out id answers ErrNotFound, and the
+// hit/miss counters keep counting.
+func TestJobRetention(t *testing.T) {
+	reg := &runner.Registry{}
+	s := New(Config{Workers: 1, Registry: reg})
+	defer s.Close()
+	const extra = 40
+	var first, last JobSnapshot
+	for i := 0; i < RetainedJobs+extra; i++ {
+		j, err := s.Submit(JobSpec{Experiment: "testblock", Params: exp.RunParams{Seed: int64(1000 + i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = waitJob(t, s, j.ID)
+		if i == 0 {
+			first = last
+		}
+	}
+	hit, err := s.Submit(JobSpec{Experiment: "testblock", Params: last.Params})
+	if err != nil || hit.Cache != "hit" {
+		t.Fatalf("resubmit of the newest spec: cache=%q err=%v, want a hit", hit.Cache, err)
+	}
+	snap := s.Jobs()
+	if len(snap.Jobs) != RetainedJobs || snap.Jobs[len(snap.Jobs)-1].ID != hit.ID {
+		t.Errorf("job table holds %d jobs, want the newest %d", len(snap.Jobs), RetainedJobs)
+	}
+	// Every retained job but the hit computed, so each has a run state.
+	if n := len(reg.Runs()); n != RetainedJobs-1 {
+		t.Errorf("registry holds %d runs, want %d", n, RetainedJobs-1)
+	}
+	if snap.Cache.Misses != RetainedJobs+extra || snap.Cache.Hits != 1 {
+		t.Errorf("counters %d misses / %d hits, want %d / 1", snap.Cache.Misses, snap.Cache.Hits, RetainedJobs+extra)
+	}
+	if _, err := s.Job(first.ID); err != ErrNotFound {
+		t.Errorf("aged-out job: err=%v, want ErrNotFound", err)
+	}
+	if _, err := s.Result(last.ID); err != nil {
+		t.Errorf("newest computed job: %v", err)
 	}
 }
 
