@@ -136,6 +136,11 @@ func BenchmarkFig10bIncast(b *testing.B) {
 	b.ReportMetric(r.MeanDelay.Micros(), "mean_delay_us")
 }
 
+// instrumented is the Options of a one-run driver recorded by rec.
+func instrumented(rec *obs.Recorder) exp.Options {
+	return exp.Options{NewRecorder: func(string) *obs.Recorder { return rec }}
+}
+
 // BenchmarkFig10bIncastObs: the same incast with the full telemetry stack
 // enabled — 10us series sampling over the standard source catalogue plus
 // latency histograms. The acceptance bar is < 10% over BenchmarkFig10bIncast.
@@ -145,7 +150,7 @@ func BenchmarkFig10bIncastObs(b *testing.B) {
 		rec := obs.NewRecorder()
 		rec.Series = obs.NewSeriesSet(10 * sim.Microsecond)
 		rec.Hist = obs.NewHistSet()
-		r = exp.Fig10b(80, exp.Options{Recorder: rec})
+		r = exp.Fig10b(80, instrumented(rec))
 		if rec.Series.Ticks() == 0 {
 			b.Fatal("sampler never fired")
 		}
@@ -168,7 +173,7 @@ func BenchmarkFig10bIncastFullObs(b *testing.B) {
 		rec.Cost = &obs.CostProfiler{}
 		rec.Runtime = &obs.RuntimeSampler{}
 		rec.Live = &obs.LiveRun{}
-		r = exp.Fig10b(80, exp.Options{Recorder: rec})
+		r = exp.Fig10b(80, instrumented(rec))
 		if rec.Series.Ticks() == 0 {
 			b.Fatal("sampler never fired")
 		}
@@ -194,7 +199,7 @@ func BenchmarkFig10bIncastFingerprint(b *testing.B) {
 		rec := obs.NewRecorder()
 		dig = sim.NewDigest()
 		rec.Digest = dig
-		r = exp.Fig10b(80, exp.Options{Recorder: rec})
+		r = exp.Fig10b(80, instrumented(rec))
 		if dig.Count == 0 {
 			b.Fatal("digest folded nothing")
 		}
@@ -213,7 +218,7 @@ func BenchmarkFig10bIncastTrace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec := obs.NewRecorder()
 		rec.FlowTrace = obs.NewFlowTracer(4)
-		r = exp.Fig10b(80, exp.Options{Recorder: rec})
+		r = exp.Fig10b(80, instrumented(rec))
 		spans = 0
 		for _, fl := range rec.FlowTrace.Logs() {
 			spans += fl.Len()
@@ -247,7 +252,7 @@ func BenchmarkFig10bIncastAllHooks(b *testing.B) {
 		rec.Audit = &obs.Auditor{}
 		rec.Flight = obs.NewFlightRecorder(4096)
 		rec.FlowTrace = obs.NewFlowTracer(4)
-		r = exp.Fig10b(80, exp.Options{Recorder: rec})
+		r = exp.Fig10b(80, instrumented(rec))
 		if rec.Audit.Checks == 0 || rec.Audit.Violation() != "" {
 			b.Fatalf("auditor: %d checks, violation %q", rec.Audit.Checks, rec.Audit.Violation())
 		}
@@ -272,8 +277,8 @@ func BenchmarkFig10cDualRTT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r = exp.Fig10c(exp.Options{})
 	}
-	b.ReportMetric(r.DualRTT.RateStdev, "dualrtt_rate_var")
-	b.ReportMetric(r.EveryRTT.RateStdev, "everyrtt_rate_var")
+	b.ReportMetric(r.DualRTT.RateVar, "dualrtt_rate_var")
+	b.ReportMetric(r.EveryRTT.RateVar, "everyrtt_rate_var")
 	b.ReportMetric(r.DualRTT.TakeoverTime.Millis(), "takeover_ms")
 }
 
@@ -379,7 +384,7 @@ func BenchmarkFig14PrioBreakdown(b *testing.B) {
 		cfg.Load = 0.5
 		cfg.Duration = 4 * sim.Millisecond
 		cfg.Drain = 16 * sim.Millisecond
-		rows = exp.Fig14(cfg, []exp.Scheme{exp.PrioPlusSwift()}, exp.Options{})
+		rows = exp.Fig14(cfg, []exp.Scheme{exp.PrioPlusSwift()})
 	}
 	for _, r := range rows {
 		if r.Class == "small" {
@@ -417,7 +422,7 @@ func BenchmarkFig16HPCC(b *testing.B) {
 		cfg.K = 4
 		cfg.Duration = 4 * sim.Millisecond
 		cfg.Drain = 16 * sim.Millisecond
-		rows = exp.Fig16(8, cfg, exp.Options{})
+		rows = exp.Fig16(8, cfg)
 	}
 	for _, r := range rows {
 		switch r.Scheme {
@@ -558,7 +563,7 @@ func BenchmarkExtWeightedVP(b *testing.B) {
 func BenchmarkFaultSweep(b *testing.B) {
 	var rows []exp.FaultSweepRow
 	for i := 0; i < b.N; i++ {
-		rows = exp.FaultSweep(exp.DefaultFaultSweepConfig(), exp.Options{})
+		rows = exp.FaultSweep(exp.DefaultFaultSweepConfig())
 	}
 	var stuck, rtos int64
 	for _, r := range rows {

@@ -168,7 +168,7 @@ func addObsFlags(fs *flag.FlagSet) *obsFlagSet {
 	fs.StringVar(&f.ins.Dir, "series", "", "write per-run timeline artifacts (JSONL) into this directory")
 	fs.BoolVar(&f.ins.Hist, "hist", false, "record streaming histograms (FCT, fabric delay, ACK RTT) and print summaries")
 	fs.StringVar(&f.watchdog, "watchdog", "", "in-flight bytes ceiling (e.g. 256m); tripping stops the run and dumps the flight recorder")
-	fs.Int64Var(&f.ins.MaxEvents, "watchdog-events", 0, "event-heap size ceiling for the watchdog (0 = off)")
+	fs.Int64Var(&f.ins.MaxEvents, "watchdog-events", 0, "pending-event ceiling for the watchdog (0 = off)")
 	fs.BoolVar(&f.ins.Runtime, "runtime", false, "merge host-process gauges (RSS, GC, events/sec) into the series; makes artifacts wall-clock dependent")
 	fs.BoolVar(&f.ins.Cost, "cost", false, "attribute sampled per-event execution cost by event kind (artifact metrics + /metrics)")
 	fs.StringVar(&f.listen, "listen", "", "serve live endpoints on this address (/metrics, /runs, /events SSE); e.g. :8080")
@@ -264,7 +264,7 @@ obs flags (network experiments only; see docs/OBSERVABILITY.md):
   -hist             record streaming histograms (FCT, fabric delay, ACK RTT)
   -watchdog BYTES   in-flight-bytes ceiling; tripping stops the run and
                     dumps the flight recorder (e.g. -watchdog 256m)
-  -watchdog-events N  event-heap ceiling for the watchdog
+  -watchdog-events N  pending-event ceiling for the watchdog
   -listen ADDR      serve live endpoints while running: /metrics (process
                     gauges + cost attribution), /runs (batch state), and
                     /events (artifact lines as SSE, byte-identical to the

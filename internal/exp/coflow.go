@@ -4,10 +4,7 @@ import (
 	"math/rand"
 	"sort"
 
-	"prioplus/internal/fault"
-	"prioplus/internal/harness"
 	"prioplus/internal/netsim"
-	"prioplus/internal/noise"
 	"prioplus/internal/obs"
 	"prioplus/internal/sched"
 	"prioplus/internal/sim"
@@ -23,7 +20,6 @@ type CoflowConfig struct {
 	Load     float64
 	Duration sim.Time
 	Drain    sim.Time
-	Seed     int64
 	NPrios   int
 	// Topology dimensions; zero values give the paper's 5-pod, 320-host
 	// fabric. Scale down for tests and benches.
@@ -37,14 +33,10 @@ type CoflowConfig struct {
 	// coflows (e.g. parsed from the public Facebook trace format with
 	// workload.ParseCoflowTrace).
 	Trace []workload.Coflow
-	// ObsFor, when non-nil, supplies a fresh observability recorder per
-	// run, keyed by the run's tag (the scheme name, "baseline/"-prefixed
-	// for the no-priority baseline). Fig12Coflow runs several engines, so a
-	// single shared Recorder cannot serve it.
-	ObsFor func(tag string) *obs.Recorder
-	// Faults, when non-nil and non-empty, is installed on each run's
-	// topology before traffic starts.
-	Faults *fault.Plan
+	// Options carries the seed, the fault plan and the recorder factory; a
+	// run is tagged with its scheme name, "baseline/"-prefixed for the
+	// no-priority baseline.
+	Options
 	// MaxInflight, when > 0, arms an in-flight-bytes watchdog on every run:
 	// a run whose live packet bytes exceed the ceiling is stopped early and
 	// reported with CoflowResult.Watchdog set. This is how fig18's quick
@@ -52,7 +44,7 @@ type CoflowConfig struct {
 	// materializes tens of GB of packets in PFC-paused queues (every
 	// arriving flow blasts its full TX window into a fabric that never
 	// drains, and spurious RTOs duplicate what is already queued). The
-	// ceiling is independent of any ObsFor recorder, so figure output is
+	// ceiling does not depend on Options.NewRecorder, so figure output is
 	// identical whether or not observability flags are set.
 	MaxInflight int64
 }
@@ -65,7 +57,7 @@ func DefaultCoflowConfig(s Scheme, load float64) CoflowConfig {
 		Load:     load,
 		Duration: 30 * sim.Millisecond,
 		Drain:    100 * sim.Millisecond,
-		Seed:     1,
+		Options:  Options{Seed: 1},
 		NPrios:   8,
 		Pods:     2, Edges: 4, HostsPerEdge: 4, Aggs: 2, Cores: 4,
 	}
@@ -95,49 +87,40 @@ type CoflowResult struct {
 
 // RunCoflow runs one scheme over the coflow workload.
 func RunCoflow(cfg CoflowConfig) CoflowResult {
-	eng := sim.NewEngine()
-	tc := topo.DefaultConfig()
-	tc.LinkDelay = 1 * sim.Microsecond
-	tc.Seed = cfg.Seed
-	tc.FabricRate = 400 * netsim.Gbps
-	// The paper sets the buffer directly to 32 MB in this scenario.
-	tc.Buffer = netsim.DefaultBufferConfig()
-	tc.Buffer.TotalBytes = 32 << 20
-	cfg.Scheme.Fabric(&tc, cfg.NPrios)
-	if cfg.Lossy {
-		tc.Buffer.PFCEnabled = false
+	tag := cfg.Scheme.Name
+	if cfg.NoPriority {
+		tag = "baseline/" + tag
 	}
-	nw := topo.Clos(eng, cfg.Pods, cfg.Edges, cfg.HostsPerEdge, cfg.Aggs, cfg.Cores, tc)
-	nm := noise.NewLongTail(rand.New(rand.NewSource(cfg.Seed+7)), 1)
-	opts := append(cfg.Scheme.NetOptions(),
-		harness.WithNoise(nm.Sample), harness.WithFaults(cfg.Faults))
-	net := harness.New(nw, cfg.Seed, opts...)
-	var rec *obs.Recorder
-	if cfg.ObsFor != nil {
-		tag := cfg.Scheme.Name
-		if cfg.NoPriority {
-			tag = "baseline/" + tag
-		}
-		rec = cfg.ObsFor(tag)
-	}
+	o := cfg.Options
 	if cfg.MaxInflight > 0 {
-		if rec == nil {
-			rec = obs.NewRecorder()
-		}
-		if rec.Watchdog == nil {
-			rec.Watchdog = &obs.Watchdog{MaxInflightBytes: cfg.MaxInflight}
+		// The ceiling rides on the run's recorder, or on a private one.
+		o.NewRecorder = func(tag string) *obs.Recorder {
+			var rec *obs.Recorder
+			if cfg.NewRecorder != nil {
+				rec = cfg.NewRecorder(tag)
+			}
+			if rec == nil {
+				rec = obs.NewRecorder()
+			}
+			if rec.Watchdog == nil {
+				rec.Watchdog = &obs.Watchdog{MaxInflightBytes: cfg.MaxInflight}
+			}
+			return rec
 		}
 	}
-	if rec != nil {
-		net.Observe(rec)
-		if rec.Series != nil {
-			rec.Series.ReserveUntil(cfg.Duration + cfg.Drain)
-		}
-	}
+	net := schemeFabric(o, tag, cfg.Scheme, cfg.NPrios, paperNoise,
+		func(eng *sim.Engine, tc topo.Config) *topo.Network {
+			tc.FabricRate = 400 * netsim.Gbps
+			tc.Buffer.TotalBytes = 32 << 20 // set directly by the paper in this scenario
+			if cfg.Lossy {
+				tc.Buffer.PFCEnabled = false
+			}
+			return topo.Clos(eng, cfg.Pods, cfg.Edges, cfg.HostsPerEdge, cfg.Aggs, cfg.Cores, tc)
+		})
 	coflows := cfg.Trace
 	if coflows == nil {
 		rng := rand.New(rand.NewSource(cfg.Seed + 13))
-		wcfg := workload.DefaultCoflowConfig(len(nw.Hosts), cfg.Load, float64(tc.HostRate), cfg.Duration, rng)
+		wcfg := workload.DefaultCoflowConfig(len(net.Topo.Hosts), cfg.Load, float64(net.Topo.Cfg.HostRate), cfg.Duration, rng)
 		coflows = workload.Coflows(wcfg)
 	}
 
@@ -156,7 +139,6 @@ func RunCoflow(cfg CoflowConfig) CoflowResult {
 	states := make([]*cfState, len(coflows))
 	res := CoflowResult{Scheme: cfg.Scheme.Name}
 	for i, cf := range coflows {
-		cf := cf
 		// Group assignment is recorded for stats regardless of scheme;
 		// the no-priority baseline transmits everything at priority 0.
 		group := groups.PriorityFor(cf.Total)
@@ -166,35 +148,19 @@ func RunCoflow(cfg CoflowConfig) CoflowResult {
 		}
 		st := &cfState{remaining: len(cf.Flows), arrival: cf.Arrival, prio: group}
 		states[i] = st
-		queue := cfg.Scheme.QueueFor(prio, cfg.NPrios, tc.Queues)
 		res.Launched++
 		for _, f := range cf.Flows {
-			f := f
-			base := nw.BaseRTT(f.Src, f.Dst)
-			env := FlowEnv{
-				Prio: prio, NPrios: cfg.NPrios, BaseRTT: base,
-				BDPPkts: tc.HostRate.BDP(base) / netsim.DefaultMTU,
-				Size:    f.Size, Ideal: IdealFCT(f.Size, tc.HostRate, base), Now: cf.Arrival,
-			}
-			net.AddFlow(harness.Flow{
-				Src: f.Src, Dst: f.Dst, Size: f.Size, Prio: queue,
-				Algo:    cfg.Scheme.NewAlgo(env),
-				StartAt: cf.Arrival,
-				OnComplete: func(sim.Time) {
-					st.remaining--
-					if st.remaining == 0 {
-						st.cct = eng.Now() - st.arrival
-					}
-				},
+			net.addFlow(f.Src, f.Dst, f.Size, prio, cf.Arrival, func(sim.Time, sim.Time) {
+				st.remaining--
+				if st.remaining == 0 {
+					st.cct = net.Eng.Now() - st.arrival
+				}
 			})
 		}
 	}
-	eng.RunUntil(cfg.Duration + cfg.Drain)
-	if rec != nil {
-		net.CollectMetrics(rec)
-		if rec.Watchdog != nil {
-			res.Watchdog = rec.Watchdog.Tripped()
-		}
+	net.Run(cfg.Duration + cfg.Drain)
+	if rec := net.Rec; rec != nil && rec.Watchdog != nil {
+		res.Watchdog = rec.Watchdog.Tripped()
 	}
 
 	perGroup := make([][]sim.Time, cfg.NPrios)

@@ -7,6 +7,11 @@ import (
 	"prioplus/internal/sim"
 )
 
+// always is the recorder factory of a test with one run to instrument.
+func always(rec *obs.Recorder) func(string) *obs.Recorder {
+	return func(string) *obs.Recorder { return rec }
+}
+
 // fig10bDigest runs a reduced Fig10b with the given extra instruments and
 // returns the digest.
 func fig10bDigest(t *testing.T, full bool, perturb uint64) (*sim.Digest, Fig10bResult) {
@@ -18,7 +23,7 @@ func fig10bDigest(t *testing.T, full bool, perturb uint64) (*sim.Digest, Fig10bR
 		rec.Hist = obs.NewHistSet()
 		rec.Audit = &obs.Auditor{}
 	}
-	r := Fig10b(16, Options{Recorder: rec, Perturb: perturb})
+	r := Fig10b(16, Options{NewRecorder: always(rec), Perturb: perturb})
 	if rec.Digest.Count == 0 {
 		t.Fatal("digest folded no events")
 	}
@@ -90,16 +95,22 @@ func TestPerturbDivergesChain(t *testing.T) {
 // link flaps and reroutes, where packets die on wires and queues drain
 // abnormally.
 func TestAuditCleanUnderFaults(t *testing.T) {
-	rec := obs.NewRecorder()
-	rec.Audit = &obs.Auditor{}
-	rows := FaultSweep(DefaultFaultSweepConfig(), Options{Recorder: rec})
-	if len(rows) == 0 {
-		t.Fatal("faultsweep produced no rows")
+	cfg := DefaultFaultSweepConfig()
+	recs := map[string]*obs.Recorder{}
+	cfg.NewRecorder = func(tag string) *obs.Recorder {
+		recs[tag] = obs.NewRecorder()
+		recs[tag].Audit = &obs.Auditor{}
+		return recs[tag]
 	}
-	if rec.Audit.Checks == 0 {
-		t.Fatal("auditor never ran")
+	if rows := FaultSweep(cfg); len(rows) == 0 || len(recs) != len(rows) {
+		t.Fatalf("faultsweep produced %d rows and asked for %d recorders", len(rows), len(recs))
 	}
-	if v := rec.Audit.Violation(); v != "" {
-		t.Fatalf("conservation violation under faults: %s", v)
+	for tag, rec := range recs {
+		if rec.Audit.Checks == 0 {
+			t.Fatalf("%s: auditor never ran", tag)
+		}
+		if v := rec.Audit.Violation(); v != "" {
+			t.Fatalf("%s: conservation violation under faults: %s", tag, v)
+		}
 	}
 }

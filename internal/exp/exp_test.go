@@ -99,9 +99,9 @@ func TestFig10cDualRTTAvoidsOverreaction(t *testing.T) {
 	if r.DualRTT.TakeoverTime == 0 {
 		t.Fatal("dual-RTT never took over the link")
 	}
-	if r.EveryRTT.RateStdev <= r.DualRTT.RateStdev {
+	if r.EveryRTT.RateVar <= r.DualRTT.RateVar {
 		t.Errorf("every-RTT variance %.1f <= dual-RTT %.1f; expected overreaction without the dual-RTT gate",
-			r.EveryRTT.RateStdev, r.DualRTT.RateStdev)
+			r.EveryRTT.RateVar, r.DualRTT.RateVar)
 	}
 }
 

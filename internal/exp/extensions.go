@@ -1,13 +1,10 @@
 package exp
 
 import (
-	"math/rand"
-
 	"prioplus/internal/cc"
 	"prioplus/internal/core"
 	"prioplus/internal/harness"
 	"prioplus/internal/netsim"
-	"prioplus/internal/noise"
 	"prioplus/internal/sim"
 	"prioplus/internal/topo"
 )
@@ -30,27 +27,20 @@ type AblationFilterResult struct {
 // Without the filter, long-tail noise spikes trigger spurious yields.
 func AblationFilter() []AblationFilterResult {
 	run := func(consec int) AblationFilterResult {
-		// 2x-scaled noise replaces microNet's standard model, so the star is
-		// built directly with the scaled sampler installed up front.
-		eng := sim.NewEngine()
-		cfg := topo.DefaultConfig()
-		cfg.LinkDelay = 3 * sim.Microsecond
-		cfg.Seed = 51
-		net := harness.New(topo.Star(eng, 7, cfg), 51, harness.WithNoise(noiseScaled(53, 2)))
+		// 2x-scaled noise, its RNG at 53, replaces the standard model.
+		net := star(Options{}, "", 7, 51, longTail{off: 2, scale: 2}, nil)
 		recv := 6
-		base := net.Topo.BaseRTT(0, recv)
-		plan := core.DefaultPlan(base)
+		plan := core.DefaultPlan(net.Topo.BaseRTT(0, recv))
 		flows := make([]*core.PrioPlus, 5)
 		for i := range flows {
-			sw := cc.NewSwift(cc.DefaultSwiftConfig(base, net.BDPPackets(i, recv)))
 			ppc := core.DefaultConfig(plan.Channel(1), 8)
 			ppc.ConsecLimit = consec
-			flows[i] = core.New(sw, ppc)
+			flows[i] = core.New(swiftTo(net, i, recv), ppc)
 			net.AddFlow(harness.Flow{Src: i, Dst: recv, Size: 1 << 30, Prio: 0, Algo: flows[i]})
 		}
 		dur := 4 * sim.Millisecond
 		rs := net.SampleRates(recv, func(*netsim.Packet) int { return 0 }, 100*sim.Microsecond, dur)
-		eng.RunUntil(dur)
+		net.Run(dur)
 		var yields int64
 		for _, f := range flows {
 			yields += f.Yields
@@ -76,30 +66,24 @@ type AblationCardinalityResult struct {
 // aggregate repeatedly overshoots D_limit (§4.3.1's "problematic cycle").
 func AblationCardinality(n int) []AblationCardinalityResult {
 	run := func(enabled bool) AblationCardinalityResult {
-		net, eng := microNet(n+2, 57, nil, Options{})
+		net := star(Options{}, "", n+2, 57, paperNoise, nil)
 		recv := n + 1
 		base := net.Topo.BaseRTT(0, recv)
-		plan := core.DefaultPlan(base)
-		ch := plan.Channel(4)
+		ch := core.DefaultPlan(base).Channel(4)
 		for i := 0; i < n; i++ {
-			sw := cc.NewSwift(cc.DefaultSwiftConfig(base, net.BDPPackets(i, recv)))
 			ppc := core.DefaultConfig(ch, 8)
 			ppc.DisableCardinality = !enabled
 			net.AddFlow(harness.Flow{Src: i, Dst: recv, Size: 1 << 30, Prio: 0,
-				Algo: core.New(sw, ppc)})
+				Algo: core.New(swiftTo(net, i, recv), ppc)})
 		}
 		var over, samples int
-		for i := 0; i < 600; i++ {
-			eng.At(sim.Millisecond+sim.Time(i)*5*sim.Microsecond, func() {
-				q := net.Topo.Switches[0].Ports[recv].TotalQueuedBytes()
-				delay := base + sim.Time(float64(q)/(100e9/8)*1e12)
-				samples++
-				if delay > ch.Limit {
-					over++
-				}
-			})
-		}
-		eng.RunUntil(4 * sim.Millisecond)
+		sampleQueueDelay(net, recv, sim.Millisecond, 5*sim.Microsecond, 600, func(wait sim.Time) {
+			samples++
+			if base+wait > ch.Limit {
+				over++
+			}
+		})
+		net.Run(4 * sim.Millisecond)
 		return AblationCardinalityResult{Estimation: enabled, OverLimitFrac: float64(over) / float64(samples)}
 	}
 	return []AblationCardinalityResult{run(true), run(false)}
@@ -126,27 +110,24 @@ func AblationProbe() []AblationProbeResult {
 	run := func(naive bool) AblationProbeResult {
 		const perPrio, nHigh = 10, 10
 		const nLow = 4 * perPrio
-		net, eng := microNet(nLow+nHigh+2, 61, nil, Options{})
+		net := star(Options{}, "", nLow+nHigh+2, 61, paperNoise, nil)
+		eng := net.Eng
 		recv := nLow + nHigh
-		base := net.Topo.BaseRTT(0, recv)
-		plan := core.DefaultPlan(base)
+		plan := core.DefaultPlan(net.Topo.BaseRTT(0, recv))
 		for i := 0; i < nLow; i++ {
-			sw := cc.NewSwift(cc.DefaultSwiftConfig(base, net.BDPPackets(i, recv)))
 			ppc := core.DefaultConfig(plan.Channel(i/perPrio), 8)
 			ppc.NaiveProbe = naive
 			ppc.NoProbeJitter = naive
 			net.AddFlow(harness.Flow{Src: i, Dst: recv, Size: 1 << 30, Prio: 0,
-				Algo: core.New(sw, ppc)})
+				Algo: core.New(swiftTo(net, i, recv), ppc)})
 		}
 		// Ten high-priority flows preempt the lows for ~4 ms.
 		var highEnd sim.Time
 		remaining := nHigh
 		for i := 0; i < nHigh; i++ {
 			src := nLow + i
-			hi := core.New(
-				cc.NewSwift(cc.DefaultSwiftConfig(base, net.BDPPackets(src, recv))),
-				core.DefaultConfig(plan.Channel(6), 8))
-			net.AddFlow(harness.Flow{Src: src, Dst: recv, Size: 5 << 20, Prio: 0, Algo: hi,
+			net.AddFlow(harness.Flow{Src: src, Dst: recv, Size: 5 << 20, Prio: 0,
+				Algo:    ppSwiftTo(net, src, recv, plan.Channel(6)),
 				StartAt: sim.Millisecond,
 				OnComplete: func(sim.Time) {
 					remaining--
@@ -175,7 +156,7 @@ func AblationProbe() []AblationProbeResult {
 			}
 			return 0
 		}, 25*sim.Microsecond, dur)
-		eng.RunUntil(dur)
+		net.Run(dur)
 		res := AblationProbeResult{
 			Scheme:    map[bool]string{true: "naive", false: "collision-avoidance"}[naive],
 			ProbeGbps: float64(probeBytes) * 8 / (winTo - winFrom).Seconds() / 1e9,
@@ -196,11 +177,6 @@ func AblationProbe() []AblationProbeResult {
 	return []AblationProbeResult{run(false), run(true)}
 }
 
-// noiseScaled builds a seeded long-tail noise sampler at the given scale.
-func noiseScaled(seed int64, scale float64) func() sim.Time {
-	return noise.NewLongTail(rand.New(rand.NewSource(seed)), scale).Sample
-}
-
 // ECNPrioResult is the Appendix B extension: DCTCP flows with priority-
 // dependent ECN thresholds in one queue.
 type ECNPrioResult struct {
@@ -214,9 +190,9 @@ type ECNPrioResult struct {
 // congestion first and back off, approximating priority — weighted, not
 // strict, which is why the paper leaves ECN support as future work.
 func ECNPrio() ECNPrioResult {
-	net, eng := microNet(5, 67, func(cfg *topo.Config) {
+	net := star(Options{}, "", 5, 67, paperNoise, func(cfg *topo.Config) {
 		cfg.Buffer.ECNKByVPrio = []int{25_000, 150_000}
-	}, Options{})
+	})
 	recv := 4
 	for i := 0; i < 4; i++ {
 		d := cc.NewDCTCP(cc.DefaultDCTCPConfig(net.BDPPackets(i, recv)))
@@ -225,7 +201,7 @@ func ECNPrio() ECNPrioResult {
 	}
 	dur := 4 * sim.Millisecond
 	rs := net.SampleRates(recv, func(p *netsim.Packet) int { return int(p.VPrio) }, 50*sim.Microsecond, dur)
-	eng.RunUntil(dur)
+	net.Run(dur)
 	hi := rs.Between(dur/2, dur, 1)
 	lo := rs.Between(dur/2, dur, 0)
 	return ECNPrioResult{HighShare: hi / (hi + lo), Util: (hi + lo) / 100}
@@ -245,15 +221,13 @@ type WeightedVPResult struct {
 // WeightedVP runs two flows in one channel with AI weights 1 and 4, plus a
 // strictly higher-priority flow that preempts both for part of the run.
 func WeightedVP() WeightedVPResult {
-	net, eng := microNet(4, 71, nil, Options{})
+	net := star(Options{}, "", 4, 71, paperNoise, nil)
 	recv := 3
-	base := net.Topo.BaseRTT(0, recv)
-	plan := core.DefaultPlan(base)
+	plan := core.DefaultPlan(net.Topo.BaseRTT(0, recv))
 	mk := func(src int, weight float64, prio int) *core.PrioPlus {
-		sw := cc.NewSwift(cc.DefaultSwiftConfig(base, net.BDPPackets(src, recv)))
 		ppc := core.DefaultConfig(plan.Channel(prio), 8)
 		ppc.Weight = weight
-		return core.New(sw, ppc)
+		return core.New(swiftTo(net, src, recv), ppc)
 	}
 	// Paced senders: in-channel sharing is then governed by the window
 	// ratio (arrival rate = cwnd/RTT), which the AI weighting controls.
@@ -266,10 +240,10 @@ func WeightedVP() WeightedVPResult {
 	var highEnd sim.Time
 	net.AddFlow(harness.Flow{Src: 2, Dst: recv, Size: 12 << 20, Prio: 0, Algo: mk(2, 1, 6), Paced: true,
 		StartAt:    20 * sim.Millisecond,
-		OnComplete: func(sim.Time) { highEnd = eng.Now() }})
+		OnComplete: func(sim.Time) { highEnd = net.Eng.Now() }})
 	dur := 22 * sim.Millisecond
 	rs := net.SampleRates(recv, func(p *netsim.Packet) int { return p.Src }, 50*sim.Microsecond, dur)
-	eng.RunUntil(dur)
+	net.Run(dur)
 	w1 := rs.Between(14*sim.Millisecond, 20*sim.Millisecond, 0)
 	w4 := rs.Between(14*sim.Millisecond, 20*sim.Millisecond, 1)
 	hiFrom, hiTo := 20*sim.Millisecond+300*sim.Microsecond, highEnd-100*sim.Microsecond

@@ -3,12 +3,8 @@ package exp
 import (
 	"prioplus/internal/core"
 	"prioplus/internal/fault"
-	"prioplus/internal/harness"
-	"prioplus/internal/netsim"
-	"prioplus/internal/obs"
 	"prioplus/internal/sim"
 	"prioplus/internal/stats"
-	"prioplus/internal/topo"
 	"prioplus/internal/transport"
 )
 
@@ -23,17 +19,15 @@ type FaultSweepConfig struct {
 	NPrios   int      // virtual priorities (default 4)
 	FlowSize int64    // bytes per flow (default 8 MB)
 	Horizon  sim.Time // run cutoff, generous for RTO recovery (default 20 ms)
-	Seed     int64    // workload seed (default 5); Options.Seed overrides
 	// FlapAt/FlapDur shape the default fault plan: the p0e0-p0a0 uplink
 	// goes down at FlapAt for FlapDur, mid-transfer for the default flow
-	// size. Options.Faults replaces the default plan entirely.
+	// size. A plan in Options.Faults replaces the default plan entirely.
 	FlapAt  sim.Time
 	FlapDur sim.Time
 	Schemes []Scheme
-	// ObsFor, when non-nil, supplies a fresh recorder per scheme run,
-	// keyed by the scheme name. The sweep runs one engine per scheme, so a
-	// single Options.Recorder can only serve a single-scheme config.
-	ObsFor func(tag string) *obs.Recorder
+	// Options carries the workload seed (default 5), the fault plan and the
+	// recorder factory; each scheme's run is tagged with the scheme name.
+	Options
 }
 
 // DefaultFaultSweepConfig returns the standard sweep: PrioPlus+Swift
@@ -44,7 +38,7 @@ func DefaultFaultSweepConfig() FaultSweepConfig {
 		NPrios:   4,
 		FlowSize: 8 << 20,
 		Horizon:  20 * sim.Millisecond,
-		Seed:     5,
+		Options:  Options{Seed: 5},
 		FlapAt:   200 * sim.Microsecond,
 		FlapDur:  300 * sim.Microsecond,
 		Schemes: []Scheme{
@@ -76,25 +70,15 @@ type FaultSweepRow struct {
 
 // FaultSweep runs every scheme of the config through the same fault plan
 // and workload. The default plan is a single mid-transfer flap of the
-// p0e0-p0a0 uplink; Options.Faults substitutes any plan, Options.Seed
-// reseeds the workload, and Options.Recorder instruments the run when the
-// config has a single scheme (use ObsFor for per-scheme recorders).
-func FaultSweep(cfg FaultSweepConfig, o Options) []FaultSweepRow {
-	if cfg.K == 0 {
-		cfg = DefaultFaultSweepConfig()
-	}
-	seed := o.seedOr(cfg.Seed)
-	plan := o.Faults
-	if plan == nil {
-		plan = fault.NewPlan(seed).Flap(cfg.FlapAt, cfg.FlapDur, fault.Link("p0e0", "p0a0"))
+// p0e0-p0a0 uplink; cfg.Faults substitutes any plan and cfg.Seed reseeds
+// the workload.
+func FaultSweep(cfg FaultSweepConfig) []FaultSweepRow {
+	if cfg.Faults == nil {
+		cfg.Faults = fault.NewPlan(cfg.Seed).Flap(cfg.FlapAt, cfg.FlapDur, fault.Link("p0e0", "p0a0"))
 	}
 	rows := make([]FaultSweepRow, 0, len(cfg.Schemes))
 	for _, s := range cfg.Schemes {
-		ro := Options{Seed: seed, Faults: plan, Recorder: o.Recorder}
-		if cfg.ObsFor != nil {
-			ro.Recorder = cfg.ObsFor(s.Name)
-		}
-		rows = append(rows, faultSweepOne(s, cfg, ro))
+		rows = append(rows, faultSweepOne(s, cfg))
 	}
 	return rows
 }
@@ -102,29 +86,11 @@ func FaultSweep(cfg FaultSweepConfig, o Options) []FaultSweepRow {
 // faultSweepOne runs one scheme: cross-pod permutation flows (every host
 // sends FlowSize to the host half the fabric away, so every flow crosses
 // the core) with priorities striped across senders.
-func faultSweepOne(s Scheme, cfg FaultSweepConfig, o Options) FaultSweepRow {
-	eng := sim.NewEngine()
-	tc := topo.DefaultConfig()
-	tc.LinkDelay = 1 * sim.Microsecond
-	tc.Seed = o.Seed
-	tc.Buffer = netsim.DefaultBufferConfig()
-	tc.Buffer.TotalBytes = int(4.4e6 * float64(cfg.K) * 100 / 1000)
-	linkBDP := tc.HostRate.BDP(2 * tc.LinkDelay)
-	tc.Buffer.HeadroomBytes = int(2*linkBDP) + 8*(netsim.DefaultMTU+netsim.HeaderBytes)
-	s.Fabric(&tc, cfg.NPrios)
-	nw := topo.FatTree(eng, cfg.K, tc)
-	opts := append(s.NetOptions(), harness.WithFaults(o.Faults))
-	net := harness.New(nw, o.Seed, opts...)
-	rec := o.Recorder
-	if rec != nil {
-		net.Observe(rec)
-		if rec.Series != nil {
-			rec.Series.ReserveUntil(cfg.Horizon)
-		}
-	}
+func faultSweepOne(s Scheme, cfg FaultSweepConfig) FaultSweepRow {
+	net := schemeFabric(cfg.Options, s.Name, s, cfg.NPrios, longTail{}, fatTree(cfg.K))
 
 	row := FaultSweepRow{Scheme: s.Name}
-	// Observe owns OnFlowDone when a recorder is attached; chain behind it
+	// The recorder owns OnFlowDone when one is attached; chain behind it
 	// so the sweep's per-flow recovery counters coexist with telemetry.
 	for _, st := range net.Stacks {
 		inner := st.OnFlowDone
@@ -137,44 +103,26 @@ func faultSweepOne(s Scheme, cfg FaultSweepConfig, o Options) FaultSweepRow {
 		}
 	}
 
-	nHosts := len(nw.Hosts)
+	nHosts := len(net.Topo.Hosts)
 	flows := &stats.Collector{}
 	var pps []*core.PrioPlus
 	for src := 0; src < nHosts; src++ {
-		dst := (src + nHosts/2) % nHosts
 		prio := src % cfg.NPrios
-		base := nw.BaseRTT(src, dst)
-		env := FlowEnv{
-			Prio:    prio,
-			NPrios:  cfg.NPrios,
-			BaseRTT: base,
-			BDPPkts: tc.HostRate.BDP(base) / netsim.DefaultMTU,
-			Size:    cfg.FlowSize,
-			Ideal:   IdealFCT(cfg.FlowSize, tc.HostRate, base),
-		}
-		algo := s.NewAlgo(env)
+		row.Launched++
+		algo := net.addFlow(src, (src+nHosts/2)%nHosts, cfg.FlowSize, prio, 0, func(fct, ideal sim.Time) {
+			flows.Add(stats.FlowRecord{Size: cfg.FlowSize, FCT: fct, Ideal: ideal, Prio: prio})
+		})
 		if pp, ok := algo.(*core.PrioPlus); ok {
 			pps = append(pps, pp)
 		}
-		size := cfg.FlowSize
-		ideal := env.Ideal
-		row.Launched++
-		net.AddFlow(harness.Flow{
-			Src: src, Dst: dst, Size: size,
-			Prio: s.QueueFor(prio, cfg.NPrios, tc.Queues),
-			Algo: algo,
-			OnComplete: func(fct sim.Time) {
-				flows.Add(stats.FlowRecord{Size: size, FCT: fct, Ideal: ideal, Prio: prio})
-			},
-		})
 	}
-	eng.RunUntil(cfg.Horizon)
+	net.Run(cfg.Horizon)
 
 	row.Completed = flows.Count()
 	row.Stuck = row.Launched - row.Completed
 	row.MeanSlowdown = flows.MeanSlowdown()
 	row.P99Slowdown = flows.PercentileSlowdown(0.99)
-	for _, sw := range nw.Switches {
+	for _, sw := range net.Topo.Switches {
 		row.NoRouteDrops += sw.NoRouteDrop
 		for _, p := range sw.Ports {
 			row.FaultDrops += p.FaultDrops
@@ -184,7 +132,7 @@ func faultSweepOne(s Scheme, cfg FaultSweepConfig, o Options) FaultSweepRow {
 			}
 		}
 	}
-	for _, h := range nw.Hosts {
+	for _, h := range net.Topo.Hosts {
 		row.FaultDrops += h.NIC.FaultDrops
 		row.CorruptDrops += h.NIC.CorruptDrops
 	}
@@ -193,9 +141,6 @@ func faultSweepOne(s Scheme, cfg FaultSweepConfig, o Options) FaultSweepRow {
 	}
 	for _, pp := range pps {
 		row.Yields += pp.Yields
-	}
-	if rec != nil {
-		net.CollectMetrics(rec)
 	}
 	return row
 }

@@ -28,7 +28,7 @@ func quickFaultSweepConfig(seed int64) FaultSweepConfig {
 // link failure on the fat-tree leaves zero stuck flows, and the recovery
 // is real — packets died and came back via retransmission.
 func TestFaultSweepRecoversAllFlows(t *testing.T) {
-	rows := FaultSweep(quickFaultSweepConfig(5), Options{})
+	rows := FaultSweep(quickFaultSweepConfig(5))
 	var drops, recoveries int64
 	for _, r := range rows {
 		if r.Stuck != 0 {
@@ -64,14 +64,14 @@ func faultSweepTask(name string, seed int64) runner.Task {
 			cfg := quickFaultSweepConfig(seed)
 			var tags []string
 			recs := map[string]*obs.Recorder{}
-			cfg.ObsFor = func(tag string) *obs.Recorder {
+			cfg.NewRecorder = func(tag string) *obs.Recorder {
 				rec := obs.NewRecorder()
 				rec.Series = obs.NewSeriesSet(10 * sim.Microsecond)
 				tags = append(tags, tag)
 				recs[tag] = rec
 				return rec
 			}
-			rows := FaultSweep(cfg, Options{})
+			rows := FaultSweep(cfg)
 			var buf bytes.Buffer
 			fmt.Fprintf(&buf, "%+v\n", rows)
 			for _, tag := range tags {
@@ -111,16 +111,17 @@ func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFaultSweepCustomPlan: Options.Faults replaces the default flap and
-// Options.Seed reseeds the workload, so callers can script arbitrary
-// outage scenarios through the same entry point.
+// TestFaultSweepCustomPlan: the config's Faults replaces the default flap
+// and its Seed reseeds the workload, so callers can script arbitrary outage
+// scenarios through the same entry point.
 func TestFaultSweepCustomPlan(t *testing.T) {
 	cfg := quickFaultSweepConfig(5)
 	cfg.Schemes = cfg.Schemes[:1]
 	plan := fault.NewPlan(42).
 		Flap(50*sim.Microsecond, 80*sim.Microsecond, fault.Link("p0e0", "p0a0")).
 		Flap(300*sim.Microsecond, 80*sim.Microsecond, fault.Link("p1e0", "p1a0"))
-	rows := FaultSweep(cfg, Options{Seed: 9, Faults: plan})
+	cfg.Seed, cfg.Faults = 9, plan
+	rows := FaultSweep(cfg)
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows", len(rows))
 	}

@@ -4,15 +4,10 @@ import (
 	"math/rand"
 	"strconv"
 
-	"prioplus/internal/fault"
 	"prioplus/internal/harness"
-	"prioplus/internal/netsim"
-	"prioplus/internal/noise"
-	"prioplus/internal/obs"
 	"prioplus/internal/sched"
 	"prioplus/internal/sim"
 	"prioplus/internal/stats"
-	"prioplus/internal/topo"
 	"prioplus/internal/workload"
 )
 
@@ -26,28 +21,18 @@ type FlowSchedConfig struct {
 	Load     float64 // per-host-link load (paper: 0.7)
 	Duration sim.Time
 	Drain    sim.Time // extra time for in-flight flows to finish
-	Seed     int64
 	// AckPrioData is the PrioPlus* ablation: ACKs share the data queue.
 	AckPrioData bool
 	// PerPrioWorkload is the Fig 14 mode: instead of size-based grouping,
 	// every flow draws a uniform-random priority so each priority level
 	// carries a full WebSearch workload.
 	PerPrioWorkload bool
-	// NoiseScale scales the injected delay-measurement noise (1 = paper).
+	// NoiseScale scales the injected delay-measurement noise (1 = paper,
+	// 0 = none).
 	NoiseScale float64
-	// Obs, when non-nil, is attached to the run's network (trace sink and
-	// live flow counters) and filled with the final device metrics; see
-	// docs/OBSERVABILITY.md for the metric namespace.
-	Obs *obs.Recorder
-	// ObsFor, when non-nil and Obs is nil, supplies a fresh recorder per
-	// run, keyed by the run's tag ("<scheme>/np=<n>"). Multi-run figures
-	// (Fig11's sweep) need this: a Recorder is strictly per-engine, so one
-	// shared Obs cannot serve them.
-	ObsFor func(tag string) *obs.Recorder
-	// Faults, when non-nil and non-empty, is installed on each run's
-	// topology before traffic starts. A Plan is immutable, so the same
-	// plan serves every run of a sweep.
-	Faults *fault.Plan
+	// Options carries the seed, the fault plan and the recorder factory; a
+	// run is tagged "<scheme>/np=<n>", plus "/ackdata" for PrioPlus*.
+	Options
 }
 
 // runTag identifies one flow-scheduling run within a figure's sweep.
@@ -69,8 +54,8 @@ func DefaultFlowSchedConfig(s Scheme, nprios int) FlowSchedConfig {
 		Load:       0.7,
 		Duration:   20 * sim.Millisecond,
 		Drain:      30 * sim.Millisecond,
-		Seed:       1,
 		NoiseScale: 1,
+		Options:    Options{Seed: 1},
 	}
 }
 
@@ -87,49 +72,19 @@ type FlowSchedResult struct {
 
 // RunFlowSched runs one scheme at one priority count.
 func RunFlowSched(cfg FlowSchedConfig) FlowSchedResult {
-	eng := sim.NewEngine()
-	tc := topo.DefaultConfig()
-	tc.LinkDelay = 1 * sim.Microsecond
-	tc.Seed = cfg.Seed
-	// Buffer per the paper's Fig 11 setting: 4.4 MB/Tbps of switch
-	// capacity (Tomahawk4 ratio). A k-port 100G switch has k*100G. PFC
-	// headroom is sized from the link parameters (2 link BDPs plus a few
-	// MTUs of response time), so its total reservation scales with the
-	// number of lossless priorities — the cliff beyond ~6 priorities that
-	// motivates the paper.
-	tc.Buffer = netsim.DefaultBufferConfig()
-	tc.Buffer.TotalBytes = int(4.4e6 * float64(cfg.K) * 100 / 1000)
-	linkBDP := tc.HostRate.BDP(2 * tc.LinkDelay)
-	tc.Buffer.HeadroomBytes = int(2*linkBDP) + 8*(netsim.DefaultMTU+netsim.HeaderBytes)
-	cfg.Scheme.Fabric(&tc, cfg.NPrios)
-	nw := topo.FatTree(eng, cfg.K, tc)
-	opts := cfg.Scheme.NetOptions()
+	var opts []harness.Option
 	if cfg.AckPrioData {
 		opts = append(opts, harness.WithAckPrioData())
 	}
-	if cfg.NoiseScale > 0 {
-		nm := noise.NewLongTail(rand.New(rand.NewSource(cfg.Seed+7)), cfg.NoiseScale)
-		opts = append(opts, harness.WithNoise(nm.Sample))
-	}
-	opts = append(opts, harness.WithFaults(cfg.Faults))
-	net := harness.New(nw, cfg.Seed, opts...)
-	rec := cfg.Obs
-	if rec == nil && cfg.ObsFor != nil {
-		rec = cfg.ObsFor(cfg.runTag())
-	}
-	if rec != nil {
-		net.Observe(rec)
-		if rec.Series != nil {
-			rec.Series.ReserveUntil(cfg.Duration + cfg.Drain)
-		}
-	}
+	net := schemeFabric(cfg.Options, cfg.runTag(), cfg.Scheme, cfg.NPrios,
+		longTail{off: 7, scale: cfg.NoiseScale}, fatTree(cfg.K), opts...)
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 13))
 	dist := workload.WebSearch()
 	events := workload.Poisson(workload.PoissonConfig{
-		Hosts:    len(nw.Hosts),
+		Hosts:    len(net.Topo.Hosts),
 		Load:     cfg.Load,
-		LinkBps:  float64(tc.HostRate),
+		LinkBps:  float64(net.Topo.Cfg.HostRate),
 		Dist:     dist,
 		Duration: cfg.Duration,
 		Rng:      rng,
@@ -149,40 +104,20 @@ func RunFlowSched(cfg FlowSchedConfig) FlowSchedResult {
 	res := FlowSchedResult{Scheme: cfg.Scheme.Name, NPrios: cfg.NPrios, Flows: &stats.Collector{}}
 	prioRng := rand.New(rand.NewSource(cfg.Seed + 31))
 	for _, ev := range events {
-		ev := ev
 		prio := groups.PriorityFor(ev.Size)
 		if cfg.PerPrioWorkload {
 			prio = prioRng.Intn(cfg.NPrios)
 		}
-		base := nw.BaseRTT(ev.Src, ev.Dst)
-		env := FlowEnv{
-			Prio:    prio,
-			NPrios:  cfg.NPrios,
-			BaseRTT: base,
-			BDPPkts: tc.HostRate.BDP(base) / netsim.DefaultMTU,
-			Size:    ev.Size,
-			Ideal:   IdealFCT(ev.Size, tc.HostRate, base),
-			Now:     ev.At,
-		}
-		queue := cfg.Scheme.QueueFor(prio, cfg.NPrios, tc.Queues)
 		res.Launched++
-		net.AddFlow(harness.Flow{
-			Src: ev.Src, Dst: ev.Dst, Size: ev.Size, Prio: queue,
-			Algo:    cfg.Scheme.NewAlgo(env),
-			StartAt: ev.At,
-			OnComplete: func(fct sim.Time) {
-				res.Flows.Add(stats.FlowRecord{Size: ev.Size, FCT: fct, Ideal: env.Ideal, Prio: prio})
-			},
+		net.addFlow(ev.Src, ev.Dst, ev.Size, prio, ev.At, func(fct, ideal sim.Time) {
+			res.Flows.Add(stats.FlowRecord{Size: ev.Size, FCT: fct, Ideal: ideal, Prio: prio})
 		})
 	}
-	eng.RunUntil(cfg.Duration + cfg.Drain)
+	net.Run(cfg.Duration + cfg.Drain)
 	res.Unfinished = res.Launched - res.Flows.Count()
-	for _, sw := range nw.Switches {
+	for _, sw := range net.Topo.Switches {
 		res.Pauses += sw.PausesSent()
 		res.Drops += sw.Drops()
-	}
-	if rec != nil {
-		net.CollectMetrics(rec)
 	}
 	return res
 }
@@ -217,25 +152,9 @@ func rowFrom(r FlowSchedResult) Fig11Row {
 	}
 }
 
-// applyOptions folds the cross-cutting Options knobs into a sweep's base
-// config: a non-zero Seed overrides base.Seed and a non-nil fault plan
-// overrides base.Faults. A Recorder is not applied — sweeps own several
-// runs, so per-run recorders arrive through ObsFor — and Perturb does not
-// apply (the flow-scheduling noise model is seeded from the config).
-func (cfg FlowSchedConfig) applyOptions(o Options) FlowSchedConfig {
-	if o.Seed != 0 {
-		cfg.Seed = o.Seed
-	}
-	if o.Faults != nil {
-		cfg.Faults = o.Faults
-	}
-	return cfg
-}
-
 // Fig11 sweeps priority counts for the schemes of Fig 11a-d: Physical
 // (max 8 queues), Physical*, and PrioPlus, all with Swift.
-func Fig11(prioCounts []int, base FlowSchedConfig, o Options) []Fig11Row {
-	base = base.applyOptions(o)
+func Fig11(prioCounts []int, base FlowSchedConfig) []Fig11Row {
 	var rows []Fig11Row
 	for _, np := range prioCounts {
 		for _, s := range []Scheme{SwiftPhysical(8), SwiftPhysicalIdeal(), PrioPlusSwift()} {
@@ -250,8 +169,7 @@ func Fig11(prioCounts []int, base FlowSchedConfig, o Options) []Fig11Row {
 
 // Fig16 compares PrioPlus, PrioPlus* (ACKs in the data queue), and HPCC in
 // the flow-scheduling scenario (Appendix A.3).
-func Fig16(nprios int, base FlowSchedConfig, o Options) []Fig11Row {
-	base = base.applyOptions(o)
+func Fig16(nprios int, base FlowSchedConfig) []Fig11Row {
 	var rows []Fig11Row
 	for _, v := range []struct {
 		s       Scheme
@@ -285,8 +203,7 @@ type Fig14Row struct {
 
 // Fig14 runs the per-priority workload mode with 12 priorities and
 // normalizes each scheme's per-band, per-class FCT by Physical*+Swift.
-func Fig14(base FlowSchedConfig, schemes []Scheme, o Options) []Fig14Row {
-	base = base.applyOptions(o)
+func Fig14(base FlowSchedConfig, schemes []Scheme) []Fig14Row {
 	const nprios = 12
 	run := func(s Scheme, ackData bool) FlowSchedResult {
 		cfg := base

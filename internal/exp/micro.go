@@ -12,30 +12,6 @@ import (
 	"prioplus/internal/topo"
 )
 
-// microNet builds the paper's micro-benchmark fabric: a star of 100 Gb/s,
-// 3 us links (base RTT ~12 us through the switch), with long-tail
-// measurement noise installed. Options thread the cross-cutting knobs in:
-// a seed override, an observability recorder (attached before traffic),
-// and a fault plan.
-func microNet(nHosts int, seed int64, mod func(*topo.Config), o Options) (*harness.Net, *sim.Engine) {
-	seed = o.seedOr(seed)
-	eng := sim.NewEngine()
-	cfg := topo.DefaultConfig()
-	cfg.LinkDelay = 3 * sim.Microsecond
-	cfg.Seed = seed
-	if mod != nil {
-		mod(&cfg)
-	}
-	nm := noise.NewLongTail(rand.New(rand.NewSource(seed+7)), 1)
-	net := harness.New(topo.Star(eng, nHosts, cfg), seed,
-		harness.WithNoise(o.noiseFn(nm.Sample)),
-		harness.WithFaults(o.Faults))
-	if o.Recorder != nil {
-		net.Observe(o.Recorder)
-	}
-	return net, eng
-}
-
 // Series is a labeled rate-over-time trace for figure output.
 type Series struct {
 	Label string
@@ -67,10 +43,10 @@ type Fig3aResult struct {
 // and 2x the ideal FCT. D2TCP slows both on ECN, so the tight flow neither
 // monopolizes bandwidth nor finishes at its ideal FCT (Observation 1).
 func Fig3a(size int64, o Options) Fig3aResult {
-	net, eng := microNet(3, 3, func(cfg *topo.Config) {
+	net := star(o, "", 3, 3, paperNoise, func(cfg *topo.Config) {
 		cfg.Buffer.ECNKMin = 100_000
 		cfg.Buffer.ECNKMax = 100_000
-	}, o)
+	})
 	base := net.Topo.BaseRTT(0, 2)
 	ideal := IdealFCT(size, 100*netsim.Gbps, base)
 	var fctHigh sim.Time
@@ -86,7 +62,7 @@ func Fig3a(size int64, o Options) Fig3aResult {
 	}
 	dur := 8 * ideal
 	rs := net.SampleRates(2, func(p *netsim.Packet) int { return p.Src }, dur/100, dur)
-	eng.RunUntil(dur)
+	net.Run(dur)
 	mid := fctHigh * 8 / 10
 	hi := rs.Between(fctHigh/10, mid, 0)
 	lo := rs.Between(fctHigh/10, mid, 1)
@@ -110,7 +86,7 @@ type Fig3bResult struct {
 // base+5us) Swift flows with target scaling: scaling re-inflates the low
 // flows' targets as they shrink, yielding weighted sharing (§3.2).
 func Fig3b(o Options) Fig3bResult {
-	net, eng := microNet(5, 5, nil, o)
+	net := star(o, "", 5, 5, paperNoise, nil)
 	mk := func(src int, off sim.Time) *cc.Swift {
 		base := net.Topo.BaseRTT(src, 4)
 		cfg := cc.DefaultSwiftConfig(base, net.BDPPackets(src, 4))
@@ -124,7 +100,7 @@ func Fig3b(o Options) Fig3bResult {
 	}
 	dur := 4 * sim.Millisecond
 	rs := net.SampleRates(4, func(p *netsim.Packet) int { return p.Src / 2 }, 50*sim.Microsecond, dur)
-	eng.RunUntil(dur)
+	net.Run(dur)
 	hi := rs.Between(dur/2, dur, 0)
 	lo := rs.Between(dur/2, dur, 1)
 	return Fig3bResult{
@@ -149,7 +125,7 @@ type Fig3cResult struct {
 // Fig3c runs 300 low-priority Swift flows (no scaling, target base+5us)
 // against one high flow (target base+15us) starting at 2 ms.
 func Fig3c(nLow int, o Options) Fig3cResult {
-	net, eng := microNet(nLow+2, 7, nil, o)
+	net := star(o, "", nLow+2, 7, paperNoise, nil)
 	recv := nLow + 1
 	mk := func(src int, off sim.Time) *cc.Swift {
 		base := net.Topo.BaseRTT(src, recv)
@@ -166,17 +142,12 @@ func Fig3c(nLow int, o Options) Fig3cResult {
 	net.AddFlow(harness.Flow{Src: nLow, Dst: recv, Size: 1 << 30, Prio: 0,
 		Algo: mk(nLow, 15*sim.Microsecond), StartAt: 2 * sim.Millisecond})
 	var over, samples int
-	base := net.Topo.BaseRTT(0, recv)
-	for i := 0; i < 300; i++ {
-		eng.At(sim.Millisecond+sim.Time(i)*5*sim.Microsecond, func() {
-			q := net.Topo.Switches[0].Ports[recv].TotalQueuedBytes()
-			delay := base + sim.Time(float64(q)/(100e9/8)*1e12)
-			samples++
-			if delay > base+15*sim.Microsecond {
-				over++
-			}
-		})
-	}
+	sampleQueueDelay(net, recv, sim.Millisecond, 5*sim.Microsecond, 300, func(wait sim.Time) {
+		samples++
+		if wait > 15*sim.Microsecond {
+			over++
+		}
+	})
 	dur := 4 * sim.Millisecond
 	rs := net.SampleRates(recv, func(p *netsim.Packet) int {
 		if p.Src == nLow {
@@ -184,7 +155,7 @@ func Fig3c(nLow int, o Options) Fig3cResult {
 		}
 		return 0
 	}, 50*sim.Microsecond, dur)
-	eng.RunUntil(dur)
+	net.Run(dur)
 	lowBefore := rs.Between(sim.Millisecond, 2*sim.Millisecond, 0)
 	hiAfter := rs.Between(3*sim.Millisecond, dur, 1)
 	loAfter := rs.Between(3*sim.Millisecond, dur, 0)
@@ -209,7 +180,8 @@ type Fig3dResult struct {
 // 100 us (line-rate start hurts the high pair), the high pair stops at
 // 2 ms (the low pair reclaims slowly from its minimum rate).
 func Fig3d(o Options) Fig3dResult {
-	net, eng := microNet(5, 9, nil, o)
+	net := star(o, "", 5, 9, paperNoise, nil)
+	eng := net.Eng
 	mk := func(src int, off sim.Time) *cc.Swift {
 		base := net.Topo.BaseRTT(src, 4)
 		cfg := cc.DefaultSwiftConfig(base, net.BDPPackets(src, 4))
@@ -244,7 +216,7 @@ func Fig3d(o Options) Fig3dResult {
 	// trade-off), so the horizon is generous.
 	dur := 30 * sim.Millisecond
 	rs := net.SampleRates(4, func(p *netsim.Packet) int { return p.Src / 2 }, 20*sim.Microsecond, dur)
-	eng.RunUntil(dur)
+	net.Run(dur)
 	reclaim := dur - highEnd // pessimistic: never reclaimed in-horizon
 	for i, t := range rs.Times {
 		if t > highEnd && rs.Rates[i][1] >= 50 {
@@ -269,27 +241,22 @@ type Fig8Result struct {
 // flows each, starting low-to-high at `interval` and ending in the same
 // order (modeled by finite sizes). 10 Gb/s links as in the testbed.
 //
-// With a recorder carrying a FlowTracer this is the canonical
-// yield/reclaim tracing scenario: flow IDs are assigned in start order, so
-// flows 1-2 are the lowest priority (channel 2, start t=0) and flows 7-8
-// the highest (channel 5, start 3*interval); `prioplus-sim trace -flows
-// 1,7` renders the paper's Fig 8 interleaving. Instrumentation does not
-// change figure output.
+// The run is tagged "pp" or "swift". With a recorder carrying a FlowTracer
+// this is the canonical yield/reclaim tracing scenario: flow IDs are
+// assigned in start order, so flows 1-2 are the lowest priority (channel 2,
+// start t=0) and flows 7-8 the highest (channel 5, start 3*interval);
+// `prioplus-sim trace -flows 1,7` renders the paper's Fig 8 interleaving.
 func Fig8(usePrioPlus bool, interval sim.Time, o Options) Fig8Result {
-	rec := o.Recorder
-	net, eng := microNet(9, 11, func(cfg *topo.Config) {
-		cfg.HostRate = 10 * netsim.Gbps
-	}, o)
-	if rec != nil && rec.Series != nil {
-		rec.Series.ReserveUntil(8 * interval)
+	name, tag := "Swift-multi-target", "swift"
+	if usePrioPlus {
+		name, tag = "PrioPlus+Swift", "pp"
 	}
+	net := star(o, tag, 9, 11, paperNoise, func(cfg *topo.Config) {
+		cfg.HostRate = 10 * netsim.Gbps
+	})
 	recv := 8
 	base := net.Topo.BaseRTT(0, recv)
 	plan := core.DefaultPlan(base)
-	name := "Swift-multi-target"
-	if usePrioPlus {
-		name = "PrioPlus+Swift"
-	}
 	// Four adjacent priorities (the paper's 1-indexed 3,4,5,6 = channel
 	// indices 2..5), two flows each; flow sizes chosen so each priority
 	// transmits for several intervals after all have started.
@@ -313,10 +280,7 @@ func Fig8(usePrioPlus bool, interval sim.Time, o Options) Fig8Result {
 	}
 	dur := 8 * interval
 	rs := net.SampleRates(recv, func(p *netsim.Packet) int { return p.Src / 2 }, interval/40, dur)
-	eng.RunUntil(dur)
-	if rec != nil {
-		net.CollectMetrics(rec)
-	}
+	net.Run(dur)
 	// While priorities are starting (phases 1-3), the newest (highest)
 	// should dominate.
 	var dom float64
@@ -333,9 +297,13 @@ func Fig8(usePrioPlus bool, interval sim.Time, o Options) Fig8Result {
 			n++
 		}
 	}
-	res := Fig8Result{Scheme: name, DominanceFrac: dom / float64(n)}
+	res := Fig8Result{Scheme: name}
+	// A tripped watchdog can stop the run before the first phase.
+	if n > 0 {
+		res.DominanceFrac = dom / float64(n)
+	}
 	for k, prio := range []int{3, 4, 5, 6} {
-		res.Series = append(res.Series, seriesFrom(rs, k, map[bool]string{true: "pp", false: "swift"}[usePrioPlus]+"-prio"+string(rune('0'+prio))))
+		res.Series = append(res.Series, seriesFrom(rs, k, tag+"-prio"+string(rune('0'+prio))))
 	}
 	return res
 }
@@ -351,9 +319,9 @@ type Fig9Result struct {
 // the base BDP. PrioPlus's cardinality estimation contains the delay;
 // Swift's fluctuations repeatedly exceed the threshold. 10 Gb/s links.
 func Fig9(usePrioPlus bool, o Options) Fig9Result {
-	net, eng := microNet(6, 13, func(cfg *topo.Config) {
+	net := star(o, "", 6, 13, paperNoise, func(cfg *topo.Config) {
 		cfg.HostRate = 10 * netsim.Gbps
-	}, o)
+	})
 	recv := 5
 	base := net.Topo.BaseRTT(0, recv)
 	// The paper's testbed uses priority 6 (1-indexed): target base+24 us,
@@ -377,17 +345,13 @@ func Fig9(usePrioPlus bool, o Options) Fig9Result {
 		net.AddFlow(harness.Flow{Src: i, Dst: recv, Size: 1 << 30, Prio: 0, Algo: algo})
 	}
 	var over, samples int
-	for i := 0; i < 800; i++ {
-		eng.At(sim.Millisecond+sim.Time(i)*5*sim.Microsecond, func() {
-			q := net.Topo.Switches[0].Ports[recv].TotalQueuedBytes()
-			delay := base + sim.Time(float64(q)/(10e9/8)*1e12)
-			samples++
-			if delay > ch.Limit {
-				over++
-			}
-		})
-	}
-	eng.RunUntil(5 * sim.Millisecond)
+	sampleQueueDelay(net, recv, sim.Millisecond, 5*sim.Microsecond, 800, func(wait sim.Time) {
+		samples++
+		if base+wait > ch.Limit {
+			over++
+		}
+	})
+	net.Run(5 * sim.Millisecond)
 	name := "Swift"
 	if usePrioPlus {
 		name = "PrioPlus+Swift"
@@ -403,42 +367,28 @@ type Fig10bResult struct {
 }
 
 // Fig10b starts n same-priority PrioPlus flows simultaneously (incast)
-// with D_target = base+20us and measures delay containment. An Options
-// recorder instruments the run (time series, histograms, trace — whatever
-// it enables) without changing figure output: the sampler and histograms
-// only read simulator state.
+// with D_target = base+20us and measures delay containment. The run is
+// tagged "incast"; a recorder (time series, histograms, trace — whatever it
+// enables) does not change figure output: the sampler and histograms only
+// read simulator state.
 func Fig10b(n int, o Options) Fig10bResult {
-	rec := o.Recorder
-	net, eng := microNet(n+2, 17, nil, o)
-	if rec != nil && rec.Series != nil {
-		rec.Series.ReserveUntil(4 * sim.Millisecond)
-	}
+	net := star(o, "incast", n+2, 17, paperNoise, nil)
 	recv := n + 1
 	base := net.Topo.BaseRTT(0, recv)
-	plan := core.DefaultPlan(base)
-	ch := plan.Channel(4) // target = base + 20 us, as in Fig 10b
+	ch := core.DefaultPlan(base).Channel(4) // target = base + 20 us, as in Fig 10b
 	for i := 0; i < n; i++ {
-		sw := cc.NewSwift(cc.DefaultSwiftConfig(base, net.BDPPackets(i, recv)))
-		net.AddFlow(harness.Flow{Src: i, Dst: recv, Size: 1 << 30, Prio: 0,
-			Algo: core.New(sw, core.DefaultConfig(ch, 8))})
+		net.AddFlow(harness.Flow{Src: i, Dst: recv, Size: 1 << 30, Prio: 0, Algo: ppSwiftTo(net, i, recv, ch)})
 	}
 	var within, samples int
 	var sum sim.Time
-	for i := 0; i < 600; i++ {
-		eng.At(sim.Millisecond+sim.Time(i)*5*sim.Microsecond, func() {
-			q := net.Topo.Switches[0].Ports[recv].TotalQueuedBytes()
-			delay := base + sim.Time(float64(q)/(100e9/8)*1e12)
-			samples++
-			sum += delay
-			if delay <= ch.Limit+2*sim.Microsecond {
-				within++
-			}
-		})
-	}
-	eng.RunUntil(4 * sim.Millisecond)
-	if rec != nil {
-		net.CollectMetrics(rec)
-	}
+	sampleQueueDelay(net, recv, sim.Millisecond, 5*sim.Microsecond, 600, func(wait sim.Time) {
+		samples++
+		sum += base + wait
+		if base+wait <= ch.Limit+2*sim.Microsecond {
+			within++
+		}
+	})
+	net.Run(4 * sim.Millisecond)
 	res := Fig10bResult{Target: ch.Target}
 	// A tripped watchdog can stop the run before any sample fires.
 	if samples > 0 {
@@ -458,37 +408,32 @@ type Fig10cResult struct {
 type TakeoverStats struct {
 	// TakeoverTime is when the high group first reaches 90% of the link.
 	TakeoverTime sim.Time
-	// RateStdev is the high group's rate standard deviation after
-	// takeover; overreaction shows up as large swings.
-	RateStdev float64
+	// RateVar is the sample variance of the high group's rate (Gb/s
+	// squared) after takeover; overreaction shows up as large swings.
+	RateVar float64
 }
 
 // Fig10c runs 10 high-priority flows preempting 10 low-priority flows,
-// with dual-RTT gating on and off. Each variant is its own engine, so a
-// caller-supplied Recorder is not attached (one recorder cannot span two
-// runs); Seed, Faults, and Perturb thread through per variant.
+// with dual-RTT gating on and off, one engine per variant; Seed, Faults,
+// and Perturb thread through to both.
 func Fig10c(o Options) Fig10cResult {
-	o.Recorder = nil
 	run := func(everyRTT bool) TakeoverStats {
-		net, eng := microNet(21, 19, nil, o)
+		net := star(o, "", 21, 19, paperNoise, nil)
 		recv := 20
-		base := net.Topo.BaseRTT(0, recv)
-		plan := core.DefaultPlan(base)
+		plan := core.DefaultPlan(net.Topo.BaseRTT(0, recv))
 		for i := 0; i < 10; i++ {
-			sw := cc.NewSwift(cc.DefaultSwiftConfig(base, net.BDPPackets(i, recv)))
 			net.AddFlow(harness.Flow{Src: i, Dst: recv, Size: 1 << 30, Prio: 0,
-				Algo: core.New(sw, core.DefaultConfig(plan.Channel(1), 8))})
+				Algo: ppSwiftTo(net, i, recv, plan.Channel(1))})
 		}
 		for i := 10; i < 20; i++ {
-			sw := cc.NewSwift(cc.DefaultSwiftConfig(base, net.BDPPackets(i, recv)))
 			ppc := core.DefaultConfig(plan.Channel(6), 8)
 			ppc.AdaptiveEveryRTT = everyRTT
 			net.AddFlow(harness.Flow{Src: i, Dst: recv, Size: 1 << 30, Prio: 0,
-				Algo: core.New(sw, ppc), StartAt: sim.Millisecond})
+				Algo: core.New(swiftTo(net, i, recv), ppc), StartAt: sim.Millisecond})
 		}
 		dur := 4 * sim.Millisecond
 		rs := net.SampleRates(recv, func(p *netsim.Packet) int { return p.Src / 10 }, 20*sim.Microsecond, dur)
-		eng.RunUntil(dur)
+		net.Run(dur)
 		st := TakeoverStats{}
 		for i, t := range rs.Times {
 			if t > sim.Millisecond && rs.Rates[i][1] >= 90 {
@@ -511,7 +456,7 @@ func Fig10c(o Options) Fig10cResult {
 			for _, v := range vals {
 				ss += (v - mean) * (v - mean)
 			}
-			st.RateStdev = ss / float64(len(vals)-1)
+			st.RateVar = ss / float64(len(vals)-1)
 		}
 		return st
 	}
@@ -541,26 +486,13 @@ func DefaultFig10dConfig() Fig10dConfig {
 // Fig10d sweeps noise scale x channel width for 5 same-priority flows and
 // reports utilization; the paper shows the width needed for >98%
 // utilization grows linearly with the noise. Every cell is a private
-// engine, so a caller-supplied Recorder is not attached; the published
-// topology seed (21) and noise seed (29) hold unless o overrides the seed,
-// in which case the noise RNG follows at Seed+8.
+// engine on the published topology seed (21) with the noise RNG 8 above it
+// (29), both of which follow an o.Seed override.
 func Fig10d(fc Fig10dConfig, o Options) []Fig10dPoint {
-	seed := o.seedOr(21)
-	noiseSeed := int64(29)
-	if o.Seed != 0 {
-		noiseSeed = o.Seed + 8
-	}
 	var out []Fig10dPoint
 	for _, sc := range fc.Scales {
 		for _, w := range fc.WidthsUS {
-			eng := sim.NewEngine()
-			cfg := topo.DefaultConfig()
-			cfg.LinkDelay = 3 * sim.Microsecond
-			cfg.Seed = seed
-			nm := noise.NewLongTail(rand.New(rand.NewSource(noiseSeed)), sc)
-			net := harness.New(topo.Star(eng, 7, cfg), seed,
-				harness.WithNoise(o.noiseFn(nm.Sample)),
-				harness.WithFaults(o.Faults))
+			net := star(o, "", 7, 21, longTail{off: 8, scale: sc}, nil)
 			recv := 6
 			base := net.Topo.BaseRTT(0, recv)
 			plan := core.ChannelPlan{
@@ -569,13 +501,12 @@ func Fig10d(fc Fig10dConfig, o Options) []Fig10dPoint {
 				Noise:       sim.Time(w * 0.2 * float64(sim.Microsecond)),
 			}
 			for i := 0; i < 5; i++ {
-				sw := cc.NewSwift(cc.DefaultSwiftConfig(base, net.BDPPackets(i, recv)))
 				net.AddFlow(harness.Flow{Src: i, Dst: recv, Size: 1 << 30, Prio: 0,
-					Algo: core.New(sw, core.DefaultConfig(plan.Channel(1), 8))})
+					Algo: ppSwiftTo(net, i, recv, plan.Channel(1))})
 			}
 			dur := 3 * sim.Millisecond
 			rs := net.SampleRates(recv, func(*netsim.Packet) int { return 0 }, 100*sim.Microsecond, dur)
-			eng.RunUntil(dur)
+			net.Run(dur)
 			out = append(out, Fig10dPoint{
 				NoiseScale: sc,
 				WidthUS:    w,
@@ -589,22 +520,19 @@ func Fig10d(fc Fig10dConfig, o Options) []Fig10dPoint {
 // Fig10a runs the 8-priority, 30-flows-each staggered ladder and returns
 // the per-interval dominance of the newest priority.
 func Fig10a(perPrio int, interval sim.Time, o Options) []float64 {
-	net, eng := microNet(8*perPrio+2, 23, nil, o)
+	net := star(o, "", 8*perPrio+2, 23, paperNoise, nil)
 	recv := 8 * perPrio
-	base := net.Topo.BaseRTT(0, recv)
-	plan := core.DefaultPlan(base)
+	plan := core.DefaultPlan(net.Topo.BaseRTT(0, recv))
 	for prio := 0; prio < 8; prio++ {
 		for j := 0; j < perPrio; j++ {
 			src := prio*perPrio + j
-			sw := cc.NewSwift(cc.DefaultSwiftConfig(base, net.BDPPackets(src, recv)))
 			net.AddFlow(harness.Flow{Src: src, Dst: recv, Size: 1 << 30, Prio: 0,
-				Algo:    core.New(sw, core.DefaultConfig(plan.Channel(prio), 8)),
-				StartAt: sim.Time(prio) * interval})
+				Algo: ppSwiftTo(net, src, recv, plan.Channel(prio)), StartAt: sim.Time(prio) * interval})
 		}
 	}
 	dur := 8 * interval
 	rs := net.SampleRates(recv, func(p *netsim.Packet) int { return p.Src / perPrio }, interval/20, dur)
-	eng.RunUntil(dur)
+	net.Run(dur)
 	shares := make([]float64, 8)
 	for prio := 0; prio < 8; prio++ {
 		from := sim.Time(prio)*interval + interval*3/4
@@ -647,18 +575,12 @@ func DefaultFig13Config() Fig13Config {
 // the given range is injected at the bottleneck, with the channel noise
 // budget B set to each tolerance. The gap vs an ideal-physical run of the
 // same workload stays small until the range exceeds the tolerance. Each
-// cell is a private engine, so a caller-supplied Recorder is not attached;
-// the published seeds (31 topology, 37 jitter) hold unless o overrides the
-// seed, in which case the jitter RNG follows at Seed+6. Perturb does not
-// apply — this scenario injects jitter instead of the measurement-noise
-// model the perturbation hooks into.
+// cell is a private engine on the published topology seed (31) with the
+// jitter RNG 6 above it (37), both of which follow an o.Seed override.
+// Perturb does not apply — this scenario injects jitter instead of the
+// measurement-noise model the perturbation hooks into.
 func Fig13(fc Fig13Config, o Options) []Fig13Point {
 	tolerancesUS, rangesUS := fc.TolerancesUS, fc.RangesUS
-	topoSeed := o.seedOr(31)
-	jitterSeed := int64(37)
-	if o.Seed != 0 {
-		jitterSeed = o.Seed + 6
-	}
 	// Workload: the Fig 8 testbed ladder (10G, four adjacent priorities,
 	// two flows each, staggered 4 ms) with finite flows. The physical
 	// baseline also runs under the non-congestive delay; its Swift target
@@ -668,17 +590,14 @@ func Fig13(fc Fig13Config, o Options) []Fig13Point {
 	// variable part into delay noise").
 	const horizon = 60 * sim.Millisecond
 	runOne := func(tolUS, rngUS float64, usePP bool) []sim.Time {
-		eng := sim.NewEngine()
-		cfg := topo.DefaultConfig()
-		cfg.HostRate = 10 * netsim.Gbps
-		cfg.LinkDelay = 3 * sim.Microsecond
-		cfg.Seed = topoSeed
-		if !usePP {
-			cfg.Queues = 9
-			cfg.Buffer.HeadroomFree = true
-		}
-		net := harness.New(topo.Star(eng, 9, cfg), topoSeed, harness.WithFaults(o.Faults))
-		jrng := rand.New(rand.NewSource(jitterSeed))
+		net := star(o, "", 9, 31, longTail{}, func(cfg *topo.Config) {
+			cfg.HostRate = 10 * netsim.Gbps
+			if !usePP {
+				cfg.Queues = 9
+				cfg.Buffer.HeadroomFree = true
+			}
+		})
+		jrng := rand.New(rand.NewSource(o.seedOr(31) + 6))
 		recv := 8
 		if rngUS > 0 {
 			width := sim.Time(rngUS * float64(sim.Microsecond))
@@ -721,7 +640,7 @@ func Fig13(fc Fig13Config, o Options) []Fig13Point {
 					StartAt: start, OnComplete: func(d sim.Time) { fcts[idx] = d }})
 			}
 		}
-		eng.RunUntil(horizon)
+		net.Run(horizon)
 		for i := range fcts {
 			if fcts[i] == 0 {
 				fcts[i] = horizon - starts[i] // pessimistic: unfinished
@@ -772,20 +691,14 @@ type Table2Row struct {
 // into a 50%-utilized link (n = 8 RTTs to line rate for the ramped
 // strategies). The published seed (41) holds unless o overrides it; the
 // scenario runs without the noise model by design (see below), so Perturb
-// does not apply, and each strategy is a private engine, so a
-// caller-supplied Recorder is not attached.
+// does not apply, and each strategy is a private engine.
 func Table2(o Options) []Table2Row {
-	seed := o.seedOr(41)
 	simulate := func(kind string) float64 {
 		// The Table 2 analysis is an idealized start-transient argument;
 		// measurement noise would blur the freeze threshold, so this
-		// scenario builds the micro star directly, without the noise model
-		// microNet installs.
-		eng := sim.NewEngine()
-		cfg := topo.DefaultConfig()
-		cfg.LinkDelay = 3 * sim.Microsecond
-		cfg.Seed = seed
-		net := harness.New(topo.Star(eng, 4, cfg), seed, harness.WithFaults(o.Faults))
+		// scenario runs the micro star without a noise model.
+		net := star(o, "", 4, 41, longTail{}, nil)
+		eng := net.Eng
 		recv := 3
 		base := net.Topo.BaseRTT(0, recv)
 		bdp := 100e9 / 8 * base.Seconds()
@@ -817,7 +730,7 @@ func Table2(o Options) []Table2Row {
 				}
 			})
 		}
-		eng.RunUntil(sim.Millisecond + 400*sim.Microsecond)
+		net.Run(sim.Millisecond + 400*sim.Microsecond)
 		return float64(qPeak-qBefore) / bdp
 	}
 	return []Table2Row{
@@ -921,7 +834,7 @@ type AppDResult struct {
 func AppD(ns []int) []AppDResult {
 	var out []AppDResult
 	for _, n := range ns {
-		net, eng := microNet(n+2, 43, nil, Options{})
+		net := star(Options{}, "", n+2, 43, paperNoise, nil)
 		recv := n + 1
 		base := net.Topo.BaseRTT(0, recv)
 		var scfg cc.SwiftConfig
@@ -931,19 +844,10 @@ func AppD(ns []int) []AppDResult {
 				Algo: cc.NewSwift(scfg)})
 		}
 		minD, maxD := sim.Time(1<<62), sim.Time(0)
-		for i := 0; i < 400; i++ {
-			eng.At(2*sim.Millisecond+sim.Time(i)*5*sim.Microsecond, func() {
-				q := net.Topo.Switches[0].Ports[recv].TotalQueuedBytes()
-				d := sim.Time(float64(q) / (100e9 / 8) * 1e12)
-				if d < minD {
-					minD = d
-				}
-				if d > maxD {
-					maxD = d
-				}
-			})
-		}
-		eng.RunUntil(4 * sim.Millisecond)
+		sampleQueueDelay(net, recv, 2*sim.Millisecond, 5*sim.Microsecond, 400, func(d sim.Time) {
+			minD, maxD = min(minD, d), max(maxD, d)
+		})
+		net.Run(4 * sim.Millisecond)
 		target := float64(scfg.Target-base) / float64(sim.Microsecond)
 		wai := scfg.AI * 1000 // bytes
 		r := 100e9 / 8

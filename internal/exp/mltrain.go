@@ -1,12 +1,6 @@
 package exp
 
 import (
-	"math/rand"
-
-	"prioplus/internal/fault"
-	"prioplus/internal/harness"
-	"prioplus/internal/netsim"
-	"prioplus/internal/noise"
 	"prioplus/internal/sim"
 	"prioplus/internal/topo"
 	"prioplus/internal/workload"
@@ -19,21 +13,20 @@ import (
 type MLConfig struct {
 	Scheme   Scheme
 	Duration sim.Time
-	Seed     int64
 	// NoPriority is the speedup baseline: all jobs share one priority.
 	NoPriority bool
 	// GradScale divides gradient sizes (and compute time) to shrink the
 	// simulation; relative speedups are preserved because both phases
 	// scale together.
 	GradScale int
-	// Faults, when non-nil and non-empty, is installed on the topology
-	// before training traffic starts.
-	Faults *fault.Plan
+	// Options carries the seed and the fault plan. The run is untagged, so
+	// a recorder factory is not consulted.
+	Options
 }
 
 // DefaultMLConfig returns a 1/8-scale version of the paper's scenario.
 func DefaultMLConfig(s Scheme) MLConfig {
-	return MLConfig{Scheme: s, Duration: 120 * sim.Millisecond, Seed: 1, GradScale: 8}
+	return MLConfig{Scheme: s, Duration: 120 * sim.Millisecond, GradScale: 8, Options: Options{Seed: 1}}
 }
 
 // MLResult reports iterations completed per model.
@@ -52,18 +45,12 @@ func RunML(cfg MLConfig) MLResult {
 	if cfg.GradScale <= 0 {
 		cfg.GradScale = 1
 	}
-	eng := sim.NewEngine()
-	tc := topo.DefaultConfig()
-	tc.LinkDelay = 1 * sim.Microsecond
-	tc.Seed = cfg.Seed
-	tc.Buffer = netsim.DefaultBufferConfig()
-	tc.Buffer.TotalBytes = 32 << 20
-	cfg.Scheme.Fabric(&tc, nprios)
-	nw := topo.SpineLeaf(eng, 2, 6, 12, tc)
-	nm := noise.NewLongTail(rand.New(rand.NewSource(cfg.Seed+7)), 1)
-	opts := append(cfg.Scheme.NetOptions(),
-		harness.WithNoise(nm.Sample), harness.WithFaults(cfg.Faults))
-	net := harness.New(nw, cfg.Seed, opts...)
+	net := schemeFabric(cfg.Options, "", cfg.Scheme, nprios, paperNoise,
+		func(eng *sim.Engine, tc topo.Config) *topo.Network {
+			tc.Buffer.TotalBytes = 32 << 20
+			return topo.SpineLeaf(eng, 2, 6, 12, tc)
+		})
+	eng := net.Eng
 
 	models := make([]workload.Model, 0, 8)
 	for i := 0; i < 4; i++ {
@@ -87,32 +74,19 @@ func RunML(cfg MLConfig) MLResult {
 	}
 
 	for mi, m := range models {
-		mi, m := mi, m
 		m.GradBytes /= int64(cfg.GradScale)
 		m.Compute /= sim.Time(cfg.GradScale)
 		prio := prioOf(mi)
-		queue := cfg.Scheme.QueueFor(prio, nprios, tc.Queues)
 		steps := m.RingAllReduce()
 		var startIteration func()
 		runStep := func(si int, next func()) {
 			remaining := len(steps[si].Flows)
 			for _, f := range steps[si].Flows {
-				f := f
-				base := nw.BaseRTT(f.Src, f.Dst)
-				env := FlowEnv{
-					Prio: prio, NPrios: nprios, BaseRTT: base,
-					BDPPkts: tc.HostRate.BDP(base) / netsim.DefaultMTU,
-					Size:    f.Size, Ideal: IdealFCT(f.Size, tc.HostRate, base), Now: eng.Now(),
-				}
-				net.AddFlow(harness.Flow{
-					Src: f.Src, Dst: f.Dst, Size: f.Size, Prio: queue,
-					Algo: cfg.Scheme.NewAlgo(env),
-					OnComplete: func(sim.Time) {
-						remaining--
-						if remaining == 0 {
-							next()
-						}
-					},
+				net.addFlow(f.Src, f.Dst, f.Size, prio, eng.Now(), func(sim.Time, sim.Time) {
+					remaining--
+					if remaining == 0 {
+						next()
+					}
 				})
 			}
 		}
@@ -135,7 +109,7 @@ func RunML(cfg MLConfig) MLResult {
 		}
 		startIteration()
 	}
-	eng.RunUntil(cfg.Duration)
+	net.Run(cfg.Duration)
 	return res
 }
 

@@ -7,20 +7,25 @@ import (
 )
 
 // Options bundles the cross-cutting per-run knobs every figure driver
-// accepts, replacing the old FigX/FigXObs split: one entry point per
-// figure, with instrumentation and fault plans as optional inputs. The
-// zero value reproduces the paper's plain run exactly.
+// accepts — the micro drivers as a parameter, the scenario configs as an
+// embedded field — and newNet consumes. The zero value reproduces the
+// paper's plain run exactly.
 type Options struct {
-	// Seed overrides the driver's baked-in seed when non-zero. The paper
+	// Seed overrides a micro driver's baked-in seed when non-zero (the paper
 	// figures keep their published seeds by default, so batch tooling that
-	// doesn't set Seed gets byte-identical reference output.
+	// doesn't set Seed gets byte-identical reference output) and is the seed
+	// of a scenario config.
 	Seed int64
-	// Recorder, when non-nil, is attached to the run via harness.Observe
-	// before traffic starts, and the driver fills in CollectMetrics after
-	// the run. Instrumentation never changes figure output.
-	Recorder *obs.Recorder
-	// Faults, when non-nil and non-empty, is installed on the topology
-	// before traffic starts (harness.WithFaults).
+	// NewRecorder, when non-nil, supplies the recorder of each run a driver
+	// starts, keyed by the run's tag ("incast", "PrioPlus+Swift/np=8"); a
+	// Sink's Recorder method is one. This is the only route a recorder takes
+	// into a run. A recorder is strictly per-engine, so a driver asks once
+	// per run, and its untagged runs are never instrumented (see newNet).
+	// Instrumentation never changes figure output.
+	NewRecorder func(tag string) *obs.Recorder
+	// Faults, when non-nil and non-empty, is installed on each run's
+	// topology before traffic starts (harness.WithFaults). A Plan is
+	// immutable, so the same plan serves every run of a sweep.
 	Faults *fault.Plan
 	// Perturb, when non-zero, deliberately diverges the run for testing
 	// the divergence-diagnosis tooling (prioplus-sim diff): the Perturb-th
@@ -29,8 +34,9 @@ type Options struct {
 	// localize the butterfly effect to its exact first divergent event.
 	// (A nanosecond would be subtler still, but measured-delay noise is
 	// quantized by CC decision thresholds, so 1ns does not reliably change
-	// any event.) Applies to the micro-fabric experiments (the ones built
-	// on the star topology).
+	// any event.) It applies to every run with a noise model; the
+	// registered specs pass it to the micro-fabric experiments (the ones
+	// built on the star topology).
 	Perturb uint64
 }
 

@@ -7,7 +7,6 @@ package exp
 import (
 	"prioplus/internal/cc"
 	"prioplus/internal/core"
-	"prioplus/internal/harness"
 	"prioplus/internal/netsim"
 	"prioplus/internal/sched"
 	"prioplus/internal/sim"
@@ -43,7 +42,7 @@ type Scheme struct {
 	HeadroomFree bool
 	// ECNK enables ECN marking at this byte threshold (0 = off).
 	ECNK int
-	// INT enables in-network telemetry stamping (HPCC).
+	// INT enables in-network telemetry stamping on every port (HPCC).
 	INT bool
 }
 
@@ -216,16 +215,6 @@ func (s Scheme) Fabric(cfg *topo.Config, nprios int) {
 		cfg.Buffer.ECNKMin = s.ECNK
 		cfg.Buffer.ECNKMax = s.ECNK
 	}
-}
-
-// NetOptions returns the harness options the scheme's hosts and fabric
-// need (INT stamping for HPCC). Pass them to harness.New.
-func (s Scheme) NetOptions() []harness.Option {
-	var opts []harness.Option
-	if s.INT {
-		opts = append(opts, harness.WithINT())
-	}
-	return opts
 }
 
 // IdealFCT returns a flow's unloaded completion time on a path.

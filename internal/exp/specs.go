@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"prioplus/internal/obs"
 	"prioplus/internal/sim"
 	"prioplus/internal/stats"
 )
@@ -12,36 +11,81 @@ import (
 // This file registers every experiment as a Spec, in suite order — the
 // single source of truth the CLI dispatch, the `all` batch runner, usage
 // text, and the serve layer's /experiments endpoint all derive from. The
-// Run bodies are the former cmd/prioplus-sim switch cases, moved verbatim:
-// the figure bytes they produce are pinned by testdata/fingerprints.json,
-// so a change here is a behavioral change to the suite.
+// figure bytes the Run bodies produce, and which runs ask for a recorder
+// under which tag, are pinned by testdata/fingerprints.json, so a change
+// here is a behavioral change to the suite.
 //
 // Seed discipline (the invariant that keeps the manifest stable): the
 // micro experiments are called with their published baked-in seeds — the
 // caller's Seed parameter deliberately does not reach them — while the
 // config-driven scenarios (fig11..fig18, faultsweep) take cfg.Seed from
-// the parameters. This mirrors what the CLI's -seed flag has always done.
+// the parameters (scenarioOptions). This mirrors what the CLI's -seed flag
+// has always done.
 
 // defaults are the parameter values shared by every spec: seed 1, quick
 // scale.
 var defaults = RunParams{Seed: 1}
 
+// scenarioOptions turns a spec's micro-driver Options into those of a
+// config-driven scenario: the caller's seed applies, the perturbation does
+// not.
+func scenarioOptions(p RunParams, o Options) Options {
+	return Options{Seed: p.Seed, NewRecorder: o.NewRecorder}
+}
+
+// flowSchedAt is the flow-scheduling set-up of fig11, fig14 and fig16: the
+// paper's k=6 fat-tree with -full, a k=4 tree over a shorter horizon
+// without.
+func flowSchedAt(p RunParams, o Options, nprios int) FlowSchedConfig {
+	cfg := DefaultFlowSchedConfig(PrioPlusSwift(), nprios)
+	cfg.Options = scenarioOptions(p, o)
+	if !p.Full {
+		cfg.K = 4
+		cfg.Duration = 5 * sim.Millisecond
+		cfg.Drain = 20 * sim.Millisecond
+	}
+	return cfg
+}
+
+// coflowAt is the coflow set-up of fig12ab, fig15, fig17 and fig18: the
+// paper's 320-host fabric over a longer horizon with -full, the reduced
+// default without.
+func coflowAt(p RunParams, o Options, load float64) CoflowConfig {
+	cfg := DefaultCoflowConfig(PrioPlusSwift(), load)
+	cfg.Options = scenarioOptions(p, o)
+	if p.Full {
+		cfg = cfg.PaperScale()
+		cfg.Duration = 100 * sim.Millisecond
+		cfg.Drain = 400 * sim.Millisecond
+	}
+	return cfg
+}
+
 func init() {
-	reg := func(id, describe string, run func(p RunParams, sink Sink, w io.Writer) error) {
-		Register(Spec{ID: id, Describe: describe, Defaults: defaults, Run: run})
+	// A spec hands its drivers one Options: the perturbation, and the
+	// sink's recorder factory when the execution is instrumented.
+	reg := func(id, describe string, run func(p RunParams, o Options, w io.Writer) error) {
+		Register(Spec{ID: id, Describe: describe, Defaults: defaults,
+			Run: func(p RunParams, sink Sink, w io.Writer) error {
+				o := Options{Perturb: p.Perturb}
+				if sink != nil {
+					o.NewRecorder = sink.Recorder
+				}
+				return run(p, o, w)
+			}})
 	}
 
-	reg("fig2", "switch-chip buffer/bandwidth ratios", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig2", "switch-chip buffer/bandwidth ratios", func(p RunParams, o Options, w io.Writer) error {
 		tb := stats.NewTable("chip", "year", "buffer(MB)", "bandwidth(Tbps)", "MB/Tbps")
-		for _, r := range Fig2(Options{}) {
+		for _, r := range Fig2(o) {
 			tb.AddRow(r.Chip, r.Year, r.BufferMB, r.BandTbps, r.RatioMBpT)
 		}
 		tb.Render(w)
 		return nil
 	})
 
-	reg("fig3a", "motivation: D2TCP deadline flows on one queue", func(p RunParams, sink Sink, w io.Writer) error {
-		r := Fig3a(8<<20, Options{Perturb: p.Perturb})
+	reg("fig3a", "motivation: D2TCP deadline flows on one queue", func(p RunParams, o Options, w io.Writer) error {
+		r := Fig3a(8<<20, o)
 		fmt.Fprintf(w, "D2TCP, deadlines 1x/2x ideal FCT on one queue\n")
 		fmt.Fprintf(w, "  high-priority share during contention: %.2f (strict would be ~1.0)\n", r.HighShare)
 		fmt.Fprintf(w, "  high-priority FCT vs ideal: %.2fx (strict would be ~1.0x)\n", r.HighFCTvsIdeal)
@@ -49,20 +93,20 @@ func init() {
 		return nil
 	})
 
-	reg("fig3b", "motivation: Swift with scaled targets", func(p RunParams, sink Sink, w io.Writer) error {
-		r := Fig3b(Options{Perturb: p.Perturb})
+	reg("fig3b", "motivation: Swift with scaled targets", func(p RunParams, o Options, w io.Writer) error {
+		r := Fig3b(o)
 		fmt.Fprintf(w, "Swift + target scaling, targets base+15us vs base+5us\n")
 		fmt.Fprintf(w, "  high-target share: %.2f (weighted sharing, violates O1)\n", r.HighShare)
 		printSeries(w, p.Series, r.Series)
 		return nil
 	})
 
-	reg("fig3c", "motivation: Swift w/o scaling, many low flows + one high", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig3c", "motivation: Swift w/o scaling, many low flows + one high", func(p RunParams, o Options, w io.Writer) error {
 		n := 300
 		if !p.Full {
 			n = 100
 		}
-		r := Fig3c(n, Options{Perturb: p.Perturb})
+		r := Fig3c(n, o)
 		fmt.Fprintf(w, "Swift w/o scaling, %d low flows + 1 high flow\n", n)
 		fmt.Fprintf(w, "  utilization before high flow: %.2f (fluctuation causes waste, violates O2)\n", r.UtilBefore)
 		fmt.Fprintf(w, "  delay above high target: %.0f%% of samples\n", r.OverLimitFrac*100)
@@ -70,16 +114,16 @@ func init() {
 		return nil
 	})
 
-	reg("fig3d", "motivation: Swift w/o scaling trade-offs", func(p RunParams, sink Sink, w io.Writer) error {
-		r := Fig3d(Options{Perturb: p.Perturb})
+	reg("fig3d", "motivation: Swift w/o scaling trade-offs", func(p RunParams, o Options, w io.Writer) error {
+		r := Fig3d(o)
 		fmt.Fprintf(w, "Swift w/o scaling trade-offs (§3.3)\n")
 		fmt.Fprintf(w, "  extra queue from line-rate start: %d B\n", r.ExtraQueueOnStart)
 		fmt.Fprintf(w, "  reclaim delay after high flows stop: %v\n", r.ReclaimDelay)
 		return nil
 	})
 
-	reg("fig7", "delay-noise CDF", func(p RunParams, sink Sink, w io.Writer) error {
-		cdf, st := Fig7(DefaultFig7Config(), Options{})
+	reg("fig7", "delay-noise CDF", func(p RunParams, o Options, w io.Writer) error {
+		cdf, st := Fig7(DefaultFig7Config(), o)
 		fmt.Fprintf(w, "delay noise: mean %v, P99 %v, P99.85 %v, P(>1us) %.4f\n",
 			st.Mean, st.P99, st.P9985, st.FracGt1)
 		if p.Series {
@@ -90,18 +134,13 @@ func init() {
 		return nil
 	})
 
-	reg("fig8", "testbed ladder: PrioPlus vs multi-target Swift (10G)", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig8", "testbed ladder: PrioPlus vs multi-target Swift (10G)", func(p RunParams, o Options, w io.Writer) error {
 		interval := 4 * sim.Millisecond
 		if !p.Full {
 			interval = 2 * sim.Millisecond
 		}
-		var ppRec, swRec *obs.Recorder
-		if sink != nil {
-			ppRec = sink.Recorder("pp")
-			swRec = sink.Recorder("swift")
-		}
-		pp := Fig8(true, interval, Options{Recorder: ppRec, Perturb: p.Perturb})
-		sw := Fig8(false, interval, Options{Recorder: swRec, Perturb: p.Perturb})
+		pp := Fig8(true, interval, o)
+		sw := Fig8(false, interval, o)
 		tb := stats.NewTable("scheme", "dominance of newest priority")
 		tb.AddRow(pp.Scheme, pp.DominanceFrac)
 		tb.AddRow(sw.Scheme, sw.DominanceFrac)
@@ -110,9 +149,9 @@ func init() {
 		return nil
 	})
 
-	reg("fig9", "delay containment with inflated AI steps (10G)", func(p RunParams, sink Sink, w io.Writer) error {
-		pp := Fig9(true, Options{Perturb: p.Perturb})
-		sw := Fig9(false, Options{Perturb: p.Perturb})
+	reg("fig9", "delay containment with inflated AI steps (10G)", func(p RunParams, o Options, w io.Writer) error {
+		pp := Fig9(true, o)
+		sw := Fig9(false, o)
 		tb := stats.NewTable("scheme", "frac of samples above D_limit")
 		tb.AddRow(pp.Scheme, pp.OverLimitFrac)
 		tb.AddRow(sw.Scheme, sw.OverLimitFrac)
@@ -120,7 +159,7 @@ func init() {
 		return nil
 	})
 
-	reg("fig10a", "PrioPlus staggered priority ladder", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig10a", "PrioPlus staggered priority ladder", func(p RunParams, o Options, w io.Writer) error {
 		// Adjacent-priority takeover needs a few ms (probe + one-packet
 		// resume + capped adaptive increase), which is why the paper's
 		// intervals are 5 ms.
@@ -128,7 +167,7 @@ func init() {
 		if !p.Full {
 			per, interval = 6, 5*sim.Millisecond
 		}
-		shares := Fig10a(per, interval, Options{Perturb: p.Perturb})
+		shares := Fig10a(per, interval, o)
 		tb := stats.NewTable("priority", "share in own interval")
 		for pr, s := range shares {
 			tb.AddRow(pr, s)
@@ -137,77 +176,55 @@ func init() {
 		return nil
 	})
 
-	reg("fig10b", "incast delay containment", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig10b", "incast delay containment", func(p RunParams, o Options, w io.Writer) error {
 		n := 300
 		if !p.Full {
 			n = 80
 		}
-		var rec *obs.Recorder
-		if sink != nil {
-			rec = sink.Recorder("incast")
-		}
-		r := Fig10b(n, Options{Recorder: rec, Perturb: p.Perturb})
+		r := Fig10b(n, o)
 		fmt.Fprintf(w, "%d-flow incast, D_target %v\n", n, r.Target)
 		fmt.Fprintf(w, "  delay within channel: %.0f%% of samples; mean delay %v\n", r.WithinFrac*100, r.MeanDelay)
 		return nil
 	})
 
-	reg("fig10c", "dual-RTT vs every-RTT adaptive increase", func(p RunParams, sink Sink, w io.Writer) error {
-		r := Fig10c(Options{Perturb: p.Perturb})
+	reg("fig10c", "dual-RTT vs every-RTT adaptive increase", func(p RunParams, o Options, w io.Writer) error {
+		r := Fig10c(o)
 		tb := stats.NewTable("variant", "takeover time", "rate variance after")
-		tb.AddRow("dual-RTT", r.DualRTT.TakeoverTime, r.DualRTT.RateStdev)
-		tb.AddRow("every-RTT", r.EveryRTT.TakeoverTime, r.EveryRTT.RateStdev)
+		tb.AddRow("dual-RTT", r.DualRTT.TakeoverTime, r.DualRTT.RateVar)
+		tb.AddRow("every-RTT", r.EveryRTT.TakeoverTime, r.EveryRTT.RateVar)
 		tb.Render(w)
 		return nil
 	})
 
-	reg("fig10d", "noise scale vs channel width utilization", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig10d", "noise scale vs channel width utilization", func(p RunParams, o Options, w io.Writer) error {
 		tb := stats.NewTable("noise scale", "channel width (us)", "utilization")
-		for _, pt := range Fig10d(DefaultFig10dConfig(), Options{Perturb: p.Perturb}) {
+		for _, pt := range Fig10d(DefaultFig10dConfig(), o) {
 			tb.AddRow(pt.NoiseScale, pt.WidthUS, pt.Util)
 		}
 		tb.Render(w)
 		return nil
 	})
 
-	reg("fig11", "flow scheduling FCT vs #priorities (fat-tree)", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig11", "flow scheduling FCT vs #priorities (fat-tree)", func(p RunParams, o Options, w io.Writer) error {
 		counts := []int{1, 2, 4, 6, 8, 12}
-		base := DefaultFlowSchedConfig(PrioPlusSwift(), 8)
-		base.Seed = p.Seed
 		if !p.Full {
-			base.K = 4
-			base.Duration = 5 * sim.Millisecond
-			base.Drain = 20 * sim.Millisecond
 			counts = []int{2, 4, 8}
 		}
-		if sink != nil {
-			base.ObsFor = sink.Recorder
-		}
-		printFig11(w, Fig11(counts, base, Options{}))
+		printFig11(w, Fig11(counts, flowSchedAt(p, o, 8)))
 		return nil
 	})
 
-	reg("fig12ab", "coflow CCT speedups at 40%/70% load", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig12ab", "coflow CCT speedups at 40%/70% load", func(p RunParams, o Options, w io.Writer) error {
 		for _, load := range []float64{0.4, 0.7} {
-			cfg := DefaultCoflowConfig(PrioPlusSwift(), load)
-			cfg.Seed = p.Seed
-			if p.Full {
-				cfg = cfg.PaperScale()
-				cfg.Duration = 100 * sim.Millisecond
-				cfg.Drain = 400 * sim.Millisecond
-			}
-			if sink != nil {
-				cfg.ObsFor = sink.Recorder
-			}
 			fmt.Fprintf(w, "coflow CCT speedup vs Swift baseline, load %.0f%%\n", load*100)
-			printCoflow(w, Fig12Coflow(cfg, false))
+			printCoflow(w, Fig12Coflow(coflowAt(p, o, load), false))
 		}
 		return nil
 	})
 
-	reg("fig12c", "ML training speedups (ResNet/VGG)", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig12c", "ML training speedups (ResNet/VGG)", func(p RunParams, o Options, w io.Writer) error {
 		cfg := DefaultMLConfig(PrioPlusSwift())
-		cfg.Seed = p.Seed
+		cfg.Options = scenarioOptions(p, o)
 		if p.Full {
 			cfg.GradScale = 1
 			cfg.Duration = sim.Second
@@ -220,28 +237,19 @@ func init() {
 		return nil
 	})
 
-	reg("fig13", "non-congestive delay tolerance", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("fig13", "non-congestive delay tolerance", func(p RunParams, o Options, w io.Writer) error {
 		tb := stats.NewTable("tolerance(us)", "nc-delay range(us)", "normalized FCT gap")
-		for _, pt := range Fig13(DefaultFig13Config(), Options{}) {
+		for _, pt := range Fig13(DefaultFig13Config(), o) {
 			tb.AddRow(pt.ToleranceUS, pt.RangeUS, pt.GapPerFlow)
 		}
 		tb.Render(w)
 		return nil
 	})
 
-	reg("fig14", "per-priority FCT breakdown (12 priorities)", func(p RunParams, sink Sink, w io.Writer) error {
-		base := DefaultFlowSchedConfig(PrioPlusSwift(), 12)
-		base.Seed = p.Seed
+	reg("fig14", "per-priority FCT breakdown (12 priorities)", func(p RunParams, o Options, w io.Writer) error {
+		base := flowSchedAt(p, o, 12)
 		base.Load = 0.5
-		if !p.Full {
-			base.K = 4
-			base.Duration = 5 * sim.Millisecond
-			base.Drain = 20 * sim.Millisecond
-		}
-		if sink != nil {
-			base.ObsFor = sink.Recorder
-		}
-		rows := Fig14(base, []Scheme{PrioPlusSwift(), SwiftPhysicalIdeal(), D2TCP(), NoCCPhysicalIdeal()}, Options{})
+		rows := Fig14(base, []Scheme{PrioPlusSwift(), SwiftPhysicalIdeal(), D2TCP(), NoCCPhysicalIdeal()})
 		tb := stats.NewTable("scheme", "priority band", "size class", "FCT / Physical*")
 		for _, r := range rows {
 			tb.AddRow(r.Scheme, r.Band, r.Class, r.Norm)
@@ -250,57 +258,27 @@ func init() {
 		return nil
 	})
 
-	reg("fig15", "tail CCT speedup", func(p RunParams, sink Sink, w io.Writer) error {
-		cfg := DefaultCoflowConfig(PrioPlusSwift(), 0.7)
-		cfg.Seed = p.Seed
-		if p.Full {
-			cfg = cfg.PaperScale()
-			cfg.Duration = 100 * sim.Millisecond
-			cfg.Drain = 400 * sim.Millisecond
-		}
-		if sink != nil {
-			cfg.ObsFor = sink.Recorder
-		}
+	reg("fig15", "tail CCT speedup", func(p RunParams, o Options, w io.Writer) error {
 		fmt.Fprintln(w, "tail (p99) CCT speedup vs Swift baseline, load 70%")
-		printCoflow(w, Fig12Coflow(cfg, true))
+		printCoflow(w, Fig12Coflow(coflowAt(p, o, 0.7), true))
 		return nil
 	})
 
-	reg("fig16", "HPCC and PrioPlus* comparison", func(p RunParams, sink Sink, w io.Writer) error {
-		base := DefaultFlowSchedConfig(PrioPlusSwift(), 8)
-		base.Seed = p.Seed
-		if !p.Full {
-			base.K = 4
-			base.Duration = 5 * sim.Millisecond
-			base.Drain = 20 * sim.Millisecond
-		}
-		if sink != nil {
-			base.ObsFor = sink.Recorder
-		}
-		printFig11(w, Fig16(8, base, Options{}))
+	reg("fig16", "HPCC and PrioPlus* comparison", func(p RunParams, o Options, w io.Writer) error {
+		printFig11(w, Fig16(8, flowSchedAt(p, o, 8)))
 		return nil
 	})
 
-	reg("fig17", "lossy fabric (IRN) coflow speedup", func(p RunParams, sink Sink, w io.Writer) error {
-		cfg := DefaultCoflowConfig(PrioPlusSwift(), 0.7)
-		cfg.Seed = p.Seed
+	reg("fig17", "lossy fabric (IRN) coflow speedup", func(p RunParams, o Options, w io.Writer) error {
+		cfg := coflowAt(p, o, 0.7)
 		cfg.Lossy = true
-		if p.Full {
-			cfg = cfg.PaperScale()
-			cfg.Duration = 100 * sim.Millisecond
-			cfg.Drain = 400 * sim.Millisecond
-		}
-		if sink != nil {
-			cfg.ObsFor = sink.Recorder
-		}
 		fmt.Fprintln(w, "coflow CCT speedup, lossy fabric (PFC off, IRN recovery), load 70%")
 		printCoflow(w, Fig12Coflow(cfg, false))
 		return nil
 	})
 
-	reg("fig18", "coflow speedup with HPCC / no-CC baselines", func(p RunParams, sink Sink, w io.Writer) error {
-		cfg := DefaultCoflowConfig(PrioPlusSwift(), 0.7)
-		cfg.Seed = p.Seed
+	reg("fig18", "coflow speedup with HPCC / no-CC baselines", func(p RunParams, o Options, w io.Writer) error {
+		cfg := coflowAt(p, o, 0.7)
 		// The "Physical* w/o CC" run is armed with an in-flight-bytes
 		// watchdog: uncapped it materializes tens of GB of packets in
 		// PFC-paused queues and never finishes (see CoflowConfig.MaxInflight).
@@ -308,29 +286,23 @@ func init() {
 		// ceiling only ever cuts the uncontrolled baseline.
 		cfg.MaxInflight = 128 << 20
 		if p.Full {
-			cfg = cfg.PaperScale()
-			cfg.Duration = 100 * sim.Millisecond
-			cfg.Drain = 400 * sim.Millisecond
 			cfg.MaxInflight = 1 << 30
-		}
-		if sink != nil {
-			cfg.ObsFor = sink.Recorder
 		}
 		fmt.Fprintln(w, "coflow CCT speedup with HPCC and Physical w/o CC, load 70%")
 		printCoflow(w, Fig12Coflow(cfg, false, HPCCPhysical(8), NoCCPhysicalIdeal()))
 		return nil
 	})
 
-	reg("tab2", "start-strategy comparison", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("tab2", "start-strategy comparison", func(p RunParams, o Options, w io.Writer) error {
 		tb := stats.NewTable("strategy", "bytes delayed (analytic)", "max extra buffer (analytic)", "measured extra buffer (BDP)")
-		for _, r := range Table2(Options{}) {
+		for _, r := range Table2(o) {
 			tb.AddRow(r.Strategy, r.BytesDelayed, r.MaxExtraBuffer, r.SimExtraBDP)
 		}
 		tb.Render(w)
 		return nil
 	})
 
-	reg("appd", "Swift fluctuation bound check", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("appd", "Swift fluctuation bound check", func(p RunParams, o Options, w io.Writer) error {
 		ns := []int{10, 40, 150}
 		if !p.Full {
 			ns = []int{10, 40}
@@ -343,7 +315,7 @@ func init() {
 		return nil
 	})
 
-	reg("ablation", "design-choice ablations (filter, cardinality, probe)", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("ablation", "design-choice ablations (filter, cardinality, probe)", func(p RunParams, o Options, w io.Writer) error {
 		fmt.Fprintln(w, "== filter (two-consecutive) vs none, 2x noise ==")
 		tb := stats.NewTable("consec limit", "spurious yields", "utilization")
 		for _, r := range AblationFilter() {
@@ -365,14 +337,14 @@ func init() {
 		return nil
 	})
 
-	reg("ext-ecn", "Appendix B extension: per-priority ECN marking", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("ext-ecn", "Appendix B extension: per-priority ECN marking", func(p RunParams, o Options, w io.Writer) error {
 		r := ECNPrio()
 		fmt.Fprintln(w, "Appendix B extension: per-virtual-priority ECN thresholds, DCTCP flows in one queue")
 		fmt.Fprintf(w, "  high-vprio share %.2f, utilization %.2f\n", r.HighShare, r.Util)
 		return nil
 	})
 
-	reg("ext-weighted", "§7 extension: weighted virtual priority", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("ext-weighted", "§7 extension: weighted virtual priority", func(p RunParams, o Options, w io.Writer) error {
 		r := WeightedVP()
 		fmt.Fprintln(w, "§7 extension: weighted sharing within one channel, strict across channels")
 		fmt.Fprintf(w, "  weight-4 : weight-1 share ratio %.2f (ideal 4)\n", r.ShareRatio)
@@ -380,13 +352,10 @@ func init() {
 		return nil
 	})
 
-	reg("faultsweep", "mid-transfer link flap on a fat-tree: recovery per scheme", func(p RunParams, sink Sink, w io.Writer) error {
+	reg("faultsweep", "mid-transfer link flap on a fat-tree: recovery per scheme", func(p RunParams, o Options, w io.Writer) error {
 		cfg := DefaultFaultSweepConfig()
-		cfg.Seed = p.Seed
-		if sink != nil {
-			cfg.ObsFor = sink.Recorder
-		}
-		rows := FaultSweep(cfg, Options{})
+		cfg.Options = scenarioOptions(p, o)
+		rows := FaultSweep(cfg)
 		fmt.Fprintf(w, "mid-transfer link flap (down %v at %v), fat-tree k=%d, %d cross-pod flows\n",
 			cfg.FlapDur, cfg.FlapAt, cfg.K, cfg.K*cfg.K*cfg.K/4)
 		tb := stats.NewTable("scheme", "done", "stuck", "mean-slow", "p99-slow",

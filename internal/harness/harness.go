@@ -8,6 +8,7 @@ import (
 	"prioplus/internal/cc"
 	"prioplus/internal/fault"
 	"prioplus/internal/netsim"
+	"prioplus/internal/obs"
 	"prioplus/internal/sim"
 	"prioplus/internal/topo"
 	"prioplus/internal/transport"
@@ -27,6 +28,10 @@ type Net struct {
 	// Faults is the live fault injector when the Net was built with
 	// WithFaults; nil on a healthy fabric.
 	Faults *fault.Injector
+
+	// Rec is the recorder the Net was built with (WithRecorder); nil on an
+	// uninstrumented run.
+	Rec *obs.Recorder
 
 	nextFlow int64
 	seed     int64
@@ -84,9 +89,19 @@ func WithFaults(plan *fault.Plan) Option {
 	}
 }
 
+// WithRecorder instruments the run: New attaches rec (Observe) once every
+// other option has been applied — after the fault plan whatever the option
+// order, so the fault log is always wired, and before any traffic exists —
+// and Run completes the recorder protocol. A nil recorder is a no-op, like
+// a nil fault plan.
+func WithRecorder(rec *obs.Recorder) Option {
+	return func(n *Net) { n.Rec = rec }
+}
+
 // New installs transport stacks on every host of the topology, wires one
 // shared packet pool through stacks, switches, and ports (fault drops
-// recycle through it too), then applies the options in order.
+// recycle through it too), applies the options in order, then attaches the
+// recorder if one was given.
 func New(t *topo.Network, seed int64, opts ...Option) *Net {
 	n := &Net{Eng: t.Eng, Topo: t, seed: seed, Pool: netsim.NewPacketPool()}
 	for _, h := range t.Hosts {
@@ -104,7 +119,27 @@ func New(t *topo.Network, seed int64, opts ...Option) *Net {
 	for _, o := range opts {
 		o(n)
 	}
+	if n.Rec != nil {
+		n.Observe(n.Rec)
+	}
 	return n
+}
+
+// Run runs the engine to the horizon; call it once, after the flows are
+// registered. On a Net built WithRecorder it is the whole recorder protocol
+// of docs/OBSERVABILITY.md: the series columns are pre-sized for the horizon
+// (sources were registered at New), and the device counters are collected —
+// which fires rec.OnCollected — exactly once, after the engine returns. With
+// no recorder it is a plain RunUntil.
+func (n *Net) Run(horizon sim.Time) {
+	rec := n.Rec
+	if rec != nil && rec.Series != nil {
+		rec.Series.ReserveUntil(horizon)
+	}
+	n.Eng.RunUntil(horizon)
+	if rec != nil {
+		n.CollectMetrics(rec)
+	}
 }
 
 // Flow describes a flow to launch.

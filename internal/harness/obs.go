@@ -30,10 +30,11 @@ const DefaultWatchdogInterval = 10 * sim.Microsecond
 // switch/port counters; docs/OBSERVABILITY.md documents every metric and
 // series name.
 //
-// Call Observe before traffic starts. Disabled instruments cost nothing:
-// with a nil tracer the per-packet hot path is untouched, nil histograms
-// are one branch per sample, and without a series set the engine runs with
-// no sampler hook.
+// Call Observe before traffic starts — or build the Net WithRecorder, which
+// has New call it and Run call CollectMetrics. Disabled instruments cost
+// nothing: with a nil tracer the per-packet hot path is untouched, nil
+// histograms are one branch per sample, and without a series set the engine
+// runs with no sampler hook.
 func (n *Net) Observe(rec *obs.Recorder) {
 	// Switches get the flow tracer chained in (drop/mark events of sampled
 	// flows become journey spans); ports and NICs keep the plain emitter so

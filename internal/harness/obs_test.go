@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"prioplus/internal/fault"
 	"prioplus/internal/harness"
 	"prioplus/internal/netsim"
 	"prioplus/internal/obs"
@@ -318,5 +319,64 @@ func TestObserveLiveOnly(t *testing.T) {
 	eng.RunUntil(5 * sim.Millisecond)
 	if rec.Live.Events.Load() == 0 {
 		t.Error("live-only recorder never ticked")
+	}
+}
+
+// TestRunIsTheRecorderProtocol: on a Net built WithRecorder, Run holds the
+// docs/OBSERVABILITY.md rules by construction. The recorder is attached
+// before traffic (it counts the flows and sees their packets), the series
+// sample across the horizon, the device counters are collected and
+// rec.OnCollected fires exactly once — and the fault log is wired whichever
+// side of WithFaults the recorder option sits.
+func TestRunIsTheRecorderProtocol(t *testing.T) {
+	plan := fault.NewPlan(3).Flap(100*sim.Microsecond, 60*sim.Microsecond, fault.Link("star", "host0"))
+	for name, opts := range map[string]func(*obs.Recorder) []harness.Option{
+		"recorder-then-faults": func(rec *obs.Recorder) []harness.Option {
+			return []harness.Option{harness.WithRecorder(rec), harness.WithFaults(plan)}
+		},
+		"faults-then-recorder": func(rec *obs.Recorder) []harness.Option {
+			return []harness.Option{harness.WithFaults(plan), harness.WithRecorder(rec)}
+		},
+	} {
+		rec := obs.NewRecorder()
+		rec.Series = obs.NewSeriesSet(10 * sim.Microsecond)
+		collected := 0
+		rec.OnCollected = func() { collected++ }
+		net, _ := newNet(3, opts(rec)...)
+		if net.Rec != rec {
+			t.Fatalf("%s: Net.Rec is not the recorder it was built with", name)
+		}
+		for src := 0; src < 2; src++ {
+			net.AddFlow(harness.Flow{Src: src, Dst: 2, Size: 100_000, Prio: 0, Algo: swift(net, src, 2)})
+		}
+		net.Run(5 * sim.Millisecond)
+
+		if collected != 1 {
+			t.Errorf("%s: OnCollected fired %d times, want once", name, collected)
+		}
+		snap := rec.Metrics.Snapshot()
+		if snap["net/flows_completed"] != 2 || snap["net/tx_packets"] <= 0 {
+			t.Errorf("%s: flows_completed=%v tx_packets=%v: recorder attached after traffic, or never collected",
+				name, snap["net/flows_completed"], snap["net/tx_packets"])
+		}
+		if got := rec.Series.Ticks(); got != 500 {
+			t.Errorf("%s: %d series ticks over 5 ms at 10 us, want 500", name, got)
+		}
+		if got := len(rec.Faults.Events); got != 2 {
+			t.Errorf("%s: fault log has %d events, want the flap's down and up", name, got)
+		}
+	}
+}
+
+// TestRunWithoutRecorder: a nil recorder is a no-op option and Run is then
+// a plain RunUntil.
+func TestRunWithoutRecorder(t *testing.T) {
+	net, eng := newNet(3, harness.WithRecorder(nil))
+	done := false
+	net.AddFlow(harness.Flow{Src: 0, Dst: 2, Size: 100_000, Prio: 0,
+		Algo: swift(net, 0, 2), OnComplete: func(sim.Time) { done = true }})
+	net.Run(5 * sim.Millisecond)
+	if net.Rec != nil || !done || eng.Now() != 5*sim.Millisecond {
+		t.Errorf("Rec=%v done=%v now=%v, want an uninstrumented run to the horizon", net.Rec, done, eng.Now())
 	}
 }

@@ -79,7 +79,7 @@ func (f *FlightRecorder) Dump(w io.Writer, devs *DevTable) (int, error) {
 // worker count).
 type Watchdog struct {
 	// MaxInflightBytes trips on the run's live packet bytes (every packet
-	// currently held by queues, the event heap, or the network). 0 disables.
+	// currently held by queues, the event queue, or the network). 0 disables.
 	MaxInflightBytes int64
 	// MaxHeapEvents trips on the engine's pending-event count. 0 disables.
 	MaxHeapEvents int64

@@ -161,7 +161,7 @@ type Recorder struct {
 	// compose.
 	Flight *FlightRecorder
 	// Watchdog, when non-nil, is checked against the run's in-flight-bytes
-	// and event-heap gauges at every Series sampling tick — or, when Series
+	// and pending-event gauges at every Series sampling tick — or, when Series
 	// is nil, at harness.DefaultWatchdogInterval.
 	Watchdog *Watchdog
 	// FlowTrace, when non-nil, records causal timelines (packet journeys +

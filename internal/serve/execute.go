@@ -38,8 +38,8 @@ type Instruments struct {
 
 	// Hist records streaming histograms and prints their summaries.
 	Hist bool
-	// MaxBytes and MaxEvents arm the watchdog (in-flight bytes, event-heap
-	// size; 0 = off); tripping stops the run and dumps the flight ring.
+	// MaxBytes and MaxEvents arm the watchdog (in-flight bytes, pending
+	// events; 0 = off); tripping stops the run and dumps the flight ring.
 	MaxBytes, MaxEvents int64
 	// Runtime merges host-process gauges into the series.
 	Runtime bool
