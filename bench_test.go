@@ -238,7 +238,7 @@ func BenchmarkFig10bIncastTrace(b *testing.B) {
 // Series, histograms, cost attribution, the digest chain, the conservation
 // auditor with its flight ring on every port, four traced flows, then
 // WriteArtifact. CI prints this over BenchmarkFig10bIncast and gates the
-// ratio; docs/PERFORMANCE.md, "The hooks-on path", says where it came from.
+// ratio; CHANGES.md, PR 14, says where it came from.
 func BenchmarkFig10bIncastAllHooks(b *testing.B) {
 	var r exp.Fig10bResult
 	var spans int

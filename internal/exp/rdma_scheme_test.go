@@ -6,15 +6,20 @@ import (
 	"prioplus/internal/sim"
 )
 
-// TestRDMABaselineSchemes runs DCQCN and TIMELY through the small
-// flow-scheduling scenario: they must complete the workload with sane
-// slowdowns (they are extra baselines beyond the paper's set).
+// TestRDMABaselineSchemes runs the schemes no figure spec constructs
+// through the small flow-scheduling scenario: DCQCN and TIMELY (extra
+// baselines beyond the paper's set), PrioPlus over LEDBAT (§6.2) and the
+// §3.2 multi-target Swift strawman with and without target scaling. They
+// must complete the workload with sane slowdowns.
 func TestRDMABaselineSchemes(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("flow-scheduling run in -short mode")
 	}
-	for _, s := range []Scheme{DCQCNPhysical(8), TIMELYPhysical(8)} {
+	for _, s := range []Scheme{
+		DCQCNPhysical(8), TIMELYPhysical(8),
+		PrioPlusLEDBAT(), SwiftVirtual(true), SwiftVirtual(false),
+	} {
 		cfg := DefaultFlowSchedConfig(s, 4)
 		cfg.K = 4
 		cfg.Duration = 2 * sim.Millisecond

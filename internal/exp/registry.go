@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"prioplus/internal/obs"
 )
@@ -129,13 +128,5 @@ func Specs() []Spec {
 	for _, id := range regOrder {
 		out = append(out, registry[id])
 	}
-	return out
-}
-
-// SortedIDs returns every registered id in lexical order, for displays
-// that want a stable alphabetical listing rather than suite order.
-func SortedIDs() []string {
-	out := IDs()
-	sort.Strings(out)
 	return out
 }

@@ -184,16 +184,16 @@ func (p *Plan) Install(t *topo.Network) *Injector {
 		switch ev.kind {
 		case linkDown:
 			port := inj.resolve(ev.link)
-			t.Eng.AtK(ev.at, func() { inj.setLink(port, true) }, sim.EKFault)
+			t.Eng.At(ev.at, func() { inj.setLink(port, true) }).Tag(sim.EKFault)
 		case linkUp:
 			port := inj.resolve(ev.link)
-			t.Eng.AtK(ev.at, func() { inj.setLink(port, false) }, sim.EKFault)
+			t.Eng.At(ev.at, func() { inj.setLink(port, false) }).Tag(sim.EKFault)
 		case rebootSwitch:
 			sw := inj.findSwitch(ev.link.Dev)
-			t.Eng.AtK(ev.at, func() {
+			t.Eng.At(ev.at, func() {
 				sw.Reboot()
 				inj.emit(rebootSwitch, ev.link.Dev, -1)
-			}, sim.EKFault)
+			}).Tag(sim.EKFault)
 		}
 	}
 	return inj

@@ -23,10 +23,10 @@ type Host struct {
 func NewHost(eng *sim.Engine, id int, rate Rate, prop sim.Time, nqueues int) *Host {
 	h := &Host{Eng: eng, ID: id}
 	h.NIC = NewPort(eng, h, rate, prop, nqueues)
-	// Timestamps are taken when the transport emits the packet (see
-	// Port.HWTimestamp): a sender must feel its own NIC backlog, or a
-	// flow whose window exceeds what its NIC can carry hides the excess
-	// from its own congestion signal and can deadlock a takeover.
+	// Timestamps are taken when the transport emits the packet, not at NIC
+	// exit: a sender must feel its own NIC backlog, or a flow whose window
+	// exceeds what its NIC can carry hides the excess from its own
+	// congestion signal and can deadlock a takeover.
 	return h
 }
 

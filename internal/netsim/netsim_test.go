@@ -1,7 +1,10 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -387,13 +390,93 @@ func TestSharedBufferAccountingProperty(t *testing.T) {
 	}
 }
 
+// TestPausedForAccounting drives pause/resume sequences through an 8-queue
+// port and a naive per-queue model: Paused, PausedQueues and PausedFor must
+// agree after every step, including redundant sets and clamped priorities.
 func TestPausedForAccounting(t *testing.T) {
-	eng := sim.NewEngine()
-	p := NewPort(eng, nil, 10*Gbps, 0, 2)
-	eng.At(sim.Microsecond, func() { p.SetPaused(0, true) })
-	eng.At(3*sim.Microsecond, func() { p.SetPaused(0, false) })
-	eng.Run()
-	if p.PausedFor != 2*sim.Microsecond {
-		t.Errorf("PausedFor = %v, want 2us", p.PausedFor)
+	type step struct {
+		at   sim.Time // microseconds
+		prio int
+		on   bool
 	}
+	for name, steps := range map[string][]step{
+		"one queue":        {{1, 0, true}, {3, 0, false}},
+		"overlap":          {{1, 2, true}, {2, 5, true}, {4, 2, false}, {7, 5, false}},
+		"redundant":        {{1, 3, true}, {2, 3, true}, {3, 4, false}, {5, 3, false}, {6, 3, false}},
+		"clamped":          {{1, 99, true}, {2, -4, true}, {3, 7, false}, {5, 0, false}},
+		"two episodes":     {{1, 1, true}, {2, 1, false}, {10, 6, true}, {11, 0, true}, {12, 6, false}, {15, 0, false}},
+		"all eight":        {{1, 0, true}, {1, 1, true}, {1, 2, true}, {1, 3, true}, {1, 4, true}, {1, 5, true}, {1, 6, true}, {1, 7, true}, {9, 7, false}},
+		"still paused end": {{2, 4, true}, {3, 4, false}, {5, 4, true}},
+	} {
+		eng := sim.NewEngine()
+		p := NewPort(eng, nil, 10*Gbps, 0, 8)
+		var model [8]bool
+		count := func() (n int) {
+			for _, on := range model {
+				if on {
+					n++
+				}
+			}
+			return n
+		}
+		// PausedFor counts closed episodes: from the first queue pausing to
+		// the last one resuming.
+		var pausedFor, since sim.Time
+		for i, st := range steps {
+			eng.At(st.at*sim.Microsecond, func() {
+				q := st.prio
+				if q > 7 {
+					q = 7
+				} else if q < 0 {
+					q = 0
+				}
+				before := count()
+				model[q] = st.on
+				if before == 0 && count() > 0 {
+					since = eng.Now()
+				} else if before > 0 && count() == 0 {
+					pausedFor += eng.Now() - since
+				}
+				p.SetPaused(st.prio, st.on)
+				for q, on := range model {
+					if p.Paused(q) != on {
+						t.Errorf("%s step %d: Paused(%d) = %v, want %v", name, i, q, !on, on)
+					}
+				}
+				if p.PausedQueues() != count() {
+					t.Errorf("%s step %d: PausedQueues = %d, want %d", name, i, p.PausedQueues(), count())
+				}
+			})
+		}
+		eng.Run()
+		if p.PausedFor != pausedFor {
+			t.Errorf("%s: PausedFor = %v, want %v", name, p.PausedFor, pausedFor)
+		}
+	}
+}
+
+// TestPortQueueLimit: a port takes up to MaxQueues queues and still serves
+// the top one first; one more is refused with the count in the message.
+func TestPortQueueLimit(t *testing.T) {
+	eng := sim.NewEngine()
+	a := NewHost(eng, 0, 10*Gbps, 0, MaxQueues)
+	b := NewHost(eng, 1, 10*Gbps, 0, MaxQueues)
+	Connect(a.NIC, b.NIC)
+	var order []int64
+	b.Sink = func(pkt *Packet) { order = append(order, pkt.FlowID) }
+	// Flow 1 takes the idle wire; the rest queue behind it.
+	for flow, prio := range []int{0, 0, 5, 63} {
+		a.Send(NewData(int64(flow+1), 0, 1, prio, 0, 1000))
+	}
+	eng.Run()
+	if want := []int64{1, 4, 3, 2}; !reflect.DeepEqual(order, want) {
+		t.Errorf("delivery order = %v, want %v (queue 63 first)", order, want)
+	}
+
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "65 queues") {
+			t.Errorf("NewPort with 65 queues: recovered %q, want a panic naming the count", msg)
+		}
+	}()
+	NewPort(eng, nil, 10*Gbps, 0, MaxQueues+1)
 }

@@ -167,17 +167,6 @@ func NewAck(data *Packet, ackPrio int, cum int64) *Packet {
 	return (*PacketPool)(nil).Ack(data, ackPrio, cum)
 }
 
-// NewProbe returns a freshly allocated probe packet used by PrioPlus to
-// sample the path delay while transmission is suspended.
-func NewProbe(flow int64, src, dst, prio int) *Packet {
-	return (*PacketPool)(nil).Probe(flow, src, dst, prio)
-}
-
-// NewProbeAck returns a freshly allocated echo of a probe.
-func NewProbeAck(probe *Packet, ackPrio int) *Packet {
-	return (*PacketPool)(nil).ProbeAck(probe, ackPrio)
-}
-
 // flowHash is a 64-to-32-bit mix used for ECMP path selection, so that a
 // flow's packets always take the same path.
 func flowHash(flow int64) uint32 {

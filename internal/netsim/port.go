@@ -123,13 +123,6 @@ type Port struct {
 	// dequeue, for HPCC.
 	INTEnabled bool
 
-	// HWTimestamp makes this port overwrite SentAt on outgoing data and
-	// probe packets at the start of serialization, modeling NIC hardware
-	// TX timestamps that exclude the sender's own NIC backlog from the
-	// measured RTT (§4.3.2). Enabled on host NICs; combined with paced
-	// senders the hidden local backlog stays bounded.
-	HWTimestamp bool
-
 	// trace, when non-nil, receives enqueue/dequeue/drop/pause/resume
 	// events for this port, which names itself in them as dev (an id in the
 	// run's obs.DevTable). Nil (the default) costs one predictable branch
@@ -172,13 +165,10 @@ type Port struct {
 	serAck  sim.Time
 
 	queues []pktQueue
-	paused []bool
 
-	// occMask/pausedMask mirror queue occupancy and PFC pause state for
-	// queues 0..63, so strict-priority selection is a single Len64 on
-	// occMask &^ pausedMask instead of a scan. Ports with more than 64
-	// queues fall back to the scan (the 1<<q updates degrade to no-ops:
-	// Go shifts >= 64 yield 0).
+	// occMask mirrors queue occupancy and pausedMask is the PFC pause state,
+	// one bit per queue (NewPort caps a port at MaxQueues), so strict-priority
+	// selection is a single Len64 on occMask &^ pausedMask.
 	occMask    uint64
 	pausedMask uint64
 
@@ -196,7 +186,6 @@ type Port struct {
 	wakeSeq   uint64
 	wakeArmed bool
 	fault     *PortFault // nil until a fault plan (or test) touches the port
-	startTxFn func()     // preallocated; avoids a closure per wake
 	devName   string     // lazily cached Owner.DeviceName() (hosts format it per call)
 
 	// Counters.
@@ -205,24 +194,30 @@ type Port struct {
 	QueueHWM  int      // largest single priority-queue occupancy seen, bytes
 	PausedFor sim.Time // cumulative time with at least one priority paused
 	pausedAt  sim.Time
-	npaused   int
 
-	// Fault counters: down/loss drops and corruption drops, with the bytes
-	// they carried. Zero unless a fault plan touches the port.
-	FaultDrops     int64
-	CorruptDrops   int64
-	FaultDropBytes int64
+	// Fault counters: down/loss drops and corruption drops. Zero unless a
+	// fault plan touches the port.
+	FaultDrops   int64
+	CorruptDrops int64
 }
 
-// NewPort creates a port with nqueues strict-priority egress queues.
+// MaxQueues is the most egress queues a port can have: occupancy and pause
+// state are one bit per queue in a 64-bit word. (PFC defines 8 classes; the
+// widest port in the repository has 13.)
+const MaxQueues = 64
+
+// NewPort creates a port with nqueues strict-priority egress queues, at most
+// MaxQueues.
 func NewPort(eng *sim.Engine, owner Device, rate Rate, prop sim.Time, nqueues int) *Port {
+	if nqueues > MaxQueues {
+		panic(fmt.Sprintf("netsim: port with %d queues (max %d)", nqueues, MaxQueues))
+	}
 	p := &Port{
 		Eng:       eng,
 		Owner:     owner,
 		Rate:      rate,
 		PropDelay: prop,
 		queues:    make([]pktQueue, nqueues),
-		paused:    make([]bool, nqueues),
 	}
 	switch o := owner.(type) {
 	case *Switch:
@@ -234,7 +229,6 @@ func NewPort(eng *sim.Engine, owner Device, rate Rate, prop sim.Time, nqueues in
 		p.serFull = rate.Serialize(wireFull)
 		p.serAck = rate.Serialize(AckBytes)
 	}
-	p.startTxFn = p.startTx
 	return p
 }
 
@@ -413,7 +407,6 @@ func (p *Port) dropFault(pkt *Packet, corrupt bool) {
 	} else {
 		p.FaultDrops++
 	}
-	p.FaultDropBytes += int64(pkt.Wire)
 	if p.trace != nil {
 		p.tracePacket(obs.Drop, pkt, 0, 0)
 	}
@@ -447,6 +440,14 @@ func (p *Port) refuseDead(it TxItem) {
 // and q is the already-clamped queue index, so the common case (untraced
 // packet, no tracer, transmitter busy or queue immediately serviceable)
 // runs straight-line.
+//
+// Kept out of line: under the profile-guided build's hot budget it would
+// fold into Switch.HandlePacket and, through Host.Send, into the transport's
+// emit, pushing emit, onData and handle over that budget one level up — a
+// tenth of the single-switch runs' wall time (docs/PERFORMANCE.md, "Rejected
+// experiments").
+//
+//go:noinline
 func (p *Port) enqueue(it TxItem, q int) {
 	checkLive(it.Pkt, "Port.Enqueue")
 	// Empty-idle bypass: with the wire free, no wake pending, no other
@@ -456,7 +457,7 @@ func (p *Port) enqueue(it TxItem, q int) {
 	// what push-then-pop would have done in this same event; transmit then
 	// observes the queue exactly as it would post-pop. Tracer-installed
 	// ports take the full path so enqueue/dequeue events still fire.
-	if p.trace == nil && !p.wakeArmed && len(p.queues) <= 64 &&
+	if p.trace == nil && !p.wakeArmed &&
 		p.occMask&^p.pausedMask == 0 && (p.pausedMask>>uint(q))&1 == 0 &&
 		p.wireFree() {
 		if it.Pkt.Traced {
@@ -507,8 +508,11 @@ func (p *Port) wireFree() bool {
 // pending at a time (wakeArmed); startTx clears it when it fires.
 func (p *Port) armWake() {
 	p.wakeArmed = true
-	p.Eng.PostAtSeqK(p.busyUntil, p.startTxFn, p.wakeSeq, sim.EKTransmit)
+	p.Eng.PostAtSeq(p.busyUntil, p.wakeSeq, wakePort, p, nil).Tag(sim.EKTransmit)
 }
+
+// wakePort is the Post2-shaped target of the transmitter wake: a is the *Port.
+func wakePort(a, _ any) { a.(*Port).startTx() }
 
 // kick restarts an idle transmitter after an external state change (PFC
 // resume, link back up): if a wake is already pending it will handle the
@@ -565,15 +569,11 @@ func (p *Port) tracePacket(kind obs.Kind, pkt *Packet, q, qlen int) {
 // SetPaused updates PFC pause state for one priority queue.
 func (p *Port) SetPaused(prio int, on bool) {
 	q := p.clampPrio(prio)
-	if p.paused[q] == on {
+	if p.Paused(q) == on {
 		return
 	}
-	p.paused[q] = on
-	if on {
-		p.pausedMask |= 1 << uint(q)
-	} else {
-		p.pausedMask &^= 1 << uint(q)
-	}
+	was := p.pausedMask
+	p.pausedMask ^= 1 << uint(q)
 	if p.trace != nil {
 		kind := obs.Resume
 		if on {
@@ -586,26 +586,23 @@ func (p *Port) SetPaused(prio int, on bool) {
 		}
 		p.trace.Emit(ev)
 	}
-	if on {
-		if p.npaused == 0 {
-			p.pausedAt = p.Eng.Now()
-		}
-		p.npaused++
-	} else {
-		p.npaused--
-		if p.npaused == 0 {
-			p.PausedFor += p.Eng.Now() - p.pausedAt
-		}
+	// PausedFor runs while the mask is non-empty.
+	if was == 0 {
+		p.pausedAt = p.Eng.Now()
+	} else if p.pausedMask == 0 {
+		p.PausedFor += p.Eng.Now() - p.pausedAt
+	}
+	if !on {
 		p.kick()
 	}
 }
 
 // Paused reports the pause state of one priority queue.
-func (p *Port) Paused(prio int) bool { return p.paused[p.clampPrio(prio)] }
+func (p *Port) Paused(prio int) bool { return p.pausedMask>>uint(p.clampPrio(prio))&1 != 0 }
 
 // PausedQueues returns how many of the port's priority queues are currently
 // PFC-paused (a time-series sampling point).
-func (p *Port) PausedQueues() int { return p.npaused }
+func (p *Port) PausedQueues() int { return bits.OnesCount64(p.pausedMask) }
 
 // startTx is the transmitter entry for scheduled wake events and link-up
 // re-arms: the link may have gone down since the event was filed.
@@ -619,26 +616,14 @@ func (p *Port) startTx() {
 
 // startTxLive picks the next packet under strict priority — the
 // highest-index unpaused non-empty queue — and transmits it. The caller
-// guarantees the link is up and the wire free. Ports with at most 64
-// queues (all real configurations) resolve the choice with one bitmask
-// operation; wider ports scan.
+// guarantees the link is up and the wire free.
 func (p *Port) startTxLive() {
-	if len(p.queues) <= 64 {
-		avail := p.occMask &^ p.pausedMask
-		if avail == 0 {
-			return
-		}
-		q := bits.Len64(avail) - 1
-		p.transmit(p.popQueue(q), q)
+	avail := p.occMask &^ p.pausedMask
+	if avail == 0 {
 		return
 	}
-	for q := len(p.queues) - 1; q >= 0; q-- {
-		if p.paused[q] || p.queues[q].empty() {
-			continue
-		}
-		p.transmit(p.popQueue(q), q)
-		return
-	}
+	q := bits.Len64(avail) - 1
+	p.transmit(p.popQueue(q), q)
 }
 
 func (p *Port) transmit(it TxItem, q int) {
@@ -652,9 +637,6 @@ func (p *Port) transmit(it TxItem, q int) {
 	if p.trace != nil {
 		p.traceDequeue(pkt, q)
 	}
-	if p.HWTimestamp && (pkt.Type == Data || pkt.Type == Probe) {
-		pkt.SentAt = p.Eng.Now()
-	}
 	if p.INTEnabled && pkt.Type == Data && pkt.ECT {
 		p.stampINT(pkt, q)
 	}
@@ -667,7 +649,7 @@ func (p *Port) transmit(it TxItem, q int) {
 	}
 	// Closure-free delivery: deliverPacket is a package-level function and
 	// both arguments are pointers, so this schedules without allocating.
-	p.Eng.Post2K(ser+prop, deliverPacket, p.Peer, pkt, p.deliverKind)
+	p.Eng.Post2(ser+prop, deliverPacket, p.Peer, pkt).Tag(p.deliverKind)
 	if p.Pool != nil {
 		p.Pool.wire++
 	}
@@ -678,13 +660,8 @@ func (p *Port) transmit(it TxItem, q int) {
 	p.wakeSeq = p.Eng.ReserveSeq()
 	p.busyUntil = p.Eng.Now() + ser
 	// Chain the next transmission only when backlog remains; an enqueue
-	// landing mid-serialization arms its own wake at busyUntil. Wider
-	// ports always chain rather than scanning for available work here.
-	if len(p.queues) <= 64 {
-		if p.occMask&^p.pausedMask != 0 {
-			p.armWake()
-		}
-	} else {
+	// landing mid-serialization arms its own wake at busyUntil.
+	if p.occMask&^p.pausedMask != 0 {
 		p.armWake()
 	}
 }
@@ -718,9 +695,9 @@ func (p *Port) stampTrace(pkt *Packet, q int) {
 	})
 }
 
-// deliverPacket is the preallocated Post2 target for packet arrival at the
-// far end of a cable: a is the receiving *Port, b the *Packet. Delivery
-// events cannot be cancelled per-packet (the heap is lazy-cancel only), so
+// deliverPacket is the Post2 target for packet arrival at the far end of a
+// cable: a is the receiving *Port, b the *Packet. Delivery events are posted
+// without keeping their handle, so nothing can cancel one per packet and
 // link faults are applied here: a downed or impaired receiving port
 // consumes the packet instead of handing it to the device. The fault layer
 // downs both ends of a cable, so in-flight packets of a flapped link are
@@ -785,7 +762,7 @@ func (p *Port) SendPause(prio int, on bool) {
 	if on {
 		code |= 1
 	}
-	p.Eng.Post2K(d, deliverPause, p.Peer, code, sim.EKPause)
+	p.Eng.Post2(d, deliverPause, p.Peer, code).Tag(sim.EKPause)
 	if p.Pool != nil {
 		p.Pool.ctrl++
 	}

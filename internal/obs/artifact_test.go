@@ -263,10 +263,10 @@ func TestArtifactCkptRoundTrip(t *testing.T) {
 	var tick func()
 	tick = func() {
 		if rec.Digest.Count < 3*sim.DigestCheckpointEvery {
-			e.Post(1, tick)
+			e.After(1, tick)
 		}
 	}
-	e.Post(0, tick)
+	e.After(0, tick)
 	e.Run()
 	var buf bytes.Buffer
 	if err := obs.WriteArtifact(&buf, "fp", rec); err != nil {

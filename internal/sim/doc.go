@@ -11,12 +11,17 @@
 // # Scheduling
 //
 // An Engine is single-threaded; batch parallelism is achieved by running
-// one engine per (experiment, seed) run (see internal/runner). Callbacks
-// are scheduled with At (absolute time, returns a cancelable *Event),
-// After/Post (relative time), or Post2 (relative time, closure-free: a
-// preallocated func(a, b any) plus two pre-boxed arguments — the
-// zero-allocation primitive of the packet hot path). Scheduling in the
-// past panics; a negative relative delay is clamped to zero.
+// one engine per (experiment, seed) run (see internal/runner). There is one
+// callback shape, func(a, b any), and four ways to post one, each returning
+// the *Event so the caller can Cancel it or Tag it with a cost-attribution
+// kind. Post2 (relative time) is the primitive: a package-level function
+// plus two pre-boxed arguments, zero allocations — every per-packet and
+// per-timer event in netsim and transport is a Post2 of a package-level
+// function taking the object it acts on. At (absolute time) and After
+// (relative time) take a closure and are for set-up and experiment code.
+// PostAtSeq files an event under a dispatch rank reserved earlier with
+// ReserveSeq. Scheduling in the past panics; a negative relative delay is
+// clamped to zero.
 //
 // # Ordering and determinism
 //

@@ -79,8 +79,8 @@ const (
 	evCanceled
 )
 
-// Event is a scheduled callback. It is returned by At and After so callers
-// can cancel it; a zero Event must not be constructed directly.
+// Event is a scheduled callback. Every posting method returns it so callers
+// can cancel or tag it; a zero Event must not be constructed directly.
 //
 // Ownership: once an event has fired or been canceled, the engine reclaims
 // the object for reuse — the caller must drop its reference at that point
@@ -92,14 +92,22 @@ type Event struct {
 	seq   uint64
 	state uint8
 	kind  uint8 // cost-attribution tag (EK*); fits existing struct padding
-	fn    func()
-	// Closure-free delivery payload (Post2): fn2 is a preallocated function
-	// and a0/a1 its arguments. Pointers boxed in any do not allocate.
-	fn2    func(a, b any)
+	// The one callback shape: fn is a preallocated function (package-level,
+	// or a func value created once) and a0/a1 its arguments. Pointers, func
+	// values and integers below 256 boxed in any do not allocate.
+	fn     func(a, b any)
 	a0, a1 any
 	// next threads the event into its wheel slot's chain (wheel.go). Only
 	// meaningful while the event sits in a slot; stale otherwise.
 	next *Event
+}
+
+// Tag sets the event's cost-attribution kind (EK*, see SetCostSampler) and
+// returns the event, so a posting call reads Post2(…).Tag(EKPause). Tags are
+// read at dispatch, so tagging any time before the event fires is equivalent.
+func (e *Event) Tag(kind uint8) *Event {
+	e.kind = kind
+	return e
 }
 
 // At returns the time the event is scheduled to fire.
@@ -216,9 +224,14 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // events awaiting lazy removal are not counted).
 func (e *Engine) Pending() int { return e.npending }
 
-// newEvent takes a pending event keyed (t, seq) off the free list,
-// allocating only when the list is empty.
-func (e *Engine) newEvent(t Time, seq uint64, kind uint8) *Event {
+// post is the only way into the queue: it files fn(a, b) at absolute time t
+// under seq, on an event taken off the free list (allocating only when the
+// list is empty). Scheduling in the past panics: it always indicates a logic
+// error in the caller.
+func (e *Engine) post(t Time, seq uint64, fn func(a, b any), a, b any) *Event {
+	if t < e.now {
+		panic("sim: event scheduled in the past")
+	}
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -230,91 +243,53 @@ func (e *Engine) newEvent(t Time, seq uint64, kind uint8) *Event {
 	ev.at = t
 	ev.seq = seq
 	ev.state = evPending
-	ev.kind = kind
+	ev.kind = EKOther
+	ev.fn = fn
+	ev.a0, ev.a1 = a, b
 	e.npending++
+	e.place(ev)
 	return ev
 }
 
-// schedule files an event at absolute time t under the next seq.
-func (e *Engine) schedule(t Time) *Event {
-	ev := e.newEvent(t, e.seq, EKOther)
+// nextSeq takes the next dispatch sequence number: the FIFO rank among
+// events that share a timestamp.
+func (e *Engine) nextSeq() uint64 {
+	s := e.seq
 	e.seq++
-	e.place(ev)
-	return ev
+	return s
 }
 
 // recycle returns a dispatched event to the free list, clearing anything
 // it could pin.
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
-	ev.fn2 = nil
 	ev.a0, ev.a1 = nil, nil
 	e.free = append(e.free, ev)
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it always indicates a logic error in the caller.
-func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
-		panic("sim: event scheduled in the past")
-	}
-	ev := e.schedule(t)
-	ev.fn = fn
-	return ev
-}
-
-// AtK is At with a cost-attribution kind tag (see SetCostSampler).
-func (e *Engine) AtK(t Time, fn func(), kind uint8) *Event {
-	ev := e.At(t, fn)
-	ev.kind = kind
-	return ev
-}
-
-// After schedules fn to run d after the current time. A negative d is
-// treated as zero.
-func (e *Engine) After(d Time, fn func()) *Event {
+// Post2 schedules fn(a, b) to run d after the current time (a negative d is
+// treated as zero) without allocating a closure: fn is expected to be
+// preallocated — a package-level function taking the object it acts on — and
+// a/b are boxed arguments, so a Post2 with a warm free list performs zero
+// heap allocations. This is the primitive of every per-packet and per-timer
+// path; At and After are conveniences for set-up and experiment code.
+func (e *Engine) Post2(d Time, fn func(a, b any), a, b any) *Event {
 	if d < 0 {
 		d = 0
 	}
-	return e.At(e.now+d, fn)
+	return e.post(e.now+d, e.nextSeq(), fn, a, b)
 }
 
-// Post schedules fn to run d after the current time without returning the
-// event. Use for fire-and-forget scheduling; events posted this way cannot
-// be canceled. (All events are recycled once they fire; Post merely
-// documents that the caller keeps no handle.)
-func (e *Engine) Post(d Time, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.schedule(e.now + d).fn = fn
-}
+// call is the fn of every closure event: a carries the func().
+func call(a, _ any) { a.(func())() }
 
-// Post2 schedules fn(a, b) to run d after the current time, without
-// allocating a closure: fn is expected to be preallocated (a package-level
-// function or a func value created once), and a/b are boxed arguments.
-// Boxing pointers (and integers below 256) in any does not allocate, so a
-// Post2 with a warm free list performs zero heap allocations. This is the
-// per-packet scheduling primitive of the netsim hot path.
-func (e *Engine) Post2(d Time, fn func(a, b any), a, b any) {
-	if d < 0 {
-		d = 0
-	}
-	ev := e.schedule(e.now + d)
-	ev.fn2 = fn
-	ev.a0, ev.a1 = a, b
-}
+// At schedules the closure fn to run at absolute time t; a t in the past
+// panics. Boxing a func value does not allocate, the closure itself may.
+func (e *Engine) At(t Time, fn func()) *Event { return e.post(t, e.nextSeq(), call, fn, nil) }
 
-// Post2K is Post2 with a cost-attribution kind tag (see SetCostSampler).
-func (e *Engine) Post2K(d Time, fn func(a, b any), a, b any, kind uint8) {
-	if d < 0 {
-		d = 0
-	}
-	ev := e.schedule(e.now + d)
-	ev.fn2 = fn
-	ev.a0, ev.a1 = a, b
-	ev.kind = kind
-}
+// After schedules the closure fn to run d after the current time. A
+// negative d is treated as zero.
+func (e *Engine) After(d Time, fn func()) *Event { return e.Post2(d, call, fn, nil) }
 
 // ReserveSeq allocates and returns a dispatch sequence number without
 // scheduling anything. An event later filed under it with PostAtSeq gets
@@ -325,32 +300,19 @@ func (e *Engine) Post2K(d Time, fn func(a, b any), a, b any, kind uint8) {
 // completion event per transmission. A reserved seq that is never used
 // simply leaves a harmless gap in the sequence space.
 func (e *Engine) ReserveSeq() uint64 {
-	s := e.seq
-	e.seq++
 	e.nreserved++
-	return s
+	return e.nextSeq()
 }
 
-// PostAtSeq schedules fn at absolute time t under a seq previously
+// PostAtSeq schedules fn(a, b) at absolute time t under a seq previously
 // obtained from ReserveSeq. If t is the current timestamp and the batch
 // running at it has not yet passed the reserved position, the event joins
 // the running batch at that position — exactly as if it had been in the
 // queue all along. Each reserved seq must be filed at most once, and only
 // at a (t, seq) position not yet reached (ReachedSeq reports that).
-func (e *Engine) PostAtSeq(t Time, fn func(), seq uint64) {
-	e.PostAtSeqK(t, fn, seq, EKOther)
-}
-
-// PostAtSeqK is PostAtSeq with a cost-attribution kind tag (see
-// SetCostSampler).
-func (e *Engine) PostAtSeqK(t Time, fn func(), seq uint64, kind uint8) {
-	if t < e.now {
-		panic("sim: event scheduled in the past")
-	}
-	ev := e.newEvent(t, seq, kind)
-	ev.fn = fn
+func (e *Engine) PostAtSeq(t Time, seq uint64, fn func(a, b any), a, b any) *Event {
 	e.nfiled++
-	e.place(ev)
+	return e.post(t, seq, fn, a, b)
 }
 
 // ReachedSeq reports whether dispatch has reached or passed position
@@ -506,15 +468,13 @@ func (e *Engine) runBatch(at Time) {
 		e.npending--
 		// Copy the payload out before recycling: the callback may schedule
 		// new events, which can reuse this very object.
-		fn, fn2, a0, a1, kind := ev.fn, ev.fn2, ev.a0, ev.a1, ev.kind
+		fn, a0, a1, kind := ev.fn, ev.a0, ev.a1, ev.kind
 		ev.state = evFired
 		e.recycle(ev)
 		if e.costFn != nil {
-			e.dispatchCost(kind, fn, fn2, a0, a1)
-		} else if fn2 != nil {
-			fn2(a0, a1)
+			e.dispatchCost(kind, fn, a0, a1)
 		} else {
-			fn()
+			fn(a0, a1)
 		}
 		if e.dig != nil {
 			e.dig.fold(at, ent.seq, kind)
@@ -523,12 +483,13 @@ func (e *Engine) runBatch(at Time) {
 }
 
 // fireSampler advances the clock to the pending sampling instant and runs
-// the hook, stamping it through the cost sampler like any other dispatch.
+// the hook, stamping it through the cost sampler like any other dispatch so
+// EKSampler shares are sampled at the same rate.
 func (e *Engine) fireSampler() {
 	e.now = e.sampleAt
 	e.sampleAt += e.sampleEvery
 	if e.costFn != nil {
-		e.samplerCost()
+		e.dispatchCost(EKSampler, call, e.sampleFn, nil)
 		return
 	}
 	e.sampleFn()
@@ -540,38 +501,14 @@ func (e *Engine) fireSampler() {
 // dispatches pay two monotonic clock reads.
 //
 //go:noinline
-func (e *Engine) dispatchCost(kind uint8, fn func(), fn2 func(a, b any), a0, a1 any) {
+func (e *Engine) dispatchCost(kind uint8, fn func(a, b any), a0, a1 any) {
 	e.costSkip--
 	if e.costSkip > 0 {
-		if fn2 != nil {
-			fn2(a0, a1)
-		} else {
-			fn()
-		}
+		fn(a0, a1)
 		return
 	}
 	e.costSkip = e.costEvery
 	t0 := time.Now()
-	if fn2 != nil {
-		fn2(a0, a1)
-	} else {
-		fn()
-	}
+	fn(a0, a1)
 	e.costFn(kind, int64(time.Since(t0)))
-}
-
-// samplerCost stamps a sampling-hook firing through the same countdown as
-// event dispatch, so EKSampler shares are sampled at the same rate.
-//
-//go:noinline
-func (e *Engine) samplerCost() {
-	e.costSkip--
-	if e.costSkip > 0 {
-		e.sampleFn()
-		return
-	}
-	e.costSkip = e.costEvery
-	t0 := time.Now()
-	e.sampleFn()
-	e.costFn(EKSampler, int64(time.Since(t0)))
 }

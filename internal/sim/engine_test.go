@@ -2,7 +2,9 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -160,29 +162,138 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
+// TestEnginePastPanics: both absolute-time entry points refuse a time
+// behind the clock.
 func TestEnginePastPanics(t *testing.T) {
-	e := NewEngine()
-	e.At(Microsecond, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
-			}
-		}()
-		e.At(0, func() {})
-	})
-	e.Run()
+	for _, p := range postings {
+		if !p.absolute {
+			continue
+		}
+		e := NewEngine()
+		e.At(Microsecond, func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s in the past did not panic", p.name)
+				}
+			}()
+			p.post(e, -Microsecond, func() {})
+		})
+		e.Run()
+	}
 }
 
+// TestEngineNegativeAfterClamped: both relative-time entry points clamp a
+// negative delay to now.
 func TestEngineNegativeAfterClamped(t *testing.T) {
-	e := NewEngine()
-	e.At(Microsecond, func() {
-		e.After(-5*Microsecond, func() {
-			if e.Now() != Microsecond {
-				t.Errorf("negative After fired at %v, want 1us", e.Now())
-			}
+	for _, p := range postings {
+		if p.absolute {
+			continue
+		}
+		e := NewEngine()
+		fired := false
+		e.At(Microsecond, func() {
+			p.post(e, -5*Microsecond, func() {
+				fired = true
+				if e.Now() != Microsecond {
+					t.Errorf("negative %s fired at %v, want 1us", p.name, e.Now())
+				}
+			})
 		})
-	})
-	e.Run()
+		e.Run()
+		if !fired {
+			t.Errorf("negative %s never fired", p.name)
+		}
+	}
+}
+
+// postings is the engine's whole posting surface, one adapter per entry
+// point: post files fn at now+d (for PostAtSeq, under a seq reserved at the
+// call) and returns the handle. absolute marks the entry points that take a
+// time rather than a delay: those panic on the past, the others clamp.
+var postings = []struct {
+	name     string
+	absolute bool
+	post     func(e *Engine, d Time, fn func()) *Event
+}{
+	{"At", true, func(e *Engine, d Time, fn func()) *Event { return e.At(e.Now()+d, fn) }},
+	{"After", false, func(e *Engine, d Time, fn func()) *Event { return e.After(d, fn) }},
+	{"Post2", false, func(e *Engine, d Time, fn func()) *Event { return e.Post2(d, call, fn, nil) }},
+	{"PostAtSeq", true, func(e *Engine, d Time, fn func()) *Event {
+		return e.PostAtSeq(e.Now()+d, e.ReserveSeq(), call, fn, nil)
+	}},
+}
+
+// TestPostingSurface holds every entry point, untagged and tagged, to the
+// one contract: the event fires once at its (time, seq) rank, the cost
+// sampler sees its tag (EKOther when untagged), and the returned handle
+// cancels it.
+func TestPostingSurface(t *testing.T) {
+	for _, p := range postings {
+		for _, tag := range []uint8{EKOther, EKPause} {
+			e := NewEngine()
+			var order []string
+			var kinds []uint8
+			e.SetCostSampler(1, func(kind uint8, _ int64) { kinds = append(kinds, kind) })
+			mark := func(s string) func() { return func() { order = append(order, s) } }
+			const at = 20 * Nanosecond
+			e.At(at+1, mark("later"))
+			e.At(at, mark("before"))
+			ev := p.post(e, at, mark("x"))
+			e.At(at, mark("after"))
+			e.At(at-1, mark("earlier"))
+			if tag != EKOther && ev.Tag(tag) != ev {
+				t.Errorf("%s: Tag did not return its event", p.name)
+			}
+			if ev.At() != at || e.Pending() != 5 {
+				t.Errorf("%s: handle at %v, %d pending; want %v, 5", p.name, ev.At(), e.Pending(), at)
+			}
+			e.Run()
+			if got, want := strings.Join(order, " "), "earlier before x after later"; got != want {
+				t.Errorf("%s tag %d: order %q, want %q", p.name, tag, got, want)
+			}
+			if want := []uint8{EKOther, EKOther, tag, EKOther, EKOther}; !reflect.DeepEqual(kinds, want) {
+				t.Errorf("%s tag %d: sampled kinds %v, want %v", p.name, tag, kinds, want)
+			}
+
+			doomed := p.post(e, at, mark("canceled")).Tag(tag)
+			if e.Pending() != 1 {
+				t.Errorf("%s: %d pending after one post, want 1", p.name, e.Pending())
+			}
+			e.Cancel(doomed)
+			if e.Pending() != 0 || !doomed.Canceled() {
+				t.Errorf("%s: %d pending after Cancel (canceled=%v), want 0", p.name, e.Pending(), doomed.Canceled())
+			}
+			e.Run()
+			if len(order) != 5 || len(kinds) != 5 {
+				t.Errorf("%s tag %d: canceled event fired: %v", p.name, tag, order)
+			}
+		}
+	}
+}
+
+// TestPostingMethodSet pins the exported posting surface: every method of
+// *Engine that takes a callback or returns an *Event, the two hook
+// installers aside. A fifth way to post an event has to edit this list.
+func TestPostingMethodSet(t *testing.T) {
+	hooks := map[string]bool{"SetSampler": true, "SetCostSampler": true}
+	var got []string
+	typ := reflect.TypeOf(&Engine{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i)
+		posts := false
+		for j := 1; j < m.Type.NumIn(); j++ {
+			posts = posts || m.Type.In(j).Kind() == reflect.Func
+		}
+		for j := 0; j < m.Type.NumOut(); j++ {
+			posts = posts || m.Type.Out(j) == reflect.TypeOf(&Event{})
+		}
+		if posts && !hooks[m.Name] {
+			got = append(got, m.Name)
+		}
+	}
+	if want := []string{"After", "At", "Post2", "PostAtSeq"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("posting methods of *Engine = %v, want exactly %v", got, want)
+	}
 }
 
 // Property: for any set of scheduled delays, events fire in nondecreasing
@@ -219,7 +330,7 @@ func TestEnginePostRecycles(t *testing.T) {
 	var last Time = -1
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 20; i++ {
-			e.Post(Time(i)*Nanosecond, func() {
+			e.After(Time(i)*Nanosecond, func() {
 				fired++
 				if e.Now() < last {
 					t.Fatal("recycled event fired out of order")
@@ -237,9 +348,9 @@ func TestEnginePostRecycles(t *testing.T) {
 func TestEnginePostAndAtInterleaved(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Post(2*Nanosecond, func() { order = append(order, 2) })
+	e.After(2*Nanosecond, func() { order = append(order, 2) })
 	ev := e.At(1*Nanosecond, func() { order = append(order, 1) })
-	e.Post(3*Nanosecond, func() { order = append(order, 3) })
+	e.After(3*Nanosecond, func() { order = append(order, 3) })
 	_ = ev
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
@@ -370,8 +481,9 @@ func TestPost2ZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestAfterSteadyStateZeroAlloc: fired caller-held events are recycled, so
-// a warm engine schedules At/After events without allocating.
+// TestAfterSteadyStateZeroAlloc: fired caller-held events are recycled and a
+// func value boxes for free, so a warm engine schedules through every entry
+// point without allocating when the callback itself is preallocated.
 func TestAfterSteadyStateZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
@@ -379,11 +491,13 @@ func TestAfterSteadyStateZeroAlloc(t *testing.T) {
 		e.After(Nanosecond, fn)
 	}
 	e.Run()
-	if avg := testing.AllocsPerRun(200, func() {
-		e.After(Nanosecond, fn)
-		e.Run()
-	}); avg != 0 {
-		t.Errorf("After steady state: %v allocs/op, want 0", avg)
+	for _, p := range postings {
+		if avg := testing.AllocsPerRun(200, func() {
+			p.post(e, Nanosecond, fn)
+			e.Run()
+		}); avg != 0 {
+			t.Errorf("%s steady state: %v allocs/op, want 0", p.name, avg)
+		}
 	}
 }
 
@@ -467,7 +581,7 @@ func TestTotalProcessedAccumulates(t *testing.T) {
 	e := NewEngine()
 	const n = 100
 	for i := 0; i < n; i++ {
-		e.Post(Time(i), func() {})
+		e.After(Time(i), func() {})
 	}
 	e.RunUntil(Time(n))
 	if e.Processed() != n {
@@ -490,7 +604,7 @@ func TestReserveSeqOrdering(t *testing.T) {
 	seq := e.ReserveSeq() // rank reserved before the rival exists
 	e.At(50*Nanosecond, func() { order = append(order, "rival") })
 	e.At(10*Nanosecond, func() {
-		e.PostAtSeq(50*Nanosecond, func() { order = append(order, "reserved") }, seq)
+		e.PostAtSeq(50*Nanosecond, seq, func(_, _ any) { order = append(order, "reserved") }, nil, nil)
 	})
 	e.Run()
 	if len(order) != 2 || order[0] != "reserved" || order[1] != "rival" {
@@ -512,7 +626,7 @@ func TestPostAtSeqSplicesRunningBatch(t *testing.T) {
 		order = append(order, "a")
 		// Runs while the batch at t=20ns is mid-dispatch; rank sits
 		// between a and b.
-		e.PostAtSeq(at, func() { order = append(order, "reserved") }, reserved)
+		e.PostAtSeq(at, reserved, func(_, _ any) { order = append(order, "reserved") }, nil, nil)
 	})
 	reserved = e.ReserveSeq()
 	e.At(at, func() { order = append(order, "b") })

@@ -30,6 +30,9 @@ type engineModel struct{ *Engine }
 
 func (m engineModel) At(t Time, fn func()) any { return m.Engine.At(t, fn) }
 func (m engineModel) Cancel(h any)             { m.Engine.Cancel(h.(*Event)) }
+func (m engineModel) PostAtSeq(t Time, fn func(), seq uint64) {
+	m.Engine.PostAtSeq(t, seq, call, fn, nil)
+}
 
 type heapModel struct{ h *heapSched }
 

@@ -280,9 +280,6 @@ type Sender struct {
 	rtoEv       *sim.Event
 	rtoDeadline sim.Time
 	probeEv     *sim.Event
-	// Timer callbacks, built once in NewFlow so arming a timer allocates
-	// neither a closure nor a method value.
-	paceFn, rtoFn, probeFn func()
 
 	startAt sim.Time
 
@@ -323,15 +320,6 @@ func (st *Stack) NewFlow(spec FlowSpec) *Sender {
 		mtu:  spec.MTU,
 	}
 	s.unacked.init(int64(s.mtu))
-	s.paceFn = func() {
-		s.paceEv = nil
-		s.trySend()
-	}
-	s.rtoFn = s.onRTO
-	s.probeFn = func() {
-		s.probeEv = nil
-		s.sendProbe()
-	}
 	st.senders[spec.ID] = s
 	return s
 }
@@ -404,8 +392,24 @@ func (s *Sender) SendProbeAfter(d sim.Time) {
 	if s.probeEv != nil {
 		s.st.Eng.Cancel(s.probeEv)
 	}
-	s.probeEv = s.st.Eng.After(d, s.probeFn)
+	s.probeEv = s.st.Eng.Post2(d, fireProbe, s, nil)
 }
+
+// fireProbe, firePace and fireRTO are the Post2 targets of the sender's three
+// timers: a is the *Sender. Each drops its handle first (sim.Event ownership).
+func fireProbe(a, _ any) {
+	s := a.(*Sender)
+	s.probeEv = nil
+	s.sendProbe()
+}
+
+func firePace(a, _ any) {
+	s := a.(*Sender)
+	s.paceEv = nil
+	s.trySend()
+}
+
+func fireRTO(a, _ any) { a.(*Sender).onRTO() }
 
 // ResetRTO implements cc.Driver.
 func (s *Sender) ResetRTO() { s.armRTO() }
@@ -590,7 +594,7 @@ func (s *Sender) schedulePace(d sim.Time) {
 	if s.paceEv != nil {
 		return
 	}
-	s.paceEv = s.st.Eng.After(d, s.paceFn)
+	s.paceEv = s.st.Eng.Post2(d, firePace, s, nil)
 }
 
 func (s *Sender) emit(seq int64, length int, retx bool) {
@@ -632,9 +636,9 @@ func (s *Sender) emit(seq int64, length int, retx bool) {
 }
 
 // armRTO pushes the retransmission deadline forward. The timer is lazy:
-// the pending event is never rescheduled (heap churn per packet would
-// dominate the simulator); when it fires early it re-arms itself at the
-// current deadline.
+// the pending event is never rescheduled (a cancel and a re-post per packet
+// would dominate the simulator); when it fires early it re-arms itself at
+// the current deadline.
 func (s *Sender) armRTO() {
 	if s.finished {
 		return
@@ -645,7 +649,7 @@ func (s *Sender) armRTO() {
 	}
 	s.rtoDeadline = s.st.Eng.Now() + rto
 	if s.rtoEv == nil {
-		s.rtoEv = s.st.Eng.AtK(s.rtoDeadline, s.rtoFn, sim.EKRTO)
+		s.rtoEv = s.st.Eng.Post2(rto, fireRTO, s, nil).Tag(sim.EKRTO)
 	}
 }
 
@@ -656,7 +660,7 @@ func (s *Sender) onRTO() {
 	}
 	if now := s.st.Eng.Now(); now < s.rtoDeadline {
 		// The deadline moved while this event was pending: re-arm.
-		s.rtoEv = s.st.Eng.AtK(s.rtoDeadline, s.rtoFn, sim.EKRTO)
+		s.rtoEv = s.st.Eng.Post2(s.rtoDeadline-now, fireRTO, s, nil).Tag(sim.EKRTO)
 		return
 	}
 	s.RTOs++

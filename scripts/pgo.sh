@@ -12,15 +12,16 @@
 # CLI's own -cpuprofile (whose window is the batch and nothing else) and
 # merges the three profiles. The collecting binary is built -pgo=off, so
 # the result depends on the tree and not on the profile it replaces.
-# docs/PERFORMANCE.md, "Profile-guided build", says when to refresh and
-# what was measured.
+# docs/PERFORMANCE.md, "The profile-guided build", says when to refresh:
+# last, after every edit inside a hot function.
 #
-# -check guards against the one way a committed profile rots silently: PGO
-# matches samples to code by function name, so renaming or deleting a hot
-# function orphans its samples without any diagnostic. The check lists the
-# profile's hottest functions of this module and fails if one is missing
-# from a build of the tree (inlining off, so that every function keeps its
-# symbol). The fix for a failure is a refresh.
+# -check guards against one of the two ways a committed profile rots
+# silently: PGO matches samples to code by function name (and by line offset
+# inside the function, which only the inlining diff in PERFORMANCE.md shows),
+# so renaming or deleting a hot function orphans its samples without any
+# diagnostic. The check lists the profile's hottest functions of this module
+# and fails if one is missing from a build of the tree (inlining off, so that
+# every function keeps its symbol). The fix for a failure is a refresh.
 #
 # Run from the repository root.
 set -eu
