@@ -67,10 +67,10 @@ func runAll(args []string) int {
 
 	// -listen: register every run up front so /runs shows pending tasks,
 	// and tee artifact lines into the server's hub for /events.
-	var reg *runner.Registry
+	var runs *runner.RunTable
 	if obsFlags.listen != "" {
 		var srv *stream.Server
-		srv, reg, err = startLive(obsFlags.listen, liveBanner, nil)
+		srv, runs, err = startLive(obsFlags.listen, liveBanner, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -80,7 +80,7 @@ func runAll(args []string) int {
 	}
 
 	var tasks []runner.Task
-	var states []*runner.RunState // parallel to tasks; nil without -listen
+	var states []*runner.RunEntry // parallel to tasks; nil without -listen
 	// Every run's parameters, but for its seed.
 	params := exp.RunParams{Full: *full, Perturb: obsFlags.perturb}
 	for _, id := range ids {
@@ -88,8 +88,8 @@ func runAll(args []string) int {
 			name := fmt.Sprintf("%s/seed=%d", id, seed)
 			p, taskIns := params, ins
 			p.Seed = seed
-			if reg != nil {
-				taskIns.Live = reg.Add(name, id, seed)
+			if runs != nil {
+				taskIns.Live = runs.Add(name, id, seed)
 				states = append(states, taskIns.Live)
 			}
 			tasks = append(tasks, runner.Task{

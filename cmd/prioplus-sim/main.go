@@ -94,14 +94,14 @@ func main() {
 	}
 	var srv *stream.Server
 	if obsFlags.listen != "" {
-		var reg *runner.Registry
-		srv, reg, err = startLive(obsFlags.listen, liveBanner, nil)
+		var runs *runner.RunTable
+		srv, runs, err = startLive(obsFlags.listen, liveBanner, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		ins.Hub = srv.Hub
-		ins.Live = reg.Add(fmt.Sprintf("%s/seed=%d", expID, *seed), expID, *seed)
+		ins.Live = runs.Add(fmt.Sprintf("%s/seed=%d", expID, *seed), expID, *seed)
 		ins.Live.Start()
 	}
 	p := exp.RunParams{Seed: *seed, Full: *full, Series: *printSer, Perturb: obsFlags.perturb}
@@ -125,20 +125,20 @@ func main() {
 const liveBanner = "live endpoints on http://%s (/metrics /runs /events)\n"
 
 // startLive stands up the -listen endpoints for single, batch and serve
-// mode: a run registry, the streaming server over it (its Hub tees artifact
+// mode: a run table, the streaming server over it (its Hub tees artifact
 // lines to /events) and the banner on stderr. mount, when non-nil, adds
 // routes before the listener starts; serve mounts the job API there.
-func startLive(addr, banner string, mount func(*stream.Server, *runner.Registry)) (*stream.Server, *runner.Registry, error) {
-	reg := &runner.Registry{}
-	srv := stream.NewServer(reg)
+func startLive(addr, banner string, mount func(*stream.Server, *runner.RunTable)) (*stream.Server, *runner.RunTable, error) {
+	runs := &runner.RunTable{}
+	srv := stream.NewServer(runs)
 	if mount != nil {
-		mount(srv, reg)
+		mount(srv, runs)
 	}
 	if err := srv.Start(addr); err != nil {
 		return nil, nil, err
 	}
 	fmt.Fprintf(os.Stderr, banner, srv.Addr())
-	return srv, reg, nil
+	return srv, runs, nil
 }
 
 // errText is the message a run state finishes with: empty means success.

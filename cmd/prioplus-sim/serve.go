@@ -45,14 +45,14 @@ func runServe(args []string) int {
 
 	var sched *serve.Scheduler
 	srv, _, err := startLive(*listen, "job server on http://%s (/jobs /experiments /metrics /runs /events)\n",
-		func(srv *stream.Server, reg *runner.Registry) {
+		func(srv *stream.Server, runs *runner.RunTable) {
 			sched = serve.New(serve.Config{
 				Workers:    *workers,
 				QueueDepth: *queue,
 				Timeout:    *jobTimeout,
 				CacheSize:  *cacheSize,
 				Manifest:   manifest,
-				Registry:   reg,
+				RunTable:   runs,
 				Hub:        srv.Hub,
 			})
 			serve.NewAPI(sched).Mount(srv)

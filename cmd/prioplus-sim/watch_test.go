@@ -13,8 +13,8 @@ import (
 // real -listen server that has zero runs registered: one frame, exit 0,
 // no panic. An unreachable address exits 1 immediately under -once.
 func TestWatchOnceAgainstLiveServer(t *testing.T) {
-	reg := &runner.Registry{}
-	srv := stream.NewServer(reg)
+	runs := &runner.RunTable{}
+	srv := stream.NewServer(runs)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -601,9 +601,9 @@ func Fig13(fc Fig13Config, o Options) []Fig13Point {
 		recv := 8
 		if rngUS > 0 {
 			width := sim.Time(rngUS * float64(sim.Microsecond))
-			net.Topo.Switches[0].Ports[recv].Jitter = func() sim.Time {
+			net.Topo.Switches[0].Ports[recv].SetJitter(func() sim.Time {
 				return sim.Time(jrng.Int63n(int64(width)))
-			}
+			})
 		}
 		base := net.Topo.BaseRTT(0, recv)
 		plan := core.ChannelPlan{

@@ -33,7 +33,7 @@ import (
 )
 
 // LinkRef names one end of a cable. Dev is a device name as reported by
-// DeviceName() — "p0e0", "core1", "host3". When Peer is non-empty the port
+// Port.DeviceName — "p0e0", "core1", "host3". When Peer is non-empty the port
 // is resolved as the first Dev port wired to that device (the natural way
 // to name a fabric link); otherwise Port indexes Dev's port list directly.
 type LinkRef struct {
@@ -176,7 +176,7 @@ func (p *Plan) Install(t *topo.Network) *Injector {
 			f := port.Fault()
 			f.LossRate = im.loss
 			f.CorruptRate = im.corrupt
-			f.Rng = rand.New(rand.NewSource(p.Seed ^ linkSeed(port.Owner.DeviceName(), port.Index)))
+			f.Rng = rand.New(rand.NewSource(p.Seed ^ linkSeed(port.DeviceName(), port.Index)))
 		}
 	}
 	for _, ev := range p.events {
@@ -216,7 +216,7 @@ func (inj *Injector) setLink(port *netsim.Port, down bool) {
 	if down {
 		kind = linkDown
 	}
-	inj.emit(kind, port.Owner.DeviceName(), port.Index)
+	inj.emit(kind, port.DeviceName(), port.Index)
 }
 
 func (inj *Injector) emit(kind eventKind, dev string, portIdx int) {
@@ -238,7 +238,7 @@ func (inj *Injector) resolve(l LinkRef) *netsim.Port {
 	ports := inj.devicePorts(l.Dev)
 	if l.Peer != "" {
 		for _, p := range ports {
-			if p.Peer != nil && p.Peer.Owner.DeviceName() == l.Peer {
+			if p.Peer != nil && p.Peer.DeviceName() == l.Peer {
 				return p
 			}
 		}

@@ -22,7 +22,8 @@ type Host struct {
 // delay. nqueues is the number of NIC priority queues (match the fabric).
 func NewHost(eng *sim.Engine, id int, rate Rate, prop sim.Time, nqueues int) *Host {
 	h := &Host{Eng: eng, ID: id}
-	h.NIC = NewPort(eng, h, rate, prop, nqueues)
+	h.NIC = newPort(eng, rate, prop, nqueues)
+	h.NIC.Host = h
 	// Timestamps are taken when the transport emits the packet, not at NIC
 	// exit: a sender must feel its own NIC backlog, or a flow whose window
 	// exceeds what its NIC can carry hides the excess from its own
@@ -30,10 +31,11 @@ func NewHost(eng *sim.Engine, id int, rate Rate, prop sim.Time, nqueues int) *Ho
 	return h
 }
 
-// DeviceName implements Device.
+// DeviceName names the host in diagnostics and artifacts.
 func (h *Host) DeviceName() string { return fmt.Sprintf("host%d", h.ID) }
 
-// HandlePacket implements Device.
+// HandlePacket is called when a packet fully arrives on the NIC: it is
+// handed to the Sink.
 func (h *Host) HandlePacket(pkt *Packet, in *Port) {
 	checkLive(pkt, "Host.HandlePacket")
 	h.RxPackets++
@@ -43,11 +45,6 @@ func (h *Host) HandlePacket(pkt *Packet, in *Port) {
 	if h.Sink != nil {
 		h.Sink(pkt)
 	}
-}
-
-// HandlePause implements Device.
-func (h *Host) HandlePause(prio int, on bool, in *Port) {
-	in.SetPaused(prio, on)
 }
 
 // Send enqueues a packet on the NIC. The caller owns the SentAt timestamp:

@@ -331,7 +331,7 @@ func TestECMPStablePerFlow(t *testing.T) {
 func TestPortJitterAddsDelay(t *testing.T) {
 	eng := sim.NewEngine()
 	a, b := twoHosts(eng, 100*Gbps, 1*sim.Microsecond)
-	a.NIC.Jitter = func() sim.Time { return 5 * sim.Microsecond }
+	a.NIC.SetJitter(func() sim.Time { return 5 * sim.Microsecond })
 	var arrived sim.Time
 	b.Sink = func(pkt *Packet) { arrived = eng.Now() }
 	a.Send(NewData(1, 0, 1, 0, 0, 1000))
@@ -409,7 +409,7 @@ func TestPausedForAccounting(t *testing.T) {
 		"still paused end": {{2, 4, true}, {3, 4, false}, {5, 4, true}},
 	} {
 		eng := sim.NewEngine()
-		p := NewPort(eng, nil, 10*Gbps, 0, 8)
+		p := newPort(eng, 10*Gbps, 0, 8)
 		var model [8]bool
 		count := func() (n int) {
 			for _, on := range model {
@@ -475,8 +475,8 @@ func TestPortQueueLimit(t *testing.T) {
 
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "65 queues") {
-			t.Errorf("NewPort with 65 queues: recovered %q, want a panic naming the count", msg)
+			t.Errorf("newPort with 65 queues: recovered %q, want a panic naming the count", msg)
 		}
 	}()
-	NewPort(eng, nil, 10*Gbps, 0, MaxQueues+1)
+	newPort(eng, 10*Gbps, 0, MaxQueues+1)
 }

@@ -9,17 +9,6 @@ import (
 	"prioplus/internal/sim"
 )
 
-// Device is anything that terminates a link: a Host or a Switch.
-type Device interface {
-	// HandlePacket is called when a packet fully arrives on local port in.
-	HandlePacket(pkt *Packet, in *Port)
-	// HandlePause is called when a PFC pause or resume frame arrives for
-	// the given priority. on=true pauses the local egress queue.
-	HandlePause(prio int, on bool, in *Port)
-	// DeviceName identifies the device in diagnostics.
-	DeviceName() string
-}
-
 // TxItem is a packet queued for transmission, together with the buffer
 // accounting the owning switch must release at dequeue. Plain fields
 // instead of a callback: one closure allocation per packet per hop would
@@ -60,9 +49,8 @@ func (q *pktQueue) empty() bool { return q.head == len(q.items) }
 func (q *pktQueue) len() int    { return len(q.items) - q.head }
 
 // PortFault is the per-port fault state installed by internal/fault (or
-// directly by tests). A nil pointer — the default — keeps the delivery and
-// transmit hot paths at a single predictable branch each; the subsystem
-// costs nothing when no fault plan is installed.
+// directly by tests) through Port.Fault. It hangs off the port's cold state,
+// so the subsystem costs nothing when no fault plan is installed.
 type PortFault struct {
 	// Down halts transmission and drops arriving in-flight packets; the
 	// queued backlog is dropped when SetDown flips the flag.
@@ -99,57 +87,82 @@ func (f *PortFault) drop(p *Port, pkt *Packet) bool {
 	return false
 }
 
+// devTrace is a device's trace hook: the run's emitter, and the device's id
+// in the recorder's obs.DevTable, which names it in every event. A nil em
+// means no tracer.
+type devTrace struct {
+	em  *obs.Emitter
+	dev obs.DevID
+}
+
+// packet emits one packet event on queue q of port p: it fills the
+// emitter's next record in place — a flight-ring slot when the run has a
+// ring — so a traced packet costs ten stores, not an Event copied through an
+// interface (field by field: a composite literal is built on the stack and
+// copied over). qlen is the queue occupancy the event reports.
+func (t *devTrace) packet(kind obs.Kind, pkt *Packet, p *Port, q, qlen int) {
+	ev := t.em.Next()
+	ev.T = p.Eng.Now()
+	ev.Flow = pkt.FlowID
+	ev.Seq = pkt.Seq
+	ev.Bytes = uint32(pkt.Wire)
+	ev.QLen = uint32(qlen)
+	ev.Dev = t.dev
+	ev.Port = uint16(p.Index)
+	ev.Queue = uint8(q)
+	ev.Kind = kind
+	t.em.Emit(ev)
+}
+
+// portCold is a port's cold state: every optional per-port hook. It is
+// allocated when the first hook is installed (Fault, SetTrace, SetDigest,
+// SetJitter), so a port with none keeps Port.cold nil and each hot-path site
+// pays one predictable branch; only inside that branch does code ask which
+// hook is armed.
+type portCold struct {
+	trace devTrace
+	// dig folds packet and pause deliveries into this port into the run
+	// digest (-fingerprint); digTag names the port in the digest's Names map.
+	dig    *sim.Digest
+	digTag uint64
+	fault  *PortFault // nil until Fault is called
+	// jitter adds per-packet non-congestive delay to the propagation of
+	// every packet leaving the port (Fig 13).
+	jitter func() sim.Time
+}
+
 // Port is one side of a full-duplex cable. It transmits to Peer and
 // receives whatever Peer transmits. Each port owns per-priority egress
 // queues served in strict-priority order (higher index first), honoring
 // per-priority PFC pause state.
 //
-// Rate is fixed at construction: NewPort precomputes the serialization
+// Rate is fixed at construction: newPort precomputes the serialization
 // times for the two dominant wire sizes from it, so mutating Rate on a
 // live port would desynchronize them.
 type Port struct {
 	Eng       *sim.Engine
-	Owner     Device
 	Peer      *Port
 	Rate      Rate
 	PropDelay sim.Time
-	Index     int // position within Owner's port list
+	Index     int // position within the owner's port list
 
-	// Jitter, when non-nil, adds per-packet non-congestive delay to the
-	// propagation of every packet leaving this port (used for Fig 13).
-	Jitter func() sim.Time
+	// The owning device: exactly one of Switch and Host is set.
+	Switch *Switch
+	Host   *Host
 
 	// INTEnabled makes this port stamp telemetry on ECT data packets at
 	// dequeue, for HPCC.
 	INTEnabled bool
 
-	// trace, when non-nil, receives enqueue/dequeue/drop/pause/resume
-	// events for this port, which names itself in them as dev (an id in the
-	// run's obs.DevTable). Nil (the default) costs one predictable branch
-	// per packet; harness.Net.Observe installs it through SetTrace.
-	trace *obs.Emitter
-	dev   obs.DevID
+	// cold holds the optional hooks (tracer, digest, fault state, jitter);
+	// nil until one is installed.
+	cold *portCold
 
 	// Pool, when non-nil, receives packets this port drops under faults,
 	// keeping faulted runs allocation-free. Installed by internal/harness;
 	// a nil pool is always safe (Put on a nil pool is a no-op) and just
 	// leaves dropped packets to the GC.
 	Pool *PacketPool
-
-	// Per-event digest chain (harness -fingerprint wiring): when non-nil,
-	// packet and pause deliveries into this port fold the receiving device
-	// and packet identity into the run digest. Nil costs one predictable
-	// branch per delivery; digTag names this port in the digest's Names map.
-	dig    *sim.Digest
-	digTag uint64
-
-	// Devirtualized owner: exactly one of ownerSw/ownerHost is set when
-	// the owner is a concrete Switch or Host (the only in-tree devices),
-	// letting delivery branch to the concrete HandlePacket instead of
-	// going through the Device interface. Custom Device implementations
-	// (both nil) still dispatch through Owner.
-	ownerSw   *Switch
-	ownerHost *Host
 
 	// deliverKind is the cost-attribution tag for deliveries INTO the
 	// peer port, precomputed by Connect from the peer's owner class so
@@ -167,7 +180,7 @@ type Port struct {
 	queues []pktQueue
 
 	// occMask mirrors queue occupancy and pausedMask is the PFC pause state,
-	// one bit per queue (NewPort caps a port at MaxQueues), so strict-priority
+	// one bit per queue (newPort caps a port at MaxQueues), so strict-priority
 	// selection is a single Len64 on occMask &^ pausedMask.
 	occMask    uint64
 	pausedMask uint64
@@ -185,8 +198,7 @@ type Port struct {
 	busyUntil sim.Time
 	wakeSeq   uint64
 	wakeArmed bool
-	fault     *PortFault // nil until a fault plan (or test) touches the port
-	devName   string     // lazily cached Owner.DeviceName() (hosts format it per call)
+	devName   string // lazily cached DeviceName() (hosts format it per call)
 
 	// Counters.
 	TxBytes   int64
@@ -206,24 +218,17 @@ type Port struct {
 // widest port in the repository has 13.)
 const MaxQueues = 64
 
-// NewPort creates a port with nqueues strict-priority egress queues, at most
-// MaxQueues.
-func NewPort(eng *sim.Engine, owner Device, rate Rate, prop sim.Time, nqueues int) *Port {
+// newPort creates an ownerless port with nqueues strict-priority egress
+// queues, at most MaxQueues; Switch.AddPort and NewHost set the owner.
+func newPort(eng *sim.Engine, rate Rate, prop sim.Time, nqueues int) *Port {
 	if nqueues > MaxQueues {
 		panic(fmt.Sprintf("netsim: port with %d queues (max %d)", nqueues, MaxQueues))
 	}
 	p := &Port{
 		Eng:       eng,
-		Owner:     owner,
 		Rate:      rate,
 		PropDelay: prop,
 		queues:    make([]pktQueue, nqueues),
-	}
-	switch o := owner.(type) {
-	case *Switch:
-		p.ownerSw = o
-	case *Host:
-		p.ownerHost = o
 	}
 	if rate != 0 {
 		p.serFull = rate.Serialize(wireFull)
@@ -242,26 +247,39 @@ func Connect(a, b *Port) {
 
 // deliverKindOf classifies deliveries into p by its owner's device class.
 func deliverKindOf(p *Port) uint8 {
-	if p.ownerSw != nil {
+	if p.Switch != nil {
 		return sim.EKDeliverSwitch
 	}
 	return sim.EKDeliverHost
 }
 
-// SetDigest installs the run digest on this port for payload folding (see
-// the dig field); tag is the port's identity in the digest's Names map.
-// Pass nil to remove.
-func (p *Port) SetDigest(d *sim.Digest, tag uint64) {
-	p.dig = d
-	p.digTag = tag
+// hooks returns the port's cold state, allocating it on first use.
+func (p *Port) hooks() *portCold {
+	if p.cold == nil {
+		p.cold = &portCold{}
+	}
+	return p.cold
 }
 
-// SetTrace installs the run's trace emitter on this port (see the trace
-// field); dev is the owning device's id in the recorder's name table. Pass
-// nil to remove.
+// SetDigest installs the run digest on this port: packet and pause
+// deliveries into it fold the packet identity into the chain under tag, the
+// port's identity in the digest's Names map. Pass nil to remove.
+func (p *Port) SetDigest(d *sim.Digest, tag uint64) {
+	c := p.hooks()
+	c.dig, c.digTag = d, tag
+}
+
+// SetTrace installs the run's trace emitter on this port, which then emits
+// enqueue/dequeue/drop/pause/resume events; dev is the owning device's id in
+// the recorder's name table. Pass nil to remove.
 func (p *Port) SetTrace(em *obs.Emitter, dev obs.DevID) {
-	p.trace = em
-	p.dev = dev
+	p.hooks().trace = devTrace{em: em, dev: dev}
+}
+
+// SetJitter installs fn as the port's per-packet non-congestive delay, added
+// to the propagation of every packet leaving it (Fig 13). Pass nil to remove.
+func (p *Port) SetJitter(fn func() sim.Time) {
+	p.hooks().jitter = fn
 }
 
 // Digest payload encoding for packet deliveries: a carries the flow id,
@@ -312,11 +330,15 @@ func (p *Port) TotalQueuedBytes() int {
 	return total
 }
 
-// name returns the owning device's name, computed once. Owners set their
-// identity before creating ports, so the first call already sees it.
-func (p *Port) name() string {
+// DeviceName returns the owning device's name ("sw0", "host3"), computed
+// once.
+func (p *Port) DeviceName() string {
 	if p.devName == "" {
-		p.devName = p.Owner.DeviceName()
+		if p.Switch != nil {
+			p.devName = p.Switch.Name
+		} else {
+			p.devName = p.Host.DeviceName()
+		}
 	}
 	return p.devName
 }
@@ -346,18 +368,18 @@ func (p *Port) clampPrio(prio int) int {
 	return prio
 }
 
-// Fault returns the port's fault state, creating it on first use. Only
-// the fault layer and tests call this; an untouched port keeps fault nil
-// and pays a single branch per packet.
+// Fault returns the port's fault state, creating it on first use. Only the
+// fault layer and tests call this.
 func (p *Port) Fault() *PortFault {
-	if p.fault == nil {
-		p.fault = &PortFault{}
+	c := p.hooks()
+	if c.fault == nil {
+		c.fault = &PortFault{}
 	}
-	return p.fault
+	return c.fault
 }
 
 // IsDown reports whether the port is administratively down.
-func (p *Port) IsDown() bool { return p.fault != nil && p.fault.Down }
+func (p *Port) IsDown() bool { return p.cold != nil && p.cold.fault != nil && p.cold.fault.Down }
 
 // SetDown changes the port's link state. Going down drops the queued
 // backlog back into the pool (releasing switch buffer accounting as if the
@@ -407,8 +429,8 @@ func (p *Port) dropFault(pkt *Packet, corrupt bool) {
 	} else {
 		p.FaultDrops++
 	}
-	if p.trace != nil {
-		p.tracePacket(obs.Drop, pkt, 0, 0)
+	if p.cold != nil && p.cold.trace.em != nil {
+		p.cold.trace.packet(obs.Drop, pkt, p, 0, 0)
 	}
 	p.Pool.Put(pkt)
 }
@@ -417,7 +439,7 @@ func (p *Port) dropFault(pkt *Packet, corrupt bool) {
 // the transmitter if idle.
 func (p *Port) Enqueue(it TxItem) {
 	checkLive(it.Pkt, "Port.Enqueue")
-	if p.fault != nil && p.fault.Down {
+	if p.IsDown() {
 		p.refuseDead(it)
 		return
 	}
@@ -438,7 +460,7 @@ func (p *Port) refuseDead(it TxItem) {
 
 // enqueue is the admitted fast path behind Enqueue: the link is known up
 // and q is the already-clamped queue index, so the common case (untraced
-// packet, no tracer, transmitter busy or queue immediately serviceable)
+// packet, no hooks, transmitter busy or queue immediately serviceable)
 // runs straight-line.
 //
 // Kept out of line: under the profile-guided build's hot budget it would
@@ -456,8 +478,9 @@ func (p *Port) enqueue(it TxItem, q int) {
 	// without touching the queue. State updates (HWM, Traced stamp) match
 	// what push-then-pop would have done in this same event; transmit then
 	// observes the queue exactly as it would post-pop. Tracer-installed
-	// ports take the full path so enqueue/dequeue events still fire.
-	if p.trace == nil && !p.wakeArmed &&
+	// ports take the full path so enqueue/dequeue events still fire; a port
+	// with only a digest, fault state or jitter keeps the bypass.
+	if (p.cold == nil || p.cold.trace.em == nil) && !p.wakeArmed &&
 		p.occMask&^p.pausedMask == 0 && (p.pausedMask>>uint(q))&1 == 0 &&
 		p.wireFree() {
 		if it.Pkt.Traced {
@@ -477,8 +500,8 @@ func (p *Port) enqueue(it TxItem, q int) {
 	if b := p.queues[q].bytes; b > p.QueueHWM {
 		p.QueueHWM = b
 	}
-	if p.trace != nil {
-		p.traceEnqueue(it.Pkt, q)
+	if p.cold != nil {
+		p.enqueueHooked(it.Pkt, q)
 	}
 	if !p.wakeArmed {
 		if p.wireFree() {
@@ -529,41 +552,30 @@ func (p *Port) kick() {
 	}
 }
 
-// traceEnqueue is the tracer-installed cold path of enqueue. It and
-// traceDequeue keep the two-argument shape their call sites had before the
-// compact event, so enqueue, transmit and everything transmit is inlined
-// into compile to the instructions they did: the hooks-off path is not
-// supposed to know this PR happened.
+// enqueueHooked is the hooked path of enqueue: it emits the enqueue event
+// when a tracer is installed. Outlined so the hooks-off path stays a nil
+// check.
 //
 //go:noinline
-func (p *Port) traceEnqueue(pkt *Packet, q int) {
-	p.tracePacket(obs.Enqueue, pkt, q, p.queues[q].bytes)
+func (p *Port) enqueueHooked(pkt *Packet, q int) {
+	if p.cold.trace.em != nil {
+		p.cold.trace.packet(obs.Enqueue, pkt, p, q, p.queues[q].bytes)
+	}
 }
 
-// traceDequeue is the tracer-installed cold path of transmit.
+// transmitHooked is the hooked path of transmit: it emits the dequeue event
+// when a tracer is installed and returns the packet's jitter, if any.
 //
 //go:noinline
-func (p *Port) traceDequeue(pkt *Packet, q int) {
-	p.tracePacket(obs.Dequeue, pkt, q, p.queues[q].bytes)
-}
-
-// tracePacket emits one enqueue, dequeue or fault-drop event: it fills the emitter's next record in place — a flight-ring
-// slot when the run has a ring — so a traced packet costs ten stores, not
-// an Event copied through an interface (field by field: a composite literal
-// is built on the stack and copied over). qlen is queue q's occupancy after
-// the event took effect.
-func (p *Port) tracePacket(kind obs.Kind, pkt *Packet, q, qlen int) {
-	ev := p.trace.Next()
-	ev.T = p.Eng.Now()
-	ev.Flow = pkt.FlowID
-	ev.Seq = pkt.Seq
-	ev.Bytes = uint32(pkt.Wire)
-	ev.QLen = uint32(qlen)
-	ev.Dev = p.dev
-	ev.Port = uint16(p.Index)
-	ev.Queue = uint8(q)
-	ev.Kind = kind
-	p.trace.Emit(ev)
+func (p *Port) transmitHooked(pkt *Packet, q int) sim.Time {
+	c := p.cold
+	if c.trace.em != nil {
+		c.trace.packet(obs.Dequeue, pkt, p, q, p.queues[q].bytes)
+	}
+	if c.jitter != nil {
+		return c.jitter()
+	}
+	return 0
 }
 
 // SetPaused updates PFC pause state for one priority queue.
@@ -574,17 +586,18 @@ func (p *Port) SetPaused(prio int, on bool) {
 	}
 	was := p.pausedMask
 	p.pausedMask ^= 1 << uint(q)
-	if p.trace != nil {
+	if p.cold != nil && p.cold.trace.em != nil {
 		kind := obs.Resume
 		if on {
 			kind = obs.Pause
 		}
-		ev := p.trace.Next()
+		t := &p.cold.trace
+		ev := t.em.Next()
 		*ev = obs.Event{
 			T: p.Eng.Now(), Kind: kind,
-			Dev: p.dev, Port: uint16(p.Index), Queue: uint8(q),
+			Dev: t.dev, Port: uint16(p.Index), Queue: uint8(q),
 		}
-		p.trace.Emit(ev)
+		t.em.Emit(ev)
 	}
 	// PausedFor runs while the mask is non-empty.
 	if was == 0 {
@@ -608,7 +621,7 @@ func (p *Port) PausedQueues() int { return bits.OnesCount64(p.pausedMask) }
 // re-arms: the link may have gone down since the event was filed.
 func (p *Port) startTx() {
 	p.wakeArmed = false
-	if p.fault != nil && p.fault.Down {
+	if p.IsDown() {
 		return
 	}
 	p.startTxLive()
@@ -634,18 +647,15 @@ func (p *Port) transmit(it TxItem, q int) {
 	if it.Sw != nil {
 		it.Sw.releaseItem(it)
 	}
-	if p.trace != nil {
-		p.traceDequeue(pkt, q)
+	prop := p.PropDelay
+	if p.cold != nil {
+		prop += p.transmitHooked(pkt, q)
 	}
 	if p.INTEnabled && pkt.Type == Data && pkt.ECT {
 		p.stampINT(pkt, q)
 	}
 	if pkt.Traced && (pkt.Type == Data || pkt.Type == Probe) {
 		p.stampTrace(pkt, q)
-	}
-	prop := p.PropDelay
-	if p.Jitter != nil {
-		prop += p.Jitter()
 	}
 	// Closure-free delivery: deliverPacket is a package-level function and
 	// both arguments are pointers, so this schedules without allocating.
@@ -690,7 +700,7 @@ func (p *Port) stampTrace(pkt *Packet, q int) {
 		TxBytes: p.TxBytes,
 		TS:      p.Eng.Now(),
 		Rate:    p.Rate,
-		Dev:     p.name(),
+		Dev:     p.DeviceName(),
 		QWait:   p.Eng.Now() - pkt.hopEnqAt,
 	})
 }
@@ -701,56 +711,44 @@ func (p *Port) stampTrace(pkt *Packet, q int) {
 // link faults are applied here: a downed or impaired receiving port
 // consumes the packet instead of handing it to the device. The fault layer
 // downs both ends of a cable, so in-flight packets of a flapped link are
-// lost in both directions. Dispatch goes through the port's concrete
-// owner-kind fields — (*Switch).HandlePacket / (*Host).HandlePacket called
-// directly — with the Device interface as the fallback for custom owners.
+// lost in both directions. Dispatch calls the owner's concrete
+// HandlePacket directly.
 func deliverPacket(a, b any) {
 	in := a.(*Port)
 	pkt := b.(*Packet)
 	if in.Pool != nil {
 		in.Pool.wire--
 	}
-	if in.dig != nil {
-		in.dig.FoldPayload(in.digTag, uint64(pkt.FlowID),
-			uint64(pkt.Seq)<<20|uint64(pkt.Type)<<16|uint64(pkt.Wire))
+	if c := in.cold; c != nil {
+		if c.dig != nil {
+			c.dig.FoldPayload(c.digTag, uint64(pkt.FlowID),
+				uint64(pkt.Seq)<<20|uint64(pkt.Type)<<16|uint64(pkt.Wire))
+		}
+		if c.fault != nil && c.fault.drop(in, pkt) {
+			return
+		}
 	}
-	if in.fault != nil && in.fault.drop(in, pkt) {
-		return
-	}
-	if sw := in.ownerSw; sw != nil {
+	if sw := in.Switch; sw != nil {
 		sw.HandlePacket(pkt, in)
 		return
 	}
-	if h := in.ownerHost; h != nil {
-		h.HandlePacket(pkt, in)
-		return
-	}
-	in.Owner.HandlePacket(pkt, in)
+	in.Host.HandlePacket(pkt, in)
 }
 
 // deliverPause is the preallocated Post2 target for PFC frame arrival: a
 // is the receiving *Port, b packs prio<<1|on. The packed value stays below
-// 256, so boxing it in any does not allocate. Like deliverPacket, dispatch
-// branches on the concrete owner kind before falling back to the Device
-// interface.
+// 256, so boxing it in any does not allocate. Either owner kind answers a
+// PFC frame the same way: pause or resume its own egress queue.
 func deliverPause(a, b any) {
 	in := a.(*Port)
 	code := b.(int)
 	if in.Pool != nil {
 		in.Pool.ctrl--
 	}
-	if in.dig != nil {
-		in.dig.FoldPayload(in.digTag, digPauseBit|uint64(code), 0)
+	if c := in.cold; c != nil && c.dig != nil {
+		c.dig.FoldPayload(c.digTag, digPauseBit|uint64(code), 0)
 	}
-	if sw := in.ownerSw; sw != nil {
-		sw.HandlePause(code>>1, code&1 == 1, in)
-		return
-	}
-	if h := in.ownerHost; h != nil {
-		h.HandlePause(code>>1, code&1 == 1, in)
-		return
-	}
-	in.Owner.HandlePause(code>>1, code&1 == 1, in)
+	in.SetPaused(code>>1, code&1 == 1)
 }
 
 // SendPause delivers a PFC pause/resume frame to the peer device. PFC

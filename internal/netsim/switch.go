@@ -17,12 +17,10 @@ type Switch struct {
 	Ports  []*Port
 	Buffer BufferConfig
 
-	// trace, when non-nil, receives drop and ECN-mark events for this
-	// switch (enqueue/dequeue events come from the ports), named by dev, the
-	// switch's id in the run's obs.DevTable. harness.Net.Observe installs
-	// it through SetTrace.
-	trace *obs.Emitter
-	dev   obs.DevID
+	// trace, the switch's cold state, receives drop and ECN-mark events
+	// (enqueue/dequeue events come from the ports); nil until
+	// harness.Net.Observe installs it through SetTrace.
+	trace *devTrace
 
 	// Pool, when non-nil, receives packets this switch drops, so lossy
 	// runs stay allocation-free. Installed by internal/harness; a nil pool
@@ -70,7 +68,8 @@ func NewSwitch(eng *sim.Engine, name string, cfg BufferConfig, rng *rand.Rand) *
 // AddPort creates and registers an egress port with nqueues priority
 // queues, returning it for wiring with Connect.
 func (s *Switch) AddPort(rate Rate, prop sim.Time, nqueues int) *Port {
-	p := NewPort(s.Eng, s, rate, prop, nqueues)
+	p := newPort(s.Eng, rate, prop, nqueues)
+	p.Switch = s
 	p.Index = len(s.Ports)
 	s.Ports = append(s.Ports, p)
 	return p
@@ -87,15 +86,14 @@ func (s *Switch) Finalize() {
 	s.ecnOff = s.Buffer.ECNKByVPrio == nil && s.Buffer.ECNKMin <= 0
 }
 
-// DeviceName implements Device.
-func (s *Switch) DeviceName() string { return s.Name }
-
 // SetTrace installs the run's switch-side trace emitter (see the trace
 // field); dev is this switch's id in the recorder's name table. Pass nil to
 // remove.
 func (s *Switch) SetTrace(em *obs.Emitter, dev obs.DevID) {
-	s.trace = em
-	s.dev = dev
+	s.trace = nil
+	if em != nil {
+		s.trace = &devTrace{em: em, dev: dev}
+	}
 }
 
 // Drops returns the number of packets dropped for buffer exhaustion.
@@ -120,13 +118,8 @@ func (s *Switch) HeadroomUsed() int { return s.buf.HeadroomUsed() }
 // HeadroomHWM returns the peak PFC headroom occupancy seen.
 func (s *Switch) HeadroomHWM() int { return s.buf.HdrHWM }
 
-// HandlePause implements Device: pause/resume our egress queue on the port
-// the frame arrived on.
-func (s *Switch) HandlePause(prio int, on bool, in *Port) {
-	in.SetPaused(prio, on)
-}
-
-// HandlePacket implements Device: route, admit, mark, enqueue. The common
+// HandlePacket is called when a packet fully arrives on port in: route,
+// admit, mark, enqueue. The common
 // case — route present, next hop up, admitted, no marking — runs straight
 // through with the drop paths outlined into noinline helpers; every
 // decision (ECMP selection, admission, marking) is bit-identical to the
@@ -145,7 +138,7 @@ func (s *Switch) HandlePacket(pkt *Packet, in *Port) {
 		return
 	}
 	out := s.Ports[s.routeArena[e.off+int32(ecmpMod(pkt.Hash, e.magic, uint32(e.n)))]]
-	if out.fault != nil && out.fault.Down {
+	if out.IsDown() {
 		// ECMP next-hop exclusion: re-hash over the live subset so flows
 		// route around a downed link without waiting for the control plane.
 		out = s.liveNextHop(s.routeArena[e.off:e.off+e.n], int(pkt.Hash))
@@ -206,7 +199,7 @@ func (s *Switch) dropNoRoute(pkt *Packet) {
 //go:noinline
 func (s *Switch) dropAdmission(pkt *Packet, out *Port, prio int) {
 	if s.trace != nil {
-		s.tracePacket(obs.Drop, pkt, out, prio, out.queues[prio].bytes)
+		s.trace.packet(obs.Drop, pkt, out, prio, out.queues[prio].bytes)
 	}
 	s.Pool.Put(pkt)
 }
@@ -219,23 +212,9 @@ func (s *Switch) maybeMark(pkt *Packet, out *Port, prio, size int) {
 		pkt.CE = true
 		s.ECNMarks++
 		if s.trace != nil {
-			s.tracePacket(obs.Mark, pkt, out, prio, out.queues[prio].bytes+size)
+			s.trace.packet(obs.Mark, pkt, out, prio, out.queues[prio].bytes+size)
 		}
 	}
-}
-
-// tracePacket emits a Drop or Mark event for a packet bound for queue prio
-// of out, filling the emitter's next record in place; qlen is the queue
-// occupancy the event reports.
-func (s *Switch) tracePacket(kind obs.Kind, pkt *Packet, out *Port, prio, qlen int) {
-	ev := s.trace.Next()
-	*ev = obs.Event{
-		T: s.Eng.Now(), Kind: kind,
-		Dev: s.dev, Port: uint16(out.Index), Queue: uint8(prio),
-		Flow: pkt.FlowID, Seq: pkt.Seq,
-		Bytes: uint32(pkt.Wire), QLen: uint32(qlen),
-	}
-	s.trace.Emit(ev)
 }
 
 // liveNextHop scans the ECMP set from the hashed candidate onward and
@@ -338,7 +317,7 @@ func (s *Switch) AuditPFC() string {
 			want := b.paused[p.Index*b.nprios+prio]
 			if got := peer.Paused(prio); got != want {
 				return fmt.Sprintf("%s: port %d prio %d pause asymmetry: ingress paused=%v, upstream %s egress paused=%v",
-					s.Name, p.Index, prio, want, peer.name(), got)
+					s.Name, p.Index, prio, want, peer.DeviceName(), got)
 			}
 		}
 	}

@@ -196,7 +196,7 @@ func (r *RuntimeSampler) Tick(eng *sim.Engine) {
 // LiveRun is the lock-free bridge between a running simulation and the
 // live endpoints: the harness sampling hook stores into these atomics from
 // the run's goroutine, and the stream server reads them from HTTP handler
-// goroutines. One LiveRun belongs to one runner.RunState.
+// goroutines. One LiveRun belongs to one runner.RunEntry.
 type LiveRun struct {
 	// Events is the number of engine events dispatched so far across the
 	// run's engine (accumulated, so multi-phase runs keep counting).

@@ -95,9 +95,9 @@ type Server struct {
 	// Hub is the artifact line fan-out; publishers tee into it via
 	// Hub.ArtifactWriter.
 	Hub *Hub
-	// Reg is the batch run registry backing /runs; may be nil (endpoint
+	// RunTable is the live run table backing /runs; may be nil (endpoint
 	// then reports an empty batch).
-	Reg *runner.Registry
+	RunTable *runner.RunTable
 
 	hostMu sync.Mutex
 	host   func() obs.HostGauges
@@ -116,8 +116,8 @@ type extraRoute struct {
 }
 
 // NewServer returns a server with a fresh hub.
-func NewServer(reg *runner.Registry) *Server {
-	return &Server{Hub: NewHub(), Reg: reg}
+func NewServer(runs *runner.RunTable) *Server {
+	return &Server{Hub: NewHub(), RunTable: runs}
 }
 
 // Addr returns the bound listen address once Start has succeeded.
@@ -217,8 +217,8 @@ func (s *Server) Metrics() MetricsSnapshot {
 // Runs assembles the /runs payload.
 func (s *Server) Runs() RunsSnapshot {
 	out := RunsSnapshot{}
-	if s.Reg != nil {
-		out.Runs = s.Reg.Snapshot()
+	if s.RunTable != nil {
+		out.Runs = s.RunTable.Snapshot()
 	}
 	out.Batch.Total = len(out.Runs)
 	for _, r := range out.Runs {

@@ -131,12 +131,12 @@ func TestLineWriterSplitsExactly(t *testing.T) {
 }
 
 func TestServerEndpoints(t *testing.T) {
-	var reg runner.Registry
-	st := reg.Add("fig10b/seed=1", "fig10b", 1)
+	var table runner.RunTable
+	st := table.Add("fig10b/seed=1", "fig10b", 1)
 	st.Start()
 	st.Live.Events.Add(500)
 
-	srv := NewServer(&reg)
+	srv := NewServer(&table)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("stream stats = %+v", metrics.Stream)
 	}
 
-	// /runs reflects the registry.
+	// /runs reflects the run table.
 	var runs RunsSnapshot
 	getJSON(t, base+"/runs", &runs)
 	if runs.Batch.Total != 1 || runs.Batch.Running != 1 || runs.Batch.Events != 500 {

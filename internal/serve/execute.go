@@ -34,7 +34,7 @@ type Instruments struct {
 	// Hub, when non-nil, receives artifact lines for /events subscribers.
 	Hub *stream.Hub
 	// Live, when non-nil, receives the run's progress gauges for /runs.
-	Live *runner.RunState
+	Live *runner.RunEntry
 
 	// Hist records streaming histograms and prints their summaries.
 	Hist bool

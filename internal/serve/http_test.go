@@ -13,13 +13,13 @@ import (
 	"prioplus/internal/runner"
 )
 
-// startTestServer stands up the full stack: registry, streaming server,
+// startTestServer stands up the full stack: run table, streaming server,
 // scheduler, and the job API mounted on one listener.
 func startTestServer(t *testing.T, cfg Config) (base string, s *Scheduler) {
 	t.Helper()
-	reg := &runner.Registry{}
-	srv := stream.NewServer(reg)
-	cfg.Registry = reg
+	runs := &runner.RunTable{}
+	srv := stream.NewServer(runs)
+	cfg.RunTable = runs
 	cfg.Hub = srv.Hub
 	s = New(cfg)
 	NewAPI(s).Mount(srv)

@@ -55,7 +55,7 @@ type job struct {
 	submitted  time.Time
 	finishedAt time.Time
 
-	state     *runner.RunState // live gauges; non-nil for leaders
+	state     *runner.RunEntry // live gauges; non-nil for leaders
 	followers []*job           // identical specs waiting on this leader
 	runErr    error            // experiment-level error from compute
 	skipped   bool             // compute skipped (canceled, no followers)

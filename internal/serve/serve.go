@@ -36,7 +36,7 @@ const (
 	// it zero.
 	DefaultCacheSize = 64
 	// RetainedJobs bounds the job table: beyond it the oldest finished jobs
-	// (and their run states in Config.Registry) are dropped, so a result
+	// (and their run states in Config.RunTable) are dropped, so a result
 	// evicted from the cache is not pinned by its job record forever.
 	// Queued and running jobs are never dropped.
 	RetainedJobs = 4 * DefaultCacheSize
@@ -78,10 +78,10 @@ type Config struct {
 	// committed fingerprint manifest and folds the manifest identity into
 	// cache keys.
 	Manifest *Manifest
-	// Registry, when non-nil, receives a RunState per computed job so the
+	// RunTable, when non-nil, receives a RunEntry per computed job so the
 	// streaming server's /runs endpoint and the watch dashboard see
 	// server-run jobs exactly like batch runs.
-	Registry *runner.Registry
+	RunTable *runner.RunTable
 	// Hub, when non-nil, receives artifact lines of jobs submitted with
 	// Artifact set, for /events subscribers.
 	Hub *stream.Hub
@@ -182,10 +182,10 @@ func (s *Scheduler) Submit(spec JobSpec) (JobSnapshot, error) {
 		return JobSnapshot{}, ErrQueueFull
 	}
 	s.misses++
-	if s.cfg.Registry != nil {
-		j.state = s.cfg.Registry.Add(name, spec.Experiment, spec.Params.Seed)
+	if s.cfg.RunTable != nil {
+		j.state = s.cfg.RunTable.Add(name, spec.Experiment, spec.Params.Seed)
 	} else {
-		j.state = &runner.RunState{Name: name, Experiment: spec.Experiment, Seed: spec.Params.Seed}
+		j.state = &runner.RunEntry{Name: name, Experiment: spec.Experiment, Seed: spec.Params.Seed}
 	}
 	s.inflight[key] = j
 	s.admit(j)
@@ -206,8 +206,8 @@ func (s *Scheduler) admit(j *job) {
 		}
 		delete(s.jobs, old.id)
 		s.order = append(s.order[:i], s.order[i+1:]...)
-		if old.state != nil && s.cfg.Registry != nil {
-			s.cfg.Registry.Remove(old.state)
+		if old.state != nil && s.cfg.RunTable != nil {
+			s.cfg.RunTable.Remove(old.state)
 		}
 	}
 }
@@ -314,7 +314,7 @@ func (s *Scheduler) complete(j *job, r runner.Result) {
 	}
 	finalize(j)
 	if j.status != JobCanceled {
-		// A canceled leader's RunState was already finished ("canceled")
+		// A canceled leader's RunEntry was already finished ("canceled")
 		// by Cancel; don't overwrite that with the compute outcome.
 		j.state.Finish(errMsg)
 	}

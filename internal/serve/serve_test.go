@@ -183,12 +183,12 @@ func TestCacheKeyInvariance(t *testing.T) {
 
 // TestBackpressure: with one worker occupied and a one-slot queue filled,
 // the next submission is refused with ErrQueueFull — leaving no run in the
-// registry and no miss on the counter — and succeeds again once the queue
+// run table and no miss on the counter — and succeeds again once the queue
 // drains.
 func TestBackpressure(t *testing.T) {
 	block, _ := registerGatedSpec("testblock2")
-	reg := &runner.Registry{}
-	s := New(Config{Workers: 1, QueueDepth: 1, Registry: reg})
+	runs := &runner.RunTable{}
+	s := New(Config{Workers: 1, QueueDepth: 1, RunTable: runs})
 	defer s.Close()
 
 	j1, err := s.Submit(JobSpec{Experiment: "testblock2", Params: exp.RunParams{Seed: 1}})
@@ -207,9 +207,9 @@ func TestBackpressure(t *testing.T) {
 	if snap.Queue.Depth != 1 || snap.Queue.Capacity != 1 {
 		t.Errorf("queue stats %+v, want depth 1/1", snap.Queue)
 	}
-	if snap.Cache.Misses != 2 || len(reg.Runs()) != 2 {
+	if snap.Cache.Misses != 2 || len(runs.Runs()) != 2 {
 		t.Errorf("after a refused submit: %d misses, %d registered runs; want the 2 accepted jobs only",
-			snap.Cache.Misses, len(reg.Runs()))
+			snap.Cache.Misses, len(runs.Runs()))
 	}
 	close(block)
 	waitJob(t, s, j1.ID)
@@ -221,13 +221,13 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// TestJobRetention: the job table and the run registry keep only the most
+// TestJobRetention: the job table and the run table keep only the most
 // recent RetainedJobs finished jobs, so a result evicted from the cache is
 // not pinned by its job record; an aged-out id answers ErrNotFound, and the
 // hit/miss counters keep counting.
 func TestJobRetention(t *testing.T) {
-	reg := &runner.Registry{}
-	s := New(Config{Workers: 1, Registry: reg})
+	runs := &runner.RunTable{}
+	s := New(Config{Workers: 1, RunTable: runs})
 	defer s.Close()
 	const extra = 40
 	var first, last JobSnapshot
@@ -250,8 +250,8 @@ func TestJobRetention(t *testing.T) {
 		t.Errorf("job table holds %d jobs, want the newest %d", len(snap.Jobs), RetainedJobs)
 	}
 	// Every retained job but the hit computed, so each has a run state.
-	if n := len(reg.Runs()); n != RetainedJobs-1 {
-		t.Errorf("registry holds %d runs, want %d", n, RetainedJobs-1)
+	if n := len(runs.Runs()); n != RetainedJobs-1 {
+		t.Errorf("run table holds %d runs, want %d", n, RetainedJobs-1)
 	}
 	if snap.Cache.Misses != RetainedJobs+extra || snap.Cache.Hits != 1 {
 		t.Errorf("counters %d misses / %d hits, want %d / 1", snap.Cache.Misses, snap.Cache.Hits, RetainedJobs+extra)

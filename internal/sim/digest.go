@@ -197,7 +197,12 @@ func (d *Digest) CheckpointEvery() uint64 { return d.every }
 // chain. Sampler firings are not folded — they are clock-driven
 // observations, not events, and folding them would make the chain depend
 // on the observability configuration.
-func (e *Engine) SetDigest(d *Digest) { e.dig = d }
+func (e *Engine) SetDigest(d *Digest) { e.hooked().dig = d }
 
 // Digest returns the installed digest chain, or nil.
-func (e *Engine) Digest() *Digest { return e.dig }
+func (e *Engine) Digest() *Digest {
+	if e.hooks == nil {
+		return nil
+	}
+	return e.hooks.dig
+}

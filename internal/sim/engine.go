@@ -182,17 +182,10 @@ type Engine struct {
 	sampleEvery Time
 	sampleFn    func()
 
-	// Sampled cost attribution (SetCostSampler). One in costEvery
-	// dispatches is wall-clock stamped and reported to costFn with the
-	// event's kind tag; nil costFn costs the hot loop a single
-	// always-false nil check.
-	costFn    func(kind uint8, nanos int64)
-	costEvery int64
-	costSkip  int64
-
-	// Per-event digest chain (SetDigest). Nil when fingerprinting is off;
-	// the dispatch loop pays one always-false nil check.
-	dig *Digest
+	// hooks, the engine's cold state, holds the instruments that observe
+	// every dispatch; nil until one is installed, so the dispatch loop pays
+	// one always-false nil check per event.
+	hooks *engineHooks
 
 	// Logical-event accounting: seqs reserved (ReserveSeq) and later filed
 	// (PostAtSeq). reserved-minus-filed counts elided events — see
@@ -203,6 +196,24 @@ type Engine struct {
 	nfiled      uint64
 	accReserved uint64
 	accFiled    uint64
+}
+
+// engineHooks are the sampled cost attribution (SetCostSampler: one in
+// costEvery dispatches is wall-clock stamped and reported to costFn with the
+// event's kind tag) and the per-event digest chain (SetDigest).
+type engineHooks struct {
+	costFn    func(kind uint8, nanos int64)
+	costEvery int64
+	costSkip  int64
+	dig       *Digest
+}
+
+// hooked returns the engine's hooks, allocating them on first use.
+func (e *Engine) hooked() *engineHooks {
+	if e.hooks == nil {
+		e.hooks = &engineHooks{}
+	}
+	return e.hooks
 }
 
 // maxTime is the largest representable simulated time; it doubles as the
@@ -372,17 +383,14 @@ func (e *Engine) SetSampler(every Time, fn func()) {
 // dispatch paths keeps per-kind time shares unbiased. fn runs after the
 // stamped callback returns and must not mutate simulation state — stamps
 // are observation only, so enabling the sampler cannot perturb results.
-// Passing a nil fn (or every <= 0) removes the hook; with no hook the
-// dispatch loop pays a single nil check.
+// Passing a nil fn (or every <= 0) removes the hook; an engine that never
+// had an instrument installed pays a single nil check per dispatch.
 func (e *Engine) SetCostSampler(every int64, fn func(kind uint8, nanos int64)) {
 	if fn == nil || every <= 0 {
-		e.costFn = nil
-		e.costEvery, e.costSkip = 0, 0
-		return
+		fn, every = nil, 0
 	}
-	e.costFn = fn
-	e.costEvery = every
-	e.costSkip = every
+	h := e.hooked()
+	h.costFn, h.costEvery, h.costSkip = fn, every, every
 }
 
 // Stop makes the current Run or RunUntil return after the executing event
@@ -471,13 +479,10 @@ func (e *Engine) runBatch(at Time) {
 		fn, a0, a1, kind := ev.fn, ev.a0, ev.a1, ev.kind
 		ev.state = evFired
 		e.recycle(ev)
-		if e.costFn != nil {
-			e.dispatchCost(kind, fn, a0, a1)
+		if e.hooks != nil {
+			e.dispatchHooked(kind, ent.seq, true, fn, a0, a1)
 		} else {
 			fn(a0, a1)
-		}
-		if e.dig != nil {
-			e.dig.fold(at, ent.seq, kind)
 		}
 	}
 }
@@ -488,27 +493,33 @@ func (e *Engine) runBatch(at Time) {
 func (e *Engine) fireSampler() {
 	e.now = e.sampleAt
 	e.sampleAt += e.sampleEvery
-	if e.costFn != nil {
-		e.dispatchCost(EKSampler, call, e.sampleFn, nil)
+	if e.hooks != nil {
+		e.dispatchHooked(EKSampler, 0, false, call, e.sampleFn, nil)
 		return
 	}
 	e.sampleFn()
 }
 
-// dispatchCost is the profiled dispatch path, outlined so the unprofiled
-// loop body stays small and branch-predictable. The countdown makes the
-// common case (skip) a decrement and compare; only 1-in-costEvery
-// dispatches pay two monotonic clock reads.
+// dispatchHooked is the instrumented dispatch path, outlined so the plain
+// loop body stays small and branch-predictable. It runs fn(a0, a1) through
+// the cost sampler — the countdown makes the common case (skip) a decrement
+// and compare; only 1-in-costEvery dispatches pay two monotonic clock reads
+// — and then, when fold is set (queued events, not sampler firings), folds
+// the event, dispatched now under seq, into the digest chain.
 //
 //go:noinline
-func (e *Engine) dispatchCost(kind uint8, fn func(a, b any), a0, a1 any) {
-	e.costSkip--
-	if e.costSkip > 0 {
+func (e *Engine) dispatchHooked(kind uint8, seq uint64, fold bool, fn func(a, b any), a0, a1 any) {
+	h := e.hooks
+	h.costSkip--
+	if h.costFn == nil || h.costSkip > 0 {
 		fn(a0, a1)
-		return
+	} else {
+		h.costSkip = h.costEvery
+		t0 := time.Now()
+		fn(a0, a1)
+		h.costFn(kind, int64(time.Since(t0)))
 	}
-	e.costSkip = e.costEvery
-	t0 := time.Now()
-	fn(a0, a1)
-	e.costFn(kind, int64(time.Since(t0)))
+	if fold && h.dig != nil {
+		h.dig.fold(e.now, seq, kind)
+	}
 }

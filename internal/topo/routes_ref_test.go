@@ -22,11 +22,11 @@ func referenceRoutes(n *topo.Network) []map[int][]int32 {
 	for i, sw := range n.Switches {
 		swOf[sw] = nh + i
 	}
-	nodeOf := func(d netsim.Device) int {
-		if h, ok := d.(*netsim.Host); ok {
-			return h.ID
+	nodeOf := func(p *netsim.Port) int {
+		if p.Host != nil {
+			return p.Host.ID
 		}
-		return swOf[d.(*netsim.Switch)]
+		return swOf[p.Switch]
 	}
 	type refEdge struct {
 		peer int
@@ -38,14 +38,14 @@ func referenceRoutes(n *topo.Network) []map[int][]int32 {
 			if p.IsDown() || p.Peer.IsDown() {
 				continue
 			}
-			adj[nh+i] = append(adj[nh+i], refEdge{peer: nodeOf(p.Peer.Owner), port: int32(pi)})
+			adj[nh+i] = append(adj[nh+i], refEdge{peer: nodeOf(p.Peer), port: int32(pi)})
 		}
 	}
 	for _, h := range n.Hosts {
 		if h.NIC.IsDown() || h.NIC.Peer.IsDown() {
 			continue
 		}
-		adj[h.ID] = append(adj[h.ID], refEdge{peer: nodeOf(h.NIC.Peer.Owner)})
+		adj[h.ID] = append(adj[h.ID], refEdge{peer: nodeOf(h.NIC.Peer)})
 	}
 
 	out := make([]map[int][]int32, len(n.Switches))
@@ -143,7 +143,7 @@ func TestDenseRoutesMatchReferenceAfterRecompute(t *testing.T) {
 	for _, sw := range n.Switches {
 		if sw.Name == "p0e0" || sw.Name == "p1a1" {
 			for _, p := range sw.Ports {
-				if _, isHost := p.Peer.Owner.(*netsim.Host); !isHost {
+				if p.Peer.Host == nil {
 					p.SetDown(true)
 					p.Peer.SetDown(true)
 					downed = append(downed, p)

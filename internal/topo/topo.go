@@ -116,17 +116,14 @@ func (n *Network) ensureIndex() {
 	}
 }
 
-// nodeOf maps a device to its graph node index in O(1) via the persistent
-// switch index (replacing the former per-device linear scan and the
-// per-call index rebuilds in computeRoutes and path).
-func (n *Network) nodeOf(d netsim.Device) int {
-	switch v := d.(type) {
-	case *netsim.Host:
-		return v.ID
-	case *netsim.Switch:
-		if i, ok := n.swIndex[v]; ok {
-			return i
-		}
+// nodeOf maps the device owning port p to its graph node index in O(1) via
+// the persistent switch index.
+func (n *Network) nodeOf(p *netsim.Port) int {
+	if p.Host != nil {
+		return p.Host.ID
+	}
+	if i, ok := n.swIndex[p.Switch]; ok {
+		return i
 	}
 	panic("topo: unknown device")
 }
@@ -170,7 +167,7 @@ func (n *Network) computeRoutes() {
 			if p.IsDown() || p.Peer.IsDown() {
 				continue
 			}
-			adj[si] = append(adj[si], edge{peer: n.nodeOf(p.Peer.Owner), port: int32(pi)})
+			adj[si] = append(adj[si], edge{peer: n.nodeOf(p.Peer), port: int32(pi)})
 		}
 		// The rebuild covers every destination below; clearing up front
 		// (keeping the arena's capacity) removes stale entries for
@@ -186,7 +183,7 @@ func (n *Network) computeRoutes() {
 		if h.NIC.IsDown() || h.NIC.Peer.IsDown() {
 			continue
 		}
-		adj[h.ID] = append(adj[h.ID], edge{peer: n.nodeOf(h.NIC.Peer.Owner)})
+		adj[h.ID] = append(adj[h.ID], edge{peer: n.nodeOf(h.NIC.Peer)})
 	}
 
 	if cap(n.dist) < total {
@@ -278,7 +275,7 @@ func (n *Network) path(src, dst int) []hop {
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		for _, p := range neighbors(u) {
-			v := n.nodeOf(p.Peer.Owner)
+			v := n.nodeOf(p.Peer)
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
@@ -291,7 +288,7 @@ func (n *Network) path(src, dst int) []hop {
 	for u != dst {
 		advanced := false
 		for _, p := range neighbors(u) {
-			v := n.nodeOf(p.Peer.Owner)
+			v := n.nodeOf(p.Peer)
 			if dist[v] == dist[u]-1 {
 				hops = append(hops, hop{rate: p.Rate, delay: p.PropDelay})
 				u = v

@@ -60,7 +60,7 @@ func TestCoflowClosFabricSpeeds(t *testing.T) {
 	}
 	for _, sw := range n.Switches {
 		for _, p := range sw.Ports {
-			if _, isHost := p.Peer.Owner.(*netsim.Host); isHost {
+			if p.Peer.Host != nil {
 				if p.Rate != 100*netsim.Gbps {
 					t.Errorf("edge-to-host port at %v, want 100G", p.Rate)
 				}
@@ -77,7 +77,7 @@ func TestSpineLeafOversubscription(t *testing.T) {
 	for _, sw := range n.Switches[6:] { // spines are created first (6)
 		hostPorts, fabricPorts := 0, 0
 		for _, p := range sw.Ports {
-			if _, isHost := p.Peer.Owner.(*netsim.Host); isHost {
+			if p.Peer.Host != nil {
 				hostPorts++
 			} else {
 				fabricPorts++
