@@ -26,7 +26,7 @@ import (
 // byte-identical whatever -parallel is. Returns the process exit code.
 func runAll(args []string) int {
 	fs := flag.NewFlagSet("all", flag.ExitOnError)
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent runs (1 = serial)")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent runs (1 = one at a time); this bounds runs, not cores: a run's independent cells may still use idle cores")
 	seedsArg := fs.String("seeds", "1", "comma-separated seeds; every experiment runs once per seed")
 	onlyArg := fs.String("only", "", "comma-separated subset of experiment ids (default: all)")
 	jsonOut := fs.String("json", "", "write per-run results to this file as JSON")
@@ -158,9 +158,12 @@ func runAll(args []string) int {
 	failures := 0
 	fps := map[string]string{} // run name -> output fingerprint (with -fingerprint)
 	for _, r := range results {
-		status := "ok"
+		status, out := "ok", r.Output
 		if r.Err != nil {
-			status = "FAIL: " + r.Err.Error()
+			// A panic may carry a stack after its first line: the header
+			// keeps that line, the rest goes where the output would.
+			msg, rest, _ := strings.Cut(r.Err.Error(), "\n")
+			status, out = "FAIL: "+msg, rest
 			failures++
 		}
 		fp := ""
@@ -169,8 +172,8 @@ func runAll(args []string) int {
 			fp = " fp=" + fps[r.Name]
 		}
 		fmt.Printf("== %-20s %10.2fms  %s%s\n", r.Name, float64(r.Wall.Microseconds())/1000, status, fp)
-		if r.Output != "" {
-			fmt.Print(indent(r.Output))
+		if out != "" {
+			fmt.Print(indent(out))
 		}
 	}
 	fmt.Printf("\n%d/%d runs ok, %d workers, wall %.2fs, %d logical events (%d dispatched), %.3gM events/sec (logical basis)\n",

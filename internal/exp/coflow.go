@@ -253,7 +253,9 @@ func speedupOf(base, r CoflowResult, tail bool) CoflowSpeedups {
 // Fig12Coflow runs the coflow comparison at one load: baseline Swift (no
 // priorities), Physical+Swift, and PrioPlus+Swift. With lossy=true it
 // reproduces Fig 17. extra appends further schemes (Fig 18: HPCC,
-// Physical w/o CC).
+// Physical w/o CC). The schemes run one after another on purpose, not
+// through cells: fig18's uncontrolled baseline comes through here, and its
+// backlog is bounded only by the in-flight watchdog's ceiling.
 func Fig12Coflow(base CoflowConfig, tail bool, extra ...Scheme) []CoflowSpeedups {
 	bcfg := base
 	bcfg.Scheme = SwiftPhysical(8)

@@ -72,6 +72,12 @@ type FaultSweepRow struct {
 // and workload. The default plan is a single mid-transfer flap of the
 // p0e0-p0a0 uplink; cfg.Faults substitutes any plan and cfg.Seed reseeds
 // the workload.
+//
+// The schemes run one after another on purpose, not through cells: DCQCN
+// does not bound the backlog a paused fabric builds, and its cell's paused
+// NIC queues hold about 7.6 MB of simulated packets mid-run (some 4 MB live,
+// against 1-2 MB for the other schemes), so running it beside another cell
+// costs more peak memory than the second core saves in time.
 func FaultSweep(cfg FaultSweepConfig) []FaultSweepRow {
 	if cfg.Faults == nil {
 		cfg.Faults = fault.NewPlan(cfg.Seed).Flap(cfg.FlapAt, cfg.FlapDur, fault.Link("p0e0", "p0a0"))

@@ -153,25 +153,23 @@ func rowFrom(r FlowSchedResult) Fig11Row {
 }
 
 // Fig11 sweeps priority counts for the schemes of Fig 11a-d: Physical
-// (max 8 queues), Physical*, and PrioPlus, all with Swift.
+// (max 8 queues), Physical*, and PrioPlus, all with Swift. Every (count,
+// scheme) cell is a private engine, so a hooks-off sweep fans them out
+// (cells).
 func Fig11(prioCounts []int, base FlowSchedConfig) []Fig11Row {
-	var rows []Fig11Row
-	for _, np := range prioCounts {
-		for _, s := range []Scheme{SwiftPhysical(8), SwiftPhysicalIdeal(), PrioPlusSwift()} {
-			cfg := base
-			cfg.Scheme = s
-			cfg.NPrios = np
-			rows = append(rows, rowFrom(RunFlowSched(cfg)))
-		}
-	}
-	return rows
+	schemes := []Scheme{SwiftPhysical(8), SwiftPhysicalIdeal(), PrioPlusSwift()}
+	return cells(base.Options, len(prioCounts)*len(schemes), func(i int) Fig11Row {
+		cfg := base
+		cfg.Scheme = schemes[i%len(schemes)]
+		cfg.NPrios = prioCounts[i/len(schemes)]
+		return rowFrom(RunFlowSched(cfg))
+	})
 }
 
 // Fig16 compares PrioPlus, PrioPlus* (ACKs in the data queue), and HPCC in
-// the flow-scheduling scenario (Appendix A.3).
+// the flow-scheduling scenario (Appendix A.3), one cell per scheme.
 func Fig16(nprios int, base FlowSchedConfig) []Fig11Row {
-	var rows []Fig11Row
-	for _, v := range []struct {
+	variants := []struct {
 		s       Scheme
 		ackData bool
 		name    string
@@ -179,17 +177,17 @@ func Fig16(nprios int, base FlowSchedConfig) []Fig11Row {
 		{PrioPlusSwift(), false, "PrioPlus+Swift"},
 		{PrioPlusSwift(), true, "PrioPlus*+Swift"},
 		{HPCCPhysical(8), false, "Physical+HPCC"},
-	} {
+	}
+	return cells(base.Options, len(variants), func(i int) Fig11Row {
+		v := variants[i]
 		cfg := base
 		cfg.Scheme = v.s
 		cfg.NPrios = nprios
 		cfg.AckPrioData = v.ackData
-		r := RunFlowSched(cfg)
-		row := rowFrom(r)
+		row := rowFrom(RunFlowSched(cfg))
 		row.Scheme = v.name
-		rows = append(rows, row)
-	}
-	return rows
+		return row
+	})
 }
 
 // Fig14Row is one (priority band, size class) cell of Fig 14: FCT
@@ -202,7 +200,10 @@ type Fig14Row struct {
 }
 
 // Fig14 runs the per-priority workload mode with 12 priorities and
-// normalizes each scheme's per-band, per-class FCT by Physical*+Swift.
+// normalizes each scheme's per-band, per-class FCT by Physical*+Swift. Its
+// runs stay one after another on purpose: the uncontrolled Physical* w/o CC
+// cell's backlog is bounded by nothing but the horizon (about 405 MB RSS
+// even alone), so a cell beside it would add its whole heap to that peak.
 func Fig14(base FlowSchedConfig, schemes []Scheme) []Fig14Row {
 	const nprios = 12
 	run := func(s Scheme, ackData bool) FlowSchedResult {

@@ -414,8 +414,8 @@ type TakeoverStats struct {
 }
 
 // Fig10c runs 10 high-priority flows preempting 10 low-priority flows,
-// with dual-RTT gating on and off, one engine per variant; Seed, Faults,
-// and Perturb thread through to both.
+// with dual-RTT gating on and off, one engine (cell) per variant; Seed,
+// Faults, and Perturb thread through to both.
 func Fig10c(o Options) Fig10cResult {
 	run := func(everyRTT bool) TakeoverStats {
 		net := star(o, "", 21, 19, paperNoise, nil)
@@ -460,7 +460,8 @@ func Fig10c(o Options) Fig10cResult {
 		}
 		return st
 	}
-	return Fig10cResult{DualRTT: run(false), EveryRTT: run(true)}
+	st := cells(o, 2, func(i int) TakeoverStats { return run(i == 1) })
+	return Fig10cResult{DualRTT: st[0], EveryRTT: st[1]}
 }
 
 // Fig10dPoint is one (noise scale, channel width) utilization measurement.
@@ -489,32 +490,26 @@ func DefaultFig10dConfig() Fig10dConfig {
 // engine on the published topology seed (21) with the noise RNG 8 above it
 // (29), both of which follow an o.Seed override.
 func Fig10d(fc Fig10dConfig, o Options) []Fig10dPoint {
-	var out []Fig10dPoint
-	for _, sc := range fc.Scales {
-		for _, w := range fc.WidthsUS {
-			net := star(o, "", 7, 21, longTail{off: 8, scale: sc}, nil)
-			recv := 6
-			base := net.Topo.BaseRTT(0, recv)
-			plan := core.ChannelPlan{
-				BaseRTT:     base,
-				Fluctuation: sim.Time(w * 0.8 * float64(sim.Microsecond)),
-				Noise:       sim.Time(w * 0.2 * float64(sim.Microsecond)),
-			}
-			for i := 0; i < 5; i++ {
-				net.AddFlow(harness.Flow{Src: i, Dst: recv, Size: 1 << 30, Prio: 0,
-					Algo: ppSwiftTo(net, i, recv, plan.Channel(1))})
-			}
-			dur := 3 * sim.Millisecond
-			rs := net.SampleRates(recv, func(*netsim.Packet) int { return 0 }, 100*sim.Microsecond, dur)
-			net.Run(dur)
-			out = append(out, Fig10dPoint{
-				NoiseScale: sc,
-				WidthUS:    w,
-				Util:       rs.Between(sim.Millisecond, dur, 0) / 100,
-			})
+	nw := len(fc.WidthsUS)
+	return cells(o, len(fc.Scales)*nw, func(i int) Fig10dPoint {
+		sc, w := fc.Scales[i/nw], fc.WidthsUS[i%nw]
+		net := star(o, "", 7, 21, longTail{off: 8, scale: sc}, nil)
+		recv := 6
+		base := net.Topo.BaseRTT(0, recv)
+		plan := core.ChannelPlan{
+			BaseRTT:     base,
+			Fluctuation: sim.Time(w * 0.8 * float64(sim.Microsecond)),
+			Noise:       sim.Time(w * 0.2 * float64(sim.Microsecond)),
 		}
-	}
-	return out
+		for src := 0; src < 5; src++ {
+			net.AddFlow(harness.Flow{Src: src, Dst: recv, Size: 1 << 30, Prio: 0,
+				Algo: ppSwiftTo(net, src, recv, plan.Channel(1))})
+		}
+		dur := 3 * sim.Millisecond
+		rs := net.SampleRates(recv, func(*netsim.Packet) int { return 0 }, 100*sim.Microsecond, dur)
+		net.Run(dur)
+		return Fig10dPoint{NoiseScale: sc, WidthUS: w, Util: rs.Between(sim.Millisecond, dur, 0) / 100}
+	})
 }
 
 // Fig10a runs the 8-priority, 30-flows-each staggered ladder and returns

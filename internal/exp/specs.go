@@ -63,10 +63,13 @@ func coflowAt(p RunParams, o Options, load float64) CoflowConfig {
 
 func init() {
 	// A spec hands its drivers one Options: the perturbation, and the
-	// sink's recorder factory when the execution is instrumented.
+	// sink's recorder factory when the execution is instrumented. While it
+	// runs it holds a core of cells' helper budget.
 	reg := func(id, describe string, run func(p RunParams, o Options, w io.Writer) error) {
 		Register(Spec{ID: id, Describe: describe, Defaults: defaults,
 			Run: func(p RunParams, sink Sink, w io.Writer) error {
+				running.Add(1)
+				defer running.Add(-1)
 				o := Options{Perturb: p.Perturb}
 				if sink != nil {
 					o.NewRecorder = sink.Recorder
@@ -139,8 +142,8 @@ func init() {
 		if !p.Full {
 			interval = 2 * sim.Millisecond
 		}
-		pp := Fig8(true, interval, o)
-		sw := Fig8(false, interval, o)
+		r := cells(o, 2, func(i int) Fig8Result { return Fig8(i == 0, interval, o) })
+		pp, sw := r[0], r[1]
 		tb := stats.NewTable("scheme", "dominance of newest priority")
 		tb.AddRow(pp.Scheme, pp.DominanceFrac)
 		tb.AddRow(sw.Scheme, sw.DominanceFrac)
@@ -150,8 +153,8 @@ func init() {
 	})
 
 	reg("fig9", "delay containment with inflated AI steps (10G)", func(p RunParams, o Options, w io.Writer) error {
-		pp := Fig9(true, o)
-		sw := Fig9(false, o)
+		r := cells(o, 2, func(i int) Fig9Result { return Fig9(i == 0, o) })
+		pp, sw := r[0], r[1]
 		tb := stats.NewTable("scheme", "frac of samples above D_limit")
 		tb.AddRow(pp.Scheme, pp.OverLimitFrac)
 		tb.AddRow(sw.Scheme, sw.OverLimitFrac)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -209,6 +210,52 @@ func TestCLIAndServerAgree(t *testing.T) {
 				t.Errorf("%s: artifact %s: job result holds %d bytes, the -series file %d, or they differ",
 					id, a.Stem, len(a.Lines), len(disk))
 			}
+		}
+	}
+}
+
+// TestFanOutSameBytes: the specs whose independent cells fan out across idle
+// cores print, hooks-off, the same bytes on two cores as on one, and the same
+// as their fingerprinted run — which runs its cells serially — once its
+// "# fingerprint" lines are dropped; that run matches the committed manifest.
+// The manifest gate runs fingerprinted, so this is the check that sees a
+// fanned-out run. fig16 stands for the flow-scheduling family (fig11 runs
+// the same scenario and would add 8-15 s); -short keeps to the micro specs.
+func TestFanOutSameBytes(t *testing.T) {
+	m, err := LoadManifest(filepath.Join("..", "..", "testdata", "fingerprints.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"fig8", "fig9", "fig10c", "fig10d", "fig16"}
+	if testing.Short() {
+		ids = ids[:4]
+	}
+	p := exp.RunParams{Seed: 1}
+	execute := func(id string, procs int, ins Instruments) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var out bytes.Buffer
+		if _, err := Execute(id, p, ins, &out); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		return out.String()
+	}
+	for _, id := range ids {
+		serial := execute(id, 1, Instruments{})
+		if fanned := execute(id, 2, Instruments{}); fanned != serial {
+			t.Errorf("%s: output on two cores differs from one core:\n%s\nvs\n%s", id, fanned, serial)
+		}
+		fp := execute(id, 2, Instruments{Fingerprint: true})
+		var plain strings.Builder
+		for _, line := range strings.SplitAfter(fp, "\n") {
+			if !strings.HasPrefix(line, "# fingerprint ") {
+				plain.WriteString(line)
+			}
+		}
+		if plain.String() != serial {
+			t.Errorf("%s: hooks-off output differs from the fingerprinted run's figure lines:\n%s\nvs\n%s", id, serial, plain.String())
+		}
+		if err := m.Check(id+"/seed=1", p, OutputFingerprint(fp)); err != nil {
+			t.Error(err)
 		}
 	}
 }

@@ -192,7 +192,7 @@ type Table struct {
 // NewTable creates a table with the given column headers.
 func NewTable(header ...string) *Table { return &Table{header: header} }
 
-// AddRow appends a row; values are formatted with %v, floats with %.3g.
+// AddRow appends a row; values are formatted with %v, floats with %.4g.
 func (t *Table) AddRow(vals ...any) {
 	row := make([]string, len(vals))
 	for i, v := range vals {
