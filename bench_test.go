@@ -177,7 +177,7 @@ func BenchmarkFig10bIncastFullObs(b *testing.B) {
 		if rec.Series.Ticks() == 0 {
 			b.Fatal("sampler never fired")
 		}
-		if rec.Cost.TotalNanos() == 0 {
+		if _, ok := rec.Metrics.Value("cost/transmit/samples"); !ok {
 			b.Fatal("cost profiler recorded nothing")
 		}
 		if rec.Live.Events.Load() == 0 {
@@ -256,7 +256,7 @@ func BenchmarkFig10bIncastAllHooks(b *testing.B) {
 		if rec.Audit.Checks == 0 || rec.Audit.Violation() != "" {
 			b.Fatalf("auditor: %d checks, violation %q", rec.Audit.Checks, rec.Audit.Violation())
 		}
-		if rec.Flight.Total() == 0 || rec.Digest.Count == 0 {
+		if len(rec.Flight.Events()) == 0 || rec.Digest.Count == 0 {
 			b.Fatal("flight ring or digest saw nothing")
 		}
 		spans = 0

@@ -38,6 +38,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -245,6 +246,9 @@ func parseBytes(s string) (int64, error) {
 	v, err := strconv.ParseInt(s, 10, 64)
 	if err != nil || v < 0 {
 		return 0, fmt.Errorf("bad byte count %q", s)
+	}
+	if v > math.MaxInt64/mult {
+		return 0, fmt.Errorf("byte count %q overflows int64", s)
 	}
 	return v * mult, nil
 }

@@ -26,7 +26,7 @@ func TestParseBytes(t *testing.T) {
 			t.Errorf("parseBytes(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "x", "-1", "-4k", "1t", "k"} {
+	for _, bad := range []string{"", "x", "-1", "-4k", "1t", "k", "8589934592g", "9223372036854775807k"} {
 		if _, err := parseBytes(bad); err == nil {
 			t.Errorf("parseBytes(%q) accepted", bad)
 		}

@@ -164,6 +164,3 @@ func (d *DCQCN) CwndBytes() float64 {
 	}
 	return d.currentRate * rtt.Seconds()
 }
-
-// RateBps returns the current rate in bits/s, for tests.
-func (d *DCQCN) RateBps() float64 { return d.currentRate * 8 }

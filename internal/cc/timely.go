@@ -141,6 +141,3 @@ func (t *TIMELY) CwndBytes() float64 {
 	}
 	return t.rate * rtt.Seconds()
 }
-
-// RateBps returns the current rate in bits/s, for tests.
-func (t *TIMELY) RateBps() float64 { return t.rate * 8 }

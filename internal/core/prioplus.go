@@ -196,13 +196,6 @@ func (p *PrioPlus) Name() string {
 // WantsECT implements cc.Algorithm.
 func (p *PrioPlus) WantsECT() bool { return p.inner.WantsECT() }
 
-// Inner returns the wrapped delay-based controller.
-func (p *PrioPlus) Inner() cc.DelayBased { return p.inner }
-
-// Stopped reports whether the flow has relinquished bandwidth and is
-// probing.
-func (p *PrioPlus) Stopped() bool { return p.stopped }
-
 // FlowEstimate returns the current cardinality estimate #flow.
 func (p *PrioPlus) FlowEstimate() float64 { return p.nflow }
 

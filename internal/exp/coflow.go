@@ -6,7 +6,6 @@ import (
 
 	"prioplus/internal/netsim"
 	"prioplus/internal/obs"
-	"prioplus/internal/sched"
 	"prioplus/internal/sim"
 	"prioplus/internal/topo"
 	"prioplus/internal/workload"
@@ -29,10 +28,6 @@ type CoflowConfig struct {
 	// NoPriority runs the scheme with a single priority group (the
 	// speedup baseline: Swift with default parameters, no scheduling).
 	NoPriority bool
-	// Trace, when non-nil, replaces the synthetic workload with explicit
-	// coflows (e.g. parsed from the public Facebook trace format with
-	// workload.ParseCoflowTrace).
-	Trace []workload.Coflow
 	// Options carries the seed, the fault plan and the recorder factory; a
 	// run is tagged with its scheme name, "baseline/"-prefixed for the
 	// no-priority baseline.
@@ -117,18 +112,15 @@ func RunCoflow(cfg CoflowConfig) CoflowResult {
 			}
 			return topo.Clos(eng, cfg.Pods, cfg.Edges, cfg.HostsPerEdge, cfg.Aggs, cfg.Cores, tc)
 		})
-	coflows := cfg.Trace
-	if coflows == nil {
-		rng := rand.New(rand.NewSource(cfg.Seed + 13))
-		wcfg := workload.DefaultCoflowConfig(len(net.Topo.Hosts), cfg.Load, float64(net.Topo.Cfg.HostRate), cfg.Duration, rng)
-		coflows = workload.Coflows(wcfg)
-	}
+	rng := rand.New(rand.NewSource(cfg.Seed + 13))
+	wcfg := workload.DefaultCoflowConfig(len(net.Topo.Hosts), cfg.Load, float64(net.Topo.Cfg.HostRate), cfg.Duration, rng)
+	coflows := workload.Coflows(wcfg)
 
 	totals := make([]int64, len(coflows))
 	for i, cf := range coflows {
 		totals[i] = cf.Total
 	}
-	groups := sched.NewSizeGroups(cfg.NPrios, totals)
+	groups := newSizeGroups(cfg.NPrios, totals)
 
 	type cfState struct {
 		remaining int
@@ -141,7 +133,7 @@ func RunCoflow(cfg CoflowConfig) CoflowResult {
 	for i, cf := range coflows {
 		// Group assignment is recorded for stats regardless of scheme;
 		// the no-priority baseline transmits everything at priority 0.
-		group := groups.PriorityFor(cf.Total)
+		group := groups.priorityFor(cf.Total)
 		prio := group
 		if cfg.NoPriority {
 			prio = 0

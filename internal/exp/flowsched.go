@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"prioplus/internal/harness"
-	"prioplus/internal/sched"
 	"prioplus/internal/sim"
 	"prioplus/internal/stats"
 	"prioplus/internal/workload"
@@ -99,12 +98,12 @@ func RunFlowSched(cfg FlowSchedConfig) FlowSchedResult {
 	for i := range sizeSample {
 		sizeSample[i] = dist.Sample(sampleRng)
 	}
-	groups := sched.NewByteGroups(cfg.NPrios, sizeSample)
+	groups := newByteGroups(cfg.NPrios, sizeSample)
 
 	res := FlowSchedResult{Scheme: cfg.Scheme.Name, NPrios: cfg.NPrios, Flows: &stats.Collector{}}
 	prioRng := rand.New(rand.NewSource(cfg.Seed + 31))
 	for _, ev := range events {
-		prio := groups.PriorityFor(ev.Size)
+		prio := groups.priorityFor(ev.Size)
 		if cfg.PerPrioWorkload {
 			prio = prioRng.Intn(cfg.NPrios)
 		}

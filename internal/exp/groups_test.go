@@ -1,4 +1,4 @@
-package sched
+package exp
 
 import (
 	"math/rand"
@@ -8,7 +8,7 @@ import (
 	"prioplus/internal/workload"
 )
 
-func sample(n int) []int64 {
+func webSearchSizes(n int) []int64 {
 	d := workload.WebSearch()
 	rng := rand.New(rand.NewSource(1))
 	out := make([]int64, n)
@@ -19,16 +19,16 @@ func sample(n int) []int64 {
 }
 
 func TestSizeGroupsSmallerIsHigher(t *testing.T) {
-	g := NewSizeGroups(8, sample(10_000))
-	if got := g.PriorityFor(6000); got != 7 {
+	g := newSizeGroups(8, webSearchSizes(10_000))
+	if got := g.priorityFor(6000); got != 7 {
 		t.Errorf("smallest flow priority = %d, want 7 (highest)", got)
 	}
-	if got := g.PriorityFor(30_000_000); got != 0 {
+	if got := g.priorityFor(30_000_000); got != 0 {
 		t.Errorf("largest flow priority = %d, want 0 (lowest)", got)
 	}
-	prev := g.PriorityFor(1)
+	prev := g.priorityFor(1)
 	for _, s := range []int64{1e4, 1e5, 1e6, 1e7, 3e7} {
-		p := g.PriorityFor(s)
+		p := g.priorityFor(s)
 		if p > prev {
 			t.Errorf("priority increased with size at %d", s)
 		}
@@ -37,11 +37,11 @@ func TestSizeGroupsSmallerIsHigher(t *testing.T) {
 }
 
 func TestSizeGroupsRoughlyBalancedCounts(t *testing.T) {
-	s := sample(50_000)
-	g := NewSizeGroups(8, s)
+	s := webSearchSizes(50_000)
+	g := newSizeGroups(8, s)
 	counts := make([]int, 8)
 	for _, size := range s {
-		counts[g.PriorityFor(size)]++
+		counts[g.priorityFor(size)]++
 	}
 	for p, c := range counts {
 		frac := float64(c) / float64(len(s))
@@ -52,12 +52,12 @@ func TestSizeGroupsRoughlyBalancedCounts(t *testing.T) {
 }
 
 func TestByteGroupsBalanceBytes(t *testing.T) {
-	s := sample(50_000)
-	g := NewByteGroups(4, s)
+	s := webSearchSizes(50_000)
+	g := newByteGroups(4, s)
 	bytes := make([]int64, 4)
 	var total int64
 	for _, size := range s {
-		bytes[g.PriorityFor(size)] += size
+		bytes[g.priorityFor(size)] += size
 		total += size
 	}
 	for p, b := range bytes {
@@ -72,7 +72,7 @@ func TestPhysicalQueueFor(t *testing.T) {
 	// 12 virtual priorities on 8 queues: order-preserving squash.
 	prev := -1
 	for p := 0; p < 12; p++ {
-		q := PhysicalQueueFor(p, 12, 8)
+		q := physicalQueueFor(p, 12, 8)
 		if q < prev {
 			t.Errorf("queue mapping not monotone at %d", p)
 		}
@@ -83,24 +83,24 @@ func TestPhysicalQueueFor(t *testing.T) {
 	}
 	// Fewer priorities than queues: identity.
 	for p := 0; p < 4; p++ {
-		if PhysicalQueueFor(p, 4, 8) != p {
+		if physicalQueueFor(p, 4, 8) != p {
 			t.Error("identity mapping expected when nprios <= nqueues")
 		}
 	}
 }
 
-// Property: PriorityFor is monotone nonincreasing in size and always in
+// Property: priorityFor is monotone nonincreasing in size and always in
 // range, for any sample set.
 func TestPriorityMonotoneProperty(t *testing.T) {
 	f := func(seed int64, nprios uint8) bool {
 		n := int(nprios%12) + 2
-		g := NewSizeGroups(n, sample(500))
+		g := newSizeGroups(n, webSearchSizes(500))
 		rng := rand.New(rand.NewSource(seed))
 		prevSize := int64(0)
 		prevPrio := n
 		for i := 0; i < 50; i++ {
 			prevSize += rng.Int63n(1 << 20)
-			p := g.PriorityFor(prevSize)
+			p := g.priorityFor(prevSize)
 			if p < 0 || p >= n || p > prevPrio {
 				return false
 			}

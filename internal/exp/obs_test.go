@@ -24,15 +24,15 @@ func TestRunFlowSchedObs(t *testing.T) {
 	if res.Flows.Count() == 0 {
 		t.Fatal("no flows completed")
 	}
-	snap := rec.Metrics.Snapshot()
-	if got := snap["net/flows_completed"]; got != float64(res.Flows.Count()) {
+	snap := func(name string) float64 { v, _ := rec.Metrics.Value(name); return v }
+	if got := snap("net/flows_completed"); got != float64(res.Flows.Count()) {
 		t.Errorf("net/flows_completed = %v, want %d", got, res.Flows.Count())
 	}
-	if snap["net/tx_packets"] <= 0 || snap["net/rx_packets"] <= 0 {
-		t.Errorf("device aggregates missing: tx=%v rx=%v", snap["net/tx_packets"], snap["net/rx_packets"])
+	if snap("net/tx_packets") <= 0 || snap("net/rx_packets") <= 0 {
+		t.Errorf("device aggregates missing: tx=%v rx=%v", snap("net/tx_packets"), snap("net/rx_packets"))
 	}
-	if snap["net/queue_hwm_bytes"] <= 0 {
-		t.Errorf("net/queue_hwm_bytes = %v, want > 0 under 0.7 load", snap["net/queue_hwm_bytes"])
+	if snap("net/queue_hwm_bytes") <= 0 {
+		t.Errorf("net/queue_hwm_bytes = %v, want > 0 under 0.7 load", snap("net/queue_hwm_bytes"))
 	}
 }
 
@@ -113,7 +113,7 @@ func TestSpecsInstrumentEveryTaggedRun(t *testing.T) {
 				if sink.collected[i] != 1 {
 					t.Errorf("run %q collected %d times, want once", want[i], sink.collected[i])
 				}
-				if tx := rec.Metrics.Snapshot()["net/tx_packets"]; tx <= 0 {
+				if tx, _ := rec.Metrics.Value("net/tx_packets"); tx <= 0 {
 					t.Errorf("run %q: net/tx_packets = %v, want > 0", want[i], tx)
 				}
 			}

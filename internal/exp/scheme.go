@@ -8,7 +8,6 @@ import (
 	"prioplus/internal/cc"
 	"prioplus/internal/core"
 	"prioplus/internal/netsim"
-	"prioplus/internal/sched"
 	"prioplus/internal/sim"
 	"prioplus/internal/topo"
 )
@@ -62,7 +61,7 @@ func SwiftPhysical(maxQueues int) Scheme {
 		Queues:        func(nprios int) int { return min(nprios, maxQueues) + 1 },
 		LosslessPrios: func(nprios int) int { return min(nprios, maxQueues) },
 		QueueFor: func(prio, nprios, queues int) int {
-			return sched.PhysicalQueueFor(prio, nprios, queues-1)
+			return physicalQueueFor(prio, nprios, queues-1)
 		},
 		NewAlgo: func(env FlowEnv) cc.Algorithm { return swiftFor(env, true) },
 	}
@@ -108,46 +107,6 @@ func PrioPlusSwift() Scheme {
 	}
 }
 
-// PrioPlusLEDBAT is PrioPlus wrapped around LEDBAT (§6.2).
-func PrioPlusLEDBAT() Scheme {
-	s := PrioPlusSwift()
-	s.Name = "PrioPlus+LEDBAT"
-	s.NewAlgo = func(env FlowEnv) cc.Algorithm {
-		plan := core.DefaultPlan(env.BaseRTT)
-		l := cc.NewLEDBAT(cc.DefaultLEDBATConfig(env.BaseRTT, env.BDPPkts))
-		return core.New(l, core.DefaultConfig(plan.Channel(env.Prio), env.NPrios))
-	}
-	return s
-}
-
-// SwiftVirtual is the paper's §3.2 strawman: Swift in a single queue with
-// per-priority target delays (base RTT + 4 us .. 32 us, higher priority =
-// larger target), with or without target scaling.
-func SwiftVirtual(scaling bool) Scheme {
-	name := "Swift-multi-target"
-	if scaling {
-		name += "+scaling"
-	}
-	return Scheme{
-		Name:          name,
-		Queues:        func(int) int { return 2 },
-		LosslessPrios: func(int) int { return 1 },
-		QueueFor:      func(prio, nprios, queues int) int { return 0 },
-		NewAlgo: func(env FlowEnv) cc.Algorithm {
-			cfg := cc.DefaultSwiftConfig(env.BaseRTT, env.BDPPkts)
-			cfg.TargetScaling = scaling
-			// Targets 4..32 us above base, ascending with priority.
-			span := 28 * sim.Microsecond
-			var off sim.Time
-			if env.NPrios > 1 {
-				off = sim.Time(env.Prio) * span / sim.Time(env.NPrios-1)
-			}
-			cfg.Target = env.BaseRTT + 4*sim.Microsecond + off
-			return cc.NewSwift(cfg)
-		},
-	}
-}
-
 // D2TCP runs all flows in one queue with ECN marking; deadlines scale from
 // 1.5x ideal FCT (highest priority) to 12x (lowest), per §6.
 func D2TCP() Scheme {
@@ -179,18 +138,6 @@ func DCQCNPhysical(maxQueues int) Scheme {
 	s.NewAlgo = func(env FlowEnv) cc.Algorithm {
 		rate := netsim.Rate(float64(env.BDPPkts*netsim.DefaultMTU*8) / env.BaseRTT.Seconds())
 		return cc.NewDCQCN(cc.DefaultDCQCNConfig(rate))
-	}
-	return s
-}
-
-// TIMELYPhysical is TIMELY on physical priority queues — the RTT-gradient
-// baseline, provided beyond the paper's comparison set.
-func TIMELYPhysical(maxQueues int) Scheme {
-	s := SwiftPhysical(maxQueues)
-	s.Name = "Physical+TIMELY"
-	s.NewAlgo = func(env FlowEnv) cc.Algorithm {
-		lineBps := env.BDPPkts * netsim.DefaultMTU * 8 / env.BaseRTT.Seconds()
-		return cc.NewTIMELY(cc.DefaultTIMELYConfig(env.BaseRTT, lineBps))
 	}
 	return s
 }

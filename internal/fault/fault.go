@@ -1,6 +1,8 @@
 // Package fault implements deterministic, seed-driven fault injection for
 // the simulator: scheduled link down/up (flaps), per-link random loss and
-// corruption, and switch reboots, all executed on the engine clock.
+// corruption, and switch reboots, all executed on the engine clock. Only
+// flaps have a production constructor; tests schedule the other two
+// through export_test.go.
 //
 // A Plan is an immutable schedule built once and installed per run.
 // Determinism rules:
@@ -33,22 +35,15 @@ import (
 )
 
 // LinkRef names one end of a cable. Dev is a device name as reported by
-// Port.DeviceName — "p0e0", "core1", "host3". When Peer is non-empty the port
-// is resolved as the first Dev port wired to that device (the natural way
-// to name a fabric link); otherwise Port indexes Dev's port list directly.
+// Port.DeviceName — "p0e0", "core1", "host3" — and the port is resolved as
+// the first Dev port wired to device Peer.
 type LinkRef struct {
 	Dev  string
-	Port int
 	Peer string
 }
 
-// String renders the link as "device[port]" for artifacts and errors.
-func (l LinkRef) String() string {
-	if l.Peer != "" {
-		return l.Dev + "->" + l.Peer
-	}
-	return fmt.Sprintf("%s:%d", l.Dev, l.Port)
-}
+// String renders the link as "device->peer" for errors.
+func (l LinkRef) String() string { return l.Dev + "->" + l.Peer }
 
 // Link is shorthand for a LinkRef naming the cable between two devices.
 func Link(dev, peer string) LinkRef { return LinkRef{Dev: dev, Peer: peer} }
@@ -106,21 +101,6 @@ func (p *Plan) Flap(at, dur sim.Time, l LinkRef) *Plan {
 	return p.LinkDown(at, l).LinkUp(at+dur, l)
 }
 
-// Reboot schedules an instantaneous restart of the named switch: all
-// queues drained into the pool, all PFC state cleared.
-func (p *Plan) Reboot(at sim.Time, dev string) *Plan {
-	p.events = append(p.events, planEvent{at: at, kind: rebootSwitch, link: LinkRef{Dev: dev}})
-	return p
-}
-
-// Impair sets random loss and corruption rates on both directions of a
-// cable for the whole run. Each direction draws from its own RNG stream
-// derived from the plan seed and the receiving port's identity.
-func (p *Plan) Impair(l LinkRef, lossRate, corruptRate float64) *Plan {
-	p.impairments = append(p.impairments, impairment{link: l, loss: lossRate, corrupt: corruptRate})
-	return p
-}
-
 // Empty reports whether the plan contains no events and no impairments.
 func (p *Plan) Empty() bool {
 	return p == nil || (len(p.events) == 0 && len(p.impairments) == 0)
@@ -155,8 +135,7 @@ type Injector struct {
 	// fault log. The injector keeps its own Events list regardless.
 	Notify func(Event)
 
-	events    []Event
-	downLinks int
+	events []Event
 }
 
 // Install resolves the plan against a topology and schedules its events on
@@ -206,11 +185,6 @@ func (inj *Injector) setLink(port *netsim.Port, down bool) {
 	}
 	port.SetDown(down)
 	port.Peer.SetDown(down)
-	if down {
-		inj.downLinks++
-	} else {
-		inj.downLinks--
-	}
 	inj.topo.RecomputeRoutes()
 	kind := linkUp
 	if down {
@@ -227,27 +201,17 @@ func (inj *Injector) emit(kind eventKind, dev string, portIdx int) {
 	}
 }
 
-// DownLinks returns how many links are currently down (a series source).
-func (inj *Injector) DownLinks() int { return inj.downLinks }
-
 // Events returns the fault actions executed so far, in firing order.
 func (inj *Injector) Events() []Event { return inj.events }
 
 // resolve maps a LinkRef to the named end's *netsim.Port.
 func (inj *Injector) resolve(l LinkRef) *netsim.Port {
-	ports := inj.devicePorts(l.Dev)
-	if l.Peer != "" {
-		for _, p := range ports {
-			if p.Peer != nil && p.Peer.DeviceName() == l.Peer {
-				return p
-			}
+	for _, p := range inj.devicePorts(l.Dev) {
+		if p.Peer != nil && p.Peer.DeviceName() == l.Peer {
+			return p
 		}
-		panic(fmt.Sprintf("fault: no link %s", l))
 	}
-	if l.Port < 0 || l.Port >= len(ports) {
-		panic(fmt.Sprintf("fault: %s has no port %d", l.Dev, l.Port))
-	}
-	return ports[l.Port]
+	panic(fmt.Sprintf("fault: no link %s", l))
 }
 
 func (inj *Injector) devicePorts(dev string) []*netsim.Port {

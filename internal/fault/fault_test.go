@@ -56,9 +56,21 @@ func TestFlapTakesBothEndsAndReroutes(t *testing.T) {
 		t.Fatal("no p0e0 in fat-tree")
 	}
 
+	// Both ends of the one flapped cable are switch ports.
+	downPorts := func() int {
+		n := 0
+		for _, sw := range nw.Switches {
+			for _, p := range sw.Ports {
+				if p.IsDown() {
+					n++
+				}
+			}
+		}
+		return n
+	}
 	eng.RunUntil(150 * sim.Microsecond)
-	if got := net.Faults.DownLinks(); got != 1 {
-		t.Fatalf("DownLinks = %d mid-flap, want 1", got)
+	if got := downPorts(); got != 2 {
+		t.Fatalf("%d switch ports down mid-flap, want 2", got)
 	}
 	var downPort *netsim.Port
 	for _, p := range edge.Ports {
@@ -73,7 +85,7 @@ func TestFlapTakesBothEndsAndReroutes(t *testing.T) {
 		t.Error("peer end of the flapped cable is still up; in-flight packets toward it would survive")
 	}
 	// Routes must already avoid the dead uplink for every destination.
-	for dst := 0; dst < edge.RouteDests(); dst++ {
+	for dst := range nw.Hosts {
 		for _, pi := range edge.Route(dst) {
 			if int(pi) == downPort.Index {
 				t.Errorf("route to host %d still uses the downed uplink", dst)
@@ -82,8 +94,8 @@ func TestFlapTakesBothEndsAndReroutes(t *testing.T) {
 	}
 
 	eng.RunUntil(250 * sim.Microsecond)
-	if got := net.Faults.DownLinks(); got != 0 {
-		t.Fatalf("DownLinks = %d after flap, want 0", got)
+	if got := downPorts(); got != 0 {
+		t.Fatalf("%d switch ports down after flap, want 0", got)
 	}
 	if downPort.IsDown() || downPort.Peer.IsDown() {
 		t.Error("link did not come back up")

@@ -210,7 +210,6 @@ func (n *Net) BDPPackets(src, dst int) float64 {
 // flows, for rate-over-time plots.
 type ThroughputMeter struct {
 	bytes map[int]*int64 // key -> cumulative bytes
-	order []int
 }
 
 // NewThroughputMeter returns an empty meter.
@@ -227,12 +226,8 @@ func (m *ThroughputMeter) Counter(key int) *int64 {
 	}
 	c := new(int64)
 	m.bytes[key] = c
-	m.order = append(m.order, key)
 	return c
 }
-
-// Keys returns the keys in creation order.
-func (m *ThroughputMeter) Keys() []int { return m.order }
 
 // Snapshot returns the current cumulative byte counts by key.
 func (m *ThroughputMeter) Snapshot() map[int]int64 {

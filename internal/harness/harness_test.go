@@ -79,8 +79,8 @@ func TestThroughputMeterAndSinkCounter(t *testing.T) {
 			t.Errorf("counter[%d] = %d, want %d", src, snap[src], size)
 		}
 	}
-	if len(m.Keys()) != 2 {
-		t.Errorf("Keys() = %v, want 2 entries", m.Keys())
+	if len(snap) != 2 {
+		t.Errorf("Snapshot() = %v, want 2 entries", snap)
 	}
 }
 

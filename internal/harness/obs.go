@@ -110,7 +110,7 @@ func (n *Net) Observe(rec *obs.Recorder) {
 		}
 	}
 	if rec.Cost != nil {
-		n.Eng.SetCostSampler(rec.Cost.Stride(), rec.Cost.Observe)
+		n.Eng.SetCostSampler(obs.DefaultCostEvery, rec.Cost.Observe)
 	}
 	if rec.Digest != nil {
 		n.installDigest(rec.Digest)
@@ -163,7 +163,7 @@ func (n *Net) installSampler(rec *obs.Recorder) {
 		if aud != nil {
 			n.auditCheck(aud)
 		}
-		if wd != nil && wd.Check(n.Pool.LiveBytes(), int64(n.Eng.Pending())) && !wd.KeepRunning {
+		if wd != nil && wd.Check(n.Pool.LiveBytes(), int64(n.Eng.Pending())) {
 			n.Eng.Stop()
 		}
 		if live != nil {
@@ -212,9 +212,8 @@ func (n *Net) installSampler(rec *obs.Recorder) {
 //   - PFC pause symmetry (Switch.AuditPFC): with no pause/resume frames in
 //     flight, both ends of every cable agree on pause state.
 //
-// The first violation trips the auditor (which stops the run unless
-// KeepRunning) — a violation is a conservation bug in the simulator, not a
-// property of the workload.
+// The first violation trips the auditor and stops the run — a violation is
+// a conservation bug in the simulator, not a property of the workload.
 func (n *Net) auditCheck(aud *obs.Auditor) {
 	aud.Checks++
 	detail := ""
@@ -246,7 +245,7 @@ func (n *Net) auditCheck(aud *obs.Auditor) {
 			}
 		}
 	}
-	if aud.Violate(detail) && !aud.KeepRunning {
+	if aud.Violate(detail) {
 		n.Eng.Stop()
 	}
 }

@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"math"
-
-	"prioplus/internal/sim"
-)
+import "math"
 
 // BufferConfig sizes a switch's shared packet buffer and its admission
 // policies. The defaults mirror the paper's setup: dynamic-threshold shared
@@ -313,8 +309,3 @@ func (cfg *BufferConfig) ecnMark(qlen int, vprio int16, rnd float64) bool {
 	p := cfg.ECNPMax * float64(qlen-cfg.ECNKMin) / float64(cfg.ECNKMax-cfg.ECNKMin)
 	return rnd < p
 }
-
-// PauseDuration is unused by the simulator (pause/resume is explicit), but
-// the quanta-based PFC watchdog interval is exposed for tests that verify
-// pauses cannot deadlock silently.
-const PauseDuration = 65535 * 512 * sim.Picosecond

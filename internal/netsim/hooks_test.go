@@ -100,7 +100,7 @@ func TestEachHookAloneKeepsDelivery(t *testing.T) {
 			rec.Flight = obs.NewFlightRecorder(256)
 			l.a.NIC.SetTrace(rec.Emitter(), rec.Devs.ID("host0"))
 			l.b.NIC.SetTrace(rec.Emitter(), rec.Devs.ID("host1"))
-			return func() bool { return rec.Flight.Total() > 0 }
+			return func() bool { return len(rec.Flight.Events()) > 0 }
 		}},
 		{"digest", func(l *hookLink) func() bool {
 			d := sim.NewDigest()

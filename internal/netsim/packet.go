@@ -13,11 +13,8 @@ import (
 // Rate is a link speed in bits per second.
 type Rate int64
 
-// Common link speeds.
-const (
-	Gbps Rate = 1e9
-	Mbps Rate = 1e6
-)
+// Gbps is one gigabit per second.
+const Gbps Rate = 1e9
 
 // Serialize returns the time to put the given number of bytes on the wire.
 func (r Rate) Serialize(bytes int) sim.Time {
@@ -145,26 +142,6 @@ type Packet struct {
 	// can panic on use-after-free instead of corrupting results.
 	gen    uint32
 	inPool bool
-}
-
-// Generation returns the packet object's pool generation: the number of
-// times it has been recycled. Code that (illegally) holds a packet past a
-// handoff can snapshot it to detect reuse.
-func (pkt *Packet) Generation() uint32 { return pkt.gen }
-
-// NewData returns a freshly allocated data packet of the given payload
-// size. Hot paths should use PacketPool.Data instead.
-func NewData(flow int64, src, dst, prio int, seq int64, payload int) *Packet {
-	return (*PacketPool)(nil).Data(flow, src, dst, prio, seq, payload)
-}
-
-// NewAck returns a freshly allocated ACK for the given data packet,
-// addressed back to its sender at priority ackPrio. The ACK carries a copy
-// of the data packet's INT records, so the caller keeps full ownership of
-// the data packet. Hot paths should use PacketPool.Ack, which hands the
-// records off instead of copying.
-func NewAck(data *Packet, ackPrio int, cum int64) *Packet {
-	return (*PacketPool)(nil).Ack(data, ackPrio, cum)
 }
 
 // flowHash is a 64-to-32-bit mix used for ECMP path selection, so that a

@@ -51,14 +51,6 @@ type PacketPool struct {
 // NewPacketPool returns an empty pool.
 func NewPacketPool() *PacketPool { return &PacketPool{} }
 
-// FreeLen returns the current free-list length (for tests and stats).
-func (p *PacketPool) FreeLen() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.free)
-}
-
 // LivePackets returns the number of packets currently out of the pool (the
 // run's in-flight population: queued, on the wire, or held by a stack).
 func (p *PacketPool) LivePackets() int64 {

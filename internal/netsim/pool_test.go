@@ -174,7 +174,7 @@ func TestPacketPathZeroAllocFlightOn(t *testing.T) {
 	pool := NewPacketPool()
 	sw, hosts := star(eng, 2, 100*Gbps, sim.Microsecond, 2, lossyConfig())
 	rec := obs.NewRecorder()
-	rec.Flight = obs.NewFlightRecorder(256)
+	rec.Flight = obs.NewFlightRecorder(4096) // holds every event below
 	rec.FlowTrace = obs.NewFlowTracer(4)
 	dev := rec.Devs.ID(sw.Name)
 	sw.SetTrace(rec.SwitchEmitter(), dev)
@@ -202,12 +202,12 @@ func TestPacketPathZeroAllocFlightOn(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		send()
 	}
-	before := rec.Flight.Total()
+	before := len(rec.Flight.Events())
 	if avg := testing.AllocsPerRun(100, send); avg != 0 {
 		t.Errorf("forwarded packet with the flight ring on: %v allocs/op, want 0", avg)
 	}
 	// Data and ACK each cross two egress ports: 4 enqueues + 4 dequeues.
-	if got := rec.Flight.Total() - before; got != 101*8 {
+	if got := len(rec.Flight.Events()) - before; got != 101*8 {
 		t.Errorf("ring recorded %d events over 101 round trips, want %d", got, 101*8)
 	}
 	evs := rec.Flight.Events()

@@ -82,14 +82,6 @@ func (s *Switch) SetRoute(dst int, ports []int32) {
 	}
 }
 
-// ClearRoute removes the route to dst, so forwarding to it becomes a
-// no-route drop (or panic, per AllowNoRoute).
-func (s *Switch) ClearRoute(dst int) {
-	if dst >= 0 && dst < len(s.routes) {
-		s.routes[dst] = routeEntry{}
-	}
-}
-
 // Route returns dst's ECMP port set as a read-only view into the route
 // arena (nil when there is no route). Callers must not mutate or retain it
 // across a ResetRoutes/SetRoute.
@@ -103,7 +95,3 @@ func (s *Switch) Route(dst int) []int32 {
 	}
 	return s.routeArena[e.off : e.off+e.n : e.off+e.n]
 }
-
-// RouteDests returns the size of the dense destination space (one past the
-// highest destination ever installed).
-func (s *Switch) RouteDests() int { return len(s.routes) }

@@ -51,29 +51,6 @@ func (l *LongTail) Sample() sim.Time {
 	return sim.Time(us * l.scale * float64(sim.Microsecond))
 }
 
-// Uniform returns noise uniform in [0, rangeWidth), the model used for
-// non-congestive delay in Fig 13.
-type Uniform struct {
-	rng   *rand.Rand
-	width sim.Time
-}
-
-// NewUniform returns a uniform noise model over [0, width).
-func NewUniform(rng *rand.Rand, width sim.Time) *Uniform {
-	return &Uniform{rng: rng, width: width}
-}
-
-// Sample implements Model.
-func (u *Uniform) Sample() sim.Time {
-	if u.width <= 0 {
-		return 0
-	}
-	return sim.Time(u.rng.Int63n(int64(u.width)))
-}
-
-// None is a zero-noise model.
-var None = Func(func() sim.Time { return 0 })
-
 // Stats summarizes a noise distribution empirically.
 type Stats struct {
 	Mean    sim.Time

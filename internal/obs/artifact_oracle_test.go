@@ -372,7 +372,7 @@ func fig10bSizedRecorder(spansPerFlow int) *Recorder {
 	}
 	rec.Digest = sim.NewDigest()
 	rec.FlowTrace = NewFlowTracer(4)
-	rec.FlowTrace.MaxSpans = spansPerFlow
+	rec.FlowTrace.SetMaxSpans(spansPerFlow)
 	for id := int64(1); id <= 4; id++ {
 		fl := rec.FlowTrace.Admit(id)
 		for i := 0; i < spansPerFlow; i++ {

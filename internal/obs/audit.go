@@ -3,31 +3,23 @@ package obs
 // Auditor is the conservation auditor's trip state. The harness installs
 // the actual invariant checks (pool-vs-inflight packet accounting, shared-
 // buffer byte sums, PFC pause symmetry — it owns the network objects) and
-// runs them on the sampler clock; the auditor records the first violation
-// and decides whether the run stops.
+// runs them on the sampler clock and stops the run on the first violation,
+// which the auditor records.
 //
 // Like the Watchdog, checks ride the simulated clock, so a violation trips
 // at a deterministic simulated instant regardless of wall clock or worker
 // count. A violation means the simulator's books are wrong — a conservation
-// bug, not a workload property — so the default action is to stop the
-// engine and dump the flight recorder for post-mortem.
+// bug, not a workload property — so the run stops and the flight recorder
+// is dumped for post-mortem.
 type Auditor struct {
-	// OnViolation, when non-nil, runs once at the first violation (dump
-	// the flight recorder, write a note). The run is stopped after it
-	// returns unless KeepRunning is set.
-	OnViolation func(detail string)
-	// KeepRunning makes a violation record-and-continue instead of
-	// stopping the run.
-	KeepRunning bool
-
 	// Checks counts audit passes executed (one per sampler tick).
 	Checks int64
 
 	violation string
 }
 
-// Violate records the first violation, firing the trip logic. It returns
-// true while the auditor is tripped (the first call and all later ones).
+// Violate records the first violation. It returns true while the auditor
+// is tripped (the first call and all later ones).
 func (a *Auditor) Violate(detail string) bool {
 	if a.violation != "" {
 		return true
@@ -36,9 +28,6 @@ func (a *Auditor) Violate(detail string) bool {
 		return false
 	}
 	a.violation = detail
-	if a.OnViolation != nil {
-		a.OnViolation(detail)
-	}
 	return true
 }
 

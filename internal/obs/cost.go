@@ -6,7 +6,7 @@ import (
 	"prioplus/internal/sim"
 )
 
-// DefaultCostEvery is the default cost-sampling stride: one in this many
+// DefaultCostEvery is the cost-sampling stride: one in this many
 // dispatched events is wall-clock stamped. At the simulator's ~60 ns/event
 // dispatch cost, a stride of 64 amortizes the two monotonic clock reads
 // (~40 ns) to well under 1 ns/event.
@@ -31,19 +31,7 @@ type CostBucket struct {
 // its share of total dispatch time. Stamps never feed back into simulation
 // state — enabling the profiler cannot perturb figure output.
 type CostProfiler struct {
-	// Every is the sampling stride handed to the engine; 0 means
-	// DefaultCostEvery.
-	Every int64
-
 	buckets [sim.NumEventKinds]CostBucket
-}
-
-// Stride returns the effective sampling stride.
-func (p *CostProfiler) Stride() int64 {
-	if p.Every > 0 {
-		return p.Every
-	}
-	return DefaultCostEvery
 }
 
 // Observe records one stamped dispatch. It is the engine cost-sampler
@@ -57,23 +45,6 @@ func (p *CostProfiler) Observe(kind uint8, nanos int64) {
 	b.Nanos += nanos
 	globalCost[kind].samples.Add(1)
 	globalCost[kind].nanos.Add(nanos)
-}
-
-// Bucket returns the accumulated sample for one kind.
-func (p *CostProfiler) Bucket(kind uint8) CostBucket {
-	if kind >= sim.NumEventKinds {
-		return CostBucket{}
-	}
-	return p.buckets[kind]
-}
-
-// TotalNanos returns the summed stamped nanoseconds across all kinds.
-func (p *CostProfiler) TotalNanos() int64 {
-	var t int64
-	for i := range p.buckets {
-		t += p.buckets[i].Nanos
-	}
-	return t
 }
 
 // Record writes the profile into a metrics registry as cost/<kind>/samples

@@ -56,10 +56,21 @@ func TestCostProfilerRecord(t *testing.T) {
 }
 
 func TestCostProfilerStride(t *testing.T) {
-	if s := (&obs.CostProfiler{}).Stride(); s != obs.DefaultCostEvery {
-		t.Errorf("default stride = %d, want %d", s, obs.DefaultCostEvery)
+	// Installed the way the harness installs it, the profiler stamps one in
+	// DefaultCostEvery dispatches.
+	eng := sim.NewEngine()
+	p := &obs.CostProfiler{}
+	eng.SetCostSampler(obs.DefaultCostEvery, p.Observe)
+	const n = 10 * obs.DefaultCostEvery
+	for i := 0; i < n; i++ {
+		eng.After(sim.Time(i), func() {})
 	}
-	if s := (&obs.CostProfiler{Every: 8}).Stride(); s != 8 {
-		t.Errorf("explicit stride = %d, want 8", s)
+	eng.Run()
+	var samples int64
+	for k := uint8(0); k < sim.NumEventKinds; k++ {
+		samples += p.Bucket(k).Samples
+	}
+	if samples != n/obs.DefaultCostEvery {
+		t.Errorf("%d dispatches stamped %d times, want %d", n, samples, n/obs.DefaultCostEvery)
 	}
 }

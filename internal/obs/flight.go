@@ -34,17 +34,6 @@ func (f *FlightRecorder) advance() {
 	f.total++
 }
 
-// Trace implements Tracer by copying the event into the ring, for callers
-// that hold a finished Event; devices fill the slot directly (see Emitter).
-func (f *FlightRecorder) Trace(ev *Event) {
-	*f.slot() = *ev
-	f.advance()
-}
-
-// Total returns the number of events recorded over the ring's lifetime
-// (including overwritten ones).
-func (f *FlightRecorder) Total() int64 { return f.total }
-
 // Events returns the retained events, oldest first.
 func (f *FlightRecorder) Events() []Event {
 	if f.total < int64(len(f.buf)) {
@@ -83,37 +72,24 @@ type Watchdog struct {
 	MaxInflightBytes int64
 	// MaxHeapEvents trips on the engine's pending-event count. 0 disables.
 	MaxHeapEvents int64
-	// OnTrip, when non-nil, runs once at the trip (dump the flight
-	// recorder, write a note). The run is stopped after it returns unless
-	// KeepRunning is set.
-	OnTrip func(reason string, value, limit int64)
-	// KeepRunning makes a trip record-and-continue instead of stopping the
-	// run.
-	KeepRunning bool
 
 	tripped string
 }
 
-// Check evaluates the gauges, firing the trip logic the first time a
-// ceiling is exceeded. It returns true while the watchdog is tripped.
+// Check evaluates the gauges, latching the trip reason the first time a
+// ceiling is exceeded. It returns true while the watchdog is tripped; the
+// harness stops the run on the first true.
 func (w *Watchdog) Check(inflightBytes, heapEvents int64) bool {
 	if w.tripped != "" {
 		return true
 	}
 	switch {
 	case w.MaxInflightBytes > 0 && inflightBytes > w.MaxInflightBytes:
-		w.trip("inflight_bytes", inflightBytes, w.MaxInflightBytes)
+		w.tripped = "inflight_bytes"
 	case w.MaxHeapEvents > 0 && heapEvents > w.MaxHeapEvents:
-		w.trip("heap_events", heapEvents, w.MaxHeapEvents)
+		w.tripped = "heap_events"
 	}
 	return w.tripped != ""
-}
-
-func (w *Watchdog) trip(reason string, value, limit int64) {
-	w.tripped = reason
-	if w.OnTrip != nil {
-		w.OnTrip(reason, value, limit)
-	}
 }
 
 // Tripped returns the trip reason ("inflight_bytes", "heap_events"), or ""

@@ -57,19 +57,22 @@ func TestFlightRecorderWrapOldestFirst(t *testing.T) {
 }
 
 func TestFlightRecorderChainsInner(t *testing.T) {
-	// The ring's downstream sink sees every event, by pointer into the ring.
-	var got []int64
+	// The flow tracer behind the ring sees every switch event, by pointer
+	// into the ring: a sampled flow's drops all become spans.
 	r := obs.NewRecorder()
 	r.Flight = obs.NewFlightRecorder(2)
-	r.Trace = obs.TraceFunc(func(ev *obs.Event) { got = append(got, ev.Flow) })
-	em := r.Emitter()
+	r.FlowTrace = obs.NewFlowTracer(1)
+	fl := r.FlowTrace.Admit(7)
+	em := r.SwitchEmitter()
 	for i := 0; i < 5; i++ {
 		ev := em.Next()
-		*ev = *flightEvent(i)
+		*ev = obs.Event{T: sim.Time(i), Kind: obs.Drop, Dev: flightDevs.ID("tor0"), Flow: 7, Seq: int64(i)}
 		em.Emit(ev)
 	}
-	if len(got) != 5 || got[4] != 4 {
-		t.Errorf("inner tracer saw %v, want flows 0..4", got)
+	var seqs []int64
+	fl.Spans(func(sp obs.Span) { seqs = append(seqs, sp.Seq) })
+	if !reflect.DeepEqual(seqs, []int64{0, 1, 2, 3, 4}) {
+		t.Errorf("flow tracer spans for seqs %v, want 0..4", seqs)
 	}
 	if r.Flight.Total() != 5 {
 		t.Errorf("ring recorded %d events, want 5", r.Flight.Total())
@@ -123,16 +126,7 @@ func TestFlightRecorderTraceZeroAlloc(t *testing.T) {
 }
 
 func TestWatchdogTripOnce(t *testing.T) {
-	var calls int
-	var gotReason string
-	var gotValue, gotLimit int64
-	w := &obs.Watchdog{
-		MaxInflightBytes: 100,
-		OnTrip: func(reason string, value, limit int64) {
-			calls++
-			gotReason, gotValue, gotLimit = reason, value, limit
-		},
-	}
+	w := &obs.Watchdog{MaxInflightBytes: 100}
 	if w.Check(50, 0) {
 		t.Error("Check below ceiling reported tripped")
 	}
@@ -142,14 +136,8 @@ func TestWatchdogTripOnce(t *testing.T) {
 	if !w.Check(150, 0) {
 		t.Error("Check above ceiling did not trip")
 	}
-	if !w.Check(10, 0) {
+	if !w.Check(10, 1<<40) {
 		t.Error("watchdog un-tripped: trips must latch")
-	}
-	if calls != 1 {
-		t.Errorf("OnTrip called %d times, want exactly 1", calls)
-	}
-	if gotReason != "inflight_bytes" || gotValue != 150 || gotLimit != 100 {
-		t.Errorf("OnTrip(%q, %d, %d), want (inflight_bytes, 150, 100)", gotReason, gotValue, gotLimit)
 	}
 	if w.Tripped() != "inflight_bytes" {
 		t.Errorf("Tripped = %q, want inflight_bytes", w.Tripped())
@@ -178,28 +166,32 @@ func TestWatchdogInflightTakesPriority(t *testing.T) {
 }
 
 func TestRecorderTracerChaining(t *testing.T) {
-	// No flight, no trace: nil tracer.
+	// No flight, no flow tracer: nil emitters.
 	r := obs.NewRecorder()
 	if r.Emitter() != nil || r.SwitchEmitter() != nil {
 		t.Error("Emitter() non-nil with nothing configured")
 	}
 	emit := func(em *obs.Emitter, i int) {
 		ev := em.Next()
-		*ev = *flightEvent(i)
+		*ev = obs.Event{Kind: obs.Mark, Flow: 1, Seq: int64(i)}
 		em.Emit(ev)
 	}
-	// Trace only: events staged in the emitter reach the sink.
-	var seen []obs.Event
-	r.Trace = obs.TraceFunc(func(ev *obs.Event) { seen = append(seen, *ev) })
-	emit(r.Emitter(), 1)
-	if len(seen) != 1 || seen[0].Flow != 1 {
-		t.Fatal("Trace-only Emitter() did not reach the sink")
+	// Flow tracer only: ports get no emitter, and events staged in the
+	// switch emitter reach the tracer.
+	r.FlowTrace = obs.NewFlowTracer(1)
+	fl := r.FlowTrace.Admit(1)
+	if r.Emitter() != nil {
+		t.Error("Emitter() non-nil with only a flow tracer: ports would pay for it")
 	}
-	// Flight + trace: ring in front, events reach both.
+	emit(r.SwitchEmitter(), 1)
+	if fl.Len() != 1 {
+		t.Fatal("staged SwitchEmitter() did not reach the flow tracer")
+	}
+	// Flight + flow tracer: ring in front, events reach both.
 	r.Flight = obs.NewFlightRecorder(4)
-	emit(r.Emitter(), 2)
-	if len(seen) != 2 || seen[1].Flow != 2 {
-		t.Error("chained Emitter() did not forward to the inner sink")
+	emit(r.SwitchEmitter(), 2)
+	if fl.Len() != 2 {
+		t.Error("chained SwitchEmitter() did not forward to the flow tracer")
 	}
 	if r.Flight.Total() != 1 {
 		t.Errorf("flight recorder saw %d events, want 1", r.Flight.Total())
@@ -235,8 +227,8 @@ func TestEventIsCompact(t *testing.T) {
 
 // TestFlightTraceZeroAlloc: the device-side protocol — take the next
 // record, fill it, emit it — allocates nothing, whether the record is a ring
-// slot, a ring slot forwarded through the flow tracer, or the emitter's
-// staging record in front of a plain sink.
+// slot, a ring slot forwarded to the flow tracer, or the emitter's staging
+// record in front of the flow tracer alone.
 func TestFlightTraceZeroAlloc(t *testing.T) {
 	emitOne := func(em *obs.Emitter) func() {
 		i := int64(0)
@@ -252,13 +244,14 @@ func TestFlightTraceZeroAlloc(t *testing.T) {
 	chained := obs.NewRecorder()
 	chained.Flight = obs.NewFlightRecorder(64)
 	chained.FlowTrace = obs.NewFlowTracer(2)
-	chained.FlowTrace.MaxSpans = 16
+	chained.FlowTrace.SetMaxSpans(16)
 	chained.FlowTrace.Admit(1)
-	var seen int64
 	staged := obs.NewRecorder()
-	staged.Trace = obs.TraceFunc(func(ev *obs.Event) { seen += ev.Flow })
+	staged.FlowTrace = obs.NewFlowTracer(2)
+	staged.FlowTrace.SetMaxSpans(16)
+	staged.FlowTrace.Admit(1)
 	for name, em := range map[string]*obs.Emitter{
-		"ring": ring.Emitter(), "ring+flowtrace": chained.SwitchEmitter(), "staged": staged.Emitter(),
+		"ring": ring.Emitter(), "ring+flowtrace": chained.SwitchEmitter(), "staged": staged.SwitchEmitter(),
 	} {
 		f := emitOne(em)
 		for i := 0; i < 100; i++ { // fill the ring and the flow's span ring
@@ -271,7 +264,7 @@ func TestFlightTraceZeroAlloc(t *testing.T) {
 	if ring.Flight.Total() != 1101 || chained.Flight.Total() != 1101 {
 		t.Errorf("rings recorded %d and %d events, want 1101 each", ring.Flight.Total(), chained.Flight.Total())
 	}
-	if chained.FlowTrace.Log(1).Len() != 16 || seen == 0 {
-		t.Error("events did not reach the flow tracer / the staged sink")
+	if chained.FlowTrace.Log(1).Len() != 16 || staged.FlowTrace.Log(1).Len() != 16 {
+		t.Error("events did not reach the chained / the staged flow tracer")
 	}
 }

@@ -213,9 +213,8 @@ func (l *FlowLog) Spans(fn func(sp Span)) {
 // Admission is first-come under a MaxFlows cap (flow start order is
 // deterministic in the engine-per-run model), optionally filtered to an
 // explicit Match list or thinned by a hash stride (Every). The tracer also
-// implements Tracer so the harness can chain it into the switch trace
-// hook: per-flow drop and ECN-mark events of sampled flows become journey
-// spans, everything is forwarded to Inner.
+// sits behind the flight ring on the switch emitter: per-flow drop and
+// ECN-mark events of sampled flows become journey spans.
 //
 // Like the rest of the package, a FlowTracer belongs to one run and one
 // goroutine. All hot-path hooks are nil-guarded: with no tracer installed
@@ -231,22 +230,18 @@ type FlowTracer struct {
 	// Every, when > 1, admits only flows whose ID hash falls on the
 	// stride — a deterministic 1-in-N sample for big runs.
 	Every int
-	// MaxSpans bounds each flow's ring (0 = DefaultMaxSpans).
-	MaxSpans int
 	// PacketEvery samples packet journeys: hop/deliver/acked spans are
 	// recorded for every Nth data packet (0 = DefaultPacketEvery, 1 =
 	// every packet). Probes, retransmissions, and decisions are always
 	// recorded.
 	PacketEvery int
-	// Inner, when non-nil, receives every trace event after the tracer
-	// inspects it, and Devs resolves the events' device ids for the spans
-	// (both set by Recorder.SwitchEmitter, so full event traces compose
-	// with flow tracing).
-	Inner Tracer
-	Devs  *DevTable
+	// Devs resolves the events' device ids for the spans (set by
+	// Recorder.SwitchEmitter).
+	Devs *DevTable
 
-	logs  map[int64]*FlowLog
-	order []int64
+	logs     map[int64]*FlowLog
+	order    []int64
+	maxSpans int // each flow's ring bound; 0 = DefaultMaxSpans (tests shrink it)
 }
 
 // NewFlowTracer returns a tracer admitting up to maxFlows flows.
@@ -300,7 +295,7 @@ func (t *FlowTracer) Admit(flow int64) *FlowLog {
 	if t.logs == nil {
 		t.logs = make(map[int64]*FlowLog)
 	}
-	fl := newFlowLog(flow, t.MaxSpans)
+	fl := newFlowLog(flow, t.maxSpans)
 	t.logs[flow] = fl
 	t.order = append(t.order, flow)
 	return fl
@@ -338,10 +333,10 @@ func (t *FlowTracer) Logs() []*FlowLog {
 	return out
 }
 
-// Trace implements Tracer: per-flow drop and mark events of sampled flows
-// become journey spans; every event is forwarded to Inner. Installed on
-// switches (drop/mark sources) by harness.Net.Observe — not on ports, whose
-// per-packet enqueue/dequeue volume is covered by the INT piggyback instead.
+// Trace turns per-flow drop and mark events of sampled flows into journey
+// spans. It is fed by switches (drop/mark sources) through
+// Recorder.SwitchEmitter — not by ports, whose per-packet enqueue/dequeue
+// volume is covered by the INT piggyback instead.
 func (t *FlowTracer) Trace(ev *Event) {
 	switch ev.Kind {
 	case Drop:
@@ -352,8 +347,5 @@ func (t *FlowTracer) Trace(ev *Event) {
 		if fl := t.logs[ev.Flow]; fl != nil {
 			fl.Add(Span{T: ev.T, Kind: SpanMark, Seq: ev.Seq, Dev: t.Devs.Name(ev.Dev), A: float64(ev.QLen)})
 		}
-	}
-	if t.Inner != nil {
-		t.Inner.Trace(ev)
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 func TestFlowLogRingBound(t *testing.T) {
 	ft := obs.NewFlowTracer(1)
-	ft.MaxSpans = 4
+	ft.SetMaxSpans(4)
 	fl := ft.Admit(1)
 	if fl == nil {
 		t.Fatal("flow 1 not admitted")
@@ -97,17 +97,9 @@ func TestFlowTracerEveryDeterministic(t *testing.T) {
 	}
 }
 
-// recordingTracer captures forwarded events, standing in for the flight
-// recorder / JSONL sink behind the flow tracer.
-type recordingTracer struct{ evs []obs.Event }
-
-func (r *recordingTracer) Trace(ev *obs.Event) { r.evs = append(r.evs, *ev) }
-
 func TestFlowTracerTraceChaining(t *testing.T) {
 	ft := obs.NewFlowTracer(1)
 	fl := ft.Admit(7)
-	inner := &recordingTracer{}
-	ft.Inner = inner
 	ft.Devs = &obs.DevTable{}
 	tor0 := ft.Devs.ID("tor0")
 
@@ -124,9 +116,6 @@ func TestFlowTracerTraceChaining(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("spans = %+v, want %+v", got, want)
-	}
-	if len(inner.evs) != 4 {
-		t.Errorf("inner tracer saw %d events, want all 4", len(inner.evs))
 	}
 }
 
@@ -164,7 +153,7 @@ func TestSpanKindNamesRoundTrip(t *testing.T) {
 func TestArtifactFlowSpansRoundTrip(t *testing.T) {
 	rec := obs.NewRecorder()
 	ft := obs.NewFlowTracer(2)
-	ft.MaxSpans = 2
+	ft.SetMaxSpans(2)
 	rec.FlowTrace = ft
 
 	a := ft.Admit(1)

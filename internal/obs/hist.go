@@ -75,9 +75,6 @@ func (h *Histogram) Observe(v int64) {
 // Count returns the number of recorded values.
 func (h *Histogram) Count() int64 { return h.n }
 
-// Sum returns the sum of recorded values.
-func (h *Histogram) Sum() int64 { return h.sum }
-
 // Mean returns the mean recorded value (0 when empty).
 func (h *Histogram) Mean() float64 {
 	if h.n == 0 {
@@ -142,11 +139,6 @@ func (h *Histogram) Buckets(fn func(lo, hi, count int64)) {
 			fn(lo, hi, c)
 		}
 	}
-}
-
-// Reset clears the histogram for reuse.
-func (h *Histogram) Reset() {
-	*h = Histogram{Name: h.Name, Unit: h.Unit}
 }
 
 // HistSet is the standard per-run latency histogram trio, installed on a

@@ -1,8 +1,8 @@
 // Package obs is the simulator's observability layer: a metrics registry
-// for per-run counters and high-water marks, and an optional JSONL event
-// trace (see trace.go). It is designed around the engine-per-run model used
-// by internal/runner: every run owns a private Recorder alongside its
-// private sim.Engine, so nothing here takes locks and nothing is shared
+// for per-run counters and high-water marks, and a flight ring of recent
+// trace events (see trace.go). It is designed around the engine-per-run
+// model used by internal/runner: every run owns a private Recorder alongside
+// its private sim.Engine, so nothing here takes locks and nothing is shared
 // across goroutines.
 //
 // The layer is zero-cost when disabled. Hot-path hooks in internal/netsim
@@ -31,22 +31,17 @@ func (c *Counter) Add(n float64) { c.v += n }
 // Value returns the current count.
 func (c *Counter) Value() float64 { return c.v }
 
-// Gauge tracks a current value together with its high-water mark. The zero
-// value is ready to use.
+// Gauge tracks a high-water mark. The zero value is ready to use.
 type Gauge struct {
-	v, max float64
+	max float64
 }
 
-// Observe sets the current value and raises the high-water mark if needed.
+// Observe raises the high-water mark if v exceeds it.
 func (g *Gauge) Observe(v float64) {
-	g.v = v
 	if v > g.max {
 		g.max = v
 	}
 }
-
-// Value returns the most recently observed value.
-func (g *Gauge) Value() float64 { return g.v }
 
 // Max returns the high-water mark across all observations.
 func (g *Gauge) Max() float64 { return g.max }
@@ -100,11 +95,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Names returns every registered metric name in registration order.
-func (r *Registry) Names() []string {
-	return append([]string(nil), r.order...)
-}
-
 // Value returns the current value of a metric (a counter's count, a
 // gauge's high-water mark) and whether the name is registered.
 func (r *Registry) Value(name string) (float64, bool) {
@@ -117,21 +107,9 @@ func (r *Registry) Value(name string) (float64, bool) {
 	return 0, false
 }
 
-// Snapshot returns every metric by name. Counters report their count,
-// gauges their high-water mark (the registry's gauges all track maxima:
-// buffer and queue occupancy peaks).
-func (r *Registry) Snapshot() map[string]float64 {
-	out := make(map[string]float64, len(r.order))
-	for _, name := range r.order {
-		v, _ := r.Value(name)
-		out[name] = v
-	}
-	return out
-}
-
-// Recorder bundles the per-run observability state: a metrics registry, an
-// optional event-trace sink, and the second-generation instruments —
-// time-series sampler, latency histograms, flight recorder, watchdog. A nil
+// Recorder bundles the per-run observability state: a metrics registry and
+// the second-generation instruments — time-series sampler, latency
+// histograms, flight recorder, watchdog. A nil
 // field disables that instrument entirely; harness.Net.Observe only
 // installs hooks for the parts that are non-nil.
 type Recorder struct {
@@ -139,15 +117,10 @@ type Recorder struct {
 	// harness.Net.CollectMetrics after the run; flow-completion aggregates
 	// are updated live as flows finish.
 	Metrics *Registry
-	// Trace, when non-nil, receives one Event per simulator occurrence
-	// (enqueue, dequeue, drop, ECN mark, PFC pause/resume, flow
-	// completion). Use NewJSONLSink(w, &rec.Devs) to stream events to a
-	// file.
-	Trace Tracer
 	// Devs is the run's device-name table: trace events name their device
 	// by DevID, harness.Net.Observe registers every device here, and the
-	// renderers (JSONLSink, FlightRecorder.Dump, the flow tracer) resolve
-	// names through it.
+	// renderers (FlightRecorder.Dump, the flow tracer) resolve names
+	// through it.
 	Devs DevTable
 	// Series, when non-nil, samples simulator gauges at a fixed simulated-
 	// time interval; harness.Net.Observe registers the standard sources and
@@ -156,9 +129,9 @@ type Recorder struct {
 	// Hist, when non-nil, records fabric-delay, FCT, and ACK-RTT latency
 	// distributions via zero-alloc streaming histograms.
 	Hist *HistSet
-	// Flight, when non-nil, keeps the most recent trace events in a ring
-	// for post-mortem dumps. Events reach Trace after the ring, so the two
-	// compose.
+	// Flight, when non-nil, keeps the most recent trace events (enqueue,
+	// dequeue, drop, ECN mark, PFC pause/resume, flow completion) in a ring
+	// for post-mortem dumps.
 	Flight *FlightRecorder
 	// Watchdog, when non-nil, is checked against the run's in-flight-bytes
 	// and pending-event gauges at every Series sampling tick — or, when Series
@@ -193,8 +166,8 @@ type Recorder struct {
 	// configurations (see sim.Digest).
 	Digest *sim.Digest
 	// Audit, when non-nil, runs the harness's conservation invariants at
-	// every sampler tick; a violation stops the run (unless KeepRunning)
-	// and dumps the flight recorder.
+	// every sampler tick; a violation stops the run and dumps the flight
+	// recorder.
 	Audit *Auditor
 	// OnCollected, when non-nil, is called by harness.Net.CollectMetrics
 	// once the run's metrics are in: the run is over and the recorder
@@ -203,28 +176,26 @@ type Recorder struct {
 	OnCollected func()
 }
 
-// NewRecorder returns a recorder with an empty registry and no trace sink.
+// NewRecorder returns a recorder with an empty registry and no instruments.
 func NewRecorder() *Recorder {
 	return &Recorder{Metrics: NewRegistry(), Faults: &FaultLog{}}
 }
 
 // Emitter resolves what ports, NICs and the flow-completion hook emit trace
-// events into: the flight ring with Trace downstream of it when both are
-// set, whichever one alone otherwise, or nil when tracing is fully disabled.
+// events into: the flight ring, or nil when the run has none.
 func (r *Recorder) Emitter() *Emitter {
-	return newEmitter(r.Flight, r.Trace)
+	return newEmitter(r.Flight, nil)
 }
 
 // SwitchEmitter resolves the emitter for switches: with flow tracing on, the
-// flow tracer sits between the ring and Trace (switch drop and ECN-mark
-// events feed sampled flows' journeys); otherwise it is Emitter(). Ports keep
-// the plain one — their per-packet volume is covered by the INT piggyback,
-// so the port hot path never pays the flow-tracer call.
+// flow tracer sits behind the ring (switch drop and ECN-mark events feed
+// sampled flows' journeys); otherwise it is Emitter(). Ports keep the plain
+// one — their per-packet volume is covered by the INT piggyback, so the port
+// hot path never pays the flow-tracer call.
 func (r *Recorder) SwitchEmitter() *Emitter {
 	if r.FlowTrace == nil {
 		return r.Emitter()
 	}
-	r.FlowTrace.Inner = r.Trace
 	r.FlowTrace.Devs = &r.Devs
 	return newEmitter(r.Flight, r.FlowTrace)
 }

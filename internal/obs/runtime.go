@@ -121,8 +121,8 @@ func (h *hostReader) readRSS() float64 {
 // events/sec, and the wall-vs-sim time ratio.
 //
 // The sampler piggybacks on the existing engine sampling clock: the
-// harness calls Tick before each SeriesSet.Sample, and every Every ticks
-// (DefaultRuntimeEvery when zero) the snapshot is refreshed; between
+// harness calls Tick before each SeriesSet.Sample, and every
+// DefaultRuntimeEvery ticks the snapshot is refreshed; between
 // refreshes the registered sources repeat the held values. The rate gauges
 // (events/sec, wall-per-sim) are measured over the refresh window.
 //
@@ -130,10 +130,6 @@ func (h *hostReader) readRSS() float64 {
 // artifact nondeterministic across machines and runs — it is opt-in
 // (`-runtime`) and never part of the determinism-checked default series.
 type RuntimeSampler struct {
-	// Every is the refresh stride in series ticks; 0 means
-	// DefaultRuntimeEvery.
-	Every int
-
 	host *hostReader
 	tick int
 
@@ -170,12 +166,8 @@ func (r *RuntimeSampler) Register(ss *SeriesSet, eng *sim.Engine) {
 // Tick advances the refresh countdown; the harness calls it right before
 // SeriesSet.Sample on every sampling tick.
 func (r *RuntimeSampler) Tick(eng *sim.Engine) {
-	every := r.Every
-	if every <= 0 {
-		every = DefaultRuntimeEvery
-	}
 	r.tick++
-	if r.tick%every != 0 {
+	if r.tick%DefaultRuntimeEvery != 0 {
 		return
 	}
 	r.cur = r.host.Read()

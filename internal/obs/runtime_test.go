@@ -10,7 +10,7 @@ import (
 func TestRuntimeSamplerSeries(t *testing.T) {
 	eng := sim.NewEngine()
 	ss := obs.NewSeriesSet(sim.Microsecond)
-	rt := &obs.RuntimeSampler{Every: 2}
+	rt := &obs.RuntimeSampler{}
 	rt.Register(ss, eng)
 
 	names := map[string]bool{}
@@ -66,11 +66,11 @@ func TestRuntimeSamplerSeries(t *testing.T) {
 }
 
 func TestRuntimeSamplerRefreshStride(t *testing.T) {
-	// With a large stride the held snapshot must not change between
-	// refreshes, even if the process state does.
+	// The held snapshot must not change between refreshes (one every
+	// DefaultRuntimeEvery ticks), even if the process state does.
 	eng := sim.NewEngine()
 	ss := obs.NewSeriesSet(sim.Microsecond)
-	rt := &obs.RuntimeSampler{Every: 1000}
+	rt := &obs.RuntimeSampler{}
 	rt.Register(ss, eng)
 	rt.Tick(eng)
 	ss.Sample()

@@ -14,17 +14,6 @@ type Series struct {
 	V []float64
 }
 
-// Len returns the number of samples taken.
-func (s *Series) Len() int { return len(s.V) }
-
-// Last returns the most recent sample (0 when empty).
-func (s *Series) Last() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	return s.V[len(s.V)-1]
-}
-
 // SeriesSet is a run's time-series sampler: a fixed sampling interval and
 // an ordered set of series, each backed by a source function read at every
 // tick. Install it via Recorder.Series and harness.Net.Observe, which

@@ -104,35 +104,21 @@ type Event struct {
 	Kind  Kind
 }
 
-// Tracer receives trace events. The record is lent, not given: it is a
-// flight-ring slot or a staging record that a later event overwrites, so an
-// implementation that keeps events copies them. Implementations are not safe
-// for concurrent use; attach one tracer per run.
-type Tracer interface {
-	Trace(ev *Event)
-}
-
-// TraceFunc adapts a function to the Tracer interface.
-type TraceFunc func(ev *Event)
-
-// Trace implements Tracer.
-func (f TraceFunc) Trace(ev *Event) { f(ev) }
-
 // Emitter is the device end of a run's trace chain — what ports and switches
 // hold. A device asks for the Next record, fills it in place and Emits it:
 // the record is the flight ring's next slot when the run has a ring, the
-// emitter's own staging record otherwise, and it is handed to the sink by
-// pointer. Nothing on this path copies an Event through an interface or
-// allocates. Obtain one from Recorder.Emitter or Recorder.SwitchEmitter.
+// emitter's own staging record otherwise, and it is handed to the switch-side
+// flow tracer by pointer. Nothing on this path copies an Event or allocates.
+// Obtain one from Recorder.Emitter or Recorder.SwitchEmitter.
 type Emitter struct {
 	ring  *FlightRecorder // nil without a flight recorder
-	sink  Tracer          // downstream of the ring; nil when the ring is all there is
+	sink  *FlowTracer     // downstream of the ring; nil when the ring is all there is
 	stage Event           // the record to fill when there is no ring
 }
 
 // newEmitter returns nil when there is neither a ring nor a sink, so "no
 // emitter" stays the single nil check the device hot paths test.
-func newEmitter(ring *FlightRecorder, sink Tracer) *Emitter {
+func newEmitter(ring *FlightRecorder, sink *FlowTracer) *Emitter {
 	if ring == nil && sink == nil {
 		return nil
 	}
@@ -179,7 +165,7 @@ func NewJSONLSink(w io.Writer, devs *DevTable) *JSONLSink {
 	return &JSONLSink{w: bufio.NewWriterSize(w, 1<<16), devs: devs}
 }
 
-// Trace implements Tracer.
+// Trace writes one event.
 func (s *JSONLSink) Trace(ev *Event) {
 	b := s.buf[:0]
 	b = append(b, `{"t_ps":`...)

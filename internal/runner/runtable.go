@@ -79,9 +79,6 @@ func (s *RunEntry) Finish(errMsg string) {
 	s.status.Store(StatusDone)
 }
 
-// Status returns the current lifecycle state.
-func (s *RunEntry) Status() int32 { return s.status.Load() }
-
 // RunSnapshot is a point-in-time JSON-ready copy of a RunEntry.
 type RunSnapshot struct {
 	// Name, Experiment, Seed, Index echo the task identity.

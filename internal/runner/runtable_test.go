@@ -100,7 +100,7 @@ func TestRunTableConcurrent(t *testing.T) {
 	go func() { wg.Wait(); close(wgDone) }()
 	// Let workers finish, then stop the reader.
 	for _, st := range states {
-		for st.Status() != StatusDone {
+		for st.status.Load() != StatusDone {
 			g.Snapshot()
 		}
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -61,17 +62,29 @@ func (a *API) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxSubmitBody bounds a POST /jobs body.
+const maxSubmitBody = 1 << 20
+
 func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		apiError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", maxSubmitBody)
+		return
+	}
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	var req submitRequest
-	dec := json.NewDecoder(strings.NewReader(string(body)))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		apiError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		apiError(w, http.StatusBadRequest, "bad request body: trailing data after the JSON object")
 		return
 	}
 	reg, ok := exp.Lookup(req.Experiment)

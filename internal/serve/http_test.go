@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,21 +145,24 @@ func TestHTTPErrors(t *testing.T) {
 	for _, tc := range []struct {
 		method, path, body string
 		want               int
+		errHas             string // a substring the JSON error must carry
 	}{
-		{"POST", "/jobs", `{"experiment": "fig99"}`, 400},
-		{"POST", "/jobs", `{"experiment": "fig2", "params": {"sede": 1}}`, 400},
-		{"POST", "/jobs", `{"experiment": "fig2", "bogus": true}`, 400},
-		{"POST", "/jobs", `not json`, 400},
-		{"GET", "/jobs/j999", "", 404},
-		{"GET", "/jobs/j999/result", "", 404},
-		{"DELETE", "/jobs/j999", "", 404},
-		{"GET", "/jobs/j1/bogus", "", 404},
-		{"PUT", "/jobs", "", 405},
+		{"POST", "/jobs", `{"experiment": "fig99"}`, 400, ""},
+		{"POST", "/jobs", `{"experiment": "fig2", "params": {"sede": 1}}`, 400, ""},
+		{"POST", "/jobs", `{"experiment": "fig2", "bogus": true}`, 400, ""},
+		{"POST", "/jobs", `not json`, 400, ""},
+		{"POST", "/jobs", `{"experiment": "fig2"} {"experiment": "fig3a"}`, 400, "trailing data"},
+		{"POST", "/jobs", `{"experiment": "` + strings.Repeat("x", 1<<20) + `"}`, 413, "1048576-byte limit"},
+		{"GET", "/jobs/j999", "", 404, ""},
+		{"GET", "/jobs/j999/result", "", 404, ""},
+		{"DELETE", "/jobs/j999", "", 404, ""},
+		{"GET", "/jobs/j1/bogus", "", 404, ""},
+		{"PUT", "/jobs", "", 405, ""},
 	} {
 		e.Error = ""
 		code := httpJSON(t, tc.method, base+tc.path, []byte(tc.body), &e)
-		if code != tc.want || e.Error == "" {
-			t.Errorf("%s %s: code=%d error=%q, want %d with a JSON error", tc.method, tc.path, code, e.Error, tc.want)
+		if code != tc.want || e.Error == "" || !strings.Contains(e.Error, tc.errHas) {
+			t.Errorf("%s %s: code=%d error=%q, want %d with a JSON error naming %q", tc.method, tc.path, code, e.Error, tc.want, tc.errHas)
 		}
 	}
 }

@@ -187,10 +187,6 @@ func (d *Digest) compactCkpts() {
 	d.every *= 2
 }
 
-// CheckpointEvery returns the current checkpoint interval (doubles on
-// each compaction).
-func (d *Digest) CheckpointEvery() uint64 { return d.every }
-
 // SetDigest installs (or, with nil, removes) a per-event digest chain on
 // the engine: after each dispatched event's callback returns, the engine
 // folds (time, seq, kind) plus the accumulated payload digest into the
@@ -198,11 +194,3 @@ func (d *Digest) CheckpointEvery() uint64 { return d.every }
 // observations, not events, and folding them would make the chain depend
 // on the observability configuration.
 func (e *Engine) SetDigest(d *Digest) { e.hooked().dig = d }
-
-// Digest returns the installed digest chain, or nil.
-func (e *Engine) Digest() *Digest {
-	if e.hooks == nil {
-		return nil
-	}
-	return e.hooks.dig
-}

@@ -110,13 +110,6 @@ func (e *Event) Tag(kind uint8) *Event {
 	return e
 }
 
-// At returns the time the event is scheduled to fire.
-func (e *Event) At() Time { return e.at }
-
-// Canceled reports whether Cancel was called on the event while it was
-// still pending.
-func (e *Event) Canceled() bool { return e.state == evCanceled }
-
 // entry is one element of the due run or the overflow heap. The ordering
 // key lives in the entry itself so comparisons never chase the Event
 // pointer.

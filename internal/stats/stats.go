@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"text/tabwriter"
 
@@ -69,11 +68,10 @@ func (r FlowRecord) Slowdown() float64 {
 type Collector struct {
 	Flows []FlowRecord
 
-	// Percentile caches: Flows sorted by FCT / slowdown, built lazily on
-	// the first percentile query and reused until Flows grows, so a report
-	// asking for p50/p90/p99/p999 sorts once instead of once per quantile.
-	// Values are exact — the cache changes cost, not results.
-	sortedFCT  []sim.Time
+	// Percentile cache: Flows' slowdowns sorted, built lazily on the first
+	// percentile query and reused until Flows grows, so a report asking for
+	// p50/p90/p99/p999 sorts once instead of once per quantile. Values are
+	// exact — the cache changes cost, not results.
 	sortedSlow []float64
 }
 
@@ -96,11 +94,6 @@ func (c *Collector) ByClass(cl SizeClass) *Collector {
 	return c.Filter(func(f FlowRecord) bool { return ClassOf(f.Size) == cl })
 }
 
-// ByPrio returns flows with the given priority.
-func (c *Collector) ByPrio(p int) *Collector {
-	return c.Filter(func(f FlowRecord) bool { return f.Prio == p })
-}
-
 // Count returns the number of flows collected.
 func (c *Collector) Count() int { return len(c.Flows) }
 
@@ -114,30 +107,6 @@ func (c *Collector) MeanFCT() sim.Time {
 		sum += f.FCT
 	}
 	return sum / sim.Time(len(c.Flows))
-}
-
-// PercentileFCT returns the p-quantile (0..1) of FCT.
-func (c *Collector) PercentileFCT(p float64) sim.Time {
-	if len(c.Flows) == 0 {
-		return 0
-	}
-	fcts := c.fctSorted()
-	idx := int(p * float64(len(fcts)-1))
-	return fcts[idx]
-}
-
-// fctSorted returns the FCTs in ascending order, cached; the cache is
-// rebuilt whenever Flows has grown since it was taken (flows are only ever
-// appended, so a length check suffices).
-func (c *Collector) fctSorted() []sim.Time {
-	if len(c.sortedFCT) != len(c.Flows) {
-		c.sortedFCT = make([]sim.Time, len(c.Flows))
-		for i, f := range c.Flows {
-			c.sortedFCT[i] = f.FCT
-		}
-		sort.Slice(c.sortedFCT, func(i, j int) bool { return c.sortedFCT[i] < c.sortedFCT[j] })
-	}
-	return c.sortedFCT
 }
 
 // MeanSlowdown returns the mean FCT slowdown.
@@ -161,8 +130,9 @@ func (c *Collector) PercentileSlowdown(p float64) float64 {
 	return s[int(p*float64(len(s)-1))]
 }
 
-// slowSorted returns the slowdowns in ascending order, cached like
-// fctSorted.
+// slowSorted returns the slowdowns in ascending order, cached; the cache is
+// rebuilt whenever Flows has grown since it was taken (flows are only ever
+// appended, so a length check suffices).
 func (c *Collector) slowSorted() []float64 {
 	if len(c.sortedSlow) != len(c.Flows) {
 		c.sortedSlow = make([]float64, len(c.Flows))
@@ -172,15 +142,6 @@ func (c *Collector) slowSorted() []float64 {
 		sort.Float64s(c.sortedSlow)
 	}
 	return c.sortedSlow
-}
-
-// Speedup returns how much faster this collector's mean FCT is than the
-// baseline's: baseline/this (>1 means faster).
-func Speedup(baseline, this sim.Time) float64 {
-	if this <= 0 {
-		return math.NaN()
-	}
-	return float64(baseline) / float64(this)
 }
 
 // Table renders aligned rows for experiment output.

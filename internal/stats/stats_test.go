@@ -41,11 +41,11 @@ func TestMeanAndPercentiles(t *testing.T) {
 	if got := c.MeanFCT(); got != 50500*sim.Nanosecond {
 		t.Errorf("MeanFCT = %v, want 50.5us", got)
 	}
-	if got := c.PercentileFCT(0.99); got < 98*sim.Microsecond {
-		t.Errorf("P99 = %v, want ~99us", got)
+	if got := c.PercentileSlowdown(0.99); got < 98 {
+		t.Errorf("P99 slowdown = %v, want ~99", got)
 	}
-	if got := c.PercentileFCT(0); got != sim.Microsecond {
-		t.Errorf("P0 = %v, want 1us", got)
+	if got := c.PercentileSlowdown(0); got != 1 {
+		t.Errorf("P0 slowdown = %v, want 1", got)
 	}
 }
 
@@ -70,9 +70,9 @@ func TestFilters(t *testing.T) {
 	if small.Count()+c.ByClass(Middle).Count()+c.ByClass(Large).Count() != c.Count() {
 		t.Error("size classes do not partition the flows")
 	}
-	p2 := c.ByPrio(2)
+	p2 := c.Filter(func(f FlowRecord) bool { return f.Prio == 2 })
 	if p2.Count() != 25 {
-		t.Errorf("ByPrio(2) = %d flows, want 25", p2.Count())
+		t.Errorf("Filter(prio 2) = %d flows, want 25", p2.Count())
 	}
 }
 
@@ -114,7 +114,7 @@ func TestMeanSlowdownAndPercentile(t *testing.T) {
 
 func TestEmptyCollectorSafe(t *testing.T) {
 	c := &Collector{}
-	if c.MeanFCT() != 0 || c.PercentileFCT(0.99) != 0 || c.MeanSlowdown() != 0 {
+	if c.MeanFCT() != 0 || c.PercentileSlowdown(0.99) != 0 || c.MeanSlowdown() != 0 {
 		t.Error("empty collector should return zeros")
 	}
 }
@@ -128,30 +128,24 @@ func TestPercentileCacheInvalidation(t *testing.T) {
 	for i := 100; i >= 1; i-- {
 		c.Add(FlowRecord{FCT: sim.Time(i) * sim.Microsecond, Ideal: sim.Microsecond})
 	}
-	if got := c.PercentileFCT(0.5); got != 50*sim.Microsecond {
-		t.Errorf("P50 = %v, want 50us", got)
-	}
 	if got := c.PercentileSlowdown(0.5); got != 50 {
 		t.Errorf("P50 slowdown = %v, want 50", got)
 	}
 	// Append past the cached snapshot: a flow faster than everything seen.
 	c.Add(FlowRecord{FCT: 500 * sim.Nanosecond, Ideal: sim.Microsecond})
-	if got := c.PercentileFCT(0); got != 500*sim.Nanosecond {
-		t.Errorf("P0 after append = %v, want 500ns: cache went stale", got)
-	}
 	if got := c.PercentileSlowdown(0); got != 0.5 {
 		t.Errorf("P0 slowdown after append = %v, want 0.5: cache went stale", got)
 	}
 	// Repeated queries at the same length reuse the cache and stay exact.
 	for _, p := range []float64{0, 0.25, 0.5, 0.75, 0.99, 1} {
 		idx := int(p * float64(c.Count()-1))
-		want := make([]sim.Time, 0, c.Count())
+		want := make([]float64, 0, c.Count())
 		for _, f := range c.Flows {
-			want = append(want, f.FCT)
+			want = append(want, f.Slowdown())
 		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		if got := c.PercentileFCT(p); got != want[idx] {
-			t.Errorf("PercentileFCT(%v) = %v, want exact %v", p, got, want[idx])
+		sort.Float64s(want)
+		if got := c.PercentileSlowdown(p); got != want[idx] {
+			t.Errorf("PercentileSlowdown(%v) = %v, want exact %v", p, got, want[idx])
 		}
 	}
 }

@@ -106,8 +106,8 @@ func assertRoutesMatchReference(t *testing.T, n *topo.Network) {
 				}
 			}
 		}
-		if sw.RouteDests() > len(n.Hosts) {
-			t.Fatalf("switch %s table covers %d dests, only %d hosts exist", sw.Name, sw.RouteDests(), len(n.Hosts))
+		if r := sw.Route(len(n.Hosts)); r != nil {
+			t.Fatalf("switch %s routes dst %d %v, only %d hosts exist", sw.Name, len(n.Hosts), r, len(n.Hosts))
 		}
 	}
 }

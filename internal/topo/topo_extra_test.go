@@ -31,7 +31,7 @@ func TestFatTreeNonBlocking(t *testing.T) {
 	for src := 0; src < nh; src++ {
 		dst := (src + nh/2) % nh
 		for k := 0; k < pkts; k++ {
-			n.Hosts[src].Send(netsim.NewData(int64(src), src, dst, 0, int64(k)*1000, 1000))
+			n.Hosts[src].Send(dataPkt(int64(src), src, dst, int64(k)*1000))
 		}
 	}
 	eng.Run()

@@ -19,13 +19,18 @@ func TestStarBaseRTT(t *testing.T) {
 	}
 }
 
+// dataPkt returns a fresh 1000-byte data packet at priority 0.
+func dataPkt(flow int64, src, dst int, seq int64) *netsim.Packet {
+	return netsim.NewPacketPool().Data(flow, src, dst, 0, seq, 1000)
+}
+
 func TestStarDelivery(t *testing.T) {
 	eng := sim.NewEngine()
 	n := Star(eng, 5, DefaultConfig())
 	got := 0
 	n.Hosts[4].Sink = func(pkt *netsim.Packet) { got++ }
 	for src := 0; src < 4; src++ {
-		n.Hosts[src].Send(netsim.NewData(int64(src), src, 4, 0, 0, 1000))
+		n.Hosts[src].Send(dataPkt(int64(src), src, 4, 0))
 	}
 	eng.Run()
 	if got != 4 {
@@ -68,7 +73,7 @@ func TestFatTreeAllPairsReachable(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			n.Hosts[src].Send(netsim.NewData(int64(src*100+dst), src, dst, 0, 0, 1000))
+			n.Hosts[src].Send(dataPkt(int64(src*100+dst), src, dst, 0))
 			sent++
 		}
 	}
@@ -91,7 +96,7 @@ func TestFatTreeECMPUsesMultiplePaths(t *testing.T) {
 	// equal-cost uplinks.
 	edge := n.Switches[4] // first non-core switch is pod0 edge0 (4 cores first)
 	foundMulti := false
-	for dst := 0; dst < edge.RouteDests(); dst++ {
+	for dst := range n.Hosts {
 		if dst >= 4 && len(edge.Route(dst)) > 1 { // host in another pod
 			foundMulti = true
 		}
@@ -129,7 +134,7 @@ func TestCoflowClosCrossPodDelivery(t *testing.T) {
 	n := CoflowClos(eng, DefaultConfig())
 	got := 0
 	n.Hosts[300].Sink = func(pkt *netsim.Packet) { got++ }
-	n.Hosts[0].Send(netsim.NewData(1, 0, 300, 0, 0, 1000))
+	n.Hosts[0].Send(dataPkt(1, 0, 300, 0))
 	eng.Run()
 	if got != 1 {
 		t.Errorf("cross-pod delivery failed")
@@ -149,7 +154,7 @@ func TestSpineLeafShape(t *testing.T) {
 	n = SpineLeaf(eng, 2, 6, 12, DefaultConfig())
 	got := 0
 	n.Hosts[23].Sink = func(pkt *netsim.Packet) { got++ }
-	n.Hosts[0].Send(netsim.NewData(1, 0, 23, 0, 0, 1000))
+	n.Hosts[0].Send(dataPkt(1, 0, 23, 0))
 	eng.Run()
 	if got != 1 {
 		t.Error("cross-leaf delivery failed")

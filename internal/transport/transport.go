@@ -909,11 +909,5 @@ func (s *Sender) complete() {
 // Finished reports whether all bytes have been acknowledged.
 func (s *Sender) Finished() bool { return s.finished }
 
-// Inflight returns the bytes currently in flight.
-func (s *Sender) Inflight() int { return s.inflight }
-
 // SRTT returns the smoothed RTT estimate.
 func (s *Sender) SRTT() sim.Time { return s.srtt }
-
-// Algo returns the flow's congestion controller.
-func (s *Sender) Algo() cc.Algorithm { return s.spec.Algo }

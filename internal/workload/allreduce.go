@@ -54,13 +54,3 @@ func (m Model) RingAllReduce() []RingStep {
 	}
 	return steps
 }
-
-// CommBytesPerIteration returns the total bytes each worker transmits per
-// iteration: 2*(n-1)/n * GradBytes.
-func (m Model) CommBytesPerIteration() int64 {
-	n := int64(len(m.Hosts))
-	if n < 2 {
-		return 0
-	}
-	return 2 * (n - 1) * (m.GradBytes / n)
-}

@@ -88,15 +88,6 @@ func (d *SizeDist) Mean() float64 {
 	return mean
 }
 
-// Quantile returns the size at cumulative probability q.
-func (d *SizeDist) Quantile(q float64) int64 {
-	i := sort.SearchFloat64s(d.cdf, q)
-	if i >= len(d.sizes) {
-		i = len(d.sizes) - 1
-	}
-	return int64(d.sizes[i])
-}
-
 // FlowEvent is one generated flow arrival.
 type FlowEvent struct {
 	At   sim.Time
@@ -143,20 +134,4 @@ func Poisson(cfg PoissonConfig) []FlowEvent {
 			Size: cfg.Dist.Sample(cfg.Rng),
 		})
 	}
-}
-
-// Incast returns n synchronized flows of the given size from distinct
-// senders to one receiver, the paper's Fig 10b stress pattern.
-func Incast(n int, size int64, dst int, at sim.Time) []FlowEvent {
-	out := make([]FlowEvent, 0, n)
-	src := 0
-	for len(out) < n {
-		if src == dst {
-			src++
-			continue
-		}
-		out = append(out, FlowEvent{At: at, Src: src, Dst: dst, Size: size})
-		src++
-	}
-	return out
 }

@@ -170,9 +170,23 @@ func TestRingAllReduce(t *testing.T) {
 		}
 	}
 	want := 2 * 3 * chunk
-	if got := m.CommBytesPerIteration(); got != want {
-		t.Errorf("CommBytesPerIteration = %d, want %d", got, want)
+	if got := commBytes(m); got != want {
+		t.Errorf("bytes per worker per iteration = %d, want %d", got, want)
 	}
+}
+
+// commBytes returns the bytes the ring's first worker transmits in one
+// all-reduce: 2*(n-1)/n * GradBytes.
+func commBytes(m Model) int64 {
+	var total int64
+	for _, st := range m.RingAllReduce() {
+		for _, f := range st.Flows {
+			if f.Src == m.Hosts[0] {
+				total += f.Size
+			}
+		}
+	}
+	return total
 }
 
 func TestVGGIsCommBound(t *testing.T) {
@@ -183,7 +197,7 @@ func TestVGGIsCommBound(t *testing.T) {
 	vgg := VGG("v", hosts)
 	res := ResNet("r", hosts)
 	wire := func(m Model) sim.Time {
-		return sim.FromSeconds(float64(m.CommBytesPerIteration()) / (100e9 / 8))
+		return sim.FromSeconds(float64(commBytes(m)) / (100e9 / 8))
 	}
 	if wire(vgg) < vgg.Compute {
 		t.Errorf("VGG comm %v < compute %v; should be communication-bound", wire(vgg), vgg.Compute)

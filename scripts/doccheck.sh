@@ -2,7 +2,7 @@
 # doccheck.sh — fails CI when godoc coverage regresses or a doc cites
 # something that does not exist.
 #
-# Four gates:
+# Five gates:
 #   1. Every package under internal/ and cmd/ must carry a package-level
 #      doc comment ("// Package <name> ...") in at least one non-test file.
 #   2. No exported top-level declaration anywhere under internal/ may lack
@@ -15,10 +15,14 @@
 #      spans that run another program (first word sh, bash, or a path).
 #   4. Every `pkg.Symbol` / `pkg.Type.Member` in such a span, where pkg is a
 #      package directory under internal/, must resolve by grep in that
-#      package: Symbol as a top-level declaration (or a method of any of
-#      its types), Member as a method of Type or a field written out in
-#      Type's struct (a field promoted from an embedded struct is cited
-#      under the struct that declares it).
+#      package's non-test files: Symbol as a top-level declaration (or a
+#      method of any of its types), Member as a method of Type or a field
+#      written out in Type's struct (a field promoted from an embedded
+#      struct is cited under the struct that declares it). A seam that only
+#      tests reach (export_test.go) is not API, so a doc may not cite it.
+#   5. Each doc stays within its byte budget below, so prose cannot regrow
+#      silently. A change that cuts a doc lowers its line; one that must
+#      grow it raises the line in the same diff, so the growth is visible.
 #
 # Run from the repository root: sh scripts/doccheck.sh
 set -eu
@@ -87,7 +91,7 @@ fi
 # resolves <dir> <Symbol> [Member]
 tab=$(printf '\t')
 resolves() {
-    files=$(ls "$1"/*.go)
+    files=$(ls "$1"/*.go | grep -v '_test\.go$')
     if [ -z "${3:-}" ]; then
         # A top-level declaration, a method, or a name in a var/const block.
         # shellcheck disable=SC2086
@@ -130,6 +134,22 @@ if [ -n "$badsyms" ]; then
     echo "$badsyms" >&2
     fail=1
 fi
+
+while read -r doc max; do
+    size=$(wc -c < "$doc")
+    if [ "$size" -gt "$max" ]; then
+        echo "doccheck: $doc is $size bytes, over its $max-byte budget" >&2
+        fail=1
+    fi
+done <<EOF
+docs/API.md 7280
+docs/ARCHITECTURE.md 47810
+docs/OBSERVABILITY.md 37464
+docs/PERFORMANCE.md 29494
+README.md 15400
+DESIGN.md 14390
+EXPERIMENTS.md 13926
+EOF
 
 if [ "$fail" -ne 0 ]; then
     echo "doccheck: FAIL" >&2
