@@ -52,11 +52,19 @@ func runAll(args []string) int {
 	ids := exp.IDs()
 	if *onlyArg != "" {
 		ids = strings.Split(*onlyArg, ",")
+		seen := map[string]bool{}
 		for _, id := range ids {
 			if err := validExperiment(id); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 2
 			}
+			// A repeated id would run twice under one name, and the
+			// fingerprint map would keep only one of the two.
+			if seen[id] {
+				fmt.Fprintf(os.Stderr, "experiment %q given twice in -only\n", id)
+				return 2
+			}
+			seen[id] = true
 		}
 	}
 	seeds, err := parseSeeds(*seedsArg)
@@ -111,7 +119,14 @@ func runAll(args []string) int {
 		}
 	}
 
-	opts := runner.Options{Workers: *parallel, Timeout: *timeout}
+	// The pool starts one worker per run up to -parallel (GOMAXPROCS when it
+	// is <= 0); that count, not the flag, is what the batch reports.
+	workers := *parallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(tasks))
+	opts := runner.Options{Workers: workers, Timeout: *timeout}
 	// OnResult calls are serialized by the runner, so the counter and
 	// the stderr line need no extra locking. Run states finish here, not
 	// in the task closure, so timed-out runs are marked failed too.
@@ -177,11 +192,11 @@ func runAll(args []string) int {
 		}
 	}
 	fmt.Printf("\n%d/%d runs ok, %d workers, wall %.2fs, %d logical events (%d dispatched), %.3gM events/sec (logical basis)\n",
-		len(results)-failures, len(results), *parallel, wall.Seconds(),
+		len(results)-failures, len(results), workers, wall.Seconds(),
 		events, dispatched, float64(events)/wall.Seconds()/1e6)
 
 	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, results, seeds, *parallel, *full, wall, events, dispatched, fps); err != nil {
+		if err := writeJSON(*jsonOut, results, seeds, workers, *full, wall, events, dispatched, fps); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -239,13 +254,20 @@ func validExperiment(id string) error {
 	return nil
 }
 
+// parseSeeds parses -seeds. A repeated seed is an error: its runs would
+// share one name, and the fingerprint map would keep only one of them.
 func parseSeeds(s string) ([]int64, error) {
 	var seeds []int64
+	seen := map[int64]bool{}
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad -seeds value %q: %v", part, err)
 		}
+		if seen[v] {
+			return nil, fmt.Errorf("seed %d given twice in -seeds", v)
+		}
+		seen[v] = true
 		seeds = append(seeds, v)
 	}
 	return seeds, nil
@@ -274,7 +296,9 @@ type runJSON struct {
 const eventsBasis = "events counts logical events (dispatched + elided transmitter wake-ups), stable across engine optimizations; events_dispatched counts raw dispatches, which elision shrinks; events_per_sec uses the logical basis"
 
 type batchJSON struct {
-	Full     bool    `json:"full"`
+	Full bool `json:"full"`
+	// Parallel is the number of workers the pool started: -parallel, capped
+	// at the run count, with GOMAXPROCS standing in for a value <= 0.
 	Parallel int     `json:"parallel"`
 	Seeds    []int64 `json:"seeds"`
 	WallMS   float64 `json:"wall_ms"`

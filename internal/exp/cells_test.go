@@ -176,15 +176,15 @@ func TestCellsPanic(t *testing.T) {
 	})
 }
 
-// TestFig16CellsMatchSerial: Fig16's scheme cells give the same rows fanned
+// TestFig16CellsMatchSerial: fig16's scheme cells give the same rows fanned
 // out as one after another. Under -race it is the check that flow-scheduling
 // cells share no state; a short horizon keeps it cheap there.
 func TestFig16CellsMatchSerial(t *testing.T) {
 	cfg := shortFlowSched(PrioPlusSwift(), 4)
-	cfg.Duration, cfg.Drain = sim.Millisecond, 4*sim.Millisecond
-	var serial, fanned []Fig11Row
-	withProcs(1, func() { serial = Fig16(4, cfg) })
-	withProcs(2, func() { fanned = Fig16(4, cfg) })
+	cfg.duration, cfg.drain = sim.Millisecond, 4*sim.Millisecond
+	var serial, fanned []fig11Row
+	withProcs(1, func() { serial = fig16(4, cfg) })
+	withProcs(2, func() { fanned = fig16(4, cfg) })
 	if s, f := fmt.Sprint(serial), fmt.Sprint(fanned); s != f {
 		t.Errorf("fanned-out rows differ from serial ones:\n%s\nvs\n%s", f, s)
 	}

@@ -16,15 +16,15 @@ import (
 // non-blocking Clos, coflows grouped into 8 priorities by total size.
 type CoflowConfig struct {
 	Scheme   Scheme
-	Load     float64
+	load     float64
 	Duration sim.Time
 	Drain    sim.Time
-	NPrios   int
+	nPrios   int
 	// Topology dimensions; zero values give the paper's 5-pod, 320-host
 	// fabric. Scale down for tests and benches.
-	Pods, Edges, HostsPerEdge, Aggs, Cores int
-	// Lossy disables PFC and relies on IRN loss recovery (Fig 17).
-	Lossy bool
+	pods, edges, hostsPerEdge, aggs, cores int
+	// lossy disables PFC and relies on IRN loss recovery (Fig 17).
+	lossy bool
 	// NoPriority runs the scheme with a single priority group (the
 	// speedup baseline: Swift with default parameters, no scheduling).
 	NoPriority bool
@@ -32,7 +32,7 @@ type CoflowConfig struct {
 	// run is tagged with its scheme name, "baseline/"-prefixed for the
 	// no-priority baseline.
 	Options
-	// MaxInflight, when > 0, arms an in-flight-bytes watchdog on every run:
+	// maxInflight, when > 0, arms an in-flight-bytes watchdog on every run:
 	// a run whose live packet bytes exceed the ceiling is stopped early and
 	// reported with CoflowResult.Watchdog set. This is how fig18's quick
 	// scale stays runnable — the "Physical* w/o CC" scheme otherwise
@@ -41,7 +41,7 @@ type CoflowConfig struct {
 	// drains, and spurious RTOs duplicate what is already queued). The
 	// ceiling does not depend on Options.NewRecorder, so figure output is
 	// identical whether or not observability flags are set.
-	MaxInflight int64
+	maxInflight int64
 }
 
 // DefaultCoflowConfig returns a reduced-scale version of the paper's
@@ -49,45 +49,45 @@ type CoflowConfig struct {
 func DefaultCoflowConfig(s Scheme, load float64) CoflowConfig {
 	return CoflowConfig{
 		Scheme:   s,
-		Load:     load,
+		load:     load,
 		Duration: 30 * sim.Millisecond,
 		Drain:    100 * sim.Millisecond,
 		Options:  Options{Seed: 1},
-		NPrios:   8,
-		Pods:     2, Edges: 4, HostsPerEdge: 4, Aggs: 2, Cores: 4,
+		nPrios:   8,
+		pods:     2, edges: 4, hostsPerEdge: 4, aggs: 2, cores: 4,
 	}
 }
 
-// PaperScale switches the config to the paper's full 320-host fabric.
-func (c CoflowConfig) PaperScale() CoflowConfig {
-	c.Pods, c.Edges, c.HostsPerEdge, c.Aggs, c.Cores = 5, 8, 8, 2, 8
+// paperScale switches the config to the paper's full 320-host fabric.
+func (c CoflowConfig) paperScale() CoflowConfig {
+	c.pods, c.edges, c.hostsPerEdge, c.aggs, c.cores = 5, 8, 8, 2, 8
 	return c
 }
 
 // CoflowResult summarizes one run: per-priority-group mean and P99 CCT.
 type CoflowResult struct {
-	Scheme    string
+	scheme    string
 	GroupMean []sim.Time // indexed by priority (0 = lowest = largest)
-	GroupP99  []sim.Time
+	groupP99  []sim.Time
 	Mean      sim.Time
 	P99       sim.Time
 	Completed int
-	Launched  int
-	// Watchdog is the trip reason ("inflight_bytes") when the run was
-	// stopped early by CoflowConfig.MaxInflight, "" when it ran to the end.
+	launched  int
+	// watchdog is the trip reason ("inflight_bytes") when the run was
+	// stopped early by CoflowConfig.maxInflight, "" when it ran to the end.
 	// Stats from a tripped run cover only the coflows that finished before
 	// the stop, so they are biased toward the early survivors.
-	Watchdog string
+	watchdog string
 }
 
 // RunCoflow runs one scheme over the coflow workload.
 func RunCoflow(cfg CoflowConfig) CoflowResult {
-	tag := cfg.Scheme.Name
+	tag := cfg.Scheme.name
 	if cfg.NoPriority {
 		tag = "baseline/" + tag
 	}
 	o := cfg.Options
-	if cfg.MaxInflight > 0 {
+	if cfg.maxInflight > 0 {
 		// The ceiling rides on the run's recorder, or on a private one.
 		o.NewRecorder = func(tag string) *obs.Recorder {
 			var rec *obs.Recorder
@@ -98,29 +98,29 @@ func RunCoflow(cfg CoflowConfig) CoflowResult {
 				rec = obs.NewRecorder()
 			}
 			if rec.Watchdog == nil {
-				rec.Watchdog = &obs.Watchdog{MaxInflightBytes: cfg.MaxInflight}
+				rec.Watchdog = &obs.Watchdog{MaxInflightBytes: cfg.maxInflight}
 			}
 			return rec
 		}
 	}
-	net := schemeFabric(o, tag, cfg.Scheme, cfg.NPrios, paperNoise,
+	net := schemeFabric(o, tag, cfg.Scheme, cfg.nPrios, paperNoise,
 		func(eng *sim.Engine, tc topo.Config) *topo.Network {
 			tc.FabricRate = 400 * netsim.Gbps
 			tc.Buffer.TotalBytes = 32 << 20 // set directly by the paper in this scenario
-			if cfg.Lossy {
+			if cfg.lossy {
 				tc.Buffer.PFCEnabled = false
 			}
-			return topo.Clos(eng, cfg.Pods, cfg.Edges, cfg.HostsPerEdge, cfg.Aggs, cfg.Cores, tc)
+			return topo.Clos(eng, cfg.pods, cfg.edges, cfg.hostsPerEdge, cfg.aggs, cfg.cores, tc)
 		})
 	rng := rand.New(rand.NewSource(cfg.Seed + 13))
-	wcfg := workload.DefaultCoflowConfig(len(net.Topo.Hosts), cfg.Load, float64(net.Topo.Cfg.HostRate), cfg.Duration, rng)
+	wcfg := workload.DefaultCoflowConfig(len(net.Topo.Hosts), cfg.load, float64(net.Topo.Cfg.HostRate), cfg.Duration, rng)
 	coflows := workload.Coflows(wcfg)
 
 	totals := make([]int64, len(coflows))
 	for i, cf := range coflows {
 		totals[i] = cf.Total
 	}
-	groups := newSizeGroups(cfg.NPrios, totals)
+	groups := newSizeGroups(cfg.nPrios, totals)
 
 	type cfState struct {
 		remaining int
@@ -129,7 +129,7 @@ func RunCoflow(cfg CoflowConfig) CoflowResult {
 		cct       sim.Time
 	}
 	states := make([]*cfState, len(coflows))
-	res := CoflowResult{Scheme: cfg.Scheme.Name}
+	res := CoflowResult{scheme: cfg.Scheme.name}
 	for i, cf := range coflows {
 		// Group assignment is recorded for stats regardless of scheme;
 		// the no-priority baseline transmits everything at priority 0.
@@ -140,7 +140,7 @@ func RunCoflow(cfg CoflowConfig) CoflowResult {
 		}
 		st := &cfState{remaining: len(cf.Flows), arrival: cf.Arrival, prio: group}
 		states[i] = st
-		res.Launched++
+		res.launched++
 		for _, f := range cf.Flows {
 			net.addFlow(f.Src, f.Dst, f.Size, prio, cf.Arrival, func(sim.Time, sim.Time) {
 				st.remaining--
@@ -152,10 +152,10 @@ func RunCoflow(cfg CoflowConfig) CoflowResult {
 	}
 	net.Run(cfg.Duration + cfg.Drain)
 	if rec := net.Rec; rec != nil && rec.Watchdog != nil {
-		res.Watchdog = rec.Watchdog.Tripped()
+		res.watchdog = rec.Watchdog.Tripped()
 	}
 
-	perGroup := make([][]sim.Time, cfg.NPrios)
+	perGroup := make([][]sim.Time, cfg.nPrios)
 	var all []sim.Time
 	for _, st := range states {
 		if st.remaining > 0 {
@@ -165,8 +165,8 @@ func RunCoflow(cfg CoflowConfig) CoflowResult {
 		perGroup[st.prio] = append(perGroup[st.prio], st.cct)
 		all = append(all, st.cct)
 	}
-	res.GroupMean = make([]sim.Time, cfg.NPrios)
-	res.GroupP99 = make([]sim.Time, cfg.NPrios)
+	res.GroupMean = make([]sim.Time, cfg.nPrios)
+	res.groupP99 = make([]sim.Time, cfg.nPrios)
 	for p, ccts := range perGroup {
 		if len(ccts) == 0 {
 			continue
@@ -177,7 +177,7 @@ func RunCoflow(cfg CoflowConfig) CoflowResult {
 			sum += c
 		}
 		res.GroupMean[p] = sum / sim.Time(len(ccts))
-		res.GroupP99[p] = ccts[int(0.99*float64(len(ccts)-1))]
+		res.groupP99[p] = ccts[int(0.99*float64(len(ccts)-1))]
 	}
 	if len(all) > 0 {
 		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
@@ -195,12 +195,12 @@ func RunCoflow(cfg CoflowConfig) CoflowResult {
 // reporting mean (or P99, for Fig 15) CCT speedups for the high four
 // priority groups, the low four, and overall — the shape of Figs 12a/b.
 type CoflowSpeedups struct {
-	Scheme  string
-	High4   float64
-	Low4    float64
-	Overall float64
-	// Watchdog carries the scheme run's trip reason (see CoflowResult).
-	Watchdog string
+	scheme  string
+	high4   float64
+	low4    float64
+	overall float64
+	// watchdog carries the scheme run's trip reason (see CoflowResult).
+	watchdog string
 }
 
 func speedupOf(base, r CoflowResult, tail bool) CoflowSpeedups {
@@ -209,7 +209,7 @@ func speedupOf(base, r CoflowResult, tail bool) CoflowSpeedups {
 		var n int
 		src := res.GroupMean
 		if tail {
-			src = res.GroupP99
+			src = res.groupP99
 		}
 		for p := lo; p <= hi; p++ {
 			if src[p] > 0 {
@@ -234,11 +234,11 @@ func speedupOf(base, r CoflowResult, tail bool) CoflowSpeedups {
 		baseAll, rAll = base.P99, r.P99
 	}
 	return CoflowSpeedups{
-		Scheme:   r.Scheme,
-		High4:    ratio(pick(base, np/2, np-1), pick(r, np/2, np-1)),
-		Low4:     ratio(pick(base, 0, np/2-1), pick(r, 0, np/2-1)),
-		Overall:  ratio(baseAll, rAll),
-		Watchdog: r.Watchdog,
+		scheme:   r.scheme,
+		high4:    ratio(pick(base, np/2, np-1), pick(r, np/2, np-1)),
+		low4:     ratio(pick(base, 0, np/2-1), pick(r, 0, np/2-1)),
+		overall:  ratio(baseAll, rAll),
+		watchdog: r.watchdog,
 	}
 }
 

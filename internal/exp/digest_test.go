@@ -12,9 +12,9 @@ func always(rec *obs.Recorder) func(string) *obs.Recorder {
 	return func(string) *obs.Recorder { return rec }
 }
 
-// fig10bDigest runs a reduced Fig10b with the given extra instruments and
+// fig10bDigest runs a reduced fig10b with the given extra instruments and
 // returns the digest.
-func fig10bDigest(t *testing.T, full bool, perturb uint64) (*sim.Digest, Fig10bResult) {
+func fig10bDigest(t *testing.T, full bool, perturb uint64) (*sim.Digest, fig10bResult) {
 	t.Helper()
 	rec := obs.NewRecorder()
 	rec.Digest = sim.NewDigest()
@@ -23,7 +23,7 @@ func fig10bDigest(t *testing.T, full bool, perturb uint64) (*sim.Digest, Fig10bR
 		rec.Hist = obs.NewHistSet()
 		rec.Audit = &obs.Auditor{}
 	}
-	r := Fig10b(16, Options{NewRecorder: always(rec), Perturb: perturb})
+	r := fig10b(16, Options{NewRecorder: always(rec), Perturb: perturb})
 	if rec.Digest.Count == 0 {
 		t.Fatal("digest folded no events")
 	}
@@ -49,7 +49,7 @@ func TestFingerprintInvariantAcrossObs(t *testing.T) {
 		t.Fatalf("chain differs across obs configs: %016x/%d vs %016x/%d",
 			plain.Chain, plain.Count, full.Chain, full.Count)
 	}
-	if rp.WithinFrac != rf.WithinFrac || rp.MeanDelay != rf.MeanDelay {
+	if rp.withinFrac != rf.withinFrac || rp.meanDelay != rf.meanDelay {
 		t.Fatalf("figure output differs across obs configs: %+v vs %+v", rp, rf)
 	}
 }
@@ -66,7 +66,7 @@ func TestPerturbDivergesChain(t *testing.T) {
 	// every checkpoint before the first divergent one agrees, and at least
 	// one checkpoint disagrees (the ladders can't be identical when the
 	// final chains differ, unless the divergence is after the last
-	// checkpoint — Fig10b's draws all land early, so it never is).
+	// checkpoint — fig10b's draws all land early, so it never is).
 	n := min(len(base.Ckpts), len(pert.Ckpts))
 	if n == 0 {
 		t.Fatal("no checkpoints recorded; localization impossible")
@@ -95,14 +95,14 @@ func TestPerturbDivergesChain(t *testing.T) {
 // link flaps and reroutes, where packets die on wires and queues drain
 // abnormally.
 func TestAuditCleanUnderFaults(t *testing.T) {
-	cfg := DefaultFaultSweepConfig()
+	cfg := defaultFaultSweepConfig()
 	recs := map[string]*obs.Recorder{}
 	cfg.NewRecorder = func(tag string) *obs.Recorder {
 		recs[tag] = obs.NewRecorder()
 		recs[tag].Audit = &obs.Auditor{}
 		return recs[tag]
 	}
-	if rows := FaultSweep(cfg); len(rows) == 0 || len(recs) != len(rows) {
+	if rows := faultSweep(cfg); len(rows) == 0 || len(recs) != len(rows) {
 		t.Fatalf("faultsweep produced %d rows and asked for %d recorders", len(rows), len(recs))
 	}
 	for tag, rec := range recs {

@@ -9,109 +9,109 @@ import (
 
 func TestFig3aD2TCPNotStrict(t *testing.T) {
 	t.Parallel()
-	r := Fig3a(8<<20, Options{})
+	r := fig3a(8<<20, Options{})
 	// D2TCP favors the tight-deadline flow but does not give it the link.
-	if r.HighShare < 0.5 || r.HighShare > 0.95 {
-		t.Errorf("D2TCP high share = %.2f, want weighted (0.5..0.95)", r.HighShare)
+	if r.highShare < 0.5 || r.highShare > 0.95 {
+		t.Errorf("D2TCP high share = %.2f, want weighted (0.5..0.95)", r.highShare)
 	}
 	// Strict priority would finish at ~1x ideal; D2TCP cannot.
-	if r.HighFCTvsIdeal < 1.15 {
-		t.Errorf("D2TCP tight-deadline FCT = %.2fx ideal; unexpectedly strict", r.HighFCTvsIdeal)
+	if r.highFCTvsIdeal < 1.15 {
+		t.Errorf("D2TCP tight-deadline FCT = %.2fx ideal; unexpectedly strict", r.highFCTvsIdeal)
 	}
 }
 
 func TestFig3bSwiftScalingWeighted(t *testing.T) {
 	t.Parallel()
-	r := Fig3b(Options{})
-	if r.HighShare < 0.5 || r.HighShare > 0.95 {
-		t.Errorf("Swift+scaling high share = %.2f, want weighted sharing (violating O1), not strict", r.HighShare)
+	r := fig3b(Options{})
+	if r.highShare < 0.5 || r.highShare > 0.95 {
+		t.Errorf("Swift+scaling high share = %.2f, want weighted sharing (violating O1), not strict", r.highShare)
 	}
 }
 
 func TestFig3cSwiftNoScalingFluctuates(t *testing.T) {
 	t.Parallel()
-	r := Fig3c(100, Options{})
+	r := fig3c(100, Options{})
 	// With many flows and no scaling, fluctuations cross the high flow's
 	// target, so the high flow cannot take the whole link (O1 violation).
-	if r.HighShareAfter > 0.9 {
-		t.Errorf("high flow share = %.2f; expected fluctuation to suppress it", r.HighShareAfter)
+	if r.highShareAfter > 0.9 {
+		t.Errorf("high flow share = %.2f; expected fluctuation to suppress it", r.highShareAfter)
 	}
-	if r.OverLimitFrac < 0.05 {
-		t.Errorf("delay over high target in %.0f%% of samples; expected frequent excursions", r.OverLimitFrac*100)
+	if r.overLimitFrac < 0.05 {
+		t.Errorf("delay over high target in %.0f%% of samples; expected frequent excursions", r.overLimitFrac*100)
 	}
 }
 
 func TestFig3dTradeoffs(t *testing.T) {
 	t.Parallel()
-	r := Fig3d(Options{})
+	r := fig3d(Options{})
 	// Line-rate start of the low pair creates a large queue transient.
-	if r.ExtraQueueOnStart < 50_000 {
-		t.Errorf("line-rate start added only %d B of queue; expected a large transient", r.ExtraQueueOnStart)
+	if r.extraQueueOnStart < 50_000 {
+		t.Errorf("line-rate start added only %d B of queue; expected a large transient", r.extraQueueOnStart)
 	}
 	// After the high flows stop, the low pair needs noticeable time to
 	// reclaim (min-rate ACK clock).
-	if r.ReclaimDelay < 50*sim.Microsecond {
-		t.Errorf("reclaim delay = %v; expected a visible stall", r.ReclaimDelay)
+	if r.reclaimDelay < 50*sim.Microsecond {
+		t.Errorf("reclaim delay = %v; expected a visible stall", r.reclaimDelay)
 	}
 }
 
 func TestFig8PrioPlusBeatsMultiTargetSwift(t *testing.T) {
 	t.Parallel()
-	pp := Fig8(true, 2*sim.Millisecond, Options{})
-	sw := Fig8(false, 2*sim.Millisecond, Options{})
-	if pp.DominanceFrac < 0.75 {
-		t.Errorf("PrioPlus dominance = %.2f, want > 0.75", pp.DominanceFrac)
+	pp := fig8(true, 2*sim.Millisecond, Options{})
+	sw := fig8(false, 2*sim.Millisecond, Options{})
+	if pp.dominanceFrac < 0.75 {
+		t.Errorf("PrioPlus dominance = %.2f, want > 0.75", pp.dominanceFrac)
 	}
-	if pp.DominanceFrac <= sw.DominanceFrac {
-		t.Errorf("PrioPlus dominance %.2f <= Swift multi-target %.2f", pp.DominanceFrac, sw.DominanceFrac)
+	if pp.dominanceFrac <= sw.dominanceFrac {
+		t.Errorf("PrioPlus dominance %.2f <= Swift multi-target %.2f", pp.dominanceFrac, sw.dominanceFrac)
 	}
 }
 
 func TestFig9CardinalityEstimationContainsDelay(t *testing.T) {
 	t.Parallel()
-	pp := Fig9(true, Options{})
-	sw := Fig9(false, Options{})
-	if pp.OverLimitFrac >= sw.OverLimitFrac {
-		t.Errorf("PrioPlus over-limit %.2f >= Swift %.2f; estimation should help", pp.OverLimitFrac, sw.OverLimitFrac)
+	pp := fig9(true, Options{})
+	sw := fig9(false, Options{})
+	if pp.overLimitFrac >= sw.overLimitFrac {
+		t.Errorf("PrioPlus over-limit %.2f >= Swift %.2f; estimation should help", pp.overLimitFrac, sw.overLimitFrac)
 	}
-	if pp.OverLimitFrac > 0.25 {
-		t.Errorf("PrioPlus delay above limit %.0f%% of the time, want mostly contained", pp.OverLimitFrac*100)
+	if pp.overLimitFrac > 0.25 {
+		t.Errorf("PrioPlus delay above limit %.0f%% of the time, want mostly contained", pp.overLimitFrac*100)
 	}
-	if sw.OverLimitFrac < 0.08 {
-		t.Errorf("Swift with inflated AI only %.0f%% over limit; the contrast scenario is too easy", sw.OverLimitFrac*100)
+	if sw.overLimitFrac < 0.08 {
+		t.Errorf("Swift with inflated AI only %.0f%% over limit; the contrast scenario is too easy", sw.overLimitFrac*100)
 	}
 }
 
 func TestFig10bIncastContained(t *testing.T) {
 	t.Parallel()
-	r := Fig10b(60, Options{})
-	if r.WithinFrac < 0.7 {
-		t.Errorf("delay within channel %.0f%% of samples, want mostly contained", r.WithinFrac*100)
+	r := fig10b(60, Options{})
+	if r.withinFrac < 0.7 {
+		t.Errorf("delay within channel %.0f%% of samples, want mostly contained", r.withinFrac*100)
 	}
-	if r.MeanDelay > r.Target+6*sim.Microsecond {
-		t.Errorf("mean delay %v far above target %v", r.MeanDelay, r.Target)
+	if r.meanDelay > r.target+6*sim.Microsecond {
+		t.Errorf("mean delay %v far above target %v", r.meanDelay, r.target)
 	}
 }
 
 func TestFig10cDualRTTAvoidsOverreaction(t *testing.T) {
 	t.Parallel()
-	r := Fig10c(Options{})
-	if r.DualRTT.TakeoverTime == 0 {
+	r := fig10c(Options{})
+	if r.dualRTT.takeoverTime == 0 {
 		t.Fatal("dual-RTT never took over the link")
 	}
-	if r.EveryRTT.RateVar <= r.DualRTT.RateVar {
+	if r.everyRTT.rateVar <= r.dualRTT.rateVar {
 		t.Errorf("every-RTT variance %.1f <= dual-RTT %.1f; expected overreaction without the dual-RTT gate",
-			r.EveryRTT.RateVar, r.DualRTT.RateVar)
+			r.everyRTT.rateVar, r.dualRTT.rateVar)
 	}
 }
 
 func TestFig10dWiderChannelToleratesMoreNoise(t *testing.T) {
 	t.Parallel()
-	pts := Fig10d(Fig10dConfig{Scales: []float64{1, 6}, WidthsUS: []float64{1, 12}}, Options{})
+	pts := fig10d(fig10dConfig{scales: []float64{1, 6}, widthsUS: []float64{1, 12}}, Options{})
 	util := func(scale, width float64) float64 {
 		for _, p := range pts {
-			if p.NoiseScale == scale && p.WidthUS == width {
-				return p.Util
+			if p.noiseScale == scale && p.widthUS == width {
+				return p.util
 			}
 		}
 		t.Fatalf("missing point %v/%v", scale, width)
@@ -129,16 +129,16 @@ func TestFig10dWiderChannelToleratesMoreNoise(t *testing.T) {
 
 func TestTable2StartStrategies(t *testing.T) {
 	t.Parallel()
-	rows := Table2(Options{})
+	rows := table2(Options{})
 	var line, exp8, lin float64
 	for _, r := range rows {
-		switch r.Strategy {
+		switch r.strategy {
 		case "line-rate":
-			line = r.SimExtraBDP
+			line = r.simExtraBDP
 		case "exponential":
-			exp8 = r.SimExtraBDP
+			exp8 = r.simExtraBDP
 		case "linear":
-			lin = r.SimExtraBDP
+			lin = r.simExtraBDP
 		}
 	}
 	if !(lin < exp8 && exp8 < line) {
@@ -156,28 +156,28 @@ func TestTable2StartStrategies(t *testing.T) {
 
 func TestAppDFluctuationBound(t *testing.T) {
 	t.Parallel()
-	for _, r := range AppD([]int{10, 40}) {
-		if !r.WithinBound {
-			t.Errorf("n=%d: measured fluctuation %.2fus exceeds bound %.2fus", r.N, r.MeasuredUS, r.BoundUS)
+	for _, r := range appD([]int{10, 40}) {
+		if !r.withinBound {
+			t.Errorf("n=%d: measured fluctuation %.2fus exceeds bound %.2fus", r.n, r.measuredUS, r.boundUS)
 		}
-		if r.MeasuredUS == 0 {
-			t.Errorf("n=%d: zero measured fluctuation; measurement broken", r.N)
+		if r.measuredUS == 0 {
+			t.Errorf("n=%d: zero measured fluctuation; measurement broken", r.n)
 		}
 	}
 }
 
 func TestFig2Ratios(t *testing.T) {
 	t.Parallel()
-	rows := Fig2(Options{})
+	rows := fig2(Options{})
 	// The paper's point: ratios decline across generations; Trident2 at
 	// ~9.4, Tomahawk4 at ~4.4.
 	var t2, t4 float64
 	for _, r := range rows {
-		switch r.Chip {
+		switch r.chip {
 		case "Trident2":
-			t2 = r.RatioMBpT
+			t2 = r.ratioMBpT
 		case "Tomahawk4":
-			t4 = r.RatioMBpT
+			t4 = r.ratioMBpT
 		}
 	}
 	if t2 < 9 || t2 > 10 {
@@ -193,7 +193,7 @@ func TestFig2Ratios(t *testing.T) {
 
 func TestFig7NoiseCDF(t *testing.T) {
 	t.Parallel()
-	cdf, st := Fig7(Fig7Config{Samples: 50_000}, Options{})
+	cdf, st := fig7(fig7Config{samples: 50_000}, Options{})
 	if len(cdf) == 0 {
 		t.Fatal("empty CDF")
 	}
@@ -204,11 +204,11 @@ func TestFig7NoiseCDF(t *testing.T) {
 
 func TestFig13ToleranceAbsorbsNCDelay(t *testing.T) {
 	t.Parallel()
-	pts := Fig13(Fig13Config{TolerancesUS: []float64{10}, RangesUS: []float64{0, 6, 40}}, Options{})
+	pts := fig13(fig13Config{tolerancesUS: []float64{10}, rangesUS: []float64{0, 6, 40}}, Options{})
 	gap := func(rng float64) float64 {
 		for _, p := range pts {
-			if p.RangeUS == rng {
-				return p.GapPerFlow
+			if p.rangeUS == rng {
+				return p.gapPerFlow
 			}
 		}
 		t.Fatalf("missing range %v", rng)
@@ -223,11 +223,11 @@ func TestFig13ToleranceAbsorbsNCDelay(t *testing.T) {
 	}
 }
 
-func shortFlowSched(s Scheme, nprios int) FlowSchedConfig {
-	cfg := DefaultFlowSchedConfig(s, nprios)
-	cfg.K = 4
-	cfg.Duration = 5 * sim.Millisecond
-	cfg.Drain = 15 * sim.Millisecond
+func shortFlowSched(s Scheme, nprios int) flowSchedConfig {
+	cfg := defaultFlowSchedConfig(s, nprios)
+	cfg.k = 4
+	cfg.duration = 5 * sim.Millisecond
+	cfg.drain = 15 * sim.Millisecond
 	return cfg
 }
 
@@ -236,33 +236,33 @@ func TestFig11ShapeSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flow-scheduling run in -short mode")
 	}
-	phys := RunFlowSched(shortFlowSched(SwiftPhysicalIdeal(), 8))
-	pp := RunFlowSched(shortFlowSched(PrioPlusSwift(), 8))
-	if phys.Flows.Count() < 100 || pp.Flows.Count() < 100 {
-		t.Fatalf("too few flows completed: phys %d, pp %d", phys.Flows.Count(), pp.Flows.Count())
+	phys := runFlowSched(shortFlowSched(swiftPhysicalIdeal(), 8))
+	pp := runFlowSched(shortFlowSched(PrioPlusSwift(), 8))
+	if phys.flows.Count() < 100 || pp.flows.Count() < 100 {
+		t.Fatalf("too few flows completed: phys %d, pp %d", phys.flows.Count(), pp.flows.Count())
 	}
 	pr, qr := rowFrom(phys), rowFrom(pp)
 	// Headline: PrioPlus's large (low-priority) flows beat Physical*'s
 	// because of linear-start reclamation (paper: 25-41% better).
-	if qr.AvgLarge >= pr.AvgLarge*1.05 {
-		t.Errorf("PrioPlus large-flow slowdown %.2f not better than Physical* %.2f", qr.AvgLarge, pr.AvgLarge)
+	if qr.avgLarge >= pr.avgLarge*1.05 {
+		t.Errorf("PrioPlus large-flow slowdown %.2f not better than Physical* %.2f", qr.avgLarge, pr.avgLarge)
 	}
 	// High-priority flows degrade at most modestly: the paper's claim is
 	// on the combined small+middle average FCT (<= 9% worse; allow slack
 	// at this reduced scale).
-	combined := func(r Fig11Row, nS, nM int) float64 {
-		return (r.AvgSmall*float64(nS) + r.AvgMid*float64(nM)) / float64(nS+nM)
+	combined := func(r fig11Row, nS, nM int) float64 {
+		return (r.avgSmall*float64(nS) + r.avgMid*float64(nM)) / float64(nS+nM)
 	}
-	nS := phys.Flows.ByClass(stats.Small).Count()
-	nM := phys.Flows.ByClass(stats.Middle).Count()
+	nS := phys.flows.ByClass(stats.Small).Count()
+	nM := phys.flows.ByClass(stats.Middle).Count()
 	pc, qc := combined(pr, nS, nM), combined(qr, nS, nM)
 	if qc > pc*1.25 {
 		t.Errorf("PrioPlus small+middle slowdown %.2f vs Physical* %.2f; degradation too large", qc, pc)
 	}
 	// All launched flows must complete: virtual priority is work
 	// conserving (O2).
-	if pp.Unfinished > 0 {
-		t.Errorf("%d PrioPlus flows unfinished", pp.Unfinished)
+	if pp.unfinished > 0 {
+		t.Errorf("%d PrioPlus flows unfinished", pp.unfinished)
 	}
 }
 
@@ -277,23 +277,23 @@ func TestFig12CoflowShapeSmall(t *testing.T) {
 	rows := Fig12Coflow(cfg, false)
 	var phys, pp CoflowSpeedups
 	for _, r := range rows {
-		switch r.Scheme {
+		switch r.scheme {
 		case "Physical+Swift":
 			phys = r
 		case "PrioPlus+Swift":
 			pp = r
 		}
 	}
-	if pp.Overall <= 0 || phys.Overall <= 0 {
+	if pp.overall <= 0 || phys.overall <= 0 {
 		t.Fatalf("missing speedups: %+v", rows)
 	}
 	// Both scheduling schemes should beat the no-priority baseline, and
 	// PrioPlus should be at least comparable to physical priority.
-	if pp.Overall < 1.0 {
-		t.Errorf("PrioPlus overall speedup %.2f < 1 (worse than no scheduling)", pp.Overall)
+	if pp.overall < 1.0 {
+		t.Errorf("PrioPlus overall speedup %.2f < 1 (worse than no scheduling)", pp.overall)
 	}
-	if pp.Overall < phys.Overall*0.9 {
-		t.Errorf("PrioPlus speedup %.2f well below physical %.2f", pp.Overall, phys.Overall)
+	if pp.overall < phys.overall*0.9 {
+		t.Errorf("PrioPlus speedup %.2f well below physical %.2f", pp.overall, phys.overall)
 	}
 }
 
@@ -304,32 +304,32 @@ func TestFig12MLShapeSmall(t *testing.T) {
 	}
 	cfg := DefaultMLConfig(PrioPlusSwift())
 	cfg.Duration = 60 * sim.Millisecond // enough iterations for the coarse contrast below
-	rows := Fig12ML(cfg)
-	var phys, pp MLSpeedups
+	rows := fig12ML(cfg)
+	var phys, pp mlSpeedups
 	for _, r := range rows {
-		switch r.Scheme {
+		switch r.scheme {
 		case "Physical+Swift":
 			phys = r
 		case "PrioPlus+Swift":
 			pp = r
 		}
 	}
-	if pp.Overall == 0 || phys.Overall == 0 {
+	if pp.overall == 0 || phys.overall == 0 {
 		t.Fatalf("missing results: %+v", rows)
 	}
 	// The paper's Fig 12c contrast: physical priority speeds ResNet but
 	// collapses VGG (-18% in the paper); PrioPlus keeps VGG near parity
 	// and wins overall.
-	if pp.VGG < 0.7 {
-		t.Errorf("PrioPlus VGG speedup %.2f; interleaving should not starve VGG", pp.VGG)
+	if pp.vgg < 0.7 {
+		t.Errorf("PrioPlus VGG speedup %.2f; interleaving should not starve VGG", pp.vgg)
 	}
-	if pp.VGG <= phys.VGG+0.1 {
-		t.Errorf("PrioPlus VGG %.2f not clearly above Physical VGG %.2f; PrioPlus should avoid the starvation", pp.VGG, phys.VGG)
+	if pp.vgg <= phys.vgg+0.1 {
+		t.Errorf("PrioPlus VGG %.2f not clearly above Physical VGG %.2f; PrioPlus should avoid the starvation", pp.vgg, phys.vgg)
 	}
-	if pp.Overall <= phys.Overall {
-		t.Errorf("PrioPlus overall %.2f <= Physical %.2f", pp.Overall, phys.Overall)
+	if pp.overall <= phys.overall {
+		t.Errorf("PrioPlus overall %.2f <= Physical %.2f", pp.overall, phys.overall)
 	}
-	if pp.Overall < 0.9 {
-		t.Errorf("PrioPlus overall speedup %.2f, want >= ~baseline", pp.Overall)
+	if pp.overall < 0.9 {
+		t.Errorf("PrioPlus overall speedup %.2f, want >= ~baseline", pp.overall)
 	}
 }

@@ -14,19 +14,19 @@ import (
 // via priority-dependent marking (Appendix B) and weighted virtual
 // priority (§7).
 
-// AblationFilterResult compares the two-consecutive filter against
+// ablationFilterResult compares the two-consecutive filter against
 // reacting to a single above-limit measurement.
-type AblationFilterResult struct {
-	ConsecLimit int
-	Yields      int64   // spurious yields under pure measurement noise
-	Util        float64 // achieved utilization
+type ablationFilterResult struct {
+	consecLimit int
+	yields      int64   // spurious yields under pure measurement noise
+	util        float64 // achieved utilization
 }
 
-// AblationFilter runs five same-priority flows under 2x-scaled delay noise
+// ablationFilter runs five same-priority flows under 2x-scaled delay noise
 // with a tight channel, with ConsecLimit 1 (no filter) and 2 (paper).
 // Without the filter, long-tail noise spikes trigger spurious yields.
-func AblationFilter() []AblationFilterResult {
-	run := func(consec int) AblationFilterResult {
+func ablationFilter() []ablationFilterResult {
+	run := func(consec int) ablationFilterResult {
 		// 2x-scaled noise, its RNG at 53, replaces the standard model.
 		net := star(Options{}, "", 7, 51, longTail{off: 2, scale: 2}, nil)
 		recv := 6
@@ -45,27 +45,27 @@ func AblationFilter() []AblationFilterResult {
 		for _, f := range flows {
 			yields += f.Yields
 		}
-		return AblationFilterResult{
-			ConsecLimit: consec,
-			Yields:      yields,
-			Util:        rs.Between(sim.Millisecond, dur, 0) / 100,
+		return ablationFilterResult{
+			consecLimit: consec,
+			yields:      yields,
+			util:        rs.Between(sim.Millisecond, dur, 0) / 100,
 		}
 	}
-	return []AblationFilterResult{run(1), run(2)}
+	return []ablationFilterResult{run(1), run(2)}
 }
 
-// AblationCardinalityResult compares incast delay containment with and
+// ablationCardinalityResult compares incast delay containment with and
 // without flow-cardinality estimation.
-type AblationCardinalityResult struct {
-	Estimation    bool
-	OverLimitFrac float64
+type ablationCardinalityResult struct {
+	estimation    bool
+	overLimitFrac float64
 }
 
-// AblationCardinality reruns the Fig 10b incast with the estimator off:
+// ablationCardinality reruns the Fig 10b incast with the estimator off:
 // every flow keeps #flow = 1 and linear-starts at full W_LS, so the
 // aggregate repeatedly overshoots D_limit (§4.3.1's "problematic cycle").
-func AblationCardinality(n int) []AblationCardinalityResult {
-	run := func(enabled bool) AblationCardinalityResult {
+func ablationCardinality(n int) []ablationCardinalityResult {
+	run := func(enabled bool) ablationCardinalityResult {
 		net := star(Options{}, "", n+2, 57, paperNoise, nil)
 		recv := n + 1
 		base := net.Topo.BaseRTT(0, recv)
@@ -84,30 +84,30 @@ func AblationCardinality(n int) []AblationCardinalityResult {
 			}
 		})
 		net.Run(4 * sim.Millisecond)
-		return AblationCardinalityResult{Estimation: enabled, OverLimitFrac: float64(over) / float64(samples)}
+		return ablationCardinalityResult{estimation: enabled, overLimitFrac: float64(over) / float64(samples)}
 	}
-	return []AblationCardinalityResult{run(true), run(false)}
+	return []ablationCardinalityResult{run(true), run(false)}
 }
 
-// AblationProbeResult compares probe behavior between the paper's
+// ablationProbeResult compares probe behavior between the paper's
 // collision-avoidance schedule and naive once-per-RTT probing.
-type AblationProbeResult struct {
-	Scheme    string  // "collision-avoidance" or "naive"
-	ProbeGbps float64 // total probe bandwidth at the bottleneck while yielded
-	// ProbeRateByPrio is the per-flow probe rate (probes/ms) for yielded
+type ablationProbeResult struct {
+	scheme    string  // "collision-avoidance" or "naive"
+	probeGbps float64 // total probe bandwidth at the bottleneck while yielded
+	// probeRateByPrio is the per-flow probe rate (probes/ms) for yielded
 	// flows at priorities 0..3. Collision avoidance waits out
 	// (delay - D_target), so deeper priorities probe less; naive probing
 	// is uniform (§4.2.1: "keeps the probing frequency of higher-priority
 	// flows while decreasing the bandwidth usage of lower-priority ones").
-	ProbeRateByPrio [4]float64
-	ReclaimUS       float64 // time for lows to reach 80% after highs end
+	probeRateByPrio [4]float64
+	reclaimUS       float64 // time for lows to reach 80% after highs end
 }
 
-// AblationProbe yields 40 low-priority flows (10 each at priorities 0-3)
+// ablationProbe yields 40 low-priority flows (10 each at priorities 0-3)
 // under ten high-priority flows and measures per-priority probe rates,
 // total probe load, and reclaim latency.
-func AblationProbe() []AblationProbeResult {
-	run := func(naive bool) AblationProbeResult {
+func ablationProbe() []ablationProbeResult {
+	run := func(naive bool) ablationProbeResult {
 		const perPrio, nHigh = 10, 10
 		const nLow = 4 * perPrio
 		net := star(Options{}, "", nLow+nHigh+2, 61, paperNoise, nil)
@@ -157,39 +157,39 @@ func AblationProbe() []AblationProbeResult {
 			return 0
 		}, 25*sim.Microsecond, dur)
 		net.Run(dur)
-		res := AblationProbeResult{
-			Scheme:    map[bool]string{true: "naive", false: "collision-avoidance"}[naive],
-			ProbeGbps: float64(probeBytes) * 8 / (winTo - winFrom).Seconds() / 1e9,
+		res := ablationProbeResult{
+			scheme:    map[bool]string{true: "naive", false: "collision-avoidance"}[naive],
+			probeGbps: float64(probeBytes) * 8 / (winTo - winFrom).Seconds() / 1e9,
 		}
 		winMS := (winTo - winFrom).Millis()
 		for p := 0; p < 4; p++ {
-			res.ProbeRateByPrio[p] = float64(probesByPrio[p]) / float64(perPrio) / winMS
+			res.probeRateByPrio[p] = float64(probesByPrio[p]) / float64(perPrio) / winMS
 		}
-		res.ReclaimUS = (dur - highEnd).Micros()
+		res.reclaimUS = (dur - highEnd).Micros()
 		for i, t := range rs.Times {
 			if highEnd > 0 && t > highEnd && rs.Rates[i][0] >= 80 {
-				res.ReclaimUS = (t - highEnd).Micros()
+				res.reclaimUS = (t - highEnd).Micros()
 				break
 			}
 		}
 		return res
 	}
-	return []AblationProbeResult{run(false), run(true)}
+	return []ablationProbeResult{run(false), run(true)}
 }
 
-// ECNPrioResult is the Appendix B extension: DCTCP flows with priority-
+// ecnPrioResult is the Appendix B extension: DCTCP flows with priority-
 // dependent ECN thresholds in one queue.
-type ECNPrioResult struct {
-	HighShare float64 // share of the high-vprio group in steady state
-	Util      float64
+type ecnPrioResult struct {
+	highShare float64 // share of the high-vprio group in steady state
+	util      float64
 }
 
-// ECNPrio runs 2 high-vprio and 2 low-vprio DCTCP flows through one
+// ecnPrio runs 2 high-vprio and 2 low-vprio DCTCP flows through one
 // physical queue; the switch marks low-vprio packets at a low threshold
 // (25 KB) and high-vprio packets at a high one (150 KB). The low flows see
 // congestion first and back off, approximating priority — weighted, not
 // strict, which is why the paper leaves ECN support as future work.
-func ECNPrio() ECNPrioResult {
+func ecnPrio() ecnPrioResult {
 	net := star(Options{}, "", 5, 67, paperNoise, func(cfg *topo.Config) {
 		cfg.Buffer.ECNKByVPrio = []int{25_000, 150_000}
 	})
@@ -204,23 +204,23 @@ func ECNPrio() ECNPrioResult {
 	net.Run(dur)
 	hi := rs.Between(dur/2, dur, 1)
 	lo := rs.Between(dur/2, dur, 0)
-	return ECNPrioResult{HighShare: hi / (hi + lo), Util: (hi + lo) / 100}
+	return ecnPrioResult{highShare: hi / (hi + lo), util: (hi + lo) / 100}
 }
 
-// WeightedVPResult is the §7 extension: weighted sharing inside one
+// weightedVPResult is the §7 extension: weighted sharing inside one
 // channel combined with strict priority across channels.
-type WeightedVPResult struct {
-	// ShareRatio is the in-channel bandwidth ratio of the weight-4 flow
+type weightedVPResult struct {
+	// shareRatio is the in-channel bandwidth ratio of the weight-4 flow
 	// to the weight-1 flow (ideal: 4).
-	ShareRatio float64
-	// HighStrict is the higher-channel flow's share while active (ideal:
+	shareRatio float64
+	// highStrict is the higher-channel flow's share while active (ideal:
 	// ~1, strictness is preserved).
-	HighStrict float64
+	highStrict float64
 }
 
-// WeightedVP runs two flows in one channel with AI weights 1 and 4, plus a
+// weightedVP runs two flows in one channel with AI weights 1 and 4, plus a
 // strictly higher-priority flow that preempts both for part of the run.
-func WeightedVP() WeightedVPResult {
+func weightedVP() weightedVPResult {
 	net := star(Options{}, "", 4, 71, paperNoise, nil)
 	recv := 3
 	plan := core.DefaultPlan(net.Topo.BaseRTT(0, recv))
@@ -249,8 +249,8 @@ func WeightedVP() WeightedVPResult {
 	hiFrom, hiTo := 20*sim.Millisecond+300*sim.Microsecond, highEnd-100*sim.Microsecond
 	hi := rs.Between(hiFrom, hiTo, 2)
 	all := hi + rs.Between(hiFrom, hiTo, 0) + rs.Between(hiFrom, hiTo, 1)
-	return WeightedVPResult{
-		ShareRatio: w4 / w1,
-		HighStrict: hi / all,
+	return weightedVPResult{
+		shareRatio: w4 / w1,
+		highStrict: hi / all,
 	}
 }

@@ -13,14 +13,14 @@ import (
 
 // quickFaultSweepConfig is a reduced sweep for tests: two schemes, 1 MB
 // flows, a flap timed to land mid-transfer.
-func quickFaultSweepConfig(seed int64) FaultSweepConfig {
-	cfg := DefaultFaultSweepConfig()
-	cfg.FlowSize = 1 << 20
-	cfg.Horizon = 10 * sim.Millisecond
-	cfg.FlapAt = 50 * sim.Microsecond
-	cfg.FlapDur = 100 * sim.Microsecond
+func quickFaultSweepConfig(seed int64) faultSweepConfig {
+	cfg := defaultFaultSweepConfig()
+	cfg.flowSize = 1 << 20
+	cfg.horizon = 10 * sim.Millisecond
+	cfg.flapAt = 50 * sim.Microsecond
+	cfg.flapDur = 100 * sim.Microsecond
 	cfg.Seed = seed
-	cfg.Schemes = []Scheme{PrioPlusSwift(), SwiftPhysical(4)}
+	cfg.schemes = []Scheme{PrioPlusSwift(), SwiftPhysical(4)}
 	return cfg
 }
 
@@ -28,20 +28,20 @@ func quickFaultSweepConfig(seed int64) FaultSweepConfig {
 // link failure on the fat-tree leaves zero stuck flows, and the recovery
 // is real — packets died and came back via retransmission.
 func TestFaultSweepRecoversAllFlows(t *testing.T) {
-	rows := FaultSweep(quickFaultSweepConfig(5))
+	rows := faultSweep(quickFaultSweepConfig(5))
 	var drops, recoveries int64
 	for _, r := range rows {
-		if r.Stuck != 0 {
-			t.Errorf("%s: %d/%d flows stuck at horizon", r.Scheme, r.Stuck, r.Launched)
+		if r.stuck != 0 {
+			t.Errorf("%s: %d/%d flows stuck at horizon", r.scheme, r.stuck, r.launched)
 		}
-		if r.FaultEvents != 2 {
-			t.Errorf("%s: %d fault events, want 2 (down + up)", r.Scheme, r.FaultEvents)
+		if r.faultEvents != 2 {
+			t.Errorf("%s: %d fault events, want 2 (down + up)", r.scheme, r.faultEvents)
 		}
-		if r.Scheme == "PrioPlus+Swift" && r.Yields == 0 {
+		if r.scheme == "PrioPlus+Swift" && r.yields == 0 {
 			t.Error("PrioPlus stopped yielding under the fault plan")
 		}
-		drops += r.FaultDrops
-		recoveries += r.Retransmits + r.RTOs
+		drops += r.faultDrops
+		recoveries += r.retransmits + r.rtos
 	}
 	// PrioPlus's linear start may have nothing in flight on the flapped
 	// uplink this early, so the drop/recovery assertions are aggregate:
@@ -71,7 +71,7 @@ func faultSweepTask(name string, seed int64) runner.Task {
 				recs[tag] = rec
 				return rec
 			}
-			rows := FaultSweep(cfg)
+			rows := faultSweep(cfg)
 			var buf bytes.Buffer
 			fmt.Fprintf(&buf, "%+v\n", rows)
 			for _, tag := range tags {
@@ -105,7 +105,7 @@ func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
 		if !bytes.Contains([]byte(serial[i].Output), []byte(`"type":"fault"`)) {
 			t.Errorf("run %d artifact has no fault events", i)
 		}
-		if !bytes.Contains([]byte(serial[i].Output), []byte("Stuck:0")) {
+		if !bytes.Contains([]byte(serial[i].Output), []byte("stuck:0")) {
 			t.Errorf("run %d had stuck flows", i)
 		}
 	}
@@ -116,20 +116,20 @@ func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
 // scenarios through the same entry point.
 func TestFaultSweepCustomPlan(t *testing.T) {
 	cfg := quickFaultSweepConfig(5)
-	cfg.Schemes = cfg.Schemes[:1]
+	cfg.schemes = cfg.schemes[:1]
 	plan := fault.NewPlan(42).
 		Flap(50*sim.Microsecond, 80*sim.Microsecond, fault.Link("p0e0", "p0a0")).
 		Flap(300*sim.Microsecond, 80*sim.Microsecond, fault.Link("p1e0", "p1a0"))
 	cfg.Seed, cfg.Faults = 9, plan
-	rows := FaultSweep(cfg)
+	rows := faultSweep(cfg)
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	r := rows[0]
-	if r.FaultEvents != 4 {
-		t.Errorf("FaultEvents = %d, want 4 (two flaps)", r.FaultEvents)
+	if r.faultEvents != 4 {
+		t.Errorf("faultEvents = %d, want 4 (two flaps)", r.faultEvents)
 	}
-	if r.Stuck != 0 {
-		t.Errorf("%d flows stuck under the two-flap plan", r.Stuck)
+	if r.stuck != 0 {
+		t.Errorf("%d flows stuck under the two-flap plan", r.stuck)
 	}
 }

@@ -10,82 +10,82 @@ import (
 	"prioplus/internal/workload"
 )
 
-// FlowSchedConfig drives the generic flow-scheduling scenario (§6.2,
+// flowSchedConfig drives the generic flow-scheduling scenario (§6.2,
 // Figs 11, 14, 16): WebSearch traffic on a fat-tree, flows grouped into
 // priorities by size.
-type FlowSchedConfig struct {
-	Scheme   Scheme
-	K        int     // fat-tree arity (paper: 6)
-	NPrios   int     // virtual priorities
-	Load     float64 // per-host-link load (paper: 0.7)
-	Duration sim.Time
-	Drain    sim.Time // extra time for in-flight flows to finish
-	// AckPrioData is the PrioPlus* ablation: ACKs share the data queue.
-	AckPrioData bool
-	// PerPrioWorkload is the Fig 14 mode: instead of size-based grouping,
+type flowSchedConfig struct {
+	scheme   Scheme
+	k        int     // fat-tree arity (paper: 6)
+	nPrios   int     // virtual priorities
+	load     float64 // per-host-link load (paper: 0.7)
+	duration sim.Time
+	drain    sim.Time // extra time for in-flight flows to finish
+	// ackPrioData is the PrioPlus* ablation: ACKs share the data queue.
+	ackPrioData bool
+	// perPrioWorkload is the Fig 14 mode: instead of size-based grouping,
 	// every flow draws a uniform-random priority so each priority level
 	// carries a full WebSearch workload.
-	PerPrioWorkload bool
-	// NoiseScale scales the injected delay-measurement noise (1 = paper,
+	perPrioWorkload bool
+	// noiseScale scales the injected delay-measurement noise (1 = paper,
 	// 0 = none).
-	NoiseScale float64
+	noiseScale float64
 	// Options carries the seed, the fault plan and the recorder factory; a
 	// run is tagged "<scheme>/np=<n>", plus "/ackdata" for PrioPlus*.
 	Options
 }
 
 // runTag identifies one flow-scheduling run within a figure's sweep.
-func (cfg FlowSchedConfig) runTag() string {
-	tag := cfg.Scheme.Name + "/np=" + strconv.Itoa(cfg.NPrios)
-	if cfg.AckPrioData {
+func (cfg flowSchedConfig) runTag() string {
+	tag := cfg.scheme.name + "/np=" + strconv.Itoa(cfg.nPrios)
+	if cfg.ackPrioData {
 		tag += "/ackdata"
 	}
 	return tag
 }
 
-// DefaultFlowSchedConfig returns the paper's configuration at a reduced
+// defaultFlowSchedConfig returns the paper's configuration at a reduced
 // duration suitable for interactive runs.
-func DefaultFlowSchedConfig(s Scheme, nprios int) FlowSchedConfig {
-	return FlowSchedConfig{
-		Scheme:     s,
-		K:          6,
-		NPrios:     nprios,
-		Load:       0.7,
-		Duration:   20 * sim.Millisecond,
-		Drain:      30 * sim.Millisecond,
-		NoiseScale: 1,
+func defaultFlowSchedConfig(s Scheme, nprios int) flowSchedConfig {
+	return flowSchedConfig{
+		scheme:     s,
+		k:          6,
+		nPrios:     nprios,
+		load:       0.7,
+		duration:   20 * sim.Millisecond,
+		drain:      30 * sim.Millisecond,
+		noiseScale: 1,
 		Options:    Options{Seed: 1},
 	}
 }
 
-// FlowSchedResult is the outcome of one flow-scheduling run.
-type FlowSchedResult struct {
-	Scheme     string
-	NPrios     int
-	Flows      *stats.Collector
-	Launched   int
-	Unfinished int
-	Pauses     int64 // total PFC pause transitions across the fabric
-	Drops      int64
+// flowSchedResult is the outcome of one flow-scheduling run.
+type flowSchedResult struct {
+	scheme     string
+	nPrios     int
+	flows      *stats.Collector
+	launched   int
+	unfinished int
+	pauses     int64 // total PFC pause transitions across the fabric
+	drops      int64
 }
 
-// RunFlowSched runs one scheme at one priority count.
-func RunFlowSched(cfg FlowSchedConfig) FlowSchedResult {
+// runFlowSched runs one scheme at one priority count.
+func runFlowSched(cfg flowSchedConfig) flowSchedResult {
 	var opts []harness.Option
-	if cfg.AckPrioData {
+	if cfg.ackPrioData {
 		opts = append(opts, harness.WithAckPrioData())
 	}
-	net := schemeFabric(cfg.Options, cfg.runTag(), cfg.Scheme, cfg.NPrios,
-		longTail{off: 7, scale: cfg.NoiseScale}, fatTree(cfg.K), opts...)
+	net := schemeFabric(cfg.Options, cfg.runTag(), cfg.scheme, cfg.nPrios,
+		longTail{off: 7, scale: cfg.noiseScale}, fatTree(cfg.k), opts...)
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 13))
 	dist := workload.WebSearch()
 	events := workload.Poisson(workload.PoissonConfig{
 		Hosts:    len(net.Topo.Hosts),
-		Load:     cfg.Load,
+		Load:     cfg.load,
 		LinkBps:  float64(net.Topo.Cfg.HostRate),
 		Dist:     dist,
-		Duration: cfg.Duration,
+		Duration: cfg.duration,
 		Rng:      rng,
 	})
 
@@ -98,76 +98,76 @@ func RunFlowSched(cfg FlowSchedConfig) FlowSchedResult {
 	for i := range sizeSample {
 		sizeSample[i] = dist.Sample(sampleRng)
 	}
-	groups := newByteGroups(cfg.NPrios, sizeSample)
+	groups := newByteGroups(cfg.nPrios, sizeSample)
 
-	res := FlowSchedResult{Scheme: cfg.Scheme.Name, NPrios: cfg.NPrios, Flows: &stats.Collector{}}
+	res := flowSchedResult{scheme: cfg.scheme.name, nPrios: cfg.nPrios, flows: &stats.Collector{}}
 	prioRng := rand.New(rand.NewSource(cfg.Seed + 31))
 	for _, ev := range events {
 		prio := groups.priorityFor(ev.Size)
-		if cfg.PerPrioWorkload {
-			prio = prioRng.Intn(cfg.NPrios)
+		if cfg.perPrioWorkload {
+			prio = prioRng.Intn(cfg.nPrios)
 		}
-		res.Launched++
+		res.launched++
 		net.addFlow(ev.Src, ev.Dst, ev.Size, prio, ev.At, func(fct, ideal sim.Time) {
-			res.Flows.Add(stats.FlowRecord{Size: ev.Size, FCT: fct, Ideal: ideal, Prio: prio})
+			res.flows.Add(stats.FlowRecord{Size: ev.Size, FCT: fct, Ideal: ideal, Prio: prio})
 		})
 	}
-	net.Run(cfg.Duration + cfg.Drain)
-	res.Unfinished = res.Launched - res.Flows.Count()
+	net.Run(cfg.duration + cfg.drain)
+	res.unfinished = res.launched - res.flows.Count()
 	for _, sw := range net.Topo.Switches {
-		res.Pauses += sw.PausesSent()
-		res.Drops += sw.Drops()
+		res.pauses += sw.PausesSent()
+		res.drops += sw.Drops()
 	}
 	return res
 }
 
-// Fig11Row is one (scheme, nprios) cell of Fig 11's sweep.
-type Fig11Row struct {
-	Scheme   string
-	NPrios   int
-	AvgAll   float64 // mean slowdown, all flows
-	P99All   float64
-	AvgSmall float64
-	P99Small float64
-	AvgMid   float64
-	P99Mid   float64
-	AvgLarge float64
-	P99Large float64
+// fig11Row is one (scheme, nprios) cell of Fig 11's sweep.
+type fig11Row struct {
+	scheme   string
+	nPrios   int
+	avgAll   float64 // mean slowdown, all flows
+	p99All   float64
+	avgSmall float64
+	p99Small float64
+	avgMid   float64
+	p99Mid   float64
+	avgLarge float64
+	p99Large float64
 }
 
-func rowFrom(r FlowSchedResult) Fig11Row {
-	c := r.Flows
-	return Fig11Row{
-		Scheme:   r.Scheme,
-		NPrios:   r.NPrios,
-		AvgAll:   c.MeanSlowdown(),
-		P99All:   c.PercentileSlowdown(0.99),
-		AvgSmall: c.ByClass(stats.Small).MeanSlowdown(),
-		P99Small: c.ByClass(stats.Small).PercentileSlowdown(0.99),
-		AvgMid:   c.ByClass(stats.Middle).MeanSlowdown(),
-		P99Mid:   c.ByClass(stats.Middle).PercentileSlowdown(0.99),
-		AvgLarge: c.ByClass(stats.Large).MeanSlowdown(),
-		P99Large: c.ByClass(stats.Large).PercentileSlowdown(0.99),
+func rowFrom(r flowSchedResult) fig11Row {
+	c := r.flows
+	return fig11Row{
+		scheme:   r.scheme,
+		nPrios:   r.nPrios,
+		avgAll:   c.MeanSlowdown(),
+		p99All:   c.PercentileSlowdown(0.99),
+		avgSmall: c.ByClass(stats.Small).MeanSlowdown(),
+		p99Small: c.ByClass(stats.Small).PercentileSlowdown(0.99),
+		avgMid:   c.ByClass(stats.Middle).MeanSlowdown(),
+		p99Mid:   c.ByClass(stats.Middle).PercentileSlowdown(0.99),
+		avgLarge: c.ByClass(stats.Large).MeanSlowdown(),
+		p99Large: c.ByClass(stats.Large).PercentileSlowdown(0.99),
 	}
 }
 
-// Fig11 sweeps priority counts for the schemes of Fig 11a-d: Physical
+// fig11 sweeps priority counts for the schemes of Fig 11a-d: Physical
 // (max 8 queues), Physical*, and PrioPlus, all with Swift. Every (count,
 // scheme) cell is a private engine, so a hooks-off sweep fans them out
 // (cells).
-func Fig11(prioCounts []int, base FlowSchedConfig) []Fig11Row {
-	schemes := []Scheme{SwiftPhysical(8), SwiftPhysicalIdeal(), PrioPlusSwift()}
-	return cells(base.Options, len(prioCounts)*len(schemes), func(i int) Fig11Row {
+func fig11(prioCounts []int, base flowSchedConfig) []fig11Row {
+	schemes := []Scheme{SwiftPhysical(8), swiftPhysicalIdeal(), PrioPlusSwift()}
+	return cells(base.Options, len(prioCounts)*len(schemes), func(i int) fig11Row {
 		cfg := base
-		cfg.Scheme = schemes[i%len(schemes)]
-		cfg.NPrios = prioCounts[i/len(schemes)]
-		return rowFrom(RunFlowSched(cfg))
+		cfg.scheme = schemes[i%len(schemes)]
+		cfg.nPrios = prioCounts[i/len(schemes)]
+		return rowFrom(runFlowSched(cfg))
 	})
 }
 
-// Fig16 compares PrioPlus, PrioPlus* (ACKs in the data queue), and HPCC in
+// fig16 compares PrioPlus, PrioPlus* (ACKs in the data queue), and HPCC in
 // the flow-scheduling scenario (Appendix A.3), one cell per scheme.
-func Fig16(nprios int, base FlowSchedConfig) []Fig11Row {
+func fig16(nprios int, base flowSchedConfig) []fig11Row {
 	variants := []struct {
 		s       Scheme
 		ackData bool
@@ -175,51 +175,51 @@ func Fig16(nprios int, base FlowSchedConfig) []Fig11Row {
 	}{
 		{PrioPlusSwift(), false, "PrioPlus+Swift"},
 		{PrioPlusSwift(), true, "PrioPlus*+Swift"},
-		{HPCCPhysical(8), false, "Physical+HPCC"},
+		{hpccPhysical(8), false, "Physical+HPCC"},
 	}
-	return cells(base.Options, len(variants), func(i int) Fig11Row {
+	return cells(base.Options, len(variants), func(i int) fig11Row {
 		v := variants[i]
 		cfg := base
-		cfg.Scheme = v.s
-		cfg.NPrios = nprios
-		cfg.AckPrioData = v.ackData
-		row := rowFrom(RunFlowSched(cfg))
-		row.Scheme = v.name
+		cfg.scheme = v.s
+		cfg.nPrios = nprios
+		cfg.ackPrioData = v.ackData
+		row := rowFrom(runFlowSched(cfg))
+		row.scheme = v.name
 		return row
 	})
 }
 
-// Fig14Row is one (priority band, size class) cell of Fig 14: FCT
+// fig14Row is one (priority band, size class) cell of Fig 14: FCT
 // normalized against Physical*+Swift.
-type Fig14Row struct {
-	Scheme string
-	Band   string // "high" (11), "middle" (6-10), "low" (0-5)
-	Class  string
-	Norm   float64 // mean FCT / Physical* mean FCT
+type fig14Row struct {
+	scheme string
+	band   string // "high" (11), "middle" (6-10), "low" (0-5)
+	class  string
+	norm   float64 // mean FCT / Physical* mean FCT
 }
 
-// Fig14 runs the per-priority workload mode with 12 priorities and
+// fig14 runs the per-priority workload mode with 12 priorities and
 // normalizes each scheme's per-band, per-class FCT by Physical*+Swift. Its
 // runs stay one after another on purpose: the uncontrolled Physical* w/o CC
 // cell's backlog is bounded by nothing but the horizon (about 405 MB RSS
 // even alone), so a cell beside it would add its whole heap to that peak.
-func Fig14(base FlowSchedConfig, schemes []Scheme) []Fig14Row {
+func fig14(base flowSchedConfig, schemes []Scheme) []fig14Row {
 	const nprios = 12
-	run := func(s Scheme, ackData bool) FlowSchedResult {
+	run := func(s Scheme, ackData bool) flowSchedResult {
 		cfg := base
-		cfg.Scheme = s
-		cfg.NPrios = nprios
-		cfg.PerPrioWorkload = true
-		cfg.AckPrioData = ackData
-		return RunFlowSched(cfg)
+		cfg.scheme = s
+		cfg.nPrios = nprios
+		cfg.perPrioWorkload = true
+		cfg.ackPrioData = ackData
+		return runFlowSched(cfg)
 	}
-	ref := run(SwiftPhysicalIdeal(), false)
+	ref := run(swiftPhysicalIdeal(), false)
 	bands := []struct {
 		name   string
 		lo, hi int
 	}{{"high", 11, 11}, {"middle", 6, 10}, {"low", 0, 5}}
 	classes := []stats.SizeClass{stats.Small, stats.Middle, stats.Large}
-	var rows []Fig14Row
+	var rows []fig14Row
 	for _, s := range schemes {
 		r := run(s, false)
 		for _, b := range bands {
@@ -229,13 +229,13 @@ func Fig14(base FlowSchedConfig, schemes []Scheme) []Fig14Row {
 						return f.Prio >= b.lo && f.Prio <= b.hi && stats.ClassOf(f.Size) == cl
 					})
 				}
-				den := sel(ref.Flows).MeanFCT()
-				num := sel(r.Flows).MeanFCT()
+				den := sel(ref.flows).MeanFCT()
+				num := sel(r.flows).MeanFCT()
 				norm := 0.0
 				if den > 0 {
 					norm = float64(num) / float64(den)
 				}
-				rows = append(rows, Fig14Row{Scheme: s.Name, Band: b.name, Class: cl.String(), Norm: norm})
+				rows = append(rows, fig14Row{scheme: s.name, band: b.name, class: cl.String(), norm: norm})
 			}
 		}
 	}

@@ -12,43 +12,43 @@ import (
 	"prioplus/internal/topo"
 )
 
-// Series is a labeled rate-over-time trace for figure output.
-type Series struct {
-	Label string
-	T     []float64 // milliseconds
-	V     []float64 // Gb/s (or us, for delay series)
+// series is a labeled rate-over-time trace for figure output.
+type series struct {
+	label string
+	t     []float64 // milliseconds
+	v     []float64 // Gb/s (or us, for delay series)
 }
 
-func seriesFrom(rs *harness.RateSampler, key int, label string) Series {
-	s := Series{Label: label}
+func seriesFrom(rs *harness.RateSampler, key int, label string) series {
+	s := series{label: label}
 	for i, t := range rs.Times {
-		s.T = append(s.T, t.Millis())
-		s.V = append(s.V, rs.Rates[i][key])
+		s.t = append(s.t, t.Millis())
+		s.v = append(s.v, rs.Rates[i][key])
 	}
 	return s
 }
 
-// Fig3aResult quantifies D2TCP's failure to provide strict priority.
-type Fig3aResult struct {
-	Series []Series
-	// HighShare is the tight-deadline flow's bandwidth share while both
+// fig3aResult quantifies D2TCP's failure to provide strict priority.
+type fig3aResult struct {
+	series []series
+	// highShare is the tight-deadline flow's bandwidth share while both
 	// flows are active; strict priority would be ~1.0.
-	HighShare float64
-	// HighFCTvsIdeal is the tight flow's FCT over its ideal FCT; strict
+	highShare float64
+	// highFCTvsIdeal is the tight flow's FCT over its ideal FCT; strict
 	// priority would give ~1.0.
-	HighFCTvsIdeal float64
+	highFCTvsIdeal float64
 }
 
-// Fig3a reproduces the D2TCP micro-benchmark: two flows with deadlines 1x
+// fig3a reproduces the D2TCP micro-benchmark: two flows with deadlines 1x
 // and 2x the ideal FCT. D2TCP slows both on ECN, so the tight flow neither
 // monopolizes bandwidth nor finishes at its ideal FCT (Observation 1).
-func Fig3a(size int64, o Options) Fig3aResult {
+func fig3a(size int64, o Options) fig3aResult {
 	net := star(o, "", 3, 3, paperNoise, func(cfg *topo.Config) {
 		cfg.Buffer.ECNKMin = 100_000
 		cfg.Buffer.ECNKMax = 100_000
 	})
 	base := net.Topo.BaseRTT(0, 2)
-	ideal := IdealFCT(size, 100*netsim.Gbps, base)
+	ideal := idealFCT(size, 100*netsim.Gbps, base)
 	var fctHigh sim.Time
 	for i := 0; i < 2; i++ {
 		i := i
@@ -66,26 +66,26 @@ func Fig3a(size int64, o Options) Fig3aResult {
 	mid := fctHigh * 8 / 10
 	hi := rs.Between(fctHigh/10, mid, 0)
 	lo := rs.Between(fctHigh/10, mid, 1)
-	return Fig3aResult{
-		Series:         []Series{seriesFrom(rs, 0, "high(DDL=1x)"), seriesFrom(rs, 1, "low(DDL=2x)")},
-		HighShare:      hi / (hi + lo),
-		HighFCTvsIdeal: float64(fctHigh) / float64(ideal),
+	return fig3aResult{
+		series:         []series{seriesFrom(rs, 0, "high(DDL=1x)"), seriesFrom(rs, 1, "low(DDL=2x)")},
+		highShare:      hi / (hi + lo),
+		highFCTvsIdeal: float64(fctHigh) / float64(ideal),
 	}
 }
 
-// Fig3bResult quantifies Swift-with-target-scaling's weighted (not strict)
+// fig3bResult quantifies Swift-with-target-scaling's weighted (not strict)
 // sharing.
-type Fig3bResult struct {
-	Series []Series
-	// HighShare is the high-target pair's share in steady state; strict
+type fig3bResult struct {
+	series []series
+	// highShare is the high-target pair's share in steady state; strict
 	// priority would be ~1.0, Swift gives weighted sharing well below.
-	HighShare float64
+	highShare float64
 }
 
-// Fig3b runs 2 high-priority (target base+15us) and 2 low-priority (target
+// fig3b runs 2 high-priority (target base+15us) and 2 low-priority (target
 // base+5us) Swift flows with target scaling: scaling re-inflates the low
 // flows' targets as they shrink, yielding weighted sharing (§3.2).
-func Fig3b(o Options) Fig3bResult {
+func fig3b(o Options) fig3bResult {
 	net := star(o, "", 5, 5, paperNoise, nil)
 	mk := func(src int, off sim.Time) *cc.Swift {
 		base := net.Topo.BaseRTT(src, 4)
@@ -103,28 +103,28 @@ func Fig3b(o Options) Fig3bResult {
 	net.Run(dur)
 	hi := rs.Between(dur/2, dur, 0)
 	lo := rs.Between(dur/2, dur, 1)
-	return Fig3bResult{
-		Series:    []Series{seriesFrom(rs, 0, "high pair"), seriesFrom(rs, 1, "low pair")},
-		HighShare: hi / (hi + lo),
+	return fig3bResult{
+		series:    []series{seriesFrom(rs, 0, "high pair"), seriesFrom(rs, 1, "low pair")},
+		highShare: hi / (hi + lo),
 	}
 }
 
-// Fig3cResult quantifies Swift-without-scaling under 300 flows.
-type Fig3cResult struct {
-	// UtilBefore is link utilization while only the 300 low flows run;
+// fig3cResult quantifies Swift-without-scaling under 300 flows.
+type fig3cResult struct {
+	// utilBefore is link utilization while only the 300 low flows run;
 	// fluctuation above the low target causes underutilization (O2).
-	UtilBefore float64
-	// HighShareAfter is the single high flow's share once it starts; the
+	utilBefore float64
+	// highShareAfter is the single high flow's share once it starts; the
 	// fluctuations push it to decelerate (O1).
-	HighShareAfter float64
-	// OverLimitFrac is the fraction of delay samples beyond the high
+	highShareAfter float64
+	// overLimitFrac is the fraction of delay samples beyond the high
 	// flow's target while only low flows run.
-	OverLimitFrac float64
+	overLimitFrac float64
 }
 
-// Fig3c runs 300 low-priority Swift flows (no scaling, target base+5us)
+// fig3c runs 300 low-priority Swift flows (no scaling, target base+5us)
 // against one high flow (target base+15us) starting at 2 ms.
-func Fig3c(nLow int, o Options) Fig3cResult {
+func fig3c(nLow int, o Options) fig3cResult {
 	net := star(o, "", nLow+2, 7, paperNoise, nil)
 	recv := nLow + 1
 	mk := func(src int, off sim.Time) *cc.Swift {
@@ -159,27 +159,27 @@ func Fig3c(nLow int, o Options) Fig3cResult {
 	lowBefore := rs.Between(sim.Millisecond, 2*sim.Millisecond, 0)
 	hiAfter := rs.Between(3*sim.Millisecond, dur, 1)
 	loAfter := rs.Between(3*sim.Millisecond, dur, 0)
-	return Fig3cResult{
-		UtilBefore:     lowBefore / 100,
-		HighShareAfter: hiAfter / (hiAfter + loAfter),
-		OverLimitFrac:  float64(over) / float64(samples),
+	return fig3cResult{
+		utilBefore:     lowBefore / 100,
+		highShareAfter: hiAfter / (hiAfter + loAfter),
+		overLimitFrac:  float64(over) / float64(samples),
 	}
 }
 
-// Fig3dResult quantifies the §3.3 trade-offs.
-type Fig3dResult struct {
-	// ExtraQueueOnStart is the additional queue (bytes) caused by the low
+// fig3dResult quantifies the §3.3 trade-offs.
+type fig3dResult struct {
+	// extraQueueOnStart is the additional queue (bytes) caused by the low
 	// flows' line-rate start into a busy link.
-	ExtraQueueOnStart int
-	// ReclaimDelay is how long after the high flows stop the low flow
+	extraQueueOnStart int
+	// reclaimDelay is how long after the high flows stop the low flow
 	// needs to reach 50% of the link (the min-rate/ack-clock stall).
-	ReclaimDelay sim.Time
+	reclaimDelay sim.Time
 }
 
-// Fig3d runs 2+2 Swift flows without scaling: the low pair starts at
+// fig3d runs 2+2 Swift flows without scaling: the low pair starts at
 // 100 us (line-rate start hurts the high pair), the high pair stops at
 // 2 ms (the low pair reclaims slowly from its minimum rate).
-func Fig3d(o Options) Fig3dResult {
+func fig3d(o Options) fig3dResult {
 	net := star(o, "", 5, 9, paperNoise, nil)
 	eng := net.Eng
 	mk := func(src int, off sim.Time) *cc.Swift {
@@ -224,20 +224,20 @@ func Fig3d(o Options) Fig3dResult {
 			break
 		}
 	}
-	return Fig3dResult{ExtraQueueOnStart: qPeak - qBefore, ReclaimDelay: reclaim}
+	return fig3dResult{extraQueueOnStart: qPeak - qBefore, reclaimDelay: reclaim}
 }
 
-// Fig8Result compares PrioPlus+Swift with multi-target Swift on the
+// fig8Result compares PrioPlus+Swift with multi-target Swift on the
 // staggered 4-priority ladder of the testbed experiment.
-type Fig8Result struct {
-	Scheme string
-	Series []Series
-	// DominanceFrac is the mean share the expected-dominant priority
+type fig8Result struct {
+	scheme string
+	series []series
+	// dominanceFrac is the mean share the expected-dominant priority
 	// holds over the measurement phases.
-	DominanceFrac float64
+	dominanceFrac float64
 }
 
-// Fig8 runs the testbed experiment in simulation: priorities 3-6, two
+// fig8 runs the testbed experiment in simulation: priorities 3-6, two
 // flows each, starting low-to-high at `interval` and ending in the same
 // order (modeled by finite sizes). 10 Gb/s links as in the testbed.
 //
@@ -246,7 +246,7 @@ type Fig8Result struct {
 // assigned in start order, so flows 1-2 are the lowest priority (channel 2,
 // start t=0) and flows 7-8 the highest (channel 5, start 3*interval);
 // `prioplus-sim trace -flows 1,7` renders the paper's Fig 8 interleaving.
-func Fig8(usePrioPlus bool, interval sim.Time, o Options) Fig8Result {
+func fig8(usePrioPlus bool, interval sim.Time, o Options) fig8Result {
 	name, tag := "Swift-multi-target", "swift"
 	if usePrioPlus {
 		name, tag = "PrioPlus+Swift", "pp"
@@ -297,28 +297,28 @@ func Fig8(usePrioPlus bool, interval sim.Time, o Options) Fig8Result {
 			n++
 		}
 	}
-	res := Fig8Result{Scheme: name}
+	res := fig8Result{scheme: name}
 	// A tripped watchdog can stop the run before the first phase.
 	if n > 0 {
-		res.DominanceFrac = dom / float64(n)
+		res.dominanceFrac = dom / float64(n)
 	}
 	for k, prio := range []int{3, 4, 5, 6} {
-		res.Series = append(res.Series, seriesFrom(rs, k, tag+"-prio"+string(rune('0'+prio))))
+		res.series = append(res.series, seriesFrom(rs, k, tag+"-prio"+string(rune('0'+prio))))
 	}
 	return res
 }
 
-// Fig9Result compares delay containment with inflated AI steps.
-type Fig9Result struct {
-	Scheme        string
-	OverLimitFrac float64 // fraction of queue-delay samples above D_limit
+// fig9Result compares delay containment with inflated AI steps.
+type fig9Result struct {
+	scheme        string
+	overLimitFrac float64 // fraction of queue-delay samples above D_limit
 }
 
-// Fig9 reproduces the delay-fluctuation experiment: four flows with
+// fig9 reproduces the delay-fluctuation experiment: four flows with
 // W_AI inflated to ~5x the recommended value (0.75 KB) and W_LS of half
 // the base BDP. PrioPlus's cardinality estimation contains the delay;
 // Swift's fluctuations repeatedly exceed the threshold. 10 Gb/s links.
-func Fig9(usePrioPlus bool, o Options) Fig9Result {
+func fig9(usePrioPlus bool, o Options) fig9Result {
 	net := star(o, "", 6, 13, paperNoise, func(cfg *topo.Config) {
 		cfg.HostRate = 10 * netsim.Gbps
 	})
@@ -356,22 +356,22 @@ func Fig9(usePrioPlus bool, o Options) Fig9Result {
 	if usePrioPlus {
 		name = "PrioPlus+Swift"
 	}
-	return Fig9Result{Scheme: name, OverLimitFrac: float64(over) / float64(samples)}
+	return fig9Result{scheme: name, overLimitFrac: float64(over) / float64(samples)}
 }
 
-// Fig10bResult reports delay containment in the 300-flow incast.
-type Fig10bResult struct {
-	WithinFrac float64 // fraction of steady-state samples within the channel
-	MeanDelay  sim.Time
-	Target     sim.Time
+// fig10bResult reports delay containment in the 300-flow incast.
+type fig10bResult struct {
+	withinFrac float64 // fraction of steady-state samples within the channel
+	meanDelay  sim.Time
+	target     sim.Time
 }
 
-// Fig10b starts n same-priority PrioPlus flows simultaneously (incast)
+// fig10b starts n same-priority PrioPlus flows simultaneously (incast)
 // with D_target = base+20us and measures delay containment. The run is
 // tagged "incast"; a recorder (time series, histograms, trace — whatever it
 // enables) does not change figure output: the sampler and histograms only
 // read simulator state.
-func Fig10b(n int, o Options) Fig10bResult {
+func fig10b(n int, o Options) fig10bResult {
 	net := star(o, "incast", n+2, 17, paperNoise, nil)
 	recv := n + 1
 	base := net.Topo.BaseRTT(0, recv)
@@ -389,35 +389,35 @@ func Fig10b(n int, o Options) Fig10bResult {
 		}
 	})
 	net.Run(4 * sim.Millisecond)
-	res := Fig10bResult{Target: ch.Target}
+	res := fig10bResult{target: ch.Target}
 	// A tripped watchdog can stop the run before any sample fires.
 	if samples > 0 {
-		res.WithinFrac = float64(within) / float64(samples)
-		res.MeanDelay = sum / sim.Time(samples)
+		res.withinFrac = float64(within) / float64(samples)
+		res.meanDelay = sum / sim.Time(samples)
 	}
 	return res
 }
 
-// Fig10cResult compares dual-RTT with every-RTT adaptive increase.
-type Fig10cResult struct {
-	DualRTT  TakeoverStats
-	EveryRTT TakeoverStats
+// fig10cResult compares dual-RTT with every-RTT adaptive increase.
+type fig10cResult struct {
+	dualRTT  takeoverStats
+	everyRTT takeoverStats
 }
 
-// TakeoverStats quantifies a preemption transient.
-type TakeoverStats struct {
-	// TakeoverTime is when the high group first reaches 90% of the link.
-	TakeoverTime sim.Time
-	// RateVar is the sample variance of the high group's rate (Gb/s
+// takeoverStats quantifies a preemption transient.
+type takeoverStats struct {
+	// takeoverTime is when the high group first reaches 90% of the link.
+	takeoverTime sim.Time
+	// rateVar is the sample variance of the high group's rate (Gb/s
 	// squared) after takeover; overreaction shows up as large swings.
-	RateVar float64
+	rateVar float64
 }
 
-// Fig10c runs 10 high-priority flows preempting 10 low-priority flows,
+// fig10c runs 10 high-priority flows preempting 10 low-priority flows,
 // with dual-RTT gating on and off, one engine (cell) per variant; Seed,
 // Faults, and Perturb thread through to both.
-func Fig10c(o Options) Fig10cResult {
-	run := func(everyRTT bool) TakeoverStats {
+func fig10c(o Options) fig10cResult {
+	run := func(everyRTT bool) takeoverStats {
 		net := star(o, "", 21, 19, paperNoise, nil)
 		recv := 20
 		plan := core.DefaultPlan(net.Topo.BaseRTT(0, recv))
@@ -434,16 +434,16 @@ func Fig10c(o Options) Fig10cResult {
 		dur := 4 * sim.Millisecond
 		rs := net.SampleRates(recv, func(p *netsim.Packet) int { return p.Src / 10 }, 20*sim.Microsecond, dur)
 		net.Run(dur)
-		st := TakeoverStats{}
+		st := takeoverStats{}
 		for i, t := range rs.Times {
 			if t > sim.Millisecond && rs.Rates[i][1] >= 90 {
-				st.TakeoverTime = t - sim.Millisecond
+				st.takeoverTime = t - sim.Millisecond
 				break
 			}
 		}
 		var vals []float64
 		for i, t := range rs.Times {
-			if st.TakeoverTime > 0 && t > sim.Millisecond+st.TakeoverTime+200*sim.Microsecond {
+			if st.takeoverTime > 0 && t > sim.Millisecond+st.takeoverTime+200*sim.Microsecond {
 				vals = append(vals, rs.Rates[i][1])
 			}
 		}
@@ -456,43 +456,43 @@ func Fig10c(o Options) Fig10cResult {
 			for _, v := range vals {
 				ss += (v - mean) * (v - mean)
 			}
-			st.RateVar = ss / float64(len(vals)-1)
+			st.rateVar = ss / float64(len(vals)-1)
 		}
 		return st
 	}
-	st := cells(o, 2, func(i int) TakeoverStats { return run(i == 1) })
-	return Fig10cResult{DualRTT: st[0], EveryRTT: st[1]}
+	st := cells(o, 2, func(i int) takeoverStats { return run(i == 1) })
+	return fig10cResult{dualRTT: st[0], everyRTT: st[1]}
 }
 
-// Fig10dPoint is one (noise scale, channel width) utilization measurement.
-type Fig10dPoint struct {
-	NoiseScale float64
-	WidthUS    float64 // channel width A+B in microseconds
-	Util       float64
+// fig10dPoint is one (noise scale, channel width) utilization measurement.
+type fig10dPoint struct {
+	noiseScale float64
+	widthUS    float64 // channel width A+B in microseconds
+	util       float64
 }
 
-// Fig10dConfig is the sweep grid for the noise-vs-channel-width study.
-type Fig10dConfig struct {
-	// Scales multiplies the long-tail noise model's amplitude.
-	Scales []float64
-	// WidthsUS is the channel width A+B in microseconds.
-	WidthsUS []float64
+// fig10dConfig is the sweep grid for the noise-vs-channel-width study.
+type fig10dConfig struct {
+	// scales multiplies the long-tail noise model's amplitude.
+	scales []float64
+	// widthsUS is the channel width A+B in microseconds.
+	widthsUS []float64
 }
 
-// DefaultFig10dConfig returns the suite's sweep grid.
-func DefaultFig10dConfig() Fig10dConfig {
-	return Fig10dConfig{Scales: []float64{1, 2, 4, 8}, WidthsUS: []float64{1, 2, 4, 8, 12, 16}}
+// defaultFig10dConfig returns the suite's sweep grid.
+func defaultFig10dConfig() fig10dConfig {
+	return fig10dConfig{scales: []float64{1, 2, 4, 8}, widthsUS: []float64{1, 2, 4, 8, 12, 16}}
 }
 
-// Fig10d sweeps noise scale x channel width for 5 same-priority flows and
+// fig10d sweeps noise scale x channel width for 5 same-priority flows and
 // reports utilization; the paper shows the width needed for >98%
 // utilization grows linearly with the noise. Every cell is a private
 // engine on the published topology seed (21) with the noise RNG 8 above it
 // (29), both of which follow an o.Seed override.
-func Fig10d(fc Fig10dConfig, o Options) []Fig10dPoint {
-	nw := len(fc.WidthsUS)
-	return cells(o, len(fc.Scales)*nw, func(i int) Fig10dPoint {
-		sc, w := fc.Scales[i/nw], fc.WidthsUS[i%nw]
+func fig10d(fc fig10dConfig, o Options) []fig10dPoint {
+	nw := len(fc.widthsUS)
+	return cells(o, len(fc.scales)*nw, func(i int) fig10dPoint {
+		sc, w := fc.scales[i/nw], fc.widthsUS[i%nw]
 		net := star(o, "", 7, 21, longTail{off: 8, scale: sc}, nil)
 		recv := 6
 		base := net.Topo.BaseRTT(0, recv)
@@ -508,13 +508,13 @@ func Fig10d(fc Fig10dConfig, o Options) []Fig10dPoint {
 		dur := 3 * sim.Millisecond
 		rs := net.SampleRates(recv, func(*netsim.Packet) int { return 0 }, 100*sim.Microsecond, dur)
 		net.Run(dur)
-		return Fig10dPoint{NoiseScale: sc, WidthUS: w, Util: rs.Between(sim.Millisecond, dur, 0) / 100}
+		return fig10dPoint{noiseScale: sc, widthUS: w, util: rs.Between(sim.Millisecond, dur, 0) / 100}
 	})
 }
 
-// Fig10a runs the 8-priority, 30-flows-each staggered ladder and returns
+// fig10a runs the 8-priority, 30-flows-each staggered ladder and returns
 // the per-interval dominance of the newest priority.
-func Fig10a(perPrio int, interval sim.Time, o Options) []float64 {
+func fig10a(perPrio int, interval sim.Time, o Options) []float64 {
 	net := star(o, "", 8*perPrio+2, 23, paperNoise, nil)
 	recv := 8 * perPrio
 	plan := core.DefaultPlan(net.Topo.BaseRTT(0, recv))
@@ -543,30 +543,30 @@ func Fig10a(perPrio int, interval sim.Time, o Options) []float64 {
 	return shares
 }
 
-// Fig13Point is one (tolerable noise setting, non-congestive range) cell.
-type Fig13Point struct {
-	ToleranceUS float64
-	RangeUS     float64
-	GapPerFlow  float64 // normalized FCT gap vs Physical, averaged per flow
+// fig13Point is one (tolerable noise setting, non-congestive range) cell.
+type fig13Point struct {
+	toleranceUS float64
+	rangeUS     float64
+	gapPerFlow  float64 // normalized FCT gap vs Physical, averaged per flow
 }
 
-// Fig13Config is the sweep grid for the non-congestive-delay study.
-type Fig13Config struct {
-	// TolerancesUS is the channel noise budget B, in microseconds.
-	TolerancesUS []float64
-	// RangesUS is the injected non-congestive jitter range, in microseconds.
-	RangesUS []float64
+// fig13Config is the sweep grid for the non-congestive-delay study.
+type fig13Config struct {
+	// tolerancesUS is the channel noise budget B, in microseconds.
+	tolerancesUS []float64
+	// rangesUS is the injected non-congestive jitter range, in microseconds.
+	rangesUS []float64
 }
 
-// DefaultFig13Config returns the suite's sweep grid.
-func DefaultFig13Config() Fig13Config {
-	return Fig13Config{
-		TolerancesUS: []float64{10, 20, 30},
-		RangesUS:     []float64{0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40},
+// defaultFig13Config returns the suite's sweep grid.
+func defaultFig13Config() fig13Config {
+	return fig13Config{
+		tolerancesUS: []float64{10, 20, 30},
+		rangesUS:     []float64{0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40},
 	}
 }
 
-// Fig13 evaluates PrioPlus under non-congestive delay: uniform jitter of
+// fig13 evaluates PrioPlus under non-congestive delay: uniform jitter of
 // the given range is injected at the bottleneck, with the channel noise
 // budget B set to each tolerance. The gap vs an ideal-physical run of the
 // same workload stays small until the range exceeds the tolerance. Each
@@ -574,8 +574,8 @@ func DefaultFig13Config() Fig13Config {
 // jitter RNG 6 above it (37), both of which follow an o.Seed override.
 // Perturb does not apply — this scenario injects jitter instead of the
 // measurement-noise model the perturbation hooks into.
-func Fig13(fc Fig13Config, o Options) []Fig13Point {
-	tolerancesUS, rangesUS := fc.TolerancesUS, fc.RangesUS
+func fig13(fc fig13Config, o Options) []fig13Point {
+	tolerancesUS, rangesUS := fc.tolerancesUS, fc.rangesUS
 	// Workload: the Fig 8 testbed ladder (10G, four adjacent priorities,
 	// two flows each, staggered 4 ms) with finite flows. The physical
 	// baseline also runs under the non-congestive delay; its Swift target
@@ -643,7 +643,7 @@ func Fig13(fc Fig13Config, o Options) []Fig13Point {
 		}
 		return fcts
 	}
-	var out []Fig13Point
+	var out []fig13Point
 	// The reference is the clean (no non-congestive delay) physical run:
 	// a fixed denominator isolates how PrioPlus itself degrades as the
 	// non-congestive range grows, rather than conflating it with plain
@@ -667,27 +667,27 @@ func Fig13(fc Fig13Config, o Options) []Fig13Point {
 			if n > 0 {
 				gap /= float64(n)
 			}
-			out = append(out, Fig13Point{ToleranceUS: tol, RangeUS: rng, GapPerFlow: gap})
+			out = append(out, fig13Point{toleranceUS: tol, rangeUS: rng, gapPerFlow: gap})
 		}
 	}
 	return out
 }
 
-// Table2Row is one start strategy's analytic and simulated cost.
-type Table2Row struct {
-	Strategy       string
-	BytesDelayed   string // analytic, in BDP
-	MaxExtraBuffer string // analytic, in BDP
-	SimExtraBDP    float64
+// table2Row is one start strategy's analytic and simulated cost.
+type table2Row struct {
+	strategy       string
+	bytesDelayed   string // analytic, in BDP
+	maxExtraBuffer string // analytic, in BDP
+	simExtraBDP    float64
 }
 
-// Table2 reproduces the start-strategy comparison: analytic values from
+// table2 reproduces the start-strategy comparison: analytic values from
 // §4.2.2 plus a simulated "extra buffer" measurement of a flow starting
 // into a 50%-utilized link (n = 8 RTTs to line rate for the ramped
 // strategies). The published seed (41) holds unless o overrides it; the
 // scenario runs without the noise model by design (see below), so Perturb
 // does not apply, and each strategy is a private engine.
-func Table2(o Options) []Table2Row {
+func table2(o Options) []table2Row {
 	simulate := func(kind string) float64 {
 		// The Table 2 analysis is an idealized start-transient argument;
 		// measurement noise would blur the freeze threshold, so this
@@ -728,7 +728,7 @@ func Table2(o Options) []Table2Row {
 		net.Run(sim.Millisecond + 400*sim.Microsecond)
 		return float64(qPeak-qBefore) / bdp
 	}
-	return []Table2Row{
+	return []table2Row{
 		{"line-rate", "0", "1 BDP", simulate("line-rate")},
 		{"exponential", "n-3/2 BDP", "0.5 BDP", simulate("exponential")},
 		{"linear", "n/2 BDP", "1/n BDP", simulate("linear")},
@@ -814,20 +814,20 @@ func (r *rampStart) CwndBytes() float64     { return r.cwnd * float64(r.drv.MTU(
 func (r *rampStart) WantsECT() bool         { return false }
 func (r *rampStart) Name() string           { return "ramp" }
 
-// AppDResult compares measured Swift delay fluctuation with the Appendix D
+// appDResult compares measured Swift delay fluctuation with the Appendix D
 // bound.
-type AppDResult struct {
-	N           int
-	MeasuredUS  float64
-	BoundUS     float64
-	WithinBound bool
+type appDResult struct {
+	n           int
+	measuredUS  float64
+	boundUS     float64
+	withinBound bool
 }
 
-// AppD measures the steady-state delay fluctuation of n synchronized
+// appD measures the steady-state delay fluctuation of n synchronized
 // Swift flows against the analytic bound n*W_AI/R + max(n*beta*W_AI /
 // (R*T), mdf)*T.
-func AppD(ns []int) []AppDResult {
-	var out []AppDResult
+func appD(ns []int) []appDResult {
+	var out []appDResult
 	for _, n := range ns {
 		net := star(Options{}, "", n+2, 43, paperNoise, nil)
 		recv := n + 1
@@ -848,34 +848,34 @@ func AppD(ns []int) []AppDResult {
 		r := 100e9 / 8
 		bound := float64(n)*wai/r*1e6 + max(float64(n)*scfg.Beta*wai/(r*target*1e-6)*1e-6, scfg.MaxMDF)*target
 		measured := float64(maxD-minD) / float64(sim.Microsecond)
-		out = append(out, AppDResult{
-			N:          n,
-			MeasuredUS: measured,
-			BoundUS:    bound,
+		out = append(out, appDResult{
+			n:          n,
+			measuredUS: measured,
+			boundUS:    bound,
 			// The bound is worst-case (synchronized flows); measured
 			// fluctuation must not exceed it by more than jitter.
-			WithinBound: measured <= bound*1.25+1,
+			withinBound: measured <= bound*1.25+1,
 		})
 	}
 	return out
 }
 
-// ChipRatio is one switch generation's buffer/bandwidth ratio (Fig 2).
-type ChipRatio struct {
-	Chip      string
-	Year      int
-	BufferMB  float64
-	BandTbps  float64
-	RatioMBpT float64
+// chipRatio is one switch generation's buffer/bandwidth ratio (Fig 2).
+type chipRatio struct {
+	chip      string
+	year      int
+	bufferMB  float64
+	bandTbps  float64
+	ratioMBpT float64
 }
 
-// Fig2 returns the buffer-per-bandwidth data of representative Broadcom
+// fig2 returns the buffer-per-bandwidth data of representative Broadcom
 // switch chips, the paper's motivation for scarce lossless priorities.
 // The data is static; Options is accepted for the uniform driver shape
 // every registered spec shares and is otherwise unused.
-func Fig2(o Options) []ChipRatio {
+func fig2(o Options) []chipRatio {
 	_ = o
-	data := []ChipRatio{
+	data := []chipRatio{
 		{"Trident+", 2010, 9, 0.64, 0},
 		{"Trident2", 2013, 12, 1.28, 0},
 		{"Tomahawk", 2015, 16, 3.2, 0},
@@ -884,31 +884,31 @@ func Fig2(o Options) []ChipRatio {
 		{"Tomahawk4", 2020, 113, 25.6, 0},
 	}
 	for i := range data {
-		data[i].RatioMBpT = data[i].BufferMB / data[i].BandTbps
+		data[i].ratioMBpT = data[i].bufferMB / data[i].bandTbps
 	}
 	return data
 }
 
-// Fig7Config sizes the delay-noise measurement.
-type Fig7Config struct {
-	// Samples is the number of noise draws for the CDF and the summary
+// fig7Config sizes the delay-noise measurement.
+type fig7Config struct {
+	// samples is the number of noise draws for the CDF and the summary
 	// statistics.
-	Samples int
+	samples int
 }
 
-// DefaultFig7Config returns the suite's sampling size.
-func DefaultFig7Config() Fig7Config {
-	return Fig7Config{Samples: 200_000}
+// defaultFig7Config returns the suite's sampling size.
+func defaultFig7Config() fig7Config {
+	return fig7Config{samples: 200_000}
 }
 
-// Fig7 returns the delay-noise CDF and summary statistics of the noise
+// fig7 returns the delay-noise CDF and summary statistics of the noise
 // model, matching the paper's testbed measurement. The published RNG seed
 // (47) holds unless o overrides it; Perturb does not apply (the draws are
 // the measurement itself, not simulation inputs).
-func Fig7(cfg Fig7Config, o Options) ([][2]float64, noise.Stats) {
+func fig7(cfg fig7Config, o Options) ([][2]float64, noise.Stats) {
 	seed := o.seedOr(47)
 	m := noise.NewLongTail(rand.New(rand.NewSource(seed)), 1)
-	cdf := noise.CDF(m, cfg.Samples, 40)
+	cdf := noise.CDF(m, cfg.samples, 40)
 	m2 := noise.NewLongTail(rand.New(rand.NewSource(seed)), 1)
-	return cdf, noise.Measure(m2, cfg.Samples)
+	return cdf, noise.Measure(m2, cfg.samples)
 }

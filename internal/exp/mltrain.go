@@ -15,10 +15,10 @@ type MLConfig struct {
 	Duration sim.Time
 	// NoPriority is the speedup baseline: all jobs share one priority.
 	NoPriority bool
-	// GradScale divides gradient sizes (and compute time) to shrink the
+	// gradScale divides gradient sizes (and compute time) to shrink the
 	// simulation; relative speedups are preserved because both phases
 	// scale together.
-	GradScale int
+	gradScale int
 	// Options carries the seed and the fault plan. The run is untagged, so
 	// a recorder factory is not consulted.
 	Options
@@ -26,12 +26,12 @@ type MLConfig struct {
 
 // DefaultMLConfig returns a 1/8-scale version of the paper's scenario.
 func DefaultMLConfig(s Scheme) MLConfig {
-	return MLConfig{Scheme: s, Duration: 120 * sim.Millisecond, GradScale: 8, Options: Options{Seed: 1}}
+	return MLConfig{Scheme: s, Duration: 120 * sim.Millisecond, gradScale: 8, Options: Options{Seed: 1}}
 }
 
 // MLResult reports iterations completed per model.
 type MLResult struct {
-	Scheme     string
+	scheme     string
 	Iterations map[string]int
 	ResNetIter int
 	VGGIter    int
@@ -42,8 +42,8 @@ type MLResult struct {
 // oversubscribed leaf uplinks.
 func RunML(cfg MLConfig) MLResult {
 	const nprios = 8
-	if cfg.GradScale <= 0 {
-		cfg.GradScale = 1
+	if cfg.gradScale <= 0 {
+		cfg.gradScale = 1
 	}
 	net := schemeFabric(cfg.Options, "", cfg.Scheme, nprios, paperNoise,
 		func(eng *sim.Engine, tc topo.Config) *topo.Network {
@@ -59,7 +59,7 @@ func RunML(cfg MLConfig) MLResult {
 	for i := 4; i < 8; i++ {
 		models = append(models, workload.VGG("vgg", []int{i, i + 8, i + 16}))
 	}
-	res := MLResult{Scheme: cfg.Scheme.Name, Iterations: map[string]int{}}
+	res := MLResult{scheme: cfg.Scheme.name, Iterations: map[string]int{}}
 
 	// ResNet jobs get the four higher priorities, VGG the four lower
 	// (§6.2). The baseline collapses everything to one priority.
@@ -74,8 +74,8 @@ func RunML(cfg MLConfig) MLResult {
 	}
 
 	for mi, m := range models {
-		m.GradBytes /= int64(cfg.GradScale)
-		m.Compute /= sim.Time(cfg.GradScale)
+		m.GradBytes /= int64(cfg.gradScale)
+		m.Compute /= sim.Time(cfg.gradScale)
 		prio := prioOf(mi)
 		steps := m.RingAllReduce()
 		var startIteration func()
@@ -113,18 +113,18 @@ func RunML(cfg MLConfig) MLResult {
 	return res
 }
 
-// MLSpeedups compares schemes against the no-priority Swift baseline,
+// mlSpeedups compares schemes against the no-priority Swift baseline,
 // reporting per-model-type and overall training-speed ratios (Fig 12c).
-type MLSpeedups struct {
-	Scheme  string
-	ResNet  float64
-	VGG     float64
-	Overall float64
+type mlSpeedups struct {
+	scheme  string
+	resNet  float64
+	vgg     float64
+	overall float64
 }
 
-// Fig12ML runs the comparison: Physical+Swift and PrioPlus+Swift against
+// fig12ML runs the comparison: Physical+Swift and PrioPlus+Swift against
 // Swift without priorities.
-func Fig12ML(base MLConfig) []MLSpeedups {
+func fig12ML(base MLConfig) []mlSpeedups {
 	bcfg := base
 	bcfg.Scheme = SwiftPhysical(8)
 	bcfg.NoPriority = true
@@ -135,16 +135,16 @@ func Fig12ML(base MLConfig) []MLSpeedups {
 		}
 		return float64(x) / float64(y)
 	}
-	var out []MLSpeedups
+	var out []mlSpeedups
 	for _, s := range []Scheme{SwiftPhysical(8), PrioPlusSwift()} {
 		cfg := base
 		cfg.Scheme = s
 		r := RunML(cfg)
-		out = append(out, MLSpeedups{
-			Scheme:  s.Name,
-			ResNet:  ratio(r.ResNetIter, b.ResNetIter),
-			VGG:     ratio(r.VGGIter, b.VGGIter),
-			Overall: ratio(r.ResNetIter+r.VGGIter, b.ResNetIter+b.VGGIter),
+		out = append(out, mlSpeedups{
+			scheme:  s.name,
+			resNet:  ratio(r.ResNetIter, b.ResNetIter),
+			vgg:     ratio(r.VGGIter, b.VGGIter),
+			overall: ratio(r.ResNetIter+r.VGGIter, b.ResNetIter+b.VGGIter),
 		})
 	}
 	return out

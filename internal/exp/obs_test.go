@@ -14,19 +14,19 @@ import (
 // emits the live flow aggregates and the post-run device metrics.
 func TestRunFlowSchedObs(t *testing.T) {
 	t.Parallel()
-	cfg := DefaultFlowSchedConfig(PrioPlusSwift(), 4)
-	cfg.K = 4
-	cfg.Duration = 2 * sim.Millisecond
-	cfg.Drain = 5 * sim.Millisecond
+	cfg := defaultFlowSchedConfig(PrioPlusSwift(), 4)
+	cfg.k = 4
+	cfg.duration = 2 * sim.Millisecond
+	cfg.drain = 5 * sim.Millisecond
 	rec := obs.NewRecorder()
 	cfg.NewRecorder = always(rec)
-	res := RunFlowSched(cfg)
-	if res.Flows.Count() == 0 {
+	res := runFlowSched(cfg)
+	if res.flows.Count() == 0 {
 		t.Fatal("no flows completed")
 	}
 	snap := func(name string) float64 { v, _ := rec.Metrics.Value(name); return v }
-	if got := snap("net/flows_completed"); got != float64(res.Flows.Count()) {
-		t.Errorf("net/flows_completed = %v, want %d", got, res.Flows.Count())
+	if got := snap("net/flows_completed"); got != float64(res.flows.Count()) {
+		t.Errorf("net/flows_completed = %v, want %d", got, res.flows.Count())
 	}
 	if snap("net/tx_packets") <= 0 || snap("net/rx_packets") <= 0 {
 		t.Errorf("device aggregates missing: tx=%v rx=%v", snap("net/tx_packets"), snap("net/rx_packets"))
@@ -43,11 +43,11 @@ func TestFig10bWatchdogEarlyStop(t *testing.T) {
 	t.Parallel()
 	for name, sampled := range map[string]func(Options) []float64{
 		"fig10b": func(o Options) []float64 {
-			r := Fig10b(80, o)
-			return []float64{r.WithinFrac, float64(r.MeanDelay)}
+			r := fig10b(80, o)
+			return []float64{r.withinFrac, float64(r.meanDelay)}
 		},
 		"fig8": func(o Options) []float64 {
-			return []float64{Fig8(true, 2*sim.Millisecond, o).DominanceFrac}
+			return []float64{fig8(true, 2*sim.Millisecond, o).dominanceFrac}
 		},
 	} {
 		rec := obs.NewRecorder()

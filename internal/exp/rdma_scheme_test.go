@@ -15,15 +15,15 @@ func TestRDMABaselineSchemes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flow-scheduling run in -short mode")
 	}
-	cfg := DefaultFlowSchedConfig(DCQCNPhysical(8), 4)
-	cfg.K = 4
-	cfg.Duration = 2 * sim.Millisecond
-	cfg.Drain = 12 * sim.Millisecond
-	r := RunFlowSched(cfg)
-	if r.Flows.Count() < r.Launched*9/10 {
-		t.Errorf("only %d/%d flows completed", r.Flows.Count(), r.Launched)
+	cfg := defaultFlowSchedConfig(dcqcnPhysical(8), 4)
+	cfg.k = 4
+	cfg.duration = 2 * sim.Millisecond
+	cfg.drain = 12 * sim.Millisecond
+	r := runFlowSched(cfg)
+	if r.flows.Count() < r.launched*9/10 {
+		t.Errorf("only %d/%d flows completed", r.flows.Count(), r.launched)
 	}
-	if sd := r.Flows.MeanSlowdown(); sd <= 1 || sd > 60 {
+	if sd := r.flows.MeanSlowdown(); sd <= 1 || sd > 60 {
 		t.Errorf("mean slowdown %.1f out of sane range", sd)
 	}
 }

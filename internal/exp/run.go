@@ -32,7 +32,7 @@ var paperNoise = longTail{off: 7, scale: 1}
 //
 // The recorder is o.NewRecorder(tag). An untagged run (tag == "") is never
 // instrumented: drivers that spend several private engines on one result
-// (Fig10c's two variants, the Fig10d/Fig13 sweep cells, Table2, the
+// (fig10c's two variants, the fig10d/fig13 sweep cells, table2, the
 // ablations) have no single run a recorder could describe.
 func newNet(o Options, tag string, seed int64, linkDelay sim.Time, nz longTail,
 	build func(*sim.Engine, topo.Config) *topo.Network, opts ...harness.Option) *harness.Net {
@@ -78,12 +78,12 @@ type schemeNet struct {
 // bytes, PFC on or off — and picks the topology.
 func schemeFabric(o Options, tag string, s Scheme, nprios int, nz longTail,
 	build func(*sim.Engine, topo.Config) *topo.Network, opts ...harness.Option) *schemeNet {
-	if s.INT {
+	if s.stampINT {
 		opts = append(opts, harness.WithINT())
 	}
 	net := newNet(o, tag, o.Seed, sim.Microsecond, nz,
 		func(eng *sim.Engine, cfg topo.Config) *topo.Network {
-			s.Fabric(&cfg, nprios)
+			s.fabric(&cfg, nprios)
 			return build(eng, cfg)
 		}, opts...)
 	return &schemeNet{Net: net, scheme: s, nprios: nprios}
@@ -111,14 +111,14 @@ func fatTree(k int) func(*sim.Engine, topo.Config) *topo.Network {
 func (n *schemeNet) addFlow(src, dst int, size int64, prio int, at sim.Time, done func(fct, ideal sim.Time)) cc.Algorithm {
 	tc := &n.Topo.Cfg
 	base := n.Topo.BaseRTT(src, dst)
-	env := FlowEnv{
-		Prio: prio, NPrios: n.nprios, BaseRTT: base,
-		BDPPkts: tc.HostRate.BDP(base) / netsim.DefaultMTU,
-		Size:    size, Ideal: IdealFCT(size, tc.HostRate, base), Now: at,
+	env := flowEnv{
+		prio: prio, nPrios: n.nprios, baseRTT: base,
+		bdpPkts: tc.HostRate.BDP(base) / netsim.DefaultMTU,
+		size:    size, ideal: idealFCT(size, tc.HostRate, base), now: at,
 	}
-	algo, ideal := n.scheme.NewAlgo(env), env.Ideal
+	algo, ideal := n.scheme.newAlgo(env), env.ideal
 	n.AddFlow(harness.Flow{
-		Src: src, Dst: dst, Size: size, Prio: n.scheme.QueueFor(prio, n.nprios, tc.Queues),
+		Src: src, Dst: dst, Size: size, Prio: n.scheme.queueFor(prio, n.nprios, tc.Queues),
 		Algo: algo, StartAt: at,
 		OnComplete: func(fct sim.Time) { done(fct, ideal) },
 	})

@@ -36,13 +36,13 @@ func scenarioOptions(p RunParams, o Options) Options {
 // flowSchedAt is the flow-scheduling set-up of fig11, fig14 and fig16: the
 // paper's k=6 fat-tree with -full, a k=4 tree over a shorter horizon
 // without.
-func flowSchedAt(p RunParams, o Options, nprios int) FlowSchedConfig {
-	cfg := DefaultFlowSchedConfig(PrioPlusSwift(), nprios)
+func flowSchedAt(p RunParams, o Options, nprios int) flowSchedConfig {
+	cfg := defaultFlowSchedConfig(PrioPlusSwift(), nprios)
 	cfg.Options = scenarioOptions(p, o)
 	if !p.Full {
-		cfg.K = 4
-		cfg.Duration = 5 * sim.Millisecond
-		cfg.Drain = 20 * sim.Millisecond
+		cfg.k = 4
+		cfg.duration = 5 * sim.Millisecond
+		cfg.drain = 20 * sim.Millisecond
 	}
 	return cfg
 }
@@ -54,7 +54,7 @@ func coflowAt(p RunParams, o Options, load float64) CoflowConfig {
 	cfg := DefaultCoflowConfig(PrioPlusSwift(), load)
 	cfg.Options = scenarioOptions(p, o)
 	if p.Full {
-		cfg = cfg.PaperScale()
+		cfg = cfg.paperScale()
 		cfg.Duration = 100 * sim.Millisecond
 		cfg.Drain = 400 * sim.Millisecond
 	}
@@ -80,27 +80,27 @@ func init() {
 
 	reg("fig2", "switch-chip buffer/bandwidth ratios", func(p RunParams, o Options, w io.Writer) error {
 		tb := stats.NewTable("chip", "year", "buffer(MB)", "bandwidth(Tbps)", "MB/Tbps")
-		for _, r := range Fig2(o) {
-			tb.AddRow(r.Chip, r.Year, r.BufferMB, r.BandTbps, r.RatioMBpT)
+		for _, r := range fig2(o) {
+			tb.AddRow(r.chip, r.year, r.bufferMB, r.bandTbps, r.ratioMBpT)
 		}
 		tb.Render(w)
 		return nil
 	})
 
 	reg("fig3a", "motivation: D2TCP deadline flows on one queue", func(p RunParams, o Options, w io.Writer) error {
-		r := Fig3a(8<<20, o)
+		r := fig3a(8<<20, o)
 		fmt.Fprintf(w, "D2TCP, deadlines 1x/2x ideal FCT on one queue\n")
-		fmt.Fprintf(w, "  high-priority share during contention: %.2f (strict would be ~1.0)\n", r.HighShare)
-		fmt.Fprintf(w, "  high-priority FCT vs ideal: %.2fx (strict would be ~1.0x)\n", r.HighFCTvsIdeal)
-		printSeries(w, p.Series, r.Series)
+		fmt.Fprintf(w, "  high-priority share during contention: %.2f (strict would be ~1.0)\n", r.highShare)
+		fmt.Fprintf(w, "  high-priority FCT vs ideal: %.2fx (strict would be ~1.0x)\n", r.highFCTvsIdeal)
+		printSeries(w, p.Series, r.series)
 		return nil
 	})
 
 	reg("fig3b", "motivation: Swift with scaled targets", func(p RunParams, o Options, w io.Writer) error {
-		r := Fig3b(o)
+		r := fig3b(o)
 		fmt.Fprintf(w, "Swift + target scaling, targets base+15us vs base+5us\n")
-		fmt.Fprintf(w, "  high-target share: %.2f (weighted sharing, violates O1)\n", r.HighShare)
-		printSeries(w, p.Series, r.Series)
+		fmt.Fprintf(w, "  high-target share: %.2f (weighted sharing, violates O1)\n", r.highShare)
+		printSeries(w, p.Series, r.series)
 		return nil
 	})
 
@@ -109,24 +109,24 @@ func init() {
 		if !p.Full {
 			n = 100
 		}
-		r := Fig3c(n, o)
+		r := fig3c(n, o)
 		fmt.Fprintf(w, "Swift w/o scaling, %d low flows + 1 high flow\n", n)
-		fmt.Fprintf(w, "  utilization before high flow: %.2f (fluctuation causes waste, violates O2)\n", r.UtilBefore)
-		fmt.Fprintf(w, "  delay above high target: %.0f%% of samples\n", r.OverLimitFrac*100)
-		fmt.Fprintf(w, "  high flow share after start: %.2f (decelerates, violates O1)\n", r.HighShareAfter)
+		fmt.Fprintf(w, "  utilization before high flow: %.2f (fluctuation causes waste, violates O2)\n", r.utilBefore)
+		fmt.Fprintf(w, "  delay above high target: %.0f%% of samples\n", r.overLimitFrac*100)
+		fmt.Fprintf(w, "  high flow share after start: %.2f (decelerates, violates O1)\n", r.highShareAfter)
 		return nil
 	})
 
 	reg("fig3d", "motivation: Swift w/o scaling trade-offs", func(p RunParams, o Options, w io.Writer) error {
-		r := Fig3d(o)
+		r := fig3d(o)
 		fmt.Fprintf(w, "Swift w/o scaling trade-offs (§3.3)\n")
-		fmt.Fprintf(w, "  extra queue from line-rate start: %d B\n", r.ExtraQueueOnStart)
-		fmt.Fprintf(w, "  reclaim delay after high flows stop: %v\n", r.ReclaimDelay)
+		fmt.Fprintf(w, "  extra queue from line-rate start: %d B\n", r.extraQueueOnStart)
+		fmt.Fprintf(w, "  reclaim delay after high flows stop: %v\n", r.reclaimDelay)
 		return nil
 	})
 
 	reg("fig7", "delay-noise CDF", func(p RunParams, o Options, w io.Writer) error {
-		cdf, st := Fig7(DefaultFig7Config(), o)
+		cdf, st := fig7(defaultFig7Config(), o)
 		fmt.Fprintf(w, "delay noise: mean %v, P99 %v, P99.85 %v, P(>1us) %.4f\n",
 			st.Mean, st.P99, st.P9985, st.FracGt1)
 		if p.Series {
@@ -142,22 +142,22 @@ func init() {
 		if !p.Full {
 			interval = 2 * sim.Millisecond
 		}
-		r := cells(o, 2, func(i int) Fig8Result { return Fig8(i == 0, interval, o) })
+		r := cells(o, 2, func(i int) fig8Result { return fig8(i == 0, interval, o) })
 		pp, sw := r[0], r[1]
 		tb := stats.NewTable("scheme", "dominance of newest priority")
-		tb.AddRow(pp.Scheme, pp.DominanceFrac)
-		tb.AddRow(sw.Scheme, sw.DominanceFrac)
+		tb.AddRow(pp.scheme, pp.dominanceFrac)
+		tb.AddRow(sw.scheme, sw.dominanceFrac)
 		tb.Render(w)
-		printSeries(w, p.Series, pp.Series)
+		printSeries(w, p.Series, pp.series)
 		return nil
 	})
 
 	reg("fig9", "delay containment with inflated AI steps (10G)", func(p RunParams, o Options, w io.Writer) error {
-		r := cells(o, 2, func(i int) Fig9Result { return Fig9(i == 0, o) })
+		r := cells(o, 2, func(i int) fig9Result { return fig9(i == 0, o) })
 		pp, sw := r[0], r[1]
 		tb := stats.NewTable("scheme", "frac of samples above D_limit")
-		tb.AddRow(pp.Scheme, pp.OverLimitFrac)
-		tb.AddRow(sw.Scheme, sw.OverLimitFrac)
+		tb.AddRow(pp.scheme, pp.overLimitFrac)
+		tb.AddRow(sw.scheme, sw.overLimitFrac)
 		tb.Render(w)
 		return nil
 	})
@@ -170,7 +170,7 @@ func init() {
 		if !p.Full {
 			per, interval = 6, 5*sim.Millisecond
 		}
-		shares := Fig10a(per, interval, o)
+		shares := fig10a(per, interval, o)
 		tb := stats.NewTable("priority", "share in own interval")
 		for pr, s := range shares {
 			tb.AddRow(pr, s)
@@ -184,25 +184,25 @@ func init() {
 		if !p.Full {
 			n = 80
 		}
-		r := Fig10b(n, o)
-		fmt.Fprintf(w, "%d-flow incast, D_target %v\n", n, r.Target)
-		fmt.Fprintf(w, "  delay within channel: %.0f%% of samples; mean delay %v\n", r.WithinFrac*100, r.MeanDelay)
+		r := fig10b(n, o)
+		fmt.Fprintf(w, "%d-flow incast, D_target %v\n", n, r.target)
+		fmt.Fprintf(w, "  delay within channel: %.0f%% of samples; mean delay %v\n", r.withinFrac*100, r.meanDelay)
 		return nil
 	})
 
 	reg("fig10c", "dual-RTT vs every-RTT adaptive increase", func(p RunParams, o Options, w io.Writer) error {
-		r := Fig10c(o)
+		r := fig10c(o)
 		tb := stats.NewTable("variant", "takeover time", "rate variance after")
-		tb.AddRow("dual-RTT", r.DualRTT.TakeoverTime, r.DualRTT.RateVar)
-		tb.AddRow("every-RTT", r.EveryRTT.TakeoverTime, r.EveryRTT.RateVar)
+		tb.AddRow("dual-RTT", r.dualRTT.takeoverTime, r.dualRTT.rateVar)
+		tb.AddRow("every-RTT", r.everyRTT.takeoverTime, r.everyRTT.rateVar)
 		tb.Render(w)
 		return nil
 	})
 
 	reg("fig10d", "noise scale vs channel width utilization", func(p RunParams, o Options, w io.Writer) error {
 		tb := stats.NewTable("noise scale", "channel width (us)", "utilization")
-		for _, pt := range Fig10d(DefaultFig10dConfig(), o) {
-			tb.AddRow(pt.NoiseScale, pt.WidthUS, pt.Util)
+		for _, pt := range fig10d(defaultFig10dConfig(), o) {
+			tb.AddRow(pt.noiseScale, pt.widthUS, pt.util)
 		}
 		tb.Render(w)
 		return nil
@@ -213,7 +213,7 @@ func init() {
 		if !p.Full {
 			counts = []int{2, 4, 8}
 		}
-		printFig11(w, Fig11(counts, flowSchedAt(p, o, 8)))
+		printFig11(w, fig11(counts, flowSchedAt(p, o, 8)))
 		return nil
 	})
 
@@ -229,12 +229,12 @@ func init() {
 		cfg := DefaultMLConfig(PrioPlusSwift())
 		cfg.Options = scenarioOptions(p, o)
 		if p.Full {
-			cfg.GradScale = 1
+			cfg.gradScale = 1
 			cfg.Duration = sim.Second
 		}
 		tb := stats.NewTable("scheme", "ResNet speedup", "VGG speedup", "overall")
-		for _, r := range Fig12ML(cfg) {
-			tb.AddRow(r.Scheme, r.ResNet, r.VGG, r.Overall)
+		for _, r := range fig12ML(cfg) {
+			tb.AddRow(r.scheme, r.resNet, r.vgg, r.overall)
 		}
 		tb.Render(w)
 		return nil
@@ -242,8 +242,8 @@ func init() {
 
 	reg("fig13", "non-congestive delay tolerance", func(p RunParams, o Options, w io.Writer) error {
 		tb := stats.NewTable("tolerance(us)", "nc-delay range(us)", "normalized FCT gap")
-		for _, pt := range Fig13(DefaultFig13Config(), o) {
-			tb.AddRow(pt.ToleranceUS, pt.RangeUS, pt.GapPerFlow)
+		for _, pt := range fig13(defaultFig13Config(), o) {
+			tb.AddRow(pt.toleranceUS, pt.rangeUS, pt.gapPerFlow)
 		}
 		tb.Render(w)
 		return nil
@@ -251,11 +251,11 @@ func init() {
 
 	reg("fig14", "per-priority FCT breakdown (12 priorities)", func(p RunParams, o Options, w io.Writer) error {
 		base := flowSchedAt(p, o, 12)
-		base.Load = 0.5
-		rows := Fig14(base, []Scheme{PrioPlusSwift(), SwiftPhysicalIdeal(), D2TCP(), NoCCPhysicalIdeal()})
+		base.load = 0.5
+		rows := fig14(base, []Scheme{PrioPlusSwift(), swiftPhysicalIdeal(), d2tcp(), noCCPhysicalIdeal()})
 		tb := stats.NewTable("scheme", "priority band", "size class", "FCT / Physical*")
 		for _, r := range rows {
-			tb.AddRow(r.Scheme, r.Band, r.Class, r.Norm)
+			tb.AddRow(r.scheme, r.band, r.class, r.norm)
 		}
 		tb.Render(w)
 		return nil
@@ -268,13 +268,13 @@ func init() {
 	})
 
 	reg("fig16", "HPCC and PrioPlus* comparison", func(p RunParams, o Options, w io.Writer) error {
-		printFig11(w, Fig16(8, flowSchedAt(p, o, 8)))
+		printFig11(w, fig16(8, flowSchedAt(p, o, 8)))
 		return nil
 	})
 
 	reg("fig17", "lossy fabric (IRN) coflow speedup", func(p RunParams, o Options, w io.Writer) error {
 		cfg := coflowAt(p, o, 0.7)
-		cfg.Lossy = true
+		cfg.lossy = true
 		fmt.Fprintln(w, "coflow CCT speedup, lossy fabric (PFC off, IRN recovery), load 70%")
 		printCoflow(w, Fig12Coflow(cfg, false))
 		return nil
@@ -284,22 +284,22 @@ func init() {
 		cfg := coflowAt(p, o, 0.7)
 		// The "Physical* w/o CC" run is armed with an in-flight-bytes
 		// watchdog: uncapped it materializes tens of GB of packets in
-		// PFC-paused queues and never finishes (see CoflowConfig.MaxInflight).
+		// PFC-paused queues and never finishes (see CoflowConfig.maxInflight).
 		// Healthy schemes peak around 21 MB in flight at this scale, so the
 		// ceiling only ever cuts the uncontrolled baseline.
-		cfg.MaxInflight = 128 << 20
+		cfg.maxInflight = 128 << 20
 		if p.Full {
-			cfg.MaxInflight = 1 << 30
+			cfg.maxInflight = 1 << 30
 		}
 		fmt.Fprintln(w, "coflow CCT speedup with HPCC and Physical w/o CC, load 70%")
-		printCoflow(w, Fig12Coflow(cfg, false, HPCCPhysical(8), NoCCPhysicalIdeal()))
+		printCoflow(w, Fig12Coflow(cfg, false, hpccPhysical(8), noCCPhysicalIdeal()))
 		return nil
 	})
 
 	reg("tab2", "start-strategy comparison", func(p RunParams, o Options, w io.Writer) error {
 		tb := stats.NewTable("strategy", "bytes delayed (analytic)", "max extra buffer (analytic)", "measured extra buffer (BDP)")
-		for _, r := range Table2(o) {
-			tb.AddRow(r.Strategy, r.BytesDelayed, r.MaxExtraBuffer, r.SimExtraBDP)
+		for _, r := range table2(o) {
+			tb.AddRow(r.strategy, r.bytesDelayed, r.maxExtraBuffer, r.simExtraBDP)
 		}
 		tb.Render(w)
 		return nil
@@ -311,8 +311,8 @@ func init() {
 			ns = []int{10, 40}
 		}
 		tb := stats.NewTable("flows", "measured fluctuation (us)", "bound (us)", "within bound")
-		for _, r := range AppD(ns) {
-			tb.AddRow(r.N, r.MeasuredUS, r.BoundUS, r.WithinBound)
+		for _, r := range appD(ns) {
+			tb.AddRow(r.n, r.measuredUS, r.boundUS, r.withinBound)
 		}
 		tb.Render(w)
 		return nil
@@ -321,54 +321,54 @@ func init() {
 	reg("ablation", "design-choice ablations (filter, cardinality, probe)", func(p RunParams, o Options, w io.Writer) error {
 		fmt.Fprintln(w, "== filter (two-consecutive) vs none, 2x noise ==")
 		tb := stats.NewTable("consec limit", "spurious yields", "utilization")
-		for _, r := range AblationFilter() {
-			tb.AddRow(r.ConsecLimit, r.Yields, r.Util)
+		for _, r := range ablationFilter() {
+			tb.AddRow(r.consecLimit, r.yields, r.util)
 		}
 		tb.Render(w)
 		fmt.Fprintln(w, "\n== flow-cardinality estimation on/off, 40-flow incast ==")
 		tb = stats.NewTable("estimation", "frac above D_limit")
-		for _, r := range AblationCardinality(40) {
-			tb.AddRow(r.Estimation, r.OverLimitFrac)
+		for _, r := range ablationCardinality(40) {
+			tb.AddRow(r.estimation, r.overLimitFrac)
 		}
 		tb.Render(w)
 		fmt.Fprintln(w, "\n== probe schedule: collision avoidance vs naive per-RTT ==")
 		tb = stats.NewTable("schedule", "probe load (Gb/s)", "reclaim (us)")
-		for _, r := range AblationProbe() {
-			tb.AddRow(r.Scheme, r.ProbeGbps, r.ReclaimUS)
+		for _, r := range ablationProbe() {
+			tb.AddRow(r.scheme, r.probeGbps, r.reclaimUS)
 		}
 		tb.Render(w)
 		return nil
 	})
 
 	reg("ext-ecn", "Appendix B extension: per-priority ECN marking", func(p RunParams, o Options, w io.Writer) error {
-		r := ECNPrio()
+		r := ecnPrio()
 		fmt.Fprintln(w, "Appendix B extension: per-virtual-priority ECN thresholds, DCTCP flows in one queue")
-		fmt.Fprintf(w, "  high-vprio share %.2f, utilization %.2f\n", r.HighShare, r.Util)
+		fmt.Fprintf(w, "  high-vprio share %.2f, utilization %.2f\n", r.highShare, r.util)
 		return nil
 	})
 
 	reg("ext-weighted", "§7 extension: weighted virtual priority", func(p RunParams, o Options, w io.Writer) error {
-		r := WeightedVP()
+		r := weightedVP()
 		fmt.Fprintln(w, "§7 extension: weighted sharing within one channel, strict across channels")
-		fmt.Fprintf(w, "  weight-4 : weight-1 share ratio %.2f (ideal 4)\n", r.ShareRatio)
-		fmt.Fprintf(w, "  higher-channel flow share while active %.2f (strictness preserved)\n", r.HighStrict)
+		fmt.Fprintf(w, "  weight-4 : weight-1 share ratio %.2f (ideal 4)\n", r.shareRatio)
+		fmt.Fprintf(w, "  higher-channel flow share while active %.2f (strictness preserved)\n", r.highStrict)
 		return nil
 	})
 
 	reg("faultsweep", "mid-transfer link flap on a fat-tree: recovery per scheme", func(p RunParams, o Options, w io.Writer) error {
-		cfg := DefaultFaultSweepConfig()
+		cfg := defaultFaultSweepConfig()
 		cfg.Options = scenarioOptions(p, o)
-		rows := FaultSweep(cfg)
+		rows := faultSweep(cfg)
 		fmt.Fprintf(w, "mid-transfer link flap (down %v at %v), fat-tree k=%d, %d cross-pod flows\n",
-			cfg.FlapDur, cfg.FlapAt, cfg.K, cfg.K*cfg.K*cfg.K/4)
+			cfg.flapDur, cfg.flapAt, cfg.k, cfg.k*cfg.k*cfg.k/4)
 		tb := stats.NewTable("scheme", "done", "stuck", "mean-slow", "p99-slow",
 			"retx", "rtos", "fault-drops", "no-route", "peak-q-kb", "yields")
 		stuck := 0
 		for _, r := range rows {
-			tb.AddRow(r.Scheme, fmt.Sprintf("%d/%d", r.Completed, r.Launched), r.Stuck,
-				r.MeanSlowdown, r.P99Slowdown, r.Retransmits, r.RTOs,
-				r.FaultDrops, r.NoRouteDrops, r.PeakQueueKB, r.Yields)
-			stuck += r.Stuck
+			tb.AddRow(r.scheme, fmt.Sprintf("%d/%d", r.completed, r.launched), r.stuck,
+				r.meanSlowdown, r.p99Slowdown, r.retransmits, r.rtos,
+				r.faultDrops, r.noRouteDrops, r.peakQueueKB, r.yields)
+			stuck += r.stuck
 		}
 		tb.Render(w)
 		if stuck == 0 {
@@ -381,23 +381,23 @@ func init() {
 }
 
 // printSeries prints inline time-series data when the caller asked for it.
-func printSeries(w io.Writer, enabled bool, series []Series) {
+func printSeries(w io.Writer, enabled bool, series []series) {
 	if !enabled {
 		return
 	}
 	for _, s := range series {
-		fmt.Fprintf(w, "# %s\n", s.Label)
-		for i := range s.T {
-			fmt.Fprintf(w, "%.3f %.2f\n", s.T[i], s.V[i])
+		fmt.Fprintf(w, "# %s\n", s.label)
+		for i := range s.t {
+			fmt.Fprintf(w, "%.3f %.2f\n", s.t[i], s.v[i])
 		}
 	}
 }
 
-// printFig11 renders a Fig11/Fig16 row set as the FCT-slowdown table.
-func printFig11(w io.Writer, rows []Fig11Row) {
+// printFig11 renders a fig11/fig16 row set as the FCT-slowdown table.
+func printFig11(w io.Writer, rows []fig11Row) {
 	tb := stats.NewTable("scheme", "prios", "avg", "p99", "avg-small", "p99-small", "avg-mid", "p99-mid", "avg-large", "p99-large")
 	for _, r := range rows {
-		tb.AddRow(r.Scheme, r.NPrios, r.AvgAll, r.P99All, r.AvgSmall, r.P99Small, r.AvgMid, r.P99Mid, r.AvgLarge, r.P99Large)
+		tb.AddRow(r.scheme, r.nPrios, r.avgAll, r.p99All, r.avgSmall, r.p99Small, r.avgMid, r.p99Mid, r.avgLarge, r.p99Large)
 	}
 	fmt.Fprintln(w, "FCT slowdown (x ideal) by scheme and priority count")
 	tb.Render(w)
@@ -408,18 +408,18 @@ func printFig11(w io.Writer, rows []Fig11Row) {
 func printCoflow(w io.Writer, rows []CoflowSpeedups) {
 	tb := stats.NewTable("scheme", "high-4 groups", "low-4 groups", "overall")
 	for _, r := range rows {
-		name := r.Scheme
-		if r.Watchdog != "" {
-			name += " [watchdog: " + r.Watchdog + "]"
+		name := r.scheme
+		if r.watchdog != "" {
+			name += " [watchdog: " + r.watchdog + "]"
 		}
-		tb.AddRow(name, r.High4, r.Low4, r.Overall)
+		tb.AddRow(name, r.high4, r.low4, r.overall)
 	}
 	tb.Render(w)
 	for _, r := range rows {
-		if r.Watchdog != "" {
+		if r.watchdog != "" {
 			fmt.Fprintf(w, "note: %s tripped the %s watchdog and was stopped early;\n"+
 				"      its speedups cover only the coflows that finished before the stop\n",
-				r.Scheme, r.Watchdog)
+				r.scheme, r.watchdog)
 		}
 	}
 }

@@ -143,12 +143,12 @@ while read -r doc max; do
     fi
 done <<EOF
 docs/API.md 7280
-docs/ARCHITECTURE.md 47810
-docs/OBSERVABILITY.md 37464
-docs/PERFORMANCE.md 29494
-README.md 15400
-DESIGN.md 14390
-EXPERIMENTS.md 13926
+docs/ARCHITECTURE.md 47606
+docs/OBSERVABILITY.md 37381
+docs/PERFORMANCE.md 29477
+README.md 15397
+DESIGN.md 13714
+EXPERIMENTS.md 13906
 EOF
 
 if [ "$fail" -ne 0 ]; then
