@@ -56,10 +56,17 @@ func (p *cellPanic) Error() string {
 // recorders are handed out, artifacts written and fingerprints printed in the
 // figure's order, and only one run's series is in memory at a time.
 //
+// start, when given, is the order the goroutines of a hooks-off run take
+// the cells in, which decides whose heaps are live at once; the results
+// still come back in index order. An instrumented run ignores it.
+//
 // A panicking cell stops its siblings from taking new cells; once the running
 // ones return, its panic (the first by index) is raised on the caller with
 // the cell's stack, so a batch runner fails that one run.
-func cells[T any](o Options, n int, cell func(i int) T) []T {
+func cells[T any](o Options, n int, cell func(i int) T, start ...int) []T {
+	if o.NewRecorder != nil {
+		start = nil
+	}
 	out := make([]T, n)
 	var (
 		next   atomic.Int64
@@ -83,6 +90,9 @@ func cells[T any](o Options, n int, cell func(i int) T) []T {
 		for !failed.Load() {
 			if i = int(next.Add(1) - 1); i >= n {
 				return
+			}
+			if start != nil {
+				i = start[i]
 			}
 			out[i] = cell(i)
 		}

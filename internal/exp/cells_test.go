@@ -5,6 +5,7 @@ import (
 	"io"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -104,6 +105,71 @@ func TestCellsOrderAndBudget(t *testing.T) {
 		})
 		if fmt.Sprint(order) != "[0 1 2 3 4 5]" {
 			t.Errorf("instrumented cells ran in order %v, want 0..5", order)
+		}
+	})
+}
+
+// TestCellsStartOrder: a hooks-off run starts its cells in the given order
+// and returns them in index order; an instrumented run ignores the order, so
+// it hands out recorders in index order; and of two panicking cells the
+// lower index surfaces, though it started second.
+func TestCellsStartOrder(t *testing.T) {
+	start := []int{3, 0, 4, 1, 2}
+	for _, procs := range []int{1, 2} {
+		withProcs(procs, func() {
+			var (
+				mu    sync.Mutex
+				order []int
+			)
+			got := cells(Options{}, len(start), func(i int) int {
+				mu.Lock()
+				order = append(order, i)
+				mu.Unlock()
+				return i * i
+			}, start...)
+			for i, v := range got {
+				if v != i*i {
+					t.Errorf("GOMAXPROCS %d: cell %d = %d, want %d", procs, i, v, i*i)
+				}
+			}
+			if procs == 1 && fmt.Sprint(order) != fmt.Sprint(start) {
+				t.Errorf("hooks-off cells started in order %v, want %v", order, start)
+			}
+		})
+	}
+
+	var tags []string
+	instrumented := Options{NewRecorder: func(tag string) *obs.Recorder {
+		tags = append(tags, tag)
+		return nil
+	}}
+	cells(instrumented, len(start), func(i int) int {
+		instrumented.NewRecorder(fmt.Sprint(i))
+		return 0
+	}, start...)
+	if fmt.Sprint(tags) != "[0 1 2 3 4]" {
+		t.Errorf("instrumented run handed out recorders in order %v, want index order", tags)
+	}
+
+	withProcs(2, func() {
+		var started atomic.Int32
+		recovered := func() (r any) {
+			defer func() { r = recover() }()
+			cells(Options{}, 2, func(i int) int {
+				started.Add(1)
+				for deadline := time.Now().Add(5 * time.Second); started.Load() < 2 && time.Now().Before(deadline); {
+					time.Sleep(100 * time.Microsecond)
+				}
+				return panicInCell(i)
+			}, 1, 0)
+			return nil
+		}()
+		err, ok := recovered.(error)
+		if !ok {
+			t.Fatalf("recovered %v (%T), want the cell's panic as an error", recovered, recovered)
+		}
+		if first, _, _ := strings.Cut(err.Error(), "\n"); first != "cell 0: boom in cell 0" {
+			t.Errorf("two cells panicked, started 1 then 0; the panic reads %q, want cell 0's", first)
 		}
 	})
 }

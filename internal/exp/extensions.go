@@ -51,7 +51,7 @@ func ablationFilter() []ablationFilterResult {
 			util:        rs.Between(sim.Millisecond, dur, 0) / 100,
 		}
 	}
-	return []ablationFilterResult{run(1), run(2)}
+	return cells(Options{}, 2, func(i int) ablationFilterResult { return run(i + 1) })
 }
 
 // ablationCardinalityResult compares incast delay containment with and
@@ -86,7 +86,7 @@ func ablationCardinality(n int) []ablationCardinalityResult {
 		net.Run(4 * sim.Millisecond)
 		return ablationCardinalityResult{estimation: enabled, overLimitFrac: float64(over) / float64(samples)}
 	}
-	return []ablationCardinalityResult{run(true), run(false)}
+	return cells(Options{}, 2, func(i int) ablationCardinalityResult { return run(i == 0) })
 }
 
 // ablationProbeResult compares probe behavior between the paper's
@@ -174,7 +174,7 @@ func ablationProbe() []ablationProbeResult {
 		}
 		return res
 	}
-	return []ablationProbeResult{run(false), run(true)}
+	return cells(Options{}, 2, func(i int) ablationProbeResult { return run(i == 1) })
 }
 
 // ecnPrioResult is the Appendix B extension: DCTCP flows with priority-

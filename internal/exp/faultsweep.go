@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"slices"
+
 	"prioplus/internal/core"
 	"prioplus/internal/fault"
 	"prioplus/internal/sim"
@@ -25,7 +27,7 @@ type faultSweepConfig struct {
 	flapAt  sim.Time
 	flapDur sim.Time
 	schemes []Scheme
-	// Options carries the workload seed (default 5), the fault plan and the
+	// Options carries the run seed (default 5), the fault plan and the
 	// recorder factory; each scheme's run is tagged with the scheme name.
 	Options
 }
@@ -69,24 +71,47 @@ type faultSweepRow struct {
 }
 
 // faultSweep runs every scheme of the config through the same fault plan
-// and workload. The default plan is a single mid-transfer flap of the
-// p0e0-p0a0 uplink; cfg.Faults substitutes any plan and cfg.Seed reseeds
-// the workload.
+// and workload, one private engine per scheme. The default plan is a single
+// mid-transfer flap of the p0e0-p0a0 uplink; cfg.Faults substitutes any
+// plan. cfg.Seed seeds the run's random sources (the plan's impairments,
+// the switches' ECN draws, each flow's probe jitter), not the workload: the
+// permutation is fixed and the sweep's ECN marking is a step, so under a
+// plan without random impairments only PrioPlus's rows change with it.
 //
-// The schemes run one after another on purpose, not through cells: DCQCN
-// does not bound the backlog a paused fabric builds, and its cell's paused
-// NIC queues hold about 7.6 MB of simulated packets mid-run (some 4 MB live,
-// against 1-2 MB for the other schemes), so running it beside another cell
-// costs more peak memory than the second core saves in time.
+// A hooks-off sweep runs its scheme cells on idle cores, started in
+// faultSweepStart's order; the rows still come back in the config's order.
 func faultSweep(cfg faultSweepConfig) []faultSweepRow {
 	if cfg.Faults == nil {
 		cfg.Faults = fault.NewPlan(cfg.Seed).Flap(cfg.flapAt, cfg.flapDur, fault.Link("p0e0", "p0a0"))
 	}
-	rows := make([]faultSweepRow, 0, len(cfg.schemes))
-	for _, s := range cfg.schemes {
-		rows = append(rows, faultSweepOne(s, cfg))
+	return cells(cfg.Options, len(cfg.schemes), func(i int) faultSweepRow {
+		return faultSweepOne(cfg.schemes[i], cfg)
+	}, faultSweepStart(cfg.schemes)...)
+}
+
+// faultSweepStart orders the sweep's cells so that, on two cores, its two
+// largest heaps are not live at once: peak RSS follows the GC goal, which
+// the heaps of the cells running together set. The INT-stamping cell (HPCC)
+// holds the second-largest heap and runs longest, so it starts first. A
+// cell whose congestion control does not bound the backlog a paused fabric
+// builds (DCQCN) holds the largest, so it starts last, about when the INT
+// cell ends. The other cells keep their order between the two.
+func faultSweepStart(schemes []Scheme) []int {
+	rank := func(s Scheme) int {
+		switch {
+		case s.stampINT:
+			return 0
+		case s.unboundedBacklog:
+			return 2
+		}
+		return 1
 	}
-	return rows
+	order := make([]int, len(schemes))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return rank(schemes[a]) - rank(schemes[b]) })
+	return order
 }
 
 // faultSweepOne runs one scheme: cross-pod permutation flows (every host

@@ -43,6 +43,10 @@ type Scheme struct {
 	ecnK int
 	// stampINT enables in-network telemetry stamping on every port (HPCC).
 	stampINT bool
+	// unboundedBacklog marks a scheme whose congestion control does not
+	// bound the backlog a PFC-paused fabric builds (DCQCN): in faultsweep
+	// its paused NIC queues make its cell's heap the largest.
+	unboundedBacklog bool
 }
 
 // swiftFor builds the paper's default Swift for a path.
@@ -135,6 +139,7 @@ func dcqcnPhysical(maxQueues int) Scheme {
 	s := SwiftPhysical(maxQueues)
 	s.name = "Physical+DCQCN"
 	s.ecnK = 100_000
+	s.unboundedBacklog = true
 	s.newAlgo = func(env flowEnv) cc.Algorithm {
 		rate := netsim.Rate(float64(env.bdpPkts*netsim.DefaultMTU*8) / env.baseRTT.Seconds())
 		return cc.NewDCQCN(cc.DefaultDCQCNConfig(rate))

@@ -3,8 +3,6 @@
 package harness
 
 import (
-	"math/rand"
-
 	"prioplus/internal/cc"
 	"prioplus/internal/fault"
 	"prioplus/internal/netsim"
@@ -172,33 +170,13 @@ func (n *Net) AddFlow(f Flow) *transport.Sender {
 		BaseRTT:    n.Topo.BaseRTT(f.Src, f.Dst),
 		Algo:       f.Algo,
 		OnComplete: f.OnComplete,
-		Rand:       rand.New(&lazySource{seed: n.seed ^ id<<17 ^ 0x5bd1e995}),
+		Rand:       sim.LazyRand(n.seed ^ id<<17 ^ 0x5bd1e995),
 		Paced:      f.Paced,
 		VPrio:      f.VPrio,
 	})
 	n.Eng.At(max(f.StartAt, n.Eng.Now()), s.Start)
 	return s
 }
-
-// lazySource is a flow's random source: it seeds itself from seed on its
-// first draw and then yields the stream rand.NewSource(seed) would. Only
-// PrioPlus probe jitter ever draws from a flow's source, so the many flows
-// that never probe skip the generator's 4.9 KB state and its seeding.
-type lazySource struct {
-	seed int64
-	src  rand.Source64
-}
-
-func (l *lazySource) get() rand.Source64 {
-	if l.src == nil {
-		l.src = rand.NewSource(l.seed).(rand.Source64)
-	}
-	return l.src
-}
-
-func (l *lazySource) Int63() int64    { return l.get().Int63() }
-func (l *lazySource) Uint64() uint64  { return l.get().Uint64() }
-func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
 
 // BDPPackets returns the line-rate bandwidth-delay product between two
 // hosts, in MTU packets.

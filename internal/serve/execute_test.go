@@ -216,19 +216,21 @@ func TestCLIAndServerAgree(t *testing.T) {
 
 // TestFanOutSameBytes: the specs whose independent cells fan out across idle
 // cores print, hooks-off, the same bytes on two cores as on one, and the same
-// as their fingerprinted run — which runs its cells serially — once its
-// "# fingerprint" lines are dropped; that run matches the committed manifest.
-// The manifest gate runs fingerprinted, so this is the check that sees a
-// fanned-out run. fig16 stands for the flow-scheduling family (fig11 runs
-// the same scenario and would add 8-15 s); -short keeps to the micro specs.
+// as their fingerprinted run — which runs its recorded cells serially, in
+// index order — once its "# fingerprint" lines are dropped; that run matches
+// the committed manifest. The manifest gate runs fingerprinted, so this is
+// the check that sees a fanned-out run. fig16 stands for the
+// flow-scheduling family (fig11 runs the same scenario and would add
+// 8-15 s); -short keeps to the micro specs, the ablations and faultsweep,
+// whose cells start out of index order.
 func TestFanOutSameBytes(t *testing.T) {
 	m, err := LoadManifest(filepath.Join("..", "..", "testdata", "fingerprints.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := []string{"fig8", "fig9", "fig10c", "fig10d", "fig16"}
-	if testing.Short() {
-		ids = ids[:4]
+	ids := []string{"fig8", "fig9", "fig10c", "fig10d", "ablation", "faultsweep"}
+	if !testing.Short() {
+		ids = append(ids, "fig16")
 	}
 	p := exp.RunParams{Seed: 1}
 	execute := func(id string, procs int, ins Instruments) string {

@@ -8,7 +8,6 @@ package topo
 
 import (
 	"fmt"
-	"math/rand"
 
 	"prioplus/internal/netsim"
 	"prioplus/internal/sim"
@@ -89,8 +88,11 @@ func (n *Network) newHost() *netsim.Host {
 	return h
 }
 
-func (n *Network) newSwitch(name string, rng *rand.Rand) *netsim.Switch {
-	sw := netsim.NewSwitch(n.Eng, name, n.Cfg.Buffer, rng)
+// newSwitch appends a switch whose ECN marking draws from a generator
+// seeded seed on its first draw: a fabric that never marks never pays for
+// one.
+func (n *Network) newSwitch(name string, seed int64) *netsim.Switch {
+	sw := netsim.NewSwitch(n.Eng, name, n.Cfg.Buffer, sim.LazyRand(seed))
 	n.Switches = append(n.Switches, sw)
 	return sw
 }
@@ -308,8 +310,7 @@ func (n *Network) path(src, dst int) []hop {
 // link the bottleneck.
 func Star(eng *sim.Engine, nHosts int, cfg Config) *Network {
 	n := &Network{Eng: eng, Cfg: cfg}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	sw := n.newSwitch("star", rng)
+	sw := n.newSwitch("star", cfg.Seed)
 	for i := 0; i < nHosts; i++ {
 		n.connectHost(n.newHost(), sw)
 	}
@@ -324,26 +325,23 @@ func FatTree(eng *sim.Engine, k int, cfg Config) *Network {
 		panic("topo: fat-tree k must be even")
 	}
 	n := &Network{Eng: eng, Cfg: cfg}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	half := k / 2
 	cores := make([]*netsim.Switch, half*half)
 	for i := range cores {
-		cores[i] = n.newSwitch(fmt.Sprintf("core%d", i), rand.New(rand.NewSource(cfg.Seed+int64(i)+1)))
+		cores[i] = n.newSwitch(fmt.Sprintf("core%d", i), cfg.Seed+int64(i)+1)
 	}
-	_ = rng
 	for pod := 0; pod < k; pod++ {
 		edges := make([]*netsim.Switch, half)
 		aggs := make([]*netsim.Switch, half)
 		for i := 0; i < half; i++ {
-			edges[i] = n.newSwitch(fmt.Sprintf("p%de%d", pod, i), rand.New(rand.NewSource(cfg.Seed+int64(pod*100+i)+1000)))
-			aggs[i] = n.newSwitch(fmt.Sprintf("p%da%d", pod, i), rand.New(rand.NewSource(cfg.Seed+int64(pod*100+i)+2000)))
+			edges[i] = n.newSwitch(fmt.Sprintf("p%de%d", pod, i), cfg.Seed+int64(pod*100+i)+1000)
+			aggs[i] = n.newSwitch(fmt.Sprintf("p%da%d", pod, i), cfg.Seed+int64(pod*100+i)+2000)
 		}
-		for i, e := range edges {
+		for _, e := range edges {
 			for j := 0; j < half; j++ {
 				n.connectHost(n.newHost(), e)
 				n.connectSwitches(e, aggs[j], cfg.fabricRate())
 			}
-			_ = i
 		}
 		for i, a := range aggs {
 			for j := 0; j < half; j++ {
@@ -364,18 +362,18 @@ func Clos(eng *sim.Engine, pods, edges, hostsPerEdge, aggs, coreCount int, cfg C
 	n := &Network{Eng: eng, Cfg: cfg}
 	cores := make([]*netsim.Switch, coreCount)
 	for i := range cores {
-		cores[i] = n.newSwitch(fmt.Sprintf("core%d", i), rand.New(rand.NewSource(cfg.Seed+int64(i)+1)))
+		cores[i] = n.newSwitch(fmt.Sprintf("core%d", i), cfg.Seed+int64(i)+1)
 	}
 	for pod := 0; pod < pods; pod++ {
 		aggSw := make([]*netsim.Switch, aggs)
 		for i := range aggSw {
-			aggSw[i] = n.newSwitch(fmt.Sprintf("p%da%d", pod, i), rand.New(rand.NewSource(cfg.Seed+int64(pod*100+i)+2000)))
+			aggSw[i] = n.newSwitch(fmt.Sprintf("p%da%d", pod, i), cfg.Seed+int64(pod*100+i)+2000)
 			for _, c := range cores {
 				n.connectSwitches(aggSw[i], c, cfg.fabricRate())
 			}
 		}
 		for e := 0; e < edges; e++ {
-			edge := n.newSwitch(fmt.Sprintf("p%de%d", pod, e), rand.New(rand.NewSource(cfg.Seed+int64(pod*100+e)+3000)))
+			edge := n.newSwitch(fmt.Sprintf("p%de%d", pod, e), cfg.Seed+int64(pod*100+e)+3000)
 			for i := 0; i < hostsPerEdge; i++ {
 				n.connectHost(n.newHost(), edge)
 			}
@@ -405,10 +403,10 @@ func SpineLeaf(eng *sim.Engine, leaves, spines, hostsPerLeaf int, cfg Config) *N
 	n := &Network{Eng: eng, Cfg: cfg}
 	spineSw := make([]*netsim.Switch, spines)
 	for i := range spineSw {
-		spineSw[i] = n.newSwitch(fmt.Sprintf("spine%d", i), rand.New(rand.NewSource(cfg.Seed+int64(i)+1)))
+		spineSw[i] = n.newSwitch(fmt.Sprintf("spine%d", i), cfg.Seed+int64(i)+1)
 	}
 	for l := 0; l < leaves; l++ {
-		leaf := n.newSwitch(fmt.Sprintf("leaf%d", l), rand.New(rand.NewSource(cfg.Seed+int64(l)+5000)))
+		leaf := n.newSwitch(fmt.Sprintf("leaf%d", l), cfg.Seed+int64(l)+5000)
 		for i := 0; i < hostsPerLeaf; i++ {
 			n.connectHost(n.newHost(), leaf)
 		}

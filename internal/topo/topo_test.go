@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"runtime"
 	"testing"
 
 	"prioplus/internal/netsim"
@@ -169,5 +170,39 @@ func TestBaseRTTSymmetric(t *testing.T) {
 		if a != b {
 			t.Errorf("BaseRTT(%d,%d)=%v != BaseRTT(%d,%d)=%v", pair[0], pair[1], a, pair[1], pair[0], b)
 		}
+	}
+}
+
+// TestUnmarkedSwitchSeedsNoSource: a switch's ECN generator seeds its
+// 4.9 KB math/rand source on its first draw, so a fabric that never marks
+// never allocates one. The same cross-pod ECT traffic through a k=4
+// fat-tree allocates at least a source per switch on its paths more with
+// ECN on than with ECN off: no source existed before the first mark check.
+func TestUnmarkedSwitchSeedsNoSource(t *testing.T) {
+	run := func(ecn bool) uint64 {
+		cfg := DefaultConfig()
+		if ecn {
+			cfg.Buffer.ECNKMin, cfg.Buffer.ECNKMax = 100_000, 100_000
+		}
+		eng := sim.NewEngine()
+		n := FatTree(eng, 4, cfg)
+		for i := 0; i < 8; i++ {
+			n.Hosts[i+8].Sink = func(*netsim.Packet) {}
+			for k := 0; k < 4; k++ {
+				pkt := dataPkt(int64(i), i, i+8, int64(k)*1000)
+				pkt.ECT = true
+				n.Hosts[i].Send(pkt)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		eng.Run()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// Every cross-pod path crosses five switches.
+	const source = 4 << 10
+	if off, on := run(false), run(true); on < off+5*source {
+		t.Errorf("the marking fabric allocated %d B against %d B unmarked, want at least five sources (%d B each) more", on, off, source)
 	}
 }
