@@ -6,6 +6,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+
+	"prioplus/internal/obs"
 )
 
 // running counts the registered runs in progress and helpers the goroutines
@@ -45,28 +47,28 @@ func (p *cellPanic) Error() string {
 	return fmt.Sprintf("cell %d: %v\n%s", p.cell, p.val, p.stack)
 }
 
-// cells runs a figure's n independent cells — each a private engine — and
-// returns their results in index order. A cell must not touch state another
-// cell can see; then the results, and so the figure bytes, do not depend on
+// cells runs a figure's n independent cells — each a private engine — on
+// the calling goroutine plus whatever helpers tryHelper grants, and returns
+// their results in index order. A cell must not touch state another cell
+// can see; then the results, and so the figure bytes, do not depend on
 // which goroutine ran which cell, or when.
 //
-// A hooks-off run (o.NewRecorder == nil) runs the cells on the calling
-// goroutine plus whatever helpers tryHelper grants. An instrumented run takes
-// no helper, so the caller runs its cells in order, as a loop would:
-// recorders are handed out, artifacts written and fingerprints printed in the
-// figure's order, and only one run's series is in memory at a time.
+// Cell i builds its runs from the Options it is handed. In an instrumented
+// run that copy's NewRecorder notes which recorders cell i received, and
+// once the cells return, o.order gets them in index order, so the sink
+// lists the runs — their summary lines, artifacts and stems — in the
+// figure's order, whichever cell asked first. An instrumented run with no
+// order to report to (a nested fan-out, a sink that cannot reorder) takes
+// no helper and runs its cells in order, as a loop would.
 //
-// start, when given, is the order the goroutines of a hooks-off run take
-// the cells in, which decides whose heaps are live at once; the results
-// still come back in index order. An instrumented run ignores it.
+// start, when given, is the order the goroutines take the cells in, which
+// decides whose heaps are live at once; the results still come back in
+// index order.
 //
 // A panicking cell stops its siblings from taking new cells; once the running
 // ones return, its panic (the first by index) is raised on the caller with
 // the cell's stack, so a batch runner fails that one run.
-func cells[T any](o Options, n int, cell func(i int) T, start ...int) []T {
-	if o.NewRecorder != nil {
-		start = nil
-	}
+func cells[T any](o Options, n int, cell func(i int, o Options) T, start ...int) []T {
 	out := make([]T, n)
 	var (
 		next   atomic.Int64
@@ -74,7 +76,27 @@ func cells[T any](o Options, n int, cell func(i int) T, start ...int) []T {
 		mu     sync.Mutex
 		first  *cellPanic
 		wg     sync.WaitGroup
+		recs   = make([][]*obs.Recorder, n)
 	)
+	serial := o.NewRecorder != nil && o.order == nil
+	if serial {
+		start = nil
+	}
+	opts := func(i int) Options {
+		if o.NewRecorder == nil || serial {
+			return o
+		}
+		c := o
+		c.order = nil
+		c.NewRecorder = func(tag string) *obs.Recorder {
+			rec := o.NewRecorder(tag)
+			mu.Lock()
+			recs[i] = append(recs[i], rec)
+			mu.Unlock()
+			return rec
+		}
+		return c
+	}
 	work := func() {
 		i := -1
 		defer func() {
@@ -94,10 +116,10 @@ func cells[T any](o Options, n int, cell func(i int) T, start ...int) []T {
 			if start != nil {
 				i = start[i]
 			}
-			out[i] = cell(i)
+			out[i] = cell(i, opts(i))
 		}
 	}
-	for h := 1; h < n && o.NewRecorder == nil && tryHelper(); h++ {
+	for h := 1; h < n && !serial && tryHelper(); h++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -107,6 +129,9 @@ func cells[T any](o Options, n int, cell func(i int) T, start ...int) []T {
 	}
 	work()
 	wg.Wait()
+	if o.order != nil {
+		o.order(recs)
+	}
 	if first != nil {
 		panic(first)
 	}

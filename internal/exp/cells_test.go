@@ -26,7 +26,7 @@ func withProcs(n int, f func()) {
 // one cell while the caller ran the other.
 func together() bool {
 	var started atomic.Int32
-	met := cells(Options{}, 2, func(int) bool {
+	met := cells(Options{}, 2, func(int, Options) bool {
 		started.Add(1)
 		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 			if started.Load() == 2 {
@@ -44,6 +44,33 @@ func panicInCell(i int) int {
 	panic(fmt.Sprintf("boom in cell %d", i))
 }
 
+// orderSink is a Sink with the ordering hook: listed is the tags of the
+// runs it handed out, put in figure order by Order.
+type orderSink struct {
+	mu     sync.Mutex
+	tags   map[*obs.Recorder]string
+	listed []string
+}
+
+func (s *orderSink) Recorder(tag string) *obs.Recorder {
+	rec := obs.NewRecorder()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.tags == nil {
+		s.tags = map[*obs.Recorder]string{}
+	}
+	s.tags[rec] = tag
+	return rec
+}
+
+func (s *orderSink) Order(cells [][]*obs.Recorder) {
+	for _, recs := range cells {
+		for _, rec := range recs {
+			s.listed = append(s.listed, s.tags[rec])
+		}
+	}
+}
+
 // recorderSink hands out the recorders of an instrumented spec run.
 type recorderSink func(tag string) *obs.Recorder
 
@@ -52,12 +79,12 @@ func (f recorderSink) Recorder(tag string) *obs.Recorder { return f(tag) }
 // TestCellsOrderAndBudget: results come back in index order whoever ran
 // them; with GOMAXPROCS 1 there is no helper, with 2 there is one unless the
 // runs in progress hold both cores; a registered spec holds a core while it
-// runs; and an instrumented run calls its cells in order on the caller,
-// never borrowing a helper.
+// runs; and an instrumented run whose sink cannot reorder its runs calls its
+// cells in order on the caller, never borrowing a helper.
 func TestCellsOrderAndBudget(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		withProcs(procs, func() {
-			got := cells(Options{}, 50, func(i int) int { return i * i })
+			got := cells(Options{}, 50, func(i int, _ Options) int { return i * i })
 			for i, v := range got {
 				if v != i*i {
 					t.Fatalf("GOMAXPROCS %d: cell %d = %d, want %d", procs, i, v, i*i)
@@ -66,7 +93,7 @@ func TestCellsOrderAndBudget(t *testing.T) {
 		})
 	}
 	withProcs(1, func() {
-		cells(Options{}, 8, func(i int) int {
+		cells(Options{}, 8, func(i int, _ Options) int {
 			if b := helpers.Load(); b != 0 {
 				t.Errorf("GOMAXPROCS 1: cell %d ran beside %d helpers, want a serial run", i, b)
 			}
@@ -78,7 +105,7 @@ func TestCellsOrderAndBudget(t *testing.T) {
 			t.Error("GOMAXPROCS 2: the two cells never ran at once")
 		}
 		running.Add(2) // two runs of a batch hold both cores
-		cells(Options{}, 8, func(i int) int {
+		cells(Options{}, 8, func(i int, _ Options) int {
 			if b := helpers.Load(); b != 0 {
 				t.Errorf("cell %d ran beside %d helpers while two runs held both cores", i, b)
 			}
@@ -96,7 +123,7 @@ func TestCellsOrderAndBudget(t *testing.T) {
 		}
 		var order []int
 		instrumented := Options{NewRecorder: func(string) *obs.Recorder { return nil }}
-		cells(instrumented, 6, func(i int) int {
+		cells(instrumented, 6, func(i int, _ Options) int {
 			order = append(order, i) // unsynchronized on purpose: -race proves one goroutine
 			if helpers.Load() != 0 {
 				t.Errorf("instrumented cell %d ran beside a helper", i)
@@ -109,10 +136,10 @@ func TestCellsOrderAndBudget(t *testing.T) {
 	})
 }
 
-// TestCellsStartOrder: a hooks-off run starts its cells in the given order
-// and returns them in index order; an instrumented run ignores the order, so
-// it hands out recorders in index order; and of two panicking cells the
-// lower index surfaces, though it started second.
+// TestCellsStartOrder: a run starts its cells in the given order and returns
+// them in index order; an instrumented one, which asks the sink for
+// recorders in start order, has the sink list its runs in index order; and
+// of two panicking cells the lower index surfaces, though it started second.
 func TestCellsStartOrder(t *testing.T) {
 	start := []int{3, 0, 4, 1, 2}
 	for _, procs := range []int{1, 2} {
@@ -121,7 +148,7 @@ func TestCellsStartOrder(t *testing.T) {
 				mu    sync.Mutex
 				order []int
 			)
-			got := cells(Options{}, len(start), func(i int) int {
+			got := cells(Options{}, len(start), func(i int, _ Options) int {
 				mu.Lock()
 				order = append(order, i)
 				mu.Unlock()
@@ -138,24 +165,35 @@ func TestCellsStartOrder(t *testing.T) {
 		})
 	}
 
-	var tags []string
-	instrumented := Options{NewRecorder: func(tag string) *obs.Recorder {
-		tags = append(tags, tag)
-		return nil
-	}}
-	cells(instrumented, len(start), func(i int) int {
-		instrumented.NewRecorder(fmt.Sprint(i))
-		return 0
-	}, start...)
-	if fmt.Sprint(tags) != "[0 1 2 3 4]" {
-		t.Errorf("instrumented run handed out recorders in order %v, want index order", tags)
+	for _, procs := range []int{1, 2} {
+		withProcs(procs, func() {
+			sink := &orderSink{}
+			var (
+				mu    sync.Mutex
+				order []int
+			)
+			cells(specOptions(RunParams{}, sink), len(start), func(i int, o Options) int {
+				mu.Lock()
+				order = append(order, i)
+				mu.Unlock()
+				o.NewRecorder(fmt.Sprint(i))
+				o.NewRecorder(fmt.Sprint(i, "b"))
+				return 0
+			}, start...)
+			if procs == 1 && fmt.Sprint(order) != fmt.Sprint(start) {
+				t.Errorf("instrumented cells started in order %v, want %v", order, start)
+			}
+			if got := fmt.Sprint(sink.listed); got != "[0 0b 1 1b 2 2b 3 3b 4 4b]" {
+				t.Errorf("GOMAXPROCS %d: the sink lists the runs as %s, want index order", procs, got)
+			}
+		})
 	}
 
 	withProcs(2, func() {
 		var started atomic.Int32
 		recovered := func() (r any) {
 			defer func() { r = recover() }()
-			cells(Options{}, 2, func(i int) int {
+			cells(Options{}, 2, func(i int, _ Options) int {
 				started.Add(1)
 				for deadline := time.Now().Add(5 * time.Second); started.Load() < 2 && time.Now().Before(deadline); {
 					time.Sleep(100 * time.Microsecond)
@@ -176,18 +214,18 @@ func TestCellsStartOrder(t *testing.T) {
 
 // TestCellsPanic: a panicking cell surfaces on the caller with the cell's
 // value on the first line and its stack after, the same with hooks off or
-// on; its siblings stop taking new cells; every budget slot comes back (a
+// on, serial or fanned out; its siblings stop taking new cells; every budget slot comes back (a
 // fan-out right after still gets its helper); and under runner.Run only
 // that task fails.
 func TestCellsPanic(t *testing.T) {
 	withProcs(2, func() {
 		const n = 1000
 		instrumented := Options{NewRecorder: func(string) *obs.Recorder { return nil }}
-		for _, o := range []Options{{}, instrumented} {
+		for _, o := range []Options{{}, instrumented, specOptions(RunParams{}, &orderSink{})} {
 			var started atomic.Int32
 			recovered := func() (r any) {
 				defer func() { r = recover() }()
-				cells(o, n, func(i int) int {
+				cells(o, n, func(i int, _ Options) int {
 					started.Add(1)
 					if i == 0 {
 						return panicInCell(i)
@@ -219,7 +257,7 @@ func TestCellsPanic(t *testing.T) {
 		task := func(name string, bad bool) runner.Task {
 			return runner.Task{Name: name, Run: func() (string, map[string]float64) {
 				sum := 0
-				for _, v := range cells(Options{}, 6, func(i int) int {
+				for _, v := range cells(Options{}, 6, func(i int, _ Options) int {
 					if bad && i == 3 {
 						return panicInCell(i)
 					}

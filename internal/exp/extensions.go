@@ -26,9 +26,9 @@ type ablationFilterResult struct {
 // with a tight channel, with ConsecLimit 1 (no filter) and 2 (paper).
 // Without the filter, long-tail noise spikes trigger spurious yields.
 func ablationFilter() []ablationFilterResult {
-	run := func(consec int) ablationFilterResult {
+	run := func(consec int, o Options) ablationFilterResult {
 		// 2x-scaled noise, its RNG at 53, replaces the standard model.
-		net := star(Options{}, "", 7, 51, longTail{off: 2, scale: 2}, nil)
+		net := star(o, "", 7, 51, longTail{off: 2, scale: 2}, nil)
 		recv := 6
 		plan := core.DefaultPlan(net.Topo.BaseRTT(0, recv))
 		flows := make([]*core.PrioPlus, 5)
@@ -51,7 +51,7 @@ func ablationFilter() []ablationFilterResult {
 			util:        rs.Between(sim.Millisecond, dur, 0) / 100,
 		}
 	}
-	return cells(Options{}, 2, func(i int) ablationFilterResult { return run(i + 1) })
+	return cells(Options{}, 2, func(i int, o Options) ablationFilterResult { return run(i+1, o) })
 }
 
 // ablationCardinalityResult compares incast delay containment with and
@@ -65,8 +65,8 @@ type ablationCardinalityResult struct {
 // every flow keeps #flow = 1 and linear-starts at full W_LS, so the
 // aggregate repeatedly overshoots D_limit (§4.3.1's "problematic cycle").
 func ablationCardinality(n int) []ablationCardinalityResult {
-	run := func(enabled bool) ablationCardinalityResult {
-		net := star(Options{}, "", n+2, 57, paperNoise, nil)
+	run := func(enabled bool, o Options) ablationCardinalityResult {
+		net := star(o, "", n+2, 57, paperNoise, nil)
 		recv := n + 1
 		base := net.Topo.BaseRTT(0, recv)
 		ch := core.DefaultPlan(base).Channel(4)
@@ -86,7 +86,7 @@ func ablationCardinality(n int) []ablationCardinalityResult {
 		net.Run(4 * sim.Millisecond)
 		return ablationCardinalityResult{estimation: enabled, overLimitFrac: float64(over) / float64(samples)}
 	}
-	return cells(Options{}, 2, func(i int) ablationCardinalityResult { return run(i == 0) })
+	return cells(Options{}, 2, func(i int, o Options) ablationCardinalityResult { return run(i == 0, o) })
 }
 
 // ablationProbeResult compares probe behavior between the paper's
@@ -107,10 +107,10 @@ type ablationProbeResult struct {
 // under ten high-priority flows and measures per-priority probe rates,
 // total probe load, and reclaim latency.
 func ablationProbe() []ablationProbeResult {
-	run := func(naive bool) ablationProbeResult {
+	run := func(naive bool, o Options) ablationProbeResult {
 		const perPrio, nHigh = 10, 10
 		const nLow = 4 * perPrio
-		net := star(Options{}, "", nLow+nHigh+2, 61, paperNoise, nil)
+		net := star(o, "", nLow+nHigh+2, 61, paperNoise, nil)
 		eng := net.Eng
 		recv := nLow + nHigh
 		plan := core.DefaultPlan(net.Topo.BaseRTT(0, recv))
@@ -174,7 +174,7 @@ func ablationProbe() []ablationProbeResult {
 		}
 		return res
 	}
-	return cells(Options{}, 2, func(i int) ablationProbeResult { return run(i == 1) })
+	return cells(Options{}, 2, func(i int, o Options) ablationProbeResult { return run(i == 1, o) })
 }
 
 // ecnPrioResult is the Appendix B extension: DCTCP flows with priority-

@@ -78,14 +78,17 @@ type faultSweepRow struct {
 // permutation is fixed and the sweep's ECN marking is a step, so under a
 // plan without random impairments only PrioPlus's rows change with it.
 //
-// A hooks-off sweep runs its scheme cells on idle cores, started in
-// faultSweepStart's order; the rows still come back in the config's order.
+// The sweep runs its scheme cells on idle cores, started in
+// faultSweepStart's order; the rows, and an instrumented sweep's runs,
+// still come back in the config's order.
 func faultSweep(cfg faultSweepConfig) []faultSweepRow {
 	if cfg.Faults == nil {
 		cfg.Faults = fault.NewPlan(cfg.Seed).Flap(cfg.flapAt, cfg.flapDur, fault.Link("p0e0", "p0a0"))
 	}
-	return cells(cfg.Options, len(cfg.schemes), func(i int) faultSweepRow {
-		return faultSweepOne(cfg.schemes[i], cfg)
+	return cells(cfg.Options, len(cfg.schemes), func(i int, o Options) faultSweepRow {
+		c := cfg
+		c.Options = o
+		return faultSweepOne(cfg.schemes[i], c)
 	}, faultSweepStart(cfg.schemes)...)
 }
 

@@ -157,8 +157,9 @@ func rowFrom(r flowSchedResult) fig11Row {
 // (cells).
 func fig11(prioCounts []int, base flowSchedConfig) []fig11Row {
 	schemes := []Scheme{SwiftPhysical(8), swiftPhysicalIdeal(), PrioPlusSwift()}
-	return cells(base.Options, len(prioCounts)*len(schemes), func(i int) fig11Row {
+	return cells(base.Options, len(prioCounts)*len(schemes), func(i int, o Options) fig11Row {
 		cfg := base
+		cfg.Options = o
 		cfg.scheme = schemes[i%len(schemes)]
 		cfg.nPrios = prioCounts[i/len(schemes)]
 		return rowFrom(runFlowSched(cfg))
@@ -177,9 +178,10 @@ func fig16(nprios int, base flowSchedConfig) []fig11Row {
 		{PrioPlusSwift(), true, "PrioPlus*+Swift"},
 		{hpccPhysical(8), false, "Physical+HPCC"},
 	}
-	return cells(base.Options, len(variants), func(i int) fig11Row {
+	return cells(base.Options, len(variants), func(i int, o Options) fig11Row {
 		v := variants[i]
 		cfg := base
+		cfg.Options = o
 		cfg.scheme = v.s
 		cfg.nPrios = nprios
 		cfg.ackPrioData = v.ackData

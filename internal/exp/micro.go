@@ -417,7 +417,7 @@ type takeoverStats struct {
 // with dual-RTT gating on and off, one engine (cell) per variant; Seed,
 // Faults, and Perturb thread through to both.
 func fig10c(o Options) fig10cResult {
-	run := func(everyRTT bool) takeoverStats {
+	run := func(everyRTT bool, o Options) takeoverStats {
 		net := star(o, "", 21, 19, paperNoise, nil)
 		recv := 20
 		plan := core.DefaultPlan(net.Topo.BaseRTT(0, recv))
@@ -460,7 +460,7 @@ func fig10c(o Options) fig10cResult {
 		}
 		return st
 	}
-	st := cells(o, 2, func(i int) takeoverStats { return run(i == 1) })
+	st := cells(o, 2, func(i int, o Options) takeoverStats { return run(i == 1, o) })
 	return fig10cResult{dualRTT: st[0], everyRTT: st[1]}
 }
 
@@ -491,7 +491,7 @@ func defaultFig10dConfig() fig10dConfig {
 // (29), both of which follow an o.Seed override.
 func fig10d(fc fig10dConfig, o Options) []fig10dPoint {
 	nw := len(fc.widthsUS)
-	return cells(o, len(fc.scales)*nw, func(i int) fig10dPoint {
+	return cells(o, len(fc.scales)*nw, func(i int, o Options) fig10dPoint {
 		sc, w := fc.scales[i/nw], fc.widthsUS[i%nw]
 		net := star(o, "", 7, 21, longTail{off: 8, scale: sc}, nil)
 		recv := 6
@@ -686,9 +686,9 @@ type table2Row struct {
 // into a 50%-utilized link (n = 8 RTTs to line rate for the ramped
 // strategies). The published seed (41) holds unless o overrides it; the
 // scenario runs without the noise model by design (see below), so Perturb
-// does not apply, and each strategy is a private engine.
+// does not apply, and each strategy is a private engine (cell).
 func table2(o Options) []table2Row {
-	simulate := func(kind string) float64 {
+	simulate := func(kind string, o Options) float64 {
 		// The Table 2 analysis is an idealized start-transient argument;
 		// measurement noise would blur the freeze threshold, so this
 		// scenario runs the micro star without a noise model.
@@ -728,11 +728,15 @@ func table2(o Options) []table2Row {
 		net.Run(sim.Millisecond + 400*sim.Microsecond)
 		return float64(qPeak-qBefore) / bdp
 	}
-	return []table2Row{
-		{"line-rate", "0", "1 BDP", simulate("line-rate")},
-		{"exponential", "n-3/2 BDP", "0.5 BDP", simulate("exponential")},
-		{"linear", "n/2 BDP", "1/n BDP", simulate("linear")},
+	rows := []table2Row{
+		{"line-rate", "0", "1 BDP", 0},
+		{"exponential", "n-3/2 BDP", "0.5 BDP", 0},
+		{"linear", "n/2 BDP", "1/n BDP", 0},
 	}
+	for i, v := range cells(o, len(rows), func(i int, o Options) float64 { return simulate(rows[i].strategy, o) }) {
+		rows[i].simExtraBDP = v
+	}
+	return rows
 }
 
 // fixedRate holds a constant window (background traffic for Table 2).
@@ -825,11 +829,12 @@ type appDResult struct {
 
 // appD measures the steady-state delay fluctuation of n synchronized
 // Swift flows against the analytic bound n*W_AI/R + max(n*beta*W_AI /
-// (R*T), mdf)*T.
+// (R*T), mdf)*T, one engine (cell) per flow count on the published seed
+// (43).
 func appD(ns []int) []appDResult {
-	var out []appDResult
-	for _, n := range ns {
-		net := star(Options{}, "", n+2, 43, paperNoise, nil)
+	return cells(Options{}, len(ns), func(i int, o Options) appDResult {
+		n := ns[i]
+		net := star(o, "", n+2, 43, paperNoise, nil)
 		recv := n + 1
 		base := net.Topo.BaseRTT(0, recv)
 		var scfg cc.SwiftConfig
@@ -848,16 +853,15 @@ func appD(ns []int) []appDResult {
 		r := 100e9 / 8
 		bound := float64(n)*wai/r*1e6 + max(float64(n)*scfg.Beta*wai/(r*target*1e-6)*1e-6, scfg.MaxMDF)*target
 		measured := float64(maxD-minD) / float64(sim.Microsecond)
-		out = append(out, appDResult{
+		return appDResult{
 			n:          n,
 			measuredUS: measured,
 			boundUS:    bound,
 			// The bound is worst-case (synchronized flows); measured
 			// fluctuation must not exceed it by more than jitter.
 			withinBound: measured <= bound*1.25+1,
-		})
-	}
-	return out
+		}
+	})
 }
 
 // chipRatio is one switch generation's buffer/bandwidth ratio (Fig 2).

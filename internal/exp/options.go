@@ -23,6 +23,10 @@ type Options struct {
 	// per run, and its untagged runs are never instrumented (see newNet).
 	// Instrumentation never changes figure output.
 	NewRecorder func(tag string) *obs.Recorder
+	// order, set with NewRecorder when the sink can reorder its runs, takes
+	// the recorders each of a fan-out's cells received, cell by cell
+	// (cells); nil keeps an instrumented fan-out's cells serial.
+	order func(cells [][]*obs.Recorder)
 	// Faults, when non-nil and non-empty, is installed on each run's
 	// topology before traffic starts (harness.WithFaults). A Plan is
 	// immutable, so the same plan serves every run of a sweep.

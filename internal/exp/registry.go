@@ -72,6 +72,15 @@ type Sink interface {
 	Recorder(tag string) *obs.Recorder
 }
 
+// runOrderer is a Sink that can list a fan-out's runs in the figure's
+// order. Without it an instrumented run keeps its cells serial (cells).
+type runOrderer interface {
+	// Order takes the recorders a fan-out's cells received: cells[i] are
+	// cell i's, in its order. The sink lists their runs in that order,
+	// however the cells' requests interleaved.
+	Order(cells [][]*obs.Recorder)
+}
+
 // Spec is one registered experiment: everything a front end (CLI, batch
 // runner, job server) needs to enumerate, describe, validate, and run it.
 type Spec struct {

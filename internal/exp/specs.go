@@ -30,7 +30,21 @@ var defaults = RunParams{Seed: 1}
 // config-driven scenario: the caller's seed applies, the perturbation does
 // not.
 func scenarioOptions(p RunParams, o Options) Options {
-	return Options{Seed: p.Seed, NewRecorder: o.NewRecorder}
+	return Options{Seed: p.Seed, NewRecorder: o.NewRecorder, order: o.order}
+}
+
+// specOptions is the Options a spec hands its drivers: the perturbation,
+// and when the execution is instrumented the sink's recorder factory, plus
+// its run ordering if it has one (cells reports to it).
+func specOptions(p RunParams, sink Sink) Options {
+	o := Options{Perturb: p.Perturb}
+	if sink != nil {
+		o.NewRecorder = sink.Recorder
+		if ro, ok := sink.(runOrderer); ok {
+			o.order = ro.Order
+		}
+	}
+	return o
 }
 
 // flowSchedAt is the flow-scheduling set-up of fig11, fig14 and fig16: the
@@ -62,19 +76,14 @@ func coflowAt(p RunParams, o Options, load float64) CoflowConfig {
 }
 
 func init() {
-	// A spec hands its drivers one Options: the perturbation, and the
-	// sink's recorder factory when the execution is instrumented. While it
-	// runs it holds a core of cells' helper budget.
+	// A spec hands its drivers one Options (specOptions). While it runs it
+	// holds a core of cells' helper budget.
 	reg := func(id, describe string, run func(p RunParams, o Options, w io.Writer) error) {
 		Register(Spec{ID: id, Describe: describe, Defaults: defaults,
 			Run: func(p RunParams, sink Sink, w io.Writer) error {
 				running.Add(1)
 				defer running.Add(-1)
-				o := Options{Perturb: p.Perturb}
-				if sink != nil {
-					o.NewRecorder = sink.Recorder
-				}
-				return run(p, o, w)
+				return run(p, specOptions(p, sink), w)
 			}})
 	}
 
@@ -142,7 +151,7 @@ func init() {
 		if !p.Full {
 			interval = 2 * sim.Millisecond
 		}
-		r := cells(o, 2, func(i int) fig8Result { return fig8(i == 0, interval, o) })
+		r := cells(o, 2, func(i int, o Options) fig8Result { return fig8(i == 0, interval, o) })
 		pp, sw := r[0], r[1]
 		tb := stats.NewTable("scheme", "dominance of newest priority")
 		tb.AddRow(pp.scheme, pp.dominanceFrac)
@@ -153,7 +162,7 @@ func init() {
 	})
 
 	reg("fig9", "delay containment with inflated AI steps (10G)", func(p RunParams, o Options, w io.Writer) error {
-		r := cells(o, 2, func(i int) fig9Result { return fig9(i == 0, o) })
+		r := cells(o, 2, func(i int, o Options) fig9Result { return fig9(i == 0, o) })
 		pp, sw := r[0], r[1]
 		tb := stats.NewTable("scheme", "frac of samples above D_limit")
 		tb.AddRow(pp.scheme, pp.overLimitFrac)

@@ -125,18 +125,13 @@ func New(t *topo.Network, seed int64, opts ...Option) *Net {
 
 // Run runs the engine to the horizon; call it once, after the flows are
 // registered. On a Net built WithRecorder it is the whole recorder protocol
-// of docs/OBSERVABILITY.md: the series columns are pre-sized for the horizon
-// (sources were registered at New), and the device counters are collected —
-// which fires rec.OnCollected — exactly once, after the engine returns. With
-// no recorder it is a plain RunUntil.
+// of docs/OBSERVABILITY.md: the device counters are collected — which fires
+// rec.OnCollected — exactly once, after the engine returns. With no
+// recorder it is a plain RunUntil.
 func (n *Net) Run(horizon sim.Time) {
-	rec := n.Rec
-	if rec != nil && rec.Series != nil {
-		rec.Series.ReserveUntil(horizon)
-	}
 	n.Eng.RunUntil(horizon)
-	if rec != nil {
-		n.CollectMetrics(rec)
+	if n.Rec != nil {
+		n.CollectMetrics(n.Rec)
 	}
 }
 

@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"bytes"
 	"testing"
 
 	"prioplus/internal/fault"
@@ -153,6 +154,21 @@ func TestCollectMetricsWithoutObserve(t *testing.T) {
 	}
 }
 
+// readBack writes rec's artifact and reads it back: the production path to
+// the sampled columns.
+func readBack(t *testing.T, rec *obs.Recorder) *obs.Artifact {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.WriteArtifact(&buf, "run", rec); err != nil {
+		t.Fatal(err)
+	}
+	art, err := obs.ReadArtifact(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return art
+}
+
 // TestObserveSeriesAndHists: the full telemetry stack on a real run — the
 // standard source catalogue is registered, the engine-clock sampler fills
 // every series in lockstep, and the latency histograms are populated.
@@ -173,16 +189,14 @@ func TestObserveSeriesAndHists(t *testing.T) {
 		t.Fatalf("%d/2 flows completed under full telemetry", done)
 	}
 
-	ss := rec.Series
-	if ss.Ticks() == 0 {
-		t.Fatal("sampler never fired")
-	}
-	byName := map[string]*obs.Series{}
-	for _, s := range ss.All() {
-		if len(s.V) != ss.Ticks() {
-			t.Errorf("series %q has %d samples, want %d: columns out of lockstep", s.Name, len(s.V), ss.Ticks())
+	// 5 ms at 10 us: 500 ticks, every column sampled at each (the reader
+	// rejects a sample line with a value missing).
+	byName := map[string][]float64{}
+	for _, s := range readBack(t, rec).Series {
+		if len(s.V) != 500 {
+			t.Errorf("series %q has %d samples, want 500", s.Name, len(s.V))
 		}
-		byName[s.Name] = s
+		byName[s.Name] = s.V
 	}
 	for _, name := range []string{
 		"net/inflight_bytes", "net/inflight_packets", "net/event_heap",
@@ -196,7 +210,7 @@ func TestObserveSeriesAndHists(t *testing.T) {
 		}
 	}
 	peak := 0.0
-	for _, v := range byName["net/inflight_bytes"].V {
+	for _, v := range byName["net/inflight_bytes"] {
 		if v > peak {
 			peak = v
 		}
@@ -284,7 +298,7 @@ func TestObserveCostLiveRuntime(t *testing.T) {
 	}
 
 	// Runtime series registered after the simulated catalogue.
-	all := rec.Series.All()
+	all := readBack(t, rec).Series
 	if len(all) == 0 || all[0].Name != "net/inflight_bytes" {
 		t.Fatal("deterministic catalogue no longer leads the series set")
 	}
@@ -292,8 +306,8 @@ func TestObserveCostLiveRuntime(t *testing.T) {
 	if last.Name != "runtime/wall_per_sim" {
 		t.Errorf("last series = %s, want runtime/wall_per_sim", last.Name)
 	}
-	if len(last.V) != len(all[0].V) {
-		t.Errorf("runtime series has %d samples, catalogue has %d", len(last.V), len(all[0].V))
+	if len(last.V) != len(all[0].V) || len(last.V) != 500 {
+		t.Errorf("runtime series has %d samples, catalogue has %d, want 500", len(last.V), len(all[0].V))
 	}
 }
 
@@ -348,7 +362,7 @@ func TestRunIsTheRecorderProtocol(t *testing.T) {
 			t.Errorf("%s: flows_completed=%v tx_packets=%v: recorder attached after traffic, or never collected",
 				name, snap["net/flows_completed"], snap["net/tx_packets"])
 		}
-		if got := rec.Series.Ticks(); got != 500 {
+		if got := len(readBack(t, rec).Series[0].V); got != 500 {
 			t.Errorf("%s: %d series ticks over 5 ms at 10 us, want 500", name, got)
 		}
 		if got := len(rec.Faults.Events); got != 2 {

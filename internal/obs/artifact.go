@@ -176,7 +176,10 @@ type artifactLine struct {
 // bytes are exactly what encoding/json produced for the artifactMeta and
 // artifactLine shapes below (same field order, same omitempty omissions —
 // so tick 0's sample line has no "i" — same float and string forms); the
-// reflection encoder survives in the tests as the oracle for that.
+// reflection encoder survives in the tests as the oracle for that. The
+// sample lines come from the series set, which encoded each as its tick was
+// taken; a value there with no JSON form ends the artifact after the lines
+// before it, with the error.
 func WriteArtifact(w io.Writer, run string, rec *Recorder) error {
 	e := &lineEncoder{w: w, b: make([]byte, 0, encoderFlushAt+4096)}
 
@@ -230,24 +233,12 @@ func WriteArtifact(w io.Writer, run string, rec *Recorder) error {
 		}
 	}
 	if rec.Series != nil {
-		all := rec.Series.All()
-		for i := 0; i < rec.Series.Ticks(); i++ {
-			e.raw(`{"type":"sample"`)
-			e.optInt(`,"i":`, int64(i))
-			e.optFloat(`,"t_us":`, rec.Series.TimeAt(i).Micros())
-			if len(all) > 0 {
-				e.raw(`,"v":[`)
-				for j, s := range all {
-					if j > 0 {
-						e.raw(`,`)
-					}
-					e.float(s.V[i])
-				}
-				e.raw(`]`)
-			}
-			if err := e.endLine(); err != nil {
-				return err
-			}
+		// The sample lines were encoded as they were taken (Sample).
+		if err := e.flush(); err != nil {
+			return err
+		}
+		if err := rec.Series.writeLines(w); err != nil {
+			return err
 		}
 	}
 	if rec.Hist != nil {
@@ -358,7 +349,8 @@ func WriteArtifact(w io.Writer, run string, rec *Recorder) error {
 const encoderFlushAt = 1 << 16
 
 // lineEncoder builds JSONL lines in one reused buffer and writes the buffer
-// out whenever a finished line leaves it at least encoderFlushAt long. Each
+// out whenever a finished line leaves it at least encoderFlushAt long; one
+// with no writer (a SeriesSet's) only accumulates them. Each
 // line starts with a raw `{"type":...` prefix and ends with endLine, which
 // closes the object. Values print as encoding/json prints them.
 type lineEncoder struct {
@@ -467,7 +459,7 @@ func (e *lineEncoder) endLine() error {
 	}
 	e.b = append(e.b, '}', '\n')
 	e.line = len(e.b)
-	if e.line >= encoderFlushAt {
+	if e.w != nil && e.line >= encoderFlushAt {
 		return e.flush()
 	}
 	return nil

@@ -15,8 +15,10 @@ import (
 
 // writeArtifactReflect is the reflection encoder WriteArtifact replaced,
 // kept as the oracle: the artifact format is, by definition, what
-// encoding/json makes of artifactMeta and artifactLine.
-func writeArtifactReflect(w io.Writer, run string, rec *Recorder) error {
+// encoding/json makes of artifactMeta and artifactLine. rows are the values
+// rec's series sources returned, one row per tick: the set itself keeps
+// only the lines it encoded, which are what is under test.
+func writeArtifactReflect(w io.Writer, run string, rec *Recorder, rows [][]float64) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	enc := json.NewEncoder(bw)
 
@@ -50,12 +52,7 @@ func writeArtifactReflect(w io.Writer, run string, rec *Recorder) error {
 		}
 	}
 	if rec.Series != nil {
-		all := rec.Series.All()
-		row := make([]float64, len(all))
-		for i := 0; i < rec.Series.Ticks(); i++ {
-			for j, s := range all {
-				row[j] = s.V[i]
-			}
+		for i, row := range rows {
 			line := artifactLine{Type: "sample", I: i, TUS: rec.Series.TimeAt(i).Micros(), V: row}
 			if err := enc.Encode(line); err != nil {
 				return err
@@ -139,8 +136,9 @@ var regimeFloats = []float64{
 }
 
 // everyLineRecorder holds every line type the artifact has, with strings and
-// floats from the hostile sets in every position that takes one.
-func everyLineRecorder(series bool) *Recorder {
+// floats from the hostile sets in every position that takes one. With
+// series it also returns the values its sources returned, row per tick.
+func everyLineRecorder(series bool) (*Recorder, [][]float64) {
 	rec := NewRecorder()
 	rec.Watchdog = &Watchdog{MaxInflightBytes: 1}
 	rec.Watchdog.Check(2, 0)
@@ -149,6 +147,7 @@ func everyLineRecorder(series bool) *Recorder {
 	rec.Digest.Ckpts = append(rec.Digest.Ckpts,
 		sim.Ckpt{Count: 1024, Clock: 1500 * sim.Nanosecond, Chain: 1},
 		sim.Ckpt{Count: 0, Clock: 0, Chain: math.MaxUint64})
+	var rows [][]float64
 	if series {
 		rec.Series = NewSeriesSet(10 * sim.Microsecond)
 		rec.Series.Start = 2500 * sim.Nanosecond
@@ -156,10 +155,13 @@ func everyLineRecorder(series bool) *Recorder {
 		for j, name := range hostileStrings {
 			j := j
 			rec.Series.Add(name, hostileStrings[len(hostileStrings)-1-j], func() float64 {
-				return regimeFloats[(tick*len(hostileStrings)+j)%len(regimeFloats)]
+				v := regimeFloats[(tick*len(hostileStrings)+j)%len(regimeFloats)]
+				rows[tick] = append(rows[tick], v)
+				return v
 			})
 		}
 		for ; tick < 5; tick++ { // tick 0 is the line without "i"
+			rows = append(rows, nil)
 			rec.Series.Sample()
 		}
 	}
@@ -184,7 +186,7 @@ func everyLineRecorder(series bool) *Recorder {
 		}
 	}
 	rec.FlowTrace.Admit(-9).Dropped = 5
-	return rec
+	return rec, rows
 }
 
 // TestArtifactBytesMatchEncodingJSON is the writer's contract: for a
@@ -193,12 +195,12 @@ func everyLineRecorder(series bool) *Recorder {
 func TestArtifactBytesMatchEncodingJSON(t *testing.T) {
 	for _, series := range []bool{true, false} {
 		for _, run := range hostileStrings {
-			rec := everyLineRecorder(series)
+			rec, rows := everyLineRecorder(series)
 			var got, want bytes.Buffer
 			if err := WriteArtifact(&got, run, rec); err != nil {
 				t.Fatal(err)
 			}
-			if err := writeArtifactReflect(&want, run, rec); err != nil {
+			if err := writeArtifactReflect(&want, run, rec, rows); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -305,7 +307,8 @@ func FuzzArtifactString(f *testing.F) {
 // WriteArtifact wrote from fuzz-chosen values reads back as those values.
 func FuzzReadArtifact(f *testing.F) {
 	var seed bytes.Buffer
-	if err := WriteArtifact(&seed, "seed", everyLineRecorder(true)); err != nil {
+	rec, _ := everyLineRecorder(true)
+	if err := WriteArtifact(&seed, "seed", rec); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes(), "run", uint64(0), int64(7))
@@ -359,7 +362,6 @@ func fig10bSizedRecorder(spansPerFlow int) *Recorder {
 		j := j
 		rec.Series.Add(fmt.Sprintf("port/host%d:0/queue_bytes", j), "bytes", func() float64 { return float64(j * 1048) })
 	}
-	rec.Series.Reserve(400)
 	for i := 0; i < 400; i++ {
 		rec.Series.Sample()
 	}

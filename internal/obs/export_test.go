@@ -50,17 +50,6 @@ func (p *CostProfiler) TotalNanos() int64 {
 // wrap-around is cheap to reach.
 func (t *FlowTracer) SetMaxSpans(n int) { t.maxSpans = n }
 
-// Len returns the number of samples taken.
-func (s *Series) Len() int { return len(s.V) }
-
-// Last returns the most recent sample (0 when empty).
-func (s *Series) Last() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	return s.V[len(s.V)-1]
-}
-
 // Sum returns the sum of recorded values.
 func (h *Histogram) Sum() int64 { return h.sum }
 

@@ -33,34 +33,26 @@ func TestRuntimeSamplerSeries(t *testing.T) {
 		ss.Sample()
 	}
 
-	get := func(name string) *obs.Series {
-		for _, s := range ss.All() {
-			if s.Name == name {
-				return s
-			}
-		}
-		t.Fatalf("series %s missing", name)
-		return nil
-	}
 	// A live Go process always has a nonzero heap and at least one
 	// goroutine; the gauges must reflect that on every tick (held values
 	// between refreshes).
-	for _, v := range get("runtime/heap_bytes").V {
+	art := readSeries(t, ss)
+	for _, v := range column(t, art, "runtime/heap_bytes") {
 		if v <= 0 {
 			t.Fatalf("heap_bytes sample %v, want > 0", v)
 		}
 	}
-	for _, v := range get("runtime/goroutines").V {
+	for _, v := range column(t, art, "runtime/goroutines") {
 		if v < 1 {
 			t.Fatalf("goroutines sample %v, want >= 1", v)
 		}
 	}
-	for _, v := range get("runtime/events_per_sec").V {
+	for _, v := range column(t, art, "runtime/events_per_sec") {
 		if v < 0 {
 			t.Fatalf("events_per_sec sample %v, want >= 0", v)
 		}
 	}
-	if got := get("runtime/rss_bytes").Len(); got != 6 {
+	if got := len(column(t, art, "runtime/rss_bytes")); got != 6 {
 		t.Fatalf("rss series has %d samples, want 6", got)
 	}
 }
@@ -82,9 +74,7 @@ func TestRuntimeSamplerRefreshStride(t *testing.T) {
 	_ = sink
 	rt.Tick(eng)
 	ss.Sample()
-	for _, s := range ss.All() {
-		if s.Name == "runtime/heap_bytes" && s.V[0] != s.V[1] {
-			t.Errorf("heap gauge changed between refreshes: %v vs %v", s.V[0], s.V[1])
-		}
+	if heap := column(t, readSeries(t, ss), "runtime/heap_bytes"); heap[0] != heap[1] {
+		t.Errorf("heap gauge changed between refreshes: %v vs %v", heap[0], heap[1])
 	}
 }

@@ -1,36 +1,56 @@
 package obs_test
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"prioplus/internal/obs"
 	"prioplus/internal/sim"
 )
 
+// readSeries writes a recorder holding only ss as an artifact and reads it
+// back: the production path to a series set's sampled columns.
+func readSeries(t *testing.T, ss *obs.SeriesSet) *obs.Artifact {
+	t.Helper()
+	rec := obs.NewRecorder()
+	rec.Series = ss
+	var buf bytes.Buffer
+	if err := obs.WriteArtifact(&buf, "run", rec); err != nil {
+		t.Fatal(err)
+	}
+	art, err := obs.ReadArtifact(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return art
+}
+
+// column returns the named series of an artifact; it fails the test when
+// the series is missing.
+func column(t *testing.T, art *obs.Artifact, name string) []float64 {
+	t.Helper()
+	for _, s := range art.Series {
+		if s.Name == name {
+			return s.V
+		}
+	}
+	t.Fatalf("series %s missing", name)
+	return nil
+}
+
 func TestSeriesSetSampling(t *testing.T) {
 	ss := obs.NewSeriesSet(10 * sim.Microsecond)
 	ss.Start = 5 * sim.Microsecond
 	var a, b float64
-	sa := ss.Add("net/a", "bytes", func() float64 { return a })
-	sb := ss.Add("net/b", "packets", func() float64 { return b })
+	ss.Add("net/a", "bytes", func() float64 { return a })
+	ss.Add("net/b", "packets", func() float64 { return b })
 
 	a, b = 1, 10
 	ss.Sample()
-	a, b = 2, 20
+	a, b = 2.5, 20
 	ss.Sample()
 
-	if ss.Ticks() != 2 {
-		t.Errorf("Ticks = %d, want 2", ss.Ticks())
-	}
-	if sa.Len() != 2 || sb.Len() != 2 {
-		t.Errorf("series lengths = %d/%d, want 2/2", sa.Len(), sb.Len())
-	}
-	if sa.V[0] != 1 || sa.V[1] != 2 || sb.V[0] != 10 || sb.V[1] != 20 {
-		t.Errorf("sampled values a=%v b=%v", sa.V, sb.V)
-	}
-	if sa.Last() != 2 {
-		t.Errorf("Last = %v, want 2", sa.Last())
-	}
 	// Sample i lands at Start + (i+1)*Interval.
 	if got := ss.TimeAt(0); got != 15*sim.Microsecond {
 		t.Errorf("TimeAt(0) = %v, want 15us", got)
@@ -39,8 +59,18 @@ func TestSeriesSetSampling(t *testing.T) {
 		t.Errorf("TimeAt(1) = %v, want 25us", got)
 	}
 	all := ss.All()
-	if len(all) != 2 || all[0] != sa || all[1] != sb {
+	if len(all) != 2 || all[0].Name != "net/a" || all[1].Name != "net/b" || all[1].Unit != "packets" {
 		t.Error("All() does not preserve registration order")
+	}
+	art := readSeries(t, ss)
+	if got := column(t, art, "net/a"); !reflect.DeepEqual(got, []float64{1, 2.5}) {
+		t.Errorf("net/a read back as %v, want [1 2.5]", got)
+	}
+	if got := column(t, art, "net/b"); !reflect.DeepEqual(got, []float64{10, 20}) {
+		t.Errorf("net/b read back as %v, want [10 20]", got)
+	}
+	if art.TimeAtUS(1) != 25 {
+		t.Errorf("sample 1 read back at %vus, want 25", art.TimeAtUS(1))
 	}
 }
 
@@ -53,22 +83,24 @@ func TestSeriesSetBadIntervalPanics(t *testing.T) {
 	obs.NewSeriesSet(0)
 }
 
-func TestEmptySeriesLast(t *testing.T) {
-	s := &obs.Series{Name: "x"}
-	if s.Last() != 0 || s.Len() != 0 {
-		t.Error("empty series Last/Len not zero")
+// TestSeriesSetEmptyWritesNoSamples: a set never ticked declares its
+// columns and writes no sample line.
+func TestSeriesSetEmptyWritesNoSamples(t *testing.T) {
+	ss := obs.NewSeriesSet(sim.Microsecond)
+	ss.Add("x", "v", func() float64 { return 1 })
+	if art := readSeries(t, ss); len(art.Series) != 1 || len(column(t, art, "x")) != 0 {
+		t.Errorf("unticked set read back as %+v, want one empty column", art.Series)
 	}
 }
 
-// TestSeriesSampleZeroAllocWarm pins the hot-path contract: once the value
-// slices have grown to their working size, Sample performs no allocations.
+// TestSeriesSampleZeroAllocWarm pins the hot-path contract: Sample encodes
+// its line into the open chunk without allocating; only a new chunk, one
+// per encoderFlushAt bytes of lines, does.
 func TestSeriesSampleZeroAllocWarm(t *testing.T) {
 	ss := obs.NewSeriesSet(sim.Microsecond)
 	for i := 0; i < 8; i++ {
 		ss.Add("s", "v", func() float64 { return 1 })
 	}
-	// Warm: push every value slice just past a capacity boundary (4096 ->
-	// ~5120) so the measured window below fits in the spare capacity.
 	for i := 0; i < 4200; i++ {
 		ss.Sample()
 	}
@@ -77,46 +109,29 @@ func TestSeriesSampleZeroAllocWarm(t *testing.T) {
 	}
 }
 
-func TestSeriesReserve(t *testing.T) {
-	ss := obs.NewSeriesSet(10 * sim.Microsecond)
-	ss.Start = 5 * sim.Microsecond
-	var v float64
-	sa := ss.Add("a", "x", func() float64 { return v })
-	sb := ss.Add("b", "x", func() float64 { return -v })
-	// Reserve mid-stream: existing samples must survive the slab move.
-	v = 1
-	ss.Sample()
-	ss.ReserveUntil(105 * sim.Microsecond) // (105-5)/10 + 1 = 11 ticks
-	if cap(sa.V) < 11 || cap(sb.V) < 11 {
-		t.Fatalf("caps after ReserveUntil = %d/%d, want >= 11", cap(sa.V), cap(sb.V))
+// TestSeriesSetChunksKeepLineOrder: sampling across many chunks writes every
+// line once, in tick order, with its own values.
+func TestSeriesSetChunksKeepLineOrder(t *testing.T) {
+	ss := obs.NewSeriesSet(sim.Microsecond)
+	v := 0.0
+	for j := 0; j < 40; j++ {
+		j := j
+		ss.Add("s", "v", func() float64 { return v*100 + float64(j) + 0.125 })
 	}
-	if sa.V[0] != 1 || sb.V[0] != -1 {
-		t.Fatalf("Reserve lost existing samples: %v %v", sa.V, sb.V)
-	}
-	// Sampling within the reservation allocates nothing and columns stay
-	// independent despite the shared slab.
-	preA, preB := cap(sa.V), cap(sb.V)
-	for i := 2; i <= 11; i++ {
+	const ticks = 5000 // ~1.5 MB of lines: two dozen chunks
+	for i := 0; i < ticks; i++ {
 		v = float64(i)
 		ss.Sample()
 	}
-	if cap(sa.V) != preA || cap(sb.V) != preB {
-		t.Error("sampling within the reservation regrew a column")
-	}
-	for i := 0; i < 11; i++ {
-		want := float64(i + 1)
-		if sa.V[i] != want || sb.V[i] != -want {
-			t.Fatalf("tick %d = %v/%v, want %v/%v: slab columns bled into each other", i, sa.V[i], sb.V[i], want, -want)
+	art := readSeries(t, ss)
+	for j, s := range art.Series {
+		if len(s.V) != ticks {
+			t.Fatalf("column %d has %d samples, want %d", j, len(s.V), ticks)
+		}
+		for i, got := range s.V {
+			if want := float64(i)*100 + float64(j) + 0.125; got != want {
+				t.Fatalf("column %d tick %d = %v, want %v", j, i, got, want)
+			}
 		}
 	}
-	// Past the reservation, growth falls back to append.
-	v = 99
-	ss.Sample()
-	if sa.Last() != 99 || sb.Last() != -99 || sa.Len() != 12 {
-		t.Error("sampling past the reservation broke")
-	}
-	// Degenerate calls are no-ops.
-	ss.Reserve(0)
-	ss.ReserveUntil(0)
-	obs.NewSeriesSet(sim.Second).Reserve(5)
 }

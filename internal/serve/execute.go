@@ -6,7 +6,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"sync"
 
 	"prioplus/internal/exp"
 	"prioplus/internal/obs"
@@ -98,7 +100,8 @@ type Run struct {
 // `all`, diff's rerun and a job-server compute all call it: look the spec
 // up, run it with the instruments armed, and flush the per-run summaries
 // ("# hist", "# fingerprint") to w after the figure output. It returns the
-// runs in the order the experiment asked for their recorders. With no
+// runs in the order the experiment asked for their recorders, a fan-out's
+// in its cells' order (sink.Order). With no
 // instrument on the experiment gets a nil exp.Sink and no run is returned.
 // A conservation violation is returned as an error after everything is
 // written: unlike a watchdog trip (a configured ceiling doing its job) it
@@ -115,18 +118,26 @@ func Execute(id string, p exp.RunParams, ins Instruments, w io.Writer) ([]*Run, 
 	if err := spec.Run(p, s, w); err != nil {
 		return s.runs, err
 	}
+	if s.err != nil {
+		return s.runs, s.err
+	}
 	return s.runs, s.flush(w)
 }
 
 // sink is the exp.Sink of one Execute call: it hands out per-run recorders,
 // writes each run's artifact as soon as that run's metrics are collected,
-// and at flush time prints the summaries. It needs no locking.
+// and at flush time prints the summaries. A fanned-out figure's cells ask
+// for recorders and finish runs from several goroutines at once; Order
+// then puts their runs back in the figure's order.
 type sink struct {
 	ins  Instruments
 	exp  string
 	seed int64
+
+	mu   sync.Mutex // guards runs, seen and err
 	runs []*Run
 	seen map[string]int // artifact stems already issued, for dedupe
+	err  error          // a fan-out whose order Order could not restore
 }
 
 var _ exp.Sink = (*sink)(nil)
@@ -181,14 +192,55 @@ func (s *sink) Recorder(tag string) *obs.Recorder {
 	// The stem is filesystem-safe and unique: a tag asked for twice gets a
 	// numeric suffix instead of clobbering the first run's files.
 	stem := obs.ArtifactStem(s.exp, tag, s.seed)
+	s.mu.Lock()
 	s.seen[stem]++
 	if n := s.seen[stem]; n > 1 {
 		stem += "-" + strconv.Itoa(n)
 	}
 	run := &Run{Tag: tag, Stem: stem, Rec: rec}
-	rec.OnCollected = func() { s.finish(run) }
 	s.runs = append(s.runs, run)
+	s.mu.Unlock()
+	rec.OnCollected = func() { s.finish(run) }
 	return rec
+}
+
+// Order lists the runs of a fan-out in the figure's order: cells[i] holds
+// the recorders cell i received, in its own order. The runs keep the places
+// in s.runs that their requests took and fill them in figure order, so the
+// summary lines, the returned runs and the artifact stems read as a serial
+// run's would. A stem's numeric suffix is issued with the recorder, before
+// the order is known, so two cells asking for one tag would number theirs
+// in request order: that fails the execution instead. Order is the
+// optional ordering method of an exp.Sink, reported to by exp's cells.
+func (s *sink) Order(cells [][]*obs.Recorder) {
+	type pos struct{ cell, rank int } // rank: the run's place in figure order
+	at := map[*obs.Recorder]pos{}
+	for i, recs := range cells {
+		for _, rec := range recs {
+			at[rec] = pos{i, len(at)}
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var slots []int
+	var moved []*Run
+	owner := map[string]int{} // stem base → the cell that asked for it
+	for i, r := range s.runs {
+		p, ok := at[r.Rec]
+		if !ok {
+			continue
+		}
+		base := obs.ArtifactStem(s.exp, r.Tag, s.seed)
+		if c, seen := owner[base]; seen && c != p.cell && s.err == nil {
+			s.err = fmt.Errorf("%s: cells %d and %d both ran %q; a fan-out's cells need their own tags", s.exp, min(c, p.cell), max(c, p.cell), r.Tag)
+		}
+		owner[base] = p.cell
+		slots, moved = append(slots, i), append(moved, r)
+	}
+	slices.SortFunc(moved, func(a, b *Run) int { return at[a.Rec].rank - at[b.Rec].rank })
+	for k, i := range slots {
+		s.runs[i] = moved[k]
+	}
 }
 
 // finish writes one run's files — the flight-recorder post-mortem if its

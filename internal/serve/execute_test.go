@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 
 	"prioplus/internal/exp"
 	"prioplus/internal/obs"
+	"prioplus/internal/runner"
 )
 
 func newTestSink(ins Instruments, exp string, seed int64) *sink {
@@ -215,38 +217,41 @@ func TestCLIAndServerAgree(t *testing.T) {
 }
 
 // TestFanOutSameBytes: the specs whose independent cells fan out across idle
-// cores print, hooks-off, the same bytes on two cores as on one, and the same
-// as their fingerprinted run — which runs its recorded cells serially, in
-// index order — once its "# fingerprint" lines are dropped; that run matches
-// the committed manifest. The manifest gate runs fingerprinted, so this is
-// the check that sees a fanned-out run. fig16 stands for the
-// flow-scheduling family (fig11 runs the same scenario and would add
-// 8-15 s); -short keeps to the micro specs, the ablations and faultsweep,
-// whose cells start out of index order.
+// cores print the same bytes on two cores as on one. Hooks-off, each also
+// prints the figure lines of its fingerprinted run, which matches the
+// committed manifest. Instrumented — series to a directory, histograms,
+// fingerprints, the auditor and four traced flows — two cores also equal one
+// in every artifact file and in the returned runs, tags and stems in order.
+// fig16 stands for the flow-scheduling family (fig11 runs the same scenario
+// and would add 8-15 s); -short keeps to the micro specs, the ablations and
+// faultsweep, whose cells start out of index order.
 func TestFanOutSameBytes(t *testing.T) {
 	m, err := LoadManifest(filepath.Join("..", "..", "testdata", "fingerprints.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := []string{"fig8", "fig9", "fig10c", "fig10d", "ablation", "faultsweep"}
+	ids := []string{"fig8", "fig9", "fig10c", "fig10d", "tab2", "appd", "ablation", "faultsweep"}
+	instrumented := []string{"faultsweep", "fig8"}
 	if !testing.Short() {
 		ids = append(ids, "fig16")
+		instrumented = append(instrumented, "fig16")
 	}
 	p := exp.RunParams{Seed: 1}
-	execute := func(id string, procs int, ins Instruments) string {
+	execute := func(id string, procs int, ins Instruments) (string, []*Run) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var out bytes.Buffer
-		if _, err := Execute(id, p, ins, &out); err != nil {
+		runs, err := Execute(id, p, ins, &out)
+		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		return out.String()
+		return out.String(), runs
 	}
 	for _, id := range ids {
-		serial := execute(id, 1, Instruments{})
-		if fanned := execute(id, 2, Instruments{}); fanned != serial {
+		serial, _ := execute(id, 1, Instruments{})
+		if fanned, _ := execute(id, 2, Instruments{}); fanned != serial {
 			t.Errorf("%s: output on two cores differs from one core:\n%s\nvs\n%s", id, fanned, serial)
 		}
-		fp := execute(id, 2, Instruments{Fingerprint: true})
+		fp, _ := execute(id, 2, Instruments{Fingerprint: true})
 		var plain strings.Builder
 		for _, line := range strings.SplitAfter(fp, "\n") {
 			if !strings.HasPrefix(line, "# fingerprint ") {
@@ -259,5 +264,100 @@ func TestFanOutSameBytes(t *testing.T) {
 		if err := m.Check(id+"/seed=1", p, OutputFingerprint(fp)); err != nil {
 			t.Error(err)
 		}
+	}
+	for _, id := range instrumented {
+		var outs, lists [2]string
+		var files [2]map[string]string
+		for k, procs := range []int{1, 2} {
+			ins := Instruments{Series: true, Dir: t.TempDir(), Hist: true, Fingerprint: true, Audit: true, TraceFlows: 4}
+			var runs []*Run
+			outs[k], runs = execute(id, procs, ins)
+			for _, r := range runs {
+				lists[k] += r.Tag + " " + r.Stem + "\n"
+			}
+			files[k] = readDir(t, ins.Dir)
+		}
+		if outs[0] != outs[1] {
+			t.Errorf("%s instrumented: output on two cores differs from one core:\n%s\nvs\n%s", id, outs[1], outs[0])
+		}
+		if lists[0] != lists[1] || lists[0] == "" {
+			t.Errorf("%s instrumented: runs on two cores\n%s differ from one core's\n%s", id, lists[1], lists[0])
+		}
+		if len(files[0]) != len(files[1]) || len(files[0]) == 0 {
+			t.Errorf("%s instrumented: %d artifact files on two cores, %d on one", id, len(files[1]), len(files[0]))
+		}
+		for name, want := range files[0] {
+			if files[1][name] != want {
+				t.Errorf("%s instrumented: %s differs between two cores and one", id, name)
+			}
+		}
+	}
+}
+
+// readDir returns every file of dir by name.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
+// TestFanOutSameEvents: a job's /runs event count sums every engine's, so a
+// fanned-out job reports what the serial one does.
+func TestFanOutSameEvents(t *testing.T) {
+	events := func(procs int) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		live := &runner.RunEntry{}
+		if _, err := Execute("fig8", exp.RunParams{Seed: 1}, Instruments{Fingerprint: true, Live: live}, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		return live.Live.Events.Load()
+	}
+	if serial, fanned := events(1), events(2); serial != fanned || serial == 0 {
+		t.Errorf("fig8 job reports %d events on two cores, %d on one", fanned, serial)
+	}
+}
+
+// TestSinkOrder: Order puts a fan-out's runs in cell order in the places
+// their requests took, leaving the runs around them where they are; two
+// cells that share a tag, whose numbered stems would follow the request
+// order, fail the execution.
+func TestSinkOrder(t *testing.T) {
+	s := newTestSink(Instruments{Fingerprint: true}, "fig99", 1)
+	s.Recorder("before")
+	c1 := s.Recorder("c1")
+	c0a := s.Recorder("c0a")
+	c0b := s.Recorder("c0b")
+	s.Order([][]*obs.Recorder{{c0a, c0b}, {c1}})
+	s.Recorder("after")
+	var got []string
+	for _, r := range s.runs {
+		got = append(got, r.Tag)
+	}
+	if strings.Join(got, " ") != "before c0a c0b c1 after" || s.err != nil {
+		t.Errorf("runs listed as %v (err %v), want before c0a c0b c1 after", got, s.err)
+	}
+
+	s = newTestSink(Instruments{Fingerprint: true}, "fig99", 1)
+	x1, x0, y0 := s.Recorder("x"), s.Recorder("x"), s.Recorder("y")
+	s.Order([][]*obs.Recorder{{x0, y0}, {x1}})
+	if s.err == nil || !strings.Contains(s.err.Error(), `cells 0 and 1 both ran "x"`) {
+		t.Errorf("two cells tagged x: err %v, want the shared tag named", s.err)
+	}
+	s = newTestSink(Instruments{Fingerprint: true}, "fig99", 1)
+	x0, x0b := s.Recorder("x"), s.Recorder("x")
+	s.Order([][]*obs.Recorder{{x0, x0b}})
+	if s.err != nil || s.runs[0].Stem != "fig99__x__seed1" || s.runs[1].Stem != "fig99__x__seed1-2" {
+		t.Errorf("one cell asking for x twice: err %v, stems %q %q", s.err, s.runs[0].Stem, s.runs[1].Stem)
 	}
 }

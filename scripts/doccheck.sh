@@ -143,9 +143,9 @@ while read -r doc max; do
     fi
 done <<EOF
 docs/API.md 7280
-docs/ARCHITECTURE.md 47589
-docs/OBSERVABILITY.md 37381
-docs/PERFORMANCE.md 29472
+docs/ARCHITECTURE.md 47584
+docs/OBSERVABILITY.md 37375
+docs/PERFORMANCE.md 29470
 README.md 15397
 DESIGN.md 13714
 EXPERIMENTS.md 13906
