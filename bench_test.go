@@ -40,7 +40,7 @@ func BenchmarkSpec(b *testing.B) {
 			want, ok := checked[spec.ID]
 			if !ok {
 				var fp bytes.Buffer
-				if _, err := serve.Execute(spec.ID, spec.Defaults, serve.Instruments{Fingerprint: true}, &fp); err != nil {
+				if _, err := serve.Execute(spec.ID, spec.Defaults, serve.Instruments{Fingerprint: true}, nil, &fp); err != nil {
 					b.Fatal(err)
 				}
 				name := fmt.Sprintf("%s/seed=%d", spec.ID, spec.Defaults.Seed)
@@ -61,7 +61,7 @@ func BenchmarkSpec(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				out.Reset()
-				if _, err := serve.Execute(spec.ID, spec.Defaults, serve.Instruments{}, &out); err != nil {
+				if _, err := serve.Execute(spec.ID, spec.Defaults, serve.Instruments{}, nil, &out); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -131,7 +131,7 @@ func BenchmarkInstruments(b *testing.B) {
 			var runs []*serve.Run
 			for i := 0; i < b.N; i++ {
 				var err error
-				if runs, err = serve.Execute(spec.ID, spec.Defaults, set.ins, io.Discard); err != nil {
+				if runs, err = serve.Execute(spec.ID, spec.Defaults, set.ins, nil, io.Discard); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -22,8 +22,10 @@ import (
 
 // runAll is the `prioplus-sim all` subcommand: it fans (experiment, seed)
 // runs across a worker pool and reports per-run wall-clock plus batch
-// events/sec. Every run owns a private engine, so per-run output is
-// byte-identical whatever -parallel is. Returns the process exit code.
+// events/sec. Every run owns private engines, and the one state runs share
+// is the batch's cell memo, which hands a run only the bytes it would have
+// computed, so per-run output is byte-identical whatever -parallel is.
+// Returns the process exit code.
 func runAll(args []string) int {
 	fs := flag.NewFlagSet("all", flag.ExitOnError)
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent runs (1 = one at a time); this bounds runs, not cores: a run's independent cells may still use idle cores")
@@ -89,6 +91,9 @@ func runAll(args []string) int {
 
 	var tasks []runner.Task
 	var states []*runner.RunEntry // parallel to tasks; nil without -listen
+	// One cell memo for the batch: a hooks-off run is served the scenario
+	// cells an earlier run of any seed already simulated (exp.Memo).
+	memo := exp.NewMemo()
 	// Every run's parameters, but for its seed.
 	params := exp.RunParams{Full: *full, Perturb: obsFlags.perturb}
 	for _, id := range ids {
@@ -110,7 +115,7 @@ func runAll(args []string) int {
 					// Ids are validated above, so the only errors left are
 					// artifact writes and audit violations; the panic lands
 					// in Result.Err and fails just this run.
-					if _, err := serve.Execute(id, p, taskIns, &buf); err != nil {
+					if _, err := serve.Execute(id, p, taskIns, memo, &buf); err != nil {
 						panic(err)
 					}
 					return buf.String(), nil
@@ -169,6 +174,7 @@ func runAll(args []string) int {
 	// which elision optimizations shrink. Rates use the logical basis.
 	events := sim.TotalEvents() - startEvents
 	dispatched := sim.TotalProcessed() - startDispatched
+	memoHits, _ := memo.Stats()
 
 	failures := 0
 	fps := map[string]string{} // run name -> output fingerprint (with -fingerprint)
@@ -191,9 +197,9 @@ func runAll(args []string) int {
 			fmt.Print(indent(out))
 		}
 	}
-	fmt.Printf("\n%d/%d runs ok, %d workers, wall %.2fs, %d logical events (%d dispatched), %.3gM events/sec (logical basis)\n",
+	fmt.Printf("\n%d/%d runs ok, %d workers, wall %.2fs, %d logical events (%d dispatched, %d memo hits), %.3gM events/sec (logical basis)\n",
 		len(results)-failures, len(results), workers, wall.Seconds(),
-		events, dispatched, float64(events)/wall.Seconds()/1e6)
+		events, dispatched, memoHits, float64(events)/wall.Seconds()/1e6)
 
 	if *jsonOut != "" {
 		if err := writeJSON(*jsonOut, results, seeds, workers, *full, wall, events, dispatched, fps); err != nil {
@@ -293,7 +299,7 @@ type runJSON struct {
 
 // eventsBasis documents the two event counters in batchJSON, so readers of
 // archived batch reports know which numbers are comparable across builds.
-const eventsBasis = "events counts logical events (dispatched + elided transmitter wake-ups), stable across engine optimizations; events_dispatched counts raw dispatches, which elision shrinks; events_per_sec uses the logical basis"
+const eventsBasis = "events counts logical events (dispatched + elided transmitter wake-ups + those recorded by the runs of cells served from the memo), stable across engine optimizations; events_dispatched counts raw dispatches, which elision and memo hits shrink; events_per_sec uses the logical basis"
 
 type batchJSON struct {
 	Full bool `json:"full"`

@@ -230,7 +230,7 @@ func diffRerun(path, expID string, seed int64, full bool, perturb uint64) (*diff
 // tag matches the artifact's.
 func rerunDigest(expID string, seed int64, full bool, perturb, lo, hi uint64, tag string) (*sim.Digest, error) {
 	runs, err := serve.Execute(expID, exp.RunParams{Seed: seed, Full: full, Perturb: perturb},
-		serve.Instruments{Fingerprint: true, WindowLo: lo, WindowHi: hi}, io.Discard)
+		serve.Instruments{Fingerprint: true, WindowLo: lo, WindowHi: hi}, nil, io.Discard)
 	if err != nil {
 		return nil, err
 	}

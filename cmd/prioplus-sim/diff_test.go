@@ -16,7 +16,7 @@ import (
 func recordFig10b(t *testing.T, dir string, perturb uint64) string {
 	t.Helper()
 	ins := serve.Instruments{Series: true, Dir: dir, Fingerprint: true}
-	if _, err := serve.Execute("fig10b", exp.RunParams{Seed: 1, Perturb: perturb}, ins, io.Discard); err != nil {
+	if _, err := serve.Execute("fig10b", exp.RunParams{Seed: 1, Perturb: perturb}, ins, nil, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	return filepath.Join(dir, "fig10b__incast__seed1.jsonl")
@@ -85,10 +85,10 @@ func TestDiffPinpointsPerturbedDraw(t *testing.T) {
 func TestFingerprintFigureBytes(t *testing.T) {
 	for _, id := range []string{"fig10b", "faultsweep"} {
 		var plain, fp bytes.Buffer
-		if _, err := serve.Execute(id, exp.RunParams{Seed: 1}, serve.Instruments{}, &plain); err != nil {
+		if _, err := serve.Execute(id, exp.RunParams{Seed: 1}, serve.Instruments{}, nil, &plain); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := serve.Execute(id, exp.RunParams{Seed: 1}, serve.Instruments{Fingerprint: true}, &fp); err != nil {
+		if _, err := serve.Execute(id, exp.RunParams{Seed: 1}, serve.Instruments{Fingerprint: true}, nil, &fp); err != nil {
 			t.Fatal(err)
 		}
 		var stripped strings.Builder
@@ -147,7 +147,7 @@ func TestDiffArtifacts(t *testing.T) {
 func TestDiffRejectsUnfingerprintedArtifact(t *testing.T) {
 	dir := t.TempDir()
 	ins := serve.Instruments{Series: true, Dir: dir}
-	if _, err := serve.Execute("fig10b", exp.RunParams{Seed: 1}, ins, io.Discard); err != nil {
+	if _, err := serve.Execute("fig10b", exp.RunParams{Seed: 1}, ins, nil, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "fig10b__incast__seed1.jsonl")

@@ -106,7 +106,7 @@ func main() {
 		ins.Live.Start()
 	}
 	p := exp.RunParams{Seed: *seed, Full: *full, Series: *printSer, Perturb: obsFlags.perturb}
-	_, runErr := serve.Execute(expID, p, ins, os.Stdout)
+	_, runErr := serve.Execute(expID, p, ins, nil, os.Stdout)
 	if srv != nil {
 		ins.Live.Finish(errText(runErr))
 		if err := srv.Close(); err != nil {

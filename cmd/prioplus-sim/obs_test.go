@@ -60,7 +60,7 @@ func TestObsSinkDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := serve.Execute("fig10b", exp.RunParams{Seed: 1}, ins, io.Discard)
+	runs, err := serve.Execute("fig10b", exp.RunParams{Seed: 1}, ins, nil, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

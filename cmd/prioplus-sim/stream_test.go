@@ -19,7 +19,7 @@ import (
 func runFig10b(t *testing.T, ins serve.Instruments) string {
 	t.Helper()
 	var out bytes.Buffer
-	if _, err := serve.Execute("fig10b", exp.RunParams{Seed: 1}, ins, &out); err != nil {
+	if _, err := serve.Execute("fig10b", exp.RunParams{Seed: 1}, ins, nil, &out); err != nil {
 		t.Fatal(err)
 	}
 	return out.String()

@@ -9,7 +9,6 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
 	"prioplus/internal/cc"
 	"prioplus/internal/core"
@@ -25,7 +24,7 @@ func main() {
 	cfg := topo.DefaultConfig()
 	cfg.LinkDelay = 3 * sim.Microsecond
 	nw := topo.Star(eng, n+1, cfg)
-	nm := noise.NewLongTail(rand.New(rand.NewSource(7)), 1)
+	nm := noise.NewLongTail(eng.Rand(7), 1)
 	net := harness.New(nw, 7, harness.WithNoise(nm.Sample))
 
 	recv := n

@@ -118,7 +118,7 @@ func TestCellsOrderAndBudget(t *testing.T) {
 			held = running.Load() == 1
 			return nil
 		})
-		if err := spec.Run(spec.Defaults, sink, io.Discard); err != nil || !held || running.Load() != 0 {
+		if err := spec.Run(spec.Defaults, sink, nil, io.Discard); err != nil || !held || running.Load() != 0 {
 			t.Errorf("fig10b: err %v, held a core while running %v, %d runs counted after, want a core held and released", err, held, running.Load())
 		}
 		var order []int
@@ -172,7 +172,7 @@ func TestCellsStartOrder(t *testing.T) {
 				mu    sync.Mutex
 				order []int
 			)
-			cells(specOptions(RunParams{}, sink), len(start), func(i int, o Options) int {
+			cells(specOptions(RunParams{}, sink, nil), len(start), func(i int, o Options) int {
 				mu.Lock()
 				order = append(order, i)
 				mu.Unlock()
@@ -221,7 +221,7 @@ func TestCellsPanic(t *testing.T) {
 	withProcs(2, func() {
 		const n = 1000
 		instrumented := Options{NewRecorder: func(string) *obs.Recorder { return nil }}
-		for _, o := range []Options{{}, instrumented, specOptions(RunParams{}, &orderSink{})} {
+		for _, o := range []Options{{}, instrumented, specOptions(RunParams{}, &orderSink{}, nil)} {
 			var started atomic.Int32
 			recovered := func() (r any) {
 				defer func() { r = recover() }()

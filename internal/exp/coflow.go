@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"math/rand"
 	"sort"
 
 	"prioplus/internal/netsim"
@@ -80,8 +79,17 @@ type CoflowResult struct {
 	watchdog string
 }
 
-// RunCoflow runs one scheme over the coflow workload.
+// RunCoflow runs one scheme over the coflow workload, through the memo in
+// cfg.Options when there is one: fig12ab's 70 % half, fig15 and fig18's
+// first cells run the same configs.
 func RunCoflow(cfg CoflowConfig) CoflowResult {
+	return memoize(cfg.Options, cfg.key(), func(o Options) CoflowResult {
+		cfg.Options = o
+		return runCoflow(cfg)
+	})
+}
+
+func runCoflow(cfg CoflowConfig) CoflowResult {
 	tag := cfg.Scheme.name
 	if cfg.NoPriority {
 		tag = "baseline/" + tag
@@ -112,7 +120,7 @@ func RunCoflow(cfg CoflowConfig) CoflowResult {
 			}
 			return topo.Clos(eng, cfg.pods, cfg.edges, cfg.hostsPerEdge, cfg.aggs, cfg.cores, tc)
 		})
-	rng := rand.New(rand.NewSource(cfg.Seed + 13))
+	rng := net.Eng.Rand(cfg.Seed + 13)
 	wcfg := workload.DefaultCoflowConfig(len(net.Topo.Hosts), cfg.load, float64(net.Topo.Cfg.HostRate), cfg.Duration, rng)
 	coflows := workload.Coflows(wcfg)
 

@@ -74,9 +74,12 @@ type faultSweepRow struct {
 // and workload, one private engine per scheme. The default plan is a single
 // mid-transfer flap of the p0e0-p0a0 uplink; cfg.Faults substitutes any
 // plan. cfg.Seed seeds the run's random sources (the plan's impairments,
-// the switches' ECN draws, each flow's probe jitter), not the workload: the
-// permutation is fixed and the sweep's ECN marking is a step, so under a
-// plan without random impairments only PrioPlus's rows change with it.
+// each flow's probe jitter, a RED-marking switch's draws), not the
+// workload: the permutation is fixed, and the sweep's ECN marking is a step,
+// which draws nothing. So under a plan without random impairments only the
+// PrioPlus+Swift cell reads the seed, through its probes' jitter; the
+// Physical+Swift, +DCQCN and +HPCC cells never draw a seeded stream, and a
+// memo serves them to every seed.
 //
 // The sweep runs its scheme cells on idle cores, started in
 // faultSweepStart's order; the rows, and an instrumented sweep's runs,
@@ -86,9 +89,12 @@ func faultSweep(cfg faultSweepConfig) []faultSweepRow {
 		cfg.Faults = fault.NewPlan(cfg.Seed).Flap(cfg.flapAt, cfg.flapDur, fault.Link("p0e0", "p0a0"))
 	}
 	return cells(cfg.Options, len(cfg.schemes), func(i int, o Options) faultSweepRow {
-		c := cfg
+		c, s := cfg, cfg.schemes[i]
 		c.Options = o
-		return faultSweepOne(cfg.schemes[i], c)
+		return memoize(o, c.key(s), func(o Options) faultSweepRow {
+			c.Options = o
+			return faultSweepOne(s, c)
+		})
 	}, faultSweepStart(cfg.schemes)...)
 }
 

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"math/rand"
 	"strconv"
 
 	"prioplus/internal/harness"
@@ -78,7 +77,7 @@ func runFlowSched(cfg flowSchedConfig) flowSchedResult {
 	net := schemeFabric(cfg.Options, cfg.runTag(), cfg.scheme, cfg.nPrios,
 		longTail{off: 7, scale: cfg.noiseScale}, fatTree(cfg.k), opts...)
 
-	rng := rand.New(rand.NewSource(cfg.Seed + 13))
+	rng := net.Eng.Rand(cfg.Seed + 13)
 	dist := workload.WebSearch()
 	events := workload.Poisson(workload.PoissonConfig{
 		Hosts:    len(net.Topo.Hosts),
@@ -93,7 +92,7 @@ func runFlowSched(cfg flowSchedConfig) flowSchedResult {
 	// stand-in for flow-scheduling algorithms). Byte-balanced boundaries
 	// put the many small (latency-sensitive) flows into the top no-probe
 	// priorities (§4.4) and give each priority a similar byte load.
-	sampleRng := rand.New(rand.NewSource(cfg.Seed + 29))
+	sampleRng := net.Eng.Rand(cfg.Seed + 29)
 	sizeSample := make([]int64, 20000)
 	for i := range sizeSample {
 		sizeSample[i] = dist.Sample(sampleRng)
@@ -101,7 +100,7 @@ func runFlowSched(cfg flowSchedConfig) flowSchedResult {
 	groups := newByteGroups(cfg.nPrios, sizeSample)
 
 	res := flowSchedResult{scheme: cfg.scheme.name, nPrios: cfg.nPrios, flows: &stats.Collector{}}
-	prioRng := rand.New(rand.NewSource(cfg.Seed + 31))
+	prioRng := net.Eng.Rand(cfg.Seed + 31)
 	for _, ev := range events {
 		prio := groups.priorityFor(ev.Size)
 		if cfg.perPrioWorkload {
@@ -162,6 +161,15 @@ func fig11(prioCounts []int, base flowSchedConfig) []fig11Row {
 		cfg.Options = o
 		cfg.scheme = schemes[i%len(schemes)]
 		cfg.nPrios = prioCounts[i/len(schemes)]
+		return schedRow(cfg)
+	})
+}
+
+// schedRow is one flow-scheduling cell's row, through the caller's memo:
+// fig11's PrioPlus+Swift row at 8 priorities is fig16's PrioPlus+Swift row.
+func schedRow(cfg flowSchedConfig) fig11Row {
+	return memoize(cfg.Options, cfg.key(), func(o Options) fig11Row {
+		cfg.Options = o
 		return rowFrom(runFlowSched(cfg))
 	})
 }
@@ -185,7 +193,7 @@ func fig16(nprios int, base flowSchedConfig) []fig11Row {
 		cfg.scheme = v.s
 		cfg.nPrios = nprios
 		cfg.ackPrioData = v.ackData
-		row := rowFrom(runFlowSched(cfg))
+		row := schedRow(cfg)
 		row.scheme = v.name
 		return row
 	})

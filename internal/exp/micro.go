@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"math/rand"
-
 	"prioplus/internal/cc"
 	"prioplus/internal/core"
 	"prioplus/internal/harness"
@@ -592,7 +590,7 @@ func fig13(fc fig13Config, o Options) []fig13Point {
 				cfg.Buffer.HeadroomFree = true
 			}
 		})
-		jrng := rand.New(rand.NewSource(o.seedOr(31) + 6))
+		jrng := net.Eng.Rand(o.seedOr(31) + 6)
 		recv := 8
 		if rngUS > 0 {
 			width := sim.Time(rngUS * float64(sim.Microsecond))
@@ -911,8 +909,8 @@ func defaultFig7Config() fig7Config {
 // the measurement itself, not simulation inputs).
 func fig7(cfg fig7Config, o Options) ([][2]float64, noise.Stats) {
 	seed := o.seedOr(47)
-	m := noise.NewLongTail(rand.New(rand.NewSource(seed)), 1)
+	m := noise.NewLongTail(sim.NewRand(seed), 1)
 	cdf := noise.CDF(m, cfg.samples, 40)
-	m2 := noise.NewLongTail(rand.New(rand.NewSource(seed)), 1)
+	m2 := noise.NewLongTail(sim.NewRand(seed), 1)
 	return cdf, noise.Measure(m2, cfg.samples)
 }

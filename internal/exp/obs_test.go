@@ -103,7 +103,7 @@ func TestSpecsInstrumentEveryTaggedRun(t *testing.T) {
 				t.Fatalf("no spec %q", id)
 			}
 			sink := &countingSink{}
-			if err := spec.Run(spec.Defaults, sink, io.Discard); err != nil {
+			if err := spec.Run(spec.Defaults, sink, nil, io.Discard); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(sink.tags, want) {

@@ -42,6 +42,12 @@ type Options struct {
 	// registered specs pass it to the micro-fabric experiments (the ones
 	// built on the star topology).
 	Perturb uint64
+	// memo, when non-nil, serves the scenario cells it has already
+	// simulated (memoize); the spec's caller owns it.
+	memo *Memo
+	// cell, set by memoize on the Options a memoized cell runs with,
+	// collects the engines the cell builds (newNet).
+	cell *cellRun
 }
 
 // seedOr returns the override seed when set, the driver default otherwise.

@@ -94,8 +94,9 @@ type Spec struct {
 	Defaults RunParams
 	// Run executes the experiment with the given parameters, wiring any
 	// network runs through sink (which may be nil), and writes the figure
-	// output to w.
-	Run func(p RunParams, sink Sink, w io.Writer) error
+	// output to w. memo, when non-nil, serves the scenario cells it already
+	// holds; an instrumented run (a non-nil sink) simulates every cell.
+	Run func(p RunParams, sink Sink, memo *Memo, w io.Writer) error
 }
 
 var (

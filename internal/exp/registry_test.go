@@ -112,5 +112,5 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 			t.Error("duplicate Register did not panic")
 		}
 	}()
-	Register(Spec{ID: "fig2", Describe: "dup", Run: func(RunParams, Sink, io.Writer) error { return nil }})
+	Register(Spec{ID: "fig2", Describe: "dup", Run: func(RunParams, Sink, *Memo, io.Writer) error { return nil }})
 }

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"math/rand"
-
 	"prioplus/internal/cc"
 	"prioplus/internal/core"
 	"prioplus/internal/harness"
@@ -39,9 +37,13 @@ func newNet(o Options, tag string, seed int64, linkDelay sim.Time, nz longTail,
 	cfg := topo.DefaultConfig()
 	cfg.LinkDelay = linkDelay
 	cfg.Seed = seed
-	nw := build(sim.NewEngine(), cfg)
+	eng := sim.NewEngine()
+	if o.cell != nil {
+		o.cell.engs = append(o.cell.engs, eng)
+	}
+	nw := build(eng, cfg)
 	if nz.scale > 0 {
-		m := noise.NewLongTail(rand.New(rand.NewSource(seed+nz.off)), nz.scale)
+		m := noise.NewLongTail(eng.Rand(seed+nz.off), nz.scale)
 		opts = append(opts, harness.WithNoise(o.noiseFn(m.Sample)))
 	}
 	opts = append(opts, harness.WithFaults(o.Faults))

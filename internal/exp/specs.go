@@ -30,14 +30,15 @@ var defaults = RunParams{Seed: 1}
 // config-driven scenario: the caller's seed applies, the perturbation does
 // not.
 func scenarioOptions(p RunParams, o Options) Options {
-	return Options{Seed: p.Seed, NewRecorder: o.NewRecorder, order: o.order}
+	return Options{Seed: p.Seed, NewRecorder: o.NewRecorder, order: o.order, memo: o.memo}
 }
 
 // specOptions is the Options a spec hands its drivers: the perturbation,
-// and when the execution is instrumented the sink's recorder factory, plus
-// its run ordering if it has one (cells reports to it).
-func specOptions(p RunParams, sink Sink) Options {
-	o := Options{Perturb: p.Perturb}
+// the caller's cell memo, and when the execution is instrumented the sink's
+// recorder factory, plus its run ordering if it has one (cells reports to
+// it).
+func specOptions(p RunParams, sink Sink, memo *Memo) Options {
+	o := Options{Perturb: p.Perturb, memo: memo}
 	if sink != nil {
 		o.NewRecorder = sink.Recorder
 		if ro, ok := sink.(runOrderer); ok {
@@ -80,10 +81,10 @@ func init() {
 	// holds a core of cells' helper budget.
 	reg := func(id, describe string, run func(p RunParams, o Options, w io.Writer) error) {
 		Register(Spec{ID: id, Describe: describe, Defaults: defaults,
-			Run: func(p RunParams, sink Sink, w io.Writer) error {
+			Run: func(p RunParams, sink Sink, memo *Memo, w io.Writer) error {
 				running.Add(1)
 				defer running.Add(-1)
-				return run(p, specOptions(p, sink), w)
+				return run(p, specOptions(p, sink, memo), w)
 			}})
 	}
 

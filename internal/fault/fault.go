@@ -27,7 +27,6 @@ package fault
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 
 	"prioplus/internal/netsim"
 	"prioplus/internal/sim"
@@ -101,6 +100,20 @@ func (p *Plan) Flap(at, dur sim.Time, l LinkRef) *Plan {
 	return p.LinkDown(at, l).LinkUp(at+dur, l)
 }
 
+// Key encodes what a run reads of the plan: its events and impairments,
+// and its seed only when an impairment can draw from it. Two plans with one
+// key inject the same faults; the empty key is the empty plan's.
+func (p *Plan) Key() string {
+	if p.Empty() {
+		return ""
+	}
+	key := fmt.Sprintf("%v %v", p.events, p.impairments)
+	if len(p.impairments) > 0 {
+		key += fmt.Sprintf(" seed=%d", p.Seed)
+	}
+	return key
+}
+
 // Empty reports whether the plan contains no events and no impairments.
 func (p *Plan) Empty() bool {
 	return p == nil || (len(p.events) == 0 && len(p.impairments) == 0)
@@ -155,7 +168,7 @@ func (p *Plan) Install(t *topo.Network) *Injector {
 			f := port.Fault()
 			f.LossRate = im.loss
 			f.CorruptRate = im.corrupt
-			f.Rng = rand.New(rand.NewSource(p.Seed ^ linkSeed(port.DeviceName(), port.Index)))
+			f.Rng = t.Eng.LazyRand(p.Seed ^ linkSeed(port.DeviceName(), port.Index))
 		}
 	}
 	for _, ev := range p.events {

@@ -165,7 +165,7 @@ func (n *Net) AddFlow(f Flow) *transport.Sender {
 		BaseRTT:    n.Topo.BaseRTT(f.Src, f.Dst),
 		Algo:       f.Algo,
 		OnComplete: f.OnComplete,
-		Rand:       sim.LazyRand(n.seed ^ id<<17 ^ 0x5bd1e995),
+		Rand:       n.Eng.LazyRand(n.seed ^ id<<17 ^ 0x5bd1e995),
 		Paced:      f.Paced,
 		VPrio:      f.VPrio,
 	})

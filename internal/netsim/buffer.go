@@ -1,6 +1,9 @@
 package netsim
 
-import "math"
+import (
+	"math"
+	"math/rand"
+)
 
 // BufferConfig sizes a switch's shared packet buffer and its admission
 // policies. The defaults mirror the paper's setup: dynamic-threshold shared
@@ -291,9 +294,11 @@ func (b *sharedBuffer) release(port, prio, size int, lossless bool) (sendResume 
 }
 
 // ecnMark decides whether an ECT data packet should be CE-marked given the
-// egress queue length after enqueue. rnd is a uniform [0,1) sample used for
-// RED-style probabilistic marking.
-func (cfg *BufferConfig) ecnMark(qlen int, vprio int16, rnd float64) bool {
+// egress queue length after enqueue. rng is drawn from only where a draw
+// decides the mark, inside RED's ramp (ECNKMin < qlen < ECNKMax): a step
+// or per-vprio threshold never reads it, so a fabric configured that way
+// never seeds its switches' sources.
+func (cfg *BufferConfig) ecnMark(qlen int, vprio int16, rng *rand.Rand) bool {
 	if cfg.ECNKByVPrio != nil && int(vprio) >= 0 && int(vprio) < len(cfg.ECNKByVPrio) {
 		return qlen > cfg.ECNKByVPrio[vprio]
 	}
@@ -307,5 +312,5 @@ func (cfg *BufferConfig) ecnMark(qlen int, vprio int16, rnd float64) bool {
 		return true
 	}
 	p := cfg.ECNPMax * float64(qlen-cfg.ECNKMin) / float64(cfg.ECNKMax-cfg.ECNKMin)
-	return rnd < p
+	return rng.Float64() < p
 }

@@ -44,9 +44,8 @@ type Switch struct {
 	rng *rand.Rand
 
 	// ecnOff short-circuits the marking check when the configuration can
-	// never mark (no per-VPrio thresholds, KMin disabled), skipping the
-	// per-packet RNG draw. Computed at Finalize; the rng has no other
-	// consumer, so skipping draws is output-invariant.
+	// never mark (no per-VPrio thresholds, KMin disabled). Computed at
+	// Finalize.
 	ecnOff bool
 
 	// Counters.
@@ -204,11 +203,10 @@ func (s *Switch) dropAdmission(pkt *Packet, out *Port, prio int) {
 	s.Pool.Put(pkt)
 }
 
-// maybeMark applies ECN marking to an admitted ECT data packet. The RNG
-// draw happens here, exactly as often as the pre-flattening code drew it
-// for a marking-capable configuration.
+// maybeMark applies ECN marking to an admitted ECT data packet, drawing
+// from the switch's generator only where the draw decides (ecnMark).
 func (s *Switch) maybeMark(pkt *Packet, out *Port, prio, size int) {
-	if s.Buffer.ecnMark(out.queues[prio].bytes+size, pkt.VPrio, s.rng.Float64()) {
+	if s.Buffer.ecnMark(out.queues[prio].bytes+size, pkt.VPrio, s.rng) {
 		pkt.CE = true
 		s.ECNMarks++
 		if s.trace != nil {

@@ -2,14 +2,17 @@
 // the batch layer behind `prioplus-sim all`: a worker pool fans tasks —
 // one per (experiment, seed) pair — across GOMAXPROCS goroutines.
 //
-// The worker count bounds tasks, not cores: a hooks-off run may run its
-// independent cells (a figure's schemes, a sweep's points) on the cores
-// no running task holds, so even `-parallel 1` can keep every core busy.
+// The worker count bounds tasks, not cores: a run may run its independent
+// cells (a figure's schemes, a sweep's points) on the cores no running task
+// holds, so even `-parallel 1` can keep every core busy.
 //
 // Parallelism is safe because of the simulator's engine-per-run design:
 // every task builds its own sim.Engine, topo.Network, and random sources
-// from its seed, so tasks share no mutable state and the hot path needs no
-// locking. The pool guarantees:
+// from its seed, so the hot path needs no locking. The one state an `all`
+// batch's tasks share is its cell memo (exp.Memo, owned by the batch, one
+// per batch): a hooks-off task is served the scenario cells another task
+// already simulated, which are the bytes it would have computed itself.
+// The pool guarantees:
 //
 //   - Deterministic results: Run returns results indexed by task position,
 //     and each task's output depends only on its own inputs, so the result
@@ -32,7 +35,8 @@ import (
 
 // Task is one independent unit of work: typically one experiment at one
 // seed. Run must be self-contained — it builds its own engine and
-// randomness and touches no shared state — or batch determinism is lost.
+// randomness, and shares only state that hands it the bytes it would have
+// computed (the batch's cell memo) — or batch determinism is lost.
 type Task struct {
 	// Name identifies the task in results and error messages
 	// (e.g. "fig11/seed=3").

@@ -102,20 +102,21 @@ type Run struct {
 // ("# hist", "# fingerprint") to w after the figure output. It returns the
 // runs in the order the experiment asked for their recorders, a fan-out's
 // in its cells' order (sink.Order). With no
-// instrument on the experiment gets a nil exp.Sink and no run is returned.
+// instrument on the experiment gets a nil exp.Sink and the caller's memo
+// (nil for none), and no run is returned; with any on it gets no memo.
 // A conservation violation is returned as an error after everything is
 // written: unlike a watchdog trip (a configured ceiling doing its job) it
 // means the simulator itself miscounted, so the run must fail.
-func Execute(id string, p exp.RunParams, ins Instruments, w io.Writer) ([]*Run, error) {
+func Execute(id string, p exp.RunParams, ins Instruments, memo *exp.Memo, w io.Writer) ([]*Run, error) {
 	spec, ok := exp.Lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownExperiment, id)
 	}
 	if !ins.enabled() {
-		return nil, spec.Run(p, nil, w)
+		return nil, spec.Run(p, nil, memo, w)
 	}
 	s := &sink{ins: ins, exp: id, seed: p.Seed, seen: map[string]int{}}
-	if err := spec.Run(p, s, w); err != nil {
+	if err := spec.Run(p, s, nil, w); err != nil {
 		return s.runs, err
 	}
 	if s.err != nil {

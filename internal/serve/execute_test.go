@@ -186,7 +186,7 @@ func TestCLIAndServerAgree(t *testing.T) {
 	for i, id := range ids {
 		dir := t.TempDir()
 		var cli bytes.Buffer
-		runs, err := Execute(id, exp.RunParams{Seed: 1}, Instruments{Fingerprint: true, Series: true, Dir: dir}, &cli)
+		runs, err := Execute(id, exp.RunParams{Seed: 1}, Instruments{Fingerprint: true, Series: true, Dir: dir}, nil, &cli)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestFanOutSameBytes(t *testing.T) {
 	execute := func(id string, procs int, ins Instruments) (string, []*Run) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var out bytes.Buffer
-		runs, err := Execute(id, p, ins, &out)
+		runs, err := Execute(id, p, ins, nil, &out)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -318,7 +318,7 @@ func TestFanOutSameEvents(t *testing.T) {
 	events := func(procs int) uint64 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		live := &runner.RunEntry{}
-		if _, err := Execute("fig8", exp.RunParams{Seed: 1}, Instruments{Fingerprint: true, Live: live}, io.Discard); err != nil {
+		if _, err := Execute("fig8", exp.RunParams{Seed: 1}, Instruments{Fingerprint: true, Live: live}, nil, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		return live.Live.Events.Load()

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"prioplus/internal/cache"
 	"prioplus/internal/exp"
 	"prioplus/internal/obs"
 	"prioplus/internal/obs/stream"
@@ -87,20 +88,37 @@ type Config struct {
 	Hub *stream.Hub
 }
 
-// Scheduler owns the job table, the worker pool, and the result cache.
-// All exported methods are safe for concurrent use.
+// Scheduler owns the job table, the worker pool, the result cache and the
+// process's cell memo. All exported methods are safe for concurrent use.
 type Scheduler struct {
 	cfg  Config
 	pool *runner.Pool
+	// memo serves scenario cells to the jobs that run hooks-off
+	// (exp.Memo). Every job arms the digest chain today, so none consults
+	// it, and its counters in Jobs stay at zero.
+	memo *exp.Memo
 
 	mu       sync.Mutex
 	jobs     map[string]*job
 	order    []string
 	inflight map[string]*job // cache key -> computing leader
-	cache    *resultCache
+	cache    *cache.Cache[cacheEntry]
 	seq      int
 	hits     uint64
 	misses   uint64
+}
+
+// cacheEntry is one memoized job: everything a hit needs to reproduce the
+// original response byte-for-byte. The cache is keyed by the full
+// determinism tuple (see cacheKey); an identical spec still computing is
+// joined as a follower (Submit), not through the cache's own single-flight,
+// because a follower is a job with its own id and lifecycle.
+type cacheEntry struct {
+	output    string
+	fp        string
+	artifacts []Artifact
+	wallMS    float64
+	events    uint64
 }
 
 // New builds a scheduler and starts its worker pool.
@@ -116,7 +134,8 @@ func New(cfg Config) *Scheduler {
 		pool:     runner.NewPool(cfg.Workers, cfg.QueueDepth, cfg.Timeout),
 		jobs:     map[string]*job{},
 		inflight: map[string]*job{},
-		cache:    newResultCache(cfg.CacheSize),
+		cache:    cache.New[cacheEntry](cfg.CacheSize),
+		memo:     exp.NewMemo(),
 	}
 }
 
@@ -149,7 +168,7 @@ func (s *Scheduler) Submit(spec JobSpec) (JobSnapshot, error) {
 
 	// Deterministic runs memoize: an identical finished spec is returned
 	// from the cache byte-for-byte, with no recompute.
-	if e, ok := s.cache.get(key); ok {
+	if e, ok := s.cache.Get(key); ok {
 		s.hits++
 		j.cache = "hit"
 		j.status = JobDone
@@ -240,7 +259,7 @@ func (s *Scheduler) compute(j *job) (string, map[string]float64) {
 		Series:      j.spec.Artifact,
 		Hub:         s.cfg.Hub,
 		Live:        j.state,
-	}, &buf)
+	}, s.memo, &buf)
 	var arts []Artifact
 	if err == nil && j.spec.Artifact {
 		for _, r := range runs {
@@ -295,7 +314,7 @@ func (s *Scheduler) complete(j *job, r runner.Result) {
 	j.events = j.state.Live.Events.Load()
 	if success {
 		j.output, j.fp = r.Output, fp
-		s.cache.put(j.key, j.cacheEntry)
+		s.cache.Put(j.key, j.cacheEntry)
 	} else {
 		j.artifacts = nil
 	}
@@ -398,7 +417,8 @@ func (s *Scheduler) Jobs() JobsSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := JobsSnapshot{Queue: QueueStats{Capacity: s.cfg.QueueDepth}}
-	out.Cache = CacheStats{Entries: s.cache.len(), Hits: s.hits, Misses: s.misses}
+	out.Cache = CacheStats{Entries: s.cache.Len(), Hits: s.hits, Misses: s.misses}
+	out.Cache.MemoHits, out.Cache.MemoMisses = s.memo.Stats()
 	for _, id := range s.order {
 		j := s.jobs[id]
 		out.Jobs = append(out.Jobs, j.snapshot())

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"prioplus/internal/cache"
 	"prioplus/internal/exp"
 	"prioplus/internal/runner"
 )
@@ -23,7 +24,7 @@ func init() {
 		ID:       "testblock",
 		Describe: "serve test fixture: counts computes",
 		Defaults: exp.RunParams{Seed: 1},
-		Run: func(p exp.RunParams, sink exp.Sink, w io.Writer) error {
+		Run: func(p exp.RunParams, sink exp.Sink, memo *exp.Memo, w io.Writer) error {
 			testComputes.Add(1)
 			if sink != nil {
 				sink.Recorder("t")
@@ -43,7 +44,7 @@ func registerGatedSpec(id string) (gate chan struct{}, computes *atomic.Int64) {
 		ID:       id,
 		Describe: "serve test fixture: blocks on a private gate",
 		Defaults: exp.RunParams{Seed: 1},
-		Run: func(p exp.RunParams, sink exp.Sink, w io.Writer) error {
+		Run: func(p exp.RunParams, sink exp.Sink, memo *exp.Memo, w io.Writer) error {
 			computes.Add(1)
 			<-gate
 			if sink != nil {
@@ -394,27 +395,27 @@ func TestFig2AgainstCommittedManifest(t *testing.T) {
 	}
 }
 
-// TestCacheEviction: the FIFO cache holds at most CacheSize entries and
+// TestCacheEviction: the job cache holds at most CacheSize entries and
 // evicts the oldest.
 func TestCacheEviction(t *testing.T) {
-	c := newResultCache(2)
-	c.put("a", cacheEntry{fp: "1"})
-	c.put("b", cacheEntry{fp: "2"})
-	c.put("c", cacheEntry{fp: "3"})
-	if c.len() != 2 {
-		t.Fatalf("cache len %d, want 2", c.len())
+	c := cache.New[cacheEntry](2)
+	c.Put("a", cacheEntry{fp: "1"})
+	c.Put("b", cacheEntry{fp: "2"})
+	c.Put("c", cacheEntry{fp: "3"})
+	if c.Len() != 2 {
+		t.Fatalf("cache len %d, want 2", c.Len())
 	}
-	if _, ok := c.get("a"); ok {
+	if _, ok := c.Get("a"); ok {
 		t.Error("oldest entry not evicted")
 	}
 	for _, k := range []string{"b", "c"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok := c.Get(k); !ok {
 			t.Errorf("entry %q missing", k)
 		}
 	}
 	// Re-put of an existing key updates in place, no eviction.
-	c.put("b", cacheEntry{fp: "2x"})
-	if e, _ := c.get("c"); c.len() != 2 || e.fp != "3" {
+	c.Put("b", cacheEntry{fp: "2x"})
+	if e, _ := c.Get("c"); c.Len() != 2 || e.fp != "3" {
 		t.Error("update evicted a live entry")
 	}
 }

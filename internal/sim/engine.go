@@ -31,7 +31,10 @@ var totalEvents atomic.Int64
 // via ReserveSeq and never filed stands for an event the eager scheduling
 // scheme would have dispatched). Unlike TotalProcessed, this basis is
 // stable across engine optimizations, so events/sec computed from it is
-// comparable across builds.
+// comparable across builds. A result served from a cell memo instead of
+// simulated counts too: the memo credits the events its run recorded
+// (CreditEvents), so the logical count of a batch does not depend on which
+// of its cells were memo hits, while TotalProcessed shows the saving.
 func TotalEvents() uint64 {
 	v := totalEvents.Load()
 	if v < 0 {
@@ -39,6 +42,14 @@ func TotalEvents() uint64 {
 	}
 	return uint64(v)
 }
+
+// CreditEvents adds n logical events that were not dispatched: those of a
+// run whose recorded result was served in its place (see TotalEvents).
+func CreditEvents(n uint64) { totalEvents.Add(int64(n)) }
+
+// Events returns the logical events this engine has added to TotalEvents:
+// its dispatches plus its elided events, as of its last RunUntil.
+func (e *Engine) Events() uint64 { return e.processed + e.accReserved - e.accFiled }
 
 // Event kinds, carried as a tag on each scheduled event for cost
 // attribution (SetCostSampler). Tags are advisory — they never affect
@@ -146,6 +157,7 @@ type Engine struct {
 	now       Time
 	seq       uint64
 	stopped   bool
+	seeded    bool // the seed witness (lazyrand.go); sits in stopped's padding
 	processed uint64
 	free      []*Event // recycled fired/canceled events
 

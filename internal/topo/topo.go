@@ -92,7 +92,7 @@ func (n *Network) newHost() *netsim.Host {
 // seeded seed on its first draw: a fabric that never marks never pays for
 // one.
 func (n *Network) newSwitch(name string, seed int64) *netsim.Switch {
-	sw := netsim.NewSwitch(n.Eng, name, n.Cfg.Buffer, sim.LazyRand(seed))
+	sw := netsim.NewSwitch(n.Eng, name, n.Cfg.Buffer, n.Eng.LazyRand(seed))
 	n.Switches = append(n.Switches, sw)
 	return sw
 }

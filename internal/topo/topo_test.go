@@ -174,16 +174,16 @@ func TestBaseRTTSymmetric(t *testing.T) {
 }
 
 // TestUnmarkedSwitchSeedsNoSource: a switch's ECN generator seeds its
-// 4.9 KB math/rand source on its first draw, so a fabric that never marks
-// never allocates one. The same cross-pod ECT traffic through a k=4
-// fat-tree allocates at least a source per switch on its paths more with
-// ECN on than with ECN off: no source existed before the first mark check.
+// 4.9 KB math/rand source on its first draw, and a switch draws only where
+// the draw decides a mark, inside RED's ramp (ECNKMin < qlen < ECNKMax).
+// Cross-pod ECT traffic through a k=4 fat-tree whose marking is a step
+// seeds no source, even with the step so low that every packet is marked;
+// the same traffic under RED, its queues inside the ramp, seeds a source in
+// at least every switch of a path, and marks the engine's seed witness.
 func TestUnmarkedSwitchSeedsNoSource(t *testing.T) {
-	run := func(ecn bool) uint64 {
+	run := func(kmin, kmax int) (marks int64, seeded bool, alloc uint64) {
 		cfg := DefaultConfig()
-		if ecn {
-			cfg.Buffer.ECNKMin, cfg.Buffer.ECNKMax = 100_000, 100_000
-		}
+		cfg.Buffer.ECNKMin, cfg.Buffer.ECNKMax = kmin, kmax
 		eng := sim.NewEngine()
 		n := FatTree(eng, 4, cfg)
 		for i := 0; i < 8; i++ {
@@ -198,11 +198,19 @@ func TestUnmarkedSwitchSeedsNoSource(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		eng.Run()
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		for _, sw := range n.Switches {
+			marks += sw.ECNMarks
+		}
+		return marks, eng.Seeded(), after.TotalAlloc - before.TotalAlloc
+	}
+	marks, seeded, step := run(1, 1)
+	if marks == 0 || seeded {
+		t.Errorf("step marking: %d marks, witness marked %t; want marks and no draw", marks, seeded)
 	}
 	// Every cross-pod path crosses five switches.
 	const source = 4 << 10
-	if off, on := run(false), run(true); on < off+5*source {
-		t.Errorf("the marking fabric allocated %d B against %d B unmarked, want at least five sources (%d B each) more", on, off, source)
+	if _, seeded, red := run(1, 1<<30); !seeded || red < step+5*source {
+		t.Errorf("RED marking in its ramp allocated %d B against %d B for the step (witness marked %t), want at least five sources (%d B each) more",
+			red, step, seeded, source)
 	}
 }

@@ -88,7 +88,7 @@ func meanCoflowBytes(rng *rand.Rand, maxW int) float64 {
 // coflows for the configured duration.
 func Coflows(cfg CoflowConfig) []Coflow {
 	maxW := min(cfg.Hosts/2, 50)
-	mean := meanCoflowBytes(rand.New(rand.NewSource(99)), maxW)
+	mean := meanCoflowBytes(sim.NewRand(99), maxW)
 	ratePerSec := float64(cfg.Hosts) * cfg.Load * cfg.LinkBps / 8 / mean
 	var out []Coflow
 	id := 0

@@ -142,8 +142,8 @@ while read -r doc max; do
         fail=1
     fi
 done <<EOF
-docs/API.md 7280
-docs/ARCHITECTURE.md 47584
+docs/API.md 7271
+docs/ARCHITECTURE.md 47505
 docs/OBSERVABILITY.md 37375
 docs/PERFORMANCE.md 29470
 README.md 15397
