@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -63,12 +64,17 @@ func (p *cellPanic) Error() string {
 //
 // start, when given, is the order the goroutines take the cells in, which
 // decides whose heaps are live at once; the results still come back in
-// index order.
+// index order. It must be a permutation of 0..n-1 (schemeStart gives one):
+// anything else panics before a cell runs, since a repeated index would run
+// one cell twice and leave another's result the zero value.
 //
 // A panicking cell stops its siblings from taking new cells; once the running
 // ones return, its panic (the first by index) is raised on the caller with
 // the cell's stack, so a batch runner fails that one run.
 func cells[T any](o Options, n int, cell func(i int, o Options) T, start ...int) []T {
+	if start != nil {
+		checkStart(n, start)
+	}
 	out := make([]T, n)
 	var (
 		next   atomic.Int64
@@ -136,4 +142,60 @@ func cells[T any](o Options, n int, cell func(i int, o Options) T, start ...int)
 		panic(first)
 	}
 	return out
+}
+
+// checkStart panics, naming n and the offending index, unless start is a
+// permutation of 0..n-1.
+func checkStart(n int, start []int) {
+	seen := make([]bool, n)
+	for _, i := range start {
+		if i < 0 || i >= n || seen[i] {
+			panic(fmt.Sprintf("cells: start order %v for n=%d cells: index %d repeated or out of range", start, n, i))
+		}
+		seen[i] = true
+	}
+	if i := slices.Index(seen, false); i >= 0 {
+		panic(fmt.Sprintf("cells: start order %v for n=%d cells: index %d missing", start, n, i))
+	}
+}
+
+// sharedTags returns o for a fan-out in which two cells run under one tag.
+// A sink numbers a repeated tag's artifact stems in the order the runs ask
+// for recorders, before cells can put them in figure order, so such a
+// fan-out runs on idle cores hooks-off only: without o.order, cells keeps
+// an instrumented run of it serial, in index order.
+func sharedTags(o Options) Options {
+	o.order = nil
+	return o
+}
+
+// schemeStart is the start order every driver whose cells are indexed by
+// scheme passes to cells (faultsweep, the coflow family, fig12c, fig14,
+// fig16). On two cores it decides both the wall time and which heaps are
+// live at once. It ranks only on Scheme flags, never on an id, a position
+// or a wall time measured on one host:
+//   - an INT-stamping cell (HPCC) starts first: it is the longest cell of
+//     fig16, fig18 and faultsweep, and started last it would run alone at
+//     the end;
+//   - a cell whose congestion control does not bound the backlog a paused
+//     fabric builds (unboundedBacklog: DCQCN, Physical* w/o CC) starts
+//     last: its heap can be its figure's largest by far, so it overlaps as
+//     few cells as the order allows;
+//   - the others keep their list order between the two.
+func schemeStart(schemes []Scheme) []int {
+	rank := func(s Scheme) int {
+		switch {
+		case s.stampINT:
+			return 0
+		case s.unboundedBacklog:
+			return 2
+		}
+		return 1
+	}
+	order := make([]int, len(schemes))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return rank(schemes[a]) - rank(schemes[b]) })
+	return order
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,31 +45,58 @@ func panicInCell(i int) int {
 	panic(fmt.Sprintf("boom in cell %d", i))
 }
 
-// orderSink is a Sink with the ordering hook: listed is the tags of the
-// runs it handed out, put in figure order by Order.
+// orderSink is a Sink with the ordering hook: asked is the tags of the runs
+// it handed out, in the order they asked, and listed the same tags put in
+// figure order by Order. shared names a tag two cells of one fan-out ran
+// under, which the CLI's sink rejects. With digest set, each run's recorder
+// arms the per-event digest chain.
 type orderSink struct {
+	digest bool
 	mu     sync.Mutex
 	tags   map[*obs.Recorder]string
+	asked  []string
 	listed []string
+	recs   []*obs.Recorder // in listed order
+	shared string
 }
 
 func (s *orderSink) Recorder(tag string) *obs.Recorder {
 	rec := obs.NewRecorder()
+	if s.digest {
+		rec.Digest = sim.NewDigest()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.tags == nil {
 		s.tags = map[*obs.Recorder]string{}
 	}
 	s.tags[rec] = tag
+	s.asked = append(s.asked, tag)
 	return rec
 }
 
 func (s *orderSink) Order(cells [][]*obs.Recorder) {
-	for _, recs := range cells {
+	cellOf := map[string]int{}
+	for i, recs := range cells {
 		for _, rec := range recs {
-			s.listed = append(s.listed, s.tags[rec])
+			tag := s.tags[rec]
+			if c, ok := cellOf[tag]; ok && c != i {
+				s.shared = tag
+			}
+			cellOf[tag] = i
+			s.listed = append(s.listed, tag)
+			s.recs = append(s.recs, rec)
 		}
 	}
+}
+
+// chains lists the runs in figure order with their digest chains.
+func (s *orderSink) chains() string {
+	var b strings.Builder
+	for i, rec := range s.recs {
+		fmt.Fprintf(&b, "# %s events=%d chain=%016x\n", s.listed[i], rec.Digest.Count, rec.Digest.Chain)
+	}
+	return b.String()
 }
 
 // recorderSink hands out the recorders of an instrumented spec run.
@@ -291,5 +319,178 @@ func TestFig16CellsMatchSerial(t *testing.T) {
 	withProcs(2, func() { fanned = fig16(4, cfg) })
 	if s, f := fmt.Sprint(serial), fmt.Sprint(fanned); s != f {
 		t.Errorf("fanned-out rows differ from serial ones:\n%s\nvs\n%s", f, s)
+	}
+}
+
+// TestCellsRejectBadStart: a start order that is not a permutation of the
+// cells' indices panics before any cell runs, naming n and the bad index.
+func TestCellsRejectBadStart(t *testing.T) {
+	for _, c := range []struct {
+		start []int
+		want  string
+	}{
+		{[]int{0, 2, 2}, "n=3 cells: index 2 repeated or out of range"},
+		{[]int{0, 1}, "n=3 cells: index 2 missing"},
+		{[]int{}, "n=3 cells: index 0 missing"},
+		{[]int{0, 3, 1}, "n=3 cells: index 3 repeated or out of range"},
+		{[]int{-1, 0, 1}, "n=3 cells: index -1 repeated or out of range"},
+	} {
+		ran := false
+		recovered := func() (r any) {
+			defer func() { r = recover() }()
+			cells(Options{}, 3, func(int, Options) int { ran = true; return 0 }, c.start...)
+			return nil
+		}()
+		if msg, _ := recovered.(string); !strings.Contains(msg, c.want) || ran {
+			t.Errorf("start %v: recovered %v, a cell ran %v; want a panic naming %q before any cell", c.start, recovered, ran, c.want)
+		}
+	}
+}
+
+// tinyCoflow is a coflow config too short to matter: one millisecond of
+// arrivals and no drain, for checks that look at which runs start when.
+func tinyCoflow(o Options) CoflowConfig {
+	cfg := DefaultCoflowConfig(PrioPlusSwift(), 0.7)
+	cfg.Duration, cfg.Drain, cfg.Options = 200*sim.Microsecond, 0, o
+	return cfg
+}
+
+// TestSchemeStartOrder: every driver whose cells are indexed by scheme
+// starts them in schemeStart's order — the INT-stamping cell first, the
+// unbounded-backlog cell last, the others in list order — seen as the order
+// in which a one-core run's cells ask the sink for recorders. The drivers
+// run the real scheme lists over horizons too short to matter.
+func TestSchemeStartOrder(t *testing.T) {
+	sweep := func(schemes []Scheme) func(o Options) {
+		return func(o Options) {
+			cfg := quickFaultSweepConfig(1)
+			cfg.schemes, cfg.horizon, cfg.Options = schemes, 10*sim.Microsecond, o
+			faultSweep(cfg)
+		}
+	}
+	def := defaultFaultSweepConfig().schemes
+	rev := slices.Clone(def)
+	slices.Reverse(rev)
+	sched := func(o Options, nprios int) flowSchedConfig {
+		cfg := shortFlowSched(PrioPlusSwift(), nprios)
+		cfg.duration, cfg.drain, cfg.Options = 100*sim.Microsecond, 0, o
+		return cfg
+	}
+	fig14Schemes := []Scheme{PrioPlusSwift(), swiftPhysicalIdeal(), d2tcp(), noCCPhysicalIdeal()}
+	for _, c := range []struct {
+		name string
+		run  func(o Options)
+		want string
+	}{
+		{"faultsweep", sweep(def), "Physical+HPCC,PrioPlus+Swift,Physical+Swift,Physical+DCQCN"},
+		{"faultsweep reversed", sweep(rev), "Physical+HPCC,Physical+Swift,PrioPlus+Swift,Physical+DCQCN"},
+		{"fig16", func(o Options) { fig16(8, sched(o, 8)) },
+			"Physical+HPCC/np=8,PrioPlus+Swift/np=8,PrioPlus+Swift/np=8/ackdata"},
+		{"fig18", func(o Options) {
+			cfg := tinyCoflow(o)
+			cfg.maxInflight = 128 << 20
+			Fig12Coflow(cfg, false, hpccPhysical(8), noCCPhysicalIdeal())
+		}, "Physical+HPCC,baseline/Physical+Swift,Physical+Swift,PrioPlus+Swift,Physical* w/o CC"},
+		// fig14's reference and Physical*+Swift cells share a tag, so its
+		// instrumented run is serial (sharedTags): index order puts no-CC
+		// last. Without that scheme it fans out, and no-CC moves to the end.
+		{"fig14", func(o Options) { fig14(sched(o, 12), fig14Schemes) },
+			"Physical*+Swift/np=12,PrioPlus+Swift/np=12,Physical*+Swift/np=12,D2TCP/np=12,Physical* w/o CC/np=12"},
+		{"fig14 without Physical*, reversed", func(o Options) {
+			fig14(sched(o, 12), []Scheme{noCCPhysicalIdeal(), d2tcp(), PrioPlusSwift()})
+		}, "Physical*+Swift/np=12,D2TCP/np=12,PrioPlus+Swift/np=12,Physical* w/o CC/np=12"},
+		{"neither flag: quick faultsweep", sweep(quickFaultSweepConfig(1).schemes), "PrioPlus+Swift,Physical+Swift"},
+		{"neither flag: fig12ab at one load", func(o Options) { Fig12Coflow(tinyCoflow(o), false) },
+			"baseline/Physical+Swift,Physical+Swift,PrioPlus+Swift"},
+	} {
+		withProcs(1, func() {
+			sink := &orderSink{}
+			c.run(specOptions(RunParams{}, sink, nil))
+			if got := strings.Join(sink.asked, ","); got != c.want {
+				t.Errorf("%s starts\n%s\nwant\n%s", c.name, got, c.want)
+			}
+		})
+	}
+}
+
+// TestFanOutDriversSameBytes: the drivers that fan out their scheme or grid
+// cells — the coflow family (fig12ab's two loads as one fan-out, fig17,
+// fig18), fig12c, fig13 and fig14 — print the same bytes on two cores as on
+// one, on reduced configs, hooks-off and fingerprinted: there every run's
+// digest chain, listed in figure order, must match too, and the figure lines
+// must equal the hooks-off ones, and no two cells of an instrumented
+// fan-out may share a tag. fig18's uncontrolled cell still reports its
+// watchdog stop, under a ceiling scaled to the reduced fabric. -short (the
+// race detector's run) keeps to fig13 and fig14.
+func TestFanOutDriversSameBytes(t *testing.T) {
+	coflow := func(o Options, load float64) CoflowConfig {
+		cfg := DefaultCoflowConfig(PrioPlusSwift(), load)
+		cfg.Duration, cfg.Drain, cfg.Options = sim.Millisecond, 5*sim.Millisecond, o
+		return cfg
+	}
+	printRows := func(rows ...[]CoflowSpeedups) string {
+		var b strings.Builder
+		for _, r := range rows {
+			printCoflow(&b, r)
+		}
+		return b.String()
+	}
+	sched := shortFlowSched(PrioPlusSwift(), 12)
+	sched.load, sched.duration, sched.drain = 0.5, 200*sim.Microsecond, 500*sim.Microsecond
+	for _, d := range []struct {
+		name string
+		slow bool
+		run  func(o Options) string
+	}{
+		{"fig12ab", true, func(o Options) string {
+			return printRows(coflowLoads([]CoflowConfig{coflow(o, 0.4), coflow(o, 0.7)}, false)...)
+		}},
+		{"fig18", true, func(o Options) string {
+			cfg := coflow(o, 0.7)
+			cfg.maxInflight = 16 << 20
+			out := printRows(Fig12Coflow(cfg, false, hpccPhysical(8), noCCPhysicalIdeal()))
+			if !strings.Contains(out, "Physical* w/o CC [watchdog: inflight_bytes]") {
+				t.Errorf("fig18: no watchdog annotation on the uncontrolled row:\n%s", out)
+			}
+			return out
+		}},
+		{"fig12c", true, func(o Options) string {
+			cfg := DefaultMLConfig(PrioPlusSwift())
+			cfg.Duration, cfg.gradScale, cfg.Options = 10*sim.Millisecond, 64, o
+			return fmt.Sprintf("%+v", fig12ML(cfg))
+		}},
+		{"fig13", false, func(o Options) string {
+			return fmt.Sprintf("%+v", fig13(fig13Config{tolerancesUS: []float64{10}, rangesUS: []float64{0, 6, 40}}, o))
+		}},
+		{"fig14", false, func(o Options) string {
+			cfg := sched
+			cfg.Options = o
+			return fmt.Sprintf("%+v", fig14(cfg, []Scheme{PrioPlusSwift(), swiftPhysicalIdeal(), d2tcp(), noCCPhysicalIdeal()}))
+		}},
+	} {
+		if d.slow && testing.Short() {
+			continue
+		}
+		var plain, fp [2]string
+		for k, procs := range []int{1, 2} {
+			withProcs(procs, func() {
+				plain[k] = d.run(Options{})
+				sink := &orderSink{digest: true}
+				fig := d.run(specOptions(RunParams{}, sink, nil))
+				if sink.shared != "" {
+					t.Errorf("%s, GOMAXPROCS %d: two fanned-out cells ran under the tag %q", d.name, procs, sink.shared)
+				}
+				if fig != plain[k] {
+					t.Errorf("%s, GOMAXPROCS %d: fingerprinted figure lines\n%s\ndiffer from hooks-off\n%s", d.name, procs, fig, plain[k])
+				}
+				fp[k] = fig + sink.chains()
+			})
+		}
+		if plain[0] != plain[1] {
+			t.Errorf("%s: hooks-off output on two cores\n%s\ndiffers from one core's\n%s", d.name, plain[1], plain[0])
+		}
+		if fp[0] != fp[1] {
+			t.Errorf("%s: fingerprinted output on two cores\n%s\ndiffers from one core's\n%s", d.name, fp[1], fp[0])
+		}
 	}
 }

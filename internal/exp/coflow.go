@@ -250,24 +250,41 @@ func speedupOf(base, r CoflowResult, tail bool) CoflowSpeedups {
 	}
 }
 
-// Fig12Coflow runs the coflow comparison at one load: baseline Swift (no
-// priorities), Physical+Swift, and PrioPlus+Swift. With lossy=true it
-// reproduces Fig 17. extra appends further schemes (Fig 18: HPCC,
-// Physical w/o CC). The schemes run one after another on purpose, not
-// through cells: fig18's uncontrolled baseline comes through here, and its
-// backlog is bounded only by the in-flight watchdog's ceiling.
+// Fig12Coflow runs the coflow comparison at one load, one cell per scheme
+// (coflowLoads): baseline Swift (no priorities), Physical+Swift, and
+// PrioPlus+Swift. With lossy=true it reproduces Fig 17. extra appends
+// further schemes (Fig 18: HPCC, Physical w/o CC).
 func Fig12Coflow(base CoflowConfig, tail bool, extra ...Scheme) []CoflowSpeedups {
-	bcfg := base
-	bcfg.Scheme = SwiftPhysical(8)
-	bcfg.NoPriority = true
-	baseline := RunCoflow(bcfg)
+	return coflowLoads([]CoflowConfig{base}, tail, extra...)[0]
+}
 
-	schemes := append([]Scheme{SwiftPhysical(8), PrioPlusSwift()}, extra...)
-	var out []CoflowSpeedups
-	for _, s := range schemes {
-		cfg := base
-		cfg.Scheme = s
-		out = append(out, speedupOf(baseline, RunCoflow(cfg), tail))
+// coflowLoads runs Fig12Coflow for each config, all of their cells as one
+// fan-out started in schemeStart's order: per config the no-priority
+// baseline, then Physical+Swift, PrioPlus+Swift and extra. The configs
+// share bases[0]'s Options.
+func coflowLoads(bases []CoflowConfig, tail bool, extra ...Scheme) [][]CoflowSpeedups {
+	schemes := append([]Scheme{SwiftPhysical(8), SwiftPhysical(8), PrioPlusSwift()}, extra...)
+	n := len(schemes)
+	var all []Scheme
+	for range bases {
+		all = append(all, schemes...)
+	}
+	o := bases[0].Options
+	if len(bases) > 1 {
+		o = sharedTags(o) // every config's cells run under the same tags
+	}
+	res := cells(o, len(all), func(i int, o Options) CoflowResult {
+		cfg := bases[i/n]
+		cfg.Options = o
+		cfg.Scheme = all[i]
+		cfg.NoPriority = i%n == 0
+		return RunCoflow(cfg)
+	}, schemeStart(all)...)
+	out := make([][]CoflowSpeedups, len(bases))
+	for l := range bases {
+		for _, r := range res[l*n+1 : (l+1)*n] {
+			out[l] = append(out[l], speedupOf(res[l*n], r, tail))
+		}
 	}
 	return out
 }

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"slices"
-
 	"prioplus/internal/core"
 	"prioplus/internal/fault"
 	"prioplus/internal/sim"
@@ -81,9 +79,9 @@ type faultSweepRow struct {
 // Physical+Swift, +DCQCN and +HPCC cells never draw a seeded stream, and a
 // memo serves them to every seed.
 //
-// The sweep runs its scheme cells on idle cores, started in
-// faultSweepStart's order; the rows, and an instrumented sweep's runs,
-// still come back in the config's order.
+// The sweep runs its scheme cells on idle cores, started in schemeStart's
+// order (HPCC first, DCQCN last); the rows, and an instrumented sweep's
+// runs, still come back in the config's order.
 func faultSweep(cfg faultSweepConfig) []faultSweepRow {
 	if cfg.Faults == nil {
 		cfg.Faults = fault.NewPlan(cfg.Seed).Flap(cfg.flapAt, cfg.flapDur, fault.Link("p0e0", "p0a0"))
@@ -95,32 +93,7 @@ func faultSweep(cfg faultSweepConfig) []faultSweepRow {
 			c.Options = o
 			return faultSweepOne(s, c)
 		})
-	}, faultSweepStart(cfg.schemes)...)
-}
-
-// faultSweepStart orders the sweep's cells so that, on two cores, its two
-// largest heaps are not live at once: peak RSS follows the GC goal, which
-// the heaps of the cells running together set. The INT-stamping cell (HPCC)
-// holds the second-largest heap and runs longest, so it starts first. A
-// cell whose congestion control does not bound the backlog a paused fabric
-// builds (DCQCN) holds the largest, so it starts last, about when the INT
-// cell ends. The other cells keep their order between the two.
-func faultSweepStart(schemes []Scheme) []int {
-	rank := func(s Scheme) int {
-		switch {
-		case s.stampINT:
-			return 0
-		case s.unboundedBacklog:
-			return 2
-		}
-		return 1
-	}
-	order := make([]int, len(schemes))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return rank(schemes[a]) - rank(schemes[b]) })
-	return order
+	}, schemeStart(cfg.schemes)...)
 }
 
 // faultSweepOne runs one scheme: cross-pod permutation flows (every host

@@ -3,8 +3,6 @@ package exp
 import (
 	"bytes"
 	"fmt"
-	"slices"
-	"strings"
 	"testing"
 
 	"prioplus/internal/fault"
@@ -133,31 +131,5 @@ func TestFaultSweepCustomPlan(t *testing.T) {
 	}
 	if r.stuck != 0 {
 		t.Errorf("%d flows stuck under the two-flap plan", r.stuck)
-	}
-}
-
-// TestFaultSweepStartOrder: whatever order the config lists the schemes in,
-// the INT-stamping cell starts first, the cell whose CC does not bound a
-// paused backlog starts last, and the others keep their relative order.
-func TestFaultSweepStartOrder(t *testing.T) {
-	names := func(schemes []Scheme, order []int) string {
-		var out []string
-		for _, i := range order {
-			out = append(out, schemes[i].name)
-		}
-		return strings.Join(out, ",")
-	}
-	def := defaultFaultSweepConfig().schemes
-	if got, want := names(def, faultSweepStart(def)), "Physical+HPCC,PrioPlus+Swift,Physical+Swift,Physical+DCQCN"; got != want {
-		t.Errorf("default sweep starts %s, want %s", got, want)
-	}
-	quick := quickFaultSweepConfig(1).schemes
-	if got := fmt.Sprint(faultSweepStart(quick)); got != "[0 1]" {
-		t.Errorf("quick sweep starts %s, want index order", got)
-	}
-	rev := slices.Clone(def)
-	slices.Reverse(rev)
-	if got, want := names(rev, faultSweepStart(rev)), "Physical+HPCC,Physical+Swift,PrioPlus+Swift,Physical+DCQCN"; got != want {
-		t.Errorf("reversed sweep starts %s, want %s", got, want)
 	}
 }

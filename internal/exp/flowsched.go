@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"slices"
 	"strconv"
 
 	"prioplus/internal/harness"
@@ -175,7 +176,8 @@ func schedRow(cfg flowSchedConfig) fig11Row {
 }
 
 // fig16 compares PrioPlus, PrioPlus* (ACKs in the data queue), and HPCC in
-// the flow-scheduling scenario (Appendix A.3), one cell per scheme.
+// the flow-scheduling scenario (Appendix A.3), one cell per scheme, HPCC's
+// started first (schemeStart).
 func fig16(nprios int, base flowSchedConfig) []fig11Row {
 	variants := []struct {
 		s       Scheme
@@ -185,6 +187,10 @@ func fig16(nprios int, base flowSchedConfig) []fig11Row {
 		{PrioPlusSwift(), false, "PrioPlus+Swift"},
 		{PrioPlusSwift(), true, "PrioPlus*+Swift"},
 		{hpccPhysical(8), false, "Physical+HPCC"},
+	}
+	schemes := make([]Scheme, len(variants))
+	for i, v := range variants {
+		schemes[i] = v.s
 	}
 	return cells(base.Options, len(variants), func(i int, o Options) fig11Row {
 		v := variants[i]
@@ -196,7 +202,7 @@ func fig16(nprios int, base flowSchedConfig) []fig11Row {
 		row := schedRow(cfg)
 		row.scheme = v.name
 		return row
-	})
+	}, schemeStart(schemes)...)
 }
 
 // fig14Row is one (priority band, size class) cell of Fig 14: FCT
@@ -209,44 +215,46 @@ type fig14Row struct {
 }
 
 // fig14 runs the per-priority workload mode with 12 priorities and
-// normalizes each scheme's per-band, per-class FCT by Physical*+Swift. Its
-// runs stay one after another on purpose: the uncontrolled Physical* w/o CC
-// cell's backlog is bounded by nothing but the horizon (about 405 MB RSS
-// even alone), so a cell beside it would add its whole heap to that peak.
+// normalizes each scheme's per-band, per-class FCT by Physical*+Swift. Cell
+// 0 is that reference and cell 1+j runs schemes[j]; each returns its mean
+// FCT per (band, class), so no cell's flow records outlive it.
 func fig14(base flowSchedConfig, schemes []Scheme) []fig14Row {
 	const nprios = 12
-	run := func(s Scheme, ackData bool) flowSchedResult {
-		cfg := base
-		cfg.scheme = s
-		cfg.nPrios = nprios
-		cfg.perPrioWorkload = true
-		cfg.ackPrioData = ackData
-		return runFlowSched(cfg)
-	}
-	ref := run(swiftPhysicalIdeal(), false)
 	bands := []struct {
 		name   string
 		lo, hi int
 	}{{"high", 11, 11}, {"middle", 6, 10}, {"low", 0, 5}}
 	classes := []stats.SizeClass{stats.Small, stats.Middle, stats.Large}
-	var rows []fig14Row
-	for _, s := range schemes {
-		r := run(s, false)
+	runs := append([]Scheme{swiftPhysicalIdeal()}, schemes...)
+	o := base.Options
+	if slices.ContainsFunc(schemes, func(s Scheme) bool { return s.name == runs[0].name }) {
+		o = sharedTags(o) // that scheme's cell runs under the reference's tag
+	}
+	means := cells(o, len(runs), func(i int, o Options) []sim.Time {
+		cfg := base
+		cfg.Options = o
+		cfg.scheme = runs[i]
+		cfg.nPrios = nprios
+		cfg.perPrioWorkload = true
+		flows := runFlowSched(cfg).flows
+		var m []sim.Time
 		for _, b := range bands {
 			for _, cl := range classes {
-				sel := func(c *stats.Collector) *stats.Collector {
-					return c.Filter(func(f stats.FlowRecord) bool {
-						return f.Prio >= b.lo && f.Prio <= b.hi && stats.ClassOf(f.Size) == cl
-					})
-				}
-				den := sel(ref.flows).MeanFCT()
-				num := sel(r.flows).MeanFCT()
-				norm := 0.0
-				if den > 0 {
-					norm = float64(num) / float64(den)
-				}
-				rows = append(rows, fig14Row{scheme: s.name, band: b.name, class: cl.String(), norm: norm})
+				m = append(m, flows.Filter(func(f stats.FlowRecord) bool {
+					return f.Prio >= b.lo && f.Prio <= b.hi && stats.ClassOf(f.Size) == cl
+				}).MeanFCT())
 			}
+		}
+		return m
+	}, schemeStart(runs)...)
+	var rows []fig14Row
+	for j, s := range schemes {
+		for k, num := range means[1+j] {
+			norm := 0.0
+			if den := means[0][k]; den > 0 {
+				norm = float64(num) / float64(den)
+			}
+			rows = append(rows, fig14Row{scheme: s.name, band: bands[k/len(classes)].name, class: classes[k%len(classes)].String(), norm: norm})
 		}
 	}
 	return rows

@@ -569,7 +569,9 @@ func defaultFig13Config() fig13Config {
 // budget B set to each tolerance. The gap vs an ideal-physical run of the
 // same workload stays small until the range exceeds the tolerance. Each
 // cell is a private engine on the published topology seed (31) with the
-// jitter RNG 6 above it (37), both of which follow an o.Seed override.
+// jitter RNG 6 above it (37), both of which follow an o.Seed override; cell
+// 0 is the physical reference and cell 1+k the k-th (tolerance, range)
+// point, run on idle cores (cells).
 // Perturb does not apply — this scenario injects jitter instead of the
 // measurement-noise model the perturbation hooks into.
 func fig13(fc fig13Config, o Options) []fig13Point {
@@ -582,7 +584,7 @@ func fig13(fc fig13Config, o Options) []fig13Point {
 	// (§4.3.2's "incorporate the fixed part into the base RTT and the
 	// variable part into delay noise").
 	const horizon = 60 * sim.Millisecond
-	runOne := func(tolUS, rngUS float64, usePP bool) []sim.Time {
+	runOne := func(o Options, tolUS, rngUS float64, usePP bool) []sim.Time {
 		net := star(o, "", 9, 31, longTail{}, func(cfg *topo.Config) {
 			cfg.HostRate = 10 * netsim.Gbps
 			if !usePP {
@@ -641,15 +643,22 @@ func fig13(fc fig13Config, o Options) []fig13Point {
 		}
 		return fcts
 	}
-	var out []fig13Point
 	// The reference is the clean (no non-congestive delay) physical run:
 	// a fixed denominator isolates how PrioPlus itself degrades as the
 	// non-congestive range grows, rather than conflating it with plain
 	// Swift's own sensitivity to the same jitter.
-	phys := runOne(0, 0, false)
-	for _, tol := range tolerancesUS {
-		for _, rng := range rangesUS {
-			pp := runOne(tol, rng, true)
+	nr := len(rangesUS)
+	runs := cells(o, 1+len(tolerancesUS)*nr, func(i int, o Options) []sim.Time {
+		if i == 0 {
+			return runOne(o, 0, 0, false)
+		}
+		return runOne(o, tolerancesUS[(i-1)/nr], rangesUS[(i-1)%nr], true)
+	})
+	phys := runs[0]
+	var out []fig13Point
+	for ti, tol := range tolerancesUS {
+		for ri, rng := range rangesUS {
+			pp := runs[1+ti*nr+ri]
 			gap := 0.0
 			n := 0
 			for i := range pp {

@@ -122,26 +122,28 @@ type mlSpeedups struct {
 	overall float64
 }
 
-// fig12ML runs the comparison: Physical+Swift and PrioPlus+Swift against
-// Swift without priorities.
+// fig12ML runs the comparison, one cell per run: Physical+Swift and
+// PrioPlus+Swift against Swift without priorities (cell 0).
 func fig12ML(base MLConfig) []mlSpeedups {
-	bcfg := base
-	bcfg.Scheme = SwiftPhysical(8)
-	bcfg.NoPriority = true
-	b := RunML(bcfg)
+	schemes := []Scheme{SwiftPhysical(8), SwiftPhysical(8), PrioPlusSwift()}
+	rs := cells(base.Options, len(schemes), func(i int, o Options) MLResult {
+		cfg := base
+		cfg.Options = o
+		cfg.Scheme = schemes[i]
+		cfg.NoPriority = i == 0
+		return RunML(cfg)
+	}, schemeStart(schemes)...)
 	ratio := func(x, y int) float64 {
 		if y == 0 {
 			return 0
 		}
 		return float64(x) / float64(y)
 	}
+	b := rs[0]
 	var out []mlSpeedups
-	for _, s := range []Scheme{SwiftPhysical(8), PrioPlusSwift()} {
-		cfg := base
-		cfg.Scheme = s
-		r := RunML(cfg)
+	for _, r := range rs[1:] {
 		out = append(out, mlSpeedups{
-			scheme:  s.name,
+			scheme:  r.scheme,
 			resNet:  ratio(r.ResNetIter, b.ResNetIter),
 			vgg:     ratio(r.VGGIter, b.VGGIter),
 			overall: ratio(r.ResNetIter+r.VGGIter, b.ResNetIter+b.VGGIter),

@@ -44,8 +44,9 @@ type Scheme struct {
 	// stampINT enables in-network telemetry stamping on every port (HPCC).
 	stampINT bool
 	// unboundedBacklog marks a scheme whose congestion control does not
-	// bound the backlog a PFC-paused fabric builds (DCQCN): in faultsweep
-	// its paused NIC queues make its cell's heap the largest.
+	// bound the backlog a PFC-paused fabric builds (DCQCN, Physical* w/o
+	// CC): its paused queues make its cell's heap its figure's largest, so
+	// the cell starts last (schemeStart).
 	unboundedBacklog bool
 }
 
@@ -90,6 +91,7 @@ func swiftPhysicalIdeal() Scheme {
 func noCCPhysicalIdeal() Scheme {
 	s := swiftPhysicalIdeal()
 	s.name = "Physical* w/o CC"
+	s.unboundedBacklog = true
 	s.newAlgo = func(env flowEnv) cc.Algorithm {
 		return cc.NewNoCCWindow(8 * env.bdpPkts * netsim.DefaultMTU)
 	}

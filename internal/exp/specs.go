@@ -228,9 +228,14 @@ func init() {
 	})
 
 	reg("fig12ab", "coflow CCT speedups at 40%/70% load", func(p RunParams, o Options, w io.Writer) error {
-		for _, load := range []float64{0.4, 0.7} {
-			fmt.Fprintf(w, "coflow CCT speedup vs Swift baseline, load %.0f%%\n", load*100)
-			printCoflow(w, Fig12Coflow(coflowAt(p, o, load), false))
+		loads := []float64{0.4, 0.7}
+		var cfgs []CoflowConfig
+		for _, load := range loads {
+			cfgs = append(cfgs, coflowAt(p, o, load))
+		}
+		for i, rows := range coflowLoads(cfgs, false) {
+			fmt.Fprintf(w, "coflow CCT speedup vs Swift baseline, load %.0f%%\n", loads[i]*100)
+			printCoflow(w, rows)
 		}
 		return nil
 	})

@@ -143,9 +143,9 @@ while read -r doc max; do
     fi
 done <<EOF
 docs/API.md 7271
-docs/ARCHITECTURE.md 47505
+docs/ARCHITECTURE.md 47498
 docs/OBSERVABILITY.md 37375
-docs/PERFORMANCE.md 29470
+docs/PERFORMANCE.md 29432
 README.md 15397
 DESIGN.md 13714
 EXPERIMENTS.md 13906
