@@ -57,10 +57,9 @@ func (p *cellPanic) Error() string {
 // Cell i builds its runs from the Options it is handed. In an instrumented
 // run that copy's NewRecorder notes which recorders cell i received, and
 // once the cells return, o.order gets them in index order, so the sink
-// lists the runs — their summary lines, artifacts and stems — in the
-// figure's order, whichever cell asked first. An instrumented run with no
-// order to report to (a nested fan-out, a sink that cannot reorder) takes
-// no helper and runs its cells in order, as a loop would.
+// lists the runs — their summary lines and artifacts — in the figure's
+// order, whichever cell asked first. No cell calls cells: every fan-out is
+// one flat level under a spec's run.
 //
 // start, when given, is the order the goroutines take the cells in, which
 // decides whose heaps are live at once; the results still come back in
@@ -84,16 +83,11 @@ func cells[T any](o Options, n int, cell func(i int, o Options) T, start ...int)
 		wg     sync.WaitGroup
 		recs   = make([][]*obs.Recorder, n)
 	)
-	serial := o.NewRecorder != nil && o.order == nil
-	if serial {
-		start = nil
-	}
 	opts := func(i int) Options {
-		if o.NewRecorder == nil || serial {
+		if o.order == nil {
 			return o
 		}
 		c := o
-		c.order = nil
 		c.NewRecorder = func(tag string) *obs.Recorder {
 			rec := o.NewRecorder(tag)
 			mu.Lock()
@@ -125,7 +119,7 @@ func cells[T any](o Options, n int, cell func(i int, o Options) T, start ...int)
 			out[i] = cell(i, opts(i))
 		}
 	}
-	for h := 1; h < n && !serial && tryHelper(); h++ {
+	for h := 1; h < n && tryHelper(); h++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -157,16 +151,6 @@ func checkStart(n int, start []int) {
 	if i := slices.Index(seen, false); i >= 0 {
 		panic(fmt.Sprintf("cells: start order %v for n=%d cells: index %d missing", start, n, i))
 	}
-}
-
-// sharedTags returns o for a fan-out in which two cells run under one tag.
-// A sink numbers a repeated tag's artifact stems in the order the runs ask
-// for recorders, before cells can put them in figure order, so such a
-// fan-out runs on idle cores hooks-off only: without o.order, cells keeps
-// an instrumented run of it serial, in index order.
-func sharedTags(o Options) Options {
-	o.order = nil
-	return o
 }
 
 // schemeStart is the start order every driver whose cells are indexed by

@@ -45,11 +45,11 @@ func panicInCell(i int) int {
 	panic(fmt.Sprintf("boom in cell %d", i))
 }
 
-// orderSink is a Sink with the ordering hook: asked is the tags of the runs
-// it handed out, in the order they asked, and listed the same tags put in
-// figure order by Order. shared names a tag two cells of one fan-out ran
-// under, which the CLI's sink rejects. With digest set, each run's recorder
-// arms the per-event digest chain.
+// orderSink is a Sink that keeps what it was asked: asked is the tags of the
+// runs it handed out, in the order they asked, and listed the same tags put
+// in figure order by Order. twice names a tag asked for a second time, which
+// the CLI's sink rejects. With digest set, each run's recorder arms the
+// per-event digest chain.
 type orderSink struct {
 	digest bool
 	mu     sync.Mutex
@@ -57,7 +57,7 @@ type orderSink struct {
 	asked  []string
 	listed []string
 	recs   []*obs.Recorder // in listed order
-	shared string
+	twice  string
 }
 
 func (s *orderSink) Recorder(tag string) *obs.Recorder {
@@ -70,21 +70,18 @@ func (s *orderSink) Recorder(tag string) *obs.Recorder {
 	if s.tags == nil {
 		s.tags = map[*obs.Recorder]string{}
 	}
+	if slices.Contains(s.asked, tag) {
+		s.twice = tag
+	}
 	s.tags[rec] = tag
 	s.asked = append(s.asked, tag)
 	return rec
 }
 
 func (s *orderSink) Order(cells [][]*obs.Recorder) {
-	cellOf := map[string]int{}
-	for i, recs := range cells {
+	for _, recs := range cells {
 		for _, rec := range recs {
-			tag := s.tags[rec]
-			if c, ok := cellOf[tag]; ok && c != i {
-				s.shared = tag
-			}
-			cellOf[tag] = i
-			s.listed = append(s.listed, tag)
+			s.listed = append(s.listed, s.tags[rec])
 			s.recs = append(s.recs, rec)
 		}
 	}
@@ -99,16 +96,17 @@ func (s *orderSink) chains() string {
 	return b.String()
 }
 
-// recorderSink hands out the recorders of an instrumented spec run.
+// recorderSink hands out the recorders of an instrumented spec run, and
+// lists its runs in the order they asked.
 type recorderSink func(tag string) *obs.Recorder
 
 func (f recorderSink) Recorder(tag string) *obs.Recorder { return f(tag) }
+func (recorderSink) Order([][]*obs.Recorder)             {}
 
 // TestCellsOrderAndBudget: results come back in index order whoever ran
 // them; with GOMAXPROCS 1 there is no helper, with 2 there is one unless the
-// runs in progress hold both cores; a registered spec holds a core while it
-// runs; and an instrumented run whose sink cannot reorder its runs calls its
-// cells in order on the caller, never borrowing a helper.
+// runs in progress hold both cores; and a registered spec holds a core while
+// it runs.
 func TestCellsOrderAndBudget(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		withProcs(procs, func() {
@@ -148,18 +146,6 @@ func TestCellsOrderAndBudget(t *testing.T) {
 		})
 		if err := spec.Run(spec.Defaults, sink, nil, io.Discard); err != nil || !held || running.Load() != 0 {
 			t.Errorf("fig10b: err %v, held a core while running %v, %d runs counted after, want a core held and released", err, held, running.Load())
-		}
-		var order []int
-		instrumented := Options{NewRecorder: func(string) *obs.Recorder { return nil }}
-		cells(instrumented, 6, func(i int, _ Options) int {
-			order = append(order, i) // unsynchronized on purpose: -race proves one goroutine
-			if helpers.Load() != 0 {
-				t.Errorf("instrumented cell %d ran beside a helper", i)
-			}
-			return 0
-		})
-		if fmt.Sprint(order) != "[0 1 2 3 4 5]" {
-			t.Errorf("instrumented cells ran in order %v, want 0..5", order)
 		}
 	})
 }
@@ -242,14 +228,13 @@ func TestCellsStartOrder(t *testing.T) {
 
 // TestCellsPanic: a panicking cell surfaces on the caller with the cell's
 // value on the first line and its stack after, the same with hooks off or
-// on, serial or fanned out; its siblings stop taking new cells; every budget slot comes back (a
+// on; its siblings stop taking new cells; every budget slot comes back (a
 // fan-out right after still gets its helper); and under runner.Run only
 // that task fails.
 func TestCellsPanic(t *testing.T) {
 	withProcs(2, func() {
 		const n = 1000
-		instrumented := Options{NewRecorder: func(string) *obs.Recorder { return nil }}
-		for _, o := range []Options{{}, instrumented, specOptions(RunParams{}, &orderSink{}, nil)} {
+		for _, o := range []Options{{}, specOptions(RunParams{}, &orderSink{}, nil)} {
 			var started atomic.Int32
 			recovered := func() (r any) {
 				defer func() { r = recover() }()
@@ -390,18 +375,12 @@ func TestSchemeStartOrder(t *testing.T) {
 			cfg := tinyCoflow(o)
 			cfg.maxInflight = 128 << 20
 			Fig12Coflow(cfg, false, hpccPhysical(8), noCCPhysicalIdeal())
-		}, "Physical+HPCC,baseline/Physical+Swift,Physical+Swift,PrioPlus+Swift,Physical* w/o CC"},
-		// fig14's reference and Physical*+Swift cells share a tag, so its
-		// instrumented run is serial (sharedTags): index order puts no-CC
-		// last. Without that scheme it fans out, and no-CC moves to the end.
+		}, "Physical+HPCC/load=0.7,baseline/Physical+Swift/load=0.7,Physical+Swift/load=0.7,PrioPlus+Swift/load=0.7,Physical* w/o CC/load=0.7"},
 		{"fig14", func(o Options) { fig14(sched(o, 12), fig14Schemes) },
-			"Physical*+Swift/np=12,PrioPlus+Swift/np=12,Physical*+Swift/np=12,D2TCP/np=12,Physical* w/o CC/np=12"},
-		{"fig14 without Physical*, reversed", func(o Options) {
-			fig14(sched(o, 12), []Scheme{noCCPhysicalIdeal(), d2tcp(), PrioPlusSwift()})
-		}, "Physical*+Swift/np=12,D2TCP/np=12,PrioPlus+Swift/np=12,Physical* w/o CC/np=12"},
+			"PrioPlus+Swift/np=12,Physical*+Swift/np=12,D2TCP/np=12,Physical* w/o CC/np=12"},
 		{"neither flag: quick faultsweep", sweep(quickFaultSweepConfig(1).schemes), "PrioPlus+Swift,Physical+Swift"},
 		{"neither flag: fig12ab at one load", func(o Options) { Fig12Coflow(tinyCoflow(o), false) },
-			"baseline/Physical+Swift,Physical+Swift,PrioPlus+Swift"},
+			"baseline/Physical+Swift/load=0.7,Physical+Swift/load=0.7,PrioPlus+Swift/load=0.7"},
 	} {
 		withProcs(1, func() {
 			sink := &orderSink{}
@@ -417,11 +396,11 @@ func TestSchemeStartOrder(t *testing.T) {
 // cells — the coflow family (fig12ab's two loads as one fan-out, fig17,
 // fig18), fig12c, fig13 and fig14 — print the same bytes on two cores as on
 // one, on reduced configs, hooks-off and fingerprinted: there every run's
-// digest chain, listed in figure order, must match too, and the figure lines
-// must equal the hooks-off ones, and no two cells of an instrumented
-// fan-out may share a tag. fig18's uncontrolled cell still reports its
-// watchdog stop, under a ceiling scaled to the reduced fabric. -short (the
-// race detector's run) keeps to fig13 and fig14.
+// digest chain, listed in figure order, must match too, the figure lines
+// must equal the hooks-off ones, and no tag may be handed out twice. fig18's
+// uncontrolled cell still reports its watchdog stop, under a ceiling scaled
+// to the reduced fabric. -short (the race detector's run) keeps to fig13 and
+// fig14.
 func TestFanOutDriversSameBytes(t *testing.T) {
 	coflow := func(o Options, load float64) CoflowConfig {
 		cfg := DefaultCoflowConfig(PrioPlusSwift(), load)
@@ -477,8 +456,8 @@ func TestFanOutDriversSameBytes(t *testing.T) {
 				plain[k] = d.run(Options{})
 				sink := &orderSink{digest: true}
 				fig := d.run(specOptions(RunParams{}, sink, nil))
-				if sink.shared != "" {
-					t.Errorf("%s, GOMAXPROCS %d: two fanned-out cells ran under the tag %q", d.name, procs, sink.shared)
+				if sink.twice != "" {
+					t.Errorf("%s, GOMAXPROCS %d: two runs asked for the tag %q", d.name, procs, sink.twice)
 				}
 				if fig != plain[k] {
 					t.Errorf("%s, GOMAXPROCS %d: fingerprinted figure lines\n%s\ndiffer from hooks-off\n%s", d.name, procs, fig, plain[k])

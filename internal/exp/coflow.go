@@ -2,6 +2,7 @@ package exp
 
 import (
 	"sort"
+	"strconv"
 
 	"prioplus/internal/netsim"
 	"prioplus/internal/obs"
@@ -28,7 +29,7 @@ type CoflowConfig struct {
 	// speedup baseline: Swift with default parameters, no scheduling).
 	NoPriority bool
 	// Options carries the seed, the fault plan and the recorder factory; a
-	// run is tagged with its scheme name, "baseline/"-prefixed for the
+	// run is tagged "<scheme>/load=<load>", "baseline/"-prefixed for the
 	// no-priority baseline.
 	Options
 	// maxInflight, when > 0, arms an in-flight-bytes watchdog on every run:
@@ -90,7 +91,7 @@ func RunCoflow(cfg CoflowConfig) CoflowResult {
 }
 
 func runCoflow(cfg CoflowConfig) CoflowResult {
-	tag := cfg.Scheme.name
+	tag := cfg.Scheme.name + "/load=" + strconv.FormatFloat(cfg.load, 'g', -1, 64)
 	if cfg.NoPriority {
 		tag = "baseline/" + tag
 	}
@@ -261,7 +262,8 @@ func Fig12Coflow(base CoflowConfig, tail bool, extra ...Scheme) []CoflowSpeedups
 // coflowLoads runs Fig12Coflow for each config, all of their cells as one
 // fan-out started in schemeStart's order: per config the no-priority
 // baseline, then Physical+Swift, PrioPlus+Swift and extra. The configs
-// share bases[0]'s Options.
+// share bases[0]'s Options and differ in load, which every run's tag
+// carries.
 func coflowLoads(bases []CoflowConfig, tail bool, extra ...Scheme) [][]CoflowSpeedups {
 	schemes := append([]Scheme{SwiftPhysical(8), SwiftPhysical(8), PrioPlusSwift()}, extra...)
 	n := len(schemes)
@@ -269,11 +271,7 @@ func coflowLoads(bases []CoflowConfig, tail bool, extra ...Scheme) [][]CoflowSpe
 	for range bases {
 		all = append(all, schemes...)
 	}
-	o := bases[0].Options
-	if len(bases) > 1 {
-		o = sharedTags(o) // every config's cells run under the same tags
-	}
-	res := cells(o, len(all), func(i int, o Options) CoflowResult {
+	res := cells(bases[0].Options, len(all), func(i int, o Options) CoflowResult {
 		cfg := bases[i/n]
 		cfg.Options = o
 		cfg.Scheme = all[i]

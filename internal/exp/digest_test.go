@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"sync"
 	"testing"
 
 	"prioplus/internal/obs"
@@ -96,11 +97,15 @@ func TestPerturbDivergesChain(t *testing.T) {
 // abnormally.
 func TestAuditCleanUnderFaults(t *testing.T) {
 	cfg := defaultFaultSweepConfig()
+	var mu sync.Mutex // the scheme cells fan out
 	recs := map[string]*obs.Recorder{}
 	cfg.NewRecorder = func(tag string) *obs.Recorder {
-		recs[tag] = obs.NewRecorder()
-		recs[tag].Audit = &obs.Auditor{}
-		return recs[tag]
+		rec := obs.NewRecorder()
+		rec.Audit = &obs.Auditor{}
+		mu.Lock()
+		defer mu.Unlock()
+		recs[tag] = rec
+		return rec
 	}
 	if rows := faultSweep(cfg); len(rows) == 0 || len(recs) != len(rows) {
 		t.Fatalf("faultsweep produced %d rows and asked for %d recorders", len(rows), len(recs))

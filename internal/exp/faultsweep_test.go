@@ -3,6 +3,8 @@ package exp
 import (
 	"bytes"
 	"fmt"
+	"sort"
+	"sync"
 	"testing"
 
 	"prioplus/internal/fault"
@@ -56,22 +58,29 @@ func TestFaultSweepRecoversAllFlows(t *testing.T) {
 
 // faultSweepTask wraps a full sweep — fault plan, per-scheme recorders,
 // serialized artifacts — as one batch-runner task, with every byte of
-// output in the comparison.
+// output in the comparison. The scheme cells fan out, so the factory is
+// called concurrently, and the artifacts are written in tag order.
 func faultSweepTask(name string, seed int64) runner.Task {
 	return runner.Task{
 		Name: name,
 		Run: func() (string, map[string]float64) {
 			cfg := quickFaultSweepConfig(seed)
-			var tags []string
-			recs := map[string]*obs.Recorder{}
+			var (
+				mu   sync.Mutex
+				tags []string
+				recs = map[string]*obs.Recorder{}
+			)
 			cfg.NewRecorder = func(tag string) *obs.Recorder {
 				rec := obs.NewRecorder()
 				rec.Series = obs.NewSeriesSet(10 * sim.Microsecond)
+				mu.Lock()
+				defer mu.Unlock()
 				tags = append(tags, tag)
 				recs[tag] = rec
 				return rec
 			}
 			rows := faultSweep(cfg)
+			sort.Strings(tags)
 			var buf bytes.Buffer
 			fmt.Fprintf(&buf, "%+v\n", rows)
 			for _, tag := range tags {

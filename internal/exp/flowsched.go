@@ -214,10 +214,10 @@ type fig14Row struct {
 	norm   float64 // mean FCT / Physical* mean FCT
 }
 
-// fig14 runs the per-priority workload mode with 12 priorities and
-// normalizes each scheme's per-band, per-class FCT by Physical*+Swift. Cell
-// 0 is that reference and cell 1+j runs schemes[j]; each returns its mean
-// FCT per (band, class), so no cell's flow records outlive it.
+// fig14 runs the per-priority workload mode with 12 priorities, one cell
+// per scheme, and normalizes each scheme's per-band, per-class FCT by the
+// Physical*+Swift cell, which schemes must contain. Each cell returns its
+// mean FCT per (band, class), so no cell's flow records outlive it.
 func fig14(base flowSchedConfig, schemes []Scheme) []fig14Row {
 	const nprios = 12
 	bands := []struct {
@@ -225,15 +225,11 @@ func fig14(base flowSchedConfig, schemes []Scheme) []fig14Row {
 		lo, hi int
 	}{{"high", 11, 11}, {"middle", 6, 10}, {"low", 0, 5}}
 	classes := []stats.SizeClass{stats.Small, stats.Middle, stats.Large}
-	runs := append([]Scheme{swiftPhysicalIdeal()}, schemes...)
-	o := base.Options
-	if slices.ContainsFunc(schemes, func(s Scheme) bool { return s.name == runs[0].name }) {
-		o = sharedTags(o) // that scheme's cell runs under the reference's tag
-	}
-	means := cells(o, len(runs), func(i int, o Options) []sim.Time {
+	ref := slices.IndexFunc(schemes, func(s Scheme) bool { return s.name == swiftPhysicalIdeal().name })
+	means := cells(base.Options, len(schemes), func(i int, o Options) []sim.Time {
 		cfg := base
 		cfg.Options = o
-		cfg.scheme = runs[i]
+		cfg.scheme = schemes[i]
 		cfg.nPrios = nprios
 		cfg.perPrioWorkload = true
 		flows := runFlowSched(cfg).flows
@@ -246,12 +242,12 @@ func fig14(base flowSchedConfig, schemes []Scheme) []fig14Row {
 			}
 		}
 		return m
-	}, schemeStart(runs)...)
+	}, schemeStart(schemes)...)
 	var rows []fig14Row
 	for j, s := range schemes {
-		for k, num := range means[1+j] {
+		for k, num := range means[j] {
 			norm := 0.0
-			if den := means[0][k]; den > 0 {
+			if den := means[ref][k]; den > 0 {
 				norm = float64(num) / float64(den)
 			}
 			rows = append(rows, fig14Row{scheme: s.name, band: bands[k/len(classes)].name, class: classes[k%len(classes)].String(), norm: norm})

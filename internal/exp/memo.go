@@ -18,10 +18,10 @@ const memoEntries = 256
 // Memo simulates each hooks-off scenario cell once for everyone that
 // shares it: the coflow runs (RunCoflow: fig12ab, fig15, fig17, fig18), the
 // flow-scheduling cells of fig11 and fig16, and faultsweep's scheme cells.
-// Its owner decides its scope — `all` keeps one per batch and the job
-// server one per process — and passes it to every run (Spec.Run); a run
-// given none, or one with instruments on, simulates every cell itself, so
-// fingerprints and artifacts never come from it.
+// Its owner decides its scope — `all` keeps one per batch — and passes it
+// to every run (Spec.Run); a run given none, or one with instruments on
+// (every job-server job), simulates every cell itself, so fingerprints and
+// artifacts never come from it.
 //
 // A cell is keyed on a canonical encoding of everything it reads but the
 // seed (the key methods below). The seed is read only through the random

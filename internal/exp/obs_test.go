@@ -4,6 +4,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"prioplus/internal/obs"
@@ -65,20 +66,42 @@ func TestFig10bWatchdogEarlyStop(t *testing.T) {
 	}
 }
 
-// countingSink is a Sink that remembers which runs asked for a recorder, in
-// order, and how often each recorder was collected.
+// countingSink is a Sink that remembers which runs asked for a recorder and
+// how often each recorder was collected. Order lists a fan-out's runs in
+// figure order; the specs it runs ask for every recorder in one fan-out, or
+// for one recorder.
 type countingSink struct {
+	mu        sync.Mutex
 	tags      []string
 	recs      []*obs.Recorder
-	collected []int
+	tagOf     map[*obs.Recorder]string
+	collected map[*obs.Recorder]int
 }
 
 func (s *countingSink) Recorder(tag string) *obs.Recorder {
-	i := len(s.tags)
 	rec := obs.NewRecorder()
-	rec.OnCollected = func() { s.collected[i]++ }
-	s.tags, s.recs, s.collected = append(s.tags, tag), append(s.recs, rec), append(s.collected, 0)
+	rec.OnCollected = func() {
+		s.mu.Lock()
+		s.collected[rec]++
+		s.mu.Unlock()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.tagOf == nil {
+		s.tagOf, s.collected = map[*obs.Recorder]string{}, map[*obs.Recorder]int{}
+	}
+	s.tagOf[rec] = tag
+	s.tags, s.recs = append(s.tags, tag), append(s.recs, rec)
 	return rec
+}
+
+func (s *countingSink) Order(cells [][]*obs.Recorder) {
+	s.tags, s.recs = nil, nil
+	for _, recs := range cells {
+		for _, rec := range recs {
+			s.tags, s.recs = append(s.tags, s.tagOf[rec]), append(s.recs, rec)
+		}
+	}
 }
 
 // TestSpecsInstrumentEveryTaggedRun pins the one recorder route from the
@@ -110,8 +133,8 @@ func TestSpecsInstrumentEveryTaggedRun(t *testing.T) {
 				t.Fatalf("recorder tags = %q, want %q", sink.tags, want)
 			}
 			for i, rec := range sink.recs {
-				if sink.collected[i] != 1 {
-					t.Errorf("run %q collected %d times, want once", want[i], sink.collected[i])
+				if sink.collected[rec] != 1 {
+					t.Errorf("run %q collected %d times, want once", want[i], sink.collected[rec])
 				}
 				if tx, _ := rec.Metrics.Value("net/tx_packets"); tx <= 0 {
 					t.Errorf("run %q: net/tx_packets = %v, want > 0", want[i], tx)

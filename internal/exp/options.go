@@ -20,12 +20,12 @@ type Options struct {
 	// starts, keyed by the run's tag ("incast", "PrioPlus+Swift/np=8"); a
 	// Sink's Recorder method is one. This is the only route a recorder takes
 	// into a run. A recorder is strictly per-engine, so a driver asks once
-	// per run, and its untagged runs are never instrumented (see newNet).
+	// per run, under a tag no other run of its spec uses, and its untagged
+	// runs are never instrumented (see newNet).
 	// Instrumentation never changes figure output.
 	NewRecorder func(tag string) *obs.Recorder
-	// order, set with NewRecorder when the sink can reorder its runs, takes
-	// the recorders each of a fan-out's cells received, cell by cell
-	// (cells); nil keeps an instrumented fan-out's cells serial.
+	// order, set with NewRecorder by a spec (the sink's Order), takes the
+	// recorders each of a fan-out's cells received, cell by cell (cells).
 	order func(cells [][]*obs.Recorder)
 	// Faults, when non-nil and non-empty, is installed on each run's
 	// topology before traffic starts (harness.WithFaults). A Plan is

@@ -68,13 +68,8 @@ func DecodeParams(data []byte, base RunParams) (RunParams, error) {
 type Sink interface {
 	// Recorder returns the recorder for the run identified by tag,
 	// retaining it so the caller can flush artifacts and digests after the
-	// experiment finishes.
+	// experiment finishes. A tag names one run of the experiment.
 	Recorder(tag string) *obs.Recorder
-}
-
-// runOrderer is a Sink that can list a fan-out's runs in the figure's
-// order. Without it an instrumented run keeps its cells serial (cells).
-type runOrderer interface {
 	// Order takes the recorders a fan-out's cells received: cells[i] are
 	// cell i's, in its order. The sink lists their runs in that order,
 	// however the cells' requests interleaved.

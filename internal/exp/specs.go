@@ -35,15 +35,11 @@ func scenarioOptions(p RunParams, o Options) Options {
 
 // specOptions is the Options a spec hands its drivers: the perturbation,
 // the caller's cell memo, and when the execution is instrumented the sink's
-// recorder factory, plus its run ordering if it has one (cells reports to
-// it).
+// recorder factory and run ordering (cells reports to it).
 func specOptions(p RunParams, sink Sink, memo *Memo) Options {
 	o := Options{Perturb: p.Perturb, memo: memo}
 	if sink != nil {
-		o.NewRecorder = sink.Recorder
-		if ro, ok := sink.(runOrderer); ok {
-			o.order = ro.Order
-		}
+		o.NewRecorder, o.order = sink.Recorder, sink.Order
 	}
 	return o
 }

@@ -19,19 +19,20 @@ import (
 // step functions by design.
 const DefaultRuntimeEvery = 64
 
-// HostGauges is one snapshot of the simulator process itself.
+// HostGauges is one snapshot of the simulator process itself; the stream
+// server's /metrics carries it as its "runtime" section.
 type HostGauges struct {
 	// RSSBytes is the resident set size from /proc/self/statm (0 when the
 	// proc filesystem is unavailable, e.g. non-Linux hosts).
-	RSSBytes float64
+	RSSBytes float64 `json:"rss_bytes"`
 	// HeapBytes is the live heap (runtime/metrics heap objects bytes).
-	HeapBytes float64
+	HeapBytes float64 `json:"heap_bytes"`
 	// GCCycles is the completed GC cycle count.
-	GCCycles float64
+	GCCycles float64 `json:"gc_cycles"`
 	// GCPauseUS is the cumulative stop-the-world pause time, microseconds.
-	GCPauseUS float64
+	GCPauseUS float64 `json:"gc_pause_us"`
 	// Goroutines is the current goroutine count.
-	Goroutines float64
+	Goroutines float64 `json:"goroutines"`
 }
 
 // NewHostGaugeReader returns a snapshot function over warm, reusable

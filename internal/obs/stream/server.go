@@ -20,24 +20,14 @@ import (
 type MetricsSnapshot struct {
 	// WallUnixMS is the server's wall clock, for client-side rate math.
 	WallUnixMS int64 `json:"wall_unix_ms"`
-	// Runtime holds the host gauges (see obs.HostGauges).
-	Runtime RuntimeMetrics `json:"runtime"`
+	// Runtime holds the host gauges.
+	Runtime obs.HostGauges `json:"runtime"`
 	// Sim holds the process-wide event counters.
 	Sim SimMetrics `json:"sim"`
 	// Cost lists per-event-kind cost attribution, kinds with samples only.
 	Cost []CostMetric `json:"cost"`
 	// Stream holds the hub's fan-out counters.
 	Stream StreamMetrics `json:"stream"`
-}
-
-// RuntimeMetrics is the host-process gauge section of /metrics.
-type RuntimeMetrics struct {
-	// RSSBytes..Goroutines mirror obs.HostGauges.
-	RSSBytes   float64 `json:"rss_bytes"`
-	HeapBytes  float64 `json:"heap_bytes"`
-	GCCycles   float64 `json:"gc_cycles"`
-	GCPauseUS  float64 `json:"gc_pause_us"`
-	Goroutines float64 `json:"goroutines"`
 }
 
 // SimMetrics is the simulator-totals section of /metrics.
@@ -183,13 +173,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 	subs, pub, drop := s.Hub.Stats()
 	snap := MetricsSnapshot{
 		WallUnixMS: time.Now().UnixMilli(),
-		Runtime: RuntimeMetrics{
-			RSSBytes:   g.RSSBytes,
-			HeapBytes:  g.HeapBytes,
-			GCCycles:   g.GCCycles,
-			GCPauseUS:  g.GCPauseUS,
-			Goroutines: g.Goroutines,
-		},
+		Runtime:    g,
 		Sim: SimMetrics{
 			Events:           sim.TotalEvents(),
 			EventsDispatched: sim.TotalProcessed(),

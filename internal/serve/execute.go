@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"sync"
 
 	"prioplus/internal/exp"
@@ -101,7 +100,8 @@ type Run struct {
 // up, run it with the instruments armed, and flush the per-run summaries
 // ("# hist", "# fingerprint") to w after the figure output. It returns the
 // runs in the order the experiment asked for their recorders, a fan-out's
-// in its cells' order (sink.Order). With no
+// in its cells' order (sink.Order); an experiment that asks for one tag
+// twice fails (sink.Recorder). With no
 // instrument on the experiment gets a nil exp.Sink and the caller's memo
 // (nil for none), and no run is returned; with any on it gets no memo.
 // A conservation violation is returned as an error after everything is
@@ -115,7 +115,7 @@ func Execute(id string, p exp.RunParams, ins Instruments, memo *exp.Memo, w io.W
 	if !ins.enabled() {
 		return nil, spec.Run(p, nil, memo, w)
 	}
-	s := &sink{ins: ins, exp: id, seed: p.Seed, seen: map[string]int{}}
+	s := &sink{ins: ins, exp: id, seed: p.Seed}
 	if err := spec.Run(p, s, nil, w); err != nil {
 		return s.runs, err
 	}
@@ -135,10 +135,9 @@ type sink struct {
 	exp  string
 	seed int64
 
-	mu   sync.Mutex // guards runs, seen and err
+	mu   sync.Mutex // guards runs and err
 	runs []*Run
-	seen map[string]int // artifact stems already issued, for dedupe
-	err  error          // a fan-out whose order Order could not restore
+	err  error // the first run asked for under a taken name
 }
 
 var _ exp.Sink = (*sink)(nil)
@@ -190,17 +189,20 @@ func (s *sink) Recorder(tag string) *obs.Recorder {
 	if ins.Audit {
 		rec.Audit = &obs.Auditor{}
 	}
-	// The stem is filesystem-safe and unique: a tag asked for twice gets a
-	// numeric suffix instead of clobbering the first run's files.
+	// A tag names one run, and its stem one run's files: a second request
+	// for a stem fails the execution, and its run goes unrecorded rather
+	// than clobber the first run's files.
 	stem := obs.ArtifactStem(s.exp, tag, s.seed)
 	s.mu.Lock()
-	s.seen[stem]++
-	if n := s.seen[stem]; n > 1 {
-		stem += "-" + strconv.Itoa(n)
+	defer s.mu.Unlock()
+	if slices.ContainsFunc(s.runs, func(r *Run) bool { return r.Stem == stem }) {
+		if s.err == nil {
+			s.err = fmt.Errorf("%s: run %q asked for twice; each run of an experiment needs its own tag", s.exp, tag)
+		}
+		return nil
 	}
 	run := &Run{Tag: tag, Stem: stem, Rec: rec}
 	s.runs = append(s.runs, run)
-	s.mu.Unlock()
 	rec.OnCollected = func() { s.finish(run) }
 	return rec
 }
@@ -208,37 +210,25 @@ func (s *sink) Recorder(tag string) *obs.Recorder {
 // Order lists the runs of a fan-out in the figure's order: cells[i] holds
 // the recorders cell i received, in its own order. The runs keep the places
 // in s.runs that their requests took and fill them in figure order, so the
-// summary lines, the returned runs and the artifact stems read as a serial
-// run's would. A stem's numeric suffix is issued with the recorder, before
-// the order is known, so two cells asking for one tag would number theirs
-// in request order: that fails the execution instead. Order is the
-// optional ordering method of an exp.Sink, reported to by exp's cells.
+// summary lines and the returned runs read as a serial run's would. It
+// implements exp.Sink; exp's cells reports to it.
 func (s *sink) Order(cells [][]*obs.Recorder) {
-	type pos struct{ cell, rank int } // rank: the run's place in figure order
-	at := map[*obs.Recorder]pos{}
-	for i, recs := range cells {
+	rank := map[*obs.Recorder]int{} // a run's place in figure order
+	for _, recs := range cells {
 		for _, rec := range recs {
-			at[rec] = pos{i, len(at)}
+			rank[rec] = len(rank)
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var slots []int
 	var moved []*Run
-	owner := map[string]int{} // stem base → the cell that asked for it
 	for i, r := range s.runs {
-		p, ok := at[r.Rec]
-		if !ok {
-			continue
+		if _, ok := rank[r.Rec]; ok {
+			slots, moved = append(slots, i), append(moved, r)
 		}
-		base := obs.ArtifactStem(s.exp, r.Tag, s.seed)
-		if c, seen := owner[base]; seen && c != p.cell && s.err == nil {
-			s.err = fmt.Errorf("%s: cells %d and %d both ran %q; a fan-out's cells need their own tags", s.exp, min(c, p.cell), max(c, p.cell), r.Tag)
-		}
-		owner[base] = p.cell
-		slots, moved = append(slots, i), append(moved, r)
 	}
-	slices.SortFunc(moved, func(a, b *Run) int { return at[a.Rec].rank - at[b.Rec].rank })
+	slices.SortFunc(moved, func(a, b *Run) int { return rank[a.Rec] - rank[b.Rec] })
 	for k, i := range slots {
 		s.runs[i] = moved[k]
 	}

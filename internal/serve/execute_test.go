@@ -15,16 +15,17 @@ import (
 )
 
 func newTestSink(ins Instruments, exp string, seed int64) *sink {
-	return &sink{ins: ins, exp: exp, seed: seed, seen: map[string]int{}}
+	return &sink{ins: ins, exp: exp, seed: seed}
 }
 
-// TestSinkArtifactNaming: one artifact per recorder, deduped stems, written
-// where Dir points; and -trace-match alone sizes the tracer's flow cap.
+// TestSinkArtifactNaming: one artifact per recorder, its stem exactly
+// obs.ArtifactStem's, written where Dir points; and -trace-match alone
+// sizes the tracer's flow cap.
 func TestSinkArtifactNaming(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestSink(Instruments{Series: true, Dir: dir, TraceMatch: []int64{1, 7}}, "fig99", 7)
 	rec := s.Recorder("a/b")
-	s.Recorder("a/b") // same tag twice: must not clobber
+	s.Recorder("a/c")
 	if rec.FlowTrace == nil || rec.FlowTrace.MaxFlows != 2 {
 		t.Errorf("FlowTrace cap = %+v, want MaxFlows 2", rec.FlowTrace)
 	}
@@ -32,13 +33,38 @@ func TestSinkArtifactNaming(t *testing.T) {
 	if err := s.flush(&out); err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []string{"fig99__a-b__seed7", "fig99__a-b__seed7-2"} {
+	for i, want := range []string{"fig99__a-b__seed7", "fig99__a-c__seed7"} {
 		if s.runs[i].Stem != want {
 			t.Errorf("run %d stem = %q, want %q", i, s.runs[i].Stem, want)
 		}
 		if _, err := os.Stat(filepath.Join(dir, want+".jsonl")); err != nil {
 			t.Errorf("artifact %s not written: %v", want, err)
 		}
+	}
+}
+
+// TestExecuteRejectsRepeatedTag: an experiment whose driver asks for one
+// tag twice fails with an error naming the spec and the tag, and the
+// second run gets no recorder, so it cannot clobber the first run's files.
+func TestExecuteRejectsRepeatedTag(t *testing.T) {
+	var second *obs.Recorder
+	exp.Register(exp.Spec{
+		ID:       "testtwice",
+		Describe: "serve test fixture: asks for one tag twice",
+		Defaults: exp.RunParams{Seed: 1},
+		Run: func(p exp.RunParams, sink exp.Sink, memo *exp.Memo, w io.Writer) error {
+			sink.Recorder("x/y")
+			second = sink.Recorder("x/y")
+			return nil
+		},
+	})
+	dir := t.TempDir()
+	runs, err := Execute("testtwice", exp.RunParams{Seed: 1}, Instruments{Series: true, Dir: dir}, nil, io.Discard)
+	if err == nil || err.Error() != `testtwice: run "x/y" asked for twice; each run of an experiment needs its own tag` {
+		t.Errorf("err = %v, want the spec and the repeated tag named", err)
+	}
+	if second != nil || len(runs) != 1 || runs[0].Stem != "testtwice__x-y__seed1" {
+		t.Errorf("second recorder %v, runs %d; want no recorder for the repeat and one run", second, len(runs))
 	}
 }
 
@@ -329,9 +355,7 @@ func TestFanOutSameEvents(t *testing.T) {
 }
 
 // TestSinkOrder: Order puts a fan-out's runs in cell order in the places
-// their requests took, leaving the runs around them where they are; two
-// cells that share a tag, whose numbered stems would follow the request
-// order, fail the execution.
+// their requests took, leaving the runs around them where they are.
 func TestSinkOrder(t *testing.T) {
 	s := newTestSink(Instruments{Fingerprint: true}, "fig99", 1)
 	s.Recorder("before")
@@ -346,18 +370,5 @@ func TestSinkOrder(t *testing.T) {
 	}
 	if strings.Join(got, " ") != "before c0a c0b c1 after" || s.err != nil {
 		t.Errorf("runs listed as %v (err %v), want before c0a c0b c1 after", got, s.err)
-	}
-
-	s = newTestSink(Instruments{Fingerprint: true}, "fig99", 1)
-	x1, x0, y0 := s.Recorder("x"), s.Recorder("x"), s.Recorder("y")
-	s.Order([][]*obs.Recorder{{x0, y0}, {x1}})
-	if s.err == nil || !strings.Contains(s.err.Error(), `cells 0 and 1 both ran "x"`) {
-		t.Errorf("two cells tagged x: err %v, want the shared tag named", s.err)
-	}
-	s = newTestSink(Instruments{Fingerprint: true}, "fig99", 1)
-	x0, x0b := s.Recorder("x"), s.Recorder("x")
-	s.Order([][]*obs.Recorder{{x0, x0b}})
-	if s.err != nil || s.runs[0].Stem != "fig99__x__seed1" || s.runs[1].Stem != "fig99__x__seed1-2" {
-		t.Errorf("one cell asking for x twice: err %v, stems %q %q", s.err, s.runs[0].Stem, s.runs[1].Stem)
 	}
 }

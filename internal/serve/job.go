@@ -146,17 +146,13 @@ type QueueStats struct {
 	Capacity int `json:"capacity"`
 }
 
-// CacheStats reports the result cache's counters and the cell memo's.
+// CacheStats reports the result cache's counters.
 type CacheStats struct {
 	// Entries is the current cache population; Hits and Misses are
 	// lifetime submission counters (a follower attach counts as a hit).
 	Entries int    `json:"entries"`
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
-	// MemoHits and MemoMisses count the scenario cells the process's memo
-	// served and computed (exp.Memo.Stats).
-	MemoHits   uint64 `json:"memo_hits"`
-	MemoMisses uint64 `json:"memo_misses"`
 }
 
 // JobResult is the /jobs/{id}/result payload: the run's full output and

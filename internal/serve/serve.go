@@ -88,15 +88,11 @@ type Config struct {
 	Hub *stream.Hub
 }
 
-// Scheduler owns the job table, the worker pool, the result cache and the
-// process's cell memo. All exported methods are safe for concurrent use.
+// Scheduler owns the job table, the worker pool and the result cache. All
+// exported methods are safe for concurrent use.
 type Scheduler struct {
 	cfg  Config
 	pool *runner.Pool
-	// memo serves scenario cells to the jobs that run hooks-off
-	// (exp.Memo). Every job arms the digest chain today, so none consults
-	// it, and its counters in Jobs stay at zero.
-	memo *exp.Memo
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -135,7 +131,6 @@ func New(cfg Config) *Scheduler {
 		jobs:     map[string]*job{},
 		inflight: map[string]*job{},
 		cache:    cache.New[cacheEntry](cfg.CacheSize),
-		memo:     exp.NewMemo(),
 	}
 }
 
@@ -259,7 +254,7 @@ func (s *Scheduler) compute(j *job) (string, map[string]float64) {
 		Series:      j.spec.Artifact,
 		Hub:         s.cfg.Hub,
 		Live:        j.state,
-	}, s.memo, &buf)
+	}, nil, &buf)
 	var arts []Artifact
 	if err == nil && j.spec.Artifact {
 		for _, r := range runs {
@@ -418,7 +413,6 @@ func (s *Scheduler) Jobs() JobsSnapshot {
 	defer s.mu.Unlock()
 	out := JobsSnapshot{Queue: QueueStats{Capacity: s.cfg.QueueDepth}}
 	out.Cache = CacheStats{Entries: s.cache.Len(), Hits: s.hits, Misses: s.misses}
-	out.Cache.MemoHits, out.Cache.MemoMisses = s.memo.Stats()
 	for _, id := range s.order {
 		j := s.jobs[id]
 		out.Jobs = append(out.Jobs, j.snapshot())

@@ -142,10 +142,10 @@ while read -r doc max; do
         fail=1
     fi
 done <<EOF
-docs/API.md 7271
-docs/ARCHITECTURE.md 47498
-docs/OBSERVABILITY.md 37375
-docs/PERFORMANCE.md 29432
+docs/API.md 7024
+docs/ARCHITECTURE.md 47390
+docs/OBSERVABILITY.md 37347
+docs/PERFORMANCE.md 29368
 README.md 15397
 DESIGN.md 13714
 EXPERIMENTS.md 13906
