@@ -28,7 +28,7 @@ import (
 // Returns the process exit code.
 func runAll(args []string) int {
 	fs := flag.NewFlagSet("all", flag.ExitOnError)
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent runs (1 = one at a time); this bounds runs, not cores: a run's independent cells may still use idle cores")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent runs (1 = one at a time); this bounds runs, not cores: a run's independent cells, and the seeded cells of the batch's later seeds, may use idle cores")
 	seedsArg := fs.String("seeds", "1", "comma-separated seeds; every experiment runs once per seed")
 	onlyArg := fs.String("only", "", "comma-separated subset of experiment ids (default: all)")
 	jsonOut := fs.String("json", "", "write per-run results to this file as JSON")
@@ -92,8 +92,10 @@ func runAll(args []string) int {
 	var tasks []runner.Task
 	var states []*runner.RunEntry // parallel to tasks; nil without -listen
 	// One cell memo for the batch: a hooks-off run is served the scenario
-	// cells an earlier run of any seed already simulated (exp.Memo).
-	memo := exp.NewMemo()
+	// cells an earlier run of any seed already simulated, and idle cores
+	// simulate a seeded cell at the later seeds ahead of their runs
+	// (exp.Memo).
+	memo := exp.NewMemo(seeds)
 	// Every run's parameters, but for its seed.
 	params := exp.RunParams{Full: *full, Perturb: obsFlags.perturb}
 	for _, id := range ids {
@@ -162,6 +164,7 @@ func runAll(args []string) int {
 	startDispatched := sim.TotalProcessed()
 	startWall := time.Now()
 	results := runner.Run(tasks, opts)
+	memo.Close()
 	wall := time.Since(startWall)
 	if err := stop(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -174,7 +177,7 @@ func runAll(args []string) int {
 	// which elision optimizations shrink. Rates use the logical basis.
 	events := sim.TotalEvents() - startEvents
 	dispatched := sim.TotalProcessed() - startDispatched
-	memoHits, _ := memo.Stats()
+	memoHits, _, _ := memo.Stats()
 
 	failures := 0
 	fps := map[string]string{} // run name -> output fingerprint (with -fingerprint)

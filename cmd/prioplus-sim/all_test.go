@@ -69,3 +69,51 @@ func TestAllReportsWorkersStarted(t *testing.T) {
 		}
 	}
 }
+
+// TestAllSeedSweepEvents: a faultsweep batch over four seeds reports the
+// logical events of the four runs made one batch per seed, whether the
+// memo computes the later seeds' cells ahead (GOMAXPROCS 2) or not
+// (GOMAXPROCS 1), and prints each run's bytes.
+func TestAllSeedSweepEvents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("five faultsweep batches in -short mode")
+	}
+	batch := func(seeds string) batchJSON {
+		t.Helper()
+		out := filepath.Join(t.TempDir(), "batch.json")
+		if code := runAll([]string{"-only", "faultsweep", "-seeds", seeds, "-parallel", "1",
+			"-progress=false", "-json", out}); code != 0 {
+			t.Fatalf("-seeds %s: exit %d", seeds, code)
+		}
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc batchJSON
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	seeds := []string{"1001", "1002", "1003", "1004"}
+	var want uint64
+	var outputs []string
+	for _, s := range seeds {
+		doc := batch(s)
+		want += doc.Events
+		outputs = append(outputs, doc.Runs[0].Output)
+	}
+	for _, procs := range []int{2, 1} {
+		old := runtime.GOMAXPROCS(procs)
+		doc := batch(strings.Join(seeds, ","))
+		runtime.GOMAXPROCS(old)
+		if doc.Events != want {
+			t.Errorf("GOMAXPROCS %d: the batch counts %d logical events, one batch per seed %d", procs, doc.Events, want)
+		}
+		for i, r := range doc.Runs {
+			if r.Output != outputs[i] {
+				t.Errorf("GOMAXPROCS %d: %s printed\n%s\nalone it prints\n%s", procs, r.Name, r.Output, outputs[i])
+			}
+		}
+	}
+}

@@ -96,6 +96,32 @@ func (c *Cache[V]) Do(key string, fn func() (V, bool)) (v V, computed bool) {
 	}
 }
 
+// TryDo is Do for a caller that will not wait: it computes the value with
+// fn, as Do would, only when key is neither stored nor being computed, and
+// reports whether it did.
+func (c *Cache[V]) TryDo(key string, fn func() (V, bool)) bool {
+	c.mu.Lock()
+	_, stored := c.entries[key]
+	_, busy := c.calls[key]
+	if stored || busy {
+		c.mu.Unlock()
+		return false
+	}
+	cl := &call[V]{done: make(chan struct{})}
+	c.calls[key] = cl
+	c.mu.Unlock()
+	c.lead(key, cl, fn)
+	return true
+}
+
+// Busy reports whether a computation of key is in flight.
+func (c *Cache[V]) Busy(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.calls[key]
+	return ok
+}
+
 // lead runs fn for the callers of Do waiting on cl, and releases them
 // however fn ends.
 func (c *Cache[V]) lead(key string, cl *call[V], fn func() (V, bool)) V {

@@ -122,3 +122,32 @@ func TestDoFailedLeader(t *testing.T) {
 		}
 	}
 }
+
+// TestTryDoNeverWaits: TryDo computes only a key that is neither stored
+// nor in flight, and Busy reports the one in flight.
+func TestTryDoNeverWaits(t *testing.T) {
+	c := New[int](4)
+	started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		c.Do("k", func() (int, bool) { close(started); <-release; return 1, true })
+		close(done)
+	}()
+	<-started
+	if !c.Busy("k") || c.Busy("j") {
+		t.Errorf("Busy(k) = %t, Busy(j) = %t while k is computed; want true, false", c.Busy("k"), c.Busy("j"))
+	}
+	if c.TryDo("k", func() (int, bool) { t.Error("TryDo ran fn for a key in flight"); return 2, true }) {
+		t.Error("TryDo reports computing a key in flight")
+	}
+	close(release)
+	<-done
+	if c.Busy("k") || c.TryDo("k", func() (int, bool) { return 3, true }) {
+		t.Error("TryDo computed a stored key, or k is still busy")
+	}
+	if !c.TryDo("j", func() (int, bool) { return 4, true }) {
+		t.Error("TryDo did not compute a fresh key")
+	}
+	if v, ok := c.Get("j"); !ok || v != 4 {
+		t.Errorf("TryDo stored %d, %t; want 4", v, ok)
+	}
+}

@@ -67,6 +67,10 @@ func (p *cellPanic) Error() string {
 // anything else panics before a cell runs, since a repeated index would run
 // one cell twice and leave another's result the zero value.
 //
+// A helper that finds no cell left marks itself done, then computes the
+// memo's queued twins (Memo) before it gives its core back; the caller
+// never waits for those.
+//
 // A panicking cell stops its siblings from taking new cells; once the running
 // ones return, its panic (the first by index) is raised on the caller with
 // the cell's stack, so a batch runner fails that one run.
@@ -122,9 +126,8 @@ func cells[T any](o Options, n int, cell func(i int, o Options) T, start ...int)
 	for h := 1; h < n && tryHelper(); h++ {
 		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			defer helpers.Add(-1)
 			work()
+			o.memo.drain(wg.Done)
 		}()
 	}
 	work()

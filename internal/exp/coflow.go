@@ -85,8 +85,9 @@ type CoflowResult struct {
 // first cells run the same configs.
 func RunCoflow(cfg CoflowConfig) CoflowResult {
 	return memoize(cfg.Options, cfg.key(), func(o Options) CoflowResult {
-		cfg.Options = o
-		return runCoflow(cfg)
+		c := cfg
+		c.Options = o
+		return runCoflow(c)
 	})
 }
 

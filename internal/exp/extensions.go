@@ -14,6 +14,31 @@ import (
 // via priority-dependent marking (Appendix B) and weighted virtual
 // priority (§7).
 
+// ablationRows are the ablation spec's three tables, two rows each.
+type ablationRows struct {
+	filter      [2]ablationFilterResult      // ConsecLimit 1, 2
+	cardinality [2]ablationCardinalityResult // estimation on, off
+	probe       [2]ablationProbeResult       // collision avoidance, naive
+}
+
+// ablations runs the three ablations' six cells, each a private engine, as
+// one fan-out (cells); n is the cardinality incast's flow count.
+func ablations(n int) ablationRows {
+	var r ablationRows
+	cells(Options{}, 6, func(i int, o Options) struct{} {
+		switch j := i % 2; i / 2 {
+		case 0:
+			r.filter[j] = ablationFilter(j+1, o)
+		case 1:
+			r.cardinality[j] = ablationCardinality(n, j == 0, o)
+		default:
+			r.probe[j] = ablationProbe(j == 1, o)
+		}
+		return struct{}{}
+	})
+	return r
+}
+
 // ablationFilterResult compares the two-consecutive filter against
 // reacting to a single above-limit measurement.
 type ablationFilterResult struct {
@@ -23,35 +48,33 @@ type ablationFilterResult struct {
 }
 
 // ablationFilter runs five same-priority flows under 2x-scaled delay noise
-// with a tight channel, with ConsecLimit 1 (no filter) and 2 (paper).
-// Without the filter, long-tail noise spikes trigger spurious yields.
-func ablationFilter() []ablationFilterResult {
-	run := func(consec int, o Options) ablationFilterResult {
-		// 2x-scaled noise, its RNG at 53, replaces the standard model.
-		net := star(o, "", 7, 51, longTail{off: 2, scale: 2}, nil)
-		recv := 6
-		plan := core.DefaultPlan(net.Topo.BaseRTT(0, recv))
-		flows := make([]*core.PrioPlus, 5)
-		for i := range flows {
-			ppc := core.DefaultConfig(plan.Channel(1), 8)
-			ppc.ConsecLimit = consec
-			flows[i] = core.New(swiftTo(net, i, recv), ppc)
-			net.AddFlow(harness.Flow{Src: i, Dst: recv, Size: 1 << 30, Prio: 0, Algo: flows[i]})
-		}
-		dur := 4 * sim.Millisecond
-		rs := net.SampleRates(recv, func(*netsim.Packet) int { return 0 }, 100*sim.Microsecond, dur)
-		net.Run(dur)
-		var yields int64
-		for _, f := range flows {
-			yields += f.Yields
-		}
-		return ablationFilterResult{
-			consecLimit: consec,
-			yields:      yields,
-			util:        rs.Between(sim.Millisecond, dur, 0) / 100,
-		}
+// with a tight channel, with ConsecLimit consec: 1 (no filter) or 2
+// (paper). Without the filter, long-tail noise spikes trigger spurious
+// yields.
+func ablationFilter(consec int, o Options) ablationFilterResult {
+	// 2x-scaled noise, its RNG at 53, replaces the standard model.
+	net := star(o, "", 7, 51, longTail{off: 2, scale: 2}, nil)
+	recv := 6
+	plan := core.DefaultPlan(net.Topo.BaseRTT(0, recv))
+	flows := make([]*core.PrioPlus, 5)
+	for i := range flows {
+		ppc := core.DefaultConfig(plan.Channel(1), 8)
+		ppc.ConsecLimit = consec
+		flows[i] = core.New(swiftTo(net, i, recv), ppc)
+		net.AddFlow(harness.Flow{Src: i, Dst: recv, Size: 1 << 30, Prio: 0, Algo: flows[i]})
 	}
-	return cells(Options{}, 2, func(i int, o Options) ablationFilterResult { return run(i+1, o) })
+	dur := 4 * sim.Millisecond
+	rs := net.SampleRates(recv, func(*netsim.Packet) int { return 0 }, 100*sim.Microsecond, dur)
+	net.Run(dur)
+	var yields int64
+	for _, f := range flows {
+		yields += f.Yields
+	}
+	return ablationFilterResult{
+		consecLimit: consec,
+		yields:      yields,
+		util:        rs.Between(sim.Millisecond, dur, 0) / 100,
+	}
 }
 
 // ablationCardinalityResult compares incast delay containment with and
@@ -61,32 +84,30 @@ type ablationCardinalityResult struct {
 	overLimitFrac float64
 }
 
-// ablationCardinality reruns the Fig 10b incast with the estimator off:
-// every flow keeps #flow = 1 and linear-starts at full W_LS, so the
-// aggregate repeatedly overshoots D_limit (§4.3.1's "problematic cycle").
-func ablationCardinality(n int) []ablationCardinalityResult {
-	run := func(enabled bool, o Options) ablationCardinalityResult {
-		net := star(o, "", n+2, 57, paperNoise, nil)
-		recv := n + 1
-		base := net.Topo.BaseRTT(0, recv)
-		ch := core.DefaultPlan(base).Channel(4)
-		for i := 0; i < n; i++ {
-			ppc := core.DefaultConfig(ch, 8)
-			ppc.DisableCardinality = !enabled
-			net.AddFlow(harness.Flow{Src: i, Dst: recv, Size: 1 << 30, Prio: 0,
-				Algo: core.New(swiftTo(net, i, recv), ppc)})
-		}
-		var over, samples int
-		sampleQueueDelay(net, recv, sim.Millisecond, 5*sim.Microsecond, 600, func(wait sim.Time) {
-			samples++
-			if base+wait > ch.Limit {
-				over++
-			}
-		})
-		net.Run(4 * sim.Millisecond)
-		return ablationCardinalityResult{estimation: enabled, overLimitFrac: float64(over) / float64(samples)}
+// ablationCardinality reruns the Fig 10b incast of n flows with the
+// estimator on or off: off, every flow keeps #flow = 1 and linear-starts
+// at full W_LS, so the aggregate repeatedly overshoots D_limit (§4.3.1's
+// "problematic cycle").
+func ablationCardinality(n int, enabled bool, o Options) ablationCardinalityResult {
+	net := star(o, "", n+2, 57, paperNoise, nil)
+	recv := n + 1
+	base := net.Topo.BaseRTT(0, recv)
+	ch := core.DefaultPlan(base).Channel(4)
+	for i := 0; i < n; i++ {
+		ppc := core.DefaultConfig(ch, 8)
+		ppc.DisableCardinality = !enabled
+		net.AddFlow(harness.Flow{Src: i, Dst: recv, Size: 1 << 30, Prio: 0,
+			Algo: core.New(swiftTo(net, i, recv), ppc)})
 	}
-	return cells(Options{}, 2, func(i int, o Options) ablationCardinalityResult { return run(i == 0, o) })
+	var over, samples int
+	sampleQueueDelay(net, recv, sim.Millisecond, 5*sim.Microsecond, 600, func(wait sim.Time) {
+		samples++
+		if base+wait > ch.Limit {
+			over++
+		}
+	})
+	net.Run(4 * sim.Millisecond)
+	return ablationCardinalityResult{estimation: enabled, overLimitFrac: float64(over) / float64(samples)}
 }
 
 // ablationProbeResult compares probe behavior between the paper's
@@ -105,76 +126,74 @@ type ablationProbeResult struct {
 
 // ablationProbe yields 40 low-priority flows (10 each at priorities 0-3)
 // under ten high-priority flows and measures per-priority probe rates,
-// total probe load, and reclaim latency.
-func ablationProbe() []ablationProbeResult {
-	run := func(naive bool, o Options) ablationProbeResult {
-		const perPrio, nHigh = 10, 10
-		const nLow = 4 * perPrio
-		net := star(o, "", nLow+nHigh+2, 61, paperNoise, nil)
-		eng := net.Eng
-		recv := nLow + nHigh
-		plan := core.DefaultPlan(net.Topo.BaseRTT(0, recv))
-		for i := 0; i < nLow; i++ {
-			ppc := core.DefaultConfig(plan.Channel(i/perPrio), 8)
-			ppc.NaiveProbe = naive
-			ppc.NoProbeJitter = naive
-			net.AddFlow(harness.Flow{Src: i, Dst: recv, Size: 1 << 30, Prio: 0,
-				Algo: core.New(swiftTo(net, i, recv), ppc)})
-		}
-		// Ten high-priority flows preempt the lows for ~4 ms.
-		var highEnd sim.Time
-		remaining := nHigh
-		for i := 0; i < nHigh; i++ {
-			src := nLow + i
-			net.AddFlow(harness.Flow{Src: src, Dst: recv, Size: 5 << 20, Prio: 0,
-				Algo:    ppSwiftTo(net, src, recv, plan.Channel(6)),
-				StartAt: sim.Millisecond,
-				OnComplete: func(sim.Time) {
-					remaining--
-					if remaining == 0 {
-						highEnd = eng.Now()
-					}
-				}})
-		}
-		var probeBytes int64
-		var probesByPrio [4]int64
-		winFrom, winTo := 2500*sim.Microsecond, 4500*sim.Microsecond
-		inner := net.Topo.Hosts[recv].Sink
-		net.Topo.Hosts[recv].Sink = func(pkt *netsim.Packet) {
-			if pkt.Type == netsim.Probe && eng.Now() > winFrom && eng.Now() <= winTo {
-				probeBytes += int64(pkt.Wire)
-				if pkt.Src < nLow {
-					probesByPrio[pkt.Src/perPrio]++
-				}
-			}
-			inner(pkt)
-		}
-		dur := 9 * sim.Millisecond
-		rs := net.SampleRates(recv, func(p *netsim.Packet) int {
-			if p.Src >= nLow {
-				return 1
-			}
-			return 0
-		}, 25*sim.Microsecond, dur)
-		net.Run(dur)
-		res := ablationProbeResult{
-			scheme:    map[bool]string{true: "naive", false: "collision-avoidance"}[naive],
-			probeGbps: float64(probeBytes) * 8 / (winTo - winFrom).Seconds() / 1e9,
-		}
-		winMS := (winTo - winFrom).Millis()
-		for p := 0; p < 4; p++ {
-			res.probeRateByPrio[p] = float64(probesByPrio[p]) / float64(perPrio) / winMS
-		}
-		res.reclaimUS = (dur - highEnd).Micros()
-		for i, t := range rs.Times {
-			if highEnd > 0 && t > highEnd && rs.Rates[i][0] >= 80 {
-				res.reclaimUS = (t - highEnd).Micros()
-				break
-			}
-		}
-		return res
+// total probe load, and reclaim latency, under the paper's schedule or
+// naive per-RTT probing.
+func ablationProbe(naive bool, o Options) ablationProbeResult {
+	const perPrio, nHigh = 10, 10
+	const nLow = 4 * perPrio
+	net := star(o, "", nLow+nHigh+2, 61, paperNoise, nil)
+	eng := net.Eng
+	recv := nLow + nHigh
+	plan := core.DefaultPlan(net.Topo.BaseRTT(0, recv))
+	for i := 0; i < nLow; i++ {
+		ppc := core.DefaultConfig(plan.Channel(i/perPrio), 8)
+		ppc.NaiveProbe = naive
+		ppc.NoProbeJitter = naive
+		net.AddFlow(harness.Flow{Src: i, Dst: recv, Size: 1 << 30, Prio: 0,
+			Algo: core.New(swiftTo(net, i, recv), ppc)})
 	}
-	return cells(Options{}, 2, func(i int, o Options) ablationProbeResult { return run(i == 1, o) })
+	// Ten high-priority flows preempt the lows for ~4 ms.
+	var highEnd sim.Time
+	remaining := nHigh
+	for i := 0; i < nHigh; i++ {
+		src := nLow + i
+		net.AddFlow(harness.Flow{Src: src, Dst: recv, Size: 5 << 20, Prio: 0,
+			Algo:    ppSwiftTo(net, src, recv, plan.Channel(6)),
+			StartAt: sim.Millisecond,
+			OnComplete: func(sim.Time) {
+				remaining--
+				if remaining == 0 {
+					highEnd = eng.Now()
+				}
+			}})
+	}
+	var probeBytes int64
+	var probesByPrio [4]int64
+	winFrom, winTo := 2500*sim.Microsecond, 4500*sim.Microsecond
+	inner := net.Topo.Hosts[recv].Sink
+	net.Topo.Hosts[recv].Sink = func(pkt *netsim.Packet) {
+		if pkt.Type == netsim.Probe && eng.Now() > winFrom && eng.Now() <= winTo {
+			probeBytes += int64(pkt.Wire)
+			if pkt.Src < nLow {
+				probesByPrio[pkt.Src/perPrio]++
+			}
+		}
+		inner(pkt)
+	}
+	dur := 9 * sim.Millisecond
+	rs := net.SampleRates(recv, func(p *netsim.Packet) int {
+		if p.Src >= nLow {
+			return 1
+		}
+		return 0
+	}, 25*sim.Microsecond, dur)
+	net.Run(dur)
+	res := ablationProbeResult{
+		scheme:    map[bool]string{true: "naive", false: "collision-avoidance"}[naive],
+		probeGbps: float64(probeBytes) * 8 / (winTo - winFrom).Seconds() / 1e9,
+	}
+	winMS := (winTo - winFrom).Millis()
+	for p := 0; p < 4; p++ {
+		res.probeRateByPrio[p] = float64(probesByPrio[p]) / float64(perPrio) / winMS
+	}
+	res.reclaimUS = (dur - highEnd).Micros()
+	for i, t := range rs.Times {
+		if highEnd > 0 && t > highEnd && rs.Rates[i][0] >= 80 {
+			res.reclaimUS = (t - highEnd).Micros()
+			break
+		}
+	}
+	return res
 }
 
 // ecnPrioResult is the Appendix B extension: DCTCP flows with priority-

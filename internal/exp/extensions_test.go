@@ -4,7 +4,7 @@ import "testing"
 
 func TestAblationFilter(t *testing.T) {
 	t.Parallel()
-	rows := ablationFilter()
+	rows := []ablationFilterResult{ablationFilter(1, Options{}), ablationFilter(2, Options{})}
 	var noFilter, filter ablationFilterResult
 	for _, r := range rows {
 		if r.consecLimit == 1 {
@@ -24,7 +24,7 @@ func TestAblationFilter(t *testing.T) {
 
 func TestAblationCardinality(t *testing.T) {
 	t.Parallel()
-	rows := ablationCardinality(40)
+	rows := []ablationCardinalityResult{ablationCardinality(40, true, Options{}), ablationCardinality(40, false, Options{})}
 	var on, off ablationCardinalityResult
 	for _, r := range rows {
 		if r.estimation {
@@ -44,7 +44,7 @@ func TestAblationCardinality(t *testing.T) {
 
 func TestAblationProbe(t *testing.T) {
 	t.Parallel()
-	rows := ablationProbe()
+	rows := []ablationProbeResult{ablationProbe(false, Options{}), ablationProbe(true, Options{})}
 	var ca, naive ablationProbeResult
 	for _, r := range rows {
 		if r.scheme == "naive" {

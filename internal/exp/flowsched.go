@@ -170,8 +170,9 @@ func fig11(prioCounts []int, base flowSchedConfig) []fig11Row {
 // fig11's PrioPlus+Swift row at 8 priorities is fig16's PrioPlus+Swift row.
 func schedRow(cfg flowSchedConfig) fig11Row {
 	return memoize(cfg.Options, cfg.key(), func(o Options) fig11Row {
-		cfg.Options = o
-		return rowFrom(runFlowSched(cfg))
+		c := cfg
+		c.Options = o
+		return rowFrom(runFlowSched(c))
 	})
 }
 

@@ -2,7 +2,10 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"prioplus/internal/cache"
@@ -31,23 +34,58 @@ const memoEntries = 256
 // summary — never its flow records — and credits the logical events its run
 // recorded (sim.CreditEvents), so a batch's event count does not depend on
 // which cells hit.
+//
+// A seeded cell a run computes queues its twins: the same cell at each of
+// the batch's later seeds (NewMemo), which those seeds' runs will ask for.
+// Idle cores compute them ahead (drain), and so does a run while it waits
+// for a cell another goroutine is computing. A twin is stored like any
+// cell, its events taken back out of the count until a hit serves it; one
+// that panics is dropped, and its run computes the cell itself. A run's own
+// cells come before twins, so no run waits for twins it queued.
 type Memo struct {
-	cells        *cache.Cache[memoEntry]
-	hits, misses atomic.Uint64
+	cells               *cache.Cache[memoEntry]
+	hits, misses, ahead atomic.Uint64
+	// seeds is the batch's seeds in run order: a seeded cell computed at
+	// one queues twins at the seeds after it.
+	seeds []int64
+
+	mu       sync.Mutex
+	twins    []func()        // queued twins, oldest first
+	queued   map[string]bool // every twin key ever queued, so none twice
+	closed   bool            // the batch is over: queue and drain nothing more
+	drainers sync.WaitGroup  // goroutines in work, counted under mu (enter)
 }
 
-// memoEntry is one cell's result and the logical events its run recorded.
+// memoEntry is one cell's result, the logical events its run recorded, and
+// whether it read its seed.
 type memoEntry struct {
 	val    any
 	events uint64
+	seeded bool
 }
 
-// NewMemo returns an empty memo.
-func NewMemo() *Memo { return &Memo{cells: cache.New[memoEntry](memoEntries)} }
+// NewMemo returns an empty memo for a batch that runs at seeds, in that
+// order. With fewer than two seeds, or at GOMAXPROCS 1, no twin is queued.
+func NewMemo(seeds []int64) *Memo {
+	return &Memo{cells: cache.New[memoEntry](memoEntries), seeds: seeds, queued: map[string]bool{}}
+}
 
 // Stats returns how many cells the memo served (stored, or computed by a
-// concurrent asker) and how many it computed.
-func (m *Memo) Stats() (hits, misses uint64) { return m.hits.Load(), m.misses.Load() }
+// concurrent asker), how many a run computed itself, and how many twins it
+// computed ahead of their runs.
+func (m *Memo) Stats() (hits, misses, ahead uint64) {
+	return m.hits.Load(), m.misses.Load(), m.ahead.Load()
+}
+
+// Close ends the batch: it drops the twins no goroutine has started, which
+// no run will ask for now, and waits for the ones being computed. After it
+// the batch's event count is exact and no goroutine of the memo runs.
+func (m *Memo) Close() {
+	m.mu.Lock()
+	m.closed, m.twins = true, nil
+	m.mu.Unlock()
+	m.drainers.Wait()
+}
 
 // cellRun collects the engines one memoized cell builds (newNet), whose
 // seed witnesses and event counts the memo reads when it returns.
@@ -58,41 +96,160 @@ type cellRun struct{ engs []*sim.Engine }
 // having read its seed is also stored under the bare key, where every seed
 // finds it. Without a memo, or with a recorder factory (an instrumented
 // run), it just runs the cell.
+//
+// The memo may run cell again, at once on other goroutines, with o.Seed
+// set to a later seed of the batch (its twins). So cell reads the seed
+// only from the Options it is handed, and writes nothing it captured.
 func memoize[T any](o Options, key string, cell func(o Options) T) T {
 	m := o.memo
 	if m == nil || o.NewRecorder != nil {
 		return cell(o)
 	}
-	if e, ok := m.cells.Get(key); ok {
-		return m.hit(e).(T)
+	run := func(o Options) any { return cell(o) }
+	sk := seedKey(key, o.Seed)
+	for {
+		if e, ok := m.cells.Get(key); ok {
+			return m.hit(e).(T)
+		}
+		// Another goroutine is computing this cell: compute a queued twin
+		// rather than wait idle.
+		if !m.cells.Busy(sk) || !m.runTwin() {
+			break
+		}
 	}
-	e, computed := m.cells.Do(key+"|seed="+strconv.FormatInt(o.Seed, 10), func() (memoEntry, bool) {
-		run := &cellRun{}
-		c := o
-		c.cell = run
-		e := memoEntry{val: cell(c)}
-		seeded := false
-		for _, eng := range run.engs {
-			e.events += eng.Events()
-			seeded = seeded || eng.Seeded()
-		}
-		if !seeded {
-			m.cells.Put(key, e)
-		}
-		return e, seeded
+	e, computed := m.cells.Do(sk, func() (memoEntry, bool) {
+		e := m.measure(key, o, run)
+		return e, e.seeded
 	})
 	if !computed {
 		return m.hit(e).(T)
 	}
 	m.misses.Add(1)
+	if e.seeded {
+		m.queueTwins(key, o, run)
+	}
 	return e.val.(T)
+}
+
+// seedKey is the key a seeded cell is stored under.
+func seedKey(key string, seed int64) string { return key + "|seed=" + strconv.FormatInt(seed, 10) }
+
+// measure runs one cell on o and reads its engines: the events they
+// recorded, and whether any read the seed. A cell that did not is stored
+// under the bare key too.
+func (m *Memo) measure(key string, o Options, cell func(Options) any) memoEntry {
+	run := &cellRun{}
+	o.cell = run
+	e := memoEntry{val: cell(o)}
+	for _, eng := range run.engs {
+		e.events += eng.Events()
+		e.seeded = e.seeded || eng.Seeded()
+	}
+	if !e.seeded {
+		m.cells.Put(key, e)
+	}
+	return e
 }
 
 // hit counts a served cell and credits its run's events.
 func (m *Memo) hit(e memoEntry) any {
 	m.hits.Add(1)
-	sim.CreditEvents(e.events)
+	sim.CreditEvents(int64(e.events))
 	return e.val
+}
+
+// queueTwins queues cell's twins at the batch's seeds after o.Seed, then
+// starts a drainer on each core tryHelper grants while twins wait.
+func (m *Memo) queueTwins(key string, o Options, cell func(Options) any) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		return
+	}
+	i := slices.Index(m.seeds, o.Seed)
+	if i < 0 {
+		return
+	}
+	m.mu.Lock()
+	for _, seed := range m.seeds[i+1:] {
+		sk := seedKey(key, seed)
+		if m.closed || m.queued[sk] {
+			continue
+		}
+		m.queued[sk] = true
+		c := o
+		c.Seed = seed
+		m.twins = append(m.twins, func() {
+			m.cells.TryDo(sk, func() (memoEntry, bool) {
+				e := m.measure(key, c, cell)
+				// Dispatched now, counted when a run is served it.
+				sim.CreditEvents(-int64(e.events))
+				m.ahead.Add(1)
+				return e, e.seeded
+			})
+		})
+	}
+	n := len(m.twins)
+	m.mu.Unlock()
+	for ; n > 0 && tryHelper(); n-- {
+		if !m.enter() {
+			helpers.Add(-1)
+			return
+		}
+		go m.work()
+	}
+}
+
+// runTwin computes the oldest queued twin, unless it is stored or being
+// computed already, and reports whether there was one. A twin's panic is
+// dropped here: nothing is stored, and the run that asks for the cell
+// computes it itself, so the panic fails that run only.
+func (m *Memo) runTwin() (ran bool) {
+	m.mu.Lock()
+	if len(m.twins) == 0 {
+		m.mu.Unlock()
+		return false
+	}
+	twin := m.twins[0]
+	m.twins = m.twins[1:]
+	m.mu.Unlock()
+	defer func() { recover() }()
+	ran = true
+	twin()
+	return ran
+}
+
+// drain computes queued twins on the helper slot its caller took, until
+// none is left, then gives the slot back. done runs once the memo counts
+// the goroutine, so a Close after done waits for the drain; with no twin
+// queued, or no memo, the slot is given back first.
+func (m *Memo) drain(done func()) {
+	if m == nil || !m.enter() {
+		helpers.Add(-1)
+		done()
+		return
+	}
+	done()
+	m.work()
+}
+
+// work is a counted drainer's loop (enter): it computes twins until none
+// is left, then gives back its helper slot and its count.
+func (m *Memo) work() {
+	defer m.drainers.Done()
+	defer helpers.Add(-1)
+	for m.runTwin() {
+	}
+}
+
+// enter counts a draining goroutine, unless the memo is closed or no twin
+// waits. Counting under mu orders every count before Close's Wait.
+func (m *Memo) enter() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed || len(m.twins) == 0 {
+		return false
+	}
+	m.drainers.Add(1)
+	return true
 }
 
 // The key methods encode a cell's inputs canonically: the config printed

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"prioplus/internal/fault"
 	"prioplus/internal/runner"
@@ -36,7 +38,7 @@ func runSteps(o Options, steps []func(o Options) string) memoBatch {
 // memo, for the caller's hit and miss counts.
 func checkTransparent(t *testing.T, names []string, steps []func(o Options) string) *Memo {
 	t.Helper()
-	memo := NewMemo()
+	memo := NewMemo(nil)
 	off := runSteps(Options{}, steps)
 	on := runSteps(Options{memo: memo}, steps)
 	for i := range steps {
@@ -44,7 +46,7 @@ func checkTransparent(t *testing.T, names []string, steps []func(o Options) stri
 			t.Errorf("%s: memo on printed\n%s\nmemo off printed\n%s", names[i], on.out[i], off.out[i])
 		}
 	}
-	if hits, _ := memo.Stats(); hits > 0 && (on.events != off.events || on.dispatched >= off.dispatched) {
+	if hits, _, _ := memo.Stats(); hits > 0 && (on.events != off.events || on.dispatched >= off.dispatched) {
 		t.Errorf("with %d memo hits: %d logical events (%d dispatched), without: %d (%d); want equal logical events, fewer dispatches",
 			hits, on.events, on.dispatched, off.events, off.dispatched)
 	}
@@ -54,8 +56,9 @@ func checkTransparent(t *testing.T, names []string, steps []func(o Options) stri
 // TestMemoFaultSweepSeeds: faultsweep at seeds 1001–1004 in one batch,
 // the registered spec's bytes, with the memo and without. Only the
 // PrioPlus+Swift cell reads the seed, so the other three are computed once
-// for the four seeds. The batch's runs share the memo from two workers;
-// -short (the race detector's run) sweeps the reduced two-scheme config.
+// for the four seeds, and its later seeds may be computed ahead as twins.
+// The batch's runs share the memo from two workers; -short (the race
+// detector's run) sweeps the reduced two-scheme config.
 func TestMemoFaultSweepSeeds(t *testing.T) {
 	seeds := []int64{1001, 1002, 1003, 1004}
 	spec, _ := Lookup("faultsweep")
@@ -84,8 +87,9 @@ func TestMemoFaultSweepSeeds(t *testing.T) {
 		}
 		return runner.Run(tasks, runner.Options{Workers: 2})
 	}
-	off, memo := batch(nil), NewMemo()
+	off, memo := batch(nil), NewMemo(seeds)
 	on := batch(memo)
+	memo.Close()
 	for i := range seeds {
 		if on[i].Err != nil || off[i].Err != nil {
 			t.Fatalf("seed %d: %v / %v", seeds[i], on[i].Err, off[i].Err)
@@ -95,11 +99,13 @@ func TestMemoFaultSweepSeeds(t *testing.T) {
 		}
 	}
 	// The two workers may both compute a seed-free cell before either
-	// stores it; the seeds after them hit.
+	// stores it; the seeds after them hit. A seeded cell is computed once
+	// per seed, by its run or ahead of it.
 	n := uint64(len(seeds))
 	seeded := n * (cells - seedFree)
-	if hits, misses := memo.Stats(); hits+misses != cells*n || misses < seeded+seedFree || misses > seeded+2*seedFree {
-		t.Errorf("%d hits, %d misses over %d seeds of %d cells", hits, misses, n, cells)
+	hits, misses, ahead := memo.Stats()
+	if hits+misses != cells*n || misses+ahead < seeded+seedFree || misses+ahead > seeded+2*seedFree {
+		t.Errorf("%d hits, %d misses, %d twins computed ahead over %d seeds of %d cells", hits, misses, ahead, n, cells)
 	}
 }
 
@@ -117,7 +123,7 @@ func TestMemoFig11ThenFig16(t *testing.T) {
 		func(o Options) string { c := base; c.Options = o; return rows(fig11([]int{8}, c)) },
 		func(o Options) string { c := base; c.Options = o; return rows(fig16(8, c)) },
 	})
-	if hits, misses := memo.Stats(); hits != 1 || misses != 5 {
+	if hits, misses, _ := memo.Stats(); hits != 1 || misses != 5 {
 		t.Errorf("%d hits, %d misses; want fig16's PrioPlus+Swift cell served from fig11 (1, 5)", hits, misses)
 	}
 }
@@ -146,7 +152,7 @@ func TestMemoCoflowFigures(t *testing.T) {
 			return rows(Fig12Coflow(c, false, hpccPhysical(8), noCCPhysicalIdeal()))
 		},
 	})
-	if hits, misses := memo.Stats(); hits != 3 || misses != 8 {
+	if hits, misses, _ := memo.Stats(); hits != 3 || misses != 8 {
 		t.Errorf("%d hits, %d misses; want fig15's three cells served (3, 8)", hits, misses)
 	}
 }
@@ -185,7 +191,7 @@ func TestMemoSeedFreeCellsHoldForEverySeed(t *testing.T) {
 		return fmt.Sprintf("%+v", schedRow(c))
 	}})
 	for _, c := range cases {
-		memo := NewMemo()
+		memo := NewMemo(nil)
 		stored := c.run(fs.Seed, memo)
 		_, seedFree := memo.cells.Get(c.key)
 		if seedFree != c.seedFree {
@@ -205,7 +211,7 @@ func TestMemoSeedFreeCellsHoldForEverySeed(t *testing.T) {
 // TestMemoPanickingCellNotStored: a cell that panics reaches its caller
 // and leaves nothing in the memo, so the next ask computes it.
 func TestMemoPanickingCellNotStored(t *testing.T) {
-	memo := NewMemo()
+	memo := NewMemo(nil)
 	o := Options{memo: memo}
 	func() {
 		defer func() {
@@ -218,7 +224,123 @@ func TestMemoPanickingCellNotStored(t *testing.T) {
 	if got := memoize(o, "k", func(Options) int { return 7 }); got != 7 {
 		t.Errorf("after a panicking cell the memo served %d, want a fresh 7", got)
 	}
-	if hits, misses := memo.Stats(); hits != 0 || misses != 1 {
+	if hits, misses, _ := memo.Stats(); hits != 0 || misses != 1 {
 		t.Errorf("%d hits, %d misses; want the panic uncounted and one computed cell", hits, misses)
 	}
+}
+
+// twinBatch runs steps one per seed, in seed order, through the runner's
+// single worker (`all -parallel 1`), sharing memo, which it closes after;
+// it returns each run's bytes or error and the logical events counted.
+func twinBatch(t *testing.T, seeds []int64, memo *Memo, step func(seed int64, memo *Memo) string) ([]runner.Result, uint64) {
+	t.Helper()
+	var tasks []runner.Task
+	for _, seed := range seeds {
+		tasks = append(tasks, runner.Task{Name: fmt.Sprint(seed), Run: func() (string, map[string]float64) {
+			return step(seed, memo), nil
+		}})
+	}
+	ev := sim.TotalEvents()
+	res := runner.Run(tasks, runner.Options{Workers: 1})
+	if memo != nil {
+		memo.Close()
+		if h := helpers.Load(); h != 0 {
+			t.Errorf("%d helpers still hold a core after Close", h)
+		}
+		if n := memo.cells.Len(); n > memoEntries {
+			t.Errorf("the memo holds %d entries, over its bound %d", n, memoEntries)
+		}
+	}
+	return res, sim.TotalEvents() - ev
+}
+
+// TestMemoTwins: the reduced faultsweep at four seeds in one batch prints
+// each seed's bytes and counts the events of one run per seed without a
+// memo. At GOMAXPROCS 2 the PrioPlus+Swift cell's later seeds are computed
+// ahead as twins; at GOMAXPROCS 1 none is. With a lossy default plan every
+// cell reads the seed, through its own plan's draws, and the twins still
+// print each seed's bytes.
+func TestMemoTwins(t *testing.T) {
+	seeds := []int64{1001, 1002, 1003, 1004}
+	for _, loss := range []float64{0, 0.01} {
+		step := func(seed int64, memo *Memo) string {
+			cfg := quickFaultSweepConfig(seed)
+			cfg.flapLoss, cfg.memo = loss, memo
+			return fmt.Sprintf("%+v", faultSweep(cfg))
+		}
+		var want []string
+		var wantEvents uint64
+		for _, seed := range seeds {
+			res, ev := twinBatch(t, []int64{seed}, nil, step)
+			want, wantEvents = append(want, res[0].Output), wantEvents+ev
+		}
+		if loss > 0 && want[0] == want[1] {
+			t.Fatalf("loss %g: seeds %d and %d print the same rows; the plan draws nothing", loss, seeds[0], seeds[1])
+		}
+		for _, procs := range []int{2, 1} {
+			withProcs(procs, func() {
+				memo := NewMemo(seeds)
+				res, events := twinBatch(t, seeds, memo, step)
+				for i, r := range res {
+					if r.Err != nil || r.Output != want[i] {
+						t.Errorf("loss %g, GOMAXPROCS %d, seed %d: %v, printed\n%s\nwant\n%s", loss, procs, seeds[i], r.Err, r.Output, want[i])
+					}
+				}
+				if events != wantEvents {
+					t.Errorf("loss %g, GOMAXPROCS %d: %d logical events, one run per seed counts %d", loss, procs, events, wantEvents)
+				}
+				_, _, ahead := memo.Stats()
+				if (procs == 1) != (ahead == 0) {
+					t.Errorf("loss %g, GOMAXPROCS %d: %d twins computed ahead", loss, procs, ahead)
+				}
+			})
+		}
+	}
+}
+
+// TestMemoTwinPanics: a twin that panics is dropped, not stored; its
+// seed's run computes the cell itself, and only that run fails.
+func TestMemoTwinPanics(t *testing.T) {
+	seeds := []int64{1, 2, 3}
+	var atTwo atomic.Int32 // computations at seed 2
+	step := func(seed int64, memo *Memo) string {
+		v := memoize(Options{Seed: seed, memo: memo}, "k", func(o Options) int64 {
+			eng := sim.NewEngine()
+			o.cell.engs = append(o.cell.engs, eng)
+			eng.Rand(o.Seed) // reads the seed
+			if o.Seed == 2 {
+				atTwo.Add(1)
+				panic("cell failed at seed 2")
+			}
+			return o.Seed
+		})
+		// Let the drainer take both twins before the later runs ask.
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			memo.mu.Lock()
+			idle := len(memo.twins) == 0 && helpers.Load() == 0
+			memo.mu.Unlock()
+			if idle {
+				break
+			}
+		}
+		return fmt.Sprint(v)
+	}
+	withProcs(2, func() {
+		memo := NewMemo(seeds)
+		res, _ := twinBatch(t, seeds, memo, step)
+		if n := atTwo.Load(); n != 2 {
+			t.Errorf("the cell ran %d times at seed 2, want twice: as a twin, then by its run", n)
+		}
+		for i, r := range res {
+			if failed := r.Err != nil; failed != (seeds[i] == 2) || !failed && r.Output != fmt.Sprint(seeds[i]) {
+				t.Errorf("seed %d: printed %q, error %v", seeds[i], r.Output, r.Err)
+			}
+		}
+		if _, ok := memo.cells.Get("k|seed=2"); ok {
+			t.Error("the panicking twin was stored")
+		}
+		if hits, misses, ahead := memo.Stats(); hits != 1 || misses != 1 || ahead != 1 {
+			t.Errorf("%d hits, %d misses, %d twins computed ahead; want seed 1 computed, seed 3 ahead and served, seed 2 uncounted", hits, misses, ahead)
+		}
+	})
 }

@@ -330,21 +330,22 @@ func init() {
 	})
 
 	reg("ablation", "design-choice ablations (filter, cardinality, probe)", func(p RunParams, o Options, w io.Writer) error {
+		rows := ablations(40)
 		fmt.Fprintln(w, "== filter (two-consecutive) vs none, 2x noise ==")
 		tb := stats.NewTable("consec limit", "spurious yields", "utilization")
-		for _, r := range ablationFilter() {
+		for _, r := range rows.filter {
 			tb.AddRow(r.consecLimit, r.yields, r.util)
 		}
 		tb.Render(w)
 		fmt.Fprintln(w, "\n== flow-cardinality estimation on/off, 40-flow incast ==")
 		tb = stats.NewTable("estimation", "frac above D_limit")
-		for _, r := range ablationCardinality(40) {
+		for _, r := range rows.cardinality {
 			tb.AddRow(r.estimation, r.overLimitFrac)
 		}
 		tb.Render(w)
 		fmt.Fprintln(w, "\n== probe schedule: collision avoidance vs naive per-RTT ==")
 		tb = stats.NewTable("schedule", "probe load (Gb/s)", "reclaim (us)")
-		for _, r := range ablationProbe() {
+		for _, r := range rows.probe {
 			tb.AddRow(r.scheme, r.probeGbps, r.reclaimUS)
 		}
 		tb.Render(w)

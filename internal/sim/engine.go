@@ -44,8 +44,10 @@ func TotalEvents() uint64 {
 }
 
 // CreditEvents adds n logical events that were not dispatched: those of a
-// run whose recorded result was served in its place (see TotalEvents).
-func CreditEvents(n uint64) { totalEvents.Add(int64(n)) }
+// run whose recorded result was served in its place (see TotalEvents). A
+// negative n takes back events that were dispatched for a result not yet
+// asked for, which the hit that serves it credits again.
+func CreditEvents(n int64) { totalEvents.Add(n) }
 
 // Events returns the logical events this engine has added to TotalEvents:
 // its dispatches plus its elided events, as of its last RunUntil.

@@ -143,9 +143,9 @@ while read -r doc max; do
     fi
 done <<EOF
 docs/API.md 7024
-docs/ARCHITECTURE.md 47390
+docs/ARCHITECTURE.md 47387
 docs/OBSERVABILITY.md 37347
-docs/PERFORMANCE.md 29368
+docs/PERFORMANCE.md 29011
 README.md 15397
 DESIGN.md 13714
 EXPERIMENTS.md 13906
