@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -164,7 +165,16 @@ func runAll(args []string) int {
 	startDispatched := sim.TotalProcessed()
 	startWall := time.Now()
 	results := runner.Run(tasks, opts)
-	memo.Close()
+	// A run abandoned on timeout keeps counting events on its goroutine,
+	// so the count is inexact whatever the memo does; do not wait for the
+	// twins then, or a twin the abandoned run waited on outlives -timeout.
+	timedOut := 0
+	for _, r := range results {
+		if errors.Is(r.Err, runner.ErrTimeout) {
+			timedOut++
+		}
+	}
+	memo.Close(timedOut == 0)
 	wall := time.Since(startWall)
 	if err := stop(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -177,7 +187,7 @@ func runAll(args []string) int {
 	// which elision optimizations shrink. Rates use the logical basis.
 	events := sim.TotalEvents() - startEvents
 	dispatched := sim.TotalProcessed() - startDispatched
-	memoHits, _, _ := memo.Stats()
+	memoHits, _ := memo.Stats()
 
 	failures := 0
 	fps := map[string]string{} // run name -> output fingerprint (with -fingerprint)
@@ -203,9 +213,12 @@ func runAll(args []string) int {
 	fmt.Printf("\n%d/%d runs ok, %d workers, wall %.2fs, %d logical events (%d dispatched, %d memo hits), %.3gM events/sec (logical basis)\n",
 		len(results)-failures, len(results), workers, wall.Seconds(),
 		events, dispatched, memoHits, float64(events)/wall.Seconds()/1e6)
+	if timedOut > 0 {
+		fmt.Printf("events inexact: %d timed-out runs still count theirs\n", timedOut)
+	}
 
 	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, results, seeds, workers, *full, wall, events, dispatched, fps); err != nil {
+		if err := writeJSON(*jsonOut, results, seeds, workers, *full, wall, events, dispatched, timedOut > 0, fps); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -313,14 +326,17 @@ type batchJSON struct {
 	WallMS   float64 `json:"wall_ms"`
 	// Events is the logical event count; EventsDispatched the raw dispatch
 	// count; EventsBasis explains the difference (see sim.TotalEvents).
-	Events           uint64    `json:"events"`
-	EventsDispatched uint64    `json:"events_dispatched"`
-	EventsBasis      string    `json:"events_basis"`
-	EventsPerSec     float64   `json:"events_per_sec"`
-	Runs             []runJSON `json:"runs"`
+	Events           uint64  `json:"events"`
+	EventsDispatched uint64  `json:"events_dispatched"`
+	EventsBasis      string  `json:"events_basis"`
+	EventsPerSec     float64 `json:"events_per_sec"`
+	// EventsInexact is set when a run timed out: its abandoned goroutine
+	// may still be counting events when the batch reports.
+	EventsInexact bool      `json:"events_inexact,omitempty"`
+	Runs          []runJSON `json:"runs"`
 }
 
-func writeJSON(path string, results []runner.Result, seeds []int64, parallel int, full bool, wall time.Duration, events, dispatched uint64, fps map[string]string) error {
+func writeJSON(path string, results []runner.Result, seeds []int64, parallel int, full bool, wall time.Duration, events, dispatched uint64, inexact bool, fps map[string]string) error {
 	doc := batchJSON{
 		Full:             full,
 		Parallel:         parallel,
@@ -330,6 +346,7 @@ func writeJSON(path string, results []runner.Result, seeds []int64, parallel int
 		EventsDispatched: dispatched,
 		EventsBasis:      eventsBasis,
 		EventsPerSec:     float64(events) / wall.Seconds(),
+		EventsInexact:    inexact,
 	}
 	for _, r := range results {
 		rj := runJSON{Name: r.Name, WallMS: float64(r.Wall.Microseconds()) / 1000, Output: r.Output,

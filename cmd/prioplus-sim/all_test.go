@@ -56,15 +56,7 @@ func TestAllReportsWorkersStarted(t *testing.T) {
 			"-progress=false", "-json", out}); code != 0 {
 			t.Fatalf("-parallel %s: exit %d", c.parallel, code)
 		}
-		raw, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc batchJSON
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			t.Fatal(err)
-		}
-		if doc.Parallel != c.want {
+		if doc := readBatch(t, out); doc.Parallel != c.want {
 			t.Errorf("-parallel %s over 2 runs: report says %d workers, want %d", c.parallel, doc.Parallel, c.want)
 		}
 	}
@@ -85,15 +77,7 @@ func TestAllSeedSweepEvents(t *testing.T) {
 			"-progress=false", "-json", out}); code != 0 {
 			t.Fatalf("-seeds %s: exit %d", seeds, code)
 		}
-		raw, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc batchJSON
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			t.Fatal(err)
-		}
-		return doc
+		return readBatch(t, out)
 	}
 	seeds := []string{"1001", "1002", "1003", "1004"}
 	var want uint64
@@ -116,4 +100,38 @@ func TestAllSeedSweepEvents(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAllTimeoutMarksEventsInexact: a batch whose runs time out exits 1
+// and marks its event count inexact, since the abandoned runs keep
+// counting on their own goroutines; a batch without one does not.
+func TestAllTimeoutMarksEventsInexact(t *testing.T) {
+	for _, timeout := range []string{"1ms", "0"} {
+		out := filepath.Join(t.TempDir(), "batch.json")
+		code := runAll([]string{"-only", "tab2", "-seeds", "1,2", "-timeout", timeout, "-progress=false", "-json", out})
+		doc := readBatch(t, out)
+		timedOut := timeout != "0"
+		if (code == 1) != timedOut || doc.EventsInexact != timedOut {
+			t.Errorf("-timeout %s: exit %d, events inexact %t", timeout, code, doc.EventsInexact)
+		}
+		for _, r := range doc.Runs {
+			if strings.Contains(r.Error, "exceeded timeout") != timedOut {
+				t.Errorf("-timeout %s: %s: error %q", timeout, r.Name, r.Error)
+			}
+		}
+	}
+}
+
+// readBatch reads an `all -json` report.
+func readBatch(t *testing.T, path string) batchJSON {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc batchJSON
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc
 }

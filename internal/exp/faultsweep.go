@@ -21,12 +21,10 @@ type faultSweepConfig struct {
 	horizon  sim.Time // run cutoff, generous for RTO recovery (default 20 ms)
 	// flapAt/flapDur shape the default fault plan: the p0e0-p0a0 uplink
 	// goes down at flapAt for flapDur, mid-transfer for the default flow
-	// size, and drops a flapLoss share of its packets while up (none by
-	// default). A plan in Options.Faults replaces the default plan entirely.
-	flapAt   sim.Time
-	flapDur  sim.Time
-	flapLoss float64
-	schemes  []Scheme
+	// size. A plan in Options.Faults replaces the default plan entirely.
+	flapAt  sim.Time
+	flapDur sim.Time
+	schemes []Scheme
 	// Options carries the run seed (default 5), the fault plan and the
 	// recorder factory; each scheme's run is tagged with the scheme name.
 	Options
@@ -73,14 +71,15 @@ type faultSweepRow struct {
 // faultSweep runs every scheme of the config through the same fault plan
 // and workload, one private engine per scheme. The default plan is a single
 // mid-transfer flap of the p0e0-p0a0 uplink; cfg.Faults substitutes any
-// plan. cfg.Seed seeds the run's random sources (the default plan's
-// impairment, each flow's probe jitter, a RED-marking switch's draws), not
-// the workload: the permutation is fixed, and the sweep's ECN marking is a
-// step, which draws nothing. So under a plan without random impairments
-// only the PrioPlus+Swift cell reads the seed, through its probes' jitter;
-// the Physical+Swift, +DCQCN and +HPCC cells never draw a seeded stream,
-// and a memo serves them to every seed. A cell reads its seed only from the
-// Options it is handed, so a memo can run it at another seed (Memo).
+// plan. cfg.Seed seeds the run's random sources (the plan's impairments,
+// each flow's probe jitter, a RED-marking switch's draws), not the
+// workload: the permutation is fixed, and the sweep's ECN marking is a step,
+// which draws nothing. So under a plan without random impairments only the
+// PrioPlus+Swift cell reads the seed, through its probes' jitter; the
+// Physical+Swift, +DCQCN and +HPCC cells never draw a seeded stream, and a
+// memo serves them to every seed. A cell reads its seed only from the
+// Options it is handed, the default plan's too, so a memo can run it at
+// another seed (Memo).
 //
 // The sweep runs its scheme cells on idle cores, started in schemeStart's
 // order (HPCC first, DCQCN last); the rows, and an instrumented sweep's
@@ -102,11 +101,7 @@ func faultSweep(cfg faultSweepConfig) []faultSweepRow {
 // the core) with priorities striped across senders.
 func faultSweepOne(s Scheme, cfg faultSweepConfig) faultSweepRow {
 	if cfg.Faults == nil {
-		link := fault.Link("p0e0", "p0a0")
-		cfg.Faults = fault.NewPlan(cfg.Seed).Flap(cfg.flapAt, cfg.flapDur, link)
-		if cfg.flapLoss > 0 {
-			cfg.Faults.Impair(link, cfg.flapLoss, 0)
-		}
+		cfg.Faults = fault.NewPlan(cfg.Seed).Flap(cfg.flapAt, cfg.flapDur, fault.Link("p0e0", "p0a0"))
 	}
 	net := schemeFabric(cfg.Options, s.name, s, cfg.nPrios, longTail{}, fatTree(cfg.k))
 

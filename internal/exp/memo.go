@@ -43,8 +43,8 @@ const memoEntries = 256
 // that panics is dropped, and its run computes the cell itself. A run's own
 // cells come before twins, so no run waits for twins it queued.
 type Memo struct {
-	cells               *cache.Cache[memoEntry]
-	hits, misses, ahead atomic.Uint64
+	cells        *cache.Cache[memoEntry]
+	hits, misses atomic.Uint64
 	// seeds is the batch's seeds in run order: a seeded cell computed at
 	// one queues twins at the seeds after it.
 	seeds []int64
@@ -71,20 +71,22 @@ func NewMemo(seeds []int64) *Memo {
 }
 
 // Stats returns how many cells the memo served (stored, or computed by a
-// concurrent asker), how many a run computed itself, and how many twins it
-// computed ahead of their runs.
-func (m *Memo) Stats() (hits, misses, ahead uint64) {
-	return m.hits.Load(), m.misses.Load(), m.ahead.Load()
-}
+// concurrent asker) and how many a run computed itself.
+func (m *Memo) Stats() (hits, misses uint64) { return m.hits.Load(), m.misses.Load() }
 
 // Close ends the batch: it drops the twins no goroutine has started, which
-// no run will ask for now, and waits for the ones being computed. After it
-// the batch's event count is exact and no goroutine of the memo runs.
-func (m *Memo) Close() {
+// no run will ask for now. With wait it also waits for the ones being
+// computed; after that the batch's event count is exact and no goroutine
+// of the memo runs. A batch that abandoned a run on timeout closes without
+// waiting: a twin that run was waiting on can outlive the limit, and the
+// abandoned run counts events on its own anyway.
+func (m *Memo) Close(wait bool) {
 	m.mu.Lock()
 	m.closed, m.twins = true, nil
 	m.mu.Unlock()
-	m.drainers.Wait()
+	if wait {
+		m.drainers.Wait()
+	}
 }
 
 // cellRun collects the engines one memoized cell builds (newNet), whose
@@ -118,7 +120,7 @@ func memoize[T any](o Options, key string, cell func(o Options) T) T {
 		}
 	}
 	e, computed := m.cells.Do(sk, func() (memoEntry, bool) {
-		e := m.measure(key, o, run)
+		e := m.measure(key, o, run, &cellRun{})
 		return e, e.seeded
 	})
 	if !computed {
@@ -134,21 +136,27 @@ func memoize[T any](o Options, key string, cell func(o Options) T) T {
 // seedKey is the key a seeded cell is stored under.
 func seedKey(key string, seed int64) string { return key + "|seed=" + strconv.FormatInt(seed, 10) }
 
-// measure runs one cell on o and reads its engines: the events they
-// recorded, and whether any read the seed. A cell that did not is stored
-// under the bare key too.
-func (m *Memo) measure(key string, o Options, cell func(Options) any) memoEntry {
-	run := &cellRun{}
+// measure runs one cell on o, collecting its engines in run, and reads
+// them: the events they recorded, and whether any read the seed. A cell
+// that did not is stored under the bare key too.
+func (m *Memo) measure(key string, o Options, cell func(Options) any, run *cellRun) memoEntry {
 	o.cell = run
 	e := memoEntry{val: cell(o)}
-	for _, eng := range run.engs {
-		e.events += eng.Events()
-		e.seeded = e.seeded || eng.Seeded()
-	}
+	e.events, e.seeded = run.read()
 	if !e.seeded {
 		m.cells.Put(key, e)
 	}
 	return e
+}
+
+// read sums the logical events the run's engines recorded, and says
+// whether any of them read its seed.
+func (r *cellRun) read() (events uint64, seeded bool) {
+	for _, eng := range r.engs {
+		events += eng.Events()
+		seeded = seeded || eng.Seeded()
+	}
+	return events, seeded
 }
 
 // hit counts a served cell and credits its run's events.
@@ -158,8 +166,7 @@ func (m *Memo) hit(e memoEntry) any {
 	return e.val
 }
 
-// queueTwins queues cell's twins at the batch's seeds after o.Seed, then
-// starts a drainer on each core tryHelper grants while twins wait.
+// queueTwins queues cell's twins at the batch's seeds after o.Seed.
 func (m *Memo) queueTwins(key string, o Options, cell func(Options) any) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		return
@@ -179,23 +186,20 @@ func (m *Memo) queueTwins(key string, o Options, cell func(Options) any) {
 		c.Seed = seed
 		m.twins = append(m.twins, func() {
 			m.cells.TryDo(sk, func() (memoEntry, bool) {
-				e := m.measure(key, c, cell)
-				// Dispatched now, counted when a run is served it.
-				sim.CreditEvents(-int64(e.events))
-				m.ahead.Add(1)
+				run := &cellRun{}
+				// Dispatched now, counted when a run is served the twin;
+				// a twin that panics is never served, and its run
+				// computes and counts the cell itself.
+				defer func() {
+					events, _ := run.read()
+					sim.CreditEvents(-int64(events))
+				}()
+				e := m.measure(key, c, cell, run)
 				return e, e.seeded
 			})
 		})
 	}
-	n := len(m.twins)
 	m.mu.Unlock()
-	for ; n > 0 && tryHelper(); n-- {
-		if !m.enter() {
-			helpers.Add(-1)
-			return
-		}
-		go m.work()
-	}
 }
 
 // runTwin computes the oldest queued twin, unless it is stored or being
@@ -228,12 +232,6 @@ func (m *Memo) drain(done func()) {
 		return
 	}
 	done()
-	m.work()
-}
-
-// work is a counted drainer's loop (enter): it computes twins until none
-// is left, then gives back its helper slot and its count.
-func (m *Memo) work() {
 	defer m.drainers.Done()
 	defer helpers.Add(-1)
 	for m.runTwin() {

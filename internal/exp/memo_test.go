@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -46,7 +47,7 @@ func checkTransparent(t *testing.T, names []string, steps []func(o Options) stri
 			t.Errorf("%s: memo on printed\n%s\nmemo off printed\n%s", names[i], on.out[i], off.out[i])
 		}
 	}
-	if hits, _, _ := memo.Stats(); hits > 0 && (on.events != off.events || on.dispatched >= off.dispatched) {
+	if hits, _ := memo.Stats(); hits > 0 && (on.events != off.events || on.dispatched >= off.dispatched) {
 		t.Errorf("with %d memo hits: %d logical events (%d dispatched), without: %d (%d); want equal logical events, fewer dispatches",
 			hits, on.events, on.dispatched, off.events, off.dispatched)
 	}
@@ -89,7 +90,7 @@ func TestMemoFaultSweepSeeds(t *testing.T) {
 	}
 	off, memo := batch(nil), NewMemo(seeds)
 	on := batch(memo)
-	memo.Close()
+	memo.Close(true)
 	for i := range seeds {
 		if on[i].Err != nil || off[i].Err != nil {
 			t.Fatalf("seed %d: %v / %v", seeds[i], on[i].Err, off[i].Err)
@@ -100,12 +101,13 @@ func TestMemoFaultSweepSeeds(t *testing.T) {
 	}
 	// The two workers may both compute a seed-free cell before either
 	// stores it; the seeds after them hit. A seeded cell is computed once
-	// per seed, by its run or ahead of it.
+	// per seed: by the first seed's run, and by a later seed's run unless
+	// it was computed ahead as a twin, which the run is then served.
 	n := uint64(len(seeds))
 	seeded := n * (cells - seedFree)
-	hits, misses, ahead := memo.Stats()
-	if hits+misses != cells*n || misses+ahead < seeded+seedFree || misses+ahead > seeded+2*seedFree {
-		t.Errorf("%d hits, %d misses, %d twins computed ahead over %d seeds of %d cells", hits, misses, ahead, n, cells)
+	hits, misses := memo.Stats()
+	if hits+misses != cells*n || misses < cells || misses > seeded+2*seedFree {
+		t.Errorf("%d hits, %d misses over %d seeds of %d cells", hits, misses, n, cells)
 	}
 }
 
@@ -123,7 +125,7 @@ func TestMemoFig11ThenFig16(t *testing.T) {
 		func(o Options) string { c := base; c.Options = o; return rows(fig11([]int{8}, c)) },
 		func(o Options) string { c := base; c.Options = o; return rows(fig16(8, c)) },
 	})
-	if hits, misses, _ := memo.Stats(); hits != 1 || misses != 5 {
+	if hits, misses := memo.Stats(); hits != 1 || misses != 5 {
 		t.Errorf("%d hits, %d misses; want fig16's PrioPlus+Swift cell served from fig11 (1, 5)", hits, misses)
 	}
 }
@@ -152,7 +154,7 @@ func TestMemoCoflowFigures(t *testing.T) {
 			return rows(Fig12Coflow(c, false, hpccPhysical(8), noCCPhysicalIdeal()))
 		},
 	})
-	if hits, misses, _ := memo.Stats(); hits != 3 || misses != 8 {
+	if hits, misses := memo.Stats(); hits != 3 || misses != 8 {
 		t.Errorf("%d hits, %d misses; want fig15's three cells served (3, 8)", hits, misses)
 	}
 }
@@ -224,7 +226,7 @@ func TestMemoPanickingCellNotStored(t *testing.T) {
 	if got := memoize(o, "k", func(Options) int { return 7 }); got != 7 {
 		t.Errorf("after a panicking cell the memo served %d, want a fresh 7", got)
 	}
-	if hits, misses, _ := memo.Stats(); hits != 0 || misses != 1 {
+	if hits, misses := memo.Stats(); hits != 0 || misses != 1 {
 		t.Errorf("%d hits, %d misses; want the panic uncounted and one computed cell", hits, misses)
 	}
 }
@@ -243,7 +245,7 @@ func twinBatch(t *testing.T, seeds []int64, memo *Memo, step func(seed int64, me
 	ev := sim.TotalEvents()
 	res := runner.Run(tasks, runner.Options{Workers: 1})
 	if memo != nil {
-		memo.Close()
+		memo.Close(true)
 		if h := helpers.Load(); h != 0 {
 			t.Errorf("%d helpers still hold a core after Close", h)
 		}
@@ -256,91 +258,212 @@ func twinBatch(t *testing.T, seeds []int64, memo *Memo, step func(seed int64, me
 
 // TestMemoTwins: the reduced faultsweep at four seeds in one batch prints
 // each seed's bytes and counts the events of one run per seed without a
-// memo. At GOMAXPROCS 2 the PrioPlus+Swift cell's later seeds are computed
-// ahead as twins; at GOMAXPROCS 1 none is. With a lossy default plan every
-// cell reads the seed, through its own plan's draws, and the twins still
-// print each seed's bytes.
+// memo. At GOMAXPROCS 2 the PrioPlus+Swift cell's later seeds are queued
+// as twins; at GOMAXPROCS 1 none is.
 func TestMemoTwins(t *testing.T) {
 	seeds := []int64{1001, 1002, 1003, 1004}
-	for _, loss := range []float64{0, 0.01} {
-		step := func(seed int64, memo *Memo) string {
-			cfg := quickFaultSweepConfig(seed)
-			cfg.flapLoss, cfg.memo = loss, memo
-			return fmt.Sprintf("%+v", faultSweep(cfg))
-		}
-		var want []string
-		var wantEvents uint64
-		for _, seed := range seeds {
-			res, ev := twinBatch(t, []int64{seed}, nil, step)
-			want, wantEvents = append(want, res[0].Output), wantEvents+ev
-		}
-		if loss > 0 && want[0] == want[1] {
-			t.Fatalf("loss %g: seeds %d and %d print the same rows; the plan draws nothing", loss, seeds[0], seeds[1])
-		}
-		for _, procs := range []int{2, 1} {
-			withProcs(procs, func() {
-				memo := NewMemo(seeds)
-				res, events := twinBatch(t, seeds, memo, step)
-				for i, r := range res {
-					if r.Err != nil || r.Output != want[i] {
-						t.Errorf("loss %g, GOMAXPROCS %d, seed %d: %v, printed\n%s\nwant\n%s", loss, procs, seeds[i], r.Err, r.Output, want[i])
-					}
+	step := func(seed int64, memo *Memo) string {
+		cfg := quickFaultSweepConfig(seed)
+		cfg.memo = memo
+		return fmt.Sprintf("%+v", faultSweep(cfg))
+	}
+	var want []string
+	var wantEvents uint64
+	for _, seed := range seeds {
+		res, ev := twinBatch(t, []int64{seed}, nil, step)
+		want, wantEvents = append(want, res[0].Output), wantEvents+ev
+	}
+	for _, procs := range []int{2, 1} {
+		withProcs(procs, func() {
+			memo := NewMemo(seeds)
+			res, events := twinBatch(t, seeds, memo, step)
+			for i, r := range res {
+				if r.Err != nil || r.Output != want[i] {
+					t.Errorf("GOMAXPROCS %d, seed %d: %v, printed\n%s\nwant\n%s", procs, seeds[i], r.Err, r.Output, want[i])
 				}
-				if events != wantEvents {
-					t.Errorf("loss %g, GOMAXPROCS %d: %d logical events, one run per seed counts %d", loss, procs, events, wantEvents)
-				}
-				_, _, ahead := memo.Stats()
-				if (procs == 1) != (ahead == 0) {
-					t.Errorf("loss %g, GOMAXPROCS %d: %d twins computed ahead", loss, procs, ahead)
-				}
-			})
-		}
+			}
+			if events != wantEvents {
+				t.Errorf("GOMAXPROCS %d: %d logical events, one run per seed counts %d", procs, events, wantEvents)
+			}
+			if queued := len(memo.queued); (procs == 1) != (queued == 0) {
+				t.Errorf("GOMAXPROCS %d: %d twins queued", procs, queued)
+			}
+		})
 	}
 }
 
-// TestMemoTwinPanics: a twin that panics is dropped, not stored; its
-// seed's run computes the cell itself, and only that run fails.
-func TestMemoTwinPanics(t *testing.T) {
-	seeds := []int64{1, 2, 3}
-	var atTwo atomic.Int32 // computations at seed 2
-	step := func(seed int64, memo *Memo) string {
-		v := memoize(Options{Seed: seed, memo: memo}, "k", func(o Options) int64 {
-			eng := sim.NewEngine()
+// twinCell is a memoized cell that reads its seed only from its Options,
+// through its engine's random stream: it runs 64 events at delays drawn
+// from the stream and returns the last one. At seed panicAt it panics
+// after its events have run. computed counts its computations per seed.
+func twinCell(o Options, panicAt int64, computed map[int64]*atomic.Int32) string {
+	return memoize(o, "k", func(o Options) string {
+		computed[o.Seed].Add(1)
+		eng := sim.NewEngine()
+		if o.cell != nil {
 			o.cell.engs = append(o.cell.engs, eng)
-			eng.Rand(o.Seed) // reads the seed
-			if o.Seed == 2 {
-				atTwo.Add(1)
-				panic("cell failed at seed 2")
-			}
-			return o.Seed
-		})
-		// Let the drainer take both twins before the later runs ask.
-		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			memo.mu.Lock()
-			idle := len(memo.twins) == 0 && helpers.Load() == 0
-			memo.mu.Unlock()
-			if idle {
-				break
-			}
 		}
-		return fmt.Sprint(v)
+		rng := eng.Rand(o.Seed)
+		var last sim.Time
+		for range 64 {
+			d := sim.Time(rng.Int63n(1000) + 1)
+			eng.After(d, func() { last = d })
+		}
+		eng.Run()
+		if o.Seed == panicAt {
+			panic(fmt.Sprintf("cell failed at seed %d", o.Seed))
+		}
+		return fmt.Sprint(last)
+	})
+}
+
+// twinFanOut runs cell as cell 0 of a two-cell fan-out whose cell 1 waits
+// until the memo has queued twins: whichever goroutine ran cell 0, a cells
+// helper is left to drain them.
+func twinFanOut(o Options, cell func(o Options) string) string {
+	m := o.memo
+	return cells(o, 2, func(i int, o Options) string {
+		if i == 0 {
+			return cell(o)
+		}
+		if m != nil {
+			waitFor(m, func() bool { return len(m.queued) > 0 })
+		}
+		return ""
+	})[0]
+}
+
+// waitFor polls cond under the memo's lock until it holds, or for at most
+// ten seconds.
+func waitFor(m *Memo, cond func() bool) {
+	held := func() bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return cond()
+	}
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline) && !held(); {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestMemoTwinsReadTheirSeed: a cell whose result depends on its seed,
+// swept at three seeds in one batch at GOMAXPROCS 2, prints each seed's
+// bytes and counts the events of one run per seed without a memo; its
+// later seeds are computed ahead as twins and served. When the cell panics
+// at seed 2, the twin there is dropped, not stored, and its events taken
+// back: the run at seed 2 computes the cell itself, and only that run
+// fails.
+func TestMemoTwinsReadTheirSeed(t *testing.T) {
+	seeds := []int64{1, 2, 3}
+	for _, panicAt := range []int64{0, 2} {
+		computed := map[int64]*atomic.Int32{}
+		for _, seed := range seeds {
+			computed[seed] = &atomic.Int32{}
+		}
+		step := func(seed int64, memo *Memo) string {
+			out := twinFanOut(Options{Seed: seed, memo: memo}, func(o Options) string { return twinCell(o, panicAt, computed) })
+			// Let the drain end, so a later run finds each twin stored
+			// or dropped.
+			if memo != nil {
+				waitFor(memo, func() bool { return len(memo.twins) == 0 && helpers.Load() == 0 })
+			}
+			return out
+		}
+		withProcs(2, func() {
+			want, wantEvents := twinBatch(t, seeds, nil, step)
+			memo := NewMemo(seeds)
+			res, events := twinBatch(t, seeds, memo, step)
+			for i, r := range res {
+				failed := r.Err != nil
+				if failed != (seeds[i] == panicAt) || failed != (want[i].Err != nil) || r.Output != want[i].Output {
+					t.Errorf("panic at %d, seed %d: printed %q (error %v), alone %q (error %v)",
+						panicAt, seeds[i], r.Output, r.Err, want[i].Output, want[i].Err)
+				}
+			}
+			if res[0].Output == res[1].Output && panicAt == 0 {
+				t.Errorf("seeds 1 and 2 both print %q: the cell does not read its seed", res[0].Output)
+			}
+			if events != wantEvents {
+				t.Errorf("panic at %d: %d logical events, one run per seed counts %d", panicAt, events, wantEvents)
+			}
+			// Without a memo each seed computes once; with it, seed 1's run
+			// computes, seeds 2 and 3 are twins, and a twin that panicked is
+			// computed once more by its run.
+			for _, seed := range seeds {
+				want := int32(2)
+				if seed == panicAt {
+					want = 3
+				}
+				if n := computed[seed].Load(); n != want {
+					t.Errorf("panic at %d: seed %d computed %d times over both batches, want %d", panicAt, seed, n, want)
+				}
+			}
+			if _, ok := memo.cells.Get(seedKey("k", panicAt)); ok {
+				t.Errorf("panic at %d: the panicking twin was stored", panicAt)
+			}
+			wantHits := uint64(2)
+			if panicAt != 0 {
+				wantHits = 1
+			}
+			if hits, misses := memo.Stats(); hits != wantHits || misses != 1 {
+				t.Errorf("panic at %d: %d hits, %d misses; want seed 1 computed and the twins that did not panic served (%d, 1)",
+					panicAt, hits, misses, wantHits)
+			}
+		})
+	}
+}
+
+// TestMemoCloseAfterTimeout: a run the runner abandons while it waits on
+// a twin does not hold up the batch. Close without waiting returns while
+// the twin still runs; Close with waiting returns once it is done, and
+// its drainer has given back its core.
+func TestMemoCloseAfterTimeout(t *testing.T) {
+	seeds := []int64{1, 2}
+	memo := NewMemo(seeds)
+	started, release := make(chan struct{}), make(chan struct{})
+	step := func(seed int64) string {
+		return twinFanOut(Options{Seed: seed, memo: memo}, func(o Options) string {
+			return memoize(o, "k", func(o Options) string {
+				o.cell.engs = append(o.cell.engs, sim.NewEngine())
+				o.cell.engs[0].Rand(o.Seed) // reads the seed
+				if o.Seed == 2 {
+					close(started)
+					<-release
+				}
+				return fmt.Sprint(o.Seed)
+			})
+		})
 	}
 	withProcs(2, func() {
-		memo := NewMemo(seeds)
-		res, _ := twinBatch(t, seeds, memo, step)
-		if n := atTwo.Load(); n != 2 {
-			t.Errorf("the cell ran %d times at seed 2, want twice: as a twin, then by its run", n)
+		var tasks []runner.Task
+		for _, seed := range seeds {
+			tasks = append(tasks, runner.Task{Name: fmt.Sprint(seed), Run: func() (string, map[string]float64) {
+				if seed == 2 {
+					<-started // the twin is in flight when the run asks for it
+				}
+				return step(seed), nil
+			}})
 		}
-		for i, r := range res {
-			if failed := r.Err != nil; failed != (seeds[i] == 2) || !failed && r.Output != fmt.Sprint(seeds[i]) {
-				t.Errorf("seed %d: printed %q, error %v", seeds[i], r.Output, r.Err)
-			}
+		res := runner.Run(tasks, runner.Options{Workers: 1, Timeout: 200 * time.Millisecond})
+		select {
+		case <-started:
+		default:
+			t.Fatal("no twin was computed ahead")
 		}
-		if _, ok := memo.cells.Get("k|seed=2"); ok {
-			t.Error("the panicking twin was stored")
+		if !errors.Is(res[1].Err, runner.ErrTimeout) {
+			t.Fatalf("seed 2's run: %v, want it abandoned on timeout", res[1].Err)
 		}
-		if hits, misses, ahead := memo.Stats(); hits != 1 || misses != 1 || ahead != 1 {
-			t.Errorf("%d hits, %d misses, %d twins computed ahead; want seed 1 computed, seed 3 ahead and served, seed 2 uncounted", hits, misses, ahead)
+		closed := make(chan struct{})
+		go func() { memo.Close(false); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Error("Close without waiting waited for the twin")
+		}
+		close(release)
+		memo.Close(true)
+		if h := helpers.Load(); h != 0 {
+			t.Errorf("%d helpers still hold a core after Close", h)
 		}
 	})
 }

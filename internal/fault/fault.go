@@ -1,7 +1,8 @@
 // Package fault implements deterministic, seed-driven fault injection for
 // the simulator: scheduled link down/up (flaps), per-link random loss and
-// corruption, and switch reboots, all executed on the engine clock. Tests
-// schedule reboots through export_test.go.
+// corruption, and switch reboots, all executed on the engine clock. Only
+// flaps have a production constructor; tests schedule the other two
+// through export_test.go.
 //
 // A Plan is an immutable schedule built once and installed per run.
 // Determinism rules:
@@ -97,14 +98,6 @@ func (p *Plan) LinkUp(at sim.Time, l LinkRef) *Plan {
 // Flap schedules a link to go down at `at` and come back after `dur`.
 func (p *Plan) Flap(at, dur sim.Time, l LinkRef) *Plan {
 	return p.LinkDown(at, l).LinkUp(at+dur, l)
-}
-
-// Impair sets random loss and corruption rates on both directions of a
-// cable for the whole run. Each direction draws from its own RNG stream
-// derived from the plan seed and the receiving port's identity.
-func (p *Plan) Impair(l LinkRef, lossRate, corruptRate float64) *Plan {
-	p.impairments = append(p.impairments, impairment{link: l, loss: lossRate, corrupt: corruptRate})
-	return p
 }
 
 // Key encodes what a run reads of the plan: its events and impairments,

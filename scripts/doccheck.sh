@@ -143,9 +143,9 @@ while read -r doc max; do
     fi
 done <<EOF
 docs/API.md 7024
-docs/ARCHITECTURE.md 47387
+docs/ARCHITECTURE.md 47363
 docs/OBSERVABILITY.md 37347
-docs/PERFORMANCE.md 29011
+docs/PERFORMANCE.md 28985
 README.md 15397
 DESIGN.md 13714
 EXPERIMENTS.md 13906
