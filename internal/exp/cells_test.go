@@ -349,11 +349,11 @@ func TestSchemeStartOrder(t *testing.T) {
 	sweep := func(schemes []Scheme) func(o Options) {
 		return func(o Options) {
 			cfg := quickFaultSweepConfig(1)
-			cfg.schemes, cfg.horizon, cfg.Options = schemes, 10*sim.Microsecond, o
-			faultSweep(cfg)
+			cfg.horizon, cfg.Options = 10*sim.Microsecond, o
+			faultSweep(cfg, schemes)
 		}
 	}
-	def := defaultFaultSweepConfig().schemes
+	def := faultSweepSchemes()
 	rev := slices.Clone(def)
 	slices.Reverse(rev)
 	sched := func(o Options, nprios int) flowSchedConfig {
@@ -378,7 +378,7 @@ func TestSchemeStartOrder(t *testing.T) {
 		}, "Physical+HPCC/load=0.7,baseline/Physical+Swift/load=0.7,Physical+Swift/load=0.7,PrioPlus+Swift/load=0.7,Physical* w/o CC/load=0.7"},
 		{"fig14", func(o Options) { fig14(sched(o, 12), fig14Schemes) },
 			"PrioPlus+Swift/np=12,Physical*+Swift/np=12,D2TCP/np=12,Physical* w/o CC/np=12"},
-		{"neither flag: quick faultsweep", sweep(quickFaultSweepConfig(1).schemes), "PrioPlus+Swift,Physical+Swift"},
+		{"neither flag: quick faultsweep", sweep(quickFaultSweepSchemes()), "PrioPlus+Swift,Physical+Swift"},
 		{"neither flag: fig12ab at one load", func(o Options) { Fig12Coflow(tinyCoflow(o), false) },
 			"baseline/Physical+Swift/load=0.7,Physical+Swift/load=0.7,PrioPlus+Swift/load=0.7"},
 	} {

@@ -28,9 +28,9 @@ type CoflowConfig struct {
 	// NoPriority runs the scheme with a single priority group (the
 	// speedup baseline: Swift with default parameters, no scheduling).
 	NoPriority bool
-	// Options carries the seed, the fault plan and the recorder factory; a
-	// run is tagged "<scheme>/load=<load>", "baseline/"-prefixed for the
-	// no-priority baseline.
+	// Options carries the seed and the recorder factory; a run is tagged
+	// "<scheme>/load=<load>", "baseline/"-prefixed for the no-priority
+	// baseline.
 	Options
 	// maxInflight, when > 0, arms an in-flight-bytes watchdog on every run:
 	// a run whose live packet bytes exceed the ceiling is stopped early and
@@ -84,11 +84,7 @@ type CoflowResult struct {
 // cfg.Options when there is one: fig12ab's 70 % half, fig15 and fig18's
 // first cells run the same configs.
 func RunCoflow(cfg CoflowConfig) CoflowResult {
-	return memoize(cfg.Options, cfg.key(), func(o Options) CoflowResult {
-		c := cfg
-		c.Options = o
-		return runCoflow(c)
-	})
+	return memoize(cfg, runCoflow)
 }
 
 func runCoflow(cfg CoflowConfig) CoflowResult {

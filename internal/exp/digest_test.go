@@ -107,7 +107,7 @@ func TestAuditCleanUnderFaults(t *testing.T) {
 		recs[tag] = rec
 		return rec
 	}
-	if rows := faultSweep(cfg); len(rows) == 0 || len(recs) != len(rows) {
+	if rows := faultSweep(cfg, faultSweepSchemes()); len(rows) == 0 || len(recs) != len(rows) {
 		t.Fatalf("faultsweep produced %d rows and asked for %d recorders", len(rows), len(recs))
 	}
 	for tag, rec := range recs {

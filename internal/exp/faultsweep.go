@@ -3,6 +3,7 @@ package exp
 import (
 	"prioplus/internal/core"
 	"prioplus/internal/fault"
+	"prioplus/internal/harness"
 	"prioplus/internal/sim"
 	"prioplus/internal/stats"
 	"prioplus/internal/transport"
@@ -10,28 +11,28 @@ import (
 
 // faultSweepConfig drives the fault-injection experiment family: a
 // cross-pod permutation workload on a fat-tree with a mid-transfer flap of
-// one edge-to-agg uplink, run once per scheme. The paper validates
-// PrioPlus only on a healthy fabric; this sweep measures how its
-// delay-channel behavior (yields, containment) and FCT tails degrade when
-// the fabric misbehaves, against the physical-queue baselines.
+// one edge-to-agg uplink, run once per scheme (faultSweep); a config holds
+// the one scheme its cell runs. The paper validates PrioPlus only on a
+// healthy fabric; this sweep measures how its delay-channel behavior
+// (yields, containment) and FCT tails degrade when the fabric misbehaves,
+// against the physical-queue baselines.
 type faultSweepConfig struct {
+	scheme   Scheme
 	k        int      // fat-tree arity (default 4 -> 16 hosts)
 	nPrios   int      // virtual priorities (default 4)
 	flowSize int64    // bytes per flow (default 8 MB)
 	horizon  sim.Time // run cutoff, generous for RTO recovery (default 20 ms)
-	// flapAt/flapDur shape the default fault plan: the p0e0-p0a0 uplink
-	// goes down at flapAt for flapDur, mid-transfer for the default flow
-	// size. A plan in Options.Faults replaces the default plan entirely.
+	// flapAt/flapDur shape the fault plan: the p0e0-p0a0 uplink goes down
+	// at flapAt for flapDur, mid-transfer for the default flow size.
 	flapAt  sim.Time
 	flapDur sim.Time
-	schemes []Scheme
-	// Options carries the run seed (default 5), the fault plan and the
-	// recorder factory; each scheme's run is tagged with the scheme name.
+	// Options carries the run seed (default 5) and the recorder factory;
+	// each scheme's run is tagged with the scheme name.
 	Options
 }
 
-// defaultFaultSweepConfig returns the standard sweep: PrioPlus+Swift
-// against the physical-queue Swift, DCQCN, and HPCC baselines.
+// defaultFaultSweepConfig returns the standard sweep's config, which
+// faultSweepSchemes runs.
 func defaultFaultSweepConfig() faultSweepConfig {
 	return faultSweepConfig{
 		k:        4,
@@ -41,13 +42,13 @@ func defaultFaultSweepConfig() faultSweepConfig {
 		Options:  Options{Seed: 5},
 		flapAt:   200 * sim.Microsecond,
 		flapDur:  300 * sim.Microsecond,
-		schemes: []Scheme{
-			PrioPlusSwift(),
-			SwiftPhysical(4),
-			dcqcnPhysical(4),
-			hpccPhysical(4),
-		},
 	}
+}
+
+// faultSweepSchemes is the standard sweep: PrioPlus+Swift against the
+// physical-queue Swift, DCQCN, and HPCC baselines.
+func faultSweepSchemes() []Scheme {
+	return []Scheme{PrioPlusSwift(), SwiftPhysical(4), dcqcnPhysical(4), hpccPhysical(4)}
 }
 
 // faultSweepRow is one scheme's outcome under the fault plan.
@@ -68,42 +69,34 @@ type faultSweepRow struct {
 	yields       int64 // PrioPlus delay-channel yields (0 for baselines)
 }
 
-// faultSweep runs every scheme of the config through the same fault plan
-// and workload, one private engine per scheme. The default plan is a single
-// mid-transfer flap of the p0e0-p0a0 uplink; cfg.Faults substitutes any
-// plan. cfg.Seed seeds the run's random sources (the plan's impairments,
-// each flow's probe jitter, a RED-marking switch's draws), not the
-// workload: the permutation is fixed, and the sweep's ECN marking is a step,
-// which draws nothing. So under a plan without random impairments only the
-// PrioPlus+Swift cell reads the seed, through its probes' jitter; the
-// Physical+Swift, +DCQCN and +HPCC cells never draw a seeded stream, and a
-// memo serves them to every seed. A cell reads its seed only from the
-// Options it is handed, the default plan's too, so a memo can run it at
-// another seed (Memo).
+// faultSweep runs each of schemes through the same fault plan and
+// workload, one private engine per scheme: a single mid-transfer flap of
+// the p0e0-p0a0 uplink. base.Seed seeds the run's random sources (each
+// flow's probe jitter, a RED-marking switch's draws), not the workload: the
+// permutation is fixed, and the sweep's ECN marking is a step, which draws
+// nothing. So only the PrioPlus+Swift cell reads the seed, through its
+// probes' jitter; the Physical+Swift, +DCQCN and +HPCC cells never draw a
+// seeded stream, and a memo serves them to every seed.
 //
 // The sweep runs its scheme cells on idle cores, started in schemeStart's
 // order (HPCC first, DCQCN last); the rows, and an instrumented sweep's
-// runs, still come back in the config's order.
-func faultSweep(cfg faultSweepConfig) []faultSweepRow {
-	return cells(cfg.Options, len(cfg.schemes), func(i int, o Options) faultSweepRow {
-		c, s := cfg, cfg.schemes[i]
-		c.Options = o
-		return memoize(o, c.key(s), func(o Options) faultSweepRow {
-			c := c
-			c.Options = o
-			return faultSweepOne(s, c)
-		})
-	}, schemeStart(cfg.schemes)...)
+// runs, still come back in schemes' order.
+func faultSweep(base faultSweepConfig, schemes []Scheme) []faultSweepRow {
+	return cells(base.Options, len(schemes), func(i int, o Options) faultSweepRow {
+		cfg := base
+		cfg.scheme, cfg.Options = schemes[i], o
+		return memoize(cfg, faultSweepOne)
+	}, schemeStart(schemes)...)
 }
 
-// faultSweepOne runs one scheme: cross-pod permutation flows (every host
-// sends flowSize to the host half the fabric away, so every flow crosses
-// the core) with priorities striped across senders.
-func faultSweepOne(s Scheme, cfg faultSweepConfig) faultSweepRow {
-	if cfg.Faults == nil {
-		cfg.Faults = fault.NewPlan(cfg.Seed).Flap(cfg.flapAt, cfg.flapDur, fault.Link("p0e0", "p0a0"))
-	}
-	net := schemeFabric(cfg.Options, s.name, s, cfg.nPrios, longTail{}, fatTree(cfg.k))
+// faultSweepOne runs the config's scheme: cross-pod permutation flows
+// (every host sends flowSize to the host half the fabric away, so every
+// flow crosses the core) with priorities striped across senders. The plan
+// is built from the cell's own seed, which a flap never draws from.
+func faultSweepOne(cfg faultSweepConfig) faultSweepRow {
+	s := cfg.scheme
+	plan := fault.NewPlan(cfg.Seed).Flap(cfg.flapAt, cfg.flapDur, fault.Link("p0e0", "p0a0"))
+	net := schemeFabric(cfg.Options, s.name, s, cfg.nPrios, longTail{}, fatTree(cfg.k), harness.WithFaults(plan))
 
 	row := faultSweepRow{scheme: s.name}
 	// The recorder owns OnFlowDone when one is attached; chain behind it
@@ -152,9 +145,7 @@ func faultSweepOne(s Scheme, cfg faultSweepConfig) faultSweepRow {
 		row.faultDrops += h.NIC.FaultDrops
 		row.corruptDrops += h.NIC.CorruptDrops
 	}
-	if net.Faults != nil {
-		row.faultEvents = len(net.Faults.Events())
-	}
+	row.faultEvents = len(net.Faults.Events())
 	for _, pp := range pps {
 		row.yields += pp.Yields
 	}

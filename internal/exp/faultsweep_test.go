@@ -7,14 +7,13 @@ import (
 	"sync"
 	"testing"
 
-	"prioplus/internal/fault"
 	"prioplus/internal/obs"
 	"prioplus/internal/runner"
 	"prioplus/internal/sim"
 )
 
-// quickFaultSweepConfig is a reduced sweep for tests: two schemes, 1 MB
-// flows, a flap timed to land mid-transfer.
+// quickFaultSweepConfig is a reduced sweep for tests: 1 MB flows, a flap
+// timed to land mid-transfer. It runs quickFaultSweepSchemes.
 func quickFaultSweepConfig(seed int64) faultSweepConfig {
 	cfg := defaultFaultSweepConfig()
 	cfg.flowSize = 1 << 20
@@ -22,15 +21,17 @@ func quickFaultSweepConfig(seed int64) faultSweepConfig {
 	cfg.flapAt = 50 * sim.Microsecond
 	cfg.flapDur = 100 * sim.Microsecond
 	cfg.Seed = seed
-	cfg.schemes = []Scheme{PrioPlusSwift(), SwiftPhysical(4)}
 	return cfg
 }
+
+// quickFaultSweepSchemes is the reduced sweep's two schemes.
+func quickFaultSweepSchemes() []Scheme { return []Scheme{PrioPlusSwift(), SwiftPhysical(4)} }
 
 // TestFaultSweepRecoversAllFlows is the headline guarantee: a mid-transfer
 // link failure on the fat-tree leaves zero stuck flows, and the recovery
 // is real — packets died and came back via retransmission.
 func TestFaultSweepRecoversAllFlows(t *testing.T) {
-	rows := faultSweep(quickFaultSweepConfig(5))
+	rows := faultSweep(quickFaultSweepConfig(5), quickFaultSweepSchemes())
 	var drops, recoveries int64
 	for _, r := range rows {
 		if r.stuck != 0 {
@@ -79,7 +80,7 @@ func faultSweepTask(name string, seed int64) runner.Task {
 				recs[tag] = rec
 				return rec
 			}
-			rows := faultSweep(cfg)
+			rows := faultSweep(cfg, quickFaultSweepSchemes())
 			sort.Strings(tags)
 			var buf bytes.Buffer
 			fmt.Fprintf(&buf, "%+v\n", rows)
@@ -117,28 +118,5 @@ func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
 		if !bytes.Contains([]byte(serial[i].Output), []byte("stuck:0")) {
 			t.Errorf("run %d had stuck flows", i)
 		}
-	}
-}
-
-// TestFaultSweepCustomPlan: the config's Faults replaces the default flap,
-// so callers can script arbitrary outage scenarios through the same entry
-// point.
-func TestFaultSweepCustomPlan(t *testing.T) {
-	cfg := quickFaultSweepConfig(5)
-	cfg.schemes = cfg.schemes[:1]
-	plan := fault.NewPlan(42).
-		Flap(50*sim.Microsecond, 80*sim.Microsecond, fault.Link("p0e0", "p0a0")).
-		Flap(300*sim.Microsecond, 80*sim.Microsecond, fault.Link("p1e0", "p1a0"))
-	cfg.Seed, cfg.Faults = 9, plan
-	rows := faultSweep(cfg)
-	if len(rows) != 1 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	r := rows[0]
-	if r.faultEvents != 4 {
-		t.Errorf("faultEvents = %d, want 4 (two flaps)", r.faultEvents)
-	}
-	if r.stuck != 0 {
-		t.Errorf("%d flows stuck under the two-flap plan", r.stuck)
 	}
 }

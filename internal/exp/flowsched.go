@@ -29,8 +29,8 @@ type flowSchedConfig struct {
 	// noiseScale scales the injected delay-measurement noise (1 = paper,
 	// 0 = none).
 	noiseScale float64
-	// Options carries the seed, the fault plan and the recorder factory; a
-	// run is tagged "<scheme>/np=<n>", plus "/ackdata" for PrioPlus*.
+	// Options carries the seed and the recorder factory; a run is tagged
+	// "<scheme>/np=<n>", plus "/ackdata" for PrioPlus*.
 	Options
 }
 
@@ -169,12 +169,11 @@ func fig11(prioCounts []int, base flowSchedConfig) []fig11Row {
 // schedRow is one flow-scheduling cell's row, through the caller's memo:
 // fig11's PrioPlus+Swift row at 8 priorities is fig16's PrioPlus+Swift row.
 func schedRow(cfg flowSchedConfig) fig11Row {
-	return memoize(cfg.Options, cfg.key(), func(o Options) fig11Row {
-		c := cfg
-		c.Options = o
-		return rowFrom(runFlowSched(c))
-	})
+	return memoize(cfg, schedCell)
 }
+
+// schedCell is the memoized flow-scheduling cell: one run's row.
+func schedCell(cfg flowSchedConfig) fig11Row { return rowFrom(runFlowSched(cfg)) }
 
 // fig16 compares PrioPlus, PrioPlus* (ACKs in the data queue), and HPCC in
 // the flow-scheduling scenario (Appendix A.3), one cell per scheme, HPCC's

@@ -26,14 +26,14 @@ const memoEntries = 256
 // (every job-server job), simulates every cell itself, so fingerprints and
 // artifacts never come from it.
 //
-// A cell is keyed on a canonical encoding of everything it reads but the
-// seed (the key methods below). The seed is read only through the random
-// streams its engine builds, which note the first read (sim.Engine.Seeded):
-// a cell that ends without reading it is stored seed-free and serves every
-// seed; the others are stored per seed. A hit hands back the cell's printed
-// summary — never its flow records — and credits the logical events its run
-// recorded (sim.CreditEvents), so a batch's event count does not depend on
-// which cells hit.
+// A cell is a function of its config, a struct of plain data that embeds
+// Options, and is keyed on that config printed (memoKey). The seed is
+// read only through the random streams its engine builds, which note the
+// first read (sim.Engine.Seeded): a cell that ends without reading it is
+// stored seed-free and serves every seed; the others are stored per seed.
+// A hit hands back the cell's printed summary — never its flow records —
+// and credits the logical events its run recorded (sim.CreditEvents), so
+// a batch's event count does not depend on which cells hit.
 //
 // A seeded cell a run computes queues its twins: the same cell at each of
 // the batch's later seeds (NewMemo), which those seeds' runs will ask for.
@@ -93,21 +93,47 @@ func (m *Memo) Close(wait bool) {
 // seed witnesses and event counts the memo reads when it returns.
 type cellRun struct{ engs []*sim.Engine }
 
-// memoize returns cell(o) through o.memo under key. Concurrent askers of
-// one (key, seed) share one computation; a cell that returns without
-// having read its seed is also stored under the bare key, where every seed
-// finds it. Without a memo, or with a recorder factory (an instrumented
-// run), it just runs the cell.
+// cellConfig is a memoized cell's config C: plain data — no func,
+// pointer, map, chan or interface outside its Options — that embeds
+// Options, whose promoted options method reaches them.
+type cellConfig[C any] interface {
+	*C
+	options() *Options
+}
+
+// memoKey is the one memo key: cfg printed with %#v — its type, every
+// field by name, floats exactly — with its Options zeroed. Nothing in
+// Options belongs in a key: the seed is read through the engine's streams
+// (the seed witness), the recorder factory, the run order and the memo are
+// the run's context, and a perturbed run skips the memo (memoize).
+func memoKey[C any, P cellConfig[C]](cfg C) string {
+	*P(&cfg).options() = Options{}
+	return fmt.Sprintf("%#v", cfg)
+}
+
+// memoize returns cell(cfg) through the memo in cfg's Options, keyed by
+// memoKey. Concurrent askers of one (key, seed) share one computation; a
+// cell that returns without having read its seed is also stored under the
+// bare key, where every seed finds it. Without a memo, with a recorder
+// factory (an instrumented run) or with a perturbation, it just runs the
+// cell.
 //
-// The memo may run cell again, at once on other goroutines, with o.Seed
-// set to a later seed of the batch (its twins). So cell reads the seed
-// only from the Options it is handed, and writes nothing it captured.
-func memoize[T any](o Options, key string, cell func(o Options) T) T {
+// The memo may run cell again, at once on other goroutines, on a copy of
+// cfg whose Options.Seed is a later seed of the batch (its twins). So cell
+// reads the seed only from the config it is handed, and writes nothing
+// shared.
+func memoize[C any, P cellConfig[C], T any](cfg C, cell func(C) T) T {
+	o := *P(&cfg).options()
 	m := o.memo
-	if m == nil || o.NewRecorder != nil {
-		return cell(o)
+	if m == nil || o.NewRecorder != nil || o.Perturb != 0 {
+		return cell(cfg)
 	}
-	run := func(o Options) any { return cell(o) }
+	key := memoKey[C, P](cfg)
+	run := func(o Options) any {
+		c := cfg
+		*P(&c).options() = o
+		return cell(c)
+	}
 	sk := seedKey(key, o.Seed)
 	for {
 		if e, ok := m.cells.Get(key); ok {
@@ -248,51 +274,4 @@ func (m *Memo) enter() bool {
 	}
 	m.drainers.Add(1)
 	return true
-}
-
-// The key methods encode a cell's inputs canonically: the config printed
-// with %#v — every field by name, floats exactly — after the fields %#v
-// cannot print stably are zeroed and encoded on their own. Those are the
-// Scheme (its funcs), and the Options: the seed is left out, and a
-// recorder factory never reaches a key (memoize).
-
-// key encodes the scheme as a fabric of nprios virtual priorities sees it:
-// its name, which names its controller, its flags, and what its queue
-// functions return for nprios.
-func (s Scheme) key(nprios int) string {
-	q := s.queues(nprios)
-	queueOf := make([]int, nprios)
-	for p := range queueOf {
-		queueOf[p] = s.queueFor(p, nprios, q)
-	}
-	flags := s
-	flags.queues, flags.losslessPrios, flags.queueFor, flags.newAlgo = nil, nil, nil, nil
-	return fmt.Sprintf("%#v queues=%d lossless=%d map=%v", flags, q, s.losslessPrios(nprios), queueOf)
-}
-
-// optionsKey encodes what a run reads of its Options besides the seed. It
-// is not a method: a promoted key method would answer for a config that
-// has no key of its own.
-func optionsKey(o Options) string {
-	return fmt.Sprintf("perturb=%d faults=%s", o.Perturb, o.Faults.Key())
-}
-
-func (c CoflowConfig) key() string {
-	k := c
-	k.Scheme, k.Options = Scheme{}, Options{}
-	return fmt.Sprintf("coflow %#v %s %s", k, c.Scheme.key(c.nPrios), optionsKey(c.Options))
-}
-
-func (c flowSchedConfig) key() string {
-	k := c
-	k.scheme, k.Options = Scheme{}, Options{}
-	return fmt.Sprintf("flowsched %#v %s %s", k, c.scheme.key(c.nPrios), optionsKey(c.Options))
-}
-
-// key encodes one scheme's cell of the sweep; the scheme list is not read
-// by the cell.
-func (c faultSweepConfig) key(s Scheme) string {
-	k := c
-	k.schemes, k.Options = nil, Options{}
-	return fmt.Sprintf("faultsweep %#v %s %s", k, s.key(c.nPrios), optionsKey(c.Options))
 }

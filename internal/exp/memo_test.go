@@ -4,111 +4,135 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
-	"prioplus/internal/fault"
 	"prioplus/internal/runner"
 	"prioplus/internal/sim"
 )
 
-// memoBatch is what one pass of a memo test printed, and what it cost.
-type memoBatch struct {
-	out        []string // each step's bytes
-	events     uint64   // logical events (sim.TotalEvents)
-	dispatched uint64   // raw dispatches (sim.TotalProcessed)
+// memoRow is one row of checkTransparent: the steps one run of a batch
+// takes in order, each building its config from the Options it is handed
+// (the run's seed and the batch's memo), and what one seed's run counts in
+// a batch of its own.
+type memoRow struct {
+	names []string
+	steps []func(o Options) string
+	// hits and misses are one seed's memo counts; seedFree of the misses
+	// are cells that read no seed, which a batch computes once for all its
+	// seeds.
+	hits, misses, seedFree uint64
+	// workers is how many of the batch's runs share the memo at once.
+	workers int
 }
 
-// runSteps runs steps one after another, each with the Options it is
-// handed, and returns their bytes with the events the pass counted.
-func runSteps(o Options, steps []func(o Options) string) memoBatch {
-	ev, disp := sim.TotalEvents(), sim.TotalProcessed()
-	var b memoBatch
-	for _, step := range steps {
-		b.out = append(b.out, step(o))
-	}
-	b.events, b.dispatched = sim.TotalEvents()-ev, sim.TotalProcessed()-disp
-	return b
-}
-
-// checkTransparent runs steps without a memo and then with one, and fails
-// unless every step prints the same bytes both ways and the memo pass
-// counts the same logical events while dispatching fewer. It returns the
-// memo, for the caller's hit and miss counts.
-func checkTransparent(t *testing.T, names []string, steps []func(o Options) string) *Memo {
+// memoPass runs row's steps once per seed as a batch of runs on
+// row.workers workers, sharing memo (nil: none), which it closes after.
+// It returns each run's bytes and the logical and dispatched events the
+// batch counted.
+func memoPass(t *testing.T, row memoRow, seeds []int64, memo *Memo) (out []string, events, dispatched uint64) {
 	t.Helper()
-	memo := NewMemo(nil)
-	off := runSteps(Options{}, steps)
-	on := runSteps(Options{memo: memo}, steps)
-	for i := range steps {
-		if on.out[i] != off.out[i] {
-			t.Errorf("%s: memo on printed\n%s\nmemo off printed\n%s", names[i], on.out[i], off.out[i])
+	var tasks []runner.Task
+	for _, seed := range seeds {
+		tasks = append(tasks, runner.Task{Name: fmt.Sprint(seed), Run: func() (string, map[string]float64) {
+			var b strings.Builder
+			for i, step := range row.steps {
+				fmt.Fprintf(&b, "== %s\n%s", row.names[i], step(Options{Seed: seed, memo: memo}))
+			}
+			return b.String(), nil
+		}})
+	}
+	ev, disp := sim.TotalEvents(), sim.TotalProcessed()
+	res := runner.Run(tasks, runner.Options{Workers: row.workers})
+	if memo != nil {
+		memo.Close(true)
+	}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("seed %d: %v", seeds[i], r.Err)
 		}
+		out = append(out, r.Output)
 	}
-	if hits, _ := memo.Stats(); hits > 0 && (on.events != off.events || on.dispatched >= off.dispatched) {
-		t.Errorf("with %d memo hits: %d logical events (%d dispatched), without: %d (%d); want equal logical events, fewer dispatches",
-			hits, on.events, on.dispatched, off.events, off.dispatched)
-	}
-	return memo
+	return out, sim.TotalEvents() - ev, sim.TotalProcessed() - disp
 }
 
-// TestMemoFaultSweepSeeds: faultsweep at seeds 1001–1004 in one batch,
-// the registered spec's bytes, with the memo and without. Only the
-// PrioPlus+Swift cell reads the seed, so the other three are computed once
-// for the four seeds, and its later seeds may be computed ahead as twins.
-// The batch's runs share the memo from two workers; -short (the race
-// detector's run) sweeps the reduced two-scheme config.
-func TestMemoFaultSweepSeeds(t *testing.T) {
-	seeds := []int64{1001, 1002, 1003, 1004}
-	spec, _ := Lookup("faultsweep")
-	run := func(seed int64, memo *Memo) string {
-		var buf bytes.Buffer
-		if err := spec.Run(RunParams{Seed: seed}, nil, memo, &buf); err != nil {
-			panic(err)
-		}
-		return buf.String()
-	}
-	cells, seedFree := uint64(4), uint64(3)
+// checkTransparent runs row at seeds 1–3 (-short: 1) in one batch, at
+// GOMAXPROCS 1 and 2, without a memo and then with one. It fails unless
+// every seed's run prints the same bytes both ways, the memo pass counts
+// the same logical events and dispatches no more — fewer when a stored
+// cell is served — and the memo's hits and misses fit row's counts. At
+// GOMAXPROCS 2 a seeded cell's later seeds may be computed ahead as twins,
+// which the later runs are served; at 1 none is.
+func checkTransparent(t *testing.T, row memoRow) {
+	t.Helper()
+	seeds := []int64{1, 2, 3}
 	if testing.Short() {
-		run = func(seed int64, memo *Memo) string {
-			cfg := quickFaultSweepConfig(seed)
-			cfg.memo = memo
-			return fmt.Sprintf("%+v", faultSweep(cfg))
-		}
-		cells, seedFree = 2, 1
+		seeds = seeds[:1]
 	}
-	batch := func(memo *Memo) []runner.Result {
-		var tasks []runner.Task
-		for _, seed := range seeds {
-			tasks = append(tasks, runner.Task{Name: fmt.Sprint(seed), Run: func() (string, map[string]float64) {
-				return run(seed, memo), nil
-			}})
-		}
-		return runner.Run(tasks, runner.Options{Workers: 2})
-	}
-	off, memo := batch(nil), NewMemo(seeds)
-	on := batch(memo)
-	memo.Close(true)
-	for i := range seeds {
-		if on[i].Err != nil || off[i].Err != nil {
-			t.Fatalf("seed %d: %v / %v", seeds[i], on[i].Err, off[i].Err)
-		}
-		if on[i].Output != off[i].Output {
-			t.Errorf("seed %d: memo on printed\n%s\nmemo off printed\n%s", seeds[i], on[i].Output, off[i].Output)
-		}
-	}
-	// The two workers may both compute a seed-free cell before either
-	// stores it; the seeds after them hit. A seeded cell is computed once
-	// per seed: by the first seed's run, and by a later seed's run unless
-	// it was computed ahead as a twin, which the run is then served.
 	n := uint64(len(seeds))
-	seeded := n * (cells - seedFree)
-	hits, misses := memo.Stats()
-	if hits+misses != cells*n || misses < cells || misses > seeded+2*seedFree {
-		t.Errorf("%d hits, %d misses over %d seeds of %d cells", hits, misses, n, cells)
+	for _, procs := range []int{1, 2} {
+		withProcs(procs, func() {
+			off, offEvents, offDisp := memoPass(t, row, seeds, nil)
+			memo := NewMemo(seeds)
+			on, onEvents, onDisp := memoPass(t, row, seeds, memo)
+			for i, seed := range seeds {
+				if on[i] != off[i] {
+					t.Errorf("GOMAXPROCS %d, seed %d: memo on printed\n%s\nmemo off printed\n%s", procs, seed, on[i], off[i])
+				}
+			}
+			served := row.hits > 0 || n > 1 && row.seedFree > 0
+			if onEvents != offEvents || onDisp > offDisp || served && onDisp == offDisp {
+				t.Errorf("GOMAXPROCS %d: %d logical events (%d dispatched) with the memo, %d (%d) without; want equal logical events, fewer dispatches",
+					procs, onEvents, onDisp, offEvents, offDisp)
+			}
+			// A seeded cell is computed once per seed, by its run or as a
+			// twin; a seed-free one once per batch, or by each worker that
+			// asks before another stores it.
+			seeded := row.misses - row.seedFree
+			lo, hi := seeded*n+row.seedFree, seeded*n+min(uint64(row.workers), n)*row.seedFree
+			if procs > 1 && n > 1 {
+				lo = row.misses
+			}
+			hits, misses := memo.Stats()
+			if hits+misses != (row.hits+row.misses)*n || misses < lo || misses > hi {
+				t.Errorf("GOMAXPROCS %d: %d hits, %d misses over %d seeds; want %d asks, %d to %d misses",
+					procs, hits, misses, n, (row.hits+row.misses)*n, lo, hi)
+			}
+		})
 	}
+}
+
+// TestMemoFaultSweepSeeds: faultsweep, the registered spec's bytes, with
+// the memo and without. Only the PrioPlus+Swift cell reads the seed, so
+// the other three are computed once for all seeds, and its later seeds
+// may be computed ahead as twins. The batch's runs share the memo from two
+// workers; -short (the race detector's run) sweeps the reduced two-scheme
+// config.
+func TestMemoFaultSweepSeeds(t *testing.T) {
+	spec, _ := Lookup("faultsweep")
+	row := memoRow{names: []string{"faultsweep"}, misses: 4, seedFree: 3, workers: 2,
+		steps: []func(o Options) string{func(o Options) string {
+			var buf bytes.Buffer
+			if err := spec.Run(RunParams{Seed: o.Seed}, nil, o.memo, &buf); err != nil {
+				panic(err)
+			}
+			return buf.String()
+		}}}
+	if testing.Short() {
+		row.misses, row.seedFree = 2, 1
+		row.steps[0] = func(o Options) string {
+			cfg := quickFaultSweepConfig(o.Seed)
+			cfg.memo = o.memo
+			return fmt.Sprintf("%+v", faultSweep(cfg, quickFaultSweepSchemes()))
+		}
+	}
+	checkTransparent(t, row)
 }
 
 // TestMemoFig11ThenFig16: fig11 then fig16 at 8 priorities, reduced, with
@@ -121,13 +145,11 @@ func TestMemoFig11ThenFig16(t *testing.T) {
 		printFig11(&b, r)
 		return b.String()
 	}
-	memo := checkTransparent(t, []string{"fig11", "fig16"}, []func(o Options) string{
-		func(o Options) string { c := base; c.Options = o; return rows(fig11([]int{8}, c)) },
-		func(o Options) string { c := base; c.Options = o; return rows(fig16(8, c)) },
-	})
-	if hits, misses := memo.Stats(); hits != 1 || misses != 5 {
-		t.Errorf("%d hits, %d misses; want fig16's PrioPlus+Swift cell served from fig11 (1, 5)", hits, misses)
-	}
+	checkTransparent(t, memoRow{names: []string{"fig11", "fig16"}, hits: 1, misses: 5, workers: 1,
+		steps: []func(o Options) string{
+			func(o Options) string { c := base; c.Options = o; return rows(fig11([]int{8}, c)) },
+			func(o Options) string { c := base; c.Options = o; return rows(fig16(8, c)) },
+		}})
 }
 
 // TestMemoCoflowFigures: a reduced coflow config run as fig12ab's 70 %
@@ -145,18 +167,16 @@ func TestMemoCoflowFigures(t *testing.T) {
 		printCoflow(&b, r)
 		return b.String()
 	}
-	memo := checkTransparent(t, []string{"fig12ab", "fig15", "fig18"}, []func(o Options) string{
-		func(o Options) string { c := cfg; c.Options = o; return rows(Fig12Coflow(c, false)) },
-		func(o Options) string { c := cfg; c.Options = o; return rows(Fig12Coflow(c, true)) },
-		func(o Options) string {
-			c := cfg
-			c.Options, c.maxInflight = o, 128<<20
-			return rows(Fig12Coflow(c, false, hpccPhysical(8), noCCPhysicalIdeal()))
-		},
-	})
-	if hits, misses := memo.Stats(); hits != 3 || misses != 8 {
-		t.Errorf("%d hits, %d misses; want fig15's three cells served (3, 8)", hits, misses)
-	}
+	checkTransparent(t, memoRow{names: []string{"fig12ab", "fig15", "fig18"}, hits: 3, misses: 8, workers: 1,
+		steps: []func(o Options) string{
+			func(o Options) string { c := cfg; c.Options = o; return rows(Fig12Coflow(c, false)) },
+			func(o Options) string { c := cfg; c.Options = o; return rows(Fig12Coflow(c, true)) },
+			func(o Options) string {
+				c := cfg
+				c.Options, c.maxInflight = o, 128<<20
+				return rows(Fig12Coflow(c, false, hpccPhysical(8), noCCPhysicalIdeal()))
+			},
+		}})
 }
 
 // TestMemoSeedFreeCellsHoldForEverySeed checks the seed witness: every
@@ -167,7 +187,6 @@ func TestMemoCoflowFigures(t *testing.T) {
 func TestMemoSeedFreeCellsHoldForEverySeed(t *testing.T) {
 	fs := defaultFaultSweepConfig()
 	fs.Seed = 1001
-	fs.Faults = fault.NewPlan(fs.Seed).Flap(fs.flapAt, fs.flapDur, fault.Link("p0e0", "p0a0"))
 	sched := shortFlowSched(SwiftPhysical(8), 4)
 	sched.duration, sched.drain = sim.Millisecond, 4*sim.Millisecond
 	type cell struct {
@@ -177,17 +196,16 @@ func TestMemoSeedFreeCellsHoldForEverySeed(t *testing.T) {
 		run      func(seed int64, memo *Memo) string
 	}
 	var cases []cell
-	for _, s := range fs.schemes {
-		cases = append(cases, cell{s.name, !strings.HasPrefix(s.name, "PrioPlus"), fs.key(s), func(seed int64, memo *Memo) string {
-			c := fs
+	for _, s := range faultSweepSchemes() {
+		c := fs
+		c.scheme = s
+		cases = append(cases, cell{s.name, !strings.HasPrefix(s.name, "PrioPlus"), memoKey(c), func(seed int64, memo *Memo) string {
+			c := c
 			c.Seed, c.memo = seed, memo
-			return fmt.Sprintf("%+v", memoize(c.Options, c.key(s), func(o Options) faultSweepRow {
-				c.Options = o
-				return faultSweepOne(s, c)
-			}))
+			return fmt.Sprintf("%+v", memoize(c, faultSweepOne))
 		}})
 	}
-	cases = append(cases, cell{"flowsched " + sched.scheme.name, false, sched.key(), func(seed int64, memo *Memo) string {
+	cases = append(cases, cell{"flowsched " + sched.scheme.name, false, memoKey(sched), func(seed int64, memo *Memo) string {
 		c := sched
 		c.Seed, c.memo = seed, memo
 		return fmt.Sprintf("%+v", schedRow(c))
@@ -210,6 +228,153 @@ func TestMemoSeedFreeCellsHoldForEverySeed(t *testing.T) {
 	}
 }
 
+// TestMemoCellsWriteNothingShared: each memoized cell function — the
+// faultsweep cell, the coflow run and the flow-scheduling row — run twice
+// at once on one config value, at reduced scale, prints the same bytes
+// both times. A memo runs a cell's twins so, on copies of one config;
+// under -race (CI) a cell that writes anything the other can see fails.
+func TestMemoCellsWriteNothingShared(t *testing.T) {
+	fs := quickFaultSweepConfig(1)
+	fs.scheme = PrioPlusSwift()
+	coflow := tinyCoflow(Options{})
+	sched := shortFlowSched(PrioPlusSwift(), 4)
+	sched.duration, sched.drain = 500*sim.Microsecond, sim.Millisecond
+	for _, c := range []struct {
+		name string
+		cell func() any
+	}{
+		{"faultsweep", func() any { return faultSweepOne(fs) }},
+		{"coflow", func() any { return runCoflow(coflow) }},
+		{"flowsched", func() any { return schedCell(sched) }},
+	} {
+		var out [2]string
+		var wg sync.WaitGroup
+		for i := range out {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out[i] = fmt.Sprintf("%+v", c.cell())
+			}()
+		}
+		wg.Wait()
+		if out[0] != out[1] {
+			t.Errorf("%s: two runs at once printed\n%s\nand\n%s", c.name, out[0], out[1])
+		}
+	}
+}
+
+// runContext is the reviewed list of config fields a memo key leaves out:
+// the seed, read only through the engine's streams (the seed witness), and
+// the run's context — recorder factory, run order, memo, cell — which
+// decides how a cell runs, never what it prints.
+var runContext = []string{"Options.Seed", "Options.NewRecorder", "Options.order", "Options.memo", "Options.cell"}
+
+// TestMemoKeyComplete: changing any one field of a memoized cell's config,
+// its Scheme's included, changes the cell's memo key, makes memoize skip
+// the memo, or is a runContext field. And no func, pointer, map, chan or
+// interface is reachable from a config outside its Options, so a key never
+// prints an address: a closure field added to Scheme fails here.
+func TestMemoKeyComplete(t *testing.T) {
+	checkKeyComplete(t, DefaultCoflowConfig(PrioPlusSwift(), 0.7))
+	checkKeyComplete(t, defaultFlowSchedConfig(PrioPlusSwift(), 8))
+	fs := defaultFaultSweepConfig()
+	fs.scheme = PrioPlusSwift()
+	checkKeyComplete(t, fs)
+}
+
+func checkKeyComplete[C any, P cellConfig[C]](t *testing.T, cfg C) {
+	t.Helper()
+	typ := reflect.TypeOf(cfg)
+	if path := addressIn(typ, ""); path != "" {
+		t.Errorf("%s%s can hold an address, which a memo key would print", typ.Name(), path)
+	}
+	skips := func(c C) bool {
+		m := NewMemo(nil)
+		P(&c).options().memo = m
+		memoize[C, P](c, func(C) int { return 0 })
+		hits, misses := m.Stats()
+		return hits+misses == 0
+	}
+	if skips(cfg) {
+		t.Fatalf("%s: memoize skips the memo for the base config", typ.Name())
+	}
+	base := memoKey[C, P](cfg)
+	for _, f := range fieldsOf(typ, "", nil) {
+		c := cfg
+		v := reflect.ValueOf(&c).Elem().FieldByIndex(f.index)
+		change(t, reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem())
+		if memoKey[C, P](c) == base && !skips(c) && !slices.Contains(runContext, f.path) {
+			t.Errorf("%s.%s: changing it leaves the memo key as it was", typ.Name(), f.path)
+		}
+	}
+}
+
+// keyField is one field reachable from a config by struct fields: its
+// path ("Scheme.ecnK") and its index sequence.
+type keyField struct {
+	path  string
+	index []int
+}
+
+// fieldsOf lists the non-struct fields reachable from t by struct fields.
+func fieldsOf(t reflect.Type, path string, index []int) []keyField {
+	if t.Kind() != reflect.Struct {
+		return []keyField{{strings.TrimPrefix(path, "."), index}}
+	}
+	var out []keyField
+	for i := range t.NumField() {
+		f := t.Field(i)
+		out = append(out, fieldsOf(f.Type, path+"."+f.Name, append(slices.Clone(index), i))...)
+	}
+	return out
+}
+
+// change sets v to a value other than the one it holds.
+func change(t *testing.T, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(2*v.Float() + 1)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Slice:
+		v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+	case reflect.Func:
+		v.Set(reflect.MakeFunc(v.Type(), func([]reflect.Value) []reflect.Value { panic("not called") }))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	default:
+		t.Fatalf("no way to change a %s", v.Type())
+	}
+}
+
+// addressIn returns the path to the first func, pointer, map, chan or
+// interface reachable from t outside an embedded Options, or "".
+func addressIn(t reflect.Type, path string) string {
+	switch t.Kind() {
+	case reflect.Func, reflect.Pointer, reflect.Map, reflect.Chan, reflect.Interface, reflect.UnsafePointer:
+		return path
+	case reflect.Slice, reflect.Array:
+		return addressIn(t.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := range t.NumField() {
+			f := t.Field(i)
+			if f.Anonymous && f.Type == reflect.TypeFor[Options]() {
+				continue
+			}
+			if p := addressIn(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
+}
+
 // TestMemoPanickingCellNotStored: a cell that panics reaches its caller
 // and leaves nothing in the memo, so the next ask computes it.
 func TestMemoPanickingCellNotStored(t *testing.T) {
@@ -221,9 +386,9 @@ func TestMemoPanickingCellNotStored(t *testing.T) {
 				t.Error("the cell's panic did not reach its caller")
 			}
 		}()
-		memoize(o, "k", func(Options) int { panic("cell failed") })
+		memoize(o, func(Options) int { panic("cell failed") })
 	}()
-	if got := memoize(o, "k", func(Options) int { return 7 }); got != 7 {
+	if got := memoize(o, func(Options) int { return 7 }); got != 7 {
 		t.Errorf("after a panicking cell the memo served %d, want a fresh 7", got)
 	}
 	if hits, misses := memo.Stats(); hits != 0 || misses != 1 {
@@ -265,7 +430,7 @@ func TestMemoTwins(t *testing.T) {
 	step := func(seed int64, memo *Memo) string {
 		cfg := quickFaultSweepConfig(seed)
 		cfg.memo = memo
-		return fmt.Sprintf("%+v", faultSweep(cfg))
+		return fmt.Sprintf("%+v", faultSweep(cfg, quickFaultSweepSchemes()))
 	}
 	var want []string
 	var wantEvents uint64
@@ -297,7 +462,7 @@ func TestMemoTwins(t *testing.T) {
 // from the stream and returns the last one. At seed panicAt it panics
 // after its events have run. computed counts its computations per seed.
 func twinCell(o Options, panicAt int64, computed map[int64]*atomic.Int32) string {
-	return memoize(o, "k", func(o Options) string {
+	return memoize(o, func(o Options) string {
 		computed[o.Seed].Add(1)
 		eng := sim.NewEngine()
 		if o.cell != nil {
@@ -398,7 +563,7 @@ func TestMemoTwinsReadTheirSeed(t *testing.T) {
 					t.Errorf("panic at %d: seed %d computed %d times over both batches, want %d", panicAt, seed, n, want)
 				}
 			}
-			if _, ok := memo.cells.Get(seedKey("k", panicAt)); ok {
+			if _, ok := memo.cells.Get(seedKey(memoKey(Options{}), panicAt)); ok {
 				t.Errorf("panic at %d: the panicking twin was stored", panicAt)
 			}
 			wantHits := uint64(2)
@@ -423,7 +588,7 @@ func TestMemoCloseAfterTimeout(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	step := func(seed int64) string {
 		return twinFanOut(Options{Seed: seed, memo: memo}, func(o Options) string {
-			return memoize(o, "k", func(o Options) string {
+			return memoize(o, func(o Options) string {
 				o.cell.engs = append(o.cell.engs, sim.NewEngine())
 				o.cell.engs[0].Rand(o.Seed) // reads the seed
 				if o.Seed == 2 {

@@ -412,8 +412,8 @@ type takeoverStats struct {
 }
 
 // fig10c runs 10 high-priority flows preempting 10 low-priority flows,
-// with dual-RTT gating on and off, one engine (cell) per variant; Seed,
-// Faults, and Perturb thread through to both.
+// with dual-RTT gating on and off, one engine (cell) per variant; Seed and
+// Perturb thread through to both.
 func fig10c(o Options) fig10cResult {
 	run := func(everyRTT bool, o Options) takeoverStats {
 		net := star(o, "", 21, 19, paperNoise, nil)

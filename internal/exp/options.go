@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"prioplus/internal/fault"
 	"prioplus/internal/obs"
 	"prioplus/internal/sim"
 )
@@ -27,10 +26,6 @@ type Options struct {
 	// order, set with NewRecorder by a spec (the sink's Order), takes the
 	// recorders each of a fan-out's cells received, cell by cell (cells).
 	order func(cells [][]*obs.Recorder)
-	// Faults, when non-nil and non-empty, is installed on each run's
-	// topology before traffic starts (harness.WithFaults). A Plan is
-	// immutable, so the same plan serves every run of a sweep.
-	Faults *fault.Plan
 	// Perturb, when non-zero, deliberately diverges the run for testing
 	// the divergence-diagnosis tooling (prioplus-sim diff): the Perturb-th
 	// delay-noise draw is inflated by one microsecond — one RNG draw
@@ -49,6 +44,10 @@ type Options struct {
 	// collects the engines the cell builds (newNet).
 	cell *cellRun
 }
+
+// options is how memoize reaches the Options a scenario config embeds: the
+// method is promoted to every such config's pointer.
+func (o *Options) options() *Options { return o }
 
 // seedOr returns the override seed when set, the driver default otherwise.
 func (o Options) seedOr(def int64) int64 {

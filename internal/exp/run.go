@@ -24,9 +24,10 @@ var paperNoise = longTail{off: 7, scale: 1}
 
 // newNet is the one place a run is assembled, always in the same order:
 // engine → topo.Config (link delay, seed, then whatever build sets) →
-// topology → measurement noise, wrapped by o.Perturb → fault plan →
-// recorder. Every driver gets its net here and ends with net.Run(horizon),
-// which is where the recorder protocol lives (harness.Net.Run).
+// topology → the caller's options (a fault plan among them) → measurement
+// noise, wrapped by o.Perturb → recorder. Every driver gets its net here
+// and ends with net.Run(horizon), which is where the recorder protocol
+// lives (harness.Net.Run).
 //
 // The recorder is o.NewRecorder(tag). An untagged run (tag == "") is never
 // instrumented: drivers that spend several private engines on one result
@@ -46,7 +47,6 @@ func newNet(o Options, tag string, seed int64, linkDelay sim.Time, nz longTail,
 		m := noise.NewLongTail(eng.Rand(seed+nz.off), nz.scale)
 		opts = append(opts, harness.WithNoise(o.noiseFn(m.Sample)))
 	}
-	opts = append(opts, harness.WithFaults(o.Faults))
 	if tag != "" && o.NewRecorder != nil {
 		opts = append(opts, harness.WithRecorder(o.NewRecorder(tag)))
 	}
@@ -120,7 +120,7 @@ func (n *schemeNet) addFlow(src, dst int, size int64, prio int, at sim.Time, don
 	}
 	algo, ideal := n.scheme.newAlgo(env), env.ideal
 	n.AddFlow(harness.Flow{
-		Src: src, Dst: dst, Size: size, Prio: n.scheme.queueFor(prio, n.nprios, tc.Queues),
+		Src: src, Dst: dst, Size: size, Prio: n.scheme.queueFor(prio, n.nprios),
 		Algo: algo, StartAt: at,
 		OnComplete: func(fct sim.Time) { done(fct, ideal) },
 	})

@@ -25,18 +25,18 @@ type flowEnv struct {
 
 // Scheme is one transport configuration under comparison: which CC a flow
 // runs, which physical queue its data uses, and how the fabric must be
-// configured.
+// configured. It is plain data, so a config holding one prints whole with
+// %#v — which is how the cell memo keys it (memoKey).
 type Scheme struct {
 	name string
-	// queues returns the number of physical priority queues the fabric
-	// needs for nprios virtual priorities (including the ACK queue).
-	queues func(nprios int) int
-	// losslessPrios returns how many of those queues are PFC-lossless.
-	losslessPrios func(nprios int) int
-	// queueFor maps a virtual priority to the physical data queue.
-	queueFor func(prio, nprios, queues int) int
-	// newAlgo builds the flow's congestion controller.
-	newAlgo func(env flowEnv) cc.Algorithm
+	// maxQueues is the queue layout. 0 runs every virtual priority in one
+	// shared data queue; n > 0 gives the priorities min(nprios, n) data
+	// queues, squashing the priorities beyond n onto them
+	// (physicalQueueFor). Either way the data queues are PFC-lossless and
+	// the fabric adds the ACK queue.
+	maxQueues int
+	// cc is the controller each flow runs (newAlgo).
+	cc ccKind
 	// headroomFree marks the ideal-physical (Physical*) buffer model.
 	headroomFree bool
 	// ecnK enables ECN marking at this byte threshold (0 = off).
@@ -50,6 +50,18 @@ type Scheme struct {
 	unboundedBacklog bool
 }
 
+// ccKind names the congestion controller a Scheme builds for each flow.
+type ccKind uint8
+
+const (
+	scaledSwift   ccKind = iota // Swift with target scaling
+	prioPlusSwift               // PrioPlus over Swift without target scaling
+	d2tcpCC                     // DCTCP with deadlines scaled by priority
+	dcqcnCC
+	hpccCC
+	noCCWindow // line rate, outstanding data capped at 8 BDP
+)
+
 // swiftFor builds the paper's default Swift for a path.
 func swiftFor(env flowEnv, scaling bool) *cc.Swift {
 	cfg := cc.DefaultSwiftConfig(env.baseRTT, env.bdpPkts)
@@ -57,19 +69,54 @@ func swiftFor(env flowEnv, scaling bool) *cc.Swift {
 	return cc.NewSwift(cfg)
 }
 
+// newAlgo builds the flow's congestion controller.
+func (s Scheme) newAlgo(env flowEnv) cc.Algorithm {
+	switch s.cc {
+	case prioPlusSwift:
+		plan := core.DefaultPlan(env.baseRTT)
+		return core.New(swiftFor(env, false), core.DefaultConfig(plan.Channel(env.prio), env.nPrios))
+	case d2tcpCC:
+		cfg := cc.DefaultDCTCPConfig(env.bdpPkts)
+		mult := 12.0
+		if env.nPrios > 1 {
+			mult = 1.5 + (12-1.5)*float64(env.nPrios-1-env.prio)/float64(env.nPrios-1)
+		}
+		cfg.Deadline = env.now + sim.Time(mult*float64(env.ideal))
+		return cc.NewDCTCP(cfg)
+	case dcqcnCC:
+		rate := netsim.Rate(float64(env.bdpPkts*netsim.DefaultMTU*8) / env.baseRTT.Seconds())
+		return cc.NewDCQCN(cc.DefaultDCQCNConfig(rate))
+	case hpccCC:
+		return cc.NewHPCC(cc.DefaultHPCCConfig(env.bdpPkts))
+	case noCCWindow:
+		return cc.NewNoCCWindow(8 * env.bdpPkts * netsim.DefaultMTU)
+	default:
+		return swiftFor(env, true)
+	}
+}
+
+// dataQueues is how many physical data queues the fabric needs for nprios
+// virtual priorities.
+func (s Scheme) dataQueues(nprios int) int {
+	if s.maxQueues == 0 {
+		return 1
+	}
+	return min(nprios, s.maxQueues)
+}
+
+// queueFor maps a virtual priority to its physical data queue.
+func (s Scheme) queueFor(prio, nprios int) int {
+	if s.maxQueues == 0 {
+		return 0
+	}
+	return physicalQueueFor(prio, nprios, s.dataQueues(nprios))
+}
+
 // SwiftPhysical is Swift (original, with target scaling) on real physical
 // priority queues, the paper's main baseline. With more virtual priorities
 // than queues, priorities are squashed onto the available queues.
 func SwiftPhysical(maxQueues int) Scheme {
-	return Scheme{
-		name:          "Physical+Swift",
-		queues:        func(nprios int) int { return min(nprios, maxQueues) + 1 },
-		losslessPrios: func(nprios int) int { return min(nprios, maxQueues) },
-		queueFor: func(prio, nprios, queues int) int {
-			return physicalQueueFor(prio, nprios, queues-1)
-		},
-		newAlgo: func(env flowEnv) cc.Algorithm { return swiftFor(env, true) },
-	}
+	return Scheme{name: "Physical+Swift", maxQueues: maxQueues}
 }
 
 // swiftPhysicalIdeal is Physical*: unlimited lossless priority queues whose
@@ -92,46 +139,20 @@ func noCCPhysicalIdeal() Scheme {
 	s := swiftPhysicalIdeal()
 	s.name = "Physical* w/o CC"
 	s.unboundedBacklog = true
-	s.newAlgo = func(env flowEnv) cc.Algorithm {
-		return cc.NewNoCCWindow(8 * env.bdpPkts * netsim.DefaultMTU)
-	}
+	s.cc = noCCWindow
 	return s
 }
 
 // PrioPlusSwift runs every flow in one physical queue (plus the ACK
 // queue), with PrioPlus channels providing the virtual priorities.
 func PrioPlusSwift() Scheme {
-	return Scheme{
-		name:          "PrioPlus+Swift",
-		queues:        func(int) int { return 2 },
-		losslessPrios: func(int) int { return 1 },
-		queueFor:      func(prio, nprios, queues int) int { return 0 },
-		newAlgo: func(env flowEnv) cc.Algorithm {
-			plan := core.DefaultPlan(env.baseRTT)
-			return core.New(swiftFor(env, false), core.DefaultConfig(plan.Channel(env.prio), env.nPrios))
-		},
-	}
+	return Scheme{name: "PrioPlus+Swift", cc: prioPlusSwift}
 }
 
 // d2tcp runs all flows in one queue with ECN marking; deadlines scale from
 // 1.5x ideal FCT (highest priority) to 12x (lowest), per §6.
 func d2tcp() Scheme {
-	return Scheme{
-		name:          "D2TCP",
-		queues:        func(int) int { return 2 },
-		losslessPrios: func(int) int { return 1 },
-		queueFor:      func(prio, nprios, queues int) int { return 0 },
-		ecnK:          100_000,
-		newAlgo: func(env flowEnv) cc.Algorithm {
-			cfg := cc.DefaultDCTCPConfig(env.bdpPkts)
-			mult := 12.0
-			if env.nPrios > 1 {
-				mult = 1.5 + (12-1.5)*float64(env.nPrios-1-env.prio)/float64(env.nPrios-1)
-			}
-			cfg.Deadline = env.now + sim.Time(mult*float64(env.ideal))
-			return cc.NewDCTCP(cfg)
-		},
-	}
+	return Scheme{name: "D2TCP", cc: d2tcpCC, ecnK: 100_000}
 }
 
 // dcqcnPhysical is DCQCN on physical priority queues with ECN marking —
@@ -142,10 +163,7 @@ func dcqcnPhysical(maxQueues int) Scheme {
 	s.name = "Physical+DCQCN"
 	s.ecnK = 100_000
 	s.unboundedBacklog = true
-	s.newAlgo = func(env flowEnv) cc.Algorithm {
-		rate := netsim.Rate(float64(env.bdpPkts*netsim.DefaultMTU*8) / env.baseRTT.Seconds())
-		return cc.NewDCQCN(cc.DefaultDCQCNConfig(rate))
-	}
+	s.cc = dcqcnCC
 	return s
 }
 
@@ -154,16 +172,17 @@ func hpccPhysical(maxQueues int) Scheme {
 	s := SwiftPhysical(maxQueues)
 	s.name = "Physical+HPCC"
 	s.stampINT = true
-	s.newAlgo = func(env flowEnv) cc.Algorithm {
-		return cc.NewHPCC(cc.DefaultHPCCConfig(env.bdpPkts))
-	}
+	s.cc = hpccCC
 	return s
 }
 
-// fabric applies a scheme's switch-side requirements to a topology config.
+// fabric applies a scheme's switch-side requirements to a topology config:
+// its lossless data queues plus the ACK queue, its buffer model and its
+// ECN threshold.
 func (s Scheme) fabric(cfg *topo.Config, nprios int) {
-	cfg.Queues = s.queues(nprios)
-	cfg.Buffer.LosslessPrios = s.losslessPrios(nprios)
+	q := s.dataQueues(nprios)
+	cfg.Queues = q + 1
+	cfg.Buffer.LosslessPrios = q
 	cfg.Buffer.HeadroomFree = s.headroomFree
 	if s.ecnK > 0 {
 		cfg.Buffer.ECNKMin = s.ecnK

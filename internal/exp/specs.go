@@ -370,7 +370,7 @@ func init() {
 	reg("faultsweep", "mid-transfer link flap on a fat-tree: recovery per scheme", func(p RunParams, o Options, w io.Writer) error {
 		cfg := defaultFaultSweepConfig()
 		cfg.Options = scenarioOptions(p, o)
-		rows := faultSweep(cfg)
+		rows := faultSweep(cfg, faultSweepSchemes())
 		fmt.Fprintf(w, "mid-transfer link flap (down %v at %v), fat-tree k=%d, %d cross-pod flows\n",
 			cfg.flapDur, cfg.flapAt, cfg.k, cfg.k*cfg.k*cfg.k/4)
 		tb := stats.NewTable("scheme", "done", "stuck", "mean-slow", "p99-slow",

@@ -100,20 +100,6 @@ func (p *Plan) Flap(at, dur sim.Time, l LinkRef) *Plan {
 	return p.LinkDown(at, l).LinkUp(at+dur, l)
 }
 
-// Key encodes what a run reads of the plan: its events and impairments,
-// and its seed only when an impairment can draw from it. Two plans with one
-// key inject the same faults; the empty key is the empty plan's.
-func (p *Plan) Key() string {
-	if p.Empty() {
-		return ""
-	}
-	key := fmt.Sprintf("%v %v", p.events, p.impairments)
-	if len(p.impairments) > 0 {
-		key += fmt.Sprintf(" seed=%d", p.Seed)
-	}
-	return key
-}
-
 // Empty reports whether the plan contains no events and no impairments.
 func (p *Plan) Empty() bool {
 	return p == nil || (len(p.events) == 0 && len(p.impairments) == 0)

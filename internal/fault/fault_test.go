@@ -106,6 +106,42 @@ func TestFlapTakesBothEndsAndReroutes(t *testing.T) {
 	}
 }
 
+// TestTwoFlapsRecoverEveryFlow: a plan of two flaps on different uplinks
+// of a fat-tree executes four fault events, and every cross-pod flow
+// caught by them still completes.
+func TestTwoFlapsRecoverEveryFlow(t *testing.T) {
+	eng := sim.NewEngine()
+	tc := topo.DefaultConfig()
+	tc.LinkDelay = 1 * sim.Microsecond
+	nw := topo.FatTree(eng, 4, tc)
+	plan := fault.NewPlan(42).
+		Flap(50*sim.Microsecond, 80*sim.Microsecond, fault.Link("p0e0", "p0a0")).
+		Flap(300*sim.Microsecond, 80*sim.Microsecond, fault.Link("p1e0", "p1a0"))
+	net := harness.New(nw, 9, harness.WithFaults(plan))
+	n, completed := len(nw.Hosts), 0
+	for src := range n {
+		dst := (src + n/2) % n
+		net.AddFlow(harness.Flow{Src: src, Dst: dst, Size: 1 << 20, Prio: 0,
+			Algo: swiftFor(net, src, dst), OnComplete: func(sim.Time) { completed++ }})
+	}
+	eng.RunUntil(10 * sim.Millisecond)
+	if evs := net.Faults.Events(); len(evs) != 4 {
+		t.Errorf("%d fault events, want 4 (two flaps)", len(evs))
+	}
+	if completed != n {
+		t.Errorf("%d/%d flows stuck under the two-flap plan", n-completed, n)
+	}
+	var drops int64
+	for _, sw := range nw.Switches {
+		for _, p := range sw.Ports {
+			drops += p.FaultDrops
+		}
+	}
+	if drops == 0 {
+		t.Error("the flaps dropped no packet; they missed the transfer")
+	}
+}
+
 // TestForcedDropsRecoverViaRTO is the loss-recovery regression test: a
 // mid-flow flap of the sender's access link force-drops both data packets
 // (at the switch end) and ACKs (at the sender's NIC), and the flow must

@@ -145,9 +145,9 @@ done <<EOF
 docs/API.md 7024
 docs/ARCHITECTURE.md 47363
 docs/OBSERVABILITY.md 37347
-docs/PERFORMANCE.md 28985
+docs/PERFORMANCE.md 28971
 README.md 15397
-DESIGN.md 13714
+DESIGN.md 13682
 EXPERIMENTS.md 13906
 EOF
 

@@ -30,7 +30,7 @@ var surfaceAllow = map[string]string{
 // surfaceLocalMax is the ratchet on the module's local identifiers
 // (surfaceStat): TestSurface fails when their count rises above it, and
 // when it falls, until the number here is lowered to match.
-const surfaceLocalMax = 259
+const surfaceLocalMax = 258
 
 // TestSurface is the surface gate: every exported identifier declared in a
 // non-test file under internal/ must be read by some non-test file of the
