@@ -2,74 +2,25 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"prioplus/internal/obs"
 )
 
-// running counts the registered runs in progress and helpers the goroutines
-// cells has borrowed, both process-wide. Each run holds a core and each
-// helper one more, and a helper is taken only while together they hold
-// fewer than GOMAXPROCS, read at every acquire. So GOMAXPROCS=1 is serial,
-// and the workers of an `all` batch or of the job server leave the helpers
-// only the cores their runs leave idle, such as beside a batch's last run.
-var running, helpers atomic.Int32
-
-// tryHelper takes one helper slot if a core is free. It never blocks: a
-// caller that gets no slot runs its cells itself. A caller outside any
-// registered run (a test, an example) counts as one run.
-func tryHelper() bool {
-	for {
-		h := helpers.Load()
-		if h+max(running.Load(), 1) >= int32(runtime.GOMAXPROCS(0)) {
-			return false
-		}
-		if helpers.CompareAndSwap(h, h+1) {
-			return true
-		}
-	}
-}
-
-// cellPanic carries a cell's panic, and the stack it panicked on, to the
-// caller of cells, where it is raised again.
-type cellPanic struct {
-	cell  int
-	val   any
-	stack []byte
-}
-
-// Error puts the cell's value on the first line and its stack after, so a
-// one-line failure report still names the value.
-func (p *cellPanic) Error() string {
-	return fmt.Sprintf("cell %d: %v\n%s", p.cell, p.val, p.stack)
-}
-
 // cells runs a figure's n independent cells — each a private engine — on
-// the calling goroutine plus whatever helpers tryHelper grants, and returns
-// their results in index order. A cell must not touch state another cell
-// can see; then the results, and so the figure bytes, do not depend on
-// which goroutine ran which cell, or when.
+// the caller and the executor's helper goroutines (exec), and returns
+// their results in index order. A cell touches no state another cell can
+// see, so the figure bytes do not depend on who ran which cell, or when.
 //
-// Cell i builds its runs from the Options it is handed. In an instrumented
-// run that copy's NewRecorder notes which recorders cell i received, and
-// once the cells return, o.order gets them in index order, so the sink
-// lists the runs — their summary lines and artifacts — in the figure's
-// order, whichever cell asked first. No cell calls cells: every fan-out is
-// one flat level under a spec's run.
+// Cell i builds its runs from the Options it is handed, whose NewRecorder,
+// in an instrumented run, notes the recorders cell i received; once the
+// cells return, o.order gets them in index order, so the sink lists the
+// runs in the figure's order. No cell calls cells.
 //
-// start, when given, is the order the goroutines take the cells in, which
-// decides whose heaps are live at once; the results still come back in
-// index order. It must be a permutation of 0..n-1 (schemeStart gives one):
-// anything else panics before a cell runs, since a repeated index would run
-// one cell twice and leave another's result the zero value.
-//
-// A helper that finds no cell left marks itself done, then computes the
-// memo's queued twins (Memo) before it gives its core back; the caller
-// never waits for those.
+// start, when given, is the order the cells are handed out in, which
+// decides whose heaps are live at once. It must be a permutation of
+// 0..n-1 (schemeStart gives one), or cells panics before a cell runs: a
+// repeated index would run one cell twice and leave another's result zero.
 //
 // A panicking cell stops its siblings from taking new cells; once the running
 // ones return, its panic (the first by index) is raised on the caller with
@@ -79,64 +30,24 @@ func cells[T any](o Options, n int, cell func(i int, o Options) T, start ...int)
 		checkStart(n, start)
 	}
 	out := make([]T, n)
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		mu     sync.Mutex
-		first  *cellPanic
-		wg     sync.WaitGroup
-		recs   = make([][]*obs.Recorder, n)
-	)
-	opts := func(i int) Options {
-		if o.order == nil {
-			return o
-		}
+	recs := make([][]*obs.Recorder, n) // recs[i] is written by cell i only
+	f := &fanOut{n: n, start: start, cell: func(i int) {
 		c := o
-		c.NewRecorder = func(tag string) *obs.Recorder {
-			rec := o.NewRecorder(tag)
-			mu.Lock()
-			recs[i] = append(recs[i], rec)
-			mu.Unlock()
-			return rec
+		if o.order != nil {
+			c.NewRecorder = func(tag string) *obs.Recorder {
+				rec := o.NewRecorder(tag)
+				recs[i] = append(recs[i], rec)
+				return rec
+			}
 		}
-		return c
-	}
-	work := func() {
-		i := -1
-		defer func() {
-			if r := recover(); r != nil {
-				failed.Store(true)
-				mu.Lock()
-				if first == nil || i < first.cell {
-					first = &cellPanic{cell: i, val: r, stack: debug.Stack()}
-				}
-				mu.Unlock()
-			}
-		}()
-		for !failed.Load() {
-			if i = int(next.Add(1) - 1); i >= n {
-				return
-			}
-			if start != nil {
-				i = start[i]
-			}
-			out[i] = cell(i, opts(i))
-		}
-	}
-	for h := 1; h < n && tryHelper(); h++ {
-		wg.Add(1)
-		go func() {
-			work()
-			o.memo.drain(wg.Done)
-		}()
-	}
-	work()
-	wg.Wait()
+		out[i] = cell(i, c)
+	}}
+	exec.fanOut(f)
 	if o.order != nil {
 		o.order(recs)
 	}
-	if first != nil {
-		panic(first)
+	if f.first != nil {
+		panic(f.first)
 	}
 	return out
 }

@@ -120,8 +120,8 @@ func TestCellsOrderAndBudget(t *testing.T) {
 	}
 	withProcs(1, func() {
 		cells(Options{}, 8, func(i int, _ Options) int {
-			if b := helpers.Load(); b != 0 {
-				t.Errorf("GOMAXPROCS 1: cell %d ran beside %d helpers, want a serial run", i, b)
+			if h := heldCores(); h != 1 {
+				t.Errorf("GOMAXPROCS 1: cell %d ran with %d cores held, want its caller's one: a serial run", i, h)
 			}
 			return 0
 		})
@@ -130,22 +130,22 @@ func TestCellsOrderAndBudget(t *testing.T) {
 		if !together() {
 			t.Error("GOMAXPROCS 2: the two cells never ran at once")
 		}
-		running.Add(2) // two runs of a batch hold both cores
+		exec.hold(2) // two runs of a batch hold both cores
 		cells(Options{}, 8, func(i int, _ Options) int {
-			if b := helpers.Load(); b != 0 {
-				t.Errorf("cell %d ran beside %d helpers while two runs held both cores", i, b)
+			if h := heldCores(); h != 2 {
+				t.Errorf("cell %d ran with %d cores held while two runs held both, want no helper", i, h)
 			}
 			return 0
 		})
-		running.Add(-2)
+		exec.hold(-2)
 		spec, _ := Lookup("fig10b")
 		held := false
 		sink := recorderSink(func(string) *obs.Recorder {
-			held = running.Load() == 1
+			held = heldCores() == 1
 			return nil
 		})
-		if err := spec.Run(spec.Defaults, sink, nil, io.Discard); err != nil || !held || running.Load() != 0 {
-			t.Errorf("fig10b: err %v, held a core while running %v, %d runs counted after, want a core held and released", err, held, running.Load())
+		if err := spec.Run(spec.Defaults, sink, nil, io.Discard); err != nil || !held || heldCores() != 0 {
+			t.Errorf("fig10b: err %v, held a core while running %v, %d cores held after, want a core held and released", err, held, heldCores())
 		}
 	})
 }
@@ -228,7 +228,7 @@ func TestCellsStartOrder(t *testing.T) {
 
 // TestCellsPanic: a panicking cell surfaces on the caller with the cell's
 // value on the first line and its stack after, the same with hooks off or
-// on; its siblings stop taking new cells; every budget slot comes back (a
+// on; its siblings stop taking new cells; every held core comes back (a
 // fan-out right after still gets its helper); and under runner.Run only
 // that task fails.
 func TestCellsPanic(t *testing.T) {
@@ -260,8 +260,8 @@ func TestCellsPanic(t *testing.T) {
 				t.Errorf("instrumented %v: %d of %d cells started after cell 0 panicked, want the siblings stopped", o.NewRecorder != nil, s, n)
 			}
 		}
-		if b := helpers.Load(); b != 0 {
-			t.Errorf("%d helper slots still taken after the fan-out returned", b)
+		if h := heldCores(); h != 0 {
+			t.Errorf("%d cores still held after the fan-out returned", h)
 		}
 		if !together() {
 			t.Error("a fan-out right after the panic got no helper")

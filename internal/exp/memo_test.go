@@ -66,9 +66,10 @@ func memoPass(t *testing.T, row memoRow, seeds []int64, memo *Memo) (out []strin
 // GOMAXPROCS 1 and 2, without a memo and then with one. It fails unless
 // every seed's run prints the same bytes both ways, the memo pass counts
 // the same logical events and dispatches no more — fewer when a stored
-// cell is served — and the memo's hits and misses fit row's counts. At
-// GOMAXPROCS 2 a seeded cell's later seeds may be computed ahead as twins,
-// which the later runs are served; at 1 none is.
+// cell is served — and the memo's hits and misses equal row's counts over
+// the seeds, however the cells were scheduled. At GOMAXPROCS 2 a seeded
+// cell's later seeds may be computed ahead as twins, which the later runs
+// are served; at 1 none is.
 func checkTransparent(t *testing.T, row memoRow) {
 	t.Helper()
 	seeds := []int64{1, 2, 3}
@@ -91,18 +92,12 @@ func checkTransparent(t *testing.T, row memoRow) {
 				t.Errorf("GOMAXPROCS %d: %d logical events (%d dispatched) with the memo, %d (%d) without; want equal logical events, fewer dispatches",
 					procs, onEvents, onDisp, offEvents, offDisp)
 			}
-			// A seeded cell is computed once per seed, by its run or as a
-			// twin; a seed-free one once per batch, or by each worker that
-			// asks before another stores it.
-			seeded := row.misses - row.seedFree
-			lo, hi := seeded*n+row.seedFree, seeded*n+min(uint64(row.workers), n)*row.seedFree
-			if procs > 1 && n > 1 {
-				lo = row.misses
-			}
-			hits, misses := memo.Stats()
-			if hits+misses != (row.hits+row.misses)*n || misses < lo || misses > hi {
-				t.Errorf("GOMAXPROCS %d: %d hits, %d misses over %d seeds; want %d asks, %d to %d misses",
-					procs, hits, misses, n, (row.hits+row.misses)*n, lo, hi)
+			// A miss is a distinct entry the batch asked for: a seeded
+			// cell once per seed, a seed-free one once.
+			asks, want := (row.hits+row.misses)*n, (row.misses-row.seedFree)*n+row.seedFree
+			if hits, misses := memo.Stats(); hits != asks-want || misses != want {
+				t.Errorf("GOMAXPROCS %d: %d hits, %d misses over %d seeds; want %d, %d",
+					procs, hits, misses, n, asks-want, want)
 			}
 		})
 	}
@@ -177,6 +172,44 @@ func TestMemoCoflowFigures(t *testing.T) {
 				return rows(Fig12Coflow(c, false, hpccPhysical(8), noCCPhysicalIdeal()))
 			},
 		}})
+}
+
+// TestMemoHitsAreTheBatchs: a batch of faultsweep, fig11 and fig16 at
+// seeds 1 and 2 on one worker, reduced, counts the same memo hits and
+// misses three times over at GOMAXPROCS 2, where twins are computed ahead
+// as the cores happen to allow, and at GOMAXPROCS 1, where none is.
+func TestMemoHitsAreTheBatchs(t *testing.T) {
+	sched := shortFlowSched(PrioPlusSwift(), 8)
+	sched.duration, sched.drain = sim.Millisecond, 4*sim.Millisecond
+	rows := func(r []fig11Row) string {
+		var b strings.Builder
+		printFig11(&b, r)
+		return b.String()
+	}
+	row := memoRow{names: []string{"faultsweep", "fig11", "fig16"}, workers: 1,
+		steps: []func(o Options) string{
+			func(o Options) string {
+				cfg := quickFaultSweepConfig(o.Seed)
+				cfg.memo = o.memo
+				return fmt.Sprintf("%+v", faultSweep(cfg, quickFaultSweepSchemes()))
+			},
+			func(o Options) string { c := sched; c.Options = o; return rows(fig11([]int{8}, c)) },
+			func(o Options) string { c := sched; c.Options = o; return rows(fig16(8, c)) },
+		}}
+	var counts []string
+	for _, procs := range []int{2, 2, 2, 1} {
+		withProcs(procs, func() {
+			memo := NewMemo([]int64{1, 2})
+			memoPass(t, row, []int64{1, 2}, memo)
+			hits, misses := memo.Stats()
+			counts = append(counts, fmt.Sprintf("%d hits, %d misses", hits, misses))
+		})
+	}
+	for i, c := range counts[1:] {
+		if c != counts[0] {
+			t.Errorf("batch %d counted %s, batch 0 %s (GOMAXPROCS 2, 2, 2, 1)", i+1, c, counts[0])
+		}
+	}
 }
 
 // TestMemoSeedFreeCellsHoldForEverySeed checks the seed witness: every
@@ -411,8 +444,8 @@ func twinBatch(t *testing.T, seeds []int64, memo *Memo, step func(seed int64, me
 	res := runner.Run(tasks, runner.Options{Workers: 1})
 	if memo != nil {
 		memo.Close(true)
-		if h := helpers.Load(); h != 0 {
-			t.Errorf("%d helpers still hold a core after Close", h)
+		if h := heldCores(); h != 0 {
+			t.Errorf("%d cores still held after Close", h)
 		}
 		if n := memo.cells.Len(); n > memoEntries {
 			t.Errorf("the memo holds %d entries, over its bound %d", n, memoEntries)
@@ -424,10 +457,18 @@ func twinBatch(t *testing.T, seeds []int64, memo *Memo, step func(seed int64, me
 // TestMemoTwins: the reduced faultsweep at four seeds in one batch prints
 // each seed's bytes and counts the events of one run per seed without a
 // memo. At GOMAXPROCS 2 the PrioPlus+Swift cell's later seeds are queued
-// as twins; at GOMAXPROCS 1 none is.
+// as twins, found in the executor's table when their runs start; at
+// GOMAXPROCS 1 none is.
 func TestMemoTwins(t *testing.T) {
 	seeds := []int64{1001, 1002, 1003, 1004}
+	prioplus := quickFaultSweepConfig(0)
+	prioplus.scheme = quickFaultSweepSchemes()[0]
+	key := memoKey(prioplus)
+	var ahead []int64 // the seeds whose cell was in the table when their run started
 	step := func(seed int64, memo *Memo) string {
+		if memo != nil && inTable(memo, seedKey(key, seed)) {
+			ahead = append(ahead, seed)
+		}
 		cfg := quickFaultSweepConfig(seed)
 		cfg.memo = memo
 		return fmt.Sprintf("%+v", faultSweep(cfg, quickFaultSweepSchemes()))
@@ -441,6 +482,7 @@ func TestMemoTwins(t *testing.T) {
 	for _, procs := range []int{2, 1} {
 		withProcs(procs, func() {
 			memo := NewMemo(seeds)
+			ahead = nil
 			res, events := twinBatch(t, seeds, memo, step)
 			for i, r := range res {
 				if r.Err != nil || r.Output != want[i] {
@@ -450,8 +492,12 @@ func TestMemoTwins(t *testing.T) {
 			if events != wantEvents {
 				t.Errorf("GOMAXPROCS %d: %d logical events, one run per seed counts %d", procs, events, wantEvents)
 			}
-			if queued := len(memo.queued); (procs == 1) != (queued == 0) {
-				t.Errorf("GOMAXPROCS %d: %d twins queued", procs, queued)
+			want := seeds[1:]
+			if procs == 1 {
+				want = nil
+			}
+			if !slices.Equal(ahead, want) {
+				t.Errorf("GOMAXPROCS %d: the cell was queued ahead of the runs at %v, want %v", procs, ahead, want)
 			}
 		})
 	}
@@ -483,27 +529,26 @@ func twinCell(o Options, panicAt int64, computed map[int64]*atomic.Int32) string
 }
 
 // twinFanOut runs cell as cell 0 of a two-cell fan-out whose cell 1 waits
-// until the memo has queued twins: whichever goroutine ran cell 0, a cells
-// helper is left to drain them.
+// until cell 0 has returned, and so queued its twins: whichever goroutine
+// ran cell 0, a helper is left to compute them.
 func twinFanOut(o Options, cell func(o Options) string) string {
-	m := o.memo
+	queued := make(chan struct{})
 	return cells(o, 2, func(i int, o Options) string {
 		if i == 0 {
+			defer close(queued)
 			return cell(o)
 		}
-		if m != nil {
-			waitFor(m, func() bool { return len(m.queued) > 0 })
-		}
+		<-queued
 		return ""
 	})[0]
 }
 
-// waitFor polls cond under the memo's lock until it holds, or for at most
-// ten seconds.
-func waitFor(m *Memo, cond func() bool) {
+// waitFor polls cond under the executor's lock until it holds, or for at
+// most ten seconds.
+func waitFor(cond func() bool) {
 	held := func() bool {
-		m.mu.Lock()
-		defer m.mu.Unlock()
+		exec.mu.Lock()
+		defer exec.mu.Unlock()
 		return cond()
 	}
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline) && !held(); {
@@ -514,7 +559,8 @@ func waitFor(m *Memo, cond func() bool) {
 // TestMemoTwinsReadTheirSeed: a cell whose result depends on its seed,
 // swept at three seeds in one batch at GOMAXPROCS 2, prints each seed's
 // bytes and counts the events of one run per seed without a memo; its
-// later seeds are computed ahead as twins and served. When the cell panics
+// later seeds are computed ahead as twins, before their runs start, and
+// served. When the cell panics
 // at seed 2, the twin there is dropped, not stored, and its events taken
 // back: the run at seed 2 computes the cell itself, and only that run
 // fails.
@@ -525,12 +571,16 @@ func TestMemoTwinsReadTheirSeed(t *testing.T) {
 		for _, seed := range seeds {
 			computed[seed] = &atomic.Int32{}
 		}
+		var ahead []int64 // seeds computed before their run started
 		step := func(seed int64, memo *Memo) string {
+			if memo != nil && computed[seed].Load() == 2 {
+				ahead = append(ahead, seed)
+			}
 			out := twinFanOut(Options{Seed: seed, memo: memo}, func(o Options) string { return twinCell(o, panicAt, computed) })
-			// Let the drain end, so a later run finds each twin stored
-			// or dropped.
+			// Let the twins end, so a later run finds each one stored or
+			// dropped.
 			if memo != nil {
-				waitFor(memo, func() bool { return len(memo.twins) == 0 && helpers.Load() == 0 })
+				waitFor(func() bool { return len(exec.twins) == 0 && exec.held == 0 })
 			}
 			return out
 		}
@@ -563,16 +613,20 @@ func TestMemoTwinsReadTheirSeed(t *testing.T) {
 					t.Errorf("panic at %d: seed %d computed %d times over both batches, want %d", panicAt, seed, n, want)
 				}
 			}
+			if !slices.Equal(ahead, seeds[1:]) {
+				t.Errorf("panic at %d: seeds %v were computed ahead of their runs, want %v", panicAt, ahead, seeds[1:])
+			}
 			if _, ok := memo.cells.Get(seedKey(memoKey(Options{}), panicAt)); ok {
 				t.Errorf("panic at %d: the panicking twin was stored", panicAt)
 			}
-			wantHits := uint64(2)
+			// Each seed is a distinct entry the batch asked for once; an
+			// ask that panicked is not counted.
+			wantMisses := uint64(3)
 			if panicAt != 0 {
-				wantHits = 1
+				wantMisses = 2
 			}
-			if hits, misses := memo.Stats(); hits != wantHits || misses != 1 {
-				t.Errorf("panic at %d: %d hits, %d misses; want seed 1 computed and the twins that did not panic served (%d, 1)",
-					panicAt, hits, misses, wantHits)
+			if hits, misses := memo.Stats(); hits != 0 || misses != wantMisses {
+				t.Errorf("panic at %d: %d hits, %d misses; want 0, %d", panicAt, hits, misses, wantMisses)
 			}
 		})
 	}
@@ -581,7 +635,7 @@ func TestMemoTwinsReadTheirSeed(t *testing.T) {
 // TestMemoCloseAfterTimeout: a run the runner abandons while it waits on
 // a twin does not hold up the batch. Close without waiting returns while
 // the twin still runs; Close with waiting returns once it is done, and
-// its drainer has given back its core.
+// once the abandoned run has returned too, no core is held.
 func TestMemoCloseAfterTimeout(t *testing.T) {
 	seeds := []int64{1, 2}
 	memo := NewMemo(seeds)
@@ -599,11 +653,13 @@ func TestMemoCloseAfterTimeout(t *testing.T) {
 			})
 		})
 	}
+	abandoned := make(chan struct{})
 	withProcs(2, func() {
 		var tasks []runner.Task
 		for _, seed := range seeds {
 			tasks = append(tasks, runner.Task{Name: fmt.Sprint(seed), Run: func() (string, map[string]float64) {
 				if seed == 2 {
+					defer close(abandoned)
 					<-started // the twin is in flight when the run asks for it
 				}
 				return step(seed), nil
@@ -627,8 +683,13 @@ func TestMemoCloseAfterTimeout(t *testing.T) {
 		}
 		close(release)
 		memo.Close(true)
-		if h := helpers.Load(); h != 0 {
-			t.Errorf("%d helpers still hold a core after Close", h)
+		select {
+		case <-abandoned:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the abandoned run never returned once its twin was done")
+		}
+		if h := heldCores(); h != 0 {
+			t.Errorf("%d cores still held after Close", h)
 		}
 	})
 }

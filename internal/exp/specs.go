@@ -74,12 +74,12 @@ func coflowAt(p RunParams, o Options, load float64) CoflowConfig {
 
 func init() {
 	// A spec hands its drivers one Options (specOptions). While it runs it
-	// holds a core of cells' helper budget.
+	// holds one of the executor's cores (exec).
 	reg := func(id, describe string, run func(p RunParams, o Options, w io.Writer) error) {
 		Register(Spec{ID: id, Describe: describe, Defaults: defaults,
 			Run: func(p RunParams, sink Sink, memo *Memo, w io.Writer) error {
-				running.Add(1)
-				defer running.Add(-1)
+				exec.hold(1)
+				defer exec.hold(-1)
 				return run(p, specOptions(p, sink, memo), w)
 			}})
 	}

@@ -120,7 +120,7 @@ func (s *Switch) HeadroomHWM() int { return s.buf.HdrHWM }
 // HandlePacket is called when a packet fully arrives on port in: route,
 // admit, mark, enqueue. The common
 // case — route present, next hop up, admitted, no marking — runs straight
-// through with the drop paths outlined into noinline helpers; every
+// through with the drop paths outlined into noinline functions; every
 // decision (ECMP selection, admission, marking) is bit-identical to the
 // pre-dense-table implementation.
 func (s *Switch) HandlePacket(pkt *Packet, in *Port) {

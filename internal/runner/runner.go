@@ -2,9 +2,9 @@
 // the batch layer behind `prioplus-sim all`: a worker pool fans tasks —
 // one per (experiment, seed) pair — across GOMAXPROCS goroutines.
 //
-// The worker count bounds tasks, not cores: a run may run its independent
-// cells (a figure's schemes, a sweep's points) on the cores no running task
-// holds, so even `-parallel 1` can keep every core busy.
+// The worker count bounds tasks, not cores: internal/exp's executor gives
+// the cores no running task holds to the tasks' independent cells and the
+// cell memo's twins, so even `-parallel 1` can keep every core busy.
 //
 // Parallelism is safe because of the simulator's engine-per-run design:
 // every task builds its own sim.Engine, topo.Network, and random sources

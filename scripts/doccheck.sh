@@ -143,9 +143,9 @@ while read -r doc max; do
     fi
 done <<EOF
 docs/API.md 7024
-docs/ARCHITECTURE.md 47363
+docs/ARCHITECTURE.md 47347
 docs/OBSERVABILITY.md 37347
-docs/PERFORMANCE.md 28971
+docs/PERFORMANCE.md 28932
 README.md 15397
 DESIGN.md 13682
 EXPERIMENTS.md 13906
