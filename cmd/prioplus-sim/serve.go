@@ -23,7 +23,7 @@ func runServe(args []string) int {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:8080", "listen address for the job and streaming endpoints")
 	workers := fs.Int("workers", 0, "concurrent job runs (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", serve.DefaultQueueDepth, "queued-job bound; submissions beyond it get HTTP 429")
+	queue := fs.Int("queue", serve.DefaultQueueDepth, "queued-computation bound; submissions beyond it get HTTP 429")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job wall-clock ceiling (0 = none)")
 	cacheSize := fs.Int("cache", serve.DefaultCacheSize, "result cache entries (FIFO eviction)")
 	manifestPath := fs.String("manifest", "", "fingerprint manifest to cross-check results against (e.g. testdata/fingerprints.json)")

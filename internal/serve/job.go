@@ -40,8 +40,8 @@ type JobSpec struct {
 	Artifact bool `json:"artifact,omitempty"`
 }
 
-// job is the scheduler's internal record. All fields except state's
-// atomics are guarded by Scheduler.mu.
+// job is the scheduler's record of one submission. All fields are guarded
+// by Scheduler.mu.
 type job struct {
 	id     string
 	spec   JobSpec
@@ -52,13 +52,25 @@ type job struct {
 	// The result: a done job answers with it and the cache memoizes it.
 	cacheEntry
 
-	submitted  time.Time
-	finishedAt time.Time
+	submitted time.Time
+	// run is the RunTable entry named after this job, when its submit
+	// started a computation; it leaves /runs when the job ages out.
+	run *runner.RunEntry
+}
 
-	state     *runner.RunEntry // live gauges; non-nil for leaders
-	followers []*job           // identical specs waiting on this leader
-	runErr    error            // experiment-level error from compute
-	skipped   bool             // compute skipped (canceled, no followers)
+// computation is one queued or running run of a cache key. It owns the
+// run state and the outcome, and every job that asked for the key while it
+// was in flight shares them. Fields other than state's atomics are guarded
+// by Scheduler.mu.
+type computation struct {
+	key    string
+	spec   JobSpec
+	status string // JobQueued, JobRunning, or JobCanceled once skipped
+	state  *runner.RunEntry
+	jobs   []*job // every job it answers, canceled ones included
+
+	artifacts []Artifact
+	err       error // the experiment's own error
 }
 
 // finished reports whether the job reached a terminal state.
@@ -100,8 +112,8 @@ type JobSnapshot struct {
 	Artifact bool `json:"artifact,omitempty"`
 	// Status is one of queued/running/done/failed/canceled.
 	Status string `json:"status"`
-	// Cache is "hit" (served from the cache or attached to an identical
-	// in-flight job) or "miss" (this job computed).
+	// Cache is "hit" (served from the cache or joined an identical
+	// in-flight computation) or "miss" (this job started the computation).
 	Cache string `json:"cache,omitempty"`
 	// FP is the run fingerprint (%016x FNV-64a of the output), set once
 	// done.
@@ -140,8 +152,9 @@ type JobCounts struct {
 
 // QueueStats reports the bounded queue's occupancy.
 type QueueStats struct {
-	// Depth is the number of queued jobs; Capacity the configured bound
-	// past which submissions get 429.
+	// Depth is the number of queued computations (pool slots held; a job
+	// that joins one holds none); Capacity the configured bound past which
+	// submissions get 429.
 	Depth    int `json:"depth"`
 	Capacity int `json:"capacity"`
 }
@@ -149,7 +162,8 @@ type QueueStats struct {
 // CacheStats reports the result cache's counters.
 type CacheStats struct {
 	// Entries is the current cache population; Hits and Misses are
-	// lifetime submission counters (a follower attach counts as a hit).
+	// lifetime submission counters (a job that joins an in-flight
+	// computation counts as a hit).
 	Entries int    `json:"entries"`
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`

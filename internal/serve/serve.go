@@ -59,15 +59,19 @@ var (
 	ErrNotCancelable = errors.New("job is not queued; only queued jobs can be canceled")
 	// ErrNotFinished reports a result fetch on a job still queued/running.
 	ErrNotFinished = errors.New("job has not finished")
+
+	// errCanceled fails the run state of a computation skipped because
+	// every job that asked for it was canceled.
+	errCanceled = errors.New(JobCanceled)
 )
 
 // Config sizes a Scheduler.
 type Config struct {
 	// Workers is the number of concurrent runs (<= 0 means GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the number of queued-not-yet-running jobs;
-	// submissions beyond it fail with ErrQueueFull (<= 0 means
-	// DefaultQueueDepth).
+	// QueueDepth bounds the number of queued computations; a submission
+	// that would start one beyond it fails with ErrQueueFull, while a job
+	// that joins one holds no slot (<= 0 means DefaultQueueDepth).
 	QueueDepth int
 	// Timeout bounds each job's wall clock (0 = none). A job that exceeds
 	// it is abandoned and reported failed.
@@ -79,7 +83,7 @@ type Config struct {
 	// committed fingerprint manifest and folds the manifest identity into
 	// cache keys.
 	Manifest *Manifest
-	// RunTable, when non-nil, receives a RunEntry per computed job so the
+	// RunTable, when non-nil, receives a RunEntry per computation so the
 	// streaming server's /runs endpoint and the watch dashboard see
 	// server-run jobs exactly like batch runs.
 	RunTable *runner.RunTable
@@ -90,6 +94,16 @@ type Config struct {
 
 // Scheduler owns the job table, the worker pool and the result cache. All
 // exported methods are safe for concurrent use.
+//
+// A cache key has at most one computation in flight, which answers every
+// job that asked for the key:
+//   - a job joins while its key is queued or running, and takes its status;
+//   - a computation whose jobs were all canceled before it started is
+//     skipped, and its /runs entry reads failed with "canceled" once the
+//     pool reaches it; one that runs finishes with its own outcome;
+//   - a job stays in the table while a computation of its key is in
+//     flight, so /runs never drops a queued or running entry;
+//   - Cancel accepts only queued jobs.
 type Scheduler struct {
 	cfg  Config
 	pool *runner.Pool
@@ -97,18 +111,17 @@ type Scheduler struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	order    []string
-	inflight map[string]*job // cache key -> computing leader
+	inflight map[string]*computation // by cache key
 	cache    *cache.Cache[cacheEntry]
 	seq      int
 	hits     uint64
 	misses   uint64
 }
 
-// cacheEntry is one memoized job: everything a hit needs to reproduce the
-// original response byte-for-byte. The cache is keyed by the full
-// determinism tuple (see cacheKey); an identical spec still computing is
-// joined as a follower (Submit), not through the cache's own single-flight,
-// because a follower is a job with its own id and lifecycle.
+// cacheEntry is one memoized result: everything a hit needs to reproduce
+// the original response byte-for-byte. The cache is keyed by the full
+// determinism tuple (see cacheKey); a job whose spec is still computing
+// joins that computation in Scheduler.inflight instead.
 type cacheEntry struct {
 	output    string
 	fp        string
@@ -129,7 +142,7 @@ func New(cfg Config) *Scheduler {
 		cfg:      cfg,
 		pool:     runner.NewPool(cfg.Workers, cfg.QueueDepth, cfg.Timeout),
 		jobs:     map[string]*job{},
-		inflight: map[string]*job{},
+		inflight: map[string]*computation{},
 		cache:    cache.New[cacheEntry](cfg.CacheSize),
 	}
 }
@@ -139,11 +152,10 @@ func (s *Scheduler) Close() {
 	s.pool.Close()
 }
 
-// Submit validates and enqueues one job. The returned snapshot reflects
-// the job's state at admission: a cache hit is already done, a follower of
-// an identical in-flight job is queued behind it without a second compute,
-// and a fresh spec is queued for the pool. ErrQueueFull reports
-// backpressure; ErrUnknownExperiment a bad id.
+// Submit validates and admits one job. A cache hit is done at once; a job
+// whose key is queued or running joins that computation and takes its
+// status; a fresh spec starts a computation on the pool. ErrQueueFull
+// reports backpressure; ErrUnknownExperiment a bad id.
 func (s *Scheduler) Submit(spec JobSpec) (JobSnapshot, error) {
 	if _, ok := exp.Lookup(spec.Experiment); !ok {
 		return JobSnapshot{}, fmt.Errorf("%w %q", ErrUnknownExperiment, spec.Experiment)
@@ -153,198 +165,153 @@ func (s *Scheduler) Submit(spec JobSpec) (JobSnapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
-	j := &job{
-		id:        fmt.Sprintf("j%d", s.seq),
-		spec:      spec,
-		key:       key,
-		status:    JobQueued,
-		submitted: time.Now(),
-	}
+	j := &job{id: fmt.Sprintf("j%d", s.seq), spec: spec, key: key, cache: "hit", submitted: time.Now()}
 
 	// Deterministic runs memoize: an identical finished spec is returned
 	// from the cache byte-for-byte, with no recompute.
 	if e, ok := s.cache.Get(key); ok {
 		s.hits++
-		j.cache = "hit"
-		j.status = JobDone
-		j.cacheEntry = e
-		j.finishedAt = time.Now()
+		j.status, j.cacheEntry = JobDone, e
 		s.admit(j)
 		return j.snapshot(), nil
 	}
-
-	// An identical spec already computing: attach as a follower — one
-	// compute serves both, and the follower finishes when the leader does.
-	if leader, ok := s.inflight[key]; ok {
+	if c := s.inflight[key]; c != nil && c.status != JobCanceled {
 		s.hits++
-		j.cache = "hit"
-		leader.followers = append(leader.followers, j)
+		j.status = c.status
+		c.jobs = append(c.jobs, j)
 		s.admit(j)
 		return j.snapshot(), nil
 	}
 
-	// Fresh spec: this job leads the computation. It is counted and
-	// registered only once the pool has accepted it, so a refused submit
-	// leaves no pending run and no miss behind. The worker's compute blocks
-	// on s.mu, which is held here, so it cannot see j before j.state is set.
-	j.cache = "miss"
+	// Fresh spec. It is counted and registered only once the pool has
+	// accepted it, so a refused submit leaves no pending run and no miss
+	// behind. The worker's compute blocks on s.mu, held here, so it cannot
+	// see c before c.state is set.
+	j.cache, j.status = "miss", JobQueued
+	c := &computation{key: key, spec: spec, status: JobQueued, jobs: []*job{j}}
 	name := fmt.Sprintf("%s:%s/seed=%d", j.id, spec.Experiment, spec.Params.Seed)
 	task := runner.Task{Name: name, Run: func() (string, map[string]float64) {
-		return s.compute(j)
+		return s.compute(c)
 	}}
-	if !s.pool.TrySubmit(task, func(r runner.Result) { s.complete(j, r) }) {
+	if !s.pool.TrySubmit(task, func(r runner.Result) { s.complete(c, r) }) {
 		return JobSnapshot{}, ErrQueueFull
 	}
 	s.misses++
 	if s.cfg.RunTable != nil {
-		j.state = s.cfg.RunTable.Add(name, spec.Experiment, spec.Params.Seed)
+		c.state = s.cfg.RunTable.Add(name, spec.Experiment, spec.Params.Seed)
+		j.run = c.state
 	} else {
-		j.state = &runner.RunEntry{Name: name, Experiment: spec.Experiment, Seed: spec.Params.Seed}
+		c.state = &runner.RunEntry{Name: name, Experiment: spec.Experiment, Seed: spec.Params.Seed}
 	}
-	s.inflight[key] = j
+	s.inflight[key] = c
 	s.admit(j)
 	return j.snapshot(), nil
 }
 
 // admit records an accepted job in the table and, past RetainedJobs, drops
-// the oldest finished ones. A canceled leader whose compute is still owed
-// to its followers stays until it completes. Caller holds s.mu.
+// the oldest jobs whose key is not in flight (every queued or running
+// job's key is), with the /runs entries they registered. Caller holds s.mu.
 func (s *Scheduler) admit(j *job) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	for i := 0; i < len(s.order) && len(s.order) > RetainedJobs; {
 		old := s.jobs[s.order[i]]
-		if !old.finished() || s.inflight[old.key] == old {
+		if s.inflight[old.key] != nil {
 			i++
 			continue
 		}
 		delete(s.jobs, old.id)
 		s.order = append(s.order[:i], s.order[i+1:]...)
-		if old.state != nil && s.cfg.RunTable != nil {
-			s.cfg.RunTable.Remove(old.state)
+		if old.run != nil {
+			s.cfg.RunTable.Remove(old.run)
 		}
 	}
 }
 
-// compute runs the experiment for a leader job on a pool worker. The
-// rendered output travels back through the runner result; artifacts and
-// the experiment-level error ride on the job under the lock.
-func (s *Scheduler) compute(j *job) (string, map[string]float64) {
+// compute runs a computation on a pool worker unless none of its jobs is
+// still queued. The rendered output travels back through the runner
+// result; artifacts and the experiment's error ride on c.
+func (s *Scheduler) compute(c *computation) (string, map[string]float64) {
 	s.mu.Lock()
-	if j.status == JobCanceled && len(j.followers) == 0 {
-		// Canceled while queued with nobody waiting: skip the work. (A
-		// canceled leader with followers still computes — the followers
-		// paid for the result.)
-		j.skipped = true
+	for _, j := range c.jobs {
+		if j.status == JobQueued {
+			j.status, c.status = JobRunning, JobRunning
+		}
+	}
+	if c.status != JobRunning {
+		c.status, c.err = JobCanceled, errCanceled
 		s.mu.Unlock()
 		return "", nil
 	}
-	if j.status == JobQueued {
-		j.status = JobRunning
-	}
 	s.mu.Unlock()
-	j.state.Start()
+	c.state.Start()
 
 	// The server's instrument set: the digest chain always, so the output
 	// carries the "# fingerprint" lines the CLI prints with -fingerprint,
 	// and the series when the spec asked for an artifact.
 	var buf bytes.Buffer
-	runs, err := Execute(j.spec.Experiment, j.spec.Params, Instruments{
+	runs, err := Execute(c.spec.Experiment, c.spec.Params, Instruments{
 		Fingerprint: true,
-		Series:      j.spec.Artifact,
+		Series:      c.spec.Artifact,
 		Hub:         s.cfg.Hub,
-		Live:        j.state,
+		Live:        c.state,
 	}, nil, &buf)
 	var arts []Artifact
-	if err == nil && j.spec.Artifact {
+	if err == nil && c.spec.Artifact {
 		for _, r := range runs {
 			arts = append(arts, Artifact{Stem: r.Stem, Lines: r.Lines})
 		}
 	}
 
 	s.mu.Lock()
-	if !j.finished() {
-		j.artifacts = arts
-		j.runErr = err
-	}
+	c.artifacts, c.err = arts, err
 	s.mu.Unlock()
 	return buf.String(), nil
 }
 
-// complete finalizes a leader job from its pool result: classify the
-// outcome, cross-check the manifest, populate the cache, and release any
-// followers.
-func (s *Scheduler) complete(j *job, r runner.Result) {
+// complete ends a computation from its pool result: it classifies the
+// outcome, cross-checks the manifest and caches a success once, finishes
+// the run state, and finishes every job that was not canceled.
+func (s *Scheduler) complete(c *computation, r runner.Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.finished() && j.status != JobCanceled {
-		return // already finalized (defensive; the pool calls once)
+	if s.inflight[c.key] == c { // a skipped one may have been replaced
+		delete(s.inflight, c.key)
 	}
 
 	errMsg := ""
 	switch {
 	case r.Err != nil:
 		errMsg = r.Err.Error()
-	case j.runErr != nil:
-		errMsg = j.runErr.Error()
+	case c.err != nil:
+		errMsg = c.err.Error()
 	}
-
-	success := errMsg == "" && !j.skipped
-	var fp string
-	if success {
-		fp = OutputFingerprint(r.Output)
-		// Manifest cross-check: a run the committed manifest covers must
-		// reproduce its recorded fingerprint — the determinism contract,
-		// enforced at serve time. A run it does not cover is unchecked.
-		if s.cfg.Manifest != nil {
-			name := fmt.Sprintf("%s/seed=%d", j.spec.Experiment, j.spec.Params.Seed)
-			if err := s.cfg.Manifest.Check(name, j.spec.Params, fp); err != nil && !errors.Is(err, ErrNotInManifest) {
-				success = false
-				errMsg = "determinism violation: " + err.Error()
-			}
+	// Manifest cross-check: a run the committed manifest covers must
+	// reproduce its recorded fingerprint — the determinism contract,
+	// enforced at serve time. A run it does not cover is unchecked.
+	fp := OutputFingerprint(r.Output)
+	if errMsg == "" && s.cfg.Manifest != nil {
+		name := fmt.Sprintf("%s/seed=%d", c.spec.Experiment, c.spec.Params.Seed)
+		if err := s.cfg.Manifest.Check(name, c.spec.Params, fp); err != nil && !errors.Is(err, ErrNotInManifest) {
+			errMsg = "determinism violation: " + err.Error()
 		}
 	}
-
-	j.wallMS = float64(r.Wall.Microseconds()) / 1000
-	j.events = j.state.Live.Events.Load()
-	if success {
-		j.output, j.fp = r.Output, fp
-		s.cache.Put(j.key, j.cacheEntry)
-	} else {
-		j.artifacts = nil
+	e := cacheEntry{wallMS: float64(r.Wall.Microseconds()) / 1000, events: c.state.Live.Events.Load()}
+	if errMsg == "" {
+		e.output, e.fp, e.artifacts = r.Output, fp, c.artifacts
+		s.cache.Put(c.key, e)
 	}
+	c.state.Finish(errMsg)
 
-	finalize := func(target *job) {
-		if target.status == JobCanceled {
-			return
-		}
-		if success {
-			target.status = JobDone
-		} else {
-			target.status = JobFailed
-			target.errMsg = errMsg
-		}
-		target.finishedAt = time.Now()
-	}
-	finalize(j)
-	if j.status != JobCanceled {
-		// A canceled leader's RunEntry was already finished ("canceled")
-		// by Cancel; don't overwrite that with the compute outcome.
-		j.state.Finish(errMsg)
-	}
-
-	// Followers inherit the leader's outcome, bytes included.
-	for _, f := range j.followers {
-		if f.status == JobCanceled {
+	for _, j := range c.jobs {
+		if j.status == JobCanceled {
 			continue
 		}
-		if success {
-			f.cacheEntry = j.cacheEntry
+		j.cacheEntry, j.status, j.errMsg = e, JobDone, errMsg
+		if errMsg != "" {
+			j.status = JobFailed
 		}
-		finalize(f)
 	}
-	j.followers = nil
-	delete(s.inflight, j.key)
 }
 
 // Cancel cancels a queued job. Running jobs are uninterruptible
@@ -361,10 +328,6 @@ func (s *Scheduler) Cancel(id string) error {
 		return ErrNotCancelable
 	}
 	j.status = JobCanceled
-	j.finishedAt = time.Now()
-	if j.state != nil {
-		j.state.Finish("canceled")
-	}
 	return nil
 }
 
@@ -413,13 +376,17 @@ func (s *Scheduler) Jobs() JobsSnapshot {
 	defer s.mu.Unlock()
 	out := JobsSnapshot{Queue: QueueStats{Capacity: s.cfg.QueueDepth}}
 	out.Cache = CacheStats{Entries: s.cache.Len(), Hits: s.hits, Misses: s.misses}
+	for _, c := range s.inflight {
+		if c.status == JobQueued {
+			out.Queue.Depth++
+		}
+	}
 	for _, id := range s.order {
 		j := s.jobs[id]
 		out.Jobs = append(out.Jobs, j.snapshot())
 		switch j.status {
 		case JobQueued:
 			out.Counts.Queued++
-			out.Queue.Depth++
 		case JobRunning:
 			out.Counts.Running++
 		case JobDone:

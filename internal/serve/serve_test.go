@@ -419,3 +419,194 @@ func TestCacheEviction(t *testing.T) {
 		t.Error("update evicted a live entry")
 	}
 }
+
+// openGate releases a gate unless it is open already.
+func openGate(gate chan struct{}) {
+	select {
+	case <-gate:
+	default:
+		close(gate)
+	}
+}
+
+// runOf returns the /runs entry of the computation the job with this id
+// started, or ok=false once it has left the run table.
+func runOf(runs *runner.RunTable, id string) (snap runner.RunSnapshot, ok bool) {
+	for _, r := range runs.Snapshot() {
+		if strings.HasPrefix(r.Name, id+":") {
+			return r, true
+		}
+	}
+	return runner.RunSnapshot{}, false
+}
+
+// TestQueueDepthCountsComputations: a job that joins a queued computation
+// holds no pool slot, so /jobs reports the queue depth that backpressure
+// enforces.
+func TestQueueDepthCountsComputations(t *testing.T) {
+	gate, _ := registerGatedSpec("testdepth")
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	defer s.Close()
+	defer close(gate)
+
+	blocker, _ := s.Submit(JobSpec{Experiment: "testdepth", Params: exp.RunParams{Seed: 1}})
+	waitStatus(t, s, blocker.ID, JobRunning)
+	for i := 0; i < 2; i++ {
+		if _, err := s.Submit(JobSpec{Experiment: "testdepth", Params: exp.RunParams{Seed: 2}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Submit(JobSpec{Experiment: "testdepth", Params: exp.RunParams{Seed: 3}}); err != ErrQueueFull {
+		t.Errorf("third spec into a full queue: err=%v, want ErrQueueFull", err)
+	}
+	snap := s.Jobs()
+	if snap.Queue.Depth != 1 || snap.Queue.Capacity != 1 || snap.Counts.Queued != 2 {
+		t.Errorf("queue %+v with %d queued jobs, want depth 1/1 with 2 queued jobs", snap.Queue, snap.Counts.Queued)
+	}
+}
+
+// TestJoinAndCancelRules pins how jobs share a computation: a job joins
+// its key while the key is queued or running, a computation runs while
+// any of its jobs is still queued when the pool reaches it, and its
+// first job stays in the table while it is in flight.
+func TestJoinAndCancelRules(t *testing.T) {
+	type rig struct {
+		s        *Scheduler
+		runs     *runner.RunTable
+		block    JobSnapshot // holds the one worker until release is closed
+		release  chan struct{}
+		spec     JobSpec // a second gated spec, held by gate
+		gate     chan struct{}
+		computes *atomic.Int64 // computes of spec
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, r rig)
+	}{
+		// The run entry reads the computation's outcome, not the cancel.
+		{"cancel the first of two queued jobs", func(t *testing.T, r rig) {
+			a1, _ := r.s.Submit(r.spec)
+			a2, _ := r.s.Submit(r.spec)
+			if err := r.s.Cancel(a1.ID); err != nil {
+				t.Fatal(err)
+			}
+			openGate(r.release)
+			openGate(r.gate)
+			if f := waitJob(t, r.s, a2.ID); f.Status != JobDone {
+				t.Fatalf("second job %s (%s), want done", f.Status, f.Err)
+			}
+			if got := r.computes.Load(); got != 1 {
+				t.Errorf("%d computes, want 1", got)
+			}
+			res, _ := r.s.Result(a2.ID)
+			if !strings.Contains(res.Output, "seed=2") || res.FP != OutputFingerprint(res.Output) {
+				t.Errorf("second job's result %+v lacks the run's bytes", res)
+			}
+			if f, _ := r.s.Job(a1.ID); f.Status != JobCanceled {
+				t.Errorf("first job %s, want canceled", f.Status)
+			}
+			if run, ok := runOf(r.runs, a1.ID); !ok || run.Status != "done" || run.Err != "" {
+				t.Errorf("run entry %+v (present %v), want done", run, ok)
+			}
+		}},
+		{"cancel both", func(t *testing.T, r rig) {
+			a1, _ := r.s.Submit(r.spec)
+			a2, _ := r.s.Submit(r.spec)
+			for _, id := range []string{a1.ID, a2.ID} {
+				if err := r.s.Cancel(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			openGate(r.release)
+			openGate(r.gate)
+			waitJob(t, r.s, r.block.ID)
+			deadline := time.Now().Add(10 * time.Second)
+			for run, _ := runOf(r.runs, a1.ID); run.Status != "failed"; run, _ = runOf(r.runs, a1.ID) {
+				if time.Now().After(deadline) {
+					t.Fatalf("skipped computation's run entry %+v, want failed", run)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			if run, _ := runOf(r.runs, a1.ID); run.Err != JobCanceled {
+				t.Errorf("skipped computation's run entry err %q, want %q", run.Err, JobCanceled)
+			}
+			if got := r.computes.Load(); got != 0 {
+				t.Errorf("%d computes, want 0", got)
+			}
+			for _, id := range []string{a1.ID, a2.ID} {
+				if res, err := r.s.Result(id); err != nil || res.Status != JobCanceled || res.Output != "" {
+					t.Errorf("result of %s: %+v, %v; want canceled", id, res, err)
+				}
+			}
+		}},
+		{"a job that joins a running computation reads running", func(t *testing.T, r rig) {
+			openGate(r.release)
+			a1, _ := r.s.Submit(r.spec)
+			waitStatus(t, r.s, a1.ID, JobRunning)
+			a2, _ := r.s.Submit(r.spec)
+			if a2.Status != JobRunning || a2.Cache != "hit" {
+				t.Errorf("joining job: status %s cache %s, want running/hit", a2.Status, a2.Cache)
+			}
+			if c := r.s.Jobs().Counts; c.Running != 2 || c.Queued != 0 {
+				t.Errorf("counts %+v, want 2 running", c)
+			}
+			openGate(r.gate)
+			if f := waitJob(t, r.s, a2.ID); f.Status != JobDone || r.computes.Load() != 1 {
+				t.Errorf("joining job %s after %d computes, want done after 1", f.Status, r.computes.Load())
+			}
+		}},
+		{"a canceled first job's run entry outlives RetainedJobs", func(t *testing.T, r rig) {
+			a1, _ := r.s.Submit(r.spec)
+			a2, _ := r.s.Submit(r.spec)
+			if err := r.s.Cancel(a1.ID); err != nil {
+				t.Fatal(err)
+			}
+			openGate(r.release)
+			waitStatus(t, r.s, a2.ID, JobRunning)
+			// The blocker's spec is cached now: each resubmit is a
+			// finished job, and RetainedJobs+1 of them cycle the table.
+			blockSpec := JobSpec{Experiment: r.block.Experiment, Params: r.block.Params}
+			for i := 0; i <= RetainedJobs; i++ {
+				if h, err := r.s.Submit(blockSpec); err != nil || h.Status != JobDone {
+					t.Fatalf("resubmit %d: %s, %v; want a cache hit", i, h.Status, err)
+				}
+			}
+			if _, err := r.s.Job(r.block.ID); err != ErrNotFound {
+				t.Errorf("blocker still in the table (err %v): the table did not cycle", err)
+			}
+			if _, err := r.s.Job(a1.ID); err != nil {
+				t.Errorf("canceled first job left the table while its computation runs: %v", err)
+			}
+			if run, ok := runOf(r.runs, a1.ID); !ok || run.Status != "running" {
+				t.Errorf("run entry %+v (present %v) while computing, want running", run, ok)
+			}
+			openGate(r.gate)
+			waitJob(t, r.s, a2.ID)
+			if _, err := r.s.Submit(blockSpec); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := runOf(r.runs, a1.ID); ok {
+				t.Error("run entry still listed after its computation ended and its job aged out")
+			}
+		}},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			release, _ := registerGatedSpec(fmt.Sprintf("testjoinblock%d", i))
+			gate, computes := registerGatedSpec(fmt.Sprintf("testjoin%d", i))
+			runs := &runner.RunTable{}
+			s := New(Config{Workers: 1, QueueDepth: 4, RunTable: runs})
+			defer s.Close()
+			defer openGate(gate)
+			defer openGate(release)
+			block, err := s.Submit(JobSpec{Experiment: fmt.Sprintf("testjoinblock%d", i), Params: exp.RunParams{Seed: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitStatus(t, s, block.ID, JobRunning)
+			tc.run(t, rig{s: s, runs: runs, block: block, release: release,
+				spec: JobSpec{Experiment: fmt.Sprintf("testjoin%d", i), Params: exp.RunParams{Seed: 2}},
+				gate: gate, computes: computes})
+		})
+	}
+}

@@ -142,10 +142,10 @@ while read -r doc max; do
         fail=1
     fi
 done <<EOF
-docs/API.md 7024
-docs/ARCHITECTURE.md 47347
+docs/API.md 7006
+docs/ARCHITECTURE.md 47293
 docs/OBSERVABILITY.md 37347
-docs/PERFORMANCE.md 28932
+docs/PERFORMANCE.md 25738
 README.md 15397
 DESIGN.md 13682
 EXPERIMENTS.md 13906
